@@ -286,8 +286,8 @@ def run_simulate(config: dict, seed: int, threads: int):
             fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
             rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano, None))
             n_inner = plan["trials_per_matrix"]
-            for p in est.extras["per_matrix"]:
-                lo, hi = mc.clopper_pearson(round(p * n_inner), n_inner)
+            for p, errors in zip(est.extras["per_matrix"], est.extras["per_matrix_errors"]):
+                lo, hi = mc.clopper_pearson(errors, n_inner)
                 sub = mc.ErrorEstimate(p_hat=p, trials=n_inner, ci_low=lo, ci_high=hi,
                                        master_seed=seed)
                 rows.append(_simulate_row("ensemble-matrix", N, M, K, T, sigma2, seed, sub,

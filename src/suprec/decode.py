@@ -133,21 +133,24 @@ class SupportDecoder:
             scores[idx] = const - self.kappa * T * logdet - self.kappa * quad
         return scores
 
-    def decode_index(self, Y) -> tuple:
-        """Index of the winning candidate plus a flag for broken ties."""
-        scores = self.log_scores(Y)
-        best = np.max(scores)
-        winners = np.flatnonzero(scores == best)
+    def _pick(self, scores: np.ndarray) -> tuple:
+        """Index of the best score plus a flag for broken ties; ties go to
+        the lexicographically smallest support."""
+        winners = np.flatnonzero(scores == np.max(scores))
         if winners.size == 1:
             return int(winners[0]), False
         choice = min(winners, key=lambda i: self.candidates[i].indices)
         return int(choice), True
 
+    def decode_index(self, Y) -> tuple:
+        """Index of the winning candidate plus a flag for broken ties."""
+        return self._pick(self.log_scores(Y))
+
     def decode(self, Y, keep_scores: bool = True) -> DecodeResult:
-        idx, tied = self.decode_index(Y)
+        values = self.log_scores(Y)
+        idx, tied = self._pick(values)
         scores = None
         if keep_scores:
-            values = self.log_scores(Y)
             scores = {S: float(v) for S, v in zip(self.candidates, values)}
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=tied)
 

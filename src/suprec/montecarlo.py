@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .decode import SupportDecoder, _chol_logdet
 from .model import (
@@ -79,8 +79,11 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     alpha = 1.0 - confidence
-    low = 0.0 if errors == 0 else float(beta_dist.ppf(alpha / 2, errors, trials - errors + 1))
-    high = 1.0 if errors == trials else float(beta_dist.ppf(1 - alpha / 2, errors + 1, trials - errors))
+    # Beta quantiles via the inverse regularized incomplete beta function: the
+    # same values as scipy.stats.beta.ppf without importing scipy.stats, which
+    # would dominate CLI start-up.
+    low = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
+    high = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
     return low, high
 
 
@@ -186,13 +189,13 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
     """Error probability averaged over fresh Gaussian measurement matrices.
 
     The grand estimate pools all matrix_draws * trials_per_matrix trials;
-    per-matrix estimates are retained in the extras for the
+    per-matrix estimates (`per_matrix`) and their integer error counts
+    (`per_matrix_errors`) are retained in the extras for the
     P{P_err(A) <= eps} reading.
     """
     candidates = enumerate_supports(N, K)
     L = len(candidates)
-    per_matrix = []
-    total_errors = 0
+    per_matrix_errors = []
     for d in range(matrix_draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "ensemble-matrix", d))
         decoder = SupportDecoder(A, candidates, sigma2)
@@ -208,15 +211,16 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
         truths = np.asarray([r[0] for r in results])
         stack = np.stack([r[1] for r in results])
         chosen = decoder.decode_index_batch(stack)
-        errors = int(np.sum(chosen != truths))
-        total_errors += errors
-        per_matrix.append(errors / trials_per_matrix)
+        per_matrix_errors.append(int(np.sum(chosen != truths)))
 
+    per_matrix = tuple(e / trials_per_matrix for e in per_matrix_errors)
     per_matrix_arr = np.asarray(per_matrix)
     spread = (float(per_matrix_arr.min()), float(np.median(per_matrix_arr)),
               float(per_matrix_arr.max()))
-    return _estimate(total_errors, matrix_draws * trials_per_matrix, seed, confidence,
-                     per_matrix=tuple(per_matrix), spread_min_median_max=spread)
+    return _estimate(sum(per_matrix_errors), matrix_draws * trials_per_matrix, seed,
+                     confidence, per_matrix=per_matrix,
+                     per_matrix_errors=tuple(per_matrix_errors),
+                     spread_min_median_max=spread)
 
 
 def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,

@@ -206,3 +206,15 @@ class TestSeedResolution:
                                 env={**os.environ, "SUPREC_SEED": "123"})
         assert result.returncode == 0, result.stderr
         assert ",77," in result.stdout.splitlines()[1]
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats alone costs most of a cold start; nothing in suprec needs it
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import suprec.cli, sys; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -166,6 +166,9 @@ class TestMlDecode:
         scores = decoder.log_scores(Y.values)
         res = decoder.decode(Y.values)
         assert res.log_scores[res.chosen] == pytest.approx(np.max(scores))
+        assert np.array_equal(list(res.log_scores.values()), scores)
+        assert (candidates.index(res.chosen), res.ties_broken) == decoder.decode_index(Y.values)
+        assert not res.ties_broken
         # adding a constant to every log score cannot move the argmax
         assert int(np.argmax(scores)) == int(np.argmax(scores + 123.456))
 
@@ -190,3 +193,16 @@ class TestMlDecode:
         assert 0 in decoder.failures and 1 not in decoder.failures
         res = decoder.decode(np.ones((3, 1)))
         assert res.chosen == good
+
+    def test_decode_with_scores_breaks_ties_like_decode_index(self):
+        # columns 0 and 1 are equal, so supports {0} and {1} score identically
+        col = np.array([[1.0], [2.0], [-1.0]])
+        A = MeasurementMatrix(np.hstack([col, col, np.eye(3)]), FieldTag.REAL)
+        candidates = [make_support([1], 5), make_support([3], 5), make_support([0], 5)]
+        decoder = SupportDecoder(A, candidates, 0.1)
+        Y = 3.0 * col
+        res = decoder.decode(Y, keep_scores=True)
+        idx, tied = decoder.decode_index(Y)
+        assert tied and res.ties_broken
+        assert res.chosen == candidates[idx] == make_support([0], 5)
+        assert np.array_equal(list(res.log_scores.values()), decoder.log_scores(Y))

@@ -41,6 +41,24 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    def test_equals_beta_ppf_oracle(self, confidence):
+        # scipy.stats is the oracle here only; the package must not import it
+        from scipy.stats import beta
+
+        grid = [(e, n) for n in [*range(1, 201), 1000, 10000] for e in range(n + 1)]
+        errors = np.array([e for e, _ in grid])
+        trials = np.array([n for _, n in grid])
+        alpha = 1.0 - confidence
+        low, high = errors > 0, errors < trials
+        want_low = np.zeros(len(grid))
+        want_low[low] = beta.ppf(alpha / 2, errors[low], trials[low] - errors[low] + 1)
+        want_high = np.ones(len(grid))
+        want_high[high] = beta.ppf(1 - alpha / 2, errors[high] + 1, trials[high] - errors[high])
+        got = np.array([clopper_pearson(e, n, confidence) for e, n in grid])
+        assert np.array_equal(got[:, 0], want_low)
+        assert np.array_equal(got[:, 1], want_high)
+
 
 class TestBinaryEstimate:
     def setup_method(self):
@@ -123,6 +141,10 @@ class TestEnsembleEstimate:
         est = estimate_ensemble_perr(4, 8, 2, 1.0, 1, matrix_draws=4, trials_per_matrix=50, seed=21)
         assert est.trials == 200
         assert est.p_hat == pytest.approx(np.mean(est.extras["per_matrix"]))
+        counts = est.extras["per_matrix_errors"]
+        assert all(isinstance(c, int) for c in counts)
+        assert est.extras["per_matrix"] == tuple(c / 50 for c in counts)
+        assert est.p_hat == sum(counts) / est.trials
 
     def test_ensemble_fano_respected(self):
         # hard regime (M=2, sigma2=5): average error must clear the ensemble Fano bound
