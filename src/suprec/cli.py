@@ -2,8 +2,8 @@
 
 One JSON config document per run; subcommands `bounds`, `simulate`,
 `eig-check`, `doa`, and `sweep`. Output is CSV or JSON with a fixed column
-order, reproducible byte for byte from (config, seed) regardless of
---threads.
+order, reproducible byte for byte from (config, seed); --threads is accepted
+and ignored.
 
 Exit codes: 0 success, 2 config error, 3 resource-cap error.
 """
@@ -117,18 +117,61 @@ def _build_matrix(cfg: dict, M: int, N: int, field: FieldTag, seed: int, where: 
 # ---------------------------------------------------------------------------
 # bounds
 
+def _report_fields(q, r) -> tuple:
+    return r.raw_value, r.clamped, r.applicable, r.precondition_note
+
+
+def _threshold_fields(q, t) -> tuple:
+    return t.value, None, True, json.dumps(t.forms, sort_keys=True)
+
+
+def _ensemble_fano_fields(q, r) -> tuple:
+    return r.raw_value, r.clamped, r.applicable, f"beta={r.extras['beta']!r}"
+
+
+def _sufficiency_fields(q, s) -> tuple:
+    notes = json.dumps({"m_over_klognk": s.m_over_klognk,
+                        "t_condition_ratio": s.t_condition_ratio,
+                        "t_loglog_ratio": s.t_loglog_ratio,
+                        "exponent_ceiling": s.exponent_ceiling,
+                        "notes": list(s.notes)}, sort_keys=True)
+    return s.gamma, None, s.gamma is not None, notes
+
+
+def _interval_fields(q, interval) -> tuple:
+    low, high = interval
+    return low, None, True, f"interval=[{low!r}, {high!r}]"
+
+
+def _hypergeometric_fields(q, value) -> tuple:
+    return value, None, True, f"closed_form={q['K'] * (q['N'] - q['K']) / q['N']!r}"
+
+
+def _value_fields(q, value) -> tuple:
+    return value, None, True, ""
+
+
+# formula -> (function, its argument keys in call order, optional keys among
+# them, record fields (raw, clamped, applicable, notes) from (query, result)).
 _BOUND_FORMULAS = {
-    "multiple_geometric": (("lambda_bar", "N", "K", "T", "kappa"), ()),
-    "multiple_union": (("lambda_bar", "N", "K", "T", "kappa"), ()),
-    "fano_lower": (("beta", "L"), ()),
-    "ensemble_fano": (("M", "N", "K", "sigma2", "T", "kappa"), ()),
-    "snet": (("epsilon", "N", "K", "sigma2", "kappa", "normalization"), ()),
-    "doa": (("epsilon", "N", "K", "sigma2"), ()),
-    "gaussian_necessary": (("epsilon", "N", "K", "sigma2", "kappa"), ("delta",)),
-    "sufficiency": (("M", "N", "K", "T", "sigma2", "kappa"), ()),
-    "expected_incoherence": (("M", "K", "k_d", "sigma2"), ()),
-    "hypergeometric_mean": (("N", "K"), ()),
-    "chernoff_mu": (("eigenvalues", "s", "T", "kappa"), ()),
+    "multiple_geometric": (bd.multiple_bound_geometric, ("lambda_bar", "N", "K", "T", "kappa"),
+                           (), _report_fields),
+    "multiple_union": (bd.multiple_bound_union, ("lambda_bar", "N", "K", "T", "kappa"),
+                       (), _report_fields),
+    "fano_lower": (bd.fano_lower, ("beta", "L"), (), _report_fields),
+    "ensemble_fano": (bd.ensemble_fano_lower, ("M", "N", "K", "sigma2", "T", "kappa"),
+                      (), _ensemble_fano_fields),
+    "snet": (bd.snet_requirements, ("epsilon", "N", "K", "sigma2", "kappa", "normalization"),
+             (), _threshold_fields),
+    "doa": (bd.doa_requirements, ("epsilon", "N", "K", "sigma2"), (), _threshold_fields),
+    "gaussian_necessary": (bd.gaussian_necessary, ("epsilon", "delta", "N", "K", "sigma2", "kappa"),
+                           ("delta",), _threshold_fields),
+    "sufficiency": (bd.gaussian_sufficiency_report, ("M", "N", "K", "T", "sigma2", "kappa"),
+                    (), _sufficiency_fields),
+    "expected_incoherence": (bd.expected_incoherence_bounds, ("M", "K", "k_d", "sigma2"),
+                             (), _interval_fields),
+    "hypergeometric_mean": (bd.hypergeometric_mean_check, ("N", "K"), (), _hypergeometric_fields),
+    "chernoff_mu": (bd.chernoff_mu, ("eigenvalues", "s", "T", "kappa"), (), _value_fields),
 }
 
 
@@ -143,82 +186,43 @@ def _validate_bounds(config: dict) -> list:
         formula = _require(q, "formula", str, where)
         if formula not in _BOUND_FORMULAS:
             raise ConfigError(f"{where}: unknown formula {formula!r}")
-        required, _ = _BOUND_FORMULAS[formula]
-        for key in required:
-            if key not in q:
+        _, keys, optional, _ = _BOUND_FORMULAS[formula]
+        for key in keys:
+            if key not in q and key not in optional:
                 raise ConfigError(f"{where}: formula {formula!r} requires key '{key}'")
     return queries
 
 
-def _bound_record(formula: str, inputs: dict, raw, clamped, applicable, notes) -> dict:
-    return {"formula_id": formula, "inputs": inputs, "raw": raw, "clamped": clamped,
-            "applicable": applicable, "notes": notes}
-
-
-def run_bounds(config: dict, seed: int, threads: int):
+def run_bounds(config: dict, seed: int):
     queries = _validate_bounds(config)
     records = []
     for q in queries:
         formula = q["formula"]
-        inputs = {k: v for k, v in q.items() if k != "formula"}
+        fn, keys, _, fields = _BOUND_FORMULAS[formula]
         try:
-            if formula == "multiple_geometric":
-                r = bd.multiple_bound_geometric(q["lambda_bar"], q["N"], q["K"], q["T"], q["kappa"])
-                rec = _bound_record(formula, inputs, r.raw_value, r.clamped, r.applicable,
-                                    r.precondition_note)
-            elif formula == "multiple_union":
-                r = bd.multiple_bound_union(q["lambda_bar"], q["N"], q["K"], q["T"], q["kappa"])
-                rec = _bound_record(formula, inputs, r.raw_value, r.clamped, r.applicable,
-                                    r.precondition_note)
-            elif formula == "fano_lower":
-                r = bd.fano_lower(q["beta"], q["L"])
-                rec = _bound_record(formula, inputs, r.raw_value, r.clamped, r.applicable,
-                                    r.precondition_note)
-            elif formula == "ensemble_fano":
-                r = bd.ensemble_fano_lower(q["M"], q["N"], q["K"], q["sigma2"], q["T"], q["kappa"])
-                rec = _bound_record(formula, inputs, r.raw_value, r.clamped, r.applicable,
-                                    f"beta={r.extras['beta']!r}")
-            elif formula == "snet":
-                t = bd.snet_requirements(q["epsilon"], q["N"], q["K"], q["sigma2"], q["kappa"],
-                                         q["normalization"])
-                rec = _bound_record(formula, inputs, t.value, None, True,
-                                    json.dumps(t.forms, sort_keys=True))
-            elif formula == "doa":
-                t = bd.doa_requirements(q["epsilon"], q["N"], q["K"], q["sigma2"])
-                rec = _bound_record(formula, inputs, t.value, None, True,
-                                    json.dumps(t.forms, sort_keys=True))
-            elif formula == "gaussian_necessary":
-                t = bd.gaussian_necessary(q["epsilon"], q.get("delta"), q["N"], q["K"],
-                                          q["sigma2"], q["kappa"])
-                rec = _bound_record(formula, inputs, t.value, None, True,
-                                    json.dumps(t.forms, sort_keys=True))
-            elif formula == "sufficiency":
-                s = bd.gaussian_sufficiency_report(q["M"], q["N"], q["K"], q["T"], q["sigma2"],
-                                                   q["kappa"])
-                notes = json.dumps({"m_over_klognk": s.m_over_klognk,
-                                    "t_condition_ratio": s.t_condition_ratio,
-                                    "t_loglog_ratio": s.t_loglog_ratio,
-                                    "exponent_ceiling": s.exponent_ceiling,
-                                    "notes": list(s.notes)}, sort_keys=True)
-                rec = _bound_record(formula, inputs, s.gamma, None, s.gamma is not None, notes)
-            elif formula == "expected_incoherence":
-                low, high = bd.expected_incoherence_bounds(q["M"], q["K"], q["k_d"], q["sigma2"])
-                rec = _bound_record(formula, inputs, low, None, True, f"interval=[{low!r}, {high!r}]")
-            elif formula == "hypergeometric_mean":
-                value = bd.hypergeometric_mean_check(q["N"], q["K"])
-                rec = _bound_record(formula, inputs, value, None, True,
-                                    f"closed_form={q['K'] * (q['N'] - q['K']) / q['N']!r}")
-            else:  # chernoff_mu
-                value = bd.chernoff_mu(q["eigenvalues"], q["s"], q["T"], q["kappa"])
-                rec = _bound_record(formula, inputs, value, None, True, "")
+            raw, clamped, applicable, notes = fields(q, fn(*(q.get(k) for k in keys)))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"query {formula}: {exc}") from exc
-        records.append(rec)
+        records.append({"formula_id": formula,
+                        "inputs": {k: v for k, v in q.items() if k != "formula"},
+                        "raw": raw, "clamped": clamped, "applicable": applicable,
+                        "notes": notes})
     return BOUNDS_COLUMNS, records, []
 
 
 # ---------------------------------------------------------------------------
 # simulate
+
+def _check_incoherence_shape(M: int, N: int, K: int, where: str) -> None:
+    """matrix_incoherence needs two size-K supports and M >= 2*k_d for the
+    largest difference-set size k_d = min(K, N - K)."""
+    if K >= N:
+        raise ConfigError(f"{where}: incoherence needs two supports: K={K} must be below the"
+                          f" {N} columns")
+    if M < 2 * min(K, N - K):
+        raise ConfigError(f"{where}: incoherence needs M >= 2*min(K, {N}-K) = {2 * min(K, N - K)},"
+                          f" got M={M}")
+
 
 def _validate_simulate(config: dict, seed: int) -> dict:
     where = "config"
@@ -253,11 +257,17 @@ def _validate_simulate(config: dict, seed: int) -> dict:
             raise ConfigError(f"{where}: S0 and S1 must differ")
         if plan["S0"].size != K or plan["S1"].size != K:
             raise ConfigError(f"{where}: supports must have size K={K}")
+        k_d = len(plan["S0"].difference(plan["S1"]))
+        if M < 2 * k_d:
+            raise ConfigError(f"{where}: pair incoherence needs M >= 2*|S0 \\ S1| = {2 * k_d},"
+                              f" got M={M}")
     if mode == "ensemble":
         plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
         plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
-    if mode == "multiple" and math.comb(N, K) > config.get("candidate_cap", 10**6):
-        raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap")
+    if mode == "multiple":
+        if math.comb(N, K) > config.get("candidate_cap", 10**6):
+            raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap")
+        _check_incoherence_shape(M, N, K, where)
     return plan
 
 
@@ -269,7 +279,7 @@ def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
             "lambda_bar": lambda_bar}
 
 
-def run_simulate(config: dict, seed: int, threads: int):
+def run_simulate(config: dict, seed: int):
     plan = _validate_simulate(config, seed)
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
     field, trials = plan["field"], plan["trials"]
@@ -282,7 +292,7 @@ def run_simulate(config: dict, seed: int, threads: int):
                                    master_seed=seed),
                 mode="ensemble", trials=plan["trials_per_matrix"],
                 matrix_draws=plan["matrix_draws"])
-            est = mc.run_experiment(spec, workers=threads)
+            est = mc.run_experiment(spec)
             fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
             rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano, None))
             n_inner = plan["trials_per_matrix"]
@@ -302,7 +312,7 @@ def run_simulate(config: dict, seed: int, threads: int):
                 config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
                                    master_seed=seed),
                 mode="binary", trials=trials, S0=S0, S1=S1)
-            est = mc.run_experiment(spec, A=A, workers=threads)
+            est = mc.run_experiment(spec, A=A)
             report = bd.binary_chernoff(A, S0, S1, sigma2, T)
             lam = min(report.extras["lambda_01"], report.extras["lambda_10"])
             Sig0, Sig1 = covariance(A, S0, sigma2), covariance(A, S1, sigma2)
@@ -319,7 +329,7 @@ def run_simulate(config: dict, seed: int, threads: int):
                 config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
                                    master_seed=seed),
                 mode="multiple", trials=trials)
-            est = mc.run_experiment(spec, A=A, workers=threads)
+            est = mc.run_experiment(spec, A=A)
             summary = matrix_incoherence(A, K, sigma2, mode=inc_mode,
                                          sample_count=inc_cfg.get("count"), seed=seed)
             chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, field.kappa).clamped
@@ -349,7 +359,7 @@ def _validate_eigcheck(config: dict) -> dict:
             "field": _field_of(config, where), "tolerance": float(config.get("tolerance", 1e-8))}
 
 
-def run_eig_check(config: dict, seed: int, threads: int):
+def run_eig_check(config: dict, seed: int):
     plan = _validate_eigcheck(config)
     sigma2, tol = plan["sigma2"], plan["tolerance"]
     rows = []
@@ -414,10 +424,11 @@ def _validate_doa(config: dict) -> dict:
                        "K": _positive_int(u, "K", uw), "spacing": float(u.get("spacing", 0.5)),
                        "pairs": _positive_int(u, "pairs", uw, default=200),
                        "sigma2": float(u.get("sigma2", 1.0))}
+        _check_incoherence_shape(plan["ula"]["M"], plan["ula"]["grid_size"], plan["ula"]["K"], uw)
     return plan
 
 
-def run_doa(config: dict, seed: int, threads: int):
+def run_doa(config: dict, seed: int):
     plan = _validate_doa(config)
     rows = []
     for eps, N, K, sigma2 in product(plan["eps"], plan["Ns"], plan["Ks"], plan["sig"]):
@@ -455,7 +466,7 @@ def _validate_sweep(config: dict) -> tuple:
     return command, base, grid
 
 
-def run_sweep(config: dict, seed: int, threads: int):
+def run_sweep(config: dict, seed: int):
     command, base, grid = _validate_sweep(config)
     keys = sorted(grid)
     columns = None
@@ -471,7 +482,7 @@ def run_sweep(config: dict, seed: int, threads: int):
     for cfg in configs:
         runner.validate(cfg, seed)
     for cfg in configs:
-        cols, sub_rows, sub_comments = runner.run(cfg, seed, threads)
+        cols, sub_rows, sub_comments = runner.run(cfg, seed)
         columns = cols
         rows.extend(sub_rows)
         comments.extend(sub_comments)
@@ -551,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; affects speed only, never results")
+                       help="accepted for compatibility; changes neither results nor speed")
     return parser
 
 
@@ -581,10 +592,9 @@ def main(argv=None) -> int:
     if not isinstance(config, dict):
         print("suprec: config must be a JSON object", file=sys.stderr)
         return 2
-    threads = max(1, args.threads)
     try:
         seed = _resolve_seed(args, config)
-        columns, rows, comments = COMMANDS[args.command].run(config, seed, threads)
+        columns, rows, comments = COMMANDS[args.command].run(config, seed)
     except ConfigError as exc:
         print(f"suprec: config error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,20 @@
 """Seeded Monte Carlo estimation of error probabilities and ensemble statistics.
 
-Every estimator is a pure function of its parameters and the master seed:
-trial t draws from substream(seed, label, t), so splitting trials across
-worker threads cannot change the estimate, only the wall time. Uncertainty
-is reported as an exact binomial (Clopper-Pearson) interval at 95% unless
-another confidence level is requested.
+Every estimator is a pure function of its parameters and the master seed.
+Trials are drawn and scored in blocks of TRIAL_BLOCK: block b draws the
+truths, signals and noise of its trials from one generator,
+substream(seed, label, b), so trial t belongs to block t // TRIAL_BLOCK (the
+ensemble estimator offsets b per matrix so no two matrices share a stream).
+The block size is a constant, so the estimates depend on nothing but the
+arguments. Matrix-draw statistics use one stream per draw d,
+substream(seed, label, d). Uncertainty is reported as an exact binomial
+(Clopper-Pearson) interval at 95% unless another confidence level is
+requested.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,6 +35,10 @@ from .model import (
 )
 from .spectra import covariance, pair_incoherence
 
+# Trials per block: one generator and one batched score per block. Large enough
+# to amortize the per-block Python work, small enough to keep the block's
+# observations (and the decoder's score matrix) far below the process's memory.
+TRIAL_BLOCK = 256
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -93,32 +101,34 @@ def _estimate(errors: int, trials: int, seed: int, confidence: float, **extras) 
                          ci_high=high, master_seed=seed, extras=extras)
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
-    """Evaluate fn(t) for t in range(trials); thread count never changes results."""
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    out = [None] * trials
-    chunk = max(1, math.ceil(trials / workers))
+def draw_trial_blocks(A, supports: np.ndarray, sigma2: float, T: int, trials: int,
+                      seed: int, label: str, first_index: int = 0):
+    """Yield (truths, Y) for consecutive blocks of at most TRIAL_BLOCK trials.
 
-    def run(chunk_start: int) -> None:
-        for t in range(chunk_start, min(chunk_start + chunk, trials)):
-            out[t] = fn(t)
+    `supports` is an (L, K) array of column indices, one row per hypothesis.
+    Block b draws everything from substream(seed, label, first_index + b): the
+    true hypotheses (n,), then the signals X (n, K, T), then the noise
+    W (n, M, T), and yields the observations Y = A_S X + W of shape (n, M, T).
+    """
+    entries, field = as_matrix(A)
+    M = entries.shape[0]
+    L, K = supports.shape
+    for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+        n = min(TRIAL_BLOCK, trials - start)
+        rng = substream(seed, label, first_index + b)
+        truths = rng.integers(0, L, size=n)
+        X = field_gaussian(rng, (n, K, T), field)
+        W = field_gaussian(rng, (n, M, T), field) * np.sqrt(sigma2)
+        cols = np.moveaxis(entries[:, supports[truths]], 1, 0)
+        yield truths, cols @ X + W
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(0, trials, chunk)))
-    return out
 
-
-def _draw_observation(entries: np.ndarray, cols: np.ndarray, sigma2: float, T: int,
-                      field: FieldTag, rng: np.random.Generator) -> np.ndarray:
-    X = field_gaussian(rng, (cols.shape[1], T), field)
-    W = field_gaussian(rng, (entries.shape[0], T), field) * np.sqrt(sigma2)
-    return cols @ X + W
+def _support_rows(supports) -> np.ndarray:
+    return np.array([S.indices for S in supports], dtype=np.intp)
 
 
 def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
-                         trials: int, seed: int, workers: int = 1,
-                         confidence: float = 0.95) -> ErrorEstimate:
+                         trials: int, seed: int, confidence: float = 0.95) -> ErrorEstimate:
     """Empirical error of the binary likelihood-ratio test.
 
     Each trial draws the true hypothesis uniformly from {S0, S1}, generates
@@ -126,92 +136,73 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
     """
     if S0.indices == S1.indices:
         raise ValueError("binary estimation needs distinct supports")
+    if S0.size != S1.size:
+        raise ValueError("binary estimation needs supports of equal size")
     entries, field = as_matrix(A)
     kappa = field.kappa
     M = entries.shape[0]
-    cols = (entries[:, S0.as_array()], entries[:, S1.as_array()])
     L0, logdet0 = _chol_logdet(covariance(A, S0, sigma2))
     L1, logdet1 = _chol_logdet(covariance(A, S1, sigma2))
-
-    def trial(t: int) -> tuple:
-        rng = substream(seed, "binary-trial", t)
-        truth = int(rng.integers(0, 2))
-        return truth, _draw_observation(entries, cols[truth], sigma2, T, field, rng)
-
-    results = _map_trials(trial, trials, workers)
-    truths = np.asarray([r[0] for r in results])
-    flat = np.concatenate([r[1] for r in results], axis=1)
-    q0 = np.sum(np.abs(solve_triangular(L0, flat, lower=True)) ** 2, axis=0)
-    q1 = np.sum(np.abs(solve_triangular(L1, flat, lower=True)) ** 2, axis=0)
-    per_trial = (q1 - q0).reshape(trials, T).sum(axis=1)
-    statistic = -kappa * per_trial - kappa * T * (logdet1 - logdet0)
-    decisions = (statistic > 0).astype(int)
-    errors = int(np.sum(decisions != truths))
+    errors = 0
+    for truths, Y in draw_trial_blocks(A, _support_rows((S0, S1)), sigma2, T, trials,
+                                       seed, "binary-trial"):
+        n = len(truths)
+        flat = np.moveaxis(Y, 0, 1).reshape(M, n * T)
+        q0 = np.sum(np.abs(solve_triangular(L0, flat, lower=True)) ** 2, axis=0)
+        q1 = np.sum(np.abs(solve_triangular(L1, flat, lower=True)) ** 2, axis=0)
+        per_trial = (q1 - q0).reshape(n, T).sum(axis=1)
+        statistic = -kappa * per_trial - kappa * T * (logdet1 - logdet0)
+        errors += int(np.sum((statistic > 0) != truths))
     return _estimate(errors, trials, seed, confidence)
 
 
 def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int,
-                           workers: int = 1, confidence: float = 0.95) -> ErrorEstimate:
+                           confidence: float = 0.95) -> ErrorEstimate:
     """Empirical error of maximum-likelihood recovery over all size-K supports.
 
     The error event is exact support mismatch; sizes of wrong-decode
     difference sets are kept as a k_d histogram in the extras.
     """
-    entries, field = as_matrix(A)
-    N = entries.shape[1]
-    candidates = enumerate_supports(N, K)
+    entries, _ = as_matrix(A)
+    candidates = enumerate_supports(entries.shape[1], K)
     decoder = SupportDecoder(A, candidates, sigma2)
-    L = len(candidates)
-
-    def trial(t: int) -> tuple:
-        rng = substream(seed, "multiple-trial", t)
-        truth = int(rng.integers(0, L))
-        cols = entries[:, candidates[truth].as_array()]
-        return truth, _draw_observation(entries, cols, sigma2, T, field, rng)
-
-    results = _map_trials(trial, trials, workers)
-    truths = np.asarray([r[0] for r in results])
-    stack = np.stack([r[1] for r in results])
-    chosen = decoder.decode_index_batch(stack)
-    wrong = chosen != truths
-    errors = int(np.sum(wrong))
+    errors = 0
     kd_hist = {}
-    for t in np.flatnonzero(wrong):
-        k_d = len(candidates[truths[t]].difference(candidates[chosen[t]]))
-        kd_hist[k_d] = kd_hist.get(k_d, 0) + 1
+    for truths, Y in draw_trial_blocks(A, _support_rows(candidates), sigma2, T, trials,
+                                       seed, "multiple-trial"):
+        chosen = decoder.decode_index_batch(Y)
+        wrong = chosen != truths
+        errors += int(np.sum(wrong))
+        for truth, pick in zip(truths[wrong], chosen[wrong]):
+            k_d = len(candidates[truth].difference(candidates[pick]))
+            kd_hist[k_d] = kd_hist.get(k_d, 0) + 1
     return _estimate(errors, trials, seed, confidence, kd_histogram=kd_hist)
 
 
 def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
                            matrix_draws: int, trials_per_matrix: int, seed: int,
-                           field: FieldTag = FieldTag.REAL, workers: int = 1,
+                           field: FieldTag = FieldTag.REAL,
                            confidence: float = 0.95) -> ErrorEstimate:
     """Error probability averaged over fresh Gaussian measurement matrices.
 
     The grand estimate pools all matrix_draws * trials_per_matrix trials;
     per-matrix estimates (`per_matrix`) and their integer error counts
     (`per_matrix_errors`) are retained in the extras for the
-    P{P_err(A) <= eps} reading.
+    P{P_err(A) <= eps} reading. Matrix d owns the trial streams
+    d * B .. d * B + B - 1, where B = ceil(trials_per_matrix / TRIAL_BLOCK).
     """
     candidates = enumerate_supports(N, K)
-    L = len(candidates)
+    rows = _support_rows(candidates)
+    blocks_per_matrix = math.ceil(trials_per_matrix / TRIAL_BLOCK)
     per_matrix_errors = []
     for d in range(matrix_draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "ensemble-matrix", d))
         decoder = SupportDecoder(A, candidates, sigma2)
-        entries = A.entries
-
-        def trial(t: int, entries=entries, candidates=candidates, d=d) -> tuple:
-            rng = substream(seed, "ensemble-trial", d * trials_per_matrix + t)
-            truth = int(rng.integers(0, L))
-            cols = entries[:, candidates[truth].as_array()]
-            return truth, _draw_observation(entries, cols, sigma2, T, field, rng)
-
-        results = _map_trials(trial, trials_per_matrix, workers)
-        truths = np.asarray([r[0] for r in results])
-        stack = np.stack([r[1] for r in results])
-        chosen = decoder.decode_index_batch(stack)
-        per_matrix_errors.append(int(np.sum(chosen != truths)))
+        errors = 0
+        for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials_per_matrix, seed,
+                                           "ensemble-trial", d * blocks_per_matrix):
+            errors += int(np.sum(decoder.decode_index_batch(Y) != truths))
+        per_matrix_errors.append(errors)
 
     per_matrix = tuple(e / trials_per_matrix for e in per_matrix_errors)
     per_matrix_arr = np.asarray(per_matrix)
@@ -225,7 +216,7 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
 
 def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
                               seed: int, field: FieldTag = FieldTag.REAL,
-                              workers: int = 1, confidence: float = 0.95) -> ErrorEstimate:
+                              confidence: float = 0.95) -> ErrorEstimate:
     """Empirical P{pairwise incoherence <= gamma} over Gaussian matrix draws,
     for a fixed disjoint support pair (the hardest case k_d = K) and
     gamma = (M - 2K) / (3 sigma^2)."""
@@ -236,12 +227,10 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
     gamma = (M - 2 * K) / (3.0 * sigma2)
     Si = make_support(range(K), N)
     Sj = make_support(range(K, 2 * K), N)
-
-    def draw(d: int) -> bool:
+    hits = 0
+    for d in range(draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "incoherence-tail", d))
-        return pair_incoherence(A, Si, Sj, sigma2).value <= gamma
-
-    hits = int(np.sum(_map_trials(draw, draws, workers)))
+        hits += pair_incoherence(A, Si, Sj, sigma2).value <= gamma
     return _estimate(hits, draws, seed, confidence, gamma=gamma)
 
 
@@ -256,8 +245,7 @@ class IncoherenceMoment:
 
 
 def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws: int,
-                                  seed: int, field: FieldTag = FieldTag.REAL,
-                                  workers: int = 1) -> IncoherenceMoment:
+                                  seed: int, field: FieldTag = FieldTag.REAL) -> IncoherenceMoment:
     """Monte Carlo mean of the pairwise incoherence for supports of size K
     whose difference sets have size k_d (overlap K - k_d)."""
     if M <= K + k_d:
@@ -267,17 +255,15 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
     N = K + k_d
     Si = make_support(range(K), N)
     Sj = make_support(list(range(K - k_d)) + list(range(K, K + k_d)), N)
-
-    def draw(d: int) -> float:
+    values = np.empty(draws)
+    for d in range(draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "incoherence-mean", d))
-        return pair_incoherence(A, Si, Sj, sigma2).value
-
-    values = np.asarray(_map_trials(draw, draws, workers))
+        values[d] = pair_incoherence(A, Si, Sj, sigma2).value
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")
     return IncoherenceMoment(mean=float(values.mean()), se=se, draws=draws, master_seed=seed)
 
 
-def run_experiment(spec: ExperimentSpec, A=None, workers: int = 1) -> ErrorEstimate:
+def run_experiment(spec: ExperimentSpec, A=None) -> ErrorEstimate:
     """Dispatch an ExperimentSpec to the matching estimator.
 
     Binary and multiple modes run against the fixed matrix A; ensemble mode
@@ -287,7 +273,7 @@ def run_experiment(spec: ExperimentSpec, A=None, workers: int = 1) -> ErrorEstim
     if spec.mode == "ensemble":
         return estimate_ensemble_perr(cfg.M, cfg.N, cfg.K, cfg.sigma2, cfg.T,
                                       spec.matrix_draws, spec.trials, cfg.master_seed,
-                                      field=cfg.field, workers=workers)
+                                      field=cfg.field)
     if A is None:
         raise ValueError(f"{spec.mode} mode runs against a fixed measurement matrix")
     entries, _ = as_matrix(A)
@@ -295,6 +281,6 @@ def run_experiment(spec: ExperimentSpec, A=None, workers: int = 1) -> ErrorEstim
         raise ValueError(f"matrix shape {entries.shape} does not match config ({cfg.M}, {cfg.N})")
     if spec.mode == "binary":
         return estimate_binary_perr(A, spec.S0, spec.S1, cfg.sigma2, cfg.T, spec.trials,
-                                    cfg.master_seed, workers=workers)
+                                    cfg.master_seed)
     return estimate_multiple_perr(A, cfg.K, cfg.sigma2, cfg.T, spec.trials,
-                                  cfg.master_seed, workers=workers)
+                                  cfg.master_seed)

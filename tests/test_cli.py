@@ -28,6 +28,23 @@ def read_rows(path):
 BINARY_SIM = {"mode": "binary", "N": 10, "M": 8, "K": 2, "T": [1, 2], "sigma2": 0.5,
               "trials": 200, "S0": [0, 1], "S1": [2, 3]}
 
+# One query per formula that `bounds` evaluates.
+ALL_BOUND_QUERIES = [
+    {"formula": "multiple_geometric", "lambda_bar": 10, "N": 3, "K": 1, "T": 2, "kappa": 1},
+    {"formula": "multiple_union", "lambda_bar": 10, "N": 3, "K": 1, "T": 2, "kappa": 1},
+    {"formula": "fano_lower", "beta": 0.1, "L": 4},
+    {"formula": "ensemble_fano", "M": 8, "N": 10, "K": 2, "sigma2": 1.0, "T": 2, "kappa": 0.5},
+    {"formula": "snet", "epsilon": 0.1, "N": 16, "K": 4, "sigma2": 1.0, "kappa": 0.5,
+     "normalization": "unit_rows"},
+    {"formula": "doa", "epsilon": 0.1, "N": 360, "K": 2, "sigma2": 1.0},
+    {"formula": "gaussian_necessary", "epsilon": 0.1, "N": 16, "K": 2, "sigma2": 1.0,
+     "kappa": 0.5},
+    {"formula": "sufficiency", "M": 20, "N": 40, "K": 2, "T": 4, "sigma2": 1.0, "kappa": 0.5},
+    {"formula": "expected_incoherence", "M": 10, "K": 2, "k_d": 2, "sigma2": 1.0},
+    {"formula": "hypergeometric_mean", "N": 10, "K": 3},
+    {"formula": "chernoff_mu", "eigenvalues": [2.0, 1.0, 0.5], "s": 0.5, "T": 2, "kappa": 0.5},
+]
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
@@ -58,6 +75,25 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert run_cli("bounds", "--config", str(tmp_path / "missing.json")).returncode == 2
 
+    @pytest.mark.parametrize("command,payload", [
+        ("simulate", {"mode": "multiple", "M": 2, "N": 20, "K": 2, "T": 1, "sigma2": 5.0,
+                      "trials": 200}),
+        ("simulate", {**BINARY_SIM, "M": 2}),
+        ("simulate", {"mode": "multiple", "M": 4, "N": 2, "K": 2, "T": 1, "sigma2": 1.0,
+                      "trials": 20}),
+        ("doa", {"epsilon": 0.1, "N": 90, "K": 1, "sigma2": 1.0,
+                 "ula_lambda": {"M": 2, "grid_size": 20, "K": 2}}),
+    ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
+            "doa-ula-M-below-2K"])
+    def test_incoherence_shape_is_config_error(self, tmp_path, command, payload):
+        # pair incoherence needs M >= 2*k_d and two supports: reject up front
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        result = run_cli(command, "--config", cfg, "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "incoherence needs" in result.stderr
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_geometric_query_value(self, tmp_path):
@@ -66,6 +102,13 @@ class TestBoundsCommand:
         result = run_cli("bounds", "--config", cfg, "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["records"][0]["clamped"] == pytest.approx(0.23529, abs=1e-5)
+
+    def test_every_formula_evaluates(self, tmp_path):
+        cfg = write_config(tmp_path, {"queries": ALL_BOUND_QUERIES})
+        result = run_cli("bounds", "--config", cfg, "--format", "json")
+        assert result.returncode == 0, result.stderr
+        records = json.loads(result.stdout)["records"]
+        assert [r["formula_id"] for r in records] == [q["formula"] for q in ALL_BOUND_QUERIES]
 
     def test_inapplicable_is_data_not_error(self, tmp_path):
         cfg = write_config(tmp_path, {"queries": [

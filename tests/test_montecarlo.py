@@ -5,6 +5,8 @@ from suprec import (
     ExperimentSpec,
     FieldTag,
     ModelConfig,
+    SupportDecoder,
+    binary_lrt,
     binary_chernoff,
     clopper_pearson,
     ensemble_fano_lower,
@@ -13,11 +15,15 @@ from suprec import (
     estimate_expected_incoherence,
     estimate_incoherence_tail,
     estimate_multiple_perr,
+    enumerate_supports,
     fano_beta_exact,
     fano_lower,
     make_support,
     run_experiment,
+    substream,
 )
+from suprec import montecarlo as mc
+from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
 import math
 
 from conftest import gaussian_instance
@@ -71,12 +77,22 @@ class TestBinaryEstimate:
         b = estimate_binary_perr(self.A, self.S0, self.S1, 0.1, 2, 400, seed=5)
         assert a.p_hat == b.p_hat and a.ci_low == b.ci_low
 
-    def test_worker_split_invariance(self):
-        serial = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
-        for workers in (2, 3, 7):
-            split = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500,
-                                         seed=6, workers=workers)
-            assert split.p_hat == serial.p_hat
+    def test_first_block_independent_of_trial_count(self):
+        rows = np.array([self.S0.indices, self.S1.indices])
+
+        def first_block(trials):
+            return next(draw_trial_blocks(self.A, rows, 0.2, 2, trials, 6, "binary-trial"))
+
+        short, long = first_block(TRIAL_BLOCK), first_block(2 * TRIAL_BLOCK)
+        assert np.array_equal(short[0], long[0])
+        assert np.array_equal(short[1], long[1])
+        a = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
+        b = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
+        assert a.p_hat == b.p_hat
+
+    def test_supports_of_unequal_size_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_binary_perr(self.A, self.S0, make_support([4], 10), 0.2, 2, 10, seed=6)
 
     def test_near_noiseless_error_vanishes(self):
         est = estimate_binary_perr(self.A, self.S0, self.S1, 1e-8, 5, 1000, seed=7)
@@ -123,8 +139,51 @@ class TestMultipleEstimate:
     def test_determinism(self):
         A = gaussian_instance(4, 6, seed=105, label="mc-multi")
         a = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=14)
-        b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=14, workers=4)
+        b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=14)
         assert a.p_hat == b.p_hat
+        assert a.extras["kd_histogram"] == b.extras["kd_histogram"]
+
+
+class TestBlockDraws:
+    """The block-drawn estimators against a per-trial reference decode."""
+
+    TRIALS = 2 * TRIAL_BLOCK + 37     # two full blocks and a ragged one
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-8])
+    def test_binary_matches_per_trial_lrt(self, field, sigma2):
+        A = gaussian_instance(6, 8, field, seed=120, label="mc-blocks")
+        S0, S1 = make_support([0, 1], 8), make_support([1, 4], 8)
+        rows = np.array([S0.indices, S1.indices])
+        errors = 0
+        sizes = []
+        for truths, Y in draw_trial_blocks(A, rows, sigma2, 3, self.TRIALS, 15, "binary-trial"):
+            sizes.append(len(truths))
+            for truth, y in zip(truths, Y):
+                errors += binary_lrt(y, A, S0, S1, sigma2).choice != truth
+        est = estimate_binary_perr(A, S0, S1, sigma2, 3, self.TRIALS, seed=15)
+        assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 37]
+        assert est.p_hat == errors / self.TRIALS
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-8])
+    def test_multiple_matches_per_trial_decode(self, field, sigma2):
+        A = gaussian_instance(4, 6, field, seed=121, label="mc-blocks")
+        candidates = enumerate_supports(6, 2)
+        decoder = SupportDecoder(A, candidates, sigma2)
+        rows = np.array([S.indices for S in candidates])
+        hist = {}
+        for truths, Y in draw_trial_blocks(A, rows, sigma2, 2, self.TRIALS, 16, "multiple-trial"):
+            for truth, y in zip(truths, Y):
+                chosen, _ = decoder.decode_index(y)
+                if chosen != truth:
+                    k_d = len(candidates[truth].difference(candidates[chosen]))
+                    hist[k_d] = hist.get(k_d, 0) + 1
+        est = estimate_multiple_perr(A, 2, sigma2, 2, self.TRIALS, seed=16)
+        assert est.p_hat == sum(hist.values()) / self.TRIALS
+        assert est.extras["kd_histogram"] == hist
+        if sigma2 == 0.5:
+            assert hist  # the comparison covers wrong decodes
 
 
 class TestEnsembleEstimate:
@@ -145,6 +204,20 @@ class TestEnsembleEstimate:
         assert all(isinstance(c, int) for c in counts)
         assert est.extras["per_matrix"] == tuple(c / 50 for c in counts)
         assert est.p_hat == sum(counts) / est.trials
+
+    def test_matrices_never_share_a_trial_stream(self, monkeypatch):
+        used = []
+
+        def recording(seed, label, index=0):
+            if label == "ensemble-trial":
+                used.append(index)
+            return substream(seed, label, index)
+
+        monkeypatch.setattr(mc, "substream", recording)
+        est = estimate_ensemble_perr(4, 6, 1, 1.0, 1, matrix_draws=3,
+                                     trials_per_matrix=TRIAL_BLOCK + 1, seed=23)
+        assert est.trials == 3 * (TRIAL_BLOCK + 1)
+        assert used == list(range(6))   # two blocks per matrix, no index reused
 
     def test_ensemble_fano_respected(self):
         # hard regime (M=2, sigma2=5): average error must clear the ensemble Fano bound
