@@ -184,10 +184,9 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None
     supports = enumerate_supports(N, K)
     L = len(supports)
     sigmas = np.stack([covariance(A, S, sigma2) for S in supports])
-    invs = np.linalg.inv(sigmas)
-    # trace_ij = tr(Sigma_j^{-1} Sigma_i)
-    traces = np.einsum("jab,iba->ij", invs, sigmas).real
-    return float(kappa * T / (2.0 * L * L) * (traces.sum() - L * L * M))
+    # sum_ij tr(Sigma_j^{-1} Sigma_i) = tr((sum_j Sigma_j^{-1}) (sum_i Sigma_i))
+    total = np.einsum("ab,ba->", np.linalg.inv(sigmas).sum(axis=0), sigmas.sum(axis=0)).real
+    return float(kappa * T / (2.0 * L * L) * (total - L * L * M))
 
 
 def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int,

@@ -89,6 +89,15 @@ def _positive_int(cfg, key, where, default=None):
     return v
 
 
+def _positive_float(cfg, key, where, default=None):
+    if default is not None and key not in cfg:
+        return default
+    v = _require(cfg, key, (int, float), where)
+    if isinstance(v, bool) or not 0 < v < math.inf:
+        raise ConfigError(f"{where}: '{key}' must be a positive number")
+    return float(v)
+
+
 def _field_of(cfg: dict, where: str) -> FieldTag:
     name = cfg.get("field", "real")
     try:
@@ -97,21 +106,28 @@ def _field_of(cfg: dict, where: str) -> FieldTag:
         raise ConfigError(f"{where}: unknown field {name!r}") from None
 
 
-def _build_matrix(cfg: dict, M: int, N: int, field: FieldTag, seed: int, where: str):
-    mat = cfg.get("matrix", {"kind": "gaussian"})
-    kind = mat.get("kind", "gaussian")
-    if kind == "gaussian":
-        return sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
+def _validate_matrix(config: dict, where: str) -> dict:
+    """The `matrix` block with its defaults filled in."""
+    mat = _require(config, "matrix", dict, where) if "matrix" in config else {}
+    kind, mw = mat.get("kind", "gaussian"), f"{where}.matrix"
     if kind == "ula":
-        spacing = float(mat.get("spacing", 0.5))
-        return ula_manifold_matrix(M, ula_angle_grid(N), spacing)
+        return {"kind": kind, "spacing": _positive_float(mat, "spacing", mw, default=0.5)}
     if kind == "csv":
-        path = _require(mat, "path", str, f"{where}.matrix")
-        A = load_matrix_csv(path)
-        if A.shape != (M, N):
-            raise ConfigError(f"{where}.matrix: CSV matrix shape {A.shape} != ({M}, {N})")
-        return A
-    raise ConfigError(f"{where}.matrix: unknown kind {kind!r}")
+        return {"kind": kind, "path": _require(mat, "path", str, mw)}
+    if kind != "gaussian":
+        raise ConfigError(f"{mw}: unknown kind {kind!r}")
+    return {"kind": kind}
+
+
+def _build_matrix(mat: dict, M: int, N: int, field: FieldTag, seed: int, where: str):
+    if mat["kind"] == "gaussian":
+        return sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
+    if mat["kind"] == "ula":
+        return ula_manifold_matrix(M, ula_angle_grid(N), mat["spacing"])
+    A = load_matrix_csv(mat["path"])
+    if A.shape != (M, N):
+        raise ConfigError(f"{where}.matrix: CSV matrix shape {A.shape} != ({M}, {N})")
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +251,8 @@ def _validate_simulate(config: dict, seed: int) -> dict:
     if K > N:
         raise ConfigError(f"{where}: K={K} exceeds N={N}")
     Ts = [_positive_int({"T": t}, "T", where) for t in _as_list(_require(config, "T", (int, list), where))]
-    sig_raw = _as_list(_require(config, "sigma2", (int, float, list), where))
-    sigma2s = []
-    for s in sig_raw:
-        if not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0:
-            raise ConfigError(f"{where}: sigma2 values must be positive numbers")
-        sigma2s.append(float(s))
+    sigma2s = [_positive_float({"sigma2": s}, "sigma2", where)
+               for s in _as_list(_require(config, "sigma2", (int, float, list), where))]
     trials = _positive_int(config, "trials", where)
     field = _field_of(config, where)
     plan = {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s,
@@ -268,6 +280,15 @@ def _validate_simulate(config: dict, seed: int) -> dict:
         if math.comb(N, K) > config.get("candidate_cap", 10**6):
             raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap")
         _check_incoherence_shape(M, N, K, where)
+        inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
+        inc_mode = inc.get("mode", "exhaustive")
+        if inc_mode not in ("exhaustive", "sampled"):
+            raise ConfigError(f"{where}.incoherence: mode must be exhaustive|sampled,"
+                              f" got {inc_mode!r}")
+        count = _positive_int(inc, "count", f"{where}.incoherence") if inc_mode == "sampled" else None
+        plan["incoherence"] = (inc_mode, count)
+    if mode != "ensemble":
+        plan["matrix"] = _validate_matrix(config, where)
     return plan
 
 
@@ -304,7 +325,7 @@ def run_simulate(config: dict, seed: int):
                                           None, None, None))
         return SIMULATE_COLUMNS, rows, []
 
-    A = _build_matrix(config, M, N, field, seed, "config")
+    A = _build_matrix(plan["matrix"], M, N, field, seed, "config")
     if mode == "binary":
         S0, S1 = plan["S0"], plan["S1"]
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
@@ -322,8 +343,7 @@ def run_simulate(config: dict, seed: int):
             rows.append(_simulate_row("binary", N, M, K, T, sigma2, seed, est,
                                       report.clamped, fano, lam))
     else:
-        inc_cfg = config.get("incoherence", {})
-        inc_mode = inc_cfg.get("mode", "exhaustive")
+        inc_mode, inc_count = plan["incoherence"]
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
             spec = mc.ExperimentSpec(
                 config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
@@ -331,7 +351,7 @@ def run_simulate(config: dict, seed: int):
                 mode="multiple", trials=trials)
             est = mc.run_experiment(spec, A=A)
             summary = matrix_incoherence(A, K, sigma2, mode=inc_mode,
-                                         sample_count=inc_cfg.get("count"), seed=seed)
+                                         sample_count=inc_count, seed=seed)
             chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, field.kappa).clamped
             fano = bd.fano_lower(bd.fano_beta_exact(A, K, sigma2, T), math.comb(N, K)).clamped
             rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
@@ -348,15 +368,14 @@ def _validate_eigcheck(config: dict) -> dict:
     Ms = [_positive_int({"M": m}, "M", f"{where}.grid") for m in _as_list(_require(grid, "M", (int, list), f"{where}.grid"))]
     Ks = [_positive_int({"K": k}, "K", f"{where}.grid") for k in _as_list(_require(grid, "K", (int, list), f"{where}.grid"))]
     draws = _positive_int(config, "draws_per_cell", where, default=24)
-    sigma2 = float(config.get("sigma2", 1.0))
-    if sigma2 <= 0:
-        raise ConfigError(f"{where}: sigma2 must be positive")
+    sigma2 = _positive_float(config, "sigma2", where, default=1.0)
     for M in Ms:
         for K in Ks:
             if M < 2 * K:
                 raise ConfigError(f"{where}: cell (M={M}, K={K}) violates M >= 2K")
     return {"Ms": Ms, "Ks": Ks, "draws": draws, "sigma2": sigma2,
-            "field": _field_of(config, where), "tolerance": float(config.get("tolerance", 1e-8))}
+            "field": _field_of(config, where),
+            "tolerance": _positive_float(config, "tolerance", where, default=1e-8)}
 
 
 def run_eig_check(config: dict, seed: int):
@@ -403,27 +422,26 @@ def run_eig_check(config: dict, seed: int):
 
 def _validate_doa(config: dict) -> dict:
     where = "config"
-    eps = [float(e) for e in _as_list(_require(config, "epsilon", (int, float, list), where))]
+    eps = [_positive_float({"epsilon": e}, "epsilon", where)
+           for e in _as_list(_require(config, "epsilon", (int, float, list), where))]
     Ns = _as_list(_require(config, "N", (int, list), where))
     Ks = _as_list(_require(config, "K", (int, list), where))
-    sig = [float(s) for s in _as_list(_require(config, "sigma2", (int, float, list), where))]
-    for e in eps:
-        if not 0 < e < 1:
-            raise ConfigError(f"{where}: epsilon values must lie in (0, 1)")
-    for s in sig:
-        if s <= 0:
-            raise ConfigError(f"{where}: sigma2 values must be positive")
+    sig = [_positive_float({"sigma2": s}, "sigma2", where)
+           for s in _as_list(_require(config, "sigma2", (int, float, list), where))]
+    if any(e >= 1 for e in eps):
+        raise ConfigError(f"{where}: epsilon values must lie in (0, 1)")
     for N, K in product(Ns, Ks):
         if not 1 <= K < N:
             raise ConfigError(f"{where}: need 1 <= K < N, got K={K}, N={N}")
     plan = {"eps": eps, "Ns": Ns, "Ks": Ks, "sig": sig}
     if "ula_lambda" in config:
-        u = config["ula_lambda"]
         uw = f"{where}.ula_lambda"
+        u = _require(config, "ula_lambda", dict, where)
         plan["ula"] = {"M": _positive_int(u, "M", uw), "grid_size": _positive_int(u, "grid_size", uw),
-                       "K": _positive_int(u, "K", uw), "spacing": float(u.get("spacing", 0.5)),
+                       "K": _positive_int(u, "K", uw),
+                       "spacing": _positive_float(u, "spacing", uw, default=0.5),
                        "pairs": _positive_int(u, "pairs", uw, default=200),
-                       "sigma2": float(u.get("sigma2", 1.0))}
+                       "sigma2": _positive_float(u, "sigma2", uw, default=1.0)}
         _check_incoherence_shape(plan["ula"]["M"], plan["ula"]["grid_size"], plan["ula"]["K"], uw)
     return plan
 

@@ -7,8 +7,11 @@ covariance Sigma_S, so the log density is
     log p(Y|S) = -kappa*M*T*log(pi/kappa) - kappa*T*log|Sigma_S|
                  - kappa*tr(Y^H Sigma_S^{-1} Y).
 
-All quadratic forms and log determinants go through Cholesky factors; the
-decoder caches one factorization per candidate support.
+Every log determinant and quadratic form goes through the covariance core in
+`spectra` (`cholesky_logdet`, `whitened_energy`). `SupportDecoder` caches one
+factorization per candidate support, and its `score_batch` is the one scoring
+path: `log_scores`, the decode methods, `binary_lrt` (a two-candidate
+decoder) and the Monte Carlo estimators all score through it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .model import FieldTag, NumericFailure, ObservationBatch, Support, as_matrix
-from .spectra import covariance
+from .model import NumericFailure, ObservationBatch, Support, as_matrix
+from .spectra import cholesky_logdet, covariance, whitened_energy
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -31,27 +33,14 @@ def _observation_values(Y) -> np.ndarray:
     return arr
 
 
-def _chol_logdet(Sigma: np.ndarray) -> tuple:
-    """Cholesky factor and log-determinant of a positive definite matrix."""
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            f"covariance factorization failed (condition number ~ {np.linalg.cond(Sigma):.3e})"
-        ) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(L)))))
-    return L, logdet
-
-
 def log_likelihood(Y, Sigma: np.ndarray, kappa: float) -> float:
     """Exact log density of the observations under covariance Sigma."""
     values = _observation_values(Y)
     M, T = values.shape
     if Sigma.shape != (M, M):
         raise ValueError(f"covariance shape {Sigma.shape} does not match observations with M={M}")
-    L, logdet = _chol_logdet(Sigma)
-    Z = solve_triangular(L, values, lower=True)
-    quad = float(np.sum(np.abs(Z) ** 2))
+    L, logdet = cholesky_logdet(Sigma)
+    quad = float(np.sum(whitened_energy(L, values)))
     return -kappa * M * T * np.log(np.pi / kappa) - kappa * T * logdet - kappa * quad
 
 
@@ -71,16 +60,8 @@ def binary_lrt(Y, A, S0: Support, S1: Support, sigma2: float) -> LrtResult:
     """
     if S0.indices == S1.indices:
         raise ValueError("binary test requires distinct supports")
-    _, field = as_matrix(A)
-    kappa = field.kappa
-    values = _observation_values(Y)
-    T = values.shape[1]
-
-    L0, logdet0 = _chol_logdet(covariance(A, S0, sigma2))
-    L1, logdet1 = _chol_logdet(covariance(A, S1, sigma2))
-    q0 = float(np.sum(np.abs(solve_triangular(L0, values, lower=True)) ** 2))
-    q1 = float(np.sum(np.abs(solve_triangular(L1, values, lower=True)) ** 2))
-    statistic = -kappa * (q1 - q0) - kappa * T * (logdet1 - logdet0)
+    scores = lrt_decoder(A, S0, S1, sigma2).score_batch(_observation_values(Y)[None])
+    statistic = float(scores[1, 0] - scores[0, 0])
     return LrtResult(choice=1 if statistic > 0 else 0, statistic=statistic)
 
 
@@ -113,25 +94,35 @@ class SupportDecoder:
         self._factors = []
         for idx, S in enumerate(self.candidates):
             try:
-                self._factors.append(_chol_logdet(covariance(A, S, sigma2)))
+                self._factors.append(cholesky_logdet(covariance(A, S, sigma2)))
             except NumericFailure as exc:
                 self._factors.append(None)
                 self.failures[idx] = str(exc)
 
-    def log_scores(self, Y) -> np.ndarray:
-        values = _observation_values(Y)
-        M, T = values.shape
+    def score_batch(self, Ys) -> np.ndarray:
+        """Log-likelihood of every candidate for a stack of observations
+        (n, M, T), as an array of shape (n_candidates, n).
+
+        One triangular solve per candidate covers the whole stack; a candidate
+        whose factorization failed scores -inf.
+        """
+        Ys = np.asarray(Ys)
+        n, M, T = Ys.shape
         if M != self.M:
             raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
+        flat = np.moveaxis(Ys, 0, 1).reshape(M, n * T)
         const = -self.kappa * M * T * np.log(np.pi / self.kappa)
-        scores = np.full(len(self.candidates), -np.inf)
+        scores = np.full((len(self.candidates), n), -np.inf)
         for idx, factor in enumerate(self._factors):
             if factor is None:
                 continue
             L, logdet = factor
-            quad = float(np.sum(np.abs(solve_triangular(L, values, lower=True)) ** 2))
+            quad = whitened_energy(L, flat).reshape(n, T).sum(axis=1)
             scores[idx] = const - self.kappa * T * logdet - self.kappa * quad
         return scores
+
+    def log_scores(self, Y) -> np.ndarray:
+        return self.score_batch(_observation_values(Y)[None])[:, 0]
 
     def _pick(self, scores: np.ndarray) -> tuple:
         """Index of the best score plus a flag for broken ties; ties go to
@@ -155,31 +146,23 @@ class SupportDecoder:
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=tied)
 
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
-        """Winning candidate index for a stack of observations (n, M, T).
-
-        Scores every candidate against all observations in one triangular
-        solve per candidate; ties resolve to the lexicographically smallest
-        support exactly as in :meth:`decode_index`.
-        """
-        Ys = np.asarray(Ys)
-        n, M, T = Ys.shape
-        if M != self.M:
-            raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
-        flat = np.moveaxis(Ys, 0, 1).reshape(M, n * T)
-        n_cand = len(self.candidates)
-        scores = np.full((n_cand, n), -np.inf)
-        for idx, factor in enumerate(self._factors):
-            if factor is None:
-                continue
-            L, logdet = factor
-            Z = solve_triangular(L, flat, lower=True)
-            quad = np.sum(np.abs(Z) ** 2, axis=0).reshape(n, T).sum(axis=1)
-            scores[idx] = -self.kappa * T * logdet - self.kappa * quad
+        """Winning candidate index for a stack of observations (n, M, T);
+        ties resolve to the lexicographically smallest support exactly as in
+        :meth:`decode_index`."""
         # Evaluate candidates in lexicographic order so the first argmax is
         # the lexicographically smallest maximizer.
-        ordered = scores[self._lex_rank]
-        picks = np.argmax(ordered, axis=0)
+        picks = np.argmax(self.score_batch(Ys)[self._lex_rank], axis=0)
         return np.asarray(self._lex_rank, dtype=np.intp)[picks]
+
+
+def lrt_decoder(A, S0: Support, S1: Support, sigma2: float) -> SupportDecoder:
+    """Two-candidate decoder [S0, S1] for the likelihood-ratio test, whose
+    statistic is scores[1] - scores[0]. Unlike a general decoder it raises
+    NumericFailure when either covariance cannot be factorized."""
+    decoder = SupportDecoder(A, [S0, S1], sigma2)
+    if decoder.failures:
+        raise NumericFailure(next(iter(decoder.failures.values())))
+    return decoder
 
 
 def ml_decode(Y, A, candidates, sigma2: float, keep_scores: bool = True) -> DecodeResult:

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import betaincinv
 
-from .decode import SupportDecoder, _chol_logdet
+from .decode import SupportDecoder, lrt_decoder
 from .model import (
     FieldTag,
     ModelConfig,
@@ -33,7 +32,7 @@ from .model import (
     sample_gaussian_matrix,
     substream,
 )
-from .spectra import covariance, pair_incoherence
+from .spectra import pair_incoherence
 
 # Trials per block: one generator and one batched score per block. Large enough
 # to amortize the per-block Python work, small enough to keep the block's
@@ -138,21 +137,12 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
         raise ValueError("binary estimation needs distinct supports")
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
-    entries, field = as_matrix(A)
-    kappa = field.kappa
-    M = entries.shape[0]
-    L0, logdet0 = _chol_logdet(covariance(A, S0, sigma2))
-    L1, logdet1 = _chol_logdet(covariance(A, S1, sigma2))
+    decoder = lrt_decoder(A, S0, S1, sigma2)
     errors = 0
     for truths, Y in draw_trial_blocks(A, _support_rows((S0, S1)), sigma2, T, trials,
                                        seed, "binary-trial"):
-        n = len(truths)
-        flat = np.moveaxis(Y, 0, 1).reshape(M, n * T)
-        q0 = np.sum(np.abs(solve_triangular(L0, flat, lower=True)) ** 2, axis=0)
-        q1 = np.sum(np.abs(solve_triangular(L1, flat, lower=True)) ** 2, axis=0)
-        per_trial = (q1 - q0).reshape(n, T).sum(axis=1)
-        statistic = -kappa * per_trial - kappa * T * (logdet1 - logdet0)
-        errors += int(np.sum((statistic > 0) != truths))
+        scores = decoder.score_batch(Y)
+        errors += int(np.sum((scores[1] - scores[0] > 0) != truths))
     return _estimate(errors, trials, seed, confidence)
 
 

@@ -6,6 +6,10 @@ H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I. Its spectrum is computed as the generalized
 eigenvalues of the pencil (Sigma_0, Sigma_1) via triangular whitening of
 Sigma_1, which avoids explicit matrix square roots.
+
+This module is also the package's one covariance core: `cholesky_logdet`
+factorizes Sigma_S and `whitened_energy` evaluates its quadratic forms, for
+the decoders as well as for the spectra here.
 """
 
 from __future__ import annotations
@@ -38,19 +42,29 @@ def covariance(A, S: Support, sigma2: float) -> np.ndarray:
     return cols @ cols.conj().T + sigma2 * np.eye(M, dtype=entries.dtype)
 
 
-def _whiten_cholesky(Sigma: np.ndarray) -> np.ndarray:
+def cholesky_logdet(Sigma: np.ndarray) -> tuple:
+    """Lower Cholesky factor L and log-determinant of a positive definite matrix."""
     try:
-        return np.linalg.cholesky(Sigma)
+        L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(Sigma))
-        raise NumericFailure(f"covariance factorization failed (condition number ~ {cond:.3e})") from exc
+        raise NumericFailure(
+            f"covariance factorization failed (condition number ~ {np.linalg.cond(Sigma):.3e})"
+        ) from exc
+    logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(L)))))
+    return L, logdet
+
+
+def whitened_energy(L: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-column |L^{-1} y|^2 of the columns y of `values`: the quadratic
+    form y^H Sigma^{-1} y for Sigma = L L^H."""
+    return np.sum(np.abs(solve_triangular(L, values, lower=True)) ** 2, axis=0)
 
 
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
     """Descending eigenvalues of the pencil (Sigma_0, Sigma_1); all positive."""
     Sigma0 = covariance(A, S0, sigma2)
     Sigma1 = covariance(A, S1, sigma2)
-    L = _whiten_cholesky(Sigma1)
+    L, _ = cholesky_logdet(Sigma1)
     # C = L^{-1} Sigma_0 L^{-H} shares the spectrum of H.
     W = solve_triangular(L, Sigma0, lower=True)
     C = solve_triangular(L, W.conj().T, lower=True).conj().T
@@ -171,12 +185,17 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     return IncoherenceSummary(float(best), best_pair, mode_str)
 
 
-def _pair_blocks(A, S0: Support, S1: Support):
-    entries, _ = as_matrix(A)
-    inter = list(S0.intersection(S1))
+def _r33(entries: np.ndarray, S0: Support, S1: Support) -> np.ndarray:
+    """R33 of the QR construction (see `qr_lower_bound_eigs`); needs S0 \\ S1 nonempty."""
     only0 = list(S0.difference(S1))
-    only1 = list(S1.difference(S0))
-    return entries, only0, inter, only1
+    stacked = entries[:, list(S1.difference(S0)) + list(S0.intersection(S1)) + only0]
+    if entries.shape[0] < stacked.shape[1]:
+        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
+    k0 = len(only0)
+    R33 = np.linalg.qr(stacked, mode="r")[-k0:, -k0:]
+    if np.min(np.abs(np.diag(R33))) == 0:
+        raise NumericFailure("rank-deficient column stack; measurement matrix is degenerate on these supports")
+    return R33
 
 
 def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
@@ -186,17 +205,11 @@ def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarra
     R33 is the trailing k0 x k0 block of R in the QR factorization of
     [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}].
     """
-    entries, only0, inter, only1 = _pair_blocks(A, S0, S1)
-    k0 = len(only0)
+    k0 = len(S0.difference(S1))
     if k0 == 0:
         return np.empty(0)
-    stacked = entries[:, only1 + inter + only0]
-    if entries.shape[0] < stacked.shape[1]:
-        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    R = np.linalg.qr(stacked, mode="r")
-    R33 = R[-k0:, -k0:]
-    if np.min(np.abs(np.diag(R33))) == 0:
-        raise NumericFailure("rank-deficient column stack; measurement matrix is degenerate on these supports")
+    entries, _ = as_matrix(A)
+    R33 = _r33(entries, S0, S1)
     G = R33 @ R33.conj().T
     eigs = np.linalg.eigvalsh(np.eye(k0) + G / sigma2)
     return eigs[::-1].real
@@ -204,13 +217,13 @@ def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarra
 
 def upper_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
     """Eigenvalues of I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2, the upper bound."""
-    entries, only0, _, _ = _pair_blocks(A, S0, S1)
-    k0 = len(only0)
-    if k0 == 0:
+    only0 = list(S0.difference(S1))
+    if not only0:
         return np.empty(0)
+    entries, _ = as_matrix(A)
     block = entries[:, only0]
     gram = block.conj().T @ block
-    eigs = np.linalg.eigvalsh(np.eye(k0) + gram / sigma2)
+    eigs = np.linalg.eigvalsh(np.eye(len(only0)) + gram / sigma2)
     return eigs[::-1].real
 
 
@@ -236,15 +249,7 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
         for j in range(L):
             if i == j:
                 continue
-            Si, Sj = supports[i], supports[j]
-            only_i = list(Si.difference(Sj))
-            inter = list(Si.intersection(Sj))
-            only_j = list(Sj.difference(Si))
-            k_d = len(only_i)
-            R = np.linalg.qr(entries[:, only_j + inter + only_i], mode="r")
-            diag = np.abs(np.diag(R[-k_d:, -k_d:])) ** 2
-            if np.min(diag) == 0:
-                raise NumericFailure("degenerate matrix: zero QR diagonal entry")
+            diag = np.abs(np.diag(_r33(entries, supports[i], supports[j]))) ** 2
             c1 = min(c1, float(np.exp(np.mean(np.log(diag)))))
 
     col_mass = np.sum(np.abs(entries) ** 2, axis=0)

@@ -27,6 +27,11 @@ def read_rows(path):
 
 BINARY_SIM = {"mode": "binary", "N": 10, "M": 8, "K": 2, "T": [1, 2], "sigma2": 0.5,
               "trials": 200, "S0": [0, 1], "S1": [2, 3]}
+MULTIPLE_SIM = {"mode": "multiple", "N": 8, "M": 6, "K": 2, "T": 1, "sigma2": 0.5,
+                "trials": 50}
+EIG_CHECK = {"grid": {"M": 8, "K": 2}, "draws_per_cell": 2}
+DOA_ULA = {"epsilon": 0.1, "N": 90, "K": 1, "sigma2": 1.0,
+           "ula_lambda": {"M": 8, "grid_size": 20, "K": 2, "pairs": 10}}
 
 # One query per formula that `bounds` evaluates.
 ALL_BOUND_QUERIES = [
@@ -75,23 +80,48 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert run_cli("bounds", "--config", str(tmp_path / "missing.json")).returncode == 2
 
-    @pytest.mark.parametrize("command,payload", [
+    @pytest.mark.parametrize("command,payload,message", [
         ("simulate", {"mode": "multiple", "M": 2, "N": 20, "K": 2, "T": 1, "sigma2": 5.0,
-                      "trials": 200}),
-        ("simulate", {**BINARY_SIM, "M": 2}),
+                      "trials": 200}, "incoherence needs"),
+        ("simulate", {**BINARY_SIM, "M": 2}, "incoherence needs"),
         ("simulate", {"mode": "multiple", "M": 4, "N": 2, "K": 2, "T": 1, "sigma2": 1.0,
-                      "trials": 20}),
+                      "trials": 20}, "incoherence needs"),
         ("doa", {"epsilon": 0.1, "N": 90, "K": 1, "sigma2": 1.0,
-                 "ula_lambda": {"M": 2, "grid_size": 20, "K": 2}}),
+                 "ula_lambda": {"M": 2, "grid_size": 20, "K": 2}}, "incoherence needs"),
+        ("doa", {**DOA_ULA, "ula_lambda": {**DOA_ULA["ula_lambda"], "sigma2": -1.0}},
+         "'sigma2' must be a positive number"),
+        ("doa", {**DOA_ULA, "ula_lambda": {**DOA_ULA["ula_lambda"], "spacing": "abc"}},
+         "key 'spacing' has invalid type"),
+        ("doa", {**DOA_ULA, "epsilon": ["a"]}, "key 'epsilon' has invalid type"),
+        ("eig-check", {**EIG_CHECK, "sigma2": "x"}, "key 'sigma2' has invalid type"),
+        ("eig-check", {**EIG_CHECK, "tolerance": "x"}, "key 'tolerance' has invalid type"),
+        ("simulate", {**BINARY_SIM, "matrix": {"kind": "ula", "spacing": "z"}},
+         "key 'spacing' has invalid type"),
+        ("simulate", {**MULTIPLE_SIM, "incoherence": {"mode": "bogus"}},
+         "mode must be exhaustive|sampled"),
+        ("simulate", {**MULTIPLE_SIM, "incoherence": {"mode": "sampled"}},
+         "missing required key 'count'"),
+        ("simulate", {**MULTIPLE_SIM, "incoherence": {"mode": "sampled", "count": 0}},
+         "'count' must be a positive integer"),
+        ("simulate", {**MULTIPLE_SIM, "matrix": "gaussian"}, "key 'matrix' has invalid type"),
+        ("simulate", {**BINARY_SIM, "matrix": {"kind": "bogus"}}, "unknown kind 'bogus'"),
+        ("sweep", {"command": "simulate", "grid": {"sigma2": [0.5, 1.0]},
+                   "base": {**MULTIPLE_SIM, "incoherence": {"mode": "bogus"}}},
+         "mode must be exhaustive|sampled"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
-            "doa-ula-M-below-2K"])
-    def test_incoherence_shape_is_config_error(self, tmp_path, command, payload):
-        # pair incoherence needs M >= 2*k_d and two supports: reject up front
+            "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
+            "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
+            "simulate-ula-spacing-string", "simulate-incoherence-mode-unknown",
+            "simulate-sampled-count-missing", "simulate-sampled-count-zero",
+            "simulate-matrix-not-object", "simulate-matrix-kind-unknown",
+            "sweep-incoherence-mode-unknown"])
+    def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
+        # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out.csv"
         result = run_cli(command, "--config", cfg, "--out", str(out))
         assert result.returncode == 2, result.stderr
-        assert "incoherence needs" in result.stderr
+        assert message in result.stderr
         assert not out.exists()
 
 

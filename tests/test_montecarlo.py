@@ -5,10 +5,9 @@ from suprec import (
     ExperimentSpec,
     FieldTag,
     ModelConfig,
-    SupportDecoder,
-    binary_lrt,
     binary_chernoff,
     clopper_pearson,
+    covariance,
     ensemble_fano_lower,
     estimate_binary_perr,
     estimate_ensemble_perr,
@@ -144,8 +143,21 @@ class TestMultipleEstimate:
         assert a.extras["kd_histogram"] == b.extras["kd_histogram"]
 
 
+def dense_scores(A, supports, sigma2, y):
+    """Oracle: log p(y|S) for each support up to a shared constant, from
+    slogdet and a dense solve (no Cholesky factor, no decoder)."""
+    kappa = A.field.kappa
+    scores = []
+    for S in supports:
+        Sigma = covariance(A, S, sigma2)
+        _, logdet = np.linalg.slogdet(Sigma)
+        quad = np.sum(y.conj() * np.linalg.solve(Sigma, y)).real
+        scores.append(-kappa * y.shape[1] * logdet - kappa * quad)
+    return np.array(scores)
+
+
 class TestBlockDraws:
-    """The block-drawn estimators against a per-trial reference decode."""
+    """The block-drawn estimators against a per-trial dense M x M decode."""
 
     TRIALS = 2 * TRIAL_BLOCK + 37     # two full blocks and a ragged one
 
@@ -160,7 +172,8 @@ class TestBlockDraws:
         for truths, Y in draw_trial_blocks(A, rows, sigma2, 3, self.TRIALS, 15, "binary-trial"):
             sizes.append(len(truths))
             for truth, y in zip(truths, Y):
-                errors += binary_lrt(y, A, S0, S1, sigma2).choice != truth
+                score0, score1 = dense_scores(A, (S0, S1), sigma2, y)
+                errors += (score1 > score0) != truth
         est = estimate_binary_perr(A, S0, S1, sigma2, 3, self.TRIALS, seed=15)
         assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 37]
         assert est.p_hat == errors / self.TRIALS
@@ -169,13 +182,12 @@ class TestBlockDraws:
     @pytest.mark.parametrize("sigma2", [0.5, 1e-8])
     def test_multiple_matches_per_trial_decode(self, field, sigma2):
         A = gaussian_instance(4, 6, field, seed=121, label="mc-blocks")
-        candidates = enumerate_supports(6, 2)
-        decoder = SupportDecoder(A, candidates, sigma2)
+        candidates = enumerate_supports(6, 2)     # lexicographic, so argmax breaks ties
         rows = np.array([S.indices for S in candidates])
         hist = {}
         for truths, Y in draw_trial_blocks(A, rows, sigma2, 2, self.TRIALS, 16, "multiple-trial"):
             for truth, y in zip(truths, Y):
-                chosen, _ = decoder.decode_index(y)
+                chosen = int(np.argmax(dense_scores(A, candidates, sigma2, y)))
                 if chosen != truth:
                     k_d = len(candidates[truth].difference(candidates[chosen]))
                     hist[k_d] = hist.get(k_d, 0) + 1
