@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import FieldTag, Support, as_matrix, enumerate_supports
-from .spectra import covariance, h_eigenvalues, pair_incoherence
+from .spectra import covariance, pair_incoherence
 
 LOG2 = math.log(2.0)
 
@@ -94,7 +94,9 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     log_raw = -LOG2 - (kappa * k_d * T / 2.0) * (np.log(p01.value) + np.log(p10.value) - np.log(16.0))
     raw = float(np.exp(log_raw))
 
-    eigs = h_eigenvalues(A, S0, S1, sigma2)
+    # H's spectrum is p01's eigenvalues above 1, the reciprocals of p10's, and
+    # unit eigenvalues, which add nothing to mu.
+    eigs = np.concatenate([p01.eigenvalues, 1.0 / np.asarray(p10.eigenvalues)])
     mu_half = chernoff_mu(eigs, 0.5, T, kappa)
     mu_half_bound = float(0.5 * np.exp(mu_half))
     note = "" if p01.value * p10.value > 16.0 else "incoherence product <= 16: bound does not decay in T"

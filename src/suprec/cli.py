@@ -124,7 +124,10 @@ def _build_matrix(mat: dict, M: int, N: int, field: FieldTag, seed: int, where: 
         return sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
     if mat["kind"] == "ula":
         return ula_manifold_matrix(M, ula_angle_grid(N), mat["spacing"])
-    A = load_matrix_csv(mat["path"])
+    try:
+        A = load_matrix_csv(mat["path"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}.matrix: cannot load CSV matrix: {exc}") from exc
     if A.shape != (M, N):
         raise ConfigError(f"{where}.matrix: CSV matrix shape {A.shape} != ({M}, {N})")
     return A

@@ -122,6 +122,32 @@ def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> li
     return [Support(combo, N) for combo in combinations(range(N), K)]
 
 
+def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
+    """Rows of the size-K supports with the given lexicographic ranks, as a
+    (len(ranks), K) `intp` array: row r equals `enumerate_supports(N, K)[r]`.
+
+    Lexicographic unranking (Knuth, TAOCP 4A, 7.2.1.3): the complement rank
+    C(N,K) - 1 - r has the combinatorial-number-system digits
+    d_0 > d_1 > ... with index t = N - 1 - d_t, each found greedily as the
+    largest d with C(d, K - t) <= what is left. No support is enumerated.
+    """
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+    total = math.comb(N, K)
+    if ranks.size and (ranks.min() < 0 or int(ranks.max()) >= total):
+        raise ValueError(f"support ranks must lie in [0, C({N},{K}) = {total})")
+    left = (total - 1) - ranks
+    big = np.iinfo(np.int64).max     # every rank is below it, so clipping keeps the search exact
+    rows = np.empty((ranks.size, K), dtype=np.intp)
+    for t in range(K):
+        table = np.array([min(math.comb(d, K - t), big) for d in range(N)], dtype=np.int64)
+        d = np.searchsorted(table, left, side="right") - 1
+        left = left - table[d]
+        rows[:, t] = N - 1 - d
+    return rows
+
+
 @dataclass(frozen=True)
 class MeasurementMatrix:
     """M x N measurement matrix with its field and provenance."""

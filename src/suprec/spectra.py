@@ -3,9 +3,16 @@ sandwich bounds, and the pairwise/global incoherence of a measurement matrix.
 
 For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
-Sigma_S = A_S A_S^H + sigma^2 I. Its spectrum is computed as the generalized
-eigenvalues of the pencil (Sigma_0, Sigma_1) via triangular whitening of
-Sigma_1, which avoids explicit matrix square roots.
+Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
+(Sigma_0, Sigma_1). Only r = |S0 cup S1| <= 2K of its M eigenvalues differ
+from 1, and they are those of an r x r pencil built from the R factor of the
+union's columns. `pair_incoherences` solves that reduced pencil for many
+pairs at once (one stacked QR, Cholesky whitening and `eigvalsh` per k_d);
+`pair_incoherence`, `matrix_incoherence` and through them the Chernoff
+bounds use it. It keeps the eigenvalues of order sigma^2 that the dense
+M x M pencil loses to rounding at small noise. The dense `h_eigenvalues`
+(Cholesky whitening of Sigma_1) remains for eig-check, which counts the full
+M x M spectrum, and as the tests' reference.
 
 This module is also the package's one covariance core: `cholesky_logdet`
 factorizes Sigma_S and `whitened_energy` evaluates its quadratic forms, for
@@ -27,9 +34,11 @@ from .model import (
     as_matrix,
     enumerate_supports,
     substream,
+    unrank_supports,
 )
 
 PAIR_CAP = 10**7
+PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
 
 
 def covariance(A, S: Support, sigma2: float) -> np.ndarray:
@@ -61,7 +70,7 @@ def whitened_energy(L: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Descending eigenvalues of the pencil (Sigma_0, Sigma_1); all positive."""
+    """Descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1); all positive."""
     Sigma0 = covariance(A, S0, sigma2)
     Sigma1 = covariance(A, S1, sigma2)
     L, _ = cholesky_logdet(Sigma1)
@@ -114,23 +123,83 @@ class PairIncoherence:
     value: float
     pair: tuple
     k_d: int
+    eigenvalues: tuple = ()      # H's eigenvalues above 1, descending
+
+
+def _reduced_pencil_eigs(entries: np.ndarray, cols: np.ndarray, K: int,
+                         sigma2: float) -> np.ndarray:
+    """Ascending eigenvalues, shape (P, p), of the pencils (Sigma_0, Sigma_1) of
+    P pairs with one union size r = K + k_d, less M - p eigenvalues equal to 1.
+
+    Row `cols[n]` lists pair n's union columns as [S1 \\ S0 | S0 cap S1 | S0 \\ S1].
+    With A_U = Q R (p = min(M, r) rows), Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
+    for C_i = R_i R_i^H + sigma2 I_p, where R_1 is the first K columns of R and
+    R_0 the last K; so the pencil is (C_0, C_1) plus M - p unit eigenvalues.
+    """
+    R = np.linalg.qr(entries.T[cols].swapaxes(1, 2), mode="r")      # (P, p, r)
+    R1, R0 = R[:, :, :K], R[:, :, -K:]
+    eye = sigma2 * np.eye(R.shape[1])
+    C1 = R1 @ R1.conj().swapaxes(1, 2) + eye
+    C0 = R0 @ R0.conj().swapaxes(1, 2) + eye
+    try:
+        # W = L^{-1} C0 L^{-H}, with C1 = L L^H, shares the pencil's spectrum.
+        Li = np.linalg.inv(np.linalg.cholesky(C1))
+        eigs = np.linalg.eigvalsh(Li @ C0 @ Li.conj().swapaxes(1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"reduced pencil factorization failed: {exc}") from exc
+    if not np.isfinite(eigs).all():
+        raise NumericFailure("pencil produced a non-finite eigenvalue")
+    return eigs
+
+
+def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
+    """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
+    support rows: (values, k_d, top), where `top` (P, K) holds each pair's
+    eigenvalues of H above 1 in descending order, padded with 1.
+
+    Pairs are grouped by k_d and each group is one stacked r x r problem
+    (`_reduced_pencil_eigs`). Eigenvalues are classified by `spectrum_split`'s
+    rule: above 1 when they exceed 1 by more than 1e-8 max(1, largest).
+    """
+    entries, _ = as_matrix(A)
+    rows0 = np.asarray(rows0, dtype=np.intp)
+    rows1 = np.asarray(rows1, dtype=np.intp)
+    if rows0.ndim != 2 or rows0.shape != rows1.shape:
+        raise ValueError("pair incoherence requires equal-size supports")
+    P, K = rows0.shape
+    shared = rows1[:, :, None] == rows0[:, None, :]          # (P, K1, K0)
+    k_d = K - shared.sum(axis=(1, 2))
+    if k_d.min() == 0:
+        raise ValueError("pair incoherence is undefined for identical supports")
+    if entries.shape[0] < 2 * k_d.max():
+        raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[0]}")
+    # Stable sort by [S1 \\ S0: 0, S0 cap S1 (from S1): 1, S0 \\ S1: 2, rest: 3]
+    # puts each union first, in the order `_reduced_pencil_eigs` takes.
+    key = np.concatenate([shared.any(axis=2), 2 + shared.any(axis=1)], axis=1)
+    union = np.take_along_axis(np.concatenate([rows1, rows0], axis=1),
+                               np.argsort(key, axis=1, kind="stable"), axis=1)
+    values = np.empty(P)
+    top = np.ones((P, K))
+    for kd in np.unique(k_d):
+        sel = k_d == kd
+        eigs = _reduced_pencil_eigs(entries, union[sel, :K + kd], K, sigma2)
+        above = eigs - 1.0 > 1e-8 * np.maximum(1.0, eigs[:, -1:])
+        count = above.sum(axis=1)          # used eigenvalues exceed 1, so are positive
+        if count.min() == 0:
+            raise NumericFailure("no eigenvalue of H exceeds 1; matrix is degenerate on this pair")
+        if count.max() > kd:
+            raise NumericFailure(f"more than k_d = {kd} eigenvalues of H exceed 1")
+        kept = np.where(above, eigs, 1.0)[:, :-kd - 1:-1]
+        top[sel, :kd] = kept
+        values[sel] = np.exp(np.log(kept).sum(axis=1) / count)
+    return values, k_d, top
 
 
 def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncoherence:
-    if Si.indices == Sj.indices:
-        raise ValueError("pair incoherence is undefined for identical supports")
-    if Si.size != Sj.size:
-        raise ValueError("pair incoherence requires equal-size supports")
-    k_d = len(Si.difference(Sj))
-    entries, _ = as_matrix(A)
-    if entries.shape[0] < 2 * k_d:
-        raise ValueError(f"need M >= 2*k_d = {2 * k_d}, got M = {entries.shape[0]}")
-    split = spectrum_split(h_eigenvalues(A, Si, Sj, sigma2))
-    if split.count_gt == 0:
-        raise NumericFailure("no eigenvalue of H exceeds 1; matrix is degenerate on this pair")
-    top = np.asarray(split.eigenvalues[: split.count_gt])
-    value = float(np.exp(np.mean(np.log(top))))
-    return PairIncoherence(value, (Si, Sj), k_d)
+    """One pair's incoherence: the P = 1 call of `pair_incoherences`."""
+    values, k_d, top = pair_incoherences(A, [Si.indices], [Sj.indices], sigma2)
+    eigs = tuple(float(x) for x in top[0] if x > 1.0)
+    return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
 
 
 @dataclass(frozen=True)
@@ -147,13 +216,18 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
                        cap: int = PAIR_CAP) -> IncoherenceSummary:
     """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence.
 
-    Sampled mode draws ordered pairs uniformly without replacement and only
-    upper-estimates the true minimum; the mode string in the summary flags it.
+    Ordered pairs have the row-major flat index i (L - 1) + j' over the
+    off-diagonal of the L x L grid of lexicographic supports; sampled mode
+    draws flat indices uniformly without replacement and only upper-estimates
+    the true minimum (the mode string in the summary flags it). Pairs are
+    unranked (`unrank_supports`) and scored `PAIR_BLOCK` at a time, so no
+    support list is built; ties keep the first minimum in draw order.
     """
     entries, _ = as_matrix(A)
     N = entries.shape[1]
-    supports = enumerate_supports(N, K)
-    L = len(supports)
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    L = math.comb(N, K)
     n_pairs = L * (L - 1)
     if n_pairs == 0:
         raise ValueError("incoherence needs at least two candidate supports")
@@ -161,28 +235,34 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n_pairs > cap:
             raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}; use sampled mode")
-        pair_ids = ((i, j) for i in range(L) for j in range(L) if i != j)
-        mode_str = "exhaustive"
+        flat, scored, mode_str = None, n_pairs, "exhaustive"
     elif mode == "sampled":
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode requires a positive sample_count")
+        if n_pairs > np.iinfo(np.int64).max:
+            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs} ordered pairs,"
+                              " beyond a 64-bit pair index")
         sample_count = min(sample_count, n_pairs)
         rng = substream(seed, "incoherence-pair-sample")
         flat = rng.choice(n_pairs, size=sample_count, replace=False)
-        pair_ids = (divmod(int(f), L - 1) for f in flat)
-        # row-major flat index over the off-diagonal: fix up the column.
-        pair_ids = ((i, j if j < i else j + 1) for i, j in pair_ids)
-        mode_str = f"sampled({sample_count})"
+        scored, mode_str = sample_count, f"sampled({sample_count})"
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    best = np.inf
-    best_pair = None
-    for i, j in pair_ids:
-        value = pair_incoherence(A, supports[i], supports[j], sigma2).value
-        if value < best:
-            best, best_pair = value, (supports[i], supports[j])
-    return IncoherenceSummary(float(best), best_pair, mode_str)
+    best, best_pair = np.inf, None
+    for start in range(0, scored, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, scored)
+        block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
+        # row-major flat index over the off-diagonal: fix up the column.
+        i, j = np.divmod(block, L - 1)
+        j += j >= i
+        rows0, rows1 = unrank_supports(i, N, K), unrank_supports(j, N, K)
+        values = pair_incoherences(entries, rows0, rows1, sigma2)[0]
+        b = int(np.argmin(values))
+        if values[b] < best:
+            best, best_pair = values[b], (rows0[b], rows1[b])
+    argmin = tuple(Support(tuple(int(x) for x in row), N) for row in best_pair)
+    return IncoherenceSummary(float(best), argmin, mode_str)
 
 
 def _r33(entries: np.ndarray, S0: Support, S1: Support) -> np.ndarray:

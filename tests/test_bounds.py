@@ -24,11 +24,12 @@ from suprec import (
     make_support,
     multiple_bound_geometric,
     multiple_bound_union,
+    sample_gaussian_matrix,
     snet_requirements,
     substream,
 )
 
-from conftest import gaussian_instance, random_pair
+from conftest import gaussian_instance, mp_pencil_eigs, random_pair
 
 I2 = MeasurementMatrix(np.eye(2), FieldTag.REAL)
 S0_I2 = make_support([0], 2)
@@ -92,6 +93,25 @@ class TestBinaryChernoff:
     def test_small_noise_closed_form(self):
         report = binary_chernoff(I2, S0_I2, S1_I2, 0.01, 4)
         assert report.raw_value == pytest.approx(0.5 * 16 / 101**2, rel=1e-9)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_mu_half_matches_dense_spectrum(self, field):
+        for seed in range(10):
+            A = gaussian_instance(8, 10, field=field, seed=seed, label="mu-dense")
+            S0, S1 = random_pair(10, 3, overlap=seed % 3)
+            for sigma2 in (0.1, 0.5, 2.0):
+                got = binary_chernoff(A, S0, S1, sigma2, 3).extras["mu_half"]
+                want = chernoff_mu(h_eigenvalues(A, S0, S1, sigma2), 0.5, 3, field.kappa)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_mu_half_at_small_noise_matches_high_precision(self):
+        # the dense pencil's eigenvalues of order sigma2 are wrong here
+        A = sample_gaussian_matrix(6, 8, FieldTag.REAL, substream(1, "cli-matrix"))
+        S0, S1 = make_support([0, 1], 8), make_support([2, 5], 8)
+        report = binary_chernoff(A, S0, S1, 1e-8, 2)
+        want = chernoff_mu([float(x) for x in mp_pencil_eigs(A, S0, S1, 1e-8)], 0.5, 2, 0.5)
+        assert abs(report.extras["mu_half"] - want) <= 1e-6 * abs(want)
+        assert report.extras["mu_half_bound"] <= report.raw_value
 
     def test_mu_half_never_exceeds_pair_product_form(self):
         for seed in range(500):

@@ -105,6 +105,8 @@ class TestExitCodes:
          "'count' must be a positive integer"),
         ("simulate", {**MULTIPLE_SIM, "matrix": "gaussian"}, "key 'matrix' has invalid type"),
         ("simulate", {**BINARY_SIM, "matrix": {"kind": "bogus"}}, "unknown kind 'bogus'"),
+        ("simulate", {**BINARY_SIM, "matrix": {"kind": "csv", "path": "/nonexistent.csv"}},
+         "cannot load CSV matrix"),
         ("sweep", {"command": "simulate", "grid": {"sigma2": [0.5, 1.0]},
                    "base": {**MULTIPLE_SIM, "incoherence": {"mode": "bogus"}}},
          "mode must be exhaustive|sampled"),
@@ -114,6 +116,7 @@ class TestExitCodes:
             "simulate-ula-spacing-string", "simulate-incoherence-mode-unknown",
             "simulate-sampled-count-missing", "simulate-sampled-count-zero",
             "simulate-matrix-not-object", "simulate-matrix-kind-unknown",
+            "simulate-csv-matrix-missing",
             "sweep-incoherence-mode-unknown"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
@@ -193,6 +196,17 @@ class TestSimulateCommand:
         assert rows[0]["mode"] == "multiple"
         assert float(rows[0]["lambda_bar"]) > 1.0
 
+    def test_binary_at_small_noise_brackets(self, tmp_path):
+        # the dense M x M pencil used to fail here with a non-positive eigenvalue
+        cfg = write_config(tmp_path, {"mode": "binary", "M": 6, "N": 8, "K": 2, "S0": [0, 1],
+                                      "S1": [2, 5], "T": [2], "sigma2": [1e-8], "trials": 200})
+        out = tmp_path / "small.csv"
+        result = run_cli("simulate", "--config", cfg, "--seed", "1", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        [row] = read_rows(out)
+        assert float(row["fano_clamped"]) <= float(row["ci_high"])
+        assert float(row["ci_low"]) <= float(row["chernoff_clamped"])
+
     def test_ensemble_mode_rows(self, tmp_path):
         cfg = write_config(tmp_path, {"mode": "ensemble", "N": 6, "M": 4, "K": 1, "T": 1,
                                       "sigma2": 1.0, "trials": 1, "matrix_draws": 3,
@@ -243,6 +257,27 @@ class TestDoaCommand:
         relaxed = [float(r["relaxed"]) for r in read_rows(out)]
         gaps = [b - a for a, b in zip(relaxed, relaxed[1:])]
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-9)  # log-spaced increments
+
+    def test_sampled_ula_incoherence_on_a_360_grid(self, tmp_path):
+        # 50 of the C(360,3) * (C(360,3) - 1) ordered pairs, no support enumeration
+        cfg = write_config(tmp_path, {**DOA_ULA, "ula_lambda": {"M": 16, "grid_size": 360,
+                                                                "K": 3, "pairs": 50}})
+        outs = [tmp_path / f"doa{n}.csv" for n in range(3)]
+        for out, threads in zip(outs, ("1", "1", "2")):
+            result = run_cli("doa", "--config", cfg, "--seed", "1", "--threads", threads,
+                             "--out", str(out))
+            assert result.returncode == 0, result.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert "mode=sampled(50) M=16 grid=360 K=3" in outs[0].read_text()
+
+    def test_pair_index_overflow_is_cap(self, tmp_path):
+        cfg = write_config(tmp_path, {**DOA_ULA, "ula_lambda": {"M": 16, "grid_size": 360,
+                                                                "K": 6, "pairs": 50}})
+        out = tmp_path / "doa.csv"
+        result = run_cli("doa", "--config", cfg, "--seed", "1", "--out", str(out))
+        assert result.returncode == 3
+        assert "64-bit" in result.stderr
+        assert not out.exists()
 
 
 class TestSweepCommand:

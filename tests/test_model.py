@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from suprec import (
     substream,
     ula_angle_grid,
     ula_manifold_matrix,
+    unrank_supports,
 )
 
 from conftest import gaussian_instance
@@ -74,6 +76,29 @@ class TestEnumerateSupports:
     def test_cap_names_the_binomial(self):
         with pytest.raises(CapExceeded, match=str(math.comb(40, 10))):
             enumerate_supports(40, 10, cap=1000)
+
+
+class TestUnrankSupports:
+    @pytest.mark.parametrize("N,K", [(6, 1), (8, 3), (10, 5)])
+    def test_every_rank_matches_combinations_order(self, N, K):
+        rows = unrank_supports(np.arange(math.comb(N, K)), N, K)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [list(c) for c in combinations(range(N), K)]
+
+    def test_first_and_last_ranks_of_a_360_grid(self):
+        total = math.comb(360, 4)
+        first = unrank_supports(np.arange(1000), 360, 4)
+        assert first.tolist() == [list(c) for c in islice(combinations(range(360), 4), 1000)]
+        # supports drawn from the last 10 columns are the last C(10, 4) in lexicographic order
+        tail = math.comb(10, 4)
+        last = unrank_supports(np.arange(total - tail, total), 360, 4)
+        assert last.tolist() == [list(c) for c in combinations(range(350, 360), 4)]
+
+    def test_ranks_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            unrank_supports([math.comb(8, 3)], 8, 3)
+        with pytest.raises(ValueError):
+            unrank_supports([-1], 8, 3)
 
 
 class TestGaussianMatrix:

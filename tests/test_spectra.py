@@ -1,22 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 
+import suprec.spectra as spectra
 from suprec import (
+    CapExceeded,
     FieldTag,
     MeasurementMatrix,
+    NumericFailure,
     covariance,
+    enumerate_supports,
     h_eigenvalues,
     make_support,
     matrix_incoherence,
     noise_constants,
     pair_incoherence,
+    pair_incoherences,
     qr_lower_bound_eigs,
+    sample_gaussian_matrix,
     spectrum_split,
     substream,
+    ula_angle_grid,
+    ula_manifold_matrix,
+    unrank_supports,
     upper_bound_eigs,
 )
 
-from conftest import gaussian_instance, random_pair
+from conftest import gaussian_instance, mp_pencil_eigs, random_pair
 
 I2 = MeasurementMatrix(np.eye(2), FieldTag.REAL)
 S0_I2 = make_support([0], 2)
@@ -31,6 +42,14 @@ def explicit_h_eigs(A, S0, S1, sigma2):
     root = V @ np.diag(np.sqrt(w)) @ V.conj().T
     H = root @ np.linalg.inv(Sig1) @ root
     return np.linalg.eigvalsh(H)[::-1]
+
+
+def dense_top(A, S0, S1, sigma2):
+    """Oracle: H's eigenvalues above 1 from the dense M x M pencil, and their
+    geometric mean."""
+    split = spectrum_split(h_eigenvalues(A, S0, S1, sigma2))
+    top = np.asarray(split.eigenvalues[:split.count_gt])
+    return top, float(np.exp(np.mean(np.log(top))))
 
 
 class TestCovariance:
@@ -139,6 +158,62 @@ class TestPairIncoherence:
         assert 17.0 - 3 * se <= mean <= 21.0 + 3 * se
 
 
+class TestPairKernel:
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_matches_dense_oracle_for_every_k_d(self, field):
+        A = gaussian_instance(8, 9, field=field, seed=5, label="kernel")
+        supports = enumerate_supports(9, 3)[::9]
+        pairs = [(a, b) for a in supports for b in supports if a != b]
+        values, k_d, top = pair_incoherences(A, [a.indices for a, _ in pairs],
+                                             [b.indices for _, b in pairs], 0.5)
+        assert set(k_d.tolist()) == {1, 2, 3}
+        for n, (a, b) in enumerate(pairs):
+            want_top, want = dense_top(A, a, b, 0.5)
+            assert k_d[n] == len(a.difference(b))
+            assert abs(values[n] - want) <= 1e-12 * want
+            assert np.all(np.abs(top[n, :len(want_top)] - want_top) <= 1e-12 * want_top)
+            assert np.all(top[n, len(want_top):] == 1.0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_matches_high_precision_oracle_at_small_noise(self, field):
+        # the dense M x M pencil loses the eigenvalues of order sigma2 here
+        A = sample_gaussian_matrix(6, 8, field, substream(1, "cli-matrix"))
+        S0, S1 = make_support([0, 1], 8), make_support([2, 5], 8)
+        for a, b in ((S0, S1), (S1, S0)):
+            exact = mp_pencil_eigs(A, a, b, 1e-8)
+            got = pair_incoherence(A, a, b, 1e-8)
+            assert len(got.eigenvalues) == 2
+            for x, want in zip(got.eigenvalues, exact[:2]):
+                assert abs(x - float(want)) <= 1e-6 * float(want)
+            want = math.sqrt(float(exact[0] * exact[1]))
+            assert abs(got.value - want) <= 1e-6 * want
+
+    def test_single_pair_is_the_batch_call(self):
+        A = gaussian_instance(7, 9, field=FieldTag.COMPLEX, seed=2)
+        S0, S1 = make_support([0, 4, 6], 9), make_support([1, 4, 8], 9)
+        one = pair_incoherence(A, S0, S1, 0.3)
+        values, k_d, top = pair_incoherences(A, [S0.indices], [S1.indices], 0.3)
+        assert one.value == values[0] and one.k_d == k_d[0] == 2
+        assert one.eigenvalues == tuple(top[0, :2])
+
+    def test_checks(self):
+        A = gaussian_instance(6, 8, seed=3)
+        with pytest.raises(ValueError, match="identical"):
+            pair_incoherences(A, [[0, 1], [2, 3]], [[0, 2], [2, 3]], 1.0)
+        with pytest.raises(ValueError, match="equal-size"):
+            pair_incoherences(A, [[0, 1]], [[2, 3, 4]], 1.0)
+        with pytest.raises(ValueError, match="M >= 2"):
+            pair_incoherences(A, [[0, 1, 2, 3]], [[4, 5, 6, 7]], 1.0)
+        silent = np.array(A.entries)
+        silent[:, [0, 1]] = 0.0                  # S0's columns add nothing: no eigenvalue > 1
+        with pytest.raises(NumericFailure, match="exceeds 1"):
+            pair_incoherences(silent, [[0, 1]], [[2, 3]], 1.0)
+        broken = np.array(A.entries)
+        broken[2, 3] = np.nan
+        with pytest.raises(NumericFailure):
+            pair_incoherences(broken, [[0, 1]], [[2, 3]], 1.0)
+
+
 class TestMatrixIncoherence:
     def test_identity_two_columns(self):
         summary = matrix_incoherence(I2, 1, 1.0)
@@ -167,6 +242,56 @@ class TestMatrixIncoherence:
         from suprec import CapExceeded
         with pytest.raises(CapExceeded, match="sampled"):
             matrix_incoherence(A, 3, 1.0, cap=100)
+
+    def test_exact_ties_keep_first_pair_in_draw_order(self):
+        # orthonormal columns: every ordered pair scores exactly the same, in
+        # every block
+        A = MeasurementMatrix(np.eye(9), FieldTag.REAL)
+        L = math.comb(9, 2)
+        assert L * (L - 1) > spectra.PAIR_BLOCK
+        i, j = np.divmod(np.arange(L * (L - 1)), L - 1)
+        j += j >= i
+        values = pair_incoherences(A, unrank_supports(i, 9, 2), unrank_supports(j, 9, 2), 0.5)[0]
+        assert np.all(values == values[0])
+        exhaustive = matrix_incoherence(A, 2, 0.5)
+        assert [S.indices for S in exhaustive.argmin_pair] == [(0, 1), (0, 2)]
+        sampled = matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=1100, seed=3)
+        first = substream(3, "incoherence-pair-sample").choice(L * (L - 1), size=1100,
+                                                               replace=False)[0]
+        i0, j0 = divmod(int(first), L - 1)
+        j0 += j0 >= i0
+        supports = enumerate_supports(9, 2)
+        assert sampled.argmin_pair == (supports[i0], supports[j0])
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_exhaustive_across_blocks_matches_per_pair_loop(self, field):
+        A = gaussian_instance(6, 7, field=field, seed=8, label="blocks")
+        supports = enumerate_supports(7, 3)
+        assert len(supports) * (len(supports) - 1) > spectra.PAIR_BLOCK
+        best, best_pair = np.inf, None
+        for Si in supports:
+            for Sj in supports:
+                if Si != Sj:
+                    value = pair_incoherence(A, Si, Sj, 0.7).value
+                    if value < best:
+                        best, best_pair = value, (Si, Sj)
+        summary = matrix_incoherence(A, 3, 0.7)
+        assert summary.argmin_pair == best_pair
+        assert abs(summary.lambda_bar - best) <= 1e-12 * best
+
+    def test_sampled_mode_never_enumerates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled incoherence enumerated the supports")
+        monkeypatch.setattr(spectra, "enumerate_supports", refuse)
+        A = ula_manifold_matrix(16, ula_angle_grid(360))
+        summary = matrix_incoherence(A, 3, 1.0, mode="sampled", sample_count=50, seed=1)
+        assert summary.mode == "sampled(50)" and summary.lambda_bar > 1.0
+        assert all(S.size == 3 and S.ambient_dim == 360 for S in summary.argmin_pair)
+
+    def test_pair_index_beyond_int64_is_cap(self):
+        A = ula_manifold_matrix(16, ula_angle_grid(360))
+        with pytest.raises(CapExceeded, match="64-bit"):
+            matrix_incoherence(A, 6, 1.0, mode="sampled", sample_count=50, seed=1)
 
 
 class TestEigSandwich:
