@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import FieldTag, Support, as_matrix, enumerate_supports
-from .spectra import covariance, pair_incoherence
+from .model import FieldTag, NumericFailure, Support, as_matrix, enumerate_supports
+from .spectra import covariance_factors, pair_incoherence
 
 LOG2 = math.log(2.0)
 
@@ -177,17 +177,30 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None
     """Average pairwise KL divergence over all ordered candidate pairs.
 
     The log-determinant terms cancel over the full double sum, so
-    beta = kappa*T/(2 L^2) * sum_{i,j} [tr(Sigma_j^{-1} Sigma_i) - M].
+    beta = kappa*T/(2 L^2) * sum_{i,j} [tr(Sigma_j^{-1} Sigma_i) - M]
+         = kappa*T/(2 L^2) * [tr((sum_j Sigma_j^{-1}) (sum_i Sigma_i)) - L^2 M].
+    With the low-rank factors (`covariance_factors`) of every Sigma_j,
+    sum_j Sigma_j^{-1} = (L I - sum_j Q_j Q_j^H) / sigma2 + sum_j Q_j C_j^{-1} Q_j^H,
+    and sum_i Sigma_i = L sigma2 I + C(N-1, K-1) A A^H, since every column
+    lies in C(N-1, K-1) of the supports.
     """
     entries, fieldtag = as_matrix(A)
     if kappa is None:
         kappa = fieldtag.kappa
     M, N = entries.shape
-    supports = enumerate_supports(N, K)
-    L = len(supports)
-    sigmas = np.stack([covariance(A, S, sigma2) for S in supports])
-    # sum_ij tr(Sigma_j^{-1} Sigma_i) = tr((sum_j Sigma_j^{-1}) (sum_i Sigma_i))
-    total = np.einsum("ab,ba->", np.linalg.inv(sigmas).sum(axis=0), sigmas.sum(axis=0)).real
+    rows = np.array([S.indices for S in enumerate_supports(N, K)], dtype=np.intp)
+    L = len(rows)
+    factors = covariance_factors(entries, rows, sigma2)
+    if factors.failures:
+        raise NumericFailure(next(iter(factors.failures.values())))
+    p = factors.Q.shape[2]
+    Qh = factors.proj[:, :p].reshape(L * p, M)          # the Q_j^H, stacked
+    Bh = factors.proj[:, p:].reshape(L * p, M)          # the G_j^{-1} Q_j^H, stacked
+    inv_sum = Bh.conj().T @ Bh
+    if p < M:
+        inv_sum += (L * np.eye(M) - Qh.conj().T @ Qh) / sigma2
+    sigma_sum = L * sigma2 * np.eye(M) + math.comb(N - 1, K - 1) * (entries @ entries.conj().T)
+    total = np.einsum("ab,ba->", inv_sum, sigma_sum).real
     return float(kappa * T / (2.0 * L * L) * (total - L * L * M))
 
 

@@ -5,7 +5,9 @@ One JSON config document per run; subcommands `bounds`, `simulate`,
 order, reproducible byte for byte from (config, seed); --threads is accepted
 and ignored.
 
-Exit codes: 0 success, 2 config error, 3 resource-cap error.
+Exit codes: 0 success, 2 config error or numeric failure (a covariance or
+pencil that cannot be factorized at the configured noise), 3 resource-cap
+error. Nothing is written on error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     CapExceeded,
     FieldTag,
     ModelConfig,
+    NumericFailure,
     load_matrix_csv,
     make_support,
     sample_gaussian_matrix,
@@ -622,6 +625,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"suprec: resource cap: {exc}", file=sys.stderr)
         return 3
+    except NumericFailure as exc:
+        print(f"suprec: numeric failure: {exc}", file=sys.stderr)
+        return 2
     _write_output(args.out, args.format, columns, rows, comments, args.command, seed)
     return 0
 

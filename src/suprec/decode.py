@@ -8,10 +8,12 @@ covariance Sigma_S, so the log density is
                  - kappa*tr(Y^H Sigma_S^{-1} Y).
 
 Every log determinant and quadratic form goes through the covariance core in
-`spectra` (`cholesky_logdet`, `whitened_energy`). `SupportDecoder` caches one
-factorization per candidate support, and its `score_batch` is the one scoring
-path: `log_scores`, the decode methods, `binary_lrt` (a two-candidate
-decoder) and the Monte Carlo estimators all score through it.
+`spectra`. `SupportDecoder` factors its candidates in K x K form, one stacked
+`covariance_factors` call per support size, and its `score_batch` is the one
+scoring path: `log_scores`, the decode methods, `binary_lrt` (a two-candidate
+decoder) and the Monte Carlo estimators all score through it, all candidates
+of a size at once. `log_likelihood` takes one dense covariance and uses the
+dense `cholesky_logdet`/`whitened_energy`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NumericFailure, ObservationBatch, Support, as_matrix
-from .spectra import cholesky_logdet, covariance, whitened_energy
+from .spectra import cholesky_logdet, covariance_factors, whitened_energy
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -75,36 +77,58 @@ class DecodeResult:
 class SupportDecoder:
     """Maximum-likelihood decoder over a fixed candidate support set.
 
-    Covariance Cholesky factors are computed once per (A, sigma2, candidates)
-    and reused across observations. A candidate whose factorization fails
-    scores -inf and is recorded in `failures` instead of aborting the decode.
+    `candidates` is a sequence of `Support`s, of any sizes, or an (L, K)
+    integer array of support rows. The covariance factors of each support
+    size are computed once per (A, sigma2, candidates), in one
+    `covariance_factors` call, and reused across observations. A candidate
+    whose factorization fails scores -inf and is recorded in `failures`
+    instead of aborting the decode.
     """
 
     def __init__(self, A, candidates, sigma2: float):
-        if not candidates:
-            raise ValueError("candidate set must be nonempty")
         entries, field = as_matrix(A)
         self.kappa = field.kappa
-        self.M = entries.shape[0]
-        self.candidates = list(candidates)
+        self.M, self._N = entries.shape
+        if isinstance(candidates, np.ndarray):
+            rows = self._rows = candidates.astype(np.intp, copy=False)
+            self._supports = None
+            groups = [(np.arange(len(rows)), rows)]
+            # Lexicographic order of the candidates, for deterministic tie-breaks.
+            self._lex_order = np.lexsort(rows.T[::-1])
+        else:
+            self._supports = list(candidates)
+            sizes = np.array([S.size for S in self._supports], dtype=np.intp)
+            groups = []
+            for K in np.unique(sizes):
+                idx = np.flatnonzero(sizes == K)
+                groups.append((idx, np.array([self._supports[i].indices for i in idx],
+                                             dtype=np.intp)))
+            self._lex_order = np.array(sorted(range(len(sizes)),
+                                              key=lambda i: self._supports[i].indices),
+                                       dtype=np.intp)
+        if not self._lex_order.size:
+            raise ValueError("candidate set must be nonempty")
         self.failures: dict = {}
-        # Lexicographic rank of each candidate, for deterministic tie-breaks.
-        self._lex_rank = sorted(range(len(self.candidates)),
-                                key=lambda i: self.candidates[i].indices)
-        self._factors = []
-        for idx, S in enumerate(self.candidates):
-            try:
-                self._factors.append(cholesky_logdet(covariance(A, S, sigma2)))
-            except NumericFailure as exc:
-                self._factors.append(None)
-                self.failures[idx] = str(exc)
+        self._groups = []
+        for idx, rows in groups:
+            factors = covariance_factors(entries, rows, sigma2)
+            self._groups.append((idx, factors))
+            self.failures.update({int(idx[i]): msg for i, msg in factors.failures.items()})
+
+    @property
+    def candidates(self) -> list:
+        """The candidate supports, in the decoder's order (built on first use
+        when the decoder was given support rows)."""
+        if self._supports is None:
+            self._supports = [Support(tuple(int(i) for i in row), self._N) for row in self._rows]
+        return self._supports
 
     def score_batch(self, Ys) -> np.ndarray:
         """Log-likelihood of every candidate for a stack of observations
         (n, M, T), as an array of shape (n_candidates, n).
 
-        One triangular solve per candidate covers the whole stack; a candidate
-        whose factorization failed scores -inf.
+        Each support size is scored as one stack (`CovarianceFactors.energies`);
+        a candidate whose factorization failed scores -inf.
         """
         Ys = np.asarray(Ys)
         n, M, T = Ys.shape
@@ -112,13 +136,11 @@ class SupportDecoder:
             raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
         flat = np.moveaxis(Ys, 0, 1).reshape(M, n * T)
         const = -self.kappa * M * T * np.log(np.pi / self.kappa)
-        scores = np.full((len(self.candidates), n), -np.inf)
-        for idx, factor in enumerate(self._factors):
-            if factor is None:
-                continue
-            L, logdet = factor
-            quad = whitened_energy(L, flat).reshape(n, T).sum(axis=1)
-            scores[idx] = const - self.kappa * T * logdet - self.kappa * quad
+        scores = np.empty((self._lex_order.size, n))
+        for idx, factors in self._groups:
+            # a failed candidate has logdet = +inf, so it scores -inf
+            scores[idx] = (const - self.kappa * T * factors.logdet[:, None]
+                           - self.kappa * factors.energies(flat, T))
         return scores
 
     def log_scores(self, Y) -> np.ndarray:
@@ -127,11 +149,9 @@ class SupportDecoder:
     def _pick(self, scores: np.ndarray) -> tuple:
         """Index of the best score plus a flag for broken ties; ties go to
         the lexicographically smallest support."""
-        winners = np.flatnonzero(scores == np.max(scores))
-        if winners.size == 1:
-            return int(winners[0]), False
-        choice = min(winners, key=lambda i: self.candidates[i].indices)
-        return int(choice), True
+        ranked = scores[self._lex_order]
+        top = int(np.argmax(ranked))
+        return int(self._lex_order[top]), bool(np.count_nonzero(ranked == ranked[top]) > 1)
 
     def decode_index(self, Y) -> tuple:
         """Index of the winning candidate plus a flag for broken ties."""
@@ -151,8 +171,7 @@ class SupportDecoder:
         :meth:`decode_index`."""
         # Evaluate candidates in lexicographic order so the first argmax is
         # the lexicographically smallest maximizer.
-        picks = np.argmax(self.score_batch(Ys)[self._lex_rank], axis=0)
-        return np.asarray(self._lex_rank, dtype=np.intp)[picks]
+        return self._lex_order[np.argmax(self.score_batch(Ys)[self._lex_order], axis=0)]
 
 
 def lrt_decoder(A, S0: Support, S1: Support, sigma2: float) -> SupportDecoder:

@@ -155,11 +155,11 @@ def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: 
     """
     entries, _ = as_matrix(A)
     candidates = enumerate_supports(entries.shape[1], K)
-    decoder = SupportDecoder(A, candidates, sigma2)
+    rows = _support_rows(candidates)
+    decoder = SupportDecoder(A, rows, sigma2)
     errors = 0
     kd_hist = {}
-    for truths, Y in draw_trial_blocks(A, _support_rows(candidates), sigma2, T, trials,
-                                       seed, "multiple-trial"):
+    for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials, seed, "multiple-trial"):
         chosen = decoder.decode_index_batch(Y)
         wrong = chosen != truths
         errors += int(np.sum(wrong))
@@ -187,7 +187,7 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
     per_matrix_errors = []
     for d in range(matrix_draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "ensemble-matrix", d))
-        decoder = SupportDecoder(A, candidates, sigma2)
+        decoder = SupportDecoder(A, rows, sigma2)
         errors = 0
         for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials_per_matrix, seed,
                                            "ensemble-trial", d * blocks_per_matrix):

@@ -14,9 +14,13 @@ M x M pencil loses to rounding at small noise. The dense `h_eigenvalues`
 (Cholesky whitening of Sigma_1) remains for eig-check, which counts the full
 M x M spectrum, and as the tests' reference.
 
-This module is also the package's one covariance core: `cholesky_logdet`
-factorizes Sigma_S and `whitened_energy` evaluates its quadratic forms, for
-the decoders as well as for the spectra here.
+Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
+factors many of them at once in K x K form: one stacked QR of the supports'
+columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those factors give
+every log-determinant and quadratic form the decoders need
+(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano
+beta. `cholesky_logdet` and `whitened_energy` remain for a single dense
+covariance: `decode.log_likelihood` and `h_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ from .model import (
 
 PAIR_CAP = 10**7
 PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
+# Entries of the (c, M, n T) residual buffer of `CovarianceFactors.energies`,
+# which scores c supports at a time: it bounds the scoring's working memory
+# whatever the number of supports or the size of the block.
+SCORE_CHUNK_ELEMENTS = 2**15
 
 
 def covariance(A, S: Support, sigma2: float) -> np.ndarray:
@@ -67,6 +75,107 @@ def whitened_energy(L: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-column |L^{-1} y|^2 of the columns y of `values`: the quadratic
     form y^H Sigma^{-1} y for Sigma = L L^H."""
     return np.sum(np.abs(solve_triangular(L, values, lower=True)) ** 2, axis=0)
+
+
+@dataclass(frozen=True)
+class CovarianceFactors:
+    """Low-rank factors of Sigma_S = A_S A_S^H + sigma2 I_M for L supports of
+    one size K, stacked along the first axis.
+
+    With the reduced QR A_S = Q R (Q: M x p orthonormal, p = min(M, K)) and
+    the Cholesky factor G of C = R R^H + sigma2 I_p,
+
+        Sigma_S = Q C Q^H + sigma2 (I - Q Q^H),
+        log|Sigma_S| = (M - p) log sigma2 + log|C|        (Hager, SIAM Rev. 1989),
+        y^H Sigma_S^{-1} y = |y - Q w|^2 / sigma2 + |G^{-1} w|^2,  w = Q^H y.
+
+    A support whose C is not numerically positive definite is listed in
+    `failures` (row position -> message); its `logdet` is +inf, so its
+    likelihood is 0.
+    """
+
+    Q: np.ndarray            # (L, M, p)
+    proj: np.ndarray         # (L, 2p, M): Q^H stacked over G^{-1} Q^H
+    logdet: np.ndarray       # (L,) log|Sigma_S|
+    sigma2: float
+    failures: dict
+
+    def energies(self, values: np.ndarray, T: int) -> np.ndarray:
+        """Quadratic forms y^H Sigma_S^{-1} y of the columns of `values`
+        (M, n T), summed over each run of T consecutive columns: (L, n).
+
+        The residual y - Q w is formed explicitly, not as |y|^2 - |w|^2, which
+        cancels at small sigma2; when p = M it is zero and skipped. Supports
+        are scored SCORE_CHUNK_ELEMENTS // (M n T) at a time, so neither an
+        (L, M, n T) nor an (L, n T) array is built.
+        """
+        L, M, p = self.Q.shape
+        nT = values.shape[1]
+        out = np.empty((L, nT // T))
+        step = max(1, SCORE_CHUNK_ELEMENTS // max(1, M * nT))
+        # Work buffers shared by every chunk, rather than two fresh
+        # chunk-sized arrays per chunk (measured slower).
+        dtype = np.result_type(self.proj, values)
+        wz = np.empty((min(step, L), 2 * p, nT), dtype)      # [w; G^{-1} w]
+        resid = np.empty((min(step, L), M, nT), dtype) if p < M else None
+        for start in range(0, L, step):
+            stop = min(start + step, L)
+            c = stop - start
+            np.matmul(self.proj[start:stop], values, out=wz[:c])
+            energy = _run_energy(wz[:c, p:], T)
+            if p < M:
+                np.matmul(self.Q[start:stop], wz[:c, :p], out=resid[:c])
+                np.subtract(values, resid[:c], out=resid[:c])
+                energy += _run_energy(resid[:c], T) / self.sigma2
+            out[start:stop] = energy
+        return out
+
+
+def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
+    """Squared norm of each run of T consecutive columns of each matrix in a
+    stack (c, m, n T), as (c, n)."""
+    if np.iscomplexobj(x):
+        x, T = x.view(np.float64), 2 * T        # real and imaginary parts side by side
+    columns = np.einsum("cmj,cmj->cj", x, x)
+    return np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
+
+
+def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
+    """Factors of Sigma_S for the supports given as an (L, K) array of rows.
+
+    One stacked QR and one stacked Cholesky serve all L supports; only when
+    that Cholesky breaks down are the C factored one by one, to find the
+    failures. C also fails when a pivot falls to its rounding level
+    (p eps max C_jj), where log|C| and C^{-1} are rounding noise: for
+    instance when A_S has duplicate columns and sigma2 is below eps^2 |A_S|^2.
+    """
+    entries, _ = as_matrix(A)
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    M = entries.shape[0]
+    Q, R = np.linalg.qr(entries.T[np.asarray(rows, dtype=np.intp)].swapaxes(1, 2))
+    p = Q.shape[2]
+    C = R @ R.conj().swapaxes(1, 2) + sigma2 * np.eye(p)
+    try:
+        G = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        G = np.full_like(C, np.nan)
+        for i, c in enumerate(C):
+            try:
+                G[i] = np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                pass
+    pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
+    floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
+    failed = ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
+    failures = {int(i): f"covariance factorization failed (condition number ~"
+                        f" {np.linalg.cond(C[i]):.3e})" for i in np.flatnonzero(failed)}
+    logdet = (M - p) * np.log(sigma2) + np.sum(np.log(pivots), axis=1)
+    logdet[failed] = np.inf
+    G[failed] = np.eye(p)
+    Qh = Q.conj().swapaxes(1, 2)
+    proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
+    return CovarianceFactors(Q, proj, logdet, float(sigma2), failures)
 
 
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from suprec import FieldTag, make_support, sample_gaussian_matrix, substream
+from suprec import FieldTag, covariance, make_support, sample_gaussian_matrix, substream
 
 
 @pytest.fixture
@@ -34,3 +34,35 @@ def mp_pencil_eigs(A, S0, S1, sigma2, dps=60):
         W = Li * cov(S0) * Li.H
         eigs = mpmath.eighe((W + W.H) / 2, eigvals_only=True)
         return sorted((mpmath.re(x) for x in eigs), reverse=True)
+
+
+def dense_scores(A, supports, sigma2, y):
+    """Oracle: log p(y|S) for each support up to a shared constant, from
+    slogdet and a dense solve (no Cholesky factor, no decoder)."""
+    kappa = A.field.kappa
+    scores = []
+    for S in supports:
+        Sigma = covariance(A, S, sigma2)
+        _, logdet = np.linalg.slogdet(Sigma)
+        quad = np.sum(y.conj() * np.linalg.solve(Sigma, y)).real
+        scores.append(-kappa * y.shape[1] * logdet - kappa * quad)
+    return np.array(scores)
+
+
+def mp_log_likelihood(A, S, sigma2, Y, dps=60):
+    """High-precision oracle: log p(Y|S) from a 60-digit Cholesky factor of
+    Sigma_S in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    entries = A.entries
+    kappa = A.field.kappa
+    M, T = Y.shape
+    with mpmath.workdps(dps):
+        cols = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row]
+                              for row in entries[:, S.as_array()]])
+        Sigma = cols * cols.H + mpmath.mpf(sigma2) * mpmath.eye(M)
+        L = mpmath.cholesky(Sigma)
+        logdet = 2 * sum(mpmath.log(mpmath.re(L[i, i])) for i in range(M))
+        Z = mpmath.inverse(L) * mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in Y])
+        quad = sum(abs(Z[i, t]) ** 2 for i in range(M) for t in range(T))
+        kappa = mpmath.mpf(kappa)
+        return -kappa * M * T * mpmath.log(mpmath.pi / kappa) - kappa * T * logdet - kappa * quad

@@ -221,6 +221,30 @@ class TestFanoBeta:
                     for i in range(L) for j in range(L))
         assert fano_beta_exact(A, 2, 0.8, 2) == pytest.approx(total / L**2, rel=1e-9)
 
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2", [0.8, 1e-4])
+    def test_pairwise_kl_sum_across_fields_and_noise(self, field, sigma2):
+        A = gaussian_instance(4, 5, field, seed=8)
+        from suprec import enumerate_supports
+        supports = enumerate_supports(5, 2)
+        L = len(supports)
+        kappa = field.kappa
+        sigmas = [covariance(A, S, sigma2) for S in supports]
+        total = sum(kl_divergence(sigmas[i], sigmas[j], 2, kappa)
+                    for i in range(L) for j in range(L))
+        assert fano_beta_exact(A, 2, sigma2, 2) == pytest.approx(total / L**2, rel=1e-9)
+
+    def test_support_at_least_M(self):
+        # K >= M: every Q_j is square, so the (L I - sum Q_j Q_j^H) term vanishes
+        A = gaussian_instance(3, 5, FieldTag.COMPLEX, seed=9)
+        from suprec import enumerate_supports
+        supports = enumerate_supports(5, 3)
+        L = len(supports)
+        sigmas = [covariance(A, S, 0.5) for S in supports]
+        total = sum(kl_divergence(sigmas[i], sigmas[j], 1, 1.0)
+                    for i in range(L) for j in range(L))
+        assert fano_beta_exact(A, 3, 0.5, 1) == pytest.approx(total / L**2, rel=1e-9)
+
     def test_exact_below_frobenius(self):
         for seed in range(200):
             A = gaussian_instance(4, 6, seed=seed, label="beta")

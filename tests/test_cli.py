@@ -110,6 +110,8 @@ class TestExitCodes:
         ("sweep", {"command": "simulate", "grid": {"sigma2": [0.5, 1.0]},
                    "base": {**MULTIPLE_SIM, "incoherence": {"mode": "bogus"}}},
          "mode must be exhaustive|sampled"),
+        ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 3, "sigma2": 1e-10,
+                       "master_seed": 1}, "numeric failure"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
@@ -117,7 +119,7 @@ class TestExitCodes:
             "simulate-sampled-count-missing", "simulate-sampled-count-zero",
             "simulate-matrix-not-object", "simulate-matrix-kind-unknown",
             "simulate-csv-matrix-missing",
-            "sweep-incoherence-mode-unknown"])
+            "sweep-incoherence-mode-unknown", "eig-check-numeric-failure"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)

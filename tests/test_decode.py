@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import suprec.spectra as spectra
 from suprec import (
     FieldTag,
     MeasurementMatrix,
+    NumericFailure,
     SupportDecoder,
     binary_lrt,
     covariance,
     enumerate_supports,
+    field_gaussian,
     log_likelihood,
     make_support,
     ml_decode,
@@ -15,8 +18,9 @@ from suprec import (
     sample_signal_batch,
     substream,
 )
+from suprec.decode import lrt_decoder
 
-from conftest import gaussian_instance
+from conftest import dense_scores, gaussian_instance, mp_log_likelihood
 
 
 def dense_log_likelihood(Y, Sigma, kappa):
@@ -206,3 +210,128 @@ class TestMlDecode:
         assert tied and res.ties_broken
         assert res.chosen == candidates[idx] == make_support([0], 5)
         assert np.array_equal(list(res.log_scores.values()), decoder.log_scores(Y))
+
+
+def batch_oracle(A, candidates, sigma2, Ys):
+    """Dense slogdet/solve log-likelihoods (`conftest.dense_scores` plus the
+    shared constant) of every candidate for a stack Ys (n, M, T)."""
+    kappa = A.field.kappa
+    _, M, T = Ys.shape
+    const = -kappa * M * T * np.log(np.pi / kappa)
+    return const + np.stack([dense_scores(A, candidates, sigma2, y) for y in Ys], axis=1)
+
+
+def model_observations(A, candidates, sigma2, n, T, seed):
+    """n observations, each drawn under a random candidate (any size)."""
+    rng = substream(seed, "lowrank-obs")
+    Ys = field_gaussian(rng, (n, A.entries.shape[0], T), A.field) * np.sqrt(sigma2)
+    for i, truth in enumerate(rng.integers(0, len(candidates), size=n)):
+        S = candidates[truth]
+        Ys[i] += A.entries[:, S.as_array()] @ field_gaussian(rng, (S.size, T), A.field)
+    return Ys
+
+
+class TestLowRankScores:
+    """`score_batch` (K x K factors, stacked over candidates) against the dense
+    M x M oracle and a 60-digit oracle."""
+
+    FIELDS = [FieldTag.REAL, FieldTag.COMPLEX]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("sigma2", [0.5, 0.1])
+    def test_matches_dense_oracle(self, field, sigma2):
+        A = gaussian_instance(6, 8, field, seed=30, label="lowrank")
+        candidates = enumerate_supports(8, 2)
+        Ys = model_observations(A, candidates, sigma2, 7, 3, seed=1)
+        got = SupportDecoder(A, candidates, sigma2).score_batch(Ys)
+        np.testing.assert_allclose(got, batch_oracle(A, candidates, sigma2, Ys), rtol=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rows_input_equals_support_input(self, field):
+        A = gaussian_instance(5, 7, field, seed=31, label="lowrank")
+        candidates = enumerate_supports(7, 3)
+        rows = np.array([S.indices for S in candidates])
+        Ys = model_observations(A, candidates, 0.3, 4, 2, seed=2)
+        by_rows = SupportDecoder(A, rows, 0.3)
+        assert np.array_equal(by_rows.score_batch(Ys),
+                              SupportDecoder(A, candidates, 0.3).score_batch(Ys))
+        assert by_rows.candidates == candidates
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_mixed_sizes(self, field):
+        A = gaussian_instance(6, 8, field, seed=32, label="lowrank")
+        candidates = [make_support(s, 8) for s in
+                      ([3, 5], [1], [0, 2, 7], [4, 6], [2], [1, 3, 4, 6], [0, 1, 5])]
+        Ys = model_observations(A, candidates, 0.1, 6, 2, seed=3)
+        decoder = SupportDecoder(A, candidates, 0.1)
+        scores = decoder.score_batch(Ys)
+        np.testing.assert_allclose(scores, batch_oracle(A, candidates, 0.1, Ys), rtol=1e-12)
+        assert list(decoder.decode_index_batch(Ys)) == list(np.argmax(scores, axis=0))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-30])
+    def test_support_at_least_M_has_no_residual(self, field, sigma2):
+        # K >= M: Q is square, so y - Q Q^H y is zero and must not be computed.
+        # At sigma2 = 1e-30 its rounding noise over sigma2 would swamp the score.
+        A = gaussian_instance(3, 6, field, seed=33, label="lowrank")
+        candidates = [make_support(s, 6) for s in ([0, 2, 4], [1, 2, 3, 5], [0, 1])]
+        Ys = model_observations(A, candidates[:2], sigma2, 5, 2, seed=4)
+        got = SupportDecoder(A, candidates[:2], sigma2).score_batch(Ys)
+        np.testing.assert_allclose(got, batch_oracle(A, candidates[:2], sigma2, Ys), rtol=1e-12)
+        if sigma2 == 0.5:   # with a K < M candidate alongside
+            got = SupportDecoder(A, candidates, sigma2).score_batch(Ys)
+            np.testing.assert_allclose(got, batch_oracle(A, candidates, sigma2, Ys), rtol=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_candidate_count_not_a_multiple_of_the_chunk(self, field, monkeypatch):
+        A = gaussian_instance(6, 8, field, seed=34, label="lowrank")
+        candidates = enumerate_supports(8, 2)                   # L = 28
+        Ys = model_observations(A, candidates, 0.5, 9, 2, seed=5)
+        monkeypatch.setattr(spectra, "SCORE_CHUNK_ELEMENTS", 3 * 6 * 9 * 2)   # chunks of 3
+        got = SupportDecoder(A, candidates, 0.5).score_batch(Ys)
+        np.testing.assert_allclose(got, batch_oracle(A, candidates, 0.5, Ys), rtol=1e-12)
+
+    @pytest.mark.parametrize("stacked_fails", [False, True])
+    def test_duplicate_columns_fail_only_their_candidate(self, stacked_fails, monkeypatch):
+        # columns 0 and 1 are equal: at sigma2 = 1e-300 the candidate {0, 1}
+        # has a singular C; at 0.1 it is an ordinary covariance.
+        col = np.array([[1.0], [2.0], [-1.0], [0.5]])
+        rest = gaussian_instance(4, 3, seed=35, label="lowrank").entries
+        A = MeasurementMatrix(np.hstack([col, col, rest]), FieldTag.REAL)
+        candidates = [make_support(s, 5) for s in ([2, 4], [0, 1], [1, 3], [0, 3])]
+        if stacked_fails:
+            # the stacked Cholesky raising sends every candidate through the
+            # per-candidate fallback, which must give the same factors
+            cholesky = np.linalg.cholesky
+
+            def no_stacks(a, *args, **kwargs):
+                if np.ndim(a) > 2:
+                    raise np.linalg.LinAlgError("stacked input refused")
+                return cholesky(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, "cholesky", no_stacks)
+        Ys = model_observations(A, candidates, 0.1, 4, 2, seed=6)
+        decoder = SupportDecoder(A, candidates, 0.1)
+        assert decoder.failures == {}
+        np.testing.assert_allclose(decoder.score_batch(Ys),
+                                   batch_oracle(A, candidates, 0.1, Ys), rtol=1e-12)
+
+        decoder = SupportDecoder(A, candidates, 1e-300)
+        assert list(decoder.failures) == [1]
+        assert "factorization failed" in decoder.failures[1]
+        scores = decoder.score_batch(Ys)
+        assert np.all(scores[1] == -np.inf) and np.all(np.isfinite(scores[[0, 2, 3]]))
+        with pytest.raises(NumericFailure):
+            lrt_decoder(A, candidates[0], candidates[1], 1e-300)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_small_noise_against_mpmath(self, field):
+        # At sigma2 = 1e-8 the dense M x M path is off by up to ~4e-8; the projected
+        # residual keeps every score to 1e-12 of a 60-digit reference.
+        A = gaussian_instance(6, 8, field, seed=36, label="lowrank")
+        candidates = enumerate_supports(8, 2)[::3]
+        Ys = model_observations(A, candidates, 1e-8, 2, 2, seed=7)
+        got = SupportDecoder(A, candidates, 1e-8).score_batch(Ys)
+        for i, S in enumerate(candidates):
+            for t, Y in enumerate(Ys):
+                ref = mp_log_likelihood(A, S, 1e-8, Y)
+                assert abs(got[i, t] - float(ref)) <= 1e-12 * abs(float(ref))

@@ -7,7 +7,6 @@ from suprec import (
     ModelConfig,
     binary_chernoff,
     clopper_pearson,
-    covariance,
     ensemble_fano_lower,
     estimate_binary_perr,
     estimate_ensemble_perr,
@@ -25,7 +24,7 @@ from suprec import montecarlo as mc
 from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
 import math
 
-from conftest import gaussian_instance
+from conftest import dense_scores, gaussian_instance
 
 
 class TestClopperPearson:
@@ -141,19 +140,6 @@ class TestMultipleEstimate:
         b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=14)
         assert a.p_hat == b.p_hat
         assert a.extras["kd_histogram"] == b.extras["kd_histogram"]
-
-
-def dense_scores(A, supports, sigma2, y):
-    """Oracle: log p(y|S) for each support up to a shared constant, from
-    slogdet and a dense solve (no Cholesky factor, no decoder)."""
-    kappa = A.field.kappa
-    scores = []
-    for S in supports:
-        Sigma = covariance(A, S, sigma2)
-        _, logdet = np.linalg.slogdet(Sigma)
-        quad = np.sum(y.conj() * np.linalg.solve(Sigma, y)).real
-        scores.append(-kappa * y.shape[1] * logdet - kappa * quad)
-    return np.array(scores)
 
 
 class TestBlockDraws:
