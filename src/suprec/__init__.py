@@ -5,21 +5,17 @@ from .model import (
     CapExceeded,
     FieldTag,
     MeasurementMatrix,
-    ModelConfig,
     NumericFailure,
-    ObservationBatch,
-    SignalBatch,
     Support,
     check_non_degenerate,
     enumerate_supports,
     field_gaussian,
     load_matrix_csv,
     make_support,
-    observe,
     sample_gaussian_matrix,
-    sample_signal_batch,
     save_matrix_csv,
     substream,
+    support_rows,
     ula_angle_grid,
     ula_manifold_matrix,
     unrank_supports,
@@ -69,7 +65,6 @@ from .bounds import (
 )
 from .montecarlo import (
     ErrorEstimate,
-    ExperimentSpec,
     IncoherenceMoment,
     clopper_pearson,
     estimate_binary_perr,
@@ -77,7 +72,6 @@ from .montecarlo import (
     estimate_expected_incoherence,
     estimate_incoherence_tail,
     estimate_multiple_perr,
-    run_experiment,
 )
 
 __version__ = "0.1.0"

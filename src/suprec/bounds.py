@@ -2,7 +2,11 @@
 
 Upper bounds come from the Chernoff machinery applied to the eigenvalues of
 H; lower bounds from Fano's inequality with the average pairwise KL
-divergence beta. Threshold formulas are evaluated in the log domain (log
+divergence beta. For one support pair, `binary_chernoff` takes beta from the
+reduced spectrum of H it already holds; over all C(N, K) supports,
+`fano_beta_exact` takes it from the stacked low-rank covariance factors. The
+dense `kl_divergence` of two M x M covariances is the reference form for
+both. Threshold formulas are evaluated in the log domain (log
 binomials via lgamma) so they stay finite up to N ~ 1e6.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an
@@ -19,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import FieldTag, NumericFailure, Support, as_matrix, enumerate_supports
+from .model import NumericFailure, Support, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherence
 
 LOG2 = math.log(2.0)
@@ -85,6 +89,12 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
         P_err <= (1/2) [lam(S0,S1) lam(S1,S0) / 16]^(-kappa*k_d*T/2),
 
     together with the sharper (1/2) exp(mu(1/2)) it was derived from.
+
+    The extras also carry the binary Fano beta = (D01 + D10)/4 of the pair.
+    Since tr(Sigma_1^{-1} Sigma_0) + tr(Sigma_0^{-1} Sigma_1) - 2M sums
+    lambda + 1/lambda - 2 over H's spectrum, it is
+    (kappa*T/8) sum_i (lambda_i - 1)^2 / lambda_i over the eigenvalues that
+    differ from 1: a sum of nonnegative terms, with no cancellation.
     """
     _, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
@@ -99,9 +109,10 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     eigs = np.concatenate([p01.eigenvalues, 1.0 / np.asarray(p10.eigenvalues)])
     mu_half = chernoff_mu(eigs, 0.5, T, kappa)
     mu_half_bound = float(0.5 * np.exp(mu_half))
+    fano_beta = kappa * T / 8.0 * float(np.sum((eigs - 1.0) ** 2 / eigs))
     note = "" if p01.value * p10.value > 16.0 else "incoherence product <= 16: bound does not decay in T"
     return _report(raw, applicable=True, note=note,
-                   mu_half_bound=mu_half_bound, mu_half=mu_half,
+                   mu_half_bound=mu_half_bound, mu_half=mu_half, fano_beta=fano_beta,
                    lambda_01=p01.value, lambda_10=p10.value, k_d=k_d)
 
 
@@ -188,7 +199,7 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None
     if kappa is None:
         kappa = fieldtag.kappa
     M, N = entries.shape
-    rows = np.array([S.indices for S in enumerate_supports(N, K)], dtype=np.intp)
+    rows = support_rows(N, K)
     L = len(rows)
     factors = covariance_factors(entries, rows, sigma2)
     if factors.failures:

@@ -7,7 +7,9 @@ and ignored.
 
 Exit codes: 0 success, 2 config error or numeric failure (a covariance or
 pencil that cannot be factorized at the configured noise), 3 resource-cap
-error. Nothing is written on error.
+error (for instance a `simulate` in multiple or ensemble mode whose C(N, K)
+candidate supports exceed `model.DEFAULT_ENUMERATION_CAP`, checked before
+anything runs). Nothing is written on error.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from . import bounds as bd
 from . import montecarlo as mc
 from .model import (
+    DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     FieldTag,
-    ModelConfig,
     NumericFailure,
     load_matrix_csv,
     make_support,
@@ -36,7 +38,6 @@ from .model import (
     ula_manifold_matrix,
 )
 from .spectra import (
-    covariance,
     h_eigenvalues,
     matrix_incoherence,
     qr_lower_bound_eigs,
@@ -246,7 +247,7 @@ def _check_incoherence_shape(M: int, N: int, K: int, where: str) -> None:
                           f" got M={M}")
 
 
-def _validate_simulate(config: dict, seed: int) -> dict:
+def _validate_simulate(config: dict) -> dict:
     where = "config"
     mode = _require(config, "mode", str, where)
     if mode not in ("binary", "multiple", "ensemble"):
@@ -279,12 +280,13 @@ def _validate_simulate(config: dict, seed: int) -> dict:
         if M < 2 * k_d:
             raise ConfigError(f"{where}: pair incoherence needs M >= 2*|S0 \\ S1| = {2 * k_d},"
                               f" got M={M}")
+    if mode != "binary" and math.comb(N, K) > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap"
+                          f" {DEFAULT_ENUMERATION_CAP}")
     if mode == "ensemble":
         plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
         plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
     if mode == "multiple":
-        if math.comb(N, K) > config.get("candidate_cap", 10**6):
-            raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap")
         _check_incoherence_shape(M, N, K, where)
         inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
         inc_mode = inc.get("mode", "exhaustive")
@@ -307,22 +309,18 @@ def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
 
 
 def run_simulate(config: dict, seed: int):
-    plan = _validate_simulate(config, seed)
+    plan = _validate_simulate(config)
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
     field, trials = plan["field"], plan["trials"]
     rows = []
 
     if mode == "ensemble":
+        n_inner = plan["trials_per_matrix"]
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
-            spec = mc.ExperimentSpec(
-                config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
-                                   master_seed=seed),
-                mode="ensemble", trials=plan["trials_per_matrix"],
-                matrix_draws=plan["matrix_draws"])
-            est = mc.run_experiment(spec)
+            est = mc.estimate_ensemble_perr(M, N, K, sigma2, T, plan["matrix_draws"], n_inner,
+                                            seed, field=field)
             fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
             rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano, None))
-            n_inner = plan["trials_per_matrix"]
             for p, errors in zip(est.extras["per_matrix"], est.extras["per_matrix_errors"]):
                 lo, hi = mc.clopper_pearson(errors, n_inner)
                 sub = mc.ErrorEstimate(p_hat=p, trials=n_inner, ci_low=lo, ci_high=hi,
@@ -335,27 +333,16 @@ def run_simulate(config: dict, seed: int):
     if mode == "binary":
         S0, S1 = plan["S0"], plan["S1"]
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
-            spec = mc.ExperimentSpec(
-                config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
-                                   master_seed=seed),
-                mode="binary", trials=trials, S0=S0, S1=S1)
-            est = mc.run_experiment(spec, A=A)
+            est = mc.estimate_binary_perr(A, S0, S1, sigma2, T, trials, seed)
             report = bd.binary_chernoff(A, S0, S1, sigma2, T)
             lam = min(report.extras["lambda_01"], report.extras["lambda_10"])
-            Sig0, Sig1 = covariance(A, S0, sigma2), covariance(A, S1, sigma2)
-            beta = (bd.kl_divergence(Sig0, Sig1, T, field.kappa)
-                    + bd.kl_divergence(Sig1, Sig0, T, field.kappa)) / 4.0
-            fano = bd.fano_lower(beta, 2).clamped
+            fano = bd.fano_lower(report.extras["fano_beta"], 2).clamped
             rows.append(_simulate_row("binary", N, M, K, T, sigma2, seed, est,
                                       report.clamped, fano, lam))
     else:
         inc_mode, inc_count = plan["incoherence"]
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
-            spec = mc.ExperimentSpec(
-                config=ModelConfig(N=N, M=M, K=K, T=T, sigma2=sigma2, field=field,
-                                   master_seed=seed),
-                mode="multiple", trials=trials)
-            est = mc.run_experiment(spec, A=A)
+            est = mc.estimate_multiple_perr(A, K, sigma2, T, trials, seed)
             summary = matrix_incoherence(A, K, sigma2, mode=inc_mode,
                                          sample_count=inc_count, seed=seed)
             chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, field.kappa).clamped
@@ -496,7 +483,7 @@ def run_sweep(config: dict, seed: int):
     columns = None
     rows = []
     comments = []
-    runner = COMMANDS[command]
+    run, validate = COMMANDS[command]
     # Validate every grid point before running any (atomic validation pass).
     configs = []
     for combo in product(*(grid[k] for k in keys)):
@@ -504,9 +491,9 @@ def run_sweep(config: dict, seed: int):
         cfg.update(dict(zip(keys, combo)))
         configs.append(cfg)
     for cfg in configs:
-        runner.validate(cfg, seed)
+        validate(cfg)
     for cfg in configs:
-        cols, sub_rows, sub_comments = runner.run(cfg, seed)
+        cols, sub_rows, sub_comments = run(cfg, seed)
         columns = cols
         rows.extend(sub_rows)
         comments.extend(sub_comments)
@@ -516,18 +503,13 @@ def run_sweep(config: dict, seed: int):
 # ---------------------------------------------------------------------------
 # dispatch and output
 
-class _Command:
-    def __init__(self, run, validate):
-        self.run = run
-        self.validate = validate
-
-
+# command -> (run(config, seed), validate(config))
 COMMANDS = {
-    "bounds": _Command(run_bounds, lambda cfg, seed: _validate_bounds(cfg)),
-    "simulate": _Command(run_simulate, lambda cfg, seed: _validate_simulate(cfg, seed)),
-    "eig-check": _Command(run_eig_check, lambda cfg, seed: _validate_eigcheck(cfg)),
-    "doa": _Command(run_doa, lambda cfg, seed: _validate_doa(cfg)),
-    "sweep": _Command(run_sweep, lambda cfg, seed: _validate_sweep(cfg)),
+    "bounds": (run_bounds, _validate_bounds),
+    "simulate": (run_simulate, _validate_simulate),
+    "eig-check": (run_eig_check, _validate_eigcheck),
+    "doa": (run_doa, _validate_doa),
+    "sweep": (run_sweep, _validate_sweep),
 }
 
 
@@ -618,7 +600,8 @@ def main(argv=None) -> int:
         return 2
     try:
         seed = _resolve_seed(args, config)
-        columns, rows, comments = COMMANDS[args.command].run(config, seed)
+        run, _ = COMMANDS[args.command]
+        columns, rows, comments = run(config, seed)
     except ConfigError as exc:
         print(f"suprec: config error: {exc}", file=sys.stderr)
         return 2

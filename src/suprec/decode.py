@@ -22,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericFailure, ObservationBatch, Support, as_matrix
+from .model import NumericFailure, Support, as_matrix
 from .spectra import cholesky_logdet, covariance_factors, whitened_energy
 
 
 def _observation_values(Y) -> np.ndarray:
-    if isinstance(Y, ObservationBatch):
-        return np.asarray(Y.values)
     arr = np.asarray(Y)
     if arr.ndim == 1:
         arr = arr[:, None]

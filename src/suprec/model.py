@@ -1,9 +1,15 @@
-"""Observation model: fields, supports, measurement matrices, and all random draws.
+"""Observation model: fields, supports, measurement matrices, and the seeded
+random streams.
+
+A support is a `Support` value at the API edge and a row of an (L, K) `intp`
+index array inside the program: `support_rows` lists all C(N, K) of them in
+lexicographic order and `unrank_supports` maps lexicographic ranks to rows.
 
 Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
 Identical inputs always produce identical outputs, regardless of call order
-or threading.
+or threading. Signals and noise are drawn in blocks of trials by
+`montecarlo.draw_trial_blocks`.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,9 +106,6 @@ class Support:
     def difference(self, other: "Support") -> tuple:
         return tuple(sorted(set(self.indices) - set(other.indices)))
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.indices
-
 
 def make_support(indices: Iterable[int], N: int) -> Support:
     """Canonical sorted support over {0, ..., N-1}; rejects dupes and range errors."""
@@ -112,19 +115,27 @@ def make_support(indices: Iterable[int], N: int) -> Support:
     return Support(tuple(sorted(idx)), int(N))
 
 
-def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """All C(N, K) size-K supports in lexicographic index order."""
+def support_rows(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """All C(N, K) size-K supports in lexicographic index order, as an (L, K)
+    `intp` array with one support per row; no `Support` object is built."""
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     total = math.comb(N, K)
     if total > cap:
         raise CapExceeded(f"enumeration of C({N},{K}) = {total} supports exceeds cap {cap}")
-    return [Support(combo, N) for combo in combinations(range(N), K)]
+    flat = np.fromiter(chain.from_iterable(combinations(range(N), K)), dtype=np.intp,
+                       count=total * K)
+    return flat.reshape(total, K)
+
+
+def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """All C(N, K) size-K supports in lexicographic index order, as `Support`s."""
+    return [Support(tuple(row), N) for row in support_rows(N, K, cap).tolist()]
 
 
 def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     """Rows of the size-K supports with the given lexicographic ranks, as a
-    (len(ranks), K) `intp` array: row r equals `enumerate_supports(N, K)[r]`.
+    (len(ranks), K) `intp` array: row r equals `support_rows(N, K)[r]`.
 
     Lexicographic unranking (Knuth, TAOCP 4A, 7.2.1.3): the complement rank
     C(N,K) - 1 - r has the combinatorial-number-system digits
@@ -170,9 +181,6 @@ class MeasurementMatrix:
     def shape(self) -> tuple:
         return self.entries.shape
 
-    def columns(self, support: Support) -> np.ndarray:
-        return self.entries[:, support.as_array()]
-
 
 def as_matrix(A) -> tuple:
     """Accept a MeasurementMatrix or a bare ndarray; return (entries, field)."""
@@ -214,83 +222,6 @@ def ula_manifold_matrix(M: int, grid: Sequence[float], spacing: float = 0.5) -> 
     m = np.arange(M, dtype=np.float64)[:, None]
     phase = 2.0 * np.pi * spacing * m * np.sin(theta)[None, :]
     return MeasurementMatrix(np.exp(1j * phase), FieldTag.COMPLEX, provenance=f"ula(spacing={spacing})")
-
-
-@dataclass(frozen=True)
-class SignalBatch:
-    """N x T jointly sparse signal snapshots; rows off the support are zero."""
-
-    values: np.ndarray
-    support: Support
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] != self.support.ambient_dim:
-            raise ValueError("signal batch shape inconsistent with support ambient dimension")
-        off = np.ones(v.shape[0], dtype=bool)
-        off[self.support.as_array()] = False
-        if np.any(v[off] != 0):
-            raise ValueError("rows outside the support must be exactly zero")
-
-
-@dataclass(frozen=True)
-class ObservationBatch:
-    """M x T observations with the noise variance that generated them."""
-
-    values: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if np.asarray(self.values).ndim != 2:
-            raise ValueError("observations must form an M x T matrix")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Scalar model parameters for one experiment configuration."""
-
-    N: int
-    M: int
-    K: int
-    T: int
-    sigma2: float
-    field: FieldTag
-    master_seed: int
-
-    def __post_init__(self):
-        for name in ("N", "M", "K", "T"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.K > self.N:
-            raise ValueError("K must not exceed N")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a non-negative 64-bit integer")
-
-
-def sample_signal_batch(S: Support, T: int, field: FieldTag, rng: np.random.Generator) -> SignalBatch:
-    """Rows in S i.i.d. standard field-Gaussian across snapshots, zero elsewhere."""
-    if T < 1:
-        raise ValueError("T must be positive")
-    values = np.zeros((S.ambient_dim, T), dtype=field.dtype)
-    values[S.as_array(), :] = field_gaussian(rng, (S.size, T), field)
-    return SignalBatch(values, S)
-
-
-def observe(A, X: SignalBatch, sigma2: float, rng: np.random.Generator) -> ObservationBatch:
-    """Y = A X + W with i.i.d. field-Gaussian noise of variance sigma2 per entry."""
-    entries, field = as_matrix(A)
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    if entries.shape[1] != X.support.ambient_dim:
-        raise ValueError(
-            f"matrix has {entries.shape[1]} columns but signal ambient dimension is {X.support.ambient_dim}"
-        )
-    noise = field_gaussian(rng, (entries.shape[0], X.values.shape[1]), field) * np.sqrt(sigma2)
-    return ObservationBatch(entries @ X.values + noise, sigma2)
 
 
 @dataclass(frozen=True)

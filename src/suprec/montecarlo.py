@@ -7,7 +7,9 @@ substream(seed, label, b), so trial t belongs to block t // TRIAL_BLOCK (the
 ensemble estimator offsets b per matrix so no two matrices share a stream).
 The block size is a constant, so the estimates depend on nothing but the
 arguments. Matrix-draw statistics use one stream per draw d,
-substream(seed, label, d). Uncertainty is reported as an exact binomial
+substream(seed, label, d). The multiple and ensemble estimators hold their
+candidates as the (L, K) index rows of `model.support_rows` and never build
+a `Support` per candidate. Uncertainty is reported as an exact binomial
 (Clopper-Pearson) interval at 95% unless another confidence level is
 requested.
 """
@@ -23,14 +25,13 @@ from scipy.special import betaincinv
 from .decode import SupportDecoder, lrt_decoder
 from .model import (
     FieldTag,
-    ModelConfig,
     Support,
     as_matrix,
-    enumerate_supports,
     field_gaussian,
     make_support,
     sample_gaussian_matrix,
     substream,
+    support_rows,
 )
 from .spectra import pair_incoherence
 
@@ -49,34 +50,6 @@ class ErrorEstimate:
     ci_high: float
     master_seed: int
     extras: dict = dc_field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One Monte Carlo experiment: a model configuration plus a mode.
-
-    mode is "binary" (with a support pair), "multiple" (full size-K candidate
-    set), or "ensemble" (fresh matrix draws, `trials` inner trials per draw).
-    """
-
-    config: ModelConfig
-    mode: str
-    trials: int
-    S0: Support | None = None
-    S1: Support | None = None
-    matrix_draws: int = 1
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.mode == "binary":
-            if self.S0 is None or self.S1 is None or self.S0.indices == self.S1.indices:
-                raise ValueError("binary mode needs two distinct supports")
-        elif self.mode == "ensemble":
-            if self.matrix_draws < 1:
-                raise ValueError("ensemble mode needs matrix_draws >= 1")
-        elif self.mode != "multiple":
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple:
@@ -122,10 +95,6 @@ def draw_trial_blocks(A, supports: np.ndarray, sigma2: float, T: int, trials: in
         yield truths, cols @ X + W
 
 
-def _support_rows(supports) -> np.ndarray:
-    return np.array([S.indices for S in supports], dtype=np.intp)
-
-
 def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
                          trials: int, seed: int, confidence: float = 0.95) -> ErrorEstimate:
     """Empirical error of the binary likelihood-ratio test.
@@ -138,9 +107,9 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
     decoder = lrt_decoder(A, S0, S1, sigma2)
+    rows = np.array([S0.indices, S1.indices], dtype=np.intp)
     errors = 0
-    for truths, Y in draw_trial_blocks(A, _support_rows((S0, S1)), sigma2, T, trials,
-                                       seed, "binary-trial"):
+    for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials, seed, "binary-trial"):
         scores = decoder.score_batch(Y)
         errors += int(np.sum((scores[1] - scores[0] > 0) != truths))
     return _estimate(errors, trials, seed, confidence)
@@ -154,19 +123,17 @@ def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: 
     difference sets are kept as a k_d histogram in the extras.
     """
     entries, _ = as_matrix(A)
-    candidates = enumerate_supports(entries.shape[1], K)
-    rows = _support_rows(candidates)
+    rows = support_rows(entries.shape[1], K)
     decoder = SupportDecoder(A, rows, sigma2)
-    errors = 0
-    kd_hist = {}
+    kd_counts = np.zeros(K + 1, dtype=np.int64)
     for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials, seed, "multiple-trial"):
         chosen = decoder.decode_index_batch(Y)
         wrong = chosen != truths
-        errors += int(np.sum(wrong))
-        for truth, pick in zip(truths[wrong], chosen[wrong]):
-            k_d = len(candidates[truth].difference(candidates[pick]))
-            kd_hist[k_d] = kd_hist.get(k_d, 0) + 1
-    return _estimate(errors, trials, seed, confidence, kd_histogram=kd_hist)
+        shared = (rows[truths[wrong]][:, :, None] == rows[chosen[wrong]][:, None, :]).sum((1, 2))
+        kd_counts += np.bincount(K - shared, minlength=K + 1)
+    kd_hist = {k_d: int(count) for k_d, count in enumerate(kd_counts) if count}
+    # every wrong decode has k_d >= 1, so the histogram counts all the errors
+    return _estimate(int(kd_counts.sum()), trials, seed, confidence, kd_histogram=kd_hist)
 
 
 def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
@@ -181,8 +148,7 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
     P{P_err(A) <= eps} reading. Matrix d owns the trial streams
     d * B .. d * B + B - 1, where B = ceil(trials_per_matrix / TRIAL_BLOCK).
     """
-    candidates = enumerate_supports(N, K)
-    rows = _support_rows(candidates)
+    rows = support_rows(N, K)
     blocks_per_matrix = math.ceil(trials_per_matrix / TRIAL_BLOCK)
     per_matrix_errors = []
     for d in range(matrix_draws):
@@ -251,26 +217,3 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
         values[d] = pair_incoherence(A, Si, Sj, sigma2).value
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")
     return IncoherenceMoment(mean=float(values.mean()), se=se, draws=draws, master_seed=seed)
-
-
-def run_experiment(spec: ExperimentSpec, A=None) -> ErrorEstimate:
-    """Dispatch an ExperimentSpec to the matching estimator.
-
-    Binary and multiple modes run against the fixed matrix A; ensemble mode
-    draws its own matrices and ignores A.
-    """
-    cfg = spec.config
-    if spec.mode == "ensemble":
-        return estimate_ensemble_perr(cfg.M, cfg.N, cfg.K, cfg.sigma2, cfg.T,
-                                      spec.matrix_draws, spec.trials, cfg.master_seed,
-                                      field=cfg.field)
-    if A is None:
-        raise ValueError(f"{spec.mode} mode runs against a fixed measurement matrix")
-    entries, _ = as_matrix(A)
-    if entries.shape != (cfg.M, cfg.N):
-        raise ValueError(f"matrix shape {entries.shape} does not match config ({cfg.M}, {cfg.N})")
-    if spec.mode == "binary":
-        return estimate_binary_perr(A, spec.S0, spec.S1, cfg.sigma2, cfg.T, spec.trials,
-                                    cfg.master_seed)
-    return estimate_multiple_perr(A, cfg.K, cfg.sigma2, cfg.T, spec.trials,
-                                  cfg.master_seed)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from suprec import FieldTag, covariance, make_support, sample_gaussian_matrix, substream
+from suprec import (FieldTag, covariance, field_gaussian, make_support,
+                    sample_gaussian_matrix, substream)
 
 
 @pytest.fixture
@@ -18,6 +19,16 @@ def random_pair(N, K, overlap, seed=0):
 
 def gaussian_instance(M, N, field=FieldTag.REAL, seed=0, label="test-matrix"):
     return sample_gaussian_matrix(M, N, field, substream(seed, label))
+
+
+def draw_observation(A, S, T, sigma2, x_rng, w_rng):
+    """One M x T observation Y = A X + W under support S: the rows of X in S
+    are unit field Gaussians from x_rng (X is zero elsewhere), and W is
+    field-Gaussian noise of variance sigma2 from w_rng."""
+    X = np.zeros((A.shape[1], T), dtype=A.field.dtype)
+    X[S.as_array(), :] = field_gaussian(x_rng, (S.size, T), A.field)
+    W = field_gaussian(w_rng, (A.shape[0], T), A.field) * np.sqrt(sigma2)
+    return A.entries @ X + W
 
 
 def mp_pencil_eigs(A, S0, S1, sigma2, dps=60):

@@ -40,16 +40,14 @@ from suprec import (
     multiple_bound_geometric,
     binary_lrt,
     log_likelihood,
-    observe,
     qr_lower_bound_eigs,
     sample_gaussian_matrix,
-    sample_signal_batch,
     spectrum_split,
     substream,
     upper_bound_eigs,
 )
 
-from conftest import random_pair
+from conftest import draw_observation, random_pair
 
 
 def _criterion(num, name, ok, detail=""):
@@ -189,15 +187,15 @@ def test_criterion_07_decoder_oracle_equivalence():
     for seed in range(200):
         A = sample_gaussian_matrix(6, 6, FieldTag.REAL, substream(1007, "acc-ml-A", seed))
         truth = candidates[seed % len(candidates)]
-        X = sample_signal_batch(truth, 3, FieldTag.REAL, substream(1007, "acc-ml-x", seed))
-        Y = observe(A, X, 0.5, substream(1007, "acc-ml-w", seed))
+        Y = draw_observation(A, truth, 3, 0.5, substream(1007, "acc-ml-x", seed),
+                             substream(1007, "acc-ml-w", seed))
         res = ml_decode(Y, A, candidates, 0.5, keep_scores=False)
         dense = []
         for S in candidates:
             Sigma = covariance(A, S, 0.5)
             inv = np.linalg.inv(Sigma)
             _, logdet = np.linalg.slogdet(Sigma)
-            quad = np.trace(Y.values.conj().T @ inv @ Y.values).real
+            quad = np.trace(Y.conj().T @ inv @ Y).real
             dense.append(-0.5 * 6 * 3 * np.log(2 * np.pi) - 0.5 * 3 * logdet - 0.5 * quad)
         matches += res.chosen == candidates[int(np.argmax(dense))]
 
@@ -206,8 +204,8 @@ def test_criterion_07_decoder_oracle_equivalence():
         A = sample_gaussian_matrix(5, 8, FieldTag.REAL, substream(1007, "acc-lrt-A", seed))
         S0 = make_support([0, 1], 8)
         S1 = make_support([2, 3], 8)
-        X = sample_signal_batch(S1, 2, FieldTag.REAL, substream(1007, "acc-lrt-x", seed))
-        Y = observe(A, X, 0.5, substream(1007, "acc-lrt-w", seed))
+        Y = draw_observation(A, S1, 2, 0.5, substream(1007, "acc-lrt-x", seed),
+                             substream(1007, "acc-lrt-w", seed))
         stat = binary_lrt(Y, A, S0, S1, 0.5).statistic
         diff = (log_likelihood(Y, covariance(A, S1, 0.5), 0.5)
                 - log_likelihood(Y, covariance(A, S0, 0.5), 0.5))

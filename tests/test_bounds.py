@@ -113,6 +113,30 @@ class TestBinaryChernoff:
         assert abs(report.extras["mu_half"] - want) <= 1e-6 * abs(want)
         assert report.extras["mu_half_bound"] <= report.raw_value
 
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_fano_beta_matches_dense_kl_pair(self, field):
+        # beta = (D01 + D10)/4 from the two dense M x M covariances
+        for seed in range(10):
+            A = gaussian_instance(8, 10, field=field, seed=seed, label="beta-pair")
+            S0, S1 = random_pair(10, 3, overlap=seed % 3)
+            for sigma2 in (0.1, 0.5, 2.0):
+                got = binary_chernoff(A, S0, S1, sigma2, 3).extras["fano_beta"]
+                Sig0, Sig1 = covariance(A, S0, sigma2), covariance(A, S1, sigma2)
+                want = (kl_divergence(Sig0, Sig1, 3, field.kappa)
+                        + kl_divergence(Sig1, Sig0, 3, field.kappa)) / 4.0
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_fano_beta_at_small_noise_matches_high_precision(self, field):
+        # (kappa T / 8) sum (lambda - 1)^2 / lambda over the 60-digit spectrum of H
+        A = sample_gaussian_matrix(6, 8, field, substream(1, "cli-matrix"))
+        S0, S1 = make_support([0, 1], 8), make_support([2, 5], 8)
+        got = binary_chernoff(A, S0, S1, 1e-8, 2).extras["fano_beta"]
+        eigs = mp_pencil_eigs(A, S0, S1, 1e-8)
+        want = float(sum((x - 1) ** 2 / x for x in eigs)) * field.kappa * 2 / 8.0
+        assert got == pytest.approx(want, rel=1e-12)
+        assert fano_lower(got, 2).clamped == 0.0
+
     def test_mu_half_never_exceeds_pair_product_form(self):
         for seed in range(500):
             A = gaussian_instance(6, 8, seed=seed, label="bc")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,31 @@ class TestExitCodes:
         result = run_cli("simulate", "--config", cfg)
         assert result.returncode == 3
         assert "cap" in result.stderr
+
+    @pytest.mark.parametrize("command,payload", [
+        ("simulate", {"mode": "ensemble", "N": 60, "M": 8, "K": 12, "T": 1, "sigma2": 1.0,
+                      "trials": 1, "matrix_draws": 1, "trials_per_matrix": 10}),
+        ("sweep", {"command": "simulate", "grid": {"N": [12, 60]},
+                   "base": {"mode": "ensemble", "M": 8, "K": 12, "T": 1, "sigma2": 1.0,
+                            "trials": 1, "matrix_draws": 1, "trials_per_matrix": 10}}),
+    ], ids=["simulate", "sweep"])
+    def test_ensemble_over_cap_is_three_before_running(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        result = run_cli(command, "--config", cfg, "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        assert f"C(60,12) = {math.comb(60, 12)} candidate supports exceed cap 1000000" in result.stderr
+        assert not out.exists()
+
+    def test_csv_matrix_of_wrong_shape_is_config_error(self, tmp_path):
+        matrix = tmp_path / "a.csv"
+        matrix.write_text("# 8 9 real\n" + "1.0,0.5,0.25,2.0,1.5,0.75,3.0,1.25,0.125\n" * 8)
+        cfg = write_config(tmp_path, {**BINARY_SIM, "matrix": {"kind": "csv", "path": str(matrix)}})
+        out = tmp_path / "out.csv"
+        result = run_cli("simulate", "--config", cfg, "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "CSV matrix shape (8, 9) != (8, 10)" in result.stderr
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path):
         assert run_cli("bounds", "--config", str(tmp_path / "missing.json")).returncode == 2

@@ -14,13 +14,11 @@ from suprec import (
     log_likelihood,
     make_support,
     ml_decode,
-    observe,
-    sample_signal_batch,
     substream,
 )
 from suprec.decode import lrt_decoder
 
-from conftest import dense_scores, gaussian_instance, mp_log_likelihood
+from conftest import dense_scores, draw_observation, gaussian_instance, mp_log_likelihood
 
 
 def dense_log_likelihood(Y, Sigma, kappa):
@@ -33,9 +31,8 @@ def dense_log_likelihood(Y, Sigma, kappa):
 
 
 def random_observation(A, S, sigma2, T, seed):
-    _, field = A.entries, A.field
-    X = sample_signal_batch(S, T, field, substream(seed, "dec-sig"))
-    return observe(A, X, sigma2, substream(seed, "dec-noise"))
+    return draw_observation(A, S, T, sigma2, substream(seed, "dec-sig"),
+                            substream(seed, "dec-noise"))
 
 
 class TestLogLikelihood:
@@ -55,7 +52,7 @@ class TestLogLikelihood:
             Sigma = covariance(A, S, 0.7)
             Y = random_observation(A, S, 0.7, 3, seed)
             got = log_likelihood(Y, Sigma, kappa)
-            assert got == pytest.approx(dense_log_likelihood(Y.values, Sigma, kappa), abs=1e-9)
+            assert got == pytest.approx(dense_log_likelihood(Y, Sigma, kappa), abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -124,7 +121,7 @@ class TestMlDecode:
             truth = candidates[seed % len(candidates)]
             Y = random_observation(A, truth, 0.5, 3, seed)
             res = ml_decode(Y, A, candidates, 0.5)
-            oracle = [dense_log_likelihood(Y.values, covariance(A, S, 0.5), 0.5)
+            oracle = [dense_log_likelihood(Y, covariance(A, S, 0.5), 0.5)
                       for S in candidates]
             matches += res.chosen == candidates[int(np.argmax(oracle))]
         assert matches == 200
@@ -138,7 +135,7 @@ class TestMlDecode:
         for seed in range(trials):
             truth = candidates[seed % len(candidates)]
             Y = random_observation(A, truth, 1e-6, 4, seed)
-            idx, _ = decoder.decode_index(Y.values)
+            idx, _ = decoder.decode_index(Y)
             hits += candidates[idx] == truth
         assert hits / trials >= 0.99
 
@@ -167,11 +164,11 @@ class TestMlDecode:
         candidates = enumerate_supports(6, 2)
         decoder = SupportDecoder(A, candidates, 0.9)
         Y = random_observation(A, candidates[0], 0.9, 2, 4)
-        scores = decoder.log_scores(Y.values)
-        res = decoder.decode(Y.values)
+        scores = decoder.log_scores(Y)
+        res = decoder.decode(Y)
         assert res.log_scores[res.chosen] == pytest.approx(np.max(scores))
         assert np.array_equal(list(res.log_scores.values()), scores)
-        assert (candidates.index(res.chosen), res.ties_broken) == decoder.decode_index(Y.values)
+        assert (candidates.index(res.chosen), res.ties_broken) == decoder.decode_index(Y)
         assert not res.ties_broken
         # adding a constant to every log score cannot move the argmax
         assert int(np.argmax(scores)) == int(np.argmax(scores + 123.456))
@@ -182,7 +179,7 @@ class TestMlDecode:
         decoder = SupportDecoder(A, candidates, 0.5)
         Ys = []
         for seed in range(40):
-            Ys.append(random_observation(A, candidates[seed % 28], 0.5, 3, seed).values)
+            Ys.append(random_observation(A, candidates[seed % 28], 0.5, 3, seed))
         batch = decoder.decode_index_batch(np.stack(Ys))
         for t, Y in enumerate(Ys):
             assert decoder.decode_index(Y)[0] == batch[t]

@@ -8,21 +8,21 @@ from suprec import (
     CapExceeded,
     FieldTag,
     MeasurementMatrix,
-    ModelConfig,
-    SignalBatch,
     check_non_degenerate,
     enumerate_supports,
+    field_gaussian,
     load_matrix_csv,
     make_support,
-    observe,
     sample_gaussian_matrix,
-    sample_signal_batch,
     save_matrix_csv,
     substream,
+    support_rows,
     ula_angle_grid,
     ula_manifold_matrix,
     unrank_supports,
 )
+
+from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
 
 from conftest import gaussian_instance
 
@@ -77,6 +77,21 @@ class TestEnumerateSupports:
         with pytest.raises(CapExceeded, match=str(math.comb(40, 10))):
             enumerate_supports(40, 10, cap=1000)
 
+    @pytest.mark.parametrize("N,K", [(3, 2), (4, 1), (10, 3), (7, 7)])
+    def test_rows_match_combinations_order(self, N, K):
+        rows = support_rows(N, K)
+        assert rows.dtype == np.intp and rows.shape == (math.comb(N, K), K)
+        assert rows.tolist() == [list(c) for c in combinations(range(N), K)]
+        assert [list(S.indices) for S in enumerate_supports(N, K)] == rows.tolist()
+
+    def test_rows_cap_and_range(self):
+        with pytest.raises(CapExceeded, match=str(math.comb(40, 10))):
+            support_rows(40, 10, cap=1000)
+        assert len(support_rows(5, 2, cap=10)) == 10       # a set exactly at the cap is listed
+        for K in (0, 6):
+            with pytest.raises(ValueError):
+                support_rows(5, K)
+
 
 class TestUnrankSupports:
     @pytest.mark.parametrize("N,K", [(6, 1), (8, 3), (10, 5)])
@@ -84,6 +99,7 @@ class TestUnrankSupports:
         rows = unrank_supports(np.arange(math.comb(N, K)), N, K)
         assert rows.dtype == np.intp
         assert rows.tolist() == [list(c) for c in combinations(range(N), K)]
+        assert np.array_equal(rows, support_rows(N, K))
 
     def test_first_and_last_ranks_of_a_360_grid(self):
         total = math.comb(360, 4)
@@ -148,52 +164,43 @@ class TestUlaManifold:
 
 
 class TestSignalsAndObservations:
+    """Signals and noise as `draw_trial_blocks` draws them."""
+
+    @staticmethod
+    def _blocks(A, rows, sigma2, T, trials=TRIAL_BLOCK, seed=3):
+        return list(draw_trial_blocks(A, rows, sigma2, T, trials, seed, "model-draws"))
+
     def test_off_support_rows_zero(self):
-        S = make_support([1, 3], 6)
-        for trial in range(5):
-            X = sample_signal_batch(S, 4, FieldTag.REAL, substream(trial, "sig"))
-            off = [0, 2, 4, 5]
-            assert np.all(X.values[off] == 0.0)
+        # identity A at tiny noise: Y is the signal, so the rows off the true support vanish
+        A = MeasurementMatrix(np.eye(6), FieldTag.REAL)
+        rows = np.array([[1, 3], [0, 5], [2, 4]])
+        [(truths, Y)] = self._blocks(A, rows, 1e-14, 4)
+        for truth, y in zip(truths, Y):
+            off = np.setdiff1d(np.arange(6), rows[truth])
+            assert np.max(np.abs(y[off])) < 1e-5
 
     def test_on_support_variance(self):
-        S = make_support([0], 2)
-        X = sample_signal_batch(S, 100_000, FieldTag.REAL, substream(3, "sig"))
-        assert abs(X.values[0].var() - 1.0) < 0.03
-
-    def test_signal_determinism(self):
-        S = make_support([0, 2], 5)
-        a = sample_signal_batch(S, 7, FieldTag.COMPLEX, substream(5, "sig"))
-        b = sample_signal_batch(S, 7, FieldTag.COMPLEX, substream(5, "sig"))
-        assert np.array_equal(a.values, b.values)
+        A = MeasurementMatrix(np.eye(2), FieldTag.REAL)
+        rows = np.array([[0], [1]])
+        on = [y[rows[truth]] for truths, Y in self._blocks(A, rows, 1e-14, 200, 2 * TRIAL_BLOCK)
+              for truth, y in zip(truths, Y)]
+        assert abs(np.concatenate(on).var() - 1.0) < 0.03
 
     def test_noise_variance_with_zero_signal(self):
-        S = make_support([0], 10)
-        X = SignalBatch(np.zeros((10, 10_000)), S)
-        A = gaussian_instance(10, 10, seed=4)
-        Y = observe(A, X, 1.0, substream(4, "obs"))
-        assert abs(Y.values.var() - 1.0) < 0.03
+        A = MeasurementMatrix(np.zeros((10, 10)), FieldTag.REAL)
+        [(_, Y)] = self._blocks(A, np.array([[0, 1]]), 0.5, 40)
+        assert abs(Y.var() - 0.5) < 0.015
 
     def test_identity_near_noiseless(self):
-        S = make_support([1, 2], 4)
-        X = sample_signal_batch(S, 3, FieldTag.REAL, substream(8, "sig"))
-        A = MeasurementMatrix(np.eye(4), FieldTag.REAL)
-        Y = observe(A, X, 1e-12, substream(8, "obs"))
-        assert np.max(np.abs(Y.values - X.values)) < 1e-5
-
-    def test_dimension_mismatch(self):
-        S = make_support([0], 3)
-        X = sample_signal_batch(S, 2, FieldTag.REAL, substream(0, "sig"))
-        A = gaussian_instance(4, 5)
-        with pytest.raises(ValueError):
-            observe(A, X, 1.0, substream(0, "obs"))
-
-    def test_observe_determinism(self):
-        S = make_support([0, 1], 5)
-        X = sample_signal_batch(S, 2, FieldTag.REAL, substream(0, "sig"))
-        A = gaussian_instance(3, 5)
-        a = observe(A, X, 0.5, substream(1, "obs"))
-        b = observe(A, X, 0.5, substream(1, "obs"))
-        assert np.array_equal(a.values, b.values)
+        # each block draws its truths, then its signals, then its noise, from one stream
+        A = MeasurementMatrix(np.eye(5), FieldTag.COMPLEX)
+        rows = np.array([[0, 2], [1, 4], [3, 4]])
+        [(truths, Y)] = self._blocks(A, rows, 1e-14, 3, trials=50, seed=8)
+        rng = substream(8, "model-draws", 0)
+        assert np.array_equal(truths, rng.integers(0, 3, size=50))
+        X = field_gaussian(rng, (50, 2, 3), FieldTag.COMPLEX)
+        for truth, x, y in zip(truths, X, Y):
+            assert np.max(np.abs(y[rows[truth]] - x)) < 1e-5
 
 
 class TestNonDegenerate:
@@ -250,21 +257,6 @@ class TestMatrixCsv:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError):
             load_matrix_csv(path)
-
-
-class TestModelConfig:
-    def test_valid(self):
-        cfg = ModelConfig(N=10, M=4, K=2, T=3, sigma2=0.5, field=FieldTag.REAL, master_seed=7)
-        assert cfg.K <= cfg.N
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(N=2, M=4, K=3, T=1, sigma2=1.0),
-        dict(N=5, M=4, K=2, T=1, sigma2=0.0),
-        dict(N=5, M=0, K=2, T=1, sigma2=1.0),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ModelConfig(field=FieldTag.REAL, master_seed=0, **kwargs)
 
 
 class TestSubstream:

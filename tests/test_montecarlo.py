@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from suprec import (
-    ExperimentSpec,
     FieldTag,
-    ModelConfig,
     binary_chernoff,
     clopper_pearson,
     ensemble_fano_lower,
@@ -17,7 +15,6 @@ from suprec import (
     fano_beta_exact,
     fano_lower,
     make_support,
-    run_experiment,
     substream,
 )
 from suprec import montecarlo as mc
@@ -87,6 +84,10 @@ class TestBinaryEstimate:
         a = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
         b = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
         assert a.p_hat == b.p_hat
+
+    def test_binary_requires_distinct_supports(self):
+        with pytest.raises(ValueError, match="distinct"):
+            estimate_binary_perr(self.A, self.S0, make_support([1, 0], 10), 0.2, 2, 10, seed=6)
 
     def test_supports_of_unequal_size_rejected(self):
         with pytest.raises(ValueError):
@@ -244,43 +245,6 @@ class TestIncoherenceTail:
         lo = estimate_incoherence_tail(30, 4, 2, 1.0, draws=400, seed=32)
         hi = estimate_incoherence_tail(60, 4, 2, 1.0, draws=400, seed=32)
         assert hi.p_hat <= lo.p_hat
-
-
-class TestExperimentSpec:
-    def _config(self, **over):
-        base = dict(N=8, M=6, K=2, T=2, sigma2=0.5, field=FieldTag.REAL, master_seed=50)
-        base.update(over)
-        return ModelConfig(**base)
-
-    def test_binary_dispatch_matches_direct_call(self):
-        A = gaussian_instance(6, 8, seed=110, label="spec")
-        S0, S1 = make_support([0, 1], 8), make_support([2, 3], 8)
-        spec = ExperimentSpec(config=self._config(), mode="binary", trials=200, S0=S0, S1=S1)
-        via_spec = run_experiment(spec, A=A)
-        direct = estimate_binary_perr(A, S0, S1, 0.5, 2, 200, seed=50)
-        assert via_spec == direct
-
-    def test_ensemble_dispatch(self):
-        spec = ExperimentSpec(config=self._config(N=6, M=4, K=1, T=1, sigma2=1.0),
-                              mode="ensemble", trials=40, matrix_draws=3)
-        est = run_experiment(spec)
-        assert est.trials == 120
-
-    def test_binary_requires_distinct_supports(self):
-        S = make_support([0, 1], 8)
-        with pytest.raises(ValueError):
-            ExperimentSpec(config=self._config(), mode="binary", trials=10, S0=S, S1=S)
-
-    def test_fixed_matrix_required(self):
-        spec = ExperimentSpec(config=self._config(), mode="multiple", trials=10)
-        with pytest.raises(ValueError):
-            run_experiment(spec)
-
-    def test_matrix_shape_checked(self):
-        A = gaussian_instance(4, 5)
-        spec = ExperimentSpec(config=self._config(), mode="multiple", trials=10)
-        with pytest.raises(ValueError):
-            run_experiment(spec, A=A)
 
 
 class TestExpectedIncoherence:
