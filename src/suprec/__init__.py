@@ -26,11 +26,13 @@ from .spectra import (
     SpectrumSplit,
     covariance,
     h_eigenvalues,
+    h_spectra,
     matrix_incoherence,
     noise_constants,
     pair_incoherence,
     pair_incoherences,
     qr_lower_bound_eigs,
+    sandwich_bounds,
     spectrum_split,
     upper_bound_eigs,
 )

@@ -30,6 +30,7 @@ from .model import (
     CapExceeded,
     FieldTag,
     NumericFailure,
+    field_gaussian,
     load_matrix_csv,
     make_support,
     sample_gaussian_matrix,
@@ -37,15 +38,13 @@ from .model import (
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import (
-    h_eigenvalues,
-    matrix_incoherence,
-    qr_lower_bound_eigs,
-    spectrum_split,
-    upper_bound_eigs,
-)
+from .spectra import h_spectra, matrix_incoherence, sandwich_bounds
 
 SEED_ENV_VAR = "SUPREC_SEED"
+# Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
+# it bounds the working memory whatever the number of draws (on an M = 30/60
+# sweep, 2**15 raised peak RSS 0.5 MB above one draw at a time; 2**14 does not).
+EIG_CHUNK_ELEMENTS = 2**14
 
 SIMULATE_COLUMNS = ("mode", "N", "M", "K", "T", "sigma2", "seed", "trials", "p_hat",
                     "ci_low", "ci_high", "chernoff_clamped", "fano_clamped", "lambda_bar")
@@ -284,6 +283,9 @@ def _validate_simulate(config: dict) -> dict:
         raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap"
                           f" {DEFAULT_ENUMERATION_CAP}")
     if mode == "ensemble":
+        if K >= N:
+            raise ConfigError(f"{where}: ensemble mode needs two candidate supports (its Fano"
+                              f" bound needs L = C(N,K) >= 2): K={K} must be below N={N}")
         plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
         plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
     if mode == "multiple":
@@ -371,42 +373,53 @@ def _validate_eigcheck(config: dict) -> dict:
             "tolerance": _positive_float(config, "tolerance", where, default=1e-8)}
 
 
+def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
+                      k1: int) -> tuple:
+    """(count_gt, count_eq, count_lt, slack_lower, slack_upper, ok), one entry
+    per draw, for a stack A (c, M, N) of one cell's draws."""
+    eigs = h_spectra(A, S0, S1, sigma2)                    # (c, M) descending
+    lower, upper = sandwich_bounds(A, S0, S1, sigma2)
+    # `spectrum_split`'s rule, one tolerance per draw
+    eq = np.abs(eigs - 1.0) <= tol * np.maximum(1.0, eigs[:, :1])
+    count_gt = ((eigs > 1.0) & ~eq).sum(axis=1)
+    count_eq = eq.sum(axis=1)
+    count_lt = ((eigs < 1.0) & ~eq).sum(axis=1)
+    # with k0 eigenvalues above 1 they lead the descending spectrum
+    matched = count_gt == k0
+    slack_low = np.where(matched, np.min(eigs[:, :k0] - lower, axis=1), np.nan)
+    slack_up = np.where(matched, np.min(upper - eigs[:, :k0], axis=1), np.nan)
+    ok = (matched & (count_lt == k1) & (count_eq == eigs.shape[1] - k0 - k1)
+          & (slack_low >= -1e-9) & (slack_up >= -1e-9))
+    return count_gt, count_eq, count_lt, slack_low, slack_up, ok
+
+
 def run_eig_check(config: dict, seed: int):
+    """Each cell (M, K, overlap) scores its draws EIG_CHUNK_ELEMENTS // M^2 at
+    a time as one stack; draw d of a cell comes from its own substream, so the
+    chunking never changes a matrix."""
     plan = _validate_eigcheck(config)
-    sigma2, tol = plan["sigma2"], plan["tolerance"]
+    sigma2, tol, field, draws = plan["sigma2"], plan["tolerance"], plan["field"], plan["draws"]
     rows = []
     violations = 0
-    trial_id = 0
     for M in plan["Ms"]:
+        step = max(1, EIG_CHUNK_ELEMENTS // (M * M))
         for K in plan["Ks"]:
             N = 2 * K + 2
             for overlap in range(K):
                 S0 = make_support(range(K), N)
                 S1 = make_support(list(range(overlap)) + list(range(K, 2 * K - overlap)), N)
-                k_i = overlap
                 k0 = k1 = K - overlap
-                for d in range(plan["draws"]):
-                    rng = substream(seed, f"eig-check-{M}-{K}-{overlap}", d)
-                    A = sample_gaussian_matrix(M, N, plan["field"], rng)
-                    eigs = h_eigenvalues(A, S0, S1, sigma2)
-                    split = spectrum_split(eigs, tolerance=tol * max(1.0, float(eigs[0])))
-                    gt = np.asarray(split.eigenvalues[:split.count_gt])
-                    lower = qr_lower_bound_eigs(A, S0, S1, sigma2)
-                    upper = upper_bound_eigs(A, S0, S1, sigma2)
-                    if split.count_gt == len(lower):
-                        slack_low = float(np.min(gt - lower))
-                        slack_up = float(np.min(upper - gt))
-                    else:
-                        slack_low = slack_up = float("nan")
-                    ok = (split.count_gt == k0 and split.count_lt == k1
-                          and split.count_eq == M - k0 - k1
-                          and slack_low >= -1e-9 and slack_up >= -1e-9)
-                    violations += 0 if ok else 1
-                    rows.append({"trial": trial_id, "M": M, "N": N, "K": K, "k_i": k_i,
-                                 "k0": k0, "k1": k1, "count_gt": split.count_gt,
-                                 "count_eq": split.count_eq, "count_lt": split.count_lt,
-                                 "min_slack_lower": slack_low, "min_slack_upper": slack_up})
-                    trial_id += 1
+                label = f"eig-check-{M}-{K}-{overlap}"
+                for start in range(0, draws, step):
+                    A = np.stack([field_gaussian(substream(seed, label, d), (M, N), field)
+                                  for d in range(start, min(start + step, draws))])
+                    *scores, ok = _eig_check_scores(A, S0, S1, sigma2, tol, k0, k1)
+                    violations += int(np.count_nonzero(~ok))
+                    for gt, eq, lt, low, up in zip(*(x.tolist() for x in scores)):
+                        rows.append({"trial": len(rows), "M": M, "N": N, "K": K, "k_i": overlap,
+                                     "k0": k0, "k1": k1, "count_gt": gt, "count_eq": eq,
+                                     "count_lt": lt, "min_slack_lower": low,
+                                     "min_slack_upper": up})
     return EIGCHECK_COLUMNS, rows, [f"# violations={violations}"]
 
 

@@ -10,9 +10,15 @@ union's columns. `pair_incoherences` solves that reduced pencil for many
 pairs at once (one stacked QR, Cholesky whitening and `eigvalsh` per k_d);
 `pair_incoherence`, `matrix_incoherence` and through them the Chernoff
 bounds use it. It keeps the eigenvalues of order sigma^2 that the dense
-M x M pencil loses to rounding at small noise. The dense `h_eigenvalues`
-(Cholesky whitening of Sigma_1) remains for eig-check, which counts the full
-M x M spectrum, and as the tests' reference.
+M x M pencil loses to rounding at small noise.
+
+eig-check counts the full M x M spectrum instead, for a stack of D matrices
+and one support pair at a time: `h_spectra` (one stacked Cholesky whitening
+of Sigma_1 and one stacked `eigvalsh`) and `sandwich_bounds` (one stacked QR
+for the R33 lower bound and one stacked Gram `eigvalsh` for the upper).
+`h_eigenvalues`, `qr_lower_bound_eigs` and `upper_bound_eigs` are their
+D = 1 calls, and `noise_constants` takes c1 from the same stacked R33 over
+blocks of unranked support pairs.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many of them at once in K x K form: one stacked QR of the supports'
@@ -20,7 +26,7 @@ columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those factors give
 every log-determinant and quadratic form the decoders need
 (`CovarianceFactors.energies`) and the sum of inverses in the exact Fano
 beta. `cholesky_logdet` and `whitened_energy` remain for a single dense
-covariance: `decode.log_likelihood` and `h_eigenvalues`.
+covariance: `decode.log_likelihood`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .model import (
     NumericFailure,
     Support,
     as_matrix,
-    enumerate_supports,
     substream,
     unrank_supports,
 )
@@ -178,18 +183,36 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     return CovarianceFactors(Q, proj, logdet, float(sigma2), failures)
 
 
+def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
+    """Descending eigenvalues, shape (D, M), of the dense M x M pencils
+    (Sigma_0, Sigma_1) of D matrices stacked as (D, M, N); all positive.
+
+    One stacked Cholesky Sigma_1 = L L^H whitens every pencil, and one stacked
+    `eigvalsh` of L^{-1} Sigma_0 L^{-H}, which shares the pencil's spectrum,
+    gives all D spectra in full: no eigenvalue is taken to be 1.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    X0, X1 = entries[:, :, S0.as_array()], entries[:, :, S1.as_array()]
+    eye = sigma2 * np.eye(entries.shape[1])
+    Sigma1 = X1 @ X1.conj().swapaxes(1, 2) + eye
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(Sigma1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"covariance factorization failed (condition number ~"
+                             f" {np.linalg.cond(Sigma1).max():.3e})") from exc
+    Sigma0 = X0 @ X0.conj().swapaxes(1, 2) + eye
+    eigs = np.linalg.eigvalsh(Li @ Sigma0 @ Li.conj().swapaxes(1, 2))
+    if eigs[:, 0].min() <= 0:
+        raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
+    return eigs[:, ::-1]
+
+
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1); all positive."""
-    Sigma0 = covariance(A, S0, sigma2)
-    Sigma1 = covariance(A, S1, sigma2)
-    L, _ = cholesky_logdet(Sigma1)
-    # C = L^{-1} Sigma_0 L^{-H} shares the spectrum of H.
-    W = solve_triangular(L, Sigma0, lower=True)
-    C = solve_triangular(L, W.conj().T, lower=True).conj().T
-    eigs = np.linalg.eigvalsh(C)
-    if eigs[0] <= 0:
-        raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[0]:.3e}")
-    return eigs[::-1]
+    """Descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1): the
+    D = 1 call of `h_spectra`."""
+    entries, _ = as_matrix(A)
+    return h_spectra(entries[None], S0, S1, sigma2)[0]
 
 
 @dataclass(frozen=True)
@@ -261,6 +284,20 @@ def _reduced_pencil_eigs(entries: np.ndarray, cols: np.ndarray, K: int,
     return eigs
 
 
+def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
+    """(k_d, union) for P ordered pairs of equal-size support rows (P, K):
+    k_d = |S0 \\ S1| per pair, and each pair's union columns first in the order
+    [S1 \\ S0 | S0 cap S1 | S0 \\ S1], as a (P, 2K) array whose leading K + k_d
+    entries of row n are pair n's union."""
+    K = rows0.shape[1]
+    shared = rows1[:, :, None] == rows0[:, None, :]          # (P, K1, K0)
+    # Stable sort by [S1 \\ S0: 0, S0 cap S1 (from S1): 1, S0 \\ S1: 2, rest: 3].
+    key = np.concatenate([shared.any(axis=2), 2 + shared.any(axis=1)], axis=1)
+    union = np.take_along_axis(np.concatenate([rows1, rows0], axis=1),
+                               np.argsort(key, axis=1, kind="stable"), axis=1)
+    return K - shared.sum(axis=(1, 2)), union
+
+
 def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
     support rows: (values, k_d, top), where `top` (P, K) holds each pair's
@@ -276,17 +313,11 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     if rows0.ndim != 2 or rows0.shape != rows1.shape:
         raise ValueError("pair incoherence requires equal-size supports")
     P, K = rows0.shape
-    shared = rows1[:, :, None] == rows0[:, None, :]          # (P, K1, K0)
-    k_d = K - shared.sum(axis=(1, 2))
+    k_d, union = _union_rows(rows0, rows1)
     if k_d.min() == 0:
         raise ValueError("pair incoherence is undefined for identical supports")
     if entries.shape[0] < 2 * k_d.max():
         raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[0]}")
-    # Stable sort by [S1 \\ S0: 0, S0 cap S1 (from S1): 1, S0 \\ S1: 2, rest: 3]
-    # puts each union first, in the order `_reduced_pencil_eigs` takes.
-    key = np.concatenate([shared.any(axis=2), 2 + shared.any(axis=1)], axis=1)
-    union = np.take_along_axis(np.concatenate([rows1, rows0], axis=1),
-                               np.argsort(key, axis=1, kind="stable"), axis=1)
     values = np.empty(P)
     top = np.ones((P, K))
     for kd in np.unique(k_d):
@@ -309,6 +340,15 @@ def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncohere
     values, k_d, top = pair_incoherences(A, [Si.indices], [Sj.indices], sigma2)
     eigs = tuple(float(x) for x in top[0] if x > 1.0)
     return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
+
+
+def _pair_rows(flat: np.ndarray, N: int, K: int) -> tuple:
+    """Support rows (rows0, rows1), each (P, K), of the ordered pairs with the
+    given row-major flat indices over the off-diagonal of the L x L grid of
+    lexicographic size-K supports."""
+    i, j = np.divmod(flat, math.comb(N, K) - 1)
+    j += j >= i                     # skip the diagonal
+    return unrank_supports(i, N, K), unrank_supports(j, N, K)
 
 
 @dataclass(frozen=True)
@@ -362,10 +402,7 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     for start in range(0, scored, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, scored)
         block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
-        # row-major flat index over the off-diagonal: fix up the column.
-        i, j = np.divmod(block, L - 1)
-        j += j >= i
-        rows0, rows1 = unrank_supports(i, N, K), unrank_supports(j, N, K)
+        rows0, rows1 = _pair_rows(block, N, K)
         values = pair_incoherences(entries, rows0, rows1, sigma2)[0]
         b = int(np.argmin(values))
         if values[b] < best:
@@ -374,46 +411,55 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     return IncoherenceSummary(float(best), argmin, mode_str)
 
 
-def _r33(entries: np.ndarray, S0: Support, S1: Support) -> np.ndarray:
-    """R33 of the QR construction (see `qr_lower_bound_eigs`); needs S0 \\ S1 nonempty."""
-    only0 = list(S0.difference(S1))
-    stacked = entries[:, list(S1.difference(S0)) + list(S0.intersection(S1)) + only0]
-    if entries.shape[0] < stacked.shape[1]:
+def _r33_stack(cols: np.ndarray, k0: int) -> np.ndarray:
+    """R33 of the QR construction (see `sandwich_bounds`) for a stack of column
+    blocks (B, M, r) ordered [S1 \\ S0 | S0 cap S1 | S0 \\ S1] with k0 = |S0 \\ S1|
+    >= 1: the trailing k0 x k0 block of each R, as (B, k0, k0)."""
+    if cols.shape[1] < cols.shape[2]:
         raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    k0 = len(only0)
-    R33 = np.linalg.qr(stacked, mode="r")[-k0:, -k0:]
-    if np.min(np.abs(np.diag(R33))) == 0:
+    R33 = np.linalg.qr(cols, mode="r")[:, -k0:, -k0:]
+    if (np.diagonal(R33, axis1=1, axis2=2) == 0).any():
         raise NumericFailure("rank-deficient column stack; measurement matrix is degenerate on these supports")
     return R33
 
 
-def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Eigenvalues of I + R33 R33^H / sigma^2, the lower bound on the
-    greater-than-1 part of H's spectrum.
+def _shifted_eigs(G: np.ndarray, sigma2: float) -> np.ndarray:
+    """Descending eigenvalues of I + G / sigma2 for a stack of Hermitian G."""
+    return np.linalg.eigvalsh(np.eye(G.shape[-1]) + G / sigma2)[:, ::-1]
 
-    R33 is the trailing k0 x k0 block of R in the QR factorization of
-    [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}].
+
+def sandwich_bounds(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> tuple:
+    """(lower, upper), each (D, k0) descending, bracketing the k0 = |S0 \\ S1|
+    eigenvalues of H above 1 for D matrices stacked as (D, M, N).
+
+    lower holds the eigenvalues of I + R33 R33^H / sigma^2, where R33 is the
+    trailing k0 x k0 block of R in the QR factorization of
+    [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}]; upper those of
+    I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2. One stacked QR and two stacked
+    `eigvalsh` calls serve all D matrices.
     """
-    k0 = len(S0.difference(S1))
-    if k0 == 0:
-        return np.empty(0)
+    only0 = list(S0.difference(S1))
+    if not only0:
+        return np.empty((len(entries), 0)), np.empty((len(entries), 0))
+    order = list(S1.difference(S0)) + list(S0.intersection(S1)) + only0
+    R33 = _r33_stack(entries[:, :, order], len(only0))
+    block = entries[:, :, only0]
+    return (_shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
+            _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
+
+
+def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
+    """Lower bound on the greater-than-1 part of H's spectrum: the D = 1 call
+    of `sandwich_bounds`."""
     entries, _ = as_matrix(A)
-    R33 = _r33(entries, S0, S1)
-    G = R33 @ R33.conj().T
-    eigs = np.linalg.eigvalsh(np.eye(k0) + G / sigma2)
-    return eigs[::-1].real
+    return sandwich_bounds(entries[None], S0, S1, sigma2)[0][0]
 
 
 def upper_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Eigenvalues of I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2, the upper bound."""
-    only0 = list(S0.difference(S1))
-    if not only0:
-        return np.empty(0)
+    """Upper bound on the greater-than-1 part of H's spectrum: the D = 1 call
+    of `sandwich_bounds`."""
     entries, _ = as_matrix(A)
-    block = entries[:, only0]
-    gram = block.conj().T @ block
-    eigs = np.linalg.eigvalsh(np.eye(len(only0)) + gram / sigma2)
-    return eigs[::-1].real
+    return sandwich_bounds(entries[None], S0, S1, sigma2)[1][0]
 
 
 def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
@@ -422,24 +468,28 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
 
     c1 is the minimum over ordered support pairs of the geometric mean of the
     squared R33 diagonal; c2 the maximum over supports of size <= K of the
-    mean squared column mass.
+    mean squared column mass. Pairs are unranked and scored `PAIR_BLOCK` at a
+    time, one stacked QR per k_d, as in `matrix_incoherence`.
     """
     entries, _ = as_matrix(A)
     M, N = entries.shape
     if M < 2 * K:
         raise ValueError("noise constants require M >= 2K")
-    supports = enumerate_supports(N, K)
-    L = len(supports)
-    if L * (L - 1) > cap:
-        raise CapExceeded(f"{L * (L - 1)} ordered pairs exceed cap {cap}")
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    L = math.comb(N, K)
+    n_pairs = L * (L - 1)
+    if n_pairs > cap:
+        raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}")
 
     c1 = np.inf
-    for i in range(L):
-        for j in range(L):
-            if i == j:
-                continue
-            diag = np.abs(np.diag(_r33(entries, supports[i], supports[j]))) ** 2
-            c1 = min(c1, float(np.exp(np.mean(np.log(diag)))))
+    for start in range(0, n_pairs, PAIR_BLOCK):
+        block = np.arange(start, min(start + PAIR_BLOCK, n_pairs))
+        k_d, union = _union_rows(*_pair_rows(block, N, K))
+        for kd in np.unique(k_d):
+            R33 = _r33_stack(entries.T[union[k_d == kd, :K + kd]].swapaxes(1, 2), kd)
+            diag = np.abs(np.diagonal(R33, axis1=1, axis2=2)) ** 2
+            c1 = min(c1, float(np.exp(np.mean(np.log(diag), axis=1)).min()))
 
     col_mass = np.sum(np.abs(entries) ** 2, axis=0)
     # max over |S| <= K of mean column mass = mean of the |S| largest masses,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from suprec import (FieldTag, covariance, field_gaussian, make_support,
+from suprec import (FieldTag, NumericFailure, covariance, field_gaussian, make_support,
                     sample_gaussian_matrix, substream)
+from suprec.model import as_matrix
+from suprec.spectra import cholesky_logdet
 
 
 @pytest.fixture
@@ -29,6 +32,44 @@ def draw_observation(A, S, T, sigma2, x_rng, w_rng):
     X[S.as_array(), :] = field_gaussian(x_rng, (S.size, T), A.field)
     W = field_gaussian(w_rng, (A.shape[0], T), A.field) * np.sqrt(sigma2)
     return A.entries @ X + W
+
+
+def dense_h_eigenvalues(A, S0, S1, sigma2):
+    """Oracle: descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1)
+    of one matrix, from its Cholesky factor and two triangular solves."""
+    Sigma0 = covariance(A, S0, sigma2)
+    Sigma1 = covariance(A, S1, sigma2)
+    L, _ = cholesky_logdet(Sigma1)
+    # C = L^{-1} Sigma_0 L^{-H} shares the spectrum of H.
+    W = solve_triangular(L, Sigma0, lower=True)
+    C = solve_triangular(L, W.conj().T, lower=True).conj().T
+    eigs = np.linalg.eigvalsh(C)
+    if eigs[0] <= 0:
+        raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[0]:.3e}")
+    return eigs[::-1]
+
+
+def r33(A, S0, S1):
+    """Oracle: trailing k0 x k0 block R33 of R in the QR factorization of one
+    matrix's [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}], k0 = |S0 \\ S1| >= 1."""
+    entries, _ = as_matrix(A)
+    only0 = list(S0.difference(S1))
+    stacked = entries[:, list(S1.difference(S0)) + list(S0.intersection(S1)) + only0]
+    return np.linalg.qr(stacked, mode="r")[-len(only0):, -len(only0):]
+
+
+def dense_sandwich(A, S0, S1, sigma2):
+    """Oracle: descending eigenvalues (lower, upper) of I + R33 R33^H / sigma2
+    and I + A_{S0\\S1}^H A_{S0\\S1} / sigma2 for one matrix."""
+    entries, _ = as_matrix(A)
+    only0 = list(S0.difference(S1))
+    if not only0:
+        return np.empty(0), np.empty(0)
+    R = r33(entries, S0, S1)
+    block = entries[:, only0]
+    eye = np.eye(len(only0))
+    return (np.linalg.eigvalsh(eye + R @ R.conj().T / sigma2)[::-1],
+            np.linalg.eigvalsh(eye + block.conj().T @ block / sigma2)[::-1])
 
 
 def mp_pencil_eigs(A, S0, S1, sigma2, dps=60):

@@ -5,7 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import suprec.cli as cli
+from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
+
+from conftest import dense_h_eigenvalues, dense_sandwich, random_pair
 
 RUN = [sys.executable, "-m", "suprec.cli"]
 
@@ -81,7 +87,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,payload", [
         ("simulate", {"mode": "ensemble", "N": 60, "M": 8, "K": 12, "T": 1, "sigma2": 1.0,
                       "trials": 1, "matrix_draws": 1, "trials_per_matrix": 10}),
-        ("sweep", {"command": "simulate", "grid": {"N": [12, 60]},
+        ("sweep", {"command": "simulate", "grid": {"N": [20, 60]},
                    "base": {"mode": "ensemble", "M": 8, "K": 12, "T": 1, "sigma2": 1.0,
                             "trials": 1, "matrix_draws": 1, "trials_per_matrix": 10}}),
     ], ids=["simulate", "sweep"])
@@ -138,6 +144,9 @@ class TestExitCodes:
          "mode must be exhaustive|sampled"),
         ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 3, "sigma2": 1e-10,
                        "master_seed": 1}, "numeric failure"),
+        ("simulate", {"mode": "ensemble", "N": 4, "M": 2, "K": 4, "T": [1], "sigma2": [0.5],
+                      "trials": 20, "matrix_draws": 3, "trials_per_matrix": 10},
+         "ensemble mode needs two candidate supports"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
@@ -145,7 +154,8 @@ class TestExitCodes:
             "simulate-sampled-count-missing", "simulate-sampled-count-zero",
             "simulate-matrix-not-object", "simulate-matrix-kind-unknown",
             "simulate-csv-matrix-missing",
-            "sweep-incoherence-mode-unknown", "eig-check-numeric-failure"])
+            "sweep-incoherence-mode-unknown", "eig-check-numeric-failure",
+            "ensemble-K-equals-N"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)
@@ -261,9 +271,70 @@ class TestEigCheckCommand:
     def test_deterministic_under_seed(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"M": 6, "K": 2}, "draws_per_cell": 5})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("eig-check", "--config", cfg, "--seed", "9", "--out", str(a))
-        run_cli("eig-check", "--config", cfg, "--seed", "9", "--out", str(b))
+        assert run_cli("eig-check", "--config", cfg, "--seed", "9", "--out", str(a)).returncode == 0
+        assert run_cli("eig-check", "--config", cfg, "--seed", "9", "--out", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_never_change_output(self, tmp_path):
+        cfg = write_config(tmp_path, {"grid": {"M": [6, 9], "K": [1, 3]}, "draws_per_cell": 7,
+                                      "field": "complex"})
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, "1"), (b, "2")):
+            result = run_cli("eig-check", "--config", cfg, "--seed", "4", "--threads", threads,
+                             "--out", str(out))
+            assert result.returncode == 0, result.stderr
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_match_per_draw_oracle(self, tmp_path, field):
+        # one dense oracle call per draw, from the same per-draw substreams
+        payload = {"grid": {"M": [6, 9], "K": [1, 3]}, "draws_per_cell": 7, "sigma2": 0.8,
+                   "field": field}
+        out = tmp_path / "eig.csv"
+        result = run_cli("eig-check", "--config", write_config(tmp_path, payload), "--seed", "3",
+                         "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().rstrip().endswith("# violations=0")
+        rows = read_rows(out)
+        want = eig_check_oracle_rows(payload, seed=3)
+        assert len(rows) == len(want) == 7 * 2 * (1 + 3)
+        for row, (counts, slacks) in zip(rows, want):
+            assert tuple(int(row[k]) for k in ("count_gt", "count_eq", "count_lt")) == counts
+            for key, slack in zip(("min_slack_lower", "min_slack_upper"), slacks):
+                assert abs(float(row[key]) - slack) <= 1e-10 * max(1.0, abs(slack))
+
+    def test_chunks_never_change_rows(self, monkeypatch):
+        # M = 8: the default budget takes all 10 draws of a cell in one stack,
+        # 3 * 64 elements takes them 3, 3, 3 and 1 at a time
+        config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10, "field": "complex"}
+        whole = cli.run_eig_check(config, 5)
+        assert cli.EIG_CHUNK_ELEMENTS // 64 >= 10
+        monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
+        assert cli.run_eig_check(config, 5) == whole
+        assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
+
+
+def eig_check_oracle_rows(config, seed):
+    """Per-draw (counts, slacks) of an eig-check config from the conftest
+    oracles, in the CLI's row order."""
+    field = FieldTag(config.get("field", "real"))
+    sigma2, tol = config.get("sigma2", 1.0), config.get("tolerance", 1e-8)
+    out = []
+    for M in config["grid"]["M"]:
+        for K in config["grid"]["K"]:
+            N = 2 * K + 2
+            for overlap in range(K):
+                S0, S1 = random_pair(N, K, overlap)
+                for d in range(config["draws_per_cell"]):
+                    rng = substream(seed, f"eig-check-{M}-{K}-{overlap}", d)
+                    A = sample_gaussian_matrix(M, N, field, rng)
+                    eigs = dense_h_eigenvalues(A, S0, S1, sigma2)
+                    split = spectrum_split(eigs, tolerance=tol * max(1.0, float(eigs[0])))
+                    gt = np.asarray(split.eigenvalues[:split.count_gt])
+                    lower, upper = dense_sandwich(A, S0, S1, sigma2)
+                    out.append(((split.count_gt, split.count_eq, split.count_lt),
+                                (float(np.min(gt - lower)), float(np.min(upper - gt)))))
+    return out
 
 
 class TestDoaCommand:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import suprec.model as model
 import suprec.spectra as spectra
 from suprec import (
     CapExceeded,
@@ -27,7 +28,8 @@ from suprec import (
     upper_bound_eigs,
 )
 
-from conftest import gaussian_instance, mp_pencil_eigs, random_pair
+from conftest import (dense_h_eigenvalues, dense_sandwich, gaussian_instance, mp_pencil_eigs,
+                      r33, random_pair)
 
 I2 = MeasurementMatrix(np.eye(2), FieldTag.REAL)
 S0_I2 = make_support([0], 2)
@@ -47,9 +49,15 @@ def explicit_h_eigs(A, S0, S1, sigma2):
 def dense_top(A, S0, S1, sigma2):
     """Oracle: H's eigenvalues above 1 from the dense M x M pencil, and their
     geometric mean."""
-    split = spectrum_split(h_eigenvalues(A, S0, S1, sigma2))
+    split = spectrum_split(dense_h_eigenvalues(A, S0, S1, sigma2))
     top = np.asarray(split.eigenvalues[:split.count_gt])
     return top, float(np.exp(np.mean(np.log(top))))
+
+
+def draw_stack(M, N, D, field, seed=0, label="stack"):
+    """D Gaussian M x N matrices stacked as (D, M, N), one substream each."""
+    return np.stack([gaussian_instance(M, N, field=field, seed=seed, label=f"{label}-{d}").entries
+                     for d in range(D)])
 
 
 class TestCovariance:
@@ -95,6 +103,77 @@ class TestHEigenvalues:
         forward = h_eigenvalues(A, S0, S1, 1.0)
         backward = h_eigenvalues(A, S1, S0, 1.0)
         assert np.max(np.abs(backward - 1.0 / forward[::-1])) < 1e-9
+
+
+class TestStackedKernels:
+    """`h_spectra` and `sandwich_bounds` against the per-matrix dense oracles
+    of conftest, for every overlap of a K = 3 pair."""
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("overlap", [0, 1, 2])
+    def test_pencil_matches_dense_oracle(self, field, overlap):
+        M, N, K = 9, 8, 3
+        S0, S1 = random_pair(N, K, overlap)
+        stack = draw_stack(M, N, 12, field, seed=overlap)
+        eigs = spectra.h_spectra(stack, S0, S1, 0.7)
+        assert eigs.shape == (12, M)
+        for A, got in zip(stack, eigs):
+            want = dense_h_eigenvalues(A, S0, S1, 0.7)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+            a, b = spectrum_split(got), spectrum_split(want)
+            k = K - overlap
+            assert (a.count_gt, a.count_eq, a.count_lt) == (b.count_gt, b.count_eq, b.count_lt) \
+                == (k, M - 2 * k, k)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("overlap", [0, 1, 2])
+    def test_sandwich_matches_dense_oracle(self, field, overlap):
+        S0, S1 = random_pair(8, 3, overlap)
+        stack = draw_stack(9, 8, 12, field, seed=overlap, label="sandwich-stack")
+        lower, upper = spectra.sandwich_bounds(stack, S0, S1, 0.7)
+        assert lower.shape == upper.shape == (12, 3 - overlap)
+        for A, low, up in zip(stack, lower, upper):
+            want_low, want_up = dense_sandwich(A, S0, S1, 0.7)
+            np.testing.assert_allclose(low, want_low, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(up, want_up, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_single_matrix_is_the_batch_call(self, field):
+        S0, S1 = random_pair(8, 3, 1)
+        stack = draw_stack(9, 8, 5, field, label="single")
+        eigs = spectra.h_spectra(stack, S0, S1, 0.4)
+        lower, upper = spectra.sandwich_bounds(stack, S0, S1, 0.4)
+        for d, entries in enumerate(stack):
+            A = MeasurementMatrix(entries, field)
+            np.testing.assert_array_equal(h_eigenvalues(A, S0, S1, 0.4), eigs[d])
+            np.testing.assert_array_equal(qr_lower_bound_eigs(A, S0, S1, 0.4), lower[d])
+            np.testing.assert_array_equal(upper_bound_eigs(A, S0, S1, 0.4), upper[d])
+
+    def test_numeric_failures(self):
+        S0, S1 = make_support([0, 1], 5), make_support([2, 3], 5)
+        stack = draw_stack(6, 5, 4, FieldTag.REAL, label="failure")
+        dup = stack.copy()                  # S1's two columns equal and huge: Sigma_1 singular
+        dup[:, :, 3] = dup[:, :, 2]
+        dup[:, :, 2:4] *= 1e8
+        with pytest.raises(NumericFailure, match="covariance factorization failed"):
+            spectra.h_spectra(dup, S0, S1, 1e-8)
+        with pytest.raises(NumericFailure, match="non-positive eigenvalue"):
+            spectra.h_spectra(stack, S0, S1, 1e-12)
+        with pytest.raises(ValueError, match="sigma2"):
+            spectra.h_spectra(stack, S0, S1, 0.0)
+        zero = stack.copy()
+        zero[2, :, 1] = 0.0                 # a column of S0 \ S1 vanishes in one draw
+        with pytest.raises(NumericFailure, match="rank-deficient"):
+            spectra.sandwich_bounds(zero, S0, S1, 1.0)
+
+    def test_dense_spectrum_is_counted_in_full(self):
+        # no unit padding: every eigenvalue comes from the M x M eigvalsh, so
+        # the "equal" ones differ from 1 by rounding only, not by construction
+        S0, S1 = random_pair(6, 2, 0)
+        eigs = spectra.h_spectra(draw_stack(12, 6, 6, FieldTag.REAL, label="full"), S0, S1, 1.0)
+        middle = eigs[:, 2:-2]
+        assert eigs.shape == (6, 12)
+        assert np.all(np.abs(middle - 1.0) < 1e-12) and np.any(middle != 1.0)
 
 
 class TestSpectrumSplit:
@@ -282,7 +361,10 @@ class TestMatrixIncoherence:
     def test_sampled_mode_never_enumerates(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled incoherence enumerated the supports")
-        monkeypatch.setattr(spectra, "enumerate_supports", refuse)
+        # every enumeration goes through `model.support_rows`, and spectra
+        # imports neither it nor `enumerate_supports`
+        monkeypatch.setattr(model, "support_rows", refuse)
+        assert not hasattr(spectra, "enumerate_supports") and not hasattr(spectra, "support_rows")
         A = ula_manifold_matrix(16, ula_angle_grid(360))
         summary = matrix_incoherence(A, 3, 1.0, mode="sampled", sample_count=50, seed=1)
         assert summary.mode == "sampled(50)" and summary.lambda_bar > 1.0
@@ -358,6 +440,21 @@ class TestNoiseConstants:
         for sigma2 in (0.1, 1.0, 10.0):
             lam = matrix_incoherence(A, 2, sigma2).lambda_bar
             assert 1 + c1 / sigma2 - 1e-9 <= lam <= 1 + c2 / sigma2 + 1e-9
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_c1_matches_per_pair_loop(self, field, monkeypatch):
+        # 35 supports give 1190 ordered pairs: two PAIR_BLOCKs (twelve of 100),
+        # every k_d in 1..3
+        A = gaussian_instance(7, 7, field=field, seed=4, label="c1")
+        supports = enumerate_supports(7, 3)
+        assert len(supports) * (len(supports) - 1) > spectra.PAIR_BLOCK
+        want = min(float(np.exp(np.mean(np.log(np.abs(np.diag(r33(A, Si, Sj))) ** 2))))
+                   for Si in supports for Sj in supports if Si != Sj)
+        c1, _ = noise_constants(A, 3)
+        assert abs(c1 - want) <= 1e-12 * want
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", 100)
+        c1, _ = noise_constants(A, 3)
+        assert abs(c1 - want) <= 1e-12 * want
 
     def test_unit_columns_force_c2(self):
         cols = np.eye(4)[:, :3]
