@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import NumericFailure, Support, as_matrix, support_rows
-from .spectra import covariance_factors, pair_incoherence
+from .spectra import covariance_factors, pair_incoherences
 
 LOG2 = math.log(2.0)
 
@@ -98,22 +98,23 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     """
     _, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
-    p01 = pair_incoherence(A, S0, S1, sigma2)
-    p10 = pair_incoherence(A, S1, S0, sigma2)
-    k_d = p01.k_d
-    log_raw = -LOG2 - (kappa * k_d * T / 2.0) * (np.log(p01.value) + np.log(p10.value) - np.log(16.0))
+    rows = np.array([S0.indices, S1.indices])
+    values, k_ds, top = pair_incoherences(A, rows, rows[::-1], sigma2)    # (S0, S1), (S1, S0)
+    lam01, lam10 = float(values[0]), float(values[1])
+    k_d = int(k_ds[0])
+    log_raw = -LOG2 - (kappa * k_d * T / 2.0) * (np.log(lam01) + np.log(lam10) - np.log(16.0))
     raw = float(np.exp(log_raw))
 
-    # H's spectrum is p01's eigenvalues above 1, the reciprocals of p10's, and
-    # unit eigenvalues, which add nothing to mu.
-    eigs = np.concatenate([p01.eigenvalues, 1.0 / np.asarray(p10.eigenvalues)])
+    # H's spectrum is the (S0, S1) eigenvalues above 1, the reciprocals of the
+    # (S1, S0) ones, and unit eigenvalues, which add nothing to mu.
+    eigs = np.concatenate([top[0][top[0] > 1.0], 1.0 / top[1][top[1] > 1.0]])
     mu_half = chernoff_mu(eigs, 0.5, T, kappa)
     mu_half_bound = float(0.5 * np.exp(mu_half))
     fano_beta = kappa * T / 8.0 * float(np.sum((eigs - 1.0) ** 2 / eigs))
-    note = "" if p01.value * p10.value > 16.0 else "incoherence product <= 16: bound does not decay in T"
+    note = "" if lam01 * lam10 > 16.0 else "incoherence product <= 16: bound does not decay in T"
     return _report(raw, applicable=True, note=note,
                    mu_half_bound=mu_half_bound, mu_half=mu_half, fano_beta=fano_beta,
-                   lambda_01=p01.value, lambda_10=p10.value, k_d=k_d)
+                   lambda_01=lam01, lambda_10=lam10, k_d=k_d)
 
 
 def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> BoundReport:
@@ -184,7 +185,7 @@ def kl_divergence(Sigma_i: np.ndarray, Sigma_j: np.ndarray, T: int, kappa: float
     return 0.5 * kappa * T * (trace - M + float(logdet_j.real) - float(logdet_i.real))
 
 
-def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None) -> float:
+def fano_beta_exact(A, K: int, sigma2: float, T: int) -> float:
     """Average pairwise KL divergence over all ordered candidate pairs.
 
     The log-determinant terms cancel over the full double sum, so
@@ -196,8 +197,7 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None
     lies in C(N-1, K-1) of the supports.
     """
     entries, fieldtag = as_matrix(A)
-    if kappa is None:
-        kappa = fieldtag.kappa
+    kappa = fieldtag.kappa
     M, N = entries.shape
     rows = support_rows(N, K)
     L = len(rows)
@@ -215,15 +215,13 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int, kappa: float | None = None
     return float(kappa * T / (2.0 * L * L) * (total - L * L * M))
 
 
-def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int,
-                        kappa: float | None = None) -> float:
+def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     """Closed-form upper bound on beta via the total gain of the matrix:
 
         beta <= kappa*T*K*(N-K) / (2*sigma2*N^2) * ||A||_F^2.
     """
     entries, fieldtag = as_matrix(A)
-    if kappa is None:
-        kappa = fieldtag.kappa
+    kappa = fieldtag.kappa
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
     fro_sq = float(np.sum(np.abs(entries) ** 2))

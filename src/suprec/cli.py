@@ -38,7 +38,7 @@ from .model import (
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import h_spectra, matrix_incoherence, sandwich_bounds
+from .spectra import _split_masks, h_spectra, matrix_incoherence, sandwich_bounds
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
@@ -79,9 +79,6 @@ def _require(cfg: dict, key: str, types, where: str):
         raise ConfigError(f"{where}: key '{key}' has invalid type {type(value).__name__}")
     return value
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, list) else [value]
-
 
 def _positive_int(cfg, key, where, default=None):
     if default is not None and key not in cfg:
@@ -99,6 +96,16 @@ def _positive_float(cfg, key, where, default=None):
     if isinstance(v, bool) or not 0 < v < math.inf:
         raise ConfigError(f"{where}: '{key}' must be a positive number")
     return float(v)
+
+
+def _positive_list(cfg, key, where, check) -> list:
+    """A scalar or non-empty list under `key`, each element checked by `check`
+    (`_positive_int` or `_positive_float`)."""
+    value = _require(cfg, key, (int, float, list), where)
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{where}: '{key}' must be a non-empty list")
+    return [check({key: v}, key, where) for v in values]
 
 
 def _field_of(cfg: dict, where: str) -> FieldTag:
@@ -223,7 +230,7 @@ def run_bounds(config: dict, seed: int):
         fn, keys, _, fields = _BOUND_FORMULAS[formula]
         try:
             raw, clamped, applicable, notes = fields(q, fn(*(q.get(k) for k in keys)))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ConfigError(f"query {formula}: {exc}") from exc
         records.append({"formula_id": formula,
                         "inputs": {k: v for k, v in q.items() if k != "formula"},
@@ -256,9 +263,8 @@ def _validate_simulate(config: dict) -> dict:
     K = _positive_int(config, "K", where)
     if K > N:
         raise ConfigError(f"{where}: K={K} exceeds N={N}")
-    Ts = [_positive_int({"T": t}, "T", where) for t in _as_list(_require(config, "T", (int, list), where))]
-    sigma2s = [_positive_float({"sigma2": s}, "sigma2", where)
-               for s in _as_list(_require(config, "sigma2", (int, float, list), where))]
+    Ts = _positive_list(config, "T", where, _positive_int)
+    sigma2s = _positive_list(config, "sigma2", where, _positive_float)
     trials = _positive_int(config, "trials", where)
     field = _field_of(config, where)
     plan = {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s,
@@ -360,8 +366,8 @@ def run_simulate(config: dict, seed: int):
 def _validate_eigcheck(config: dict) -> dict:
     where = "config"
     grid = _require(config, "grid", dict, where)
-    Ms = [_positive_int({"M": m}, "M", f"{where}.grid") for m in _as_list(_require(grid, "M", (int, list), f"{where}.grid"))]
-    Ks = [_positive_int({"K": k}, "K", f"{where}.grid") for k in _as_list(_require(grid, "K", (int, list), f"{where}.grid"))]
+    Ms = _positive_list(grid, "M", f"{where}.grid", _positive_int)
+    Ks = _positive_list(grid, "K", f"{where}.grid", _positive_int)
     draws = _positive_int(config, "draws_per_cell", where, default=24)
     sigma2 = _positive_float(config, "sigma2", where, default=1.0)
     for M in Ms:
@@ -380,10 +386,7 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
     eigs = h_spectra(A, S0, S1, sigma2)                    # (c, M) descending
     lower, upper = sandwich_bounds(A, S0, S1, sigma2)
     # `spectrum_split`'s rule, one tolerance per draw
-    eq = np.abs(eigs - 1.0) <= tol * np.maximum(1.0, eigs[:, :1])
-    count_gt = ((eigs > 1.0) & ~eq).sum(axis=1)
-    count_eq = eq.sum(axis=1)
-    count_lt = ((eigs < 1.0) & ~eq).sum(axis=1)
+    count_gt, count_eq, count_lt = (m.sum(axis=1) for m in _split_masks(eigs, rel=tol)[:3])
     # with k0 eigenvalues above 1 they lead the descending spectrum
     matched = count_gt == k0
     slack_low = np.where(matched, np.min(eigs[:, :k0] - lower, axis=1), np.nan)
@@ -428,12 +431,10 @@ def run_eig_check(config: dict, seed: int):
 
 def _validate_doa(config: dict) -> dict:
     where = "config"
-    eps = [_positive_float({"epsilon": e}, "epsilon", where)
-           for e in _as_list(_require(config, "epsilon", (int, float, list), where))]
-    Ns = _as_list(_require(config, "N", (int, list), where))
-    Ks = _as_list(_require(config, "K", (int, list), where))
-    sig = [_positive_float({"sigma2": s}, "sigma2", where)
-           for s in _as_list(_require(config, "sigma2", (int, float, list), where))]
+    eps = _positive_list(config, "epsilon", where, _positive_float)
+    Ns = _positive_list(config, "N", where, _positive_int)
+    Ks = _positive_list(config, "K", where, _positive_int)
+    sig = _positive_list(config, "sigma2", where, _positive_float)
     if any(e >= 1 for e in eps):
         raise ConfigError(f"{where}: epsilon values must lie in (0, 1)")
     for N, K in product(Ns, Ks):

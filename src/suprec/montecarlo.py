@@ -10,8 +10,7 @@ arguments. Matrix-draw statistics use one stream per draw d,
 substream(seed, label, d). The multiple and ensemble estimators hold their
 candidates as the (L, K) index rows of `model.support_rows` and never build
 a `Support` per candidate. Uncertainty is reported as an exact binomial
-(Clopper-Pearson) interval at 95% unless another confidence level is
-requested.
+(Clopper-Pearson) interval at 95%.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     return low, high
 
 
-def _estimate(errors: int, trials: int, seed: int, confidence: float, **extras) -> ErrorEstimate:
-    low, high = clopper_pearson(errors, trials, confidence)
+def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:
+    low, high = clopper_pearson(errors, trials)
     return ErrorEstimate(p_hat=errors / trials, trials=trials, ci_low=low,
                          ci_high=high, master_seed=seed, extras=extras)
 
@@ -96,7 +95,7 @@ def draw_trial_blocks(A, supports: np.ndarray, sigma2: float, T: int, trials: in
 
 
 def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
-                         trials: int, seed: int, confidence: float = 0.95) -> ErrorEstimate:
+                         trials: int, seed: int) -> ErrorEstimate:
     """Empirical error of the binary likelihood-ratio test.
 
     Each trial draws the true hypothesis uniformly from {S0, S1}, generates
@@ -112,11 +111,10 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
     for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials, seed, "binary-trial"):
         scores = decoder.score_batch(Y)
         errors += int(np.sum((scores[1] - scores[0] > 0) != truths))
-    return _estimate(errors, trials, seed, confidence)
+    return _estimate(errors, trials, seed)
 
 
-def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int,
-                           confidence: float = 0.95) -> ErrorEstimate:
+def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int) -> ErrorEstimate:
     """Empirical error of maximum-likelihood recovery over all size-K supports.
 
     The error event is exact support mismatch; sizes of wrong-decode
@@ -133,13 +131,12 @@ def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: 
         kd_counts += np.bincount(K - shared, minlength=K + 1)
     kd_hist = {k_d: int(count) for k_d, count in enumerate(kd_counts) if count}
     # every wrong decode has k_d >= 1, so the histogram counts all the errors
-    return _estimate(int(kd_counts.sum()), trials, seed, confidence, kd_histogram=kd_hist)
+    return _estimate(int(kd_counts.sum()), trials, seed, kd_histogram=kd_hist)
 
 
 def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
                            matrix_draws: int, trials_per_matrix: int, seed: int,
-                           field: FieldTag = FieldTag.REAL,
-                           confidence: float = 0.95) -> ErrorEstimate:
+                           field: FieldTag = FieldTag.REAL) -> ErrorEstimate:
     """Error probability averaged over fresh Gaussian measurement matrices.
 
     The grand estimate pools all matrix_draws * trials_per_matrix trials;
@@ -165,14 +162,24 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
     spread = (float(per_matrix_arr.min()), float(np.median(per_matrix_arr)),
               float(per_matrix_arr.max()))
     return _estimate(sum(per_matrix_errors), matrix_draws * trials_per_matrix, seed,
-                     confidence, per_matrix=per_matrix,
+                     per_matrix=per_matrix,
                      per_matrix_errors=tuple(per_matrix_errors),
                      spread_min_median_max=spread)
 
 
+def _draw_incoherences(M: int, N: int, Si: Support, Sj: Support, sigma2: float, draws: int,
+                       seed: int, field: FieldTag, label: str) -> np.ndarray:
+    """Incoherence of the pair (Si, Sj) on `draws` Gaussian M x N matrices;
+    draw d comes from substream(seed, label, d)."""
+    values = np.empty(draws)
+    for d in range(draws):
+        A = sample_gaussian_matrix(M, N, field, substream(seed, label, d))
+        values[d] = pair_incoherence(A, Si, Sj, sigma2).value
+    return values
+
+
 def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
-                              seed: int, field: FieldTag = FieldTag.REAL,
-                              confidence: float = 0.95) -> ErrorEstimate:
+                              seed: int, field: FieldTag = FieldTag.REAL) -> ErrorEstimate:
     """Empirical P{pairwise incoherence <= gamma} over Gaussian matrix draws,
     for a fixed disjoint support pair (the hardest case k_d = K) and
     gamma = (M - 2K) / (3 sigma^2)."""
@@ -181,13 +188,9 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
     if N < 2 * K:
         raise ValueError("need N >= 2K for a disjoint support pair")
     gamma = (M - 2 * K) / (3.0 * sigma2)
-    Si = make_support(range(K), N)
-    Sj = make_support(range(K, 2 * K), N)
-    hits = 0
-    for d in range(draws):
-        A = sample_gaussian_matrix(M, N, field, substream(seed, "incoherence-tail", d))
-        hits += pair_incoherence(A, Si, Sj, sigma2).value <= gamma
-    return _estimate(hits, draws, seed, confidence, gamma=gamma)
+    values = _draw_incoherences(M, N, make_support(range(K), N), make_support(range(K, 2 * K), N),
+                                sigma2, draws, seed, field, "incoherence-tail")
+    return _estimate(int(np.count_nonzero(values <= gamma)), draws, seed, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,6 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
     N = K + k_d
     Si = make_support(range(K), N)
     Sj = make_support(list(range(K - k_d)) + list(range(K, K + k_d)), N)
-    values = np.empty(draws)
-    for d in range(draws):
-        A = sample_gaussian_matrix(M, N, field, substream(seed, "incoherence-mean", d))
-        values[d] = pair_incoherence(A, Si, Sj, sigma2).value
+    values = _draw_incoherences(M, N, Si, Sj, sigma2, draws, seed, field, "incoherence-mean")
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")
     return IncoherenceMoment(mean=float(values.mean()), se=se, draws=draws, master_seed=seed)

@@ -4,21 +4,18 @@ sandwich bounds, and the pairwise/global incoherence of a measurement matrix.
 For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
-(Sigma_0, Sigma_1). Only r = |S0 cup S1| <= 2K of its M eigenvalues differ
-from 1, and they are those of an r x r pencil built from the R factor of the
-union's columns. `pair_incoherences` solves that reduced pencil for many
-pairs at once (one stacked QR, Cholesky whitening and `eigvalsh` per k_d);
-`pair_incoherence`, `matrix_incoherence` and through them the Chernoff
-bounds use it. It keeps the eigenvalues of order sigma^2 that the dense
-M x M pencil loses to rounding at small noise.
-
-eig-check counts the full M x M spectrum instead, for a stack of D matrices
-and one support pair at a time: `h_spectra` (one stacked Cholesky whitening
-of Sigma_1 and one stacked `eigvalsh`) and `sandwich_bounds` (one stacked QR
-for the R33 lower bound and one stacked Gram `eigvalsh` for the upper).
-`h_eigenvalues`, `qr_lower_bound_eigs` and `upper_bound_eigs` are their
-D = 1 calls, and `noise_constants` takes c1 from the same stacked R33 over
-blocks of unranked support pairs.
+(Sigma_0, Sigma_1). One stacked kernel solves every such pencil:
+`_pencil_eigs` forms C_i = X_i X_i^H + sigma^2 I (`_gram`), whitens with one
+stacked Cholesky of C_1 and takes one stacked `eigvalsh`; a breakdown or a
+non-finite eigenvalue is a `NumericFailure`. It has two callers. `h_spectra`
+passes the raw columns of S0 and S1, so eig-check counts the full dense
+M x M spectrum. `pair_incoherences` passes blocks of the R factor of each
+pair's union columns: only r = |S0 cup S1| <= 2K eigenvalues differ from 1,
+and this r x r pencil keeps those of order sigma^2 that the dense one loses
+to rounding. `_split_masks` splits every spectrum around 1. Pairs are scored
+in blocks (`_pair_blocks`) with one union QR per k_d (`_union_r`), both by
+`matrix_incoherence` and by `noise_constants`, whose c1 reads the R33 block
+of the QR/Gram `sandwich_bounds` from the same factors.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many of them at once in K x K form: one stacked QR of the supports'
@@ -54,14 +51,24 @@ PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
 SCORE_CHUNK_ELEMENTS = 2**15
 
 
+def _gram(X: np.ndarray, sigma2: float) -> np.ndarray:
+    """X X^H + sigma2 I for a matrix or a stack of matrices X (..., m, k)."""
+    return X @ X.conj().swapaxes(-1, -2) + sigma2 * np.eye(X.shape[-2])
+
+
 def covariance(A, S: Support, sigma2: float) -> np.ndarray:
     """Per-snapshot observation covariance A_S A_S^H + sigma^2 I."""
     entries, _ = as_matrix(A)
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    cols = entries[:, S.as_array()]
-    M = entries.shape[0]
-    return cols @ cols.conj().T + sigma2 * np.eye(M, dtype=entries.dtype)
+    return _gram(entries[:, S.as_array()], sigma2)
+
+
+def _factorization_failure(C: np.ndarray) -> str:
+    """Message for a covariance C that failed to factor; it gives the condition
+    number only when C is finite, since the SVD behind it fails otherwise."""
+    detail = f"condition number ~ {np.linalg.cond(C):.3e}" if np.isfinite(C).all() else "non-finite"
+    return f"covariance factorization failed ({detail})"
 
 
 def cholesky_logdet(Sigma: np.ndarray) -> tuple:
@@ -69,9 +76,7 @@ def cholesky_logdet(Sigma: np.ndarray) -> tuple:
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            f"covariance factorization failed (condition number ~ {np.linalg.cond(Sigma):.3e})"
-        ) from exc
+        raise NumericFailure(_factorization_failure(Sigma)) from exc
     logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(L)))))
     return L, logdet
 
@@ -95,8 +100,8 @@ class CovarianceFactors:
         y^H Sigma_S^{-1} y = |y - Q w|^2 / sigma2 + |G^{-1} w|^2,  w = Q^H y.
 
     A support whose C is not numerically positive definite is listed in
-    `failures` (row position -> message); its `logdet` is +inf, so its
-    likelihood is 0.
+    `failures` (row position -> message); its `logdet` is +inf and its Q is
+    zero, so its likelihood is 0 even when its columns are not finite.
     """
 
     Q: np.ndarray            # (L, M, p)
@@ -160,7 +165,7 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     M = entries.shape[0]
     Q, R = np.linalg.qr(entries.T[np.asarray(rows, dtype=np.intp)].swapaxes(1, 2))
     p = Q.shape[2]
-    C = R @ R.conj().swapaxes(1, 2) + sigma2 * np.eye(p)
+    C = _gram(R, sigma2)
     try:
         G = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
@@ -173,36 +178,41 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
     floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
     failed = ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
-    failures = {int(i): f"covariance factorization failed (condition number ~"
-                        f" {np.linalg.cond(C[i]):.3e})" for i in np.flatnonzero(failed)}
+    failures = {int(i): _factorization_failure(C[i]) for i in np.flatnonzero(failed)}
     logdet = (M - p) * np.log(sigma2) + np.sum(np.log(pivots), axis=1)
     logdet[failed] = np.inf
     G[failed] = np.eye(p)
+    Q[failed] = 0.0
     Qh = Q.conj().swapaxes(1, 2)
     proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
     return CovarianceFactors(Q, proj, logdet, float(sigma2), failures)
 
 
-def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Descending eigenvalues, shape (D, M), of the dense M x M pencils
-    (Sigma_0, Sigma_1) of D matrices stacked as (D, M, N); all positive.
+def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
+    """Ascending eigenvalues (P, m) of the P pencils (C_0, C_1), with
+    C_i = X_i X_i^H + sigma2 I, for stacks X0 (P, m, k0) and X1 (P, m, k1).
 
-    One stacked Cholesky Sigma_1 = L L^H whitens every pencil, and one stacked
-    `eigvalsh` of L^{-1} Sigma_0 L^{-H}, which shares the pencil's spectrum,
-    gives all D spectra in full: no eigenvalue is taken to be 1.
+    One stacked Cholesky C_1 = L L^H whitens every pencil (Golub & Van Loan,
+    Matrix Computations, sec. 8.7) and one stacked `eigvalsh` of
+    L^{-1} C_0 L^{-H} gives all P spectra.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    X0, X1 = entries[:, :, S0.as_array()], entries[:, :, S1.as_array()]
-    eye = sigma2 * np.eye(entries.shape[1])
-    Sigma1 = X1 @ X1.conj().swapaxes(1, 2) + eye
     try:
-        Li = np.linalg.inv(np.linalg.cholesky(Sigma1))
+        Li = np.linalg.inv(np.linalg.cholesky(_gram(X1, sigma2)))
+        eigs = np.linalg.eigvalsh(Li @ _gram(X0, sigma2) @ Li.conj().swapaxes(1, 2))
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"covariance factorization failed (condition number ~"
-                             f" {np.linalg.cond(Sigma1).max():.3e})") from exc
-    Sigma0 = X0 @ X0.conj().swapaxes(1, 2) + eye
-    eigs = np.linalg.eigvalsh(Li @ Sigma0 @ Li.conj().swapaxes(1, 2))
+        raise NumericFailure(f"covariance factorization failed: {exc}") from exc
+    if not np.isfinite(eigs).all():
+        raise NumericFailure("pencil produced a non-finite eigenvalue")
+    return eigs
+
+
+def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
+    """Descending eigenvalues (D, M), all positive, of the dense M x M pencils
+    (Sigma_0, Sigma_1) of D matrices (D, M, N): `_pencil_eigs` of the raw
+    columns of S0 and S1, so no eigenvalue is taken to be 1."""
+    eigs = _pencil_eigs(entries[:, :, S0.as_array()], entries[:, :, S1.as_array()], sigma2)
     if eigs[:, 0].min() <= 0:
         raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
     return eigs[:, ::-1]
@@ -230,22 +240,28 @@ class SpectrumSplit:
             raise ValueError("classification counts must partition the spectrum")
 
 
+def _split_masks(eigs: np.ndarray, rel: float = 1e-8, tolerance=None) -> tuple:
+    """(above, equal, below, tolerance) for one spectrum or a stack (..., n):
+    masks of the eigenvalues around 1, where lambda equals 1 when
+    |lambda - 1| <= tolerance, by default rel * max(1, largest) per spectrum."""
+    if tolerance is None:
+        tolerance = rel * np.maximum(1.0, eigs.max(axis=-1, keepdims=True))
+    eq = np.abs(eigs - 1.0) <= tolerance
+    return (eigs > 1.0) & ~eq, eq, (eigs < 1.0) & ~eq, tolerance
+
+
 def spectrum_split(eigs, tolerance: float | None = None) -> SpectrumSplit:
     """Count eigenvalues greater than, equal to, and less than 1.
 
     Default tolerance is 1e-8 * max(1, largest eigenvalue); an eigenvalue
-    counts as "equal" when |lambda - 1| <= tolerance.
+    counts as "equal" when |lambda - 1| <= tolerance (`_split_masks`).
     """
     arr = np.sort(np.asarray(eigs, dtype=np.float64))[::-1]
     if arr.size == 0 or arr[-1] <= 0:
         raise ValueError("all eigenvalues must be positive")
-    if tolerance is None:
-        tolerance = 1e-8 * max(1.0, float(arr[0]))
-    eq = np.abs(arr - 1.0) <= tolerance
-    gt = (arr > 1.0) & ~eq
-    lt = (arr < 1.0) & ~eq
+    gt, eq, lt, tolerance = _split_masks(arr, tolerance=tolerance)
     return SpectrumSplit(tuple(float(x) for x in arr), int(gt.sum()), int(eq.sum()),
-                         int(lt.sum()), float(tolerance))
+                         int(lt.sum()), float(np.squeeze(tolerance)))
 
 
 @dataclass(frozen=True)
@@ -256,32 +272,6 @@ class PairIncoherence:
     pair: tuple
     k_d: int
     eigenvalues: tuple = ()      # H's eigenvalues above 1, descending
-
-
-def _reduced_pencil_eigs(entries: np.ndarray, cols: np.ndarray, K: int,
-                         sigma2: float) -> np.ndarray:
-    """Ascending eigenvalues, shape (P, p), of the pencils (Sigma_0, Sigma_1) of
-    P pairs with one union size r = K + k_d, less M - p eigenvalues equal to 1.
-
-    Row `cols[n]` lists pair n's union columns as [S1 \\ S0 | S0 cap S1 | S0 \\ S1].
-    With A_U = Q R (p = min(M, r) rows), Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
-    for C_i = R_i R_i^H + sigma2 I_p, where R_1 is the first K columns of R and
-    R_0 the last K; so the pencil is (C_0, C_1) plus M - p unit eigenvalues.
-    """
-    R = np.linalg.qr(entries.T[cols].swapaxes(1, 2), mode="r")      # (P, p, r)
-    R1, R0 = R[:, :, :K], R[:, :, -K:]
-    eye = sigma2 * np.eye(R.shape[1])
-    C1 = R1 @ R1.conj().swapaxes(1, 2) + eye
-    C0 = R0 @ R0.conj().swapaxes(1, 2) + eye
-    try:
-        # W = L^{-1} C0 L^{-H}, with C1 = L L^H, shares the pencil's spectrum.
-        Li = np.linalg.inv(np.linalg.cholesky(C1))
-        eigs = np.linalg.eigvalsh(Li @ C0 @ Li.conj().swapaxes(1, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"reduced pencil factorization failed: {exc}") from exc
-    if not np.isfinite(eigs).all():
-        raise NumericFailure("pencil produced a non-finite eigenvalue")
-    return eigs
 
 
 def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
@@ -298,14 +288,25 @@ def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
     return K - shared.sum(axis=(1, 2)), union
 
 
+def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
+    """Yield (sel, kd, R) for each kd in k_d: the mask `sel` of the pairs with
+    that kd and the R factors (n, p, K + kd) of their union columns (see
+    `_union_rows`), from one stacked QR."""
+    K = union.shape[1] // 2
+    for kd in np.unique(k_d):
+        sel = k_d == kd
+        yield sel, int(kd), np.linalg.qr(entries.T[union[sel, :K + kd]].swapaxes(1, 2), mode="r")
+
+
 def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
     support rows: (values, k_d, top), where `top` (P, K) holds each pair's
-    eigenvalues of H above 1 in descending order, padded with 1.
+    eigenvalues of H above 1 (by `_split_masks`) descending, padded with 1.
 
-    Pairs are grouped by k_d and each group is one stacked r x r problem
-    (`_reduced_pencil_eigs`). Eigenvalues are classified by `spectrum_split`'s
-    rule: above 1 when they exceed 1 by more than 1e-8 max(1, largest).
+    With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
+    for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
+    R_0 the last K: H's spectrum is that of the pencil (C_0, C_1) plus unit
+    eigenvalues. Each k_d group (`_union_r`) is one `_pencil_eigs` call.
     """
     entries, _ = as_matrix(A)
     rows0 = np.asarray(rows0, dtype=np.intp)
@@ -320,10 +321,9 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
         raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[0]}")
     values = np.empty(P)
     top = np.ones((P, K))
-    for kd in np.unique(k_d):
-        sel = k_d == kd
-        eigs = _reduced_pencil_eigs(entries, union[sel, :K + kd], K, sigma2)
-        above = eigs - 1.0 > 1e-8 * np.maximum(1.0, eigs[:, -1:])
+    for sel, kd, R in _union_r(entries, k_d, union):
+        eigs = _pencil_eigs(R[:, :, -K:], R[:, :, :K], sigma2)          # ascending
+        above = _split_masks(eigs)[0]
         count = above.sum(axis=1)          # used eigenvalues exceed 1, so are positive
         if count.min() == 0:
             raise NumericFailure("no eigenvalue of H exceeds 1; matrix is degenerate on this pair")
@@ -349,6 +349,16 @@ def _pair_rows(flat: np.ndarray, N: int, K: int) -> tuple:
     i, j = np.divmod(flat, math.comb(N, K) - 1)
     j += j >= i                     # skip the diagonal
     return unrank_supports(i, N, K), unrank_supports(j, N, K)
+
+
+def _pair_blocks(N: int, K: int, count: int, flat: np.ndarray | None = None):
+    """Yield the support rows (rows0, rows1) of ordered pairs, PAIR_BLOCK pairs
+    at a time: those with the flat indices 0 .. count - 1 (see `_pair_rows`),
+    or the first `count` entries of `flat` when it is given."""
+    for start in range(0, count, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, count)
+        block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
+        yield _pair_rows(block, N, K)
 
 
 @dataclass(frozen=True)
@@ -384,7 +394,7 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n_pairs > cap:
             raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}; use sampled mode")
-        flat, scored, mode_str = None, n_pairs, "exhaustive"
+        flat, count, mode_str = None, n_pairs, "exhaustive"
     elif mode == "sampled":
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode requires a positive sample_count")
@@ -394,15 +404,12 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
         sample_count = min(sample_count, n_pairs)
         rng = substream(seed, "incoherence-pair-sample")
         flat = rng.choice(n_pairs, size=sample_count, replace=False)
-        scored, mode_str = sample_count, f"sampled({sample_count})"
+        count, mode_str = sample_count, f"sampled({sample_count})"
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     best, best_pair = np.inf, None
-    for start in range(0, scored, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, scored)
-        block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
-        rows0, rows1 = _pair_rows(block, N, K)
+    for rows0, rows1 in _pair_blocks(N, K, count, flat):
         values = pair_incoherences(entries, rows0, rows1, sigma2)[0]
         b = int(np.argmin(values))
         if values[b] < best:
@@ -411,13 +418,11 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     return IncoherenceSummary(float(best), argmin, mode_str)
 
 
-def _r33_stack(cols: np.ndarray, k0: int) -> np.ndarray:
-    """R33 of the QR construction (see `sandwich_bounds`) for a stack of column
-    blocks (B, M, r) ordered [S1 \\ S0 | S0 cap S1 | S0 \\ S1] with k0 = |S0 \\ S1|
-    >= 1: the trailing k0 x k0 block of each R, as (B, k0, k0)."""
-    if cols.shape[1] < cols.shape[2]:
-        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    R33 = np.linalg.qr(cols, mode="r")[:, -k0:, -k0:]
+def _r33(R: np.ndarray, k0: int) -> np.ndarray:
+    """R33 of the QR construction (see `sandwich_bounds`) from a stack of R
+    factors (B, p, r) of columns ordered [S1 \\ S0 | S0 cap S1 | S0 \\ S1] with
+    p >= r and k0 = |S0 \\ S1| >= 1: the trailing k0 x k0 block of each R."""
+    R33 = R[:, -k0:, -k0:]
     if (np.diagonal(R33, axis1=1, axis2=2) == 0).any():
         raise NumericFailure("rank-deficient column stack; measurement matrix is degenerate on these supports")
     return R33
@@ -441,8 +446,10 @@ def sandwich_bounds(entries: np.ndarray, S0: Support, S1: Support, sigma2: float
     only0 = list(S0.difference(S1))
     if not only0:
         return np.empty((len(entries), 0)), np.empty((len(entries), 0))
-    order = list(S1.difference(S0)) + list(S0.intersection(S1)) + only0
-    R33 = _r33_stack(entries[:, :, order], len(only0))
+    cols = entries[:, :, list(S1.difference(S0)) + list(S0.intersection(S1)) + only0]
+    if cols.shape[1] < cols.shape[2]:
+        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
+    R33 = _r33(np.linalg.qr(cols, mode="r"), len(only0))
     block = entries[:, :, only0]
     return (_shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
             _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
@@ -467,9 +474,10 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
     1 + c1/sigma^2 <= lambda_bar <= 1 + c2/sigma^2.
 
     c1 is the minimum over ordered support pairs of the geometric mean of the
-    squared R33 diagonal; c2 the maximum over supports of size <= K of the
-    mean squared column mass. Pairs are unranked and scored `PAIR_BLOCK` at a
-    time, one stacked QR per k_d, as in `matrix_incoherence`.
+    squared R33 diagonal, with pairs scored as in `matrix_incoherence`
+    (`_pair_blocks`, `_union_r`). c2 is the maximum over supports of size
+    <= K of the mean squared column mass, which the single heaviest column
+    attains: the largest squared column norm.
     """
     entries, _ = as_matrix(A)
     M, N = entries.shape
@@ -483,18 +491,9 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
         raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}")
 
     c1 = np.inf
-    for start in range(0, n_pairs, PAIR_BLOCK):
-        block = np.arange(start, min(start + PAIR_BLOCK, n_pairs))
-        k_d, union = _union_rows(*_pair_rows(block, N, K))
-        for kd in np.unique(k_d):
-            R33 = _r33_stack(entries.T[union[k_d == kd, :K + kd]].swapaxes(1, 2), kd)
-            diag = np.abs(np.diagonal(R33, axis1=1, axis2=2)) ** 2
+    for rows0, rows1 in _pair_blocks(N, K, n_pairs):
+        for _, kd, R in _union_r(entries, *_union_rows(rows0, rows1)):
+            diag = np.abs(np.diagonal(_r33(R, kd), axis1=1, axis2=2)) ** 2
             c1 = min(c1, float(np.exp(np.mean(np.log(diag), axis=1)).min()))
-
-    col_mass = np.sum(np.abs(entries) ** 2, axis=0)
-    # max over |S| <= K of mean column mass = mean of the |S| largest masses,
-    # maximized over the size; the best single column always attains it, but
-    # keep the general scan to match the definition.
-    order = np.sort(col_mass)[::-1]
-    c2 = max(float(np.mean(order[:k])) for k in range(1, K + 1))
+    c2 = float(np.sum(np.abs(entries) ** 2, axis=0).max())
     return float(c1), c2

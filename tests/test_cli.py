@@ -147,6 +147,16 @@ class TestExitCodes:
         ("simulate", {"mode": "ensemble", "N": 4, "M": 2, "K": 4, "T": [1], "sigma2": [0.5],
                       "trials": 20, "matrix_draws": 3, "trials_per_matrix": 10},
          "ensemble mode needs two candidate supports"),
+        ("doa", {**DOA_ULA, "N": ["x"]}, "key 'N' has invalid type str"),
+        ("doa", {**DOA_ULA, "N": [90.5], "K": [1.5]}, "key 'N' has invalid type float"),
+        ("doa", {**DOA_ULA, "K": [True]}, "'K' must be a positive integer"),
+        ("doa", {**DOA_ULA, "epsilon": []}, "'epsilon' must be a non-empty list"),
+        ("eig-check", {**EIG_CHECK, "grid": {"M": [], "K": [2]}},
+         "'M' must be a non-empty list"),
+        ("simulate", {**BINARY_SIM, "T": []}, "'T' must be a non-empty list"),
+        ("bounds", {"queries": [{**ALL_BOUND_QUERIES[0], "T": 0}]}, "query multiple_geometric"),
+        ("bounds", {"queries": [{**ALL_BOUND_QUERIES[0], "T": 1e-300}]},
+         "query multiple_geometric"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
@@ -155,7 +165,9 @@ class TestExitCodes:
             "simulate-matrix-not-object", "simulate-matrix-kind-unknown",
             "simulate-csv-matrix-missing",
             "sweep-incoherence-mode-unknown", "eig-check-numeric-failure",
-            "ensemble-K-equals-N"])
+            "ensemble-K-equals-N", "doa-N-string", "doa-N-K-float", "doa-K-bool",
+            "doa-epsilon-empty", "eig-check-grid-M-empty", "simulate-T-empty",
+            "bounds-geometric-T-zero", "bounds-geometric-T-tiny"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)

@@ -195,6 +195,21 @@ class TestMlDecode:
         res = decoder.decode(np.ones((3, 1)))
         assert res.chosen == good
 
+    def test_non_finite_column_fails_only_its_candidate(self):
+        # a bare array with a NaN entry: the candidate holding that column is a
+        # failure scoring -inf, the other decodes normally
+        A = gaussian_instance(6, 5, seed=37, label="nan").entries.copy()
+        A[2, 1] = np.nan
+        bad, good = make_support([0, 1], 5), make_support([2, 3], 5)
+        decoder = SupportDecoder(A, [bad, good], 1.0)
+        assert list(decoder.failures) == [0]
+        assert "non-finite" in decoder.failures[0]
+        scores = decoder.log_scores(np.ones((6, 2)))
+        assert scores[0] == -np.inf and np.isfinite(scores[1])
+        assert decoder.decode(np.ones((6, 2))).chosen == good
+        with pytest.raises(NumericFailure, match="non-finite"):
+            lrt_decoder(A, bad, good, 1.0)
+
     def test_decode_with_scores_breaks_ties_like_decode_index(self):
         # columns 0 and 1 are equal, so supports {0} and {1} score identically
         col = np.array([[1.0], [2.0], [-1.0]])

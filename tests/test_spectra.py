@@ -165,6 +165,13 @@ class TestStackedKernels:
         zero[2, :, 1] = 0.0                 # a column of S0 \ S1 vanishes in one draw
         with pytest.raises(NumericFailure, match="rank-deficient"):
             spectra.sandwich_bounds(zero, S0, S1, 1.0)
+        nan = stack.copy()                  # a bare array with one NaN entry, in S0 or S1
+        nan[1, 2, 1] = np.nan
+        for Sa, Sb in ((S0, S1), (S1, S0)):
+            with pytest.raises(NumericFailure):
+                spectra.h_spectra(nan, Sa, Sb, 1.0)
+            with pytest.raises(NumericFailure):
+                h_eigenvalues(nan[1], Sa, Sb, 1.0)
 
     def test_dense_spectrum_is_counted_in_full(self):
         # no unit padding: every eigenvalue comes from the M x M eigvalsh, so
@@ -177,6 +184,25 @@ class TestStackedKernels:
 
 
 class TestSpectrumSplit:
+    def test_stack_masks_match_each_rows_split(self):
+        # `_split_masks` on a (D, M) stack counts each row as `spectrum_split`
+        # does, with each row's own tolerance rel * max(1, largest), in any order
+        S0, S1 = random_pair(8, 3, 1)
+        dense = spectra.h_spectra(draw_stack(9, 8, 6, FieldTag.REAL, label="masks"), S0, S1, 0.7)
+        edge = np.array([[40.0, 1 + 3e-7, 1 + 5e-7, 1.0, 1 - 3.9e-7, 0.5],
+                         [1 + 1.5e-8, 1 + 2.5e-8, 2.0, 1 - 1.5e-8, 1 - 2.5e-8, 0.9],
+                         [1 + 5e-9, 1 - 5e-9, 1 - 2e-8, 0.95, 0.9, 0.5]])
+        for stack in (dense, edge):
+            for rel in (1e-8, 1e-6):
+                counts = np.stack([m.sum(axis=1) for m in spectra._split_masks(stack, rel)[:3]], 1)
+                for row, got in zip(stack, counts):
+                    split = spectrum_split(row, tolerance=rel * max(1.0, row.max()))
+                    assert tuple(got) == (split.count_gt, split.count_eq, split.count_lt)
+        counts = [m.sum(axis=1) for m in spectra._split_masks(edge)[:3]]
+        assert np.array_equal(np.stack(counts, 1), [[2, 3, 1], [2, 2, 2], [0, 2, 4]])
+        assert all(tuple(c) == (s.count_gt, s.count_eq, s.count_lt)
+                   for c, s in zip(np.stack(counts, 1), map(spectrum_split, edge)))
+
     def test_all_ones(self):
         split = spectrum_split(np.ones(5))
         assert (split.count_gt, split.count_eq, split.count_lt) == (0, 5, 0)
