@@ -12,6 +12,9 @@ binomials via lgamma) so they stay finite up to N ~ 1e6.
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
 evaluated but flagged inapplicable.
+
+Only `multiple_bound_union` uses scipy (`scipy.special.logsumexp`), and it
+imports it in its body, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import NumericFailure, Support, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherences
@@ -125,6 +127,8 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     evaluated in the log domain. `lambda_bar` may be a single global value or
     one value per difference size k_d (sequence of length K).
     """
+    from scipy.special import logsumexp
+
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
     if np.any(lams <= 0):
         raise ValueError("incoherence values must be positive")

@@ -204,6 +204,12 @@ _BOUND_FORMULAS = {
 }
 
 
+# Check of each numeric key that the formulas above share, applied to every
+# key a formula lists; any other key goes to the formula as given.
+_BOUND_KEY_CHECKS = {**dict.fromkeys(("T", "N", "K", "L", "M", "k_d"), _positive_int),
+                     **dict.fromkeys(("kappa", "sigma2"), _positive_float)}
+
+
 def _validate_bounds(config: dict) -> list:
     queries = _require(config, "queries", list, "config")
     if not queries:
@@ -219,6 +225,8 @@ def _validate_bounds(config: dict) -> list:
         for key in keys:
             if key not in q and key not in optional:
                 raise ConfigError(f"{where}: formula {formula!r} requires key '{key}'")
+            if key in _BOUND_KEY_CHECKS:
+                _BOUND_KEY_CHECKS[key](q, key, f"query {formula}")
     return queries
 
 

@@ -10,7 +10,9 @@ arguments. Matrix-draw statistics use one stream per draw d,
 substream(seed, label, d). The multiple and ensemble estimators hold their
 candidates as the (L, K) index rows of `model.support_rows` and never build
 a `Support` per candidate. Uncertainty is reported as an exact binomial
-(Clopper-Pearson) interval at 95%.
+(Clopper-Pearson) interval at 95%. `clopper_pearson` takes its beta
+quantiles from `scipy.special.betaincinv`, imported in its body: it is the
+only use of scipy here, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .decode import SupportDecoder, lrt_decoder
 from .model import (
@@ -53,6 +54,8 @@ class ErrorEstimate:
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple:
     """Two-sided exact binomial confidence interval for errors/trials."""
+    from scipy.special import betaincinv
+
     if not 0 <= errors <= trials or trials < 1:
         raise ValueError("need 0 <= errors <= trials, trials >= 1")
     if not 0 < confidence < 1:

@@ -24,6 +24,9 @@ every log-determinant and quadratic form the decoders need
 (`CovarianceFactors.energies`) and the sum of inverses in the exact Fano
 beta. `cholesky_logdet` and `whitened_energy` remain for a single dense
 covariance: `decode.log_likelihood`.
+
+Only `whitened_energy` uses scipy (`scipy.linalg.solve_triangular`), and it
+imports it in its body, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .model import (
     CapExceeded,
@@ -84,6 +86,8 @@ def cholesky_logdet(Sigma: np.ndarray) -> tuple:
 def whitened_energy(L: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-column |L^{-1} y|^2 of the columns y of `values`: the quadratic
     form y^H Sigma^{-1} y for Sigma = L L^H."""
+    from scipy.linalg import solve_triangular
+
     return np.sum(np.abs(solve_triangular(L, values, lower=True)) ** 2, axis=0)
 
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import suprec
 import suprec.cli as cli
 from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
 
@@ -157,6 +158,11 @@ class TestExitCodes:
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[0], "T": 0}]}, "query multiple_geometric"),
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[0], "T": 1e-300}]},
          "query multiple_geometric"),
+        ("bounds", {"queries": [{"formula": "multiple_union", "lambda_bar": 10, "N": 30, "K": 2,
+                                 "T": 0, "kappa": 1}]},
+         "query multiple_union: 'T' must be a positive integer"),
+        ("bounds", {"queries": [{**ALL_BOUND_QUERIES[1], "kappa": -1}]},
+         "query multiple_union: 'kappa' must be a positive number"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
@@ -167,7 +173,8 @@ class TestExitCodes:
             "sweep-incoherence-mode-unknown", "eig-check-numeric-failure",
             "ensemble-K-equals-N", "doa-N-string", "doa-N-K-float", "doa-K-bool",
             "doa-epsilon-empty", "eig-check-grid-M-empty", "simulate-T-empty",
-            "bounds-geometric-T-zero", "bounds-geometric-T-tiny"])
+            "bounds-geometric-T-zero", "bounds-geometric-T-tiny", "bounds-union-T-zero",
+            "bounds-union-kappa-negative"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)
@@ -427,13 +434,76 @@ class TestSeedResolution:
         assert ",77," in result.stdout.splitlines()[1]
 
 
+def run_child(code, *args):
+    """Run `code` in a fresh interpreter that imports suprec from this tree;
+    return its last stdout line after checking its exit code."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, *args],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+# Runs `suprec.cli.main` on the argv given as JSON (none: import only), then
+# prints the scipy modules loaded and exits with main's exit code.
+SCIPY_PROBE = """
+import json, sys
+import suprec.cli
+argv = json.loads(sys.argv[1])
+code = suprec.cli.main(argv) if argv else 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+# Calls of each function that imports scipy in its body, from fixed inputs,
+# as statements that set `result`.
+LAZY_SCIPY_CALLS = {
+    "clopper_pearson": "result = suprec.clopper_pearson(3, 50) + suprec.clopper_pearson(0, 40, 0.9)",
+    "multiple_bound_union": "result = [suprec.multiple_bound_union(10.0, 30, 2, 4, 1.0).raw_value,"
+                            " suprec.multiple_bound_union([6.0, 9.0], 24, 2, 1, 0.5).raw_value]",
+    "log_likelihood": "rng = np.random.default_rng(5)\n"
+                      "X = rng.standard_normal((6, 3))\n"
+                      "result = float(suprec.log_likelihood(rng.standard_normal((6, 4)),"
+                      " X @ X.T + 0.5 * np.eye(6), 0.5))",
+}
+
+
 class TestColdStart:
+    def scipy_loaded(self, tmp_path, command=None, payload=None):
+        argv = []
+        if command is not None:
+            argv = [command, "--config", write_config(tmp_path, payload),
+                    "--out", str(tmp_path / "out.csv")]
+        return json.loads(run_child(SCIPY_PROBE, json.dumps(argv)))
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs most of a cold start; nothing in suprec needs it
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", "import suprec.cli, sys; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert run_child("import suprec.cli, sys; print('scipy.stats' in sys.modules)") == "False"
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self.scipy_loaded(tmp_path) == []
+
+    @pytest.mark.parametrize("command,payload", [
+        ("eig-check", {"grid": {"M": [30, 60], "K": [2, 4]}, "draws_per_cell": 80, "sigma2": 1.0}),
+        ("doa", {"epsilon": [0.01, 0.05, 0.1], "N": [90, 180, 360], "K": [1, 2, 3],
+                 "sigma2": [0.1, 1.0],
+                 "ula_lambda": {"M": 16, "grid_size": 360, "K": 2, "pairs": 2000, "sigma2": 1.0}}),
+        ("bounds", {"queries": [q for q in ALL_BOUND_QUERIES if q["formula"] != "multiple_union"]}),
+    ], ids=["eig-sweep", "doa-ula", "bounds-without-union"])
+    def test_run_loads_no_scipy(self, tmp_path, command, payload):
+        assert self.scipy_loaded(tmp_path, command, payload) == []
+
+    def test_binary_simulate_loads_special_only(self, tmp_path):
+        loaded = self.scipy_loaded(tmp_path, "simulate", BINARY_SIM)
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]]
+
+    @pytest.mark.parametrize("name", sorted(LAZY_SCIPY_CALLS))
+    def test_lazy_import_resolves_on_a_cold_path(self, name):
+        # the call comes first in a fresh interpreter, so its own import runs there
+        call = LAZY_SCIPY_CALLS[name]
+        cold = run_child(f"import json, suprec, numpy as np\n{call}\nprint(json.dumps(result))")
+        warm = {"suprec": suprec, "np": np}
+        exec(call, warm)
+        assert json.loads(cold) == json.loads(json.dumps(warm["result"]))
