@@ -13,8 +13,8 @@ Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
 evaluated but flagged inapplicable.
 
-Only `multiple_bound_union` uses scipy (`scipy.special.logsumexp`), and it
-imports it in its body, so importing this module loads no scipy module.
+The union bound sums its log-domain terms with `np.logaddexp.reduce`; no
+function here uses scipy.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     evaluated in the log domain. `lambda_bar` may be a single global value or
     one value per difference size k_d (sequence of length K).
     """
-    from scipy.special import logsumexp
-
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
     if np.any(lams <= 0):
         raise ValueError("incoherence values must be positive")
@@ -138,7 +136,7 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
             continue
         terms.append(log_binomial(K, k_d) + log_binomial(N - K, k_d)
                      - kappa * k_d * T * (np.log(lams[k_d - 1]) - np.log(4.0)))
-    raw = 0.0 if not terms else float(0.5 * np.exp(logsumexp(terms)))
+    raw = 0.0 if not terms else float(0.5 * np.exp(np.logaddexp.reduce(terms)))
     applicable = bool(np.all(lams > 4.0))
     note = "" if applicable else "requires lambda_bar > 4 for every term to decay"
     return _report(raw, applicable=applicable, note=note)

@@ -10,14 +10,17 @@ arguments. Matrix-draw statistics use one stream per draw d,
 substream(seed, label, d). The multiple and ensemble estimators hold their
 candidates as the (L, K) index rows of `model.support_rows` and never build
 a `Support` per candidate. Uncertainty is reported as an exact binomial
-(Clopper-Pearson) interval at 95%. `clopper_pearson` takes its beta
-quantiles from `scipy.special.betaincinv`, imported in its body: it is the
-only use of scipy here, so importing this module loads no scipy module.
+(Clopper-Pearson) interval at 95%. `clopper_pearson` finds each endpoint as
+the root of a binomial tail, I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the
+`math` module only: the tail is summed from Loader's saddle-point pmf (or the
+direct product on its short side) and solved by Halley's method inside the
+bracket that the median gives. No scipy module is loaded here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,20 +56,131 @@ class ErrorEstimate:
 
 
 def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple:
-    """Two-sided exact binomial confidence interval for errors/trials."""
-    from scipy.special import betaincinv
+    """Two-sided exact binomial confidence interval for errors/trials.
 
+    With e = errors and X ~ Bin(n = trials, x), the lower end solves
+    P(X >= e) = alpha/2 and the upper end P(X <= e) = 1 - (1 - alpha/2): the
+    roots that the beta quantiles B(alpha/2; e, n - e + 1) and
+    B(1 - alpha/2; e + 1, n - e) name.
+    """
+    errors, trials = _integer(errors, "errors"), _integer(trials, "trials")
     if not 0 <= errors <= trials or trials < 1:
         raise ValueError("need 0 <= errors <= trials, trials >= 1")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     alpha = 1.0 - confidence
-    # Beta quantiles via the inverse regularized incomplete beta function: the
-    # same values as scipy.stats.beta.ppf without importing scipy.stats, which
-    # would dominate CLI start-up.
-    low = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
-    high = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
+    low = 0.0 if errors == 0 else _tail_root(errors, trials, alpha / 2, upper=False)
+    high = 1.0 if errors == trials else _tail_root(trials - errors, trials,
+                                                   1.0 - (1.0 - alpha / 2), upper=True)
     return low, high
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; numpy integers pass, floats and bools do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# `_binomial_pmf` multiplies C(n, k) p^k q^(n-k) out directly when the short
+# side min(k, n - k) is at most this (and C(n, k) fits a double): there it is
+# exact to a few roundings, where the saddle-point form carries the rounding
+# of k log(k / np).
+_DIRECT_SIDE = 30
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) by its asymptotic series, which
+    is exact to double precision for the n > 30 it is called with."""
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """Deviance term x log(x / m) + m - x, by its series where x is near m."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    total, term, v2 = (x - m) * v, 2.0 * x * v, v * v
+    for j in range(3, 2000, 2):
+        term *= v2
+        if total + term / j == total:
+            break
+        total += term / j
+    return total
+
+
+def _power(y: float, z: float, m: int) -> float:
+    """y^m where z = 1 - y; the larger side's log is taken from the smaller."""
+    return math.pow(y, m) if y <= z else math.exp(m * math.log1p(-z))
+
+
+def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
+    """P(X = k) for X ~ Bin(n, p), with q = 1 - p passed separately: the
+    smaller of p, q must be exact, and nothing is taken from a rounded 1 - p.
+    Beyond `_DIRECT_SIDE` it is Loader's saddle-point form (C. Loader, "Fast
+    and Accurate Computation of Binomial Probabilities", 2000)."""
+    if min(k, n - k) <= _DIRECT_SIDE and n < 1 << 36:
+        return math.comb(n, k) * _power(p, q, k) * _power(q, p, n - k)
+    lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+          - _bd0(k, n * p) - _bd0(n - k, n * q))
+    return math.exp(lc) * math.sqrt(n / (2 * math.pi * k * (n - k)))
+
+
+def _upper_tail(k: int, n: int, p: float, q: float) -> tuple:
+    """(P(X >= k), P(X = k)) for X ~ Bin(n, p), summed from k away from the
+    mode until a term no longer changes the sum."""
+    first = term = total = _binomial_pmf(k, n, p, q)
+    for j in range(k, n):
+        term *= (n - j) * p / ((j + 1) * q)
+        if total + term == total:
+            break
+        total += term
+    return total, first
+
+
+def _tail_root(k: int, n: int, target: float, upper: bool) -> float:
+    """The x in (0, 1) where P(Bin(n, r) >= k) = target < 1/2, for r = 1 - x
+    when `upper` and r = x otherwise; 1 <= k <= n.
+
+    Halley's method on log P in log r, started at the continuity-corrected
+    normal (Wilson) root and kept inside a bisection bracket: the median of
+    Bin(n, k/n) is k, so the root lies below r = k/n. The iterate is x itself,
+    so a lower end near 0 or an upper end near 1 keeps its relative precision.
+    """
+    t = math.sqrt(-2.0 * math.log(target))     # normal quantile to 5e-4 (A&S 26.2.23)
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    c, zz = k - 0.5, z * z
+    r = (2.0 * c + zz - abs(z) * math.sqrt(zz + 4.0 * c * (n - c) / n)) / (2.0 * (n + zz))
+    lo, hi = ((n - k) / n, 1.0) if upper else (0.0, k / n)
+    x = 1.0 - r if upper else r
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(200):
+        p, q = x, 1.0 - x
+        r, s = (q, p) if upper else (p, q)
+        tail, pmf = _upper_tail(k, n, r, s)
+        g = math.log(tail / target) if tail > 0 else -math.inf
+        if (g > 0) != upper:
+            hi = x
+        else:
+            lo = x
+        if g == 0:
+            return x
+        new = math.nan
+        if tail > 0:
+            a = k * pmf / tail                      # d log P / d log r
+            b = a * (k - (n - k) * r / s - a)       # d^2 log P / d (log r)^2
+            step = r * math.expm1(-g / a / (1.0 - g * b / (2.0 * a * a)))
+            new = x - step if upper else x + step
+        if abs(new - x) <= 2.0 ** -49 * x:    # a few ulps: the next step is rounding noise
+            return new
+        x = new if lo < new < hi else 0.5 * (lo + hi)
+    return x
 
 
 def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:

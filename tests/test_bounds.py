@@ -166,6 +166,22 @@ class TestMultipleBounds:
         per_kd = multiple_bound_union([10.0, 10.0], 6, 2, 2, 0.5)
         assert flat.raw_value == pytest.approx(per_kd.raw_value)
 
+    @pytest.mark.parametrize("lam,N,K,T,kappa", [
+        (10.0, 3, 1, 2, 1.0), (10.0, 30, 2, 4, 1.0), (20.0, 100, 3, 2, 1.0),
+        ([6.0, 9.0], 24, 2, 1, 0.5), ([4.5, 6.0, 12.0, 50.0], 40, 4, 2, 0.75)])
+    def test_union_against_mpmath(self, lam, N, K, T, kappa):
+        # The sum is exact to a few ulps, but its log-domain terms carry the
+        # rounding of lgamma (log C(28, 1) = lgamma(29) - lgamma(28) loses
+        # ~1e-14), so the bound is held to 1e-13, not to 1e-15.
+        mpmath = pytest.importorskip("mpmath")
+        lams = np.broadcast_to(np.asarray(lam, dtype=float), (K,))
+        with mpmath.workdps(40):
+            want = sum(mpmath.binomial(K, kd) * mpmath.binomial(N - K, kd)
+                       * (mpmath.mpf(float(lams[kd - 1])) / 4) ** (-mpmath.mpf(kappa) * kd * T)
+                       for kd in range(1, K + 1)) / 2
+        got = multiple_bound_union(lam, N, K, T, kappa).raw_value
+        assert abs(got - want) <= 1e-13 * want
+
     def test_geometric_frozen_example(self):
         report = multiple_bound_geometric(10.0, 3, 1, 2, 1.0)
         assert report.clamped == pytest.approx(0.23529, abs=1e-5)

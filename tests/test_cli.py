@@ -459,9 +459,6 @@ sys.exit(code)
 # Calls of each function that imports scipy in its body, from fixed inputs,
 # as statements that set `result`.
 LAZY_SCIPY_CALLS = {
-    "clopper_pearson": "result = suprec.clopper_pearson(3, 50) + suprec.clopper_pearson(0, 40, 0.9)",
-    "multiple_bound_union": "result = [suprec.multiple_bound_union(10.0, 30, 2, 4, 1.0).raw_value,"
-                            " suprec.multiple_bound_union([6.0, 9.0], 24, 2, 1, 0.5).raw_value]",
     "log_likelihood": "rng = np.random.default_rng(5)\n"
                       "X = rng.standard_normal((6, 3))\n"
                       "result = float(suprec.log_likelihood(rng.standard_normal((6, 4)),"
@@ -490,14 +487,18 @@ class TestColdStart:
                  "sigma2": [0.1, 1.0],
                  "ula_lambda": {"M": 16, "grid_size": 360, "K": 2, "pairs": 2000, "sigma2": 1.0}}),
         ("bounds", {"queries": [q for q in ALL_BOUND_QUERIES if q["formula"] != "multiple_union"]}),
-    ], ids=["eig-sweep", "doa-ula", "bounds-without-union"])
+        ("bounds", {"queries": [q for q in ALL_BOUND_QUERIES if q["formula"] == "multiple_union"]}),
+    ], ids=["eig-sweep", "doa-ula", "bounds-without-union", "bounds-with-union"])
     def test_run_loads_no_scipy(self, tmp_path, command, payload):
         assert self.scipy_loaded(tmp_path, command, payload) == []
 
-    def test_binary_simulate_loads_special_only(self, tmp_path):
-        loaded = self.scipy_loaded(tmp_path, "simulate", BINARY_SIM)
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "linalg"]]
+    @pytest.mark.parametrize("payload", [
+        BINARY_SIM, MULTIPLE_SIM,
+        {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": 1, "sigma2": 0.5, "trials": 40,
+         "matrix_draws": 3, "trials_per_matrix": 40},
+    ], ids=["binary", "multiple", "ensemble"])
+    def test_simulate_loads_no_scipy(self, tmp_path, payload):
+        assert self.scipy_loaded(tmp_path, "simulate", payload) == []
 
     @pytest.mark.parametrize("name", sorted(LAZY_SCIPY_CALLS))
     def test_lazy_import_resolves_on_a_cold_path(self, name):

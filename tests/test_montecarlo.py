@@ -24,6 +24,45 @@ import math
 from conftest import dense_scores, gaussian_instance
 
 
+def binomial_tail_root(k, n, target, start):
+    """Oracle: the r where P(X >= k) = target for X ~ Bin(n, r), at 50 digits,
+    by Newton's method from `start`. The tail is summed from k, where its
+    terms fall, until the rest is below 1e-45 of it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r, target, tiny = mpmath.mpf(start), mpmath.mpf(target), mpmath.mpf(10) ** -45
+        for _ in range(30):
+            first = term = total = mpmath.binomial(n, k) * r ** k * (1 - r) ** (n - k)
+            for j in range(k, n):
+                term *= (n - j) * r / ((j + 1) * (1 - r))
+                total += term
+                if term * n < total * tiny:
+                    break
+            step = (total - target) * r / (k * first)
+            r -= step
+            if abs(step) < r * tiny:
+                return r
+    raise AssertionError(f"oracle did not converge at k={k}, n={n}")
+
+
+def exact_interval(errors, trials, confidence, start):
+    """The Clopper-Pearson interval as roots of the binomial tails, at the
+    float targets `clopper_pearson` states, from a (low, high) start."""
+    mpmath = pytest.importorskip("mpmath")
+    alpha = 1.0 - confidence
+    low, high = start
+    with mpmath.workdps(50):
+        lo = 0 if errors == 0 else binomial_tail_root(errors, trials, alpha / 2, low)
+        hi = 1 if errors == trials else 1 - binomial_tail_root(
+            trials - errors, trials, 1.0 - (1.0 - alpha / 2), 1 - mpmath.mpf(high))
+    return lo, hi
+
+
+def ulps_off(got, want):
+    """Distance of the float `got` from the exact `want`, in ulps of `want`."""
+    return float(abs(got - want)) / math.ulp(float(want)) if 0 < want < 1 else float(got != want)
+
+
 class TestClopperPearson:
     def test_contains_point_estimate(self):
         lo, hi = clopper_pearson(13, 100)
@@ -34,20 +73,60 @@ class TestClopperPearson:
         assert clopper_pearson(50, 50)[1] == 1.0
 
     def test_widens_with_confidence(self):
-        lo95, hi95 = clopper_pearson(10, 200, confidence=0.95)
-        lo99, hi99 = clopper_pearson(10, 200, confidence=0.99)
-        assert lo99 <= lo95 and hi99 >= hi95
+        for errors, trials in [(10, 200), (0, 1), (1, 3), (3, 40), (20, 40), (39, 40),
+                               (7, 1000), (5000, 10000)]:
+            intervals = [clopper_pearson(errors, trials, c) for c in (0.5, 0.9, 0.95, 0.99, 0.999)]
+            for (lo, hi), (wider_lo, wider_hi) in zip(intervals, intervals[1:]):
+                assert wider_lo < lo or wider_lo == lo == 0.0
+                assert hi < wider_hi or hi == wider_hi == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
+        with pytest.raises(ValueError, match="integer"):
+            clopper_pearson(2.5, 10)
+        with pytest.raises(ValueError, match="integer"):
+            clopper_pearson(3, 10.0)
+        with pytest.raises(ValueError, match="integer"):
+            clopper_pearson(True, 10)
+        with pytest.raises(ValueError, match="integer"):
+            clopper_pearson(1, True)
+        with pytest.raises(ValueError, match="confidence"):
+            clopper_pearson(3, 10, confidence=1.0)
+        assert clopper_pearson(np.int64(3), np.int32(10)) == clopper_pearson(3, 10)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+    def test_within_8_ulp_of_binomial_tail_root(self, confidence):
+        # (66, 111) and (999, 10000) are where scipy's betaincinv missed the
+        # root by 160 and 1372 ulps. At 0.999, alpha/2 and 1 - (1 - alpha/2)
+        # differ by 512 ulps, so the upper end's target is checked too.
+        worst = 0.0
+        cases = [(e, n) for n in (1, 2, 3, 10, 13, 37, 100, 111, 500, 1000, 10000)
+                 for e in sorted({0, 1, 2, n // 2, n - 1, n} & set(range(n + 1)))]
+        for e, n in cases + [(66, 111), (999, 10000)]:
+            got = clopper_pearson(e, n, confidence)
+            want = exact_interval(e, n, confidence, got)
+            worst = max(worst, *map(ulps_off, got, want))
+        assert worst <= 8
+
+    @pytest.mark.parametrize("errors", [1, 500_000])
+    def test_within_8_ulp_at_a_million_trials(self, errors):
+        got = clopper_pearson(errors, 10 ** 6)
+        want = exact_interval(errors, 10 ** 6, 0.95, got)
+        assert max(map(ulps_off, got, want)) <= 8
 
     @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
     def test_equals_beta_ppf_oracle(self, confidence):
-        # scipy.stats is the oracle here only; the package must not import it
+        # scipy.stats is a cross-check here only; the package must not import
+        # it. Its quantiles miss the binomial-tail root by up to ~1400 ulps, so
+        # the two agree to 1e-13 (2.6e-14 at most on this grid), not bitwise.
+        # The grid samples every e of n <= 200, 1000 and 10000, which would
+        # take minutes in pure Python; at (999, 10000, 0.99), off the grid,
+        # scipy's upper end is 1.8e-13 from the root (test above).
         from scipy.stats import beta
 
-        grid = [(e, n) for n in [*range(1, 201), 1000, 10000] for e in range(n + 1)]
+        grid = [(e, n) for n in [*range(1, 201, 3), 1000, 10000]
+                for e in sorted({*range(0, n + 1, max(1, n // 40)), n - 1, n})]
         errors = np.array([e for e, _ in grid])
         trials = np.array([n for _, n in grid])
         alpha = 1.0 - confidence
@@ -57,8 +136,26 @@ class TestClopperPearson:
         want_high = np.ones(len(grid))
         want_high[high] = beta.ppf(1 - alpha / 2, errors[high] + 1, trials[high] - errors[high])
         got = np.array([clopper_pearson(e, n, confidence) for e, n in grid])
-        assert np.array_equal(got[:, 0], want_low)
-        assert np.array_equal(got[:, 1], want_high)
+        np.testing.assert_allclose(got[:, 0], want_low, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[:, 1], want_high, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 50, 333])
+    def test_monotone_in_errors(self, trials):
+        lows, highs = zip(*(clopper_pearson(e, trials) for e in range(trials + 1)))
+        assert all(a < b for a, b in zip(lows, lows[1:]))
+        assert all(a < b for a, b in zip(highs, highs[1:]))
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.75, 0.875])
+    def test_mirror_symmetry(self, confidence):
+        # P(X >= e) at x is P(X <= n - e) at 1 - x, so the lower end for
+        # (e, n) is 1 minus the upper end for (n - e, n). At these confidences
+        # alpha/2 and 1 - (1 - alpha/2) are the same double, so both ends
+        # solve one equation and agree to their own rounding.
+        for n in (1, 5, 40, 1000):
+            for e in sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+                low = clopper_pearson(e, n, confidence)[0]
+                high = clopper_pearson(n - e, n, confidence)[1]
+                assert abs(low - (1 - high)) <= 8 * (math.ulp(low) + math.ulp(high))
 
 
 class TestBinaryEstimate:
