@@ -6,15 +6,12 @@ divergence beta. For one support pair, `binary_chernoff` takes beta from the
 reduced spectrum of H it already holds; over all C(N, K) supports,
 `fano_beta_exact` takes it from the stacked low-rank covariance factors. The
 dense `kl_divergence` of two M x M covariances is the reference form for
-both. Threshold formulas are evaluated in the log domain (log
-binomials via lgamma) so they stay finite up to N ~ 1e6.
+both. Threshold formulas are evaluated in the log domain (`log_binomial`) so
+they stay finite up to N ~ 1e6.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
 evaluated but flagged inapplicable.
-
-The union bound sums its log-domain terms with `np.logaddexp.reduce`; no
-function here uses scipy.
 """
 
 from __future__ import annotations
@@ -62,10 +59,23 @@ def _report(raw: float, applicable: bool, note: str = "", **extras) -> BoundRepo
                        applicable=applicable, precondition_note=note, extras=extras)
 
 
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) by its asymptotic series, which
+    is exact to double precision for n > 30."""
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+
+
 def log_binomial(N: int, K: int) -> float:
+    """log C(N, K) of integers to an ulp or two: the log of the exact integer when
+    k = min(K, N - K) <= 30, else a Stirling difference that, unlike lgamma's, does not cancel."""
     if not 0 <= K <= N:
         raise ValueError(f"binomial out of range: C({N},{K})")
-    return math.lgamma(N + 1) - math.lgamma(K + 1) - math.lgamma(N - K + 1)
+    k = min(K, N - K)
+    if k <= 30:
+        return math.log(math.comb(N, k))
+    return (_stirlerr(N) - _stirlerr(k) - _stirlerr(N - k) + k * math.log(N / k)
+            + (N - k) * math.log1p(k / (N - k)) + 0.5 * math.log(N / (2 * math.pi * k * (N - k))))
 
 
 def chernoff_mu(h_eigs, s: float, T: int, kappa: float) -> float:

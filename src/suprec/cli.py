@@ -361,7 +361,7 @@ def run_simulate(config: dict, seed: int):
             est = mc.estimate_multiple_perr(A, K, sigma2, T, trials, seed)
             summary = matrix_incoherence(A, K, sigma2, mode=inc_mode,
                                          sample_count=inc_count, seed=seed)
-            chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, field.kappa).clamped
+            chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, A.field.kappa).clamped
             fano = bd.fano_lower(bd.fano_beta_exact(A, K, sigma2, T), math.comb(N, K)).clamped
             rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
                                       chern, fano, summary.lambda_bar))

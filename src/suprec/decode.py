@@ -12,8 +12,9 @@ Every log determinant and quadratic form goes through the covariance core in
 `covariance_factors` call per support size, and its `score_batch` is the one
 scoring path: `log_scores`, the decode methods, `binary_lrt` (a two-candidate
 decoder) and the Monte Carlo estimators all score through it, all candidates
-of a size at once. `log_likelihood` takes one dense covariance and uses the
-dense `cholesky_logdet`/`whitened_energy`.
+of a size at once. `log_likelihood` takes one dense covariance and whitens
+with the inverse Cholesky factor that the pencil kernel uses
+(`spectra._inverse_factor`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NumericFailure, Support, as_matrix
-from .spectra import cholesky_logdet, covariance_factors, whitened_energy
+from .spectra import _inverse_factor, covariance_factors
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -39,8 +40,9 @@ def log_likelihood(Y, Sigma: np.ndarray, kappa: float) -> float:
     M, T = values.shape
     if Sigma.shape != (M, M):
         raise ValueError(f"covariance shape {Sigma.shape} does not match observations with M={M}")
-    L, logdet = cholesky_logdet(Sigma)
-    quad = float(np.sum(whitened_energy(L, values)))
+    Li = _inverse_factor(Sigma[None])[0]
+    logdet = -2.0 * float(np.sum(np.log(np.abs(np.diagonal(Li)))))
+    quad = float(np.sum(np.abs(Li @ values) ** 2))
     return -kappa * M * T * np.log(np.pi / kappa) - kappa * T * logdet - kappa * quad
 
 
@@ -145,31 +147,29 @@ class SupportDecoder:
         return self.score_batch(_observation_values(Y)[None])[:, 0]
 
     def _pick(self, scores: np.ndarray) -> tuple:
-        """Index of the best score plus a flag for broken ties; ties go to
-        the lexicographically smallest support."""
+        """Winning candidate index and broken-tie flag, as two (n,) arrays,
+        for each column of an (n_candidates, n) score stack; ties go to the
+        lexicographically smallest support, the first maximum in `_lex_order`."""
         ranked = scores[self._lex_order]
-        top = int(np.argmax(ranked))
-        return int(self._lex_order[top]), bool(np.count_nonzero(ranked == ranked[top]) > 1)
+        top = np.argmax(ranked, axis=0)
+        tied = np.count_nonzero(ranked == np.take_along_axis(ranked, top[None], axis=0), axis=0) > 1
+        return self._lex_order[top], tied
 
     def decode_index(self, Y) -> tuple:
         """Index of the winning candidate plus a flag for broken ties."""
-        return self._pick(self.log_scores(Y))
+        (idx,), (tied,) = self._pick(self.log_scores(Y)[:, None])
+        return int(idx), bool(tied)
 
     def decode(self, Y, keep_scores: bool = True) -> DecodeResult:
         values = self.log_scores(Y)
-        idx, tied = self._pick(values)
-        scores = None
-        if keep_scores:
-            scores = {S: float(v) for S, v in zip(self.candidates, values)}
-        return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=tied)
+        (idx,), (tied,) = self._pick(values[:, None])
+        scores = {S: float(v) for S, v in zip(self.candidates, values)} if keep_scores else None
+        return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
-        """Winning candidate index for a stack of observations (n, M, T);
-        ties resolve to the lexicographically smallest support exactly as in
-        :meth:`decode_index`."""
-        # Evaluate candidates in lexicographic order so the first argmax is
-        # the lexicographically smallest maximizer.
-        return self._lex_order[np.argmax(self.score_batch(Ys)[self._lex_order], axis=0)]
+        """Winning candidate index for a stack of observations (n, M, T), by
+        the tie-break of :meth:`decode_index`."""
+        return self._pick(self.score_batch(Ys))[0]
 
 
 def lrt_decoder(A, S0: Support, S1: Support, sigma2: float) -> SupportDecoder:

@@ -14,7 +14,7 @@ a `Support` per candidate. Uncertainty is reported as an exact binomial
 the root of a binomial tail, I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the
 `math` module only: the tail is summed from Loader's saddle-point pmf (or the
 direct product on its short side) and solved by Halley's method inside the
-bracket that the median gives. No scipy module is loaded here.
+bracket that the median gives.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .bounds import _stirlerr
 from .decode import SupportDecoder, lrt_decoder
 from .model import (
     FieldTag,
@@ -90,13 +91,6 @@ def _integer(value, name: str) -> int:
 # exact to a few roundings, where the saddle-point form carries the rounding
 # of k log(k / np).
 _DIRECT_SIDE = 30
-
-
-def _stirlerr(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) by its asymptotic series, which
-    is exact to double precision for the n > 30 it is called with."""
-    nn = n * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
 
 
 def _bd0(x: float, m: float) -> float:

@@ -5,28 +5,27 @@ For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
 (Sigma_0, Sigma_1). One stacked kernel solves every such pencil:
-`_pencil_eigs` forms C_i = X_i X_i^H + sigma^2 I (`_gram`), whitens with one
-stacked Cholesky of C_1 and takes one stacked `eigvalsh`; a breakdown or a
-non-finite eigenvalue is a `NumericFailure`. It has two callers. `h_spectra`
-passes the raw columns of S0 and S1, so eig-check counts the full dense
-M x M spectrum. `pair_incoherences` passes blocks of the R factor of each
-pair's union columns: only r = |S0 cup S1| <= 2K eigenvalues differ from 1,
-and this r x r pencil keeps those of order sigma^2 that the dense one loses
-to rounding. `_split_masks` splits every spectrum around 1. Pairs are scored
-in blocks (`_pair_blocks`) with one union QR per k_d (`_union_r`), both by
-`matrix_incoherence` and by `noise_constants`, whose c1 reads the R33 block
-of the QR/Gram `sandwich_bounds` from the same factors.
+`_pencil_eigs` forms C_i = X_i X_i^H + sigma^2 I (`_gram`), whitens with the
+inverse Cholesky factor of C_1 and takes one stacked `eigvalsh`. It has two
+callers. `h_spectra` passes the raw columns of S0 and S1, so eig-check counts
+the full dense M x M spectrum. `pair_incoherences` passes blocks of the R
+factor of each pair's union columns: only r = |S0 cup S1| <= 2K eigenvalues
+differ from 1, and this r x r pencil keeps those of order sigma^2 that the
+dense one loses to rounding. `_split_masks` splits every spectrum around 1.
+Pairs are scored in blocks (`_pair_blocks`) with one union QR per k_d
+(`_union_r`), both by `matrix_incoherence` and by `noise_constants`, whose c1
+reads the R33 block of the QR/Gram `sandwich_bounds` from the same factors.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many of them at once in K x K form: one stacked QR of the supports'
 columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those factors give
 every log-determinant and quadratic form the decoders need
-(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano
-beta. `cholesky_logdet` and `whitened_energy` remain for a single dense
-covariance: `decode.log_likelihood`.
+(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
 
-Only `whitened_energy` uses scipy (`scipy.linalg.solve_triangular`), and it
-imports it in its body, so importing this module loads no scipy module.
+Every covariance is factored by `_cholesky`: one stacked call, item by item
+only when it breaks down. `covariance_factors` marks failures per support;
+`_inverse_factor` (the pencil kernel and the dense `decode.log_likelihood`)
+raises them as "covariance factorization failed (...)".
 """
 
 from __future__ import annotations
@@ -73,22 +72,30 @@ def _factorization_failure(C: np.ndarray) -> str:
     return f"covariance factorization failed ({detail})"
 
 
-def cholesky_logdet(Sigma: np.ndarray) -> tuple:
-    """Lower Cholesky factor L and log-determinant of a positive definite matrix."""
+def _cholesky(C: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of Hermitian matrices (P, m, m), from
+    one stacked call; only when that call breaks down are the items factored
+    one by one, and the factor of each item that fails is NaN."""
     try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(_factorization_failure(Sigma)) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(L)))))
-    return L, logdet
+        return np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        G = np.full_like(C, np.nan)
+        for i, c in enumerate(C):
+            try:
+                G[i] = np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                pass
+        return G
 
 
-def whitened_energy(L: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-column |L^{-1} y|^2 of the columns y of `values`: the quadratic
-    form y^H Sigma^{-1} y for Sigma = L L^H."""
-    from scipy.linalg import solve_triangular
-
-    return np.sum(np.abs(solve_triangular(L, values, lower=True)) ** 2, axis=0)
+def _inverse_factor(C: np.ndarray) -> np.ndarray:
+    """Inverses L^{-1} of the Cholesky factors C = L L^H of a stack (P, m, m); a
+    non-finite factor (breakdown or non-finite C) is a `NumericFailure`."""
+    G = _cholesky(C)
+    failed = ~np.isfinite(G).all(axis=(1, 2))
+    if failed.any():
+        raise NumericFailure(_factorization_failure(C[np.argmax(failed)]))
+    return np.linalg.inv(G)
 
 
 @dataclass(frozen=True)
@@ -157,9 +164,8 @@ def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
 def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     """Factors of Sigma_S for the supports given as an (L, K) array of rows.
 
-    One stacked QR and one stacked Cholesky serve all L supports; only when
-    that Cholesky breaks down are the C factored one by one, to find the
-    failures. C also fails when a pivot falls to its rounding level
+    One stacked QR and one `_cholesky` serve all L supports. A C whose factor
+    is NaN fails, and so does one whose pivot falls to its rounding level
     (p eps max C_jj), where log|C| and C^{-1} are rounding noise: for
     instance when A_S has duplicate columns and sigma2 is below eps^2 |A_S|^2.
     """
@@ -170,15 +176,7 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     Q, R = np.linalg.qr(entries.T[np.asarray(rows, dtype=np.intp)].swapaxes(1, 2))
     p = Q.shape[2]
     C = _gram(R, sigma2)
-    try:
-        G = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        G = np.full_like(C, np.nan)
-        for i, c in enumerate(C):
-            try:
-                G[i] = np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                pass
+    G = _cholesky(C)
     pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
     floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
     failed = ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
@@ -198,18 +196,16 @@ def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
 
     One stacked Cholesky C_1 = L L^H whitens every pencil (Golub & Van Loan,
     Matrix Computations, sec. 8.7) and one stacked `eigvalsh` of
-    L^{-1} C_0 L^{-H} gives all P spectra.
+    L^{-1} C_0 L^{-H} gives all P spectra. A C_1 that does not factor, or a
+    non-finite C_0, is a `NumericFailure`.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(_gram(X1, sigma2)))
-        eigs = np.linalg.eigvalsh(Li @ _gram(X0, sigma2) @ Li.conj().swapaxes(1, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"covariance factorization failed: {exc}") from exc
-    if not np.isfinite(eigs).all():
-        raise NumericFailure("pencil produced a non-finite eigenvalue")
-    return eigs
+    Li = _inverse_factor(_gram(X1, sigma2))
+    W = Li @ _gram(X0, sigma2) @ Li.conj().swapaxes(1, 2)
+    if not np.isfinite(W).all():
+        raise NumericFailure(_factorization_failure(W))
+    return np.linalg.eigvalsh(W)
 
 
 def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from suprec import (
     h_eigenvalues,
     hypergeometric_mean_check,
     kl_divergence,
+    log_binomial,
     make_support,
     multiple_bound_geometric,
     multiple_bound_union,
@@ -168,11 +169,12 @@ class TestMultipleBounds:
 
     @pytest.mark.parametrize("lam,N,K,T,kappa", [
         (10.0, 3, 1, 2, 1.0), (10.0, 30, 2, 4, 1.0), (20.0, 100, 3, 2, 1.0),
-        ([6.0, 9.0], 24, 2, 1, 0.5), ([4.5, 6.0, 12.0, 50.0], 40, 4, 2, 0.75)])
+        ([6.0, 9.0], 24, 2, 1, 0.5), ([4.5, 6.0, 12.0, 50.0], 40, 4, 2, 0.75),
+        (50.0, 10**6, 3, 2, 1.0)])
     def test_union_against_mpmath(self, lam, N, K, T, kappa):
-        # The sum is exact to a few ulps, but its log-domain terms carry the
-        # rounding of lgamma (log C(28, 1) = lgamma(29) - lgamma(28) loses
-        # ~1e-14), so the bound is held to 1e-13, not to 1e-15.
+        # Each log-domain term is within an ulp or two (`log_binomial`), and
+        # exp of a term of size ~10 turns that into ~1e-15 relative: the bound
+        # is held to 1e-14. An lgamma difference was off by 3.8e-10 at N = 1e6.
         mpmath = pytest.importorskip("mpmath")
         lams = np.broadcast_to(np.asarray(lam, dtype=float), (K,))
         with mpmath.workdps(40):
@@ -180,7 +182,7 @@ class TestMultipleBounds:
                        * (mpmath.mpf(float(lams[kd - 1])) / 4) ** (-mpmath.mpf(kappa) * kd * T)
                        for kd in range(1, K + 1)) / 2
         got = multiple_bound_union(lam, N, K, T, kappa).raw_value
-        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - want) <= 1e-14 * want
 
     def test_geometric_frozen_example(self):
         report = multiple_bound_geometric(10.0, 3, 1, 2, 1.0)
@@ -206,6 +208,30 @@ class TestMultipleBounds:
         direct = 0.5 * sum(math.comb(K, kd) * math.comb(N - K, kd) * (lam / 4) ** (-kappa * kd * T)
                            for kd in range(1, K + 1))
         assert union.raw_value == pytest.approx(direct, rel=1e-9)
+
+
+class TestLogBinomial:
+    def test_against_mpmath(self):
+        # the exact integer up to k = min(K, N - K) = 30, a Stirling difference
+        # beyond: both within 4e-16 of a 40-digit reference, where a difference
+        # of lgamma values was off by 2.9e-14 at (360, 3) and 4.4e-11 at (1e6, 3)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        cases = [(360, 3), (10**6, 3), (31, 15), (61, 30), (62, 31), (10**6, 31), (10**6, 5 * 10**5)]
+        for N in np.unique(np.geomspace(31, 10**6, 60).astype(int)):
+            cases += [(int(N), int(K)) for K in rng.integers(1, N // 2 + 1, size=5)]
+        with mpmath.workdps(40):
+            for N, K in cases:
+                got = log_binomial(N, K)
+                want = mpmath.log(mpmath.binomial(N, K))
+                assert abs(got - want) <= 4e-16 * want, (N, K)
+                assert log_binomial(N, N - K) == got
+
+    def test_edges(self):
+        assert log_binomial(7, 0) == log_binomial(7, 7) == 0.0
+        assert log_binomial(1, 1) == 0.0
+        with pytest.raises(ValueError, match="out of range"):
+            log_binomial(3, 4)
 
 
 class TestKlDivergence:

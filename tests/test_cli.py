@@ -253,6 +253,21 @@ class TestSimulateCommand:
         assert rows[0]["mode"] == "multiple"
         assert float(rows[0]["lambda_bar"]) > 1.0
 
+    def test_multiple_mode_takes_kappa_from_the_matrix(self, tmp_path):
+        # a ULA matrix is complex whatever the config's `field` says, and so is
+        # the kappa of its Chernoff bound
+        outs = []
+        for field in ("real", "complex"):
+            cfg = write_config(tmp_path, {"mode": "multiple", "M": 16, "N": 6, "K": 1, "T": 4,
+                                          "sigma2": 0.05, "trials": 200, "field": field,
+                                          "matrix": {"kind": "ula"}}, name=f"{field}.json")
+            out = tmp_path / f"{field}.csv"
+            result = run_cli("simulate", "--config", cfg, "--seed", "1", "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert float(read_rows(tmp_path / "real.csv")[0]["chernoff_clamped"]) < 1e-6
+
     def test_binary_at_small_noise_brackets(self, tmp_path):
         # the dense M x M pencil used to fail here with a non-positive eigenvalue
         cfg = write_config(tmp_path, {"mode": "binary", "M": 6, "N": 8, "K": 2, "S0": [0, 1],
@@ -445,25 +460,35 @@ def run_child(code, *args):
     return result.stdout.splitlines()[-1]
 
 
-# Runs `suprec.cli.main` on the argv given as JSON (none: import only), then
-# prints the scipy modules loaded and exits with main's exit code.
-SCIPY_PROBE = """
-import json, sys
+# Blocks scipy, so that any import of it raises ImportError, then runs
+# `suprec.cli.main` on the argv given as JSON (none: import only), prints the
+# scipy modules loaded and exits with main's exit code.
+SCIPY_BLOCK = 'import sys\nsys.modules["scipy"] = None\n'
+SCIPY_PROBE = SCIPY_BLOCK + """
+import json
 import suprec.cli
 argv = json.loads(sys.argv[1])
 code = suprec.cli.main(argv) if argv else 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and mod is not None)))
 sys.exit(code)
 """
 
-# Calls of each function that imports scipy in its body, from fixed inputs,
-# as statements that set `result`.
-LAZY_SCIPY_CALLS = {
-    "log_likelihood": "rng = np.random.default_rng(5)\n"
-                      "X = rng.standard_normal((6, 3))\n"
-                      "result = float(suprec.log_likelihood(rng.standard_normal((6, 4)),"
-                      " X @ X.T + 0.5 * np.eye(6), 0.5))",
-}
+# Library calls outside the CLI, from fixed inputs, as statements that set
+# `result`: the dense and stacked covariance paths, the decoders, the pencil
+# kernel and the interval.
+LIBRARY_CALLS = """
+rng = np.random.default_rng(5)
+A = suprec.sample_gaussian_matrix(6, 8, suprec.FieldTag.COMPLEX, rng)
+S0, S1 = suprec.make_support([0, 1], 8), suprec.make_support([2, 5], 8)
+Y = A.entries[:, [2, 5]] @ rng.standard_normal((2, 3)) + rng.standard_normal((6, 3))
+result = [suprec.log_likelihood(Y, suprec.covariance(A, S0, 0.5), 1.0),
+          suprec.binary_lrt(Y, A, S0, S1, 0.5).statistic,
+          suprec.ml_decode(Y, A, suprec.enumerate_supports(8, 2), 0.5).chosen.indices,
+          suprec.h_eigenvalues(A, S0, S1, 0.5).tolist(),
+          suprec.pair_incoherence(A, S0, S1, 0.5).value,
+          suprec.clopper_pearson(3, 40)]
+"""
 
 
 class TestColdStart:
@@ -500,11 +525,10 @@ class TestColdStart:
     def test_simulate_loads_no_scipy(self, tmp_path, payload):
         assert self.scipy_loaded(tmp_path, "simulate", payload) == []
 
-    @pytest.mark.parametrize("name", sorted(LAZY_SCIPY_CALLS))
-    def test_lazy_import_resolves_on_a_cold_path(self, name):
-        # the call comes first in a fresh interpreter, so its own import runs there
-        call = LAZY_SCIPY_CALLS[name]
-        cold = run_child(f"import json, suprec, numpy as np\n{call}\nprint(json.dumps(result))")
+    def test_library_calls_need_no_scipy(self):
+        # the same calls with scipy blocked in a fresh interpreter and here
+        cold = run_child(f"{SCIPY_BLOCK}import json, suprec, numpy as np\n{LIBRARY_CALLS}"
+                         "print(json.dumps(result))")
         warm = {"suprec": suprec, "np": np}
-        exec(call, warm)
+        exec(LIBRARY_CALLS, warm)
         assert json.loads(cold) == json.loads(json.dumps(warm["result"]))

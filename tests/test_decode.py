@@ -223,6 +223,20 @@ class TestMlDecode:
         assert res.chosen == candidates[idx] == make_support([0], 5)
         assert np.array_equal(list(res.log_scores.values()), decoder.log_scores(Y))
 
+    def test_batch_breaks_exact_ties_like_decode_index(self):
+        # {0} and {1} score identically (equal columns), and at Y = 0 so do the
+        # unit columns {3} and {4}; given as Supports or as rows, the batch
+        # picks what each single decode does
+        col = np.array([[1.0], [2.0], [-1.0]])
+        A = MeasurementMatrix(np.hstack([col, col, np.eye(3)]), FieldTag.REAL)
+        Ys = np.stack([3.0 * col, 4.0 * np.eye(3)[:, [1]], -col, np.zeros((3, 1))])
+        rows = np.array([[1], [3], [0], [4]])
+        for candidates in (rows, [make_support(r, 5) for r in rows]):
+            decoder = SupportDecoder(A, candidates, 0.1)
+            picks = [decoder.decode_index(Y) for Y in Ys]
+            assert picks == [(2, True), (1, False), (2, True), (1, True)]
+            assert decoder.decode_index_batch(Ys).tolist() == [idx for idx, _ in picks]
+
 
 def batch_oracle(A, candidates, sigma2, Ys):
     """Dense slogdet/solve log-likelihoods (`conftest.dense_scores` plus the

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from suprec import (
     FieldTag,
     MeasurementMatrix,
     NumericFailure,
+    SupportDecoder,
     covariance,
     enumerate_supports,
     h_eigenvalues,
+    log_likelihood,
     make_support,
     matrix_incoherence,
     noise_constants,
@@ -77,6 +80,30 @@ class TestCovariance:
     def test_sigma2_positive_required(self):
         with pytest.raises(ValueError):
             covariance(I2, S0_I2, 0.0)
+
+
+class TestFactorizationFailure:
+    @pytest.mark.parametrize("case", ["non-finite", "singular"])
+    def test_every_covariance_path_reports_it_alike(self, case):
+        # S1 = {0, 1} holds a zero column and (1, 1, 0, 0): at sigma2 = 1e-20
+        # Sigma_1 rounds to [[1, 1], [1, 1]] (+) 1e-20 I, and so do its K x K
+        # (decoder) and union (pair kernel) forms, none of which then factors.
+        # A NaN entry in column 1 leaves every form non-finite instead.
+        A = np.array([[0.0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, -1]])
+        sigma2 = 1e-20
+        detail = "condition number ~ "
+        if case == "non-finite":
+            A[2, 1], sigma2, detail = np.nan, 1.0, r"non-finite\)"
+        pattern = rf"covariance factorization failed \({detail}"
+        S0, S1 = make_support([2, 3], 4), make_support([0, 1], 4)
+        with pytest.raises(NumericFailure, match=pattern):
+            spectra.h_spectra(A[None], S0, S1, sigma2)
+        with pytest.raises(NumericFailure, match=pattern):
+            pair_incoherences(A, [S0.indices], [S1.indices], sigma2)
+        with pytest.raises(NumericFailure, match=pattern):
+            log_likelihood(np.ones((4, 1)), covariance(A, S1, sigma2), 0.5)
+        decoder = SupportDecoder(A, [S1, S0], sigma2)
+        assert list(decoder.failures) == [0] and re.match(pattern, decoder.failures[0])
 
 
 class TestHEigenvalues:
