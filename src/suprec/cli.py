@@ -5,11 +5,12 @@ One JSON config document per run; subcommands `bounds`, `simulate`,
 order, reproducible byte for byte from (config, seed); --threads is accepted
 and ignored.
 
-Exit codes: 0 success, 2 config error or numeric failure (a covariance or
-pencil that cannot be factorized at the configured noise), 3 resource-cap
-error (for instance a `simulate` in multiple or ensemble mode whose C(N, K)
-candidate supports exceed `model.DEFAULT_ENUMERATION_CAP`, checked before
-anything runs). Nothing is written on error.
+Exit codes: 0 success, 2 config error, numeric failure (a covariance or
+pencil that cannot be factorized at the configured noise) or unwritable
+output, 3 resource-cap error (for instance a `simulate` in multiple or
+ensemble mode whose C(N, K) candidate supports exceed
+`model.DEFAULT_ENUMERATION_CAP`, checked before anything runs). Nothing is
+written on error.
 """
 
 from __future__ import annotations
@@ -633,7 +634,11 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"suprec: numeric failure: {exc}", file=sys.stderr)
         return 2
-    _write_output(args.out, args.format, columns, rows, comments, args.command, seed)
+    try:
+        _write_output(args.out, args.format, columns, rows, comments, args.command, seed)
+    except OSError as exc:
+        print(f"suprec: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

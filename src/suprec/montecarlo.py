@@ -7,14 +7,14 @@ substream(seed, label, b), so trial t belongs to block t // TRIAL_BLOCK (the
 ensemble estimator offsets b per matrix so no two matrices share a stream).
 The block size is a constant, so the estimates depend on nothing but the
 arguments. Matrix-draw statistics use one stream per draw d,
-substream(seed, label, d). The multiple and ensemble estimators hold their
-candidates as the (L, K) index rows of `model.support_rows` and never build
-a `Support` per candidate. Uncertainty is reported as an exact binomial
-(Clopper-Pearson) interval at 95%. `clopper_pearson` finds each endpoint as
-the root of a binomial tail, I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the
-`math` module only: the tail is summed from Loader's saddle-point pmf (or the
-direct product on its short side) and solved by Halley's method inside the
-bracket that the median gives.
+substream(seed, label, d), and score PAIR_BLOCK draws as one stack. The
+multiple and ensemble estimators hold their candidates as the (L, K) index
+rows of `model.support_rows` and never build a `Support` per candidate.
+Uncertainty is reported as an exact binomial (Clopper-Pearson) interval at
+95%. `clopper_pearson` finds each endpoint as the root of a binomial tail,
+I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the `math` module only: the tail
+is summed from Loader's saddle-point pmf (or the direct product on its short
+side) and solved by Halley's method inside the bracket that the median gives.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from .model import (
     Support,
     as_matrix,
     field_gaussian,
-    make_support,
     sample_gaussian_matrix,
     substream,
     support_rows,
 )
-from .spectra import pair_incoherence
+from .spectra import PAIR_BLOCK, pair_incoherences
 
 # Trials per block: one generator and one batched score per block. Large enough
 # to amortize the per-block Python work, small enough to keep the block's
@@ -278,14 +277,19 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
                      spread_min_median_max=spread)
 
 
-def _draw_incoherences(M: int, N: int, Si: Support, Sj: Support, sigma2: float, draws: int,
+def _draw_incoherences(M: int, N: int, rows0, rows1, sigma2: float, draws: int,
                        seed: int, field: FieldTag, label: str) -> np.ndarray:
-    """Incoherence of the pair (Si, Sj) on `draws` Gaussian M x N matrices;
-    draw d comes from substream(seed, label, d)."""
+    """Incoherence of the support pair (rows0, rows1) on `draws` Gaussian M x N
+    matrices; draw d comes from substream(seed, label, d), and each block of
+    PAIR_BLOCK draws is one `pair_incoherences` call on their stack."""
+    pair = np.array([rows0, rows1])[:, None]        # (2, 1, K): one pair for every draw
+    width = pair.max() + 1                          # no column past the pair's is read
     values = np.empty(draws)
-    for d in range(draws):
-        A = sample_gaussian_matrix(M, N, field, substream(seed, label, d))
-        values[d] = pair_incoherence(A, Si, Sj, sigma2).value
+    for start in range(0, draws, PAIR_BLOCK):
+        block = range(start, min(start + PAIR_BLOCK, draws))
+        stack = np.stack([field_gaussian(substream(seed, label, d), (M, N), field)[:, :width]
+                          for d in block])
+        values[start:block.stop] = pair_incoherences(stack, *pair.repeat(len(block), 1), sigma2)[0]
     return values
 
 
@@ -299,8 +303,8 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
     if N < 2 * K:
         raise ValueError("need N >= 2K for a disjoint support pair")
     gamma = (M - 2 * K) / (3.0 * sigma2)
-    values = _draw_incoherences(M, N, make_support(range(K), N), make_support(range(K, 2 * K), N),
-                                sigma2, draws, seed, field, "incoherence-tail")
+    values = _draw_incoherences(M, N, range(K), range(K, 2 * K), sigma2, draws, seed, field,
+                                "incoherence-tail")
     return _estimate(int(np.count_nonzero(values <= gamma)), draws, seed, gamma=gamma)
 
 
@@ -322,9 +326,7 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
         raise ValueError("requires M > K + k_d")
     if not 1 <= k_d <= K:
         raise ValueError("need 1 <= k_d <= K")
-    N = K + k_d
-    Si = make_support(range(K), N)
-    Sj = make_support(list(range(K - k_d)) + list(range(K, K + k_d)), N)
-    values = _draw_incoherences(M, N, Si, Sj, sigma2, draws, seed, field, "incoherence-mean")
+    values = _draw_incoherences(M, K + k_d, range(K), [*range(K - k_d), *range(K, K + k_d)],
+                                sigma2, draws, seed, field, "incoherence-mean")
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")
     return IncoherenceMoment(mean=float(values.mean()), se=se, draws=draws, master_seed=seed)

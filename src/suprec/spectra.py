@@ -12,9 +12,10 @@ the full dense M x M spectrum. `pair_incoherences` passes blocks of the R
 factor of each pair's union columns: only r = |S0 cup S1| <= 2K eigenvalues
 differ from 1, and this r x r pencil keeps those of order sigma^2 that the
 dense one loses to rounding. `_split_masks` splits every spectrum around 1.
-Pairs are scored in blocks (`_pair_blocks`) with one union QR per k_d
-(`_union_r`), both by `matrix_incoherence` and by `noise_constants`, whose c1
-reads the R33 block of the QR/Gram `sandwich_bounds` from the same factors.
+Every support pair reaches its union QR one way: `_union_rows` orders the union
+[S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r` QRs it per k_d, on one matrix
+for all pairs (`matrix_incoherence`, and `noise_constants`, whose c1 reads R33)
+or on a stack of one pair per matrix (Monte Carlo draws, `sandwich_bounds`).
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many of them at once in K x K form: one stacked QR of the supports'
@@ -275,32 +276,39 @@ class PairIncoherence:
 
 
 def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
-    """(k_d, union) for P ordered pairs of equal-size support rows (P, K):
-    k_d = |S0 \\ S1| per pair, and each pair's union columns first in the order
-    [S1 \\ S0 | S0 cap S1 | S0 \\ S1], as a (P, 2K) array whose leading K + k_d
-    entries of row n are pair n's union."""
-    K = rows0.shape[1]
+    """(k_d, union) for P ordered pairs of support rows, rows0 (P, K0) and
+    rows1 (P, K1): k_d = |S0 \\ S1| per pair, and each pair's union columns
+    first in the order [S1 \\ S0 | S0 cap S1 | S0 \\ S1], as a (P, K1 + max k_d)
+    array whose leading K1 + k_d entries of row n are pair n's union."""
     shared = rows1[:, :, None] == rows0[:, None, :]          # (P, K1, K0)
+    in0 = shared.any(axis=1)                                 # rows0's entries in S1
+    k_d = rows0.shape[1] - in0.sum(axis=1)
     # Stable sort by [S1 \\ S0: 0, S0 cap S1 (from S1): 1, S0 \\ S1: 2, rest: 3].
-    key = np.concatenate([shared.any(axis=2), 2 + shared.any(axis=1)], axis=1)
-    union = np.take_along_axis(np.concatenate([rows1, rows0], axis=1),
-                               np.argsort(key, axis=1, kind="stable"), axis=1)
-    return K - shared.sum(axis=(1, 2)), union
+    order = np.argsort(np.concatenate([shared.any(axis=2), 2 + in0], axis=1), axis=1, kind="stable")
+    union = np.concatenate([rows1, rows0], axis=1)[np.arange(len(order))[:, None], order]
+    return k_d, union[:, :rows1.shape[1] + k_d.max()]
 
 
 def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
     """Yield (sel, kd, R) for each kd in k_d: the mask `sel` of the pairs with
-    that kd and the R factors (n, p, K + kd) of their union columns (see
-    `_union_rows`), from one stacked QR."""
-    K = union.shape[1] // 2
-    for kd in np.unique(k_d):
+    that kd and the R factors (n, p, K1 + kd) of their union columns (see
+    `_union_rows`), from one stacked QR of one matrix (M, N) for all P pairs or
+    of a stack (P, M, N) whose matrix n carries pair n; NaN or inf fails."""
+    K1 = union.shape[1] - k_d.max()
+    columns = entries.swapaxes(-1, -2)                       # (..., N, M)
+    for kd in sorted(set(k_d.tolist())):
         sel = k_d == kd
-        yield sel, int(kd), np.linalg.qr(entries.T[union[sel, :K + kd]].swapaxes(1, 2), mode="r")
+        lead = (np.flatnonzero(sel)[:, None],) if entries.ndim == 3 else ()
+        X = columns[lead + (union[sel, :K1 + kd],)]             # (n, K1 + kd, M)
+        if not np.isfinite(X).all():
+            raise NumericFailure(_factorization_failure(X))
+        yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode="r")
 
 
 def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
-    support rows: (values, k_d, top), where `top` (P, K) holds each pair's
+    support rows, on one matrix A or on a stack A (P, M, N) whose matrix n
+    carries pair n: (values, k_d, top), where `top` (P, K) holds each pair's
     eigenvalues of H above 1 (by `_split_masks`) descending, padded with 1.
 
     With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
@@ -314,11 +322,13 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     if rows0.ndim != 2 or rows0.shape != rows1.shape:
         raise ValueError("pair incoherence requires equal-size supports")
     P, K = rows0.shape
+    if entries.ndim == 3 and len(entries) != P:
+        raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {P}")
     k_d, union = _union_rows(rows0, rows1)
     if k_d.min() == 0:
         raise ValueError("pair incoherence is undefined for identical supports")
-    if entries.shape[0] < 2 * k_d.max():
-        raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[0]}")
+    if entries.shape[-2] < 2 * k_d.max():
+        raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[-2]}")
     values = np.empty(P)
     top = np.ones((P, K))
     for sel, kd, R in _union_r(entries, k_d, union):
@@ -342,23 +352,27 @@ def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncohere
     return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
 
 
-def _pair_rows(flat: np.ndarray, N: int, K: int) -> tuple:
-    """Support rows (rows0, rows1), each (P, K), of the ordered pairs with the
-    given row-major flat indices over the off-diagonal of the L x L grid of
-    lexicographic size-K supports."""
-    i, j = np.divmod(flat, math.comb(N, K) - 1)
-    j += j >= i                     # skip the diagonal
-    return unrank_supports(i, N, K), unrank_supports(j, N, K)
-
-
 def _pair_blocks(N: int, K: int, count: int, flat: np.ndarray | None = None):
-    """Yield the support rows (rows0, rows1) of ordered pairs, PAIR_BLOCK pairs
-    at a time: those with the flat indices 0 .. count - 1 (see `_pair_rows`),
-    or the first `count` entries of `flat` when it is given."""
+    """Yield the support rows (rows0, rows1), each (P, K), of ordered pairs,
+    PAIR_BLOCK at a time: the flat indices 0 .. count - 1, or the first `count`
+    entries of `flat` when given, where a flat index runs row-major over the
+    off-diagonal of the L x L grid of lexicographic size-K supports."""
     for start in range(0, count, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, count)
         block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
-        yield _pair_rows(block, N, K)
+        i, j = np.divmod(block, math.comb(N, K) - 1)
+        j += j >= i                     # skip the diagonal
+        yield unrank_supports(i, N, K), unrank_supports(j, N, K)
+
+
+def _pair_count(N: int, K: int) -> int:
+    """The L (L - 1) ordered pairs of distinct size-K supports, L = C(N, K) >= 2."""
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    L = math.comb(N, K)
+    if L < 2:
+        raise ValueError("incoherence needs at least two candidate supports")
+    return L * (L - 1)
 
 
 @dataclass(frozen=True)
@@ -384,12 +398,7 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     """
     entries, _ = as_matrix(A)
     N = entries.shape[1]
-    if not 1 <= K <= N:
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    L = math.comb(N, K)
-    n_pairs = L * (L - 1)
-    if n_pairs == 0:
-        raise ValueError("incoherence needs at least two candidate supports")
+    n_pairs = _pair_count(N, K)
 
     if mode == "exhaustive":
         if n_pairs > cap:
@@ -399,8 +408,8 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
         if sample_count is None or sample_count < 1:
             raise ValueError("sampled mode requires a positive sample_count")
         if n_pairs > np.iinfo(np.int64).max:
-            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs} ordered pairs,"
-                              " beyond a 64-bit pair index")
+            raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} supports give {n_pairs}"
+                              " ordered pairs, beyond a 64-bit pair index")
         sample_count = min(sample_count, n_pairs)
         rng = substream(seed, "incoherence-pair-sample")
         flat = rng.choice(n_pairs, size=sample_count, replace=False)
@@ -440,17 +449,17 @@ def sandwich_bounds(entries: np.ndarray, S0: Support, S1: Support, sigma2: float
     lower holds the eigenvalues of I + R33 R33^H / sigma^2, where R33 is the
     trailing k0 x k0 block of R in the QR factorization of
     [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}]; upper those of
-    I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2. One stacked QR and two stacked
-    `eigvalsh` calls serve all D matrices.
+    I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2. One stacked QR (`_union_r`, the
+    pair repeated per matrix) and two stacked `eigvalsh` calls serve all D.
     """
-    only0 = list(S0.difference(S1))
-    if not only0:
+    k_d, union = _union_rows(S0.as_array()[None], S1.as_array()[None])
+    if not k_d[0]:
         return np.empty((len(entries), 0)), np.empty((len(entries), 0))
-    cols = entries[:, :, list(S1.difference(S0)) + list(S0.intersection(S1)) + only0]
-    if cols.shape[1] < cols.shape[2]:
+    if entries.shape[1] < union.shape[1]:
         raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    R33 = _r33(np.linalg.qr(cols, mode="r"), len(only0))
-    block = entries[:, :, only0]
+    (_, k0, R), = _union_r(entries, k_d.repeat(len(entries)), union.repeat(len(entries), 0))
+    R33 = _r33(R, k0)
+    block = entries[:, :, union[0, -k0:]]
     return (_shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
             _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
 
@@ -483,10 +492,7 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
     M, N = entries.shape
     if M < 2 * K:
         raise ValueError("noise constants require M >= 2K")
-    if not 1 <= K <= N:
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    L = math.comb(N, K)
-    n_pairs = L * (L - 1)
+    n_pairs = _pair_count(N, K)
     if n_pairs > cap:
         raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}")
 

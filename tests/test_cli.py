@@ -113,6 +113,16 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert run_cli("bounds", "--config", str(tmp_path / "missing.json")).returncode == 2
 
+    @pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["missing-directory",
+                                                                  "a-directory"])
+    def test_unwritable_output_is_exit_two(self, tmp_path, out):
+        cfg = write_config(tmp_path, {"queries": ALL_BOUND_QUERIES[:1]})
+        result = run_cli("bounds", "--config", cfg, "--out", str(tmp_path / out))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("suprec: cannot write output: ")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("command,payload,message", [
         ("simulate", {"mode": "multiple", "M": 2, "N": 20, "K": 2, "T": 1, "sigma2": 5.0,
                       "trials": 200}, "incoherence needs"),
@@ -476,7 +486,8 @@ sys.exit(code)
 
 # Library calls outside the CLI, from fixed inputs, as statements that set
 # `result`: the dense and stacked covariance paths, the decoders, the pencil
-# kernel and the interval.
+# kernel, the union-QR paths (stacked incoherence draws, sandwich bounds,
+# noise constants) and the interval.
 LIBRARY_CALLS = """
 rng = np.random.default_rng(5)
 A = suprec.sample_gaussian_matrix(6, 8, suprec.FieldTag.COMPLEX, rng)
@@ -487,6 +498,9 @@ result = [suprec.log_likelihood(Y, suprec.covariance(A, S0, 0.5), 1.0),
           suprec.ml_decode(Y, A, suprec.enumerate_supports(8, 2), 0.5).chosen.indices,
           suprec.h_eigenvalues(A, S0, S1, 0.5).tolist(),
           suprec.pair_incoherence(A, S0, S1, 0.5).value,
+          suprec.estimate_expected_incoherence(8, 2, 1, 0.5, 40, seed=3).mean,
+          [b.tolist() for b in suprec.sandwich_bounds(A.entries[None], S0, S1, 0.5)],
+          suprec.noise_constants(A, 2),
           suprec.clopper_pearson(3, 40)]
 """
 

@@ -15,6 +15,8 @@ from suprec import (
     fano_beta_exact,
     fano_lower,
     make_support,
+    pair_incoherence,
+    sample_gaussian_matrix,
     substream,
 )
 from suprec import montecarlo as mc
@@ -363,3 +365,28 @@ class TestExpectedIncoherence:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_expected_incoherence(4, 2, 2, 1.0, draws=10, seed=0)
+
+
+class TestStackedIncoherenceDraws:
+    """`_draw_incoherences` scores PAIR_BLOCK draws per stacked call; each
+    value is the per-draw incoherence of the same matrix."""
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("k_d", [1, 2])
+    def test_matches_per_draw_oracle(self, field, k_d):
+        M, K, draws = 9, 2, 23
+        N = K + k_d + 1                       # one column outside the pair
+        rows0, rows1 = list(range(K)), list(range(K - k_d)) + list(range(K, K + k_d))
+        got = mc._draw_incoherences(M, N, rows0, rows1, 0.7, draws, 50, field, "stacked-oracle")
+        S0, S1 = make_support(rows0, N), make_support(rows1, N)
+        want = [pair_incoherence(sample_gaussian_matrix(M, N, field,
+                                                        substream(50, "stacked-oracle", d)),
+                                 S0, S1, 0.7).value for d in range(draws)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_block_size_leaves_values_bitwise(self, monkeypatch):
+        # 30 draws: four blocks of 7 and one of 2
+        args = (10, 5, [0, 1], [2, 3], 1.0, 30, 51, FieldTag.COMPLEX, "stacked-blocks")
+        whole = mc._draw_incoherences(*args)
+        monkeypatch.setattr(mc, "PAIR_BLOCK", 7)
+        np.testing.assert_array_equal(mc._draw_incoherences(*args), whole)

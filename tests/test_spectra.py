@@ -200,6 +200,30 @@ class TestStackedKernels:
             with pytest.raises(NumericFailure):
                 h_eigenvalues(nan[1], Sa, Sb, 1.0)
 
+    @pytest.mark.parametrize("column", [0, 4, 2], ids=["S0-only", "S1-only", "shared"])
+    def test_sandwich_non_finite_column_fails(self, column):
+        # one NaN in a column of S0 \ S1, S1 \ S0 or S0 cap S1, either order
+        S0, S1 = make_support([0, 1, 2], 5), make_support([2, 3, 4], 5)
+        nan = draw_stack(6, 5, 4, FieldTag.REAL, label="nan-sandwich")
+        nan[2, 3, column] = np.nan
+        for Sa, Sb in ((S0, S1), (S1, S0)):
+            with pytest.raises(NumericFailure, match=re.escape("failed (non-finite)")):
+                spectra.sandwich_bounds(nan, Sa, Sb, 1.0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_sandwich_unequal_sizes_match_dense_oracle(self, field):
+        # |S0| = 3, |S1| = 2, neither inside the other (both orders), and a
+        # single column inside S0, whose union is S0 led by that column
+        S0, S1, inner = make_support([0, 3, 5], 7), make_support([1, 3], 7), make_support([3], 7)
+        stack = draw_stack(8, 7, 6, field, label="unequal-sandwich")
+        for Sa, Sb, k0 in ((S0, S1, 2), (S1, S0, 1), (S0, inner, 2)):
+            lower, upper = spectra.sandwich_bounds(stack, Sa, Sb, 0.6)
+            assert lower.shape == upper.shape == (6, k0)
+            for A, low, up in zip(stack, lower, upper):
+                want_low, want_up = dense_sandwich(A, Sa, Sb, 0.6)
+                np.testing.assert_allclose(low, want_low, rtol=1e-10, atol=0)
+                np.testing.assert_allclose(up, want_up, rtol=1e-10, atol=0)
+
     def test_dense_spectrum_is_counted_in_full(self):
         # no unit padding: every eigenvalue comes from the M x M eigvalsh, so
         # the "equal" ones differ from 1 by rounding only, not by construction
@@ -307,6 +331,21 @@ class TestPairKernel:
             assert np.all(top[n, len(want_top):] == 1.0)
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_stack_carries_one_pair_per_matrix(self, field):
+        # mixed k_d, so each k_d group takes a scattered subset of the stack
+        supports = enumerate_supports(9, 3)[::9]
+        pairs = [(a, b) for a in supports for b in supports if a != b][:40]
+        stack = draw_stack(8, 9, len(pairs), field, label="pair-stack")
+        values, k_d, top = pair_incoherences(stack, [a.indices for a, _ in pairs],
+                                             [b.indices for _, b in pairs], 0.5)
+        assert set(k_d.tolist()) == {1, 2, 3}
+        for n, (a, b) in enumerate(pairs):
+            one = pair_incoherence(MeasurementMatrix(stack[n], field), a, b, 0.5)
+            assert k_d[n] == one.k_d
+            assert abs(values[n] - one.value) <= 1e-13 * one.value
+            np.testing.assert_allclose(top[n, :one.k_d], one.eigenvalues, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_matches_high_precision_oracle_at_small_noise(self, field):
         # the dense M x M pencil loses the eigenvalues of order sigma2 here
         A = sample_gaussian_matrix(6, 8, field, substream(1, "cli-matrix"))
@@ -336,6 +375,9 @@ class TestPairKernel:
             pair_incoherences(A, [[0, 1]], [[2, 3, 4]], 1.0)
         with pytest.raises(ValueError, match="M >= 2"):
             pair_incoherences(A, [[0, 1, 2, 3]], [[4, 5, 6, 7]], 1.0)
+        stack = np.stack([A.entries] * 3)           # one pair per matrix: 3 matrices, 2 pairs
+        with pytest.raises(ValueError, match="stack of 3 matrices"):
+            pair_incoherences(stack, [[0, 1], [2, 3]], [[2, 3], [4, 5]], 1.0)
         silent = np.array(A.entries)
         silent[:, [0, 1]] = 0.0                  # S0's columns add nothing: no eigenvalue > 1
         with pytest.raises(NumericFailure, match="exceeds 1"):
@@ -508,6 +550,21 @@ class TestNoiseConstants:
         monkeypatch.setattr(spectra, "PAIR_BLOCK", 100)
         c1, _ = noise_constants(A, 3)
         assert abs(c1 - want) <= 1e-12 * want
+
+    def test_single_support_is_rejected(self):
+        # K = N leaves one support and no pair, as in `matrix_incoherence`
+        A = gaussian_instance(4, 2, seed=5)
+        for call in (lambda: noise_constants(A, 2), lambda: matrix_incoherence(A, 2, 1.0)):
+            with pytest.raises(ValueError, match="at least two candidate supports"):
+                call()
+
+    @pytest.mark.parametrize("column", [0, 2, 5])
+    def test_non_finite_column_fails(self, column):
+        # every column lies in some pair, so a NaN anywhere fails c1 (was (inf, nan))
+        A = np.array(gaussian_instance(6, 6, seed=12).entries)
+        A[4, column] = np.nan
+        with pytest.raises(NumericFailure, match=re.escape("factorization failed (non-finite)")):
+            noise_constants(A, 2)
 
     def test_unit_columns_force_c2(self):
         cols = np.eye(4)[:, :3]
