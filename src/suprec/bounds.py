@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -259,63 +258,21 @@ def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: fl
                        report.precondition_note, extras={"beta": beta})
 
 
-def _threshold_forms(factor: float, log_binom: float, denom: float, sigma2: float,
-                     relaxed: float) -> dict:
-    exact = factor * 2.0 * sigma2 * log_binom / denom
-    corrected = 2.0 * sigma2 * (factor * log_binom - LOG2) / denom
-    return {"exact_binomial": exact, "relaxed": relaxed, "log2_corrected": corrected}
+def _fano_threshold(quantity: str, formula_id: str, inputs: dict, denom,
+                    relaxed) -> ThresholdReport:
+    """Fano's inequality solved for the sample count `quantity` (MT or T)
+    that P_err < epsilon needs:
 
+        exact_binomial = factor * 2 sigma2 log C(N, K) / denom(),
+        log2_corrected = 2 sigma2 (factor log C(N, K) - log 2) / denom(),
 
-def snet_requirements(epsilon: float, N: int, K: int, sigma2: float, kappa: float,
-                      normalization: str) -> ThresholdReport:
-    """Minimal sample counts for P_err < epsilon under row- or column-normalized
-    measurement matrices (total gain M and N respectively)."""
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
-    if not 1 <= K < N:
-        raise ValueError("need 1 <= K < N")
-    factor = 1.0 - epsilon
-    log_binom = log_binomial(N, K)
-    alpha = K / N
-    if normalization == "unit_rows":
-        denom = kappa * alpha * (1.0 - alpha)
-        relaxed = factor * 8.0 * sigma2 / kappa * K * math.log(N / K)
-        quantity = "MT"
-    elif normalization == "unit_columns":
-        denom = kappa * K * (1.0 - alpha)
-        relaxed = factor * 2.0 * sigma2 / kappa * math.log(N / K)
-        quantity = "T"
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    forms = _threshold_forms(factor, log_binom, denom, sigma2, relaxed)
-    return ThresholdReport(quantity=quantity, value=forms["exact_binomial"],
-                           formula_id=f"snet-{normalization}",
-                           inputs={"epsilon": epsilon, "N": N, "K": K,
-                                   "sigma2": sigma2, "kappa": kappa},
-                           forms=forms)
-
-
-def doa_requirements(epsilon: float, N: int, K: int, sigma2: float) -> ThresholdReport:
-    """Minimal MT for DOA-grid support recovery with an isotropic array
-    (complex field, every manifold column of squared norm M)."""
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
-    if not 1 <= K < N:
-        raise ValueError("need 1 <= K < N")
-    factor = 1.0 - epsilon
-    log_binom = log_binomial(N, K)
-    denom = K * (1.0 - K / N)
-    relaxed = factor * 2.0 * sigma2 * math.log(N / K)
-    forms = _threshold_forms(factor, log_binom, denom, sigma2, relaxed)
-    return ThresholdReport(quantity="MT", value=forms["exact_binomial"], formula_id="doa",
-                           inputs={"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2},
-                           forms=forms)
-
-
-def gaussian_necessary(epsilon: float, delta: float | None, N: int, K: int,
-                       sigma2: float, kappa: float) -> ThresholdReport:
-    """Necessary MT for the unit-variance Gaussian ensemble: mean form with
-    factor (1-eps), probability form with (1-eps-delta)."""
+    with factor = 1 - epsilon, or 1 - epsilon - delta when `inputs` holds a
+    delta (the probability form), next to the caller's `relaxed(factor)`.
+    `inputs` holds epsilon, N, K and sigma2; `denom` and `relaxed` are
+    evaluated only once these pass their checks.
+    """
+    epsilon, N, K, sigma2 = inputs["epsilon"], inputs["N"], inputs["K"], inputs["sigma2"]
+    delta = inputs.get("delta")
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if delta is not None and (delta <= 0 or epsilon + delta >= 1):
@@ -324,15 +281,50 @@ def gaussian_necessary(epsilon: float, delta: float | None, N: int, K: int,
         raise ValueError("need 1 <= K < N")
     factor = 1.0 - epsilon if delta is None else 1.0 - epsilon - delta
     log_binom = log_binomial(N, K)
-    denom = kappa * K * (1.0 - K / N)
-    relaxed = factor * 2.0 * sigma2 / kappa * math.log(N / K)
-    forms = _threshold_forms(factor, log_binom, denom, sigma2, relaxed)
-    formula = "gaussian-necessary-mean" if delta is None else "gaussian-necessary-prob"
+    d = denom()
+    forms = {"exact_binomial": factor * 2.0 * sigma2 * log_binom / d, "relaxed": relaxed(factor),
+             "log2_corrected": 2.0 * sigma2 * (factor * log_binom - LOG2) / d}
+    return ThresholdReport(quantity=quantity, value=forms["exact_binomial"],
+                           formula_id=formula_id, inputs=inputs, forms=forms)
+
+
+def snet_requirements(epsilon: float, N: int, K: int, sigma2: float, kappa: float,
+                      normalization: str) -> ThresholdReport:
+    """Minimal sample counts for P_err < epsilon under row- or column-normalized
+    measurement matrices (total gain M and N respectively)."""
+    if normalization == "unit_rows":
+        quantity = "MT"
+        denom = lambda: kappa * (K / N) * (1.0 - K / N)
+        relaxed = lambda f: f * 8.0 * sigma2 / kappa * K * math.log(N / K)
+    elif normalization == "unit_columns":
+        quantity = "T"
+        denom = lambda: kappa * K * (1.0 - K / N)
+        relaxed = lambda f: f * 2.0 * sigma2 / kappa * math.log(N / K)
+    else:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return _fano_threshold(quantity, f"snet-{normalization}",
+                           {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2, "kappa": kappa},
+                           denom, relaxed)
+
+
+def doa_requirements(epsilon: float, N: int, K: int, sigma2: float) -> ThresholdReport:
+    """Minimal MT for DOA-grid support recovery with an isotropic array
+    (complex field, every manifold column of squared norm M)."""
+    return _fano_threshold("MT", "doa", {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2},
+                           lambda: K * (1.0 - K / N),
+                           lambda f: f * 2.0 * sigma2 * math.log(N / K))
+
+
+def gaussian_necessary(epsilon: float, delta: float | None, N: int, K: int,
+                       sigma2: float, kappa: float) -> ThresholdReport:
+    """Necessary MT for the unit-variance Gaussian ensemble: mean form with
+    factor (1-eps), probability form with (1-eps-delta)."""
     inputs = {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2, "kappa": kappa}
     if delta is not None:
         inputs["delta"] = delta
-    return ThresholdReport(quantity="MT", value=forms["exact_binomial"],
-                           formula_id=formula, inputs=inputs, forms=forms)
+    formula = "gaussian-necessary-mean" if delta is None else "gaussian-necessary-prob"
+    return _fano_threshold("MT", formula, inputs, lambda: kappa * K * (1.0 - K / N),
+                           lambda f: f * 2.0 * sigma2 / kappa * math.log(N / K))
 
 
 @dataclass(frozen=True)
@@ -396,12 +388,10 @@ def expected_incoherence_bounds(M: int, K: int, k_d: int, sigma2: float) -> tupl
 def hypergeometric_mean_check(N: int, K: int) -> float:
     """Sum of k_d C(K,k_d) C(N-K,k_d) / C(N,K), which equals K(N-K)/N.
 
-    Computed in exact rational arithmetic and returned as a float.
+    The sum is an exact integer, and the quotient of two integers is rounded
+    correctly to a float.
     """
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
-    total = Fraction(0)
-    denom = math.comb(N, K)
-    for k_d in range(1, K + 1):
-        total += Fraction(k_d * math.comb(K, k_d) * math.comb(N - K, k_d), denom)
-    return float(total)
+    total = sum(k_d * math.comb(K, k_d) * math.comb(N - K, k_d) for k_d in range(1, K + 1))
+    return total / math.comb(N, K)

@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 One JSON config document per run; subcommands `bounds`, `simulate`,
-`eig-check`, `doa`, and `sweep`. Output is CSV or JSON with a fixed column
-order, reproducible byte for byte from (config, seed); --threads is accepted
-and ignored.
+`eig-check`, `doa`, and `sweep`, each one entry of `COMMANDS`. A command
+first validates its config into a plan, which holds every checked value the
+run needs, and then runs the plan; nothing is validated while it runs, so a
+`sweep` validates each grid point once, all of them before it runs any.
+Output is CSV or JSON with a fixed column order, reproducible byte for byte
+from (config, seed); --threads is accepted and ignored.
 
 Exit codes: 0 success, 2 config error, numeric failure (a covariance or
 pencil that cannot be factorized at the configured noise) or unwritable
@@ -231,8 +234,7 @@ def _validate_bounds(config: dict) -> list:
     return queries
 
 
-def run_bounds(config: dict, seed: int):
-    queries = _validate_bounds(config)
+def run_bounds(queries: list, seed: int):
     records = []
     for q in queries:
         formula = q["formula"]
@@ -325,8 +327,7 @@ def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
             "lambda_bar": lambda_bar}
 
 
-def run_simulate(config: dict, seed: int):
-    plan = _validate_simulate(config)
+def run_simulate(plan: dict, seed: int):
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
     field, trials = plan["field"], plan["trials"]
     rows = []
@@ -405,11 +406,10 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
     return count_gt, count_eq, count_lt, slack_low, slack_up, ok
 
 
-def run_eig_check(config: dict, seed: int):
+def run_eig_check(plan: dict, seed: int):
     """Each cell (M, K, overlap) scores its draws EIG_CHUNK_ELEMENTS // M^2 at
     a time as one stack; draw d of a cell comes from its own substream, so the
     chunking never changes a matrix."""
-    plan = _validate_eigcheck(config)
     sigma2, tol, field, draws = plan["sigma2"], plan["tolerance"], plan["field"], plan["draws"]
     rows = []
     violations = 0
@@ -462,8 +462,7 @@ def _validate_doa(config: dict) -> dict:
     return plan
 
 
-def run_doa(config: dict, seed: int):
-    plan = _validate_doa(config)
+def run_doa(plan: dict, seed: int):
     rows = []
     for eps, N, K, sigma2 in product(plan["eps"], plan["Ns"], plan["Ks"], plan["sig"]):
         t = bd.doa_requirements(eps, N, K, sigma2)
@@ -486,9 +485,11 @@ def run_doa(config: dict, seed: int):
 # sweep
 
 def _validate_sweep(config: dict) -> tuple:
+    """(run, plans) of the driven command, one plan per grid point in the
+    order of the sorted grid keys; a bad point raises before any point runs."""
     where = "config"
     command = _require(config, "command", str, where)
-    if command not in ("bounds", "simulate", "eig-check", "doa"):
+    if command not in COMMANDS or command == "sweep":
         raise ConfigError(f"{where}: sweep cannot drive command {command!r}")
     base = _require(config, "base", dict, where)
     grid = _require(config, "grid", dict, where)
@@ -497,27 +498,18 @@ def _validate_sweep(config: dict) -> tuple:
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}: grid entry {key!r} must be a non-empty list")
-    return command, base, grid
-
-
-def run_sweep(config: dict, seed: int):
-    command, base, grid = _validate_sweep(config)
+    _, validate, run = COMMANDS[command]
     keys = sorted(grid)
-    columns = None
+    return run, [validate({**base, **dict(zip(keys, combo))})
+                 for combo in product(*(grid[k] for k in keys))]
+
+
+def run_sweep(plan: tuple, seed: int):
+    run, plans = plan
     rows = []
     comments = []
-    run, validate = COMMANDS[command]
-    # Validate every grid point before running any (atomic validation pass).
-    configs = []
-    for combo in product(*(grid[k] for k in keys)):
-        cfg = dict(base)
-        cfg.update(dict(zip(keys, combo)))
-        configs.append(cfg)
-    for cfg in configs:
-        validate(cfg)
-    for cfg in configs:
-        cols, sub_rows, sub_comments = run(cfg, seed)
-        columns = cols
+    for point in plans:
+        columns, sub_rows, sub_comments = run(point, seed)
         rows.extend(sub_rows)
         comments.extend(sub_comments)
     return columns, rows, comments
@@ -526,13 +518,14 @@ def run_sweep(config: dict, seed: int):
 # ---------------------------------------------------------------------------
 # dispatch and output
 
-# command -> (run(config, seed), validate(config))
+# command -> (help, validate(config) -> plan, run(plan, seed) -> (columns, rows, comments))
 COMMANDS = {
-    "bounds": (run_bounds, _validate_bounds),
-    "simulate": (run_simulate, _validate_simulate),
-    "eig-check": (run_eig_check, _validate_eigcheck),
-    "doa": (run_doa, _validate_doa),
-    "sweep": (run_sweep, _validate_sweep),
+    "bounds": ("evaluate closed-form bound/threshold queries", _validate_bounds, run_bounds),
+    "simulate": ("Monte Carlo error-probability experiments", _validate_simulate, run_simulate),
+    "eig-check": ("eigenvalue count and sandwich verification sweep", _validate_eigcheck,
+                  run_eig_check),
+    "doa": ("DOA sample-count thresholds (and optional ULA incoherence)", _validate_doa, run_doa),
+    "sweep": ("generic grid driver over another subcommand", _validate_sweep, run_sweep),
 }
 
 
@@ -579,11 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                "doa -> %s; bounds -> %s." % (",".join(SIMULATE_COLUMNS), ",".join(EIGCHECK_COLUMNS),
                                              ",".join(DOA_COLUMNS), ",".join(BOUNDS_COLUMNS)))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("bounds", "evaluate closed-form bound/threshold queries"),
-                            ("simulate", "Monte Carlo error-probability experiments"),
-                            ("eig-check", "eigenvalue count and sandwich verification sweep"),
-                            ("doa", "DOA sample-count thresholds (and optional ULA incoherence)"),
-                            ("sweep", "generic grid driver over another subcommand")):
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
@@ -623,8 +612,8 @@ def main(argv=None) -> int:
         return 2
     try:
         seed = _resolve_seed(args, config)
-        run, _ = COMMANDS[args.command]
-        columns, rows, comments = run(config, seed)
+        _, validate, run = COMMANDS[args.command]
+        columns, rows, comments = run(validate(config), seed)
     except ConfigError as exc:
         print(f"suprec: config error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ or threading. Signals and noise are drawn in blocks of trials by
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -277,48 +276,34 @@ def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
 
 
 def save_matrix_csv(path, A) -> None:
-    """Write a matrix as CSV, header line `# M N field`, row-major.
+    """Write a matrix as CSV, header line `# M N field`, row-major, each entry
+    by `repr` and each row ended by CRLF.
 
-    Complex entries are stored as interleaved re,im column pairs.
+    Complex entries are stored as interleaved re,im column pairs: the float64
+    view of the complex128 entries.
     """
     entries, field = as_matrix(A)
     M, N = entries.shape
+    flat = np.ascontiguousarray(entries, dtype=field.dtype).view(np.float64)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {M} {N} {field.value}\n")
-        writer = csv.writer(fh)
-        for row in entries:
-            if field is FieldTag.COMPLEX:
-                flat = []
-                for z in row:
-                    flat.extend((repr(float(z.real)), repr(float(z.imag))))
-                writer.writerow(flat)
-            else:
-                writer.writerow([repr(float(x)) for x in row])
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in flat.tolist())
 
 
 def load_matrix_csv(path) -> MeasurementMatrix:
-    """Read a matrix written by :func:`save_matrix_csv`."""
-    with open(path, newline="") as fh:
+    """Read a matrix written by :func:`save_matrix_csv`; blank lines are skipped."""
+    with open(path) as fh:
         header = fh.readline().strip()
         parts = header.lstrip("#").split()
         if len(parts) != 3 or not header.startswith("#"):
             raise ValueError(f"malformed matrix header {header!r}; expected '# M N field'")
-        M, N, field_name = int(parts[0]), int(parts[1]), parts[2]
-        field = FieldTag(field_name)
-        rows = []
-        for line in csv.reader(fh):
-            if not line:
-                continue
-            vals = [float(x) for x in line]
-            if field is FieldTag.COMPLEX:
-                if len(vals) != 2 * N:
-                    raise ValueError(f"expected {2 * N} columns (re,im pairs), got {len(vals)}")
-                rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(N)])
-            else:
-                if len(vals) != N:
-                    raise ValueError(f"expected {N} columns, got {len(vals)}")
-                rows.append(vals)
-    arr = np.asarray(rows, dtype=field.dtype)
-    if arr.shape != (M, N):
-        raise ValueError(f"matrix body shape {arr.shape} does not match header ({M}, {N})")
-    return MeasurementMatrix(arr, field, provenance=f"external({path})")
+        M, N, field = int(parts[0]), int(parts[1]), FieldTag(parts[2])
+        lines = [line for line in fh if line.strip()]
+    if not lines:       # np.loadtxt would only warn
+        raise ValueError(f"matrix body has no rows; header says ({M}, {N})")
+    body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    width = 2 * N if field is FieldTag.COMPLEX else N
+    if body.shape != (M, width):
+        raise ValueError(f"matrix body shape {body.shape} does not match ({M}, {width}) from"
+                         f" header ({M}, {N}) of field {field.value}")
+    return MeasurementMatrix(body.view(field.dtype), field, provenance=f"external({path})")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,30 @@ class TestThresholds:
         with pytest.raises(ValueError):
             gaussian_necessary(0.5, 0.6, 10, 2, 1.0, 0.5)
 
+    @pytest.mark.parametrize("fn,args,message", [
+        *((fn, {"epsilon": eps}, "epsilon must lie in [0, 1)")
+          for fn in ("snet", "doa", "gaussian_necessary") for eps in (-0.1, 1.0, 1.5)),
+        *((fn, {"K": K}, "need 1 <= K < N")
+          for fn in ("snet", "doa", "gaussian_necessary") for K in (0, 10, 11)),
+        *((fn, {"N": 0, "K": 1}, "need 1 <= K < N") for fn in ("snet", "doa", "gaussian_necessary")),
+        ("snet", {"normalization": "unit_diagonal"}, "unknown normalization 'unit_diagonal'"),
+        *(("gaussian_necessary", {"delta": delta}, "need delta > 0 and epsilon + delta < 1")
+          for delta in (0.0, -0.1, 0.9, 2.0)),
+    ])
+    def test_one_invalid_argument(self, fn, args, message):
+        # valid arguments but one; the error is a ValueError naming it,
+        # never an arithmetic error from the formulas
+        call = {"snet": lambda a: snet_requirements(a["epsilon"], a["N"], a["K"], a["sigma2"],
+                                                    0.5, a["normalization"]),
+                "doa": lambda a: doa_requirements(a["epsilon"], a["N"], a["K"], a["sigma2"]),
+                "gaussian_necessary": lambda a: gaussian_necessary(a["epsilon"], a["delta"], a["N"],
+                                                                   a["K"], a["sigma2"], 0.5)}[fn]
+        valid = {"epsilon": 0.1, "N": 10, "K": 2, "sigma2": 1.0, "normalization": "unit_rows",
+                 "delta": 0.05}
+        call(valid)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call({**valid, **args})
+
 
 class TestSufficiencyReport:
     def test_gamma_and_ceiling(self):
@@ -460,3 +485,9 @@ class TestHypergeometricMean:
                                       math.comb(N, K))
                 assert total == Fraction(K * (N - K), N)
                 assert abs(hypergeometric_mean_check(N, K) - float(total)) < 1e-12
+
+    def test_correctly_rounded(self):
+        # the integer quotient rounds as the exact rational K(N-K)/N does
+        for N in range(2, 200):
+            for K in range(1, N):
+                assert hypergeometric_mean_check(N, K) == float(Fraction(K * (N - K), N))

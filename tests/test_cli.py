@@ -351,10 +351,10 @@ class TestEigCheckCommand:
         # M = 8: the default budget takes all 10 draws of a cell in one stack,
         # 3 * 64 elements takes them 3, 3, 3 and 1 at a time
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10, "field": "complex"}
-        whole = cli.run_eig_check(config, 5)
+        whole = cli.run_eig_check(cli._validate_eigcheck(config), 5)
         assert cli.EIG_CHUNK_ELEMENTS // 64 >= 10
         monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
-        assert cli.run_eig_check(config, 5) == whole
+        assert cli.run_eig_check(cli._validate_eigcheck(config), 5) == whole
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
 
 
@@ -440,6 +440,38 @@ class TestSweepCommand:
         result = run_cli("sweep", "--config", cfg)
         assert result.returncode == 2
 
+    def test_each_point_validated_once_and_none_run_after_a_bad_one(self, tmp_path, monkeypatch):
+        help_text, validate, run = cli.COMMANDS["simulate"]
+        validated, ran = [], []
+
+        def counting_validate(config):
+            validated.append(config["T"])
+            return validate(config)
+
+        def counting_run(plan, seed):
+            ran.append(plan["Ts"])
+            return run(plan, seed)
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", (help_text, counting_validate, counting_run))
+        base = {**BINARY_SIM, "trials": 20}
+        out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, {"command": "simulate", "base": base,
+                                      "grid": {"T": [1, 2, 4, 8]}})
+        assert cli.main(["sweep", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+        assert validated == [1, 2, 4, 8]
+        assert ran == [[1], [2], [4], [8]]
+        assert [r["T"] for r in read_rows(out)] == ["1", "2", "4", "8"]
+
+        validated.clear()
+        ran.clear()
+        out.unlink()
+        cfg = write_config(tmp_path, {"command": "simulate", "base": base,
+                                      "grid": {"T": [1, 2, 4, 0]}})
+        assert cli.main(["sweep", "--config", cfg, "--seed", "2", "--out", str(out)]) == 2
+        assert validated == [1, 2, 4, 0]
+        assert ran == []
+        assert not out.exists()
+
 
 class TestSeedResolution:
     def test_env_var_seed(self, tmp_path):
@@ -516,6 +548,10 @@ class TestColdStart:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs most of a cold start; nothing in suprec needs it
         assert run_child("import suprec.cli, sys; print('scipy.stats' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_fractions_and_decimal_unloaded(self):
+        code = "import suprec.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        assert run_child(code) == "[]"
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         assert self.scipy_loaded(tmp_path) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations, islice
 
 import numpy as np
@@ -257,6 +258,46 @@ class TestMatrixCsv:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("A,saved", [
+        (np.array([[1.0, -0.0, 1e-300, 0.1], [2.5, -3.0, 1e22, 123456789.123]]),
+         b"# 2 4 real\n1.0,-0.0,1e-300,0.1\r\n2.5,-3.0,1e+22,123456789.123\r\n"),
+        (np.array([[1 + 2j, complex(-0.5, -0.0), 0.1j], [1e-5j, 3.25, -1e300 + 7j]]),
+         b"# 2 3 complex\n1.0,2.0,-0.5,-0.0,0.0,0.1\r\n0.0,1e-05,3.25,0.0,-1e+300,7.0\r\n"),
+    ], ids=["real", "complex"])
+    def test_saved_bytes(self, tmp_path, A, saved):
+        # repr of every entry, re,im pairs for complex, CRLF row ends
+        path = tmp_path / "a.csv"
+        save_matrix_csv(path, A)
+        assert path.read_bytes() == saved
+        assert np.array_equal(load_matrix_csv(path).entries, A)
+
+    @pytest.mark.parametrize("text", [
+        "# 2 3 real\n1,2,3\n4,5\n",
+        "# 2 2 real\n1,x\n3,4\n",
+        "# 3 2 real\n1,2\n3,4\n",
+        "# 2 2 real\n\n",
+        "# 2 2 complex\n1,2,3\n4,5,6\n",
+        "# 2 2 quaternion\n1,2\n3,4\n",
+        "# 2 real\n1,2\n3,4\n",
+        "# a 2 real\n1,2\n3,4\n",
+    ], ids=["ragged-row", "non-numeric-cell", "too-few-rows", "no-rows", "odd-complex-columns",
+            "unknown-field", "short-header", "non-integer-header"])
+    def test_malformed_body_is_value_error(self, tmp_path, capfd, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                load_matrix_csv(path)
+        assert capfd.readouterr().err == ""
+
+    def test_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"# 2 2 complex\r\n\r\n1.0,2.0,-0.5,0.25\r\n\r\n3.0,-4.0,0.0,1e-05\r\n\n")
+        B = load_matrix_csv(path)
+        assert B.field is FieldTag.COMPLEX
+        assert np.array_equal(B.entries, [[1 + 2j, -0.5 + 0.25j], [3 - 4j, 1e-5j]])
 
 
 class TestSubstream:
