@@ -42,7 +42,8 @@ from .model import (
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import _split_masks, h_spectra, matrix_incoherence, sandwich_bounds
+from .spectra import (_check_pair_set, _pair_union, _split_masks, h_spectra,
+                      matrix_incoherence, sandwich_bounds)
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
@@ -138,13 +139,20 @@ def _build_matrix(mat: dict, M: int, N: int, field: FieldTag, seed: int, where: 
         return sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
     if mat["kind"] == "ula":
         return ula_manifold_matrix(M, ula_angle_grid(N), mat["spacing"])
-    try:
-        A = load_matrix_csv(mat["path"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}.matrix: cannot load CSV matrix: {exc}") from exc
+    A = _checked_call(f"{where}.matrix: cannot load CSV matrix", load_matrix_csv, mat["path"])
     if A.shape != (M, N):
         raise ConfigError(f"{where}.matrix: CSV matrix shape {A.shape} != ({M}, {N})")
     return A
+
+
+def _checked_call(where: str, fn, *args):
+    """`fn(*args)` for a library call on config values, such as a bound formula,
+    a rule like `spectra._check_pair_set` or loading a CSV matrix; what it
+    raises on bad values or an unreadable file becomes a config error."""
+    try:
+        return fn(*args)
+    except (OSError, ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +247,8 @@ def run_bounds(queries: list, seed: int):
     for q in queries:
         formula = q["formula"]
         fn, keys, _, fields = _BOUND_FORMULAS[formula]
-        try:
-            raw, clamped, applicable, notes = fields(q, fn(*(q.get(k) for k in keys)))
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            raise ConfigError(f"query {formula}: {exc}") from exc
+        result = _checked_call(f"query {formula}", fn, *(q.get(k) for k in keys))
+        raw, clamped, applicable, notes = fields(q, result)
         records.append({"formula_id": formula,
                         "inputs": {k: v for k, v in q.items() if k != "formula"},
                         "raw": raw, "clamped": clamped, "applicable": applicable,
@@ -252,17 +258,6 @@ def run_bounds(queries: list, seed: int):
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def _check_incoherence_shape(M: int, N: int, K: int, where: str) -> None:
-    """matrix_incoherence needs two size-K supports and M >= 2*k_d for the
-    largest difference-set size k_d = min(K, N - K)."""
-    if K >= N:
-        raise ConfigError(f"{where}: incoherence needs two supports: K={K} must be below the"
-                          f" {N} columns")
-    if M < 2 * min(K, N - K):
-        raise ConfigError(f"{where}: incoherence needs M >= 2*min(K, {N}-K) = {2 * min(K, N - K)},"
-                          f" got M={M}")
-
 
 def _validate_simulate(config: dict) -> dict:
     where = "config"
@@ -276,26 +271,17 @@ def _validate_simulate(config: dict) -> dict:
         raise ConfigError(f"{where}: K={K} exceeds N={N}")
     Ts = _positive_list(config, "T", where, _positive_int)
     sigma2s = _positive_list(config, "sigma2", where, _positive_float)
-    trials = _positive_int(config, "trials", where)
+    trials = None if mode == "ensemble" else _positive_int(config, "trials", where)
     field = _field_of(config, where)
     plan = {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s,
             "trials": trials, "field": field}
     if mode == "binary":
-        s0 = _require(config, "S0", list, where)
-        s1 = _require(config, "S1", list, where)
-        try:
-            plan["S0"] = make_support(s0, N)
-            plan["S1"] = make_support(s1, N)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: invalid support: {exc}") from exc
-        if plan["S0"].indices == plan["S1"].indices:
-            raise ConfigError(f"{where}: S0 and S1 must differ")
-        if plan["S0"].size != K or plan["S1"].size != K:
+        S0, S1 = (_checked_call(f"{where}: invalid support", make_support,
+                                _require(config, key, list, where), N) for key in ("S0", "S1"))
+        if S0.size != K or S1.size != K:
             raise ConfigError(f"{where}: supports must have size K={K}")
-        k_d = len(plan["S0"].difference(plan["S1"]))
-        if M < 2 * k_d:
-            raise ConfigError(f"{where}: pair incoherence needs M >= 2*|S0 \\ S1| = {2 * k_d},"
-                              f" got M={M}")
+        _checked_call(where, _pair_union, [S0.indices], [S1.indices], M)
+        plan["S0"], plan["S1"] = S0, S1
     if mode != "binary" and math.comb(N, K) > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap"
                           f" {DEFAULT_ENUMERATION_CAP}")
@@ -306,7 +292,7 @@ def _validate_simulate(config: dict) -> dict:
         plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
         plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
     if mode == "multiple":
-        _check_incoherence_shape(M, N, K, where)
+        _checked_call(where, _check_pair_set, M, N, K)
         inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
         inc_mode = inc.get("mode", "exhaustive")
         if inc_mode not in ("exhaustive", "sampled"):
@@ -330,7 +316,7 @@ def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
 def run_simulate(plan: dict, seed: int):
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
     field, trials = plan["field"], plan["trials"]
-    rows = []
+    rows, comments = [], []
 
     if mode == "ensemble":
         n_inner = plan["trials_per_matrix"]
@@ -367,7 +353,11 @@ def run_simulate(plan: dict, seed: int):
             fano = bd.fano_lower(bd.fano_beta_exact(A, K, sigma2, T), math.comb(N, K)).clamped
             rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
                                       chern, fano, summary.lambda_bar))
-    return SIMULATE_COLUMNS, rows, []
+        if inc_mode == "sampled":
+            comments.append("# chernoff_clamped not certified: lambda_bar is a minimum over sampled"
+                            f" support pairs (mode={summary.mode}), so it only upper-estimates"
+                            " the true minimum and chernoff_clamped is not a certified bound")
+    return SIMULATE_COLUMNS, rows, comments
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +448,7 @@ def _validate_doa(config: dict) -> dict:
                        "spacing": _positive_float(u, "spacing", uw, default=0.5),
                        "pairs": _positive_int(u, "pairs", uw, default=200),
                        "sigma2": _positive_float(u, "sigma2", uw, default=1.0)}
-        _check_incoherence_shape(plan["ula"]["M"], plan["ula"]["grid_size"], plan["ula"]["K"], uw)
+        _checked_call(uw, _check_pair_set, *(plan["ula"][k] for k in ("M", "grid_size", "K")))
     return plan
 
 

@@ -18,7 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,15 +116,12 @@ def make_support(indices: Iterable[int], N: int) -> Support:
 
 def support_rows(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All C(N, K) size-K supports in lexicographic index order, as an (L, K)
-    `intp` array with one support per row; no `Support` object is built."""
-    if not 1 <= K <= N:
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    `intp` array with one support per row, unranked from 0 .. C(N, K) - 1 by
+    `unrank_supports`, which checks 1 <= K <= N; no `Support` object is built."""
     total = math.comb(N, K)
     if total > cap:
         raise CapExceeded(f"enumeration of C({N},{K}) = {total} supports exceeds cap {cap}")
-    flat = np.fromiter(chain.from_iterable(combinations(range(N), K)), dtype=np.intp,
-                       count=total * K)
-    return flat.reshape(total, K)
+    return unrank_supports(np.arange(total), N, K)
 
 
 def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
@@ -134,7 +131,7 @@ def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> li
 
 def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     """Rows of the size-K supports with the given lexicographic ranks, as a
-    (len(ranks), K) `intp` array: row r equals `support_rows(N, K)[r]`.
+    (len(ranks), K) `intp` array.
 
     Lexicographic unranking (Knuth, TAOCP 4A, 7.2.1.3): the complement rank
     C(N,K) - 1 - r has the combinatorial-number-system digits

@@ -16,6 +16,11 @@ Every support pair reaches its union QR one way: `_union_rows` orders the union
 [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r` QRs it per k_d, on one matrix
 for all pairs (`matrix_incoherence`, and `noise_constants`, whose c1 reads R33)
 or on a stack of one pair per matrix (Monte Carlo draws, `sandwich_bounds`).
+Both minima over ordered support pairs, lambda_bar and c1, run one walk,
+`_pair_walk`, each with its own block scorer. Before the first draw it checks
+the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
+M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
+`_pair_union` (equal sizes, not identical, M >= 2 k_d).
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many of them at once in K x K form: one stacked QR of the supports'
@@ -305,6 +310,22 @@ def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
         yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode="r")
 
 
+def _pair_union(rows0, rows1, M: int) -> tuple:
+    """`_union_rows` of P ordered pairs of support rows, after the pair rule:
+    equal sizes, no pair of identical supports, and M >= 2 k_d for every pair,
+    so that both k_d-dimensional differences fit beside each other."""
+    rows0 = np.asarray(rows0, dtype=np.intp)
+    rows1 = np.asarray(rows1, dtype=np.intp)
+    if rows0.ndim != 2 or rows0.shape != rows1.shape:
+        raise ValueError("pair incoherence requires equal-size supports")
+    k_d, union = _union_rows(rows0, rows1)
+    if k_d.min() == 0:
+        raise ValueError("pair incoherence is undefined for identical supports")
+    if M < 2 * k_d.max():
+        raise ValueError(f"pair incoherence needs M >= 2*k_d = {2 * k_d.max()}, got M={M}")
+    return k_d, union
+
+
 def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
     support rows, on one matrix A or on a stack A (P, M, N) whose matrix n
@@ -317,18 +338,10 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     eigenvalues. Each k_d group (`_union_r`) is one `_pencil_eigs` call.
     """
     entries, _ = as_matrix(A)
-    rows0 = np.asarray(rows0, dtype=np.intp)
-    rows1 = np.asarray(rows1, dtype=np.intp)
-    if rows0.ndim != 2 or rows0.shape != rows1.shape:
-        raise ValueError("pair incoherence requires equal-size supports")
-    P, K = rows0.shape
+    k_d, union = _pair_union(rows0, rows1, entries.shape[-2])
+    P, K = np.shape(rows0)
     if entries.ndim == 3 and len(entries) != P:
         raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {P}")
-    k_d, union = _union_rows(rows0, rows1)
-    if k_d.min() == 0:
-        raise ValueError("pair incoherence is undefined for identical supports")
-    if entries.shape[-2] < 2 * k_d.max():
-        raise ValueError(f"need M >= 2*k_d = {2 * k_d.max()}, got M = {entries.shape[-2]}")
     values = np.empty(P)
     top = np.ones((P, K))
     for sel, kd, R in _union_r(entries, k_d, union):
@@ -352,27 +365,59 @@ def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncohere
     return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
 
 
-def _pair_blocks(N: int, K: int, count: int, flat: np.ndarray | None = None):
-    """Yield the support rows (rows0, rows1), each (P, K), of ordered pairs,
-    PAIR_BLOCK at a time: the flat indices 0 .. count - 1, or the first `count`
-    entries of `flat` when given, where a flat index runs row-major over the
-    off-diagonal of the L x L grid of lexicographic size-K supports."""
-    for start in range(0, count, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, count)
-        block = np.arange(start, stop, dtype=np.int64) if flat is None else flat[start:stop]
-        i, j = np.divmod(block, math.comb(N, K) - 1)
-        j += j >= i                     # skip the diagonal
-        yield unrank_supports(i, N, K), unrank_supports(j, N, K)
-
-
-def _pair_count(N: int, K: int) -> int:
-    """The L (L - 1) ordered pairs of distinct size-K supports, L = C(N, K) >= 2."""
+def _check_pair_set(M: int, N: int, K: int) -> int:
+    """The number L = C(N, K) of size-K supports, after the set rule of every
+    walk over their ordered pairs: 1 <= K <= N, L >= 2, and M >= 2 min(K, N - K)
+    for the largest difference-set size k_d, so no pair breaks `_pair_union`."""
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     L = math.comb(N, K)
     if L < 2:
         raise ValueError("incoherence needs at least two candidate supports")
-    return L * (L - 1)
+    if M < 2 * min(K, N - K):
+        raise ValueError(f"incoherence needs M >= 2*min(K, {N}-K) = {2 * min(K, N - K)},"
+                         f" got M={M}")
+    return L
+
+
+def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_count=None,
+               seed: int = 0, cap: int = PAIR_CAP, cap_hint: str = "; use sampled mode"):
+    """(minimum, (row0, row1), mode string) of `score(rows0, rows1) -> (P,)`
+    over ordered pairs of size-K supports of an (M, N) matrix: all pairs up to
+    `cap`, or `sample_count` drawn without replacement. The flat index
+    i (L - 1) + j' of a pair runs row-major over the off-diagonal of the L x L
+    grid of lexicographic supports; `PAIR_BLOCK` pairs at a time are unranked
+    and scored, and ties keep the first minimum in walk order."""
+    M, N = shape
+    L = _check_pair_set(M, N, K)
+    n_pairs = L * (L - 1)
+    if mode == "exhaustive":
+        if n_pairs > cap:
+            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}{cap_hint}")
+        flat, count = None, n_pairs
+    elif mode == "sampled":
+        if sample_count is None or sample_count < 1:
+            raise ValueError("sampled mode requires a positive sample_count")
+        if n_pairs > np.iinfo(np.int64).max:
+            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"
+                              " ordered pairs, beyond a 64-bit pair index")
+        count = min(sample_count, n_pairs)
+        flat = substream(seed, "incoherence-pair-sample").choice(n_pairs, count, replace=False)
+        mode = f"sampled({count})"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    best, best_pair = np.inf, None
+    for start in range(0, count, PAIR_BLOCK):
+        block = np.arange(start, min(start + PAIR_BLOCK, count), dtype=np.int64)
+        i, j = np.divmod(block if flat is None else flat[block], L - 1)
+        j += j >= i                     # skip the diagonal
+        rows0, rows1 = unrank_supports(i, N, K), unrank_supports(j, N, K)
+        values = score(rows0, rows1)
+        b = int(np.argmin(values))
+        if values[b] < best:
+            best, best_pair = values[b], (rows0[b], rows1[b])
+    return float(best), best_pair, mode
 
 
 @dataclass(frozen=True)
@@ -387,44 +432,14 @@ class IncoherenceSummary:
 def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
                        sample_count: int | None = None, seed: int = 0,
                        cap: int = PAIR_CAP) -> IncoherenceSummary:
-    """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence.
-
-    Ordered pairs have the row-major flat index i (L - 1) + j' over the
-    off-diagonal of the L x L grid of lexicographic supports; sampled mode
-    draws flat indices uniformly without replacement and only upper-estimates
-    the true minimum (the mode string in the summary flags it). Pairs are
-    unranked (`unrank_supports`) and scored `PAIR_BLOCK` at a time, so no
-    support list is built; ties keep the first minimum in draw order.
-    """
+    """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence,
+    by `_pair_walk` over `pair_incoherences`; sampled mode only upper-estimates
+    the true minimum (the mode string in the summary flags it)."""
     entries, _ = as_matrix(A)
+    best, pair, mode = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
+        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed, cap)
     N = entries.shape[1]
-    n_pairs = _pair_count(N, K)
-
-    if mode == "exhaustive":
-        if n_pairs > cap:
-            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}; use sampled mode")
-        flat, count, mode_str = None, n_pairs, "exhaustive"
-    elif mode == "sampled":
-        if sample_count is None or sample_count < 1:
-            raise ValueError("sampled mode requires a positive sample_count")
-        if n_pairs > np.iinfo(np.int64).max:
-            raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} supports give {n_pairs}"
-                              " ordered pairs, beyond a 64-bit pair index")
-        sample_count = min(sample_count, n_pairs)
-        rng = substream(seed, "incoherence-pair-sample")
-        flat = rng.choice(n_pairs, size=sample_count, replace=False)
-        count, mode_str = sample_count, f"sampled({sample_count})"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    best, best_pair = np.inf, None
-    for rows0, rows1 in _pair_blocks(N, K, count, flat):
-        values = pair_incoherences(entries, rows0, rows1, sigma2)[0]
-        b = int(np.argmin(values))
-        if values[b] < best:
-            best, best_pair = values[b], (rows0[b], rows1[b])
-    argmin = tuple(Support(tuple(int(x) for x in row), N) for row in best_pair)
-    return IncoherenceSummary(float(best), argmin, mode_str)
+    return IncoherenceSummary(best, tuple(Support(tuple(row.tolist()), N) for row in pair), mode)
 
 
 def _r33(R: np.ndarray, k0: int) -> np.ndarray:
@@ -482,24 +497,21 @@ def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:
     """Matrix-only constants (c1, c2) bracketing the incoherence as
     1 + c1/sigma^2 <= lambda_bar <= 1 + c2/sigma^2.
 
-    c1 is the minimum over ordered support pairs of the geometric mean of the
-    squared R33 diagonal, with pairs scored as in `matrix_incoherence`
-    (`_pair_blocks`, `_union_r`). c2 is the maximum over supports of size
-    <= K of the mean squared column mass, which the single heaviest column
-    attains: the largest squared column norm.
+    c1 is the minimum over ordered support pairs (`_pair_walk`) of the
+    geometric mean of the squared R33 diagonal, which needs M >= K + k_d, so
+    M >= 2K. c2 is the maximum over supports of size <= K of the mean squared
+    column mass: the largest squared column norm.
     """
     entries, _ = as_matrix(A)
-    M, N = entries.shape
-    if M < 2 * K:
+    if entries.shape[0] < 2 * K:
         raise ValueError("noise constants require M >= 2K")
-    n_pairs = _pair_count(N, K)
-    if n_pairs > cap:
-        raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}")
 
-    c1 = np.inf
-    for rows0, rows1 in _pair_blocks(N, K, n_pairs):
-        for _, kd, R in _union_r(entries, *_union_rows(rows0, rows1)):
+    def r33_means(rows0, rows1):
+        values = np.empty(len(rows0))
+        for sel, kd, R in _union_r(entries, *_union_rows(rows0, rows1)):
             diag = np.abs(np.diagonal(_r33(R, kd), axis1=1, axis2=2)) ** 2
-            c1 = min(c1, float(np.exp(np.mean(np.log(diag), axis=1)).min()))
-    c2 = float(np.sum(np.abs(entries) ** 2, axis=0).max())
-    return float(c1), c2
+            values[sel] = np.exp(np.mean(np.log(diag), axis=1))
+        return values
+
+    return (_pair_walk(entries.shape, K, r33_means, cap=cap, cap_hint="")[0],
+            float(np.sum(np.abs(entries) ** 2, axis=0).max()))

@@ -29,8 +29,11 @@ def run_cli(*args):
 
 def read_rows(path):
     with open(path) as fh:
-        lines = [l for l in fh if not l.startswith("#")]
-    return list(csv.DictReader(lines))
+        return read_rows_text(fh.read())
+
+
+def read_rows_text(text):
+    return list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
 
 
 BINARY_SIM = {"mode": "binary", "N": 10, "M": 8, "K": 2, "T": [1, 2], "sigma2": 0.5,
@@ -127,6 +130,8 @@ class TestExitCodes:
         ("simulate", {"mode": "multiple", "M": 2, "N": 20, "K": 2, "T": 1, "sigma2": 5.0,
                       "trials": 200}, "incoherence needs"),
         ("simulate", {**BINARY_SIM, "M": 2}, "incoherence needs"),
+        ("simulate", {**BINARY_SIM, "S1": [1, 0]}, "identical"),
+        ("simulate", {**BINARY_SIM, "S0": [0, None]}, "invalid support"),
         ("simulate", {"mode": "multiple", "M": 4, "N": 2, "K": 2, "T": 1, "sigma2": 1.0,
                       "trials": 20}, "incoherence needs"),
         ("doa", {"epsilon": 0.1, "N": 90, "K": 1, "sigma2": 1.0,
@@ -173,7 +178,9 @@ class TestExitCodes:
          "query multiple_union: 'T' must be a positive integer"),
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[1], "kappa": -1}]},
          "query multiple_union: 'kappa' must be a positive number"),
-    ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "multiple-K-equals-N",
+    ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "binary-identical-supports",
+            "binary-support-null-entry",
+            "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
             "simulate-ula-spacing-string", "simulate-incoherence-mode-unknown",
@@ -297,6 +304,40 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", cfg, "--seed", "7", "--out", str(out)).returncode == 0
         rows = read_rows(out)
         assert [r["mode"] for r in rows] == ["ensemble"] + ["ensemble-matrix"] * 3
+
+
+    def test_ensemble_mode_needs_no_trials(self, tmp_path):
+        # ensemble mode counts its trials with matrix_draws and trials_per_matrix
+        config = {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2], "sigma2": 0.5,
+                  "matrix_draws": 2, "trials_per_matrix": 30}
+        outs = []
+        for name, payload in (("without", config), ("with", {**config, "trials": 1})):
+            out = tmp_path / f"{name}.csv"
+            result = run_cli("simulate", "--config", write_config(tmp_path, payload, f"{name}.json"),
+                             "--seed", "3", "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sampled_chernoff_is_flagged_uncertified(self, tmp_path, fmt):
+        # a lambda_bar over sampled pairs only upper-estimates the minimum, so
+        # its Chernoff value is no bound; the exhaustive minimum is
+        note = "chernoff_clamped not certified:"
+        for inc, flagged in (({"mode": "sampled", "count": 20}, True),
+                             ({"mode": "exhaustive"}, False)):
+            cfg = write_config(tmp_path, {**MULTIPLE_SIM, "incoherence": inc})
+            result = run_cli("simulate", "--config", cfg, "--seed", "2", "--format", fmt)
+            assert result.returncode == 0, result.stderr
+            if fmt == "csv":
+                comments = [l[2:] for l in result.stdout.splitlines() if l.startswith("# ")]
+                assert float(read_rows_text(result.stdout)[0]["chernoff_clamped"]) <= 1.0
+            else:
+                comments = json.loads(result.stdout)["comments"]
+            assert [c for c in comments if c.startswith(note)] == (
+                [f"{note} lambda_bar is a minimum over sampled support pairs (mode=sampled(20)),"
+                 " so it only upper-estimates the true minimum and chernoff_clamped is not a"
+                 " certified bound"] if flagged else [])
 
 
 class TestEigCheckCommand:

@@ -465,6 +465,25 @@ class TestMatrixIncoherence:
         assert summary.mode == "sampled(50)" and summary.lambda_bar > 1.0
         assert all(S.size == 3 and S.ambient_dim == 360 for S in summary.argmin_pair)
 
+    def test_set_rule_holds_for_every_sampled_draw(self):
+        # M = 3 < 2*min(K, N-K) = 4: some pairs have k_d = 2 and some k_d = 1,
+        # so whether a one-pair sample fails must not depend on the draw
+        A = gaussian_instance(3, 10, seed=6)
+        for seed in range(40):
+            with pytest.raises(ValueError, match="incoherence needs M >= 2"):
+                matrix_incoherence(A, 2, 1.0, mode="sampled", sample_count=1, seed=seed)
+
+    @pytest.mark.parametrize("K", [2, 10])
+    def test_set_rule_raises_before_any_pair_is_drawn(self, monkeypatch, K):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair was drawn before the set rule was checked")
+        monkeypatch.setattr(spectra, "unrank_supports", refuse)
+        monkeypatch.setattr(spectra, "substream", refuse)
+        A = gaussian_instance(3, 10, seed=6)
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="incoherence needs"):
+                matrix_incoherence(A, K, 1.0, mode=mode, sample_count=5)
+
     def test_pair_index_beyond_int64_is_cap(self):
         A = ula_manifold_matrix(16, ula_angle_grid(360))
         with pytest.raises(CapExceeded, match="64-bit"):
