@@ -345,10 +345,13 @@ def run_simulate(plan: dict, seed: int):
                                       report.clamped, fano, lam))
     else:
         inc_mode, inc_count = plan["incoherence"]
+        # lambda_bar does not depend on T
+        summaries = {sigma2: matrix_incoherence(A, K, sigma2, mode=inc_mode,
+                                                sample_count=inc_count, seed=seed)
+                     for sigma2 in plan["sigma2s"]}
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
             est = mc.estimate_multiple_perr(A, K, sigma2, T, trials, seed)
-            summary = matrix_incoherence(A, K, sigma2, mode=inc_mode,
-                                         sample_count=inc_count, seed=seed)
+            summary = summaries[sigma2]
             chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, A.field.kappa).clamped
             fano = bd.fano_lower(bd.fano_beta_exact(A, K, sigma2, T), math.comb(N, K)).clamped
             rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
@@ -495,14 +498,16 @@ def _validate_sweep(config: dict) -> tuple:
 
 
 def run_sweep(plan: tuple, seed: int):
+    """Every point's rows in grid order, and each distinct comment line of the
+    points once, in first-seen order."""
     run, plans = plan
     rows = []
-    comments = []
+    comments = {}
     for point in plans:
         columns, sub_rows, sub_comments = run(point, seed)
         rows.extend(sub_rows)
-        comments.extend(sub_comments)
-    return columns, rows, comments
+        comments.update(dict.fromkeys(sub_comments))
+    return columns, rows, list(comments)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,16 @@ covariance Sigma_S, so the log density is
 
 Every log determinant and quadratic form goes through the covariance core in
 `spectra`. `SupportDecoder` factors its candidates in K x K form, one stacked
-`covariance_factors` call per support size, and its `score_batch` is the one
-scoring path: `log_scores`, the decode methods, `binary_lrt` (a two-candidate
-decoder) and the Monte Carlo estimators all score through it, all candidates
-of a size at once. `log_likelihood` takes one dense covariance and whitens
-with the inverse Cholesky factor that the pencil kernel uses
+`covariance_factors` call per support size. Its `score_batch` is the exact
+scoring path: `log_scores`, `decode`, `decode_index`, `binary_lrt` (a
+two-candidate decoder) and the binary Monte Carlo estimator score through it,
+all candidates of a size at once. `decode_index_batch`, which the multiple and
+ensemble estimators call, returns the pick of `score_batch` but screens first:
+it scores every candidate in K x K Gram space (`CovarianceFactors.screen`),
+each within a rounding margin of its exact score, and rescores exactly only
+the candidates of a trial whose margins reach the best one's. Sizes with
+K >= M are scored exactly. `log_likelihood` takes one dense covariance and
+whitens with the inverse Cholesky factor that the pencil kernel uses
 (`spectra._inverse_factor`).
 """
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NumericFailure, Support, as_matrix
-from .spectra import _inverse_factor, covariance_factors
+from .spectra import _inverse_factor, _run_energy, covariance_factors
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -89,6 +94,7 @@ class SupportDecoder:
         entries, field = as_matrix(A)
         self.kappa = field.kappa
         self.M, self._N = entries.shape
+        self._entries = entries
         if isinstance(candidates, np.ndarray):
             rows = self._rows = candidates.astype(np.intp, copy=False)
             self._supports = None
@@ -123,25 +129,44 @@ class SupportDecoder:
             self._supports = [Support(tuple(int(i) for i in row), self._N) for row in self._rows]
         return self._supports
 
-    def score_batch(self, Ys) -> np.ndarray:
-        """Log-likelihood of every candidate for a stack of observations
-        (n, M, T), as an array of shape (n_candidates, n).
-
-        Each support size is scored as one stack (`CovarianceFactors.energies`);
-        a candidate whose factorization failed scores -inf.
-        """
+    def _columns(self, Ys) -> tuple:
+        """(values, T): a stack of observations (n, M, T) as the columns
+        (M, n T) that the scorers take, T consecutive columns per observation."""
         Ys = np.asarray(Ys)
         n, M, T = Ys.shape
         if M != self.M:
             raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
-        flat = np.moveaxis(Ys, 0, 1).reshape(M, n * T)
-        const = -self.kappa * M * T * np.log(np.pi / self.kappa)
-        scores = np.empty((self._lex_order.size, n))
+        return np.moveaxis(Ys, 0, 1).reshape(M, n * T), T
+
+    def _offsets(self, T: int, logdet: np.ndarray) -> np.ndarray:
+        """The part of the log-likelihood that does not depend on the
+        observations, as a column (L, 1): -kappa (M T log(pi/kappa) + T log|Sigma_S|)."""
+        const = -self.kappa * self.M * T * np.log(np.pi / self.kappa)
+        return const - self.kappa * T * logdet[:, None]
+
+    def _scores(self, values: np.ndarray, T: int, cand=None) -> np.ndarray:
+        """Exact log-likelihoods of the candidates at indices `cand` (all when
+        None) for observation columns (M, n T): (len(cand), n). Each support
+        size is scored as one stack (`CovarianceFactors.energies`), and a
+        candidate scores the same bits whichever others are scored with it."""
+        n = values.shape[1] // T
+        out = np.empty((self._lex_order.size if cand is None else len(cand), n))
         for idx, factors in self._groups:
+            rows, which = idx, None
+            if cand is not None:
+                rows = np.flatnonzero(np.isin(cand, idx))
+                which = np.searchsorted(idx, cand[rows])
+            logdet = factors.logdet if which is None else factors.logdet[which]
             # a failed candidate has logdet = +inf, so it scores -inf
-            scores[idx] = (const - self.kappa * T * factors.logdet[:, None]
-                           - self.kappa * factors.energies(flat, T))
-        return scores
+            out[rows] = (self._offsets(T, logdet)
+                         - self.kappa * factors.energies(values, T, which))
+        return out
+
+    def score_batch(self, Ys) -> np.ndarray:
+        """Log-likelihood of every candidate for a stack of observations
+        (n, M, T), as an array of shape (n_candidates, n); a candidate whose
+        factorization failed scores -inf."""
+        return self._scores(*self._columns(Ys))
 
     def log_scores(self, Y) -> np.ndarray:
         return self.score_batch(_observation_values(Y)[None])[:, 0]
@@ -166,10 +191,72 @@ class SupportDecoder:
         scores = {S: float(v) for S, v in zip(self.candidates, values)} if keep_scores else None
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
+    def _screen(self, factors, AhY, ysq) -> tuple:
+        """(scores, margins), each (L, n), of one support size with p = K < M:
+        the Gram-space log-likelihoods of `CovarianceFactors.screen`, each
+        within its margin of what `score_batch` gives. A failed candidate
+        scores -inf with margin 0."""
+        energy, margin = factors.screen(AhY, ysq)
+        offsets = self._offsets(AhY.shape[1], factors.logdet)
+        energy *= -self.kappa
+        energy += offsets
+        # the margin in score units, plus the rounding of offset - kappa * energy
+        # in both scorers
+        eps = np.finfo(np.float64).eps
+        margin *= self.kappa
+        margin += 4.0 * eps * np.abs(offsets)
+        margin += (4.0 * eps * self.kappa / factors.sigma2) * ysq
+        failed = list(factors.failures)
+        energy[failed] = -np.inf
+        margin[failed] = 0.0
+        return energy, margin
+
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
-        """Winning candidate index for a stack of observations (n, M, T), by
-        the tie-break of :meth:`decode_index`."""
-        return self._pick(self.score_batch(Ys))[0]
+        """Winning candidate index for a stack of observations (n, M, T): the
+        index `_pick(score_batch(Ys))` gives, with the tie-break of
+        :meth:`decode_index`.
+
+        Candidates are screened in Gram space (`CovarianceFactors.screen`),
+        each within its margin m of its exact score. In a trial, a candidate is
+        near when screen + m reaches the largest screen - m of the trial; any
+        other candidate's exact score lies below that of the candidate that
+        attains it. A trial with one near candidate takes it; the near
+        candidates of a trial with several are rescored exactly and `_pick`
+        chooses among them. A score or margin that is NaN leaves every
+        candidate of its trial near.
+        """
+        Ys = np.asarray(Ys)
+        values, T = self._columns(Ys)
+        n = len(Ys)
+        # column t n + i holds column t of observation i
+        snapshots = np.ascontiguousarray(np.moveaxis(Ys, 0, -1)).reshape(self.M, T * n)
+        AhY = (self._entries.conj().T @ snapshots).reshape(self._N, T, n)
+        ysq = _run_energy(snapshots.reshape(1, self.M * T, n), 1)[0]   # |y_i|^2
+        parts = []
+        for idx, factors in self._groups:
+            if factors.gram_inv is None:        # p = M: score exactly
+                parts.append((self._scores(values, T, idx), np.zeros((len(idx), n))))
+            else:
+                parts.append(self._screen(factors, AhY, ysq))
+        if len(parts) == 1:
+            scores, margins = parts[0]
+        else:
+            scores = np.empty((self._lex_order.size, n))
+            margins = np.empty_like(scores)
+            for (idx, _), (part, margin) in zip(self._groups, parts):
+                scores[idx], margins[idx] = part, margin
+        threshold = (scores - margins).max(axis=0)
+        margins += scores
+        near = ~(margins < threshold)
+        choice = np.argmax(near, axis=0)
+        redo = np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
+        if redo.size:
+            near = near[:, redo]
+            cand = np.flatnonzero(near.any(axis=1))
+            exact = np.full((self._lex_order.size, redo.size), -np.inf)
+            exact[cand] = np.where(near[cand], self._scores(values, T, cand)[:, redo], -np.inf)
+            choice[redo] = self._pick(exact)[0]
+        return choice
 
 
 def lrt_decoder(A, S0: Support, S1: Support, sigma2: float) -> SupportDecoder:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -106,9 +107,20 @@ class Support:
         return tuple(sorted(set(self.indices) - set(other.indices)))
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; numpy integers pass, floats, strings and bools do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def make_support(indices: Iterable[int], N: int) -> Support:
-    """Canonical sorted support over {0, ..., N-1}; rejects dupes and range errors."""
-    idx = tuple(int(i) for i in indices)
+    """Canonical sorted support over {0, ..., N-1}; rejects non-integer
+    indices, dupes and range errors."""
+    idx = tuple(_integer(i, "support index") for i in indices)
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices in {idx}")
     return Support(tuple(sorted(idx)), int(N))

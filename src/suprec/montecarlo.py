@@ -20,7 +20,6 @@ side) and solved by Halley's method inside the bracket that the median gives.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .decode import SupportDecoder, lrt_decoder
 from .model import (
     FieldTag,
     Support,
+    _integer,
     as_matrix,
     field_gaussian,
     sample_gaussian_matrix,
@@ -73,16 +73,6 @@ def clopper_pearson(errors: int, trials: int, confidence: float = 0.95) -> tuple
     high = 1.0 if errors == trials else _tail_root(trials - errors, trials,
                                                    1.0 - (1.0 - alpha / 2), upper=True)
     return low, high
-
-
-def _integer(value, name: str) -> int:
-    """`value` as an int; numpy integers pass, floats and bools do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # `_binomial_pmf` multiplies C(n, k) p^k q^(n-k) out directly when the short

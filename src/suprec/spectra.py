@@ -27,6 +27,10 @@ factors many of them at once in K x K form: one stacked QR of the supports'
 columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those factors give
 every log-determinant and quadratic form the decoders need
 (`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
+When K < M they also hold the inverse Cholesky factor F^{-1} of
+sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
+column in O(K^2) from A^H y (Woodbury) and bounds its distance from
+`energies`; the ML decoder screens with it and rescores only near-ties.
 
 Every covariance is factored by `_cholesky`: one stacked call, item by item
 only when it breaks down. `covariance_factors` marks failures per support;
@@ -52,10 +56,14 @@ from .model import (
 
 PAIR_CAP = 10**7
 PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
-# Entries of the (c, M, n T) residual buffer of `CovarianceFactors.energies`,
-# which scores c supports at a time: it bounds the scoring's working memory
-# whatever the number of supports or the size of the block.
+# Entries of the (c, M, n T) residual buffer of `CovarianceFactors.energies`
+# and of the (c, K, T n) buffers of `CovarianceFactors.screen`, which score c
+# supports at a time: it bounds the scoring's working memory whatever the
+# number of supports or the size of the block.
 SCORE_CHUNK_ELEMENTS = 2**15
+# Constant of the Gram screen's margin (`CovarianceFactors.screen`): it covers
+# the rounding constants of both scorers, real or complex.
+SCREEN_ROUNDING = 16
 
 
 def _gram(X: np.ndarray, sigma2: float) -> np.ndarray:
@@ -119,6 +127,11 @@ class CovarianceFactors:
     A support whose C is not numerically positive definite is listed in
     `failures` (row position -> message); its `logdet` is +inf and its Q is
     zero, so its likelihood is 0 even when its columns are not finite.
+
+    When p = K < M, `gram_inv` holds the inverse factor F^{-1} of
+    F F^H = sigma2 I + R^H R = sigma2 I + A_S^H A_S and `cond` the conditioning
+    factor rho = ||A_S||_F ||F^{-1}||_F of each support, for `screen`; both are
+    None when p = M, where the residual term vanishes and `energies` is cheap.
     """
 
     Q: np.ndarray            # (L, M, p)
@@ -126,36 +139,92 @@ class CovarianceFactors:
     logdet: np.ndarray       # (L,) log|Sigma_S|
     sigma2: float
     failures: dict
+    rows: np.ndarray         # (L, K) column indices of the supports
+    gram_inv: np.ndarray | None = None    # (L, K, K) F^{-1}; zero for a failed support
+    cond: np.ndarray | None = None        # (L,) rho; inf where F^{-1} is not finite
 
-    def energies(self, values: np.ndarray, T: int) -> np.ndarray:
+    def energies(self, values: np.ndarray, T: int, which=None) -> np.ndarray:
         """Quadratic forms y^H Sigma_S^{-1} y of the columns of `values`
-        (M, n T), summed over each run of T consecutive columns: (L, n).
+        (M, n T), summed over each run of T consecutive columns: (L, n), or
+        (len(which), n) for the supports at positions `which` only.
 
         The residual y - Q w is formed explicitly, not as |y|^2 - |w|^2, which
         cancels at small sigma2; when p = M it is zero and skipped. Supports
         are scored SCORE_CHUNK_ELEMENTS // (M n T) at a time, so neither an
-        (L, M, n T) nor an (L, n T) array is built.
+        (L, M, n T) nor an (L, n T) array is built. A support's forms do not
+        depend on which other supports are scored with it.
         """
-        L, M, p = self.Q.shape
+        Q, proj = (self.Q, self.proj) if which is None else (self.Q[which], self.proj[which])
+        L, M, p = Q.shape
         nT = values.shape[1]
         out = np.empty((L, nT // T))
         step = max(1, SCORE_CHUNK_ELEMENTS // max(1, M * nT))
         # Work buffers shared by every chunk, rather than two fresh
         # chunk-sized arrays per chunk (measured slower).
-        dtype = np.result_type(self.proj, values)
+        dtype = np.result_type(proj, values)
         wz = np.empty((min(step, L), 2 * p, nT), dtype)      # [w; G^{-1} w]
         resid = np.empty((min(step, L), M, nT), dtype) if p < M else None
         for start in range(0, L, step):
             stop = min(start + step, L)
             c = stop - start
-            np.matmul(self.proj[start:stop], values, out=wz[:c])
+            np.matmul(proj[start:stop], values, out=wz[:c])
             energy = _run_energy(wz[:c, p:], T)
             if p < M:
-                np.matmul(self.Q[start:stop], wz[:c, :p], out=resid[:c])
+                np.matmul(Q[start:stop], wz[:c, :p], out=resid[:c])
                 np.subtract(values, resid[:c], out=resid[:c])
                 energy += _run_energy(resid[:c], T) / self.sigma2
             out[start:stop] = energy
         return out
+
+    def screen(self, AhY: np.ndarray, ysq: np.ndarray) -> tuple:
+        """Gram-space quadratic forms y^H Sigma_S^{-1} y of n observations of
+        T columns each, summed per observation, and a bound on their distance
+        from `energies`: (energies, margins), each (L, n). Only for p = K < M.
+
+        `AhY` (N, T, n) holds A^H y for the whole matrix, column t of
+        observation i at [:, t, i], so b = A_S^H y is a row gather; `ysq` (n,)
+        is |y|^2 summed per observation. By Woodbury,
+
+            y^H Sigma_S^{-1} y = (|y|^2 - |F^{-1} b|^2) / sigma2,
+
+        O(K^2) per (support, column) against the O(M K) of `energies`. Supports
+        are gathered SCORE_CHUNK_ELEMENTS // (K T n) at a time.
+
+        The margin. With u = eps, rho >= ||A_S|| ||F^{-1}|| and, to first order
+        in u: b is formed with |db| <= M u ||A_S|| |y|, which moves
+        q = |F^{-1} b|^2 <= |y|^2 by at most 2 |F^{-1} b| ||F^{-1}|| |db|
+        <= 2 M u rho |y|^2. QR, Cholesky and triangular inversion are backward
+        stable, so the computed F^{-1} is the exact one of
+        sigma2 I + A_S^H A_S + D with ||D|| <= c (M + K) u (sigma2 + ||A_S||^2);
+        q = b^H (F F^H)^{-1} b then moves by at most
+        ||F^{-H} F^{-1} b||^2 ||D|| <= c (M + K) u (1 + rho^2) |y|^2, since
+        sigma2 ||F^{-1}||^2 <= 1. Forming F^{-1} b, the squares and the
+        difference add (2 K rho + K + M + 1) u |y|^2. `energies` is as close to
+        the true form: its residual is formed explicitly, and a backward error
+        dC of C = R R^H + sigma2 I moves w^H C^{-1} w by at most
+        ||C^{-1} w||^2 ||dC|| <= c (M + K) u (1 + rho^2) |y|^2 / sigma2, because
+        C and F F^H share their eigenvalues. Hence
+
+            |screen - energies| <= SCREEN_ROUNDING (M + K) u (1 + rho)^2 |y|^2 / sigma2,
+
+        summed per observation, which is the margin. Nearly collinear supports have a
+        large rho and so widen their own margin; rho = inf (a factor that is
+        not finite) makes the margin inf, so such a support is always rescored.
+        """
+        L, K = self.rows.shape
+        _, T, n = AhY.shape
+        out = np.empty((L, n))
+        step = max(1, SCORE_CHUNK_ELEMENTS // max(1, K * T * n))
+        for start in range(0, L, step):
+            stop = min(start + step, L)
+            b = AhY[self.rows[start:stop]].reshape(stop - start, K, T * n)
+            z = self.gram_inv[start:stop] @ b                       # F^{-1} A_S^H y
+            out[start:stop] = _run_energy(z.reshape(stop - start, K * T, n), 1)
+        np.subtract(ysq, out, out=out)
+        out /= self.sigma2
+        M = self.Q.shape[1]
+        factor = SCREEN_ROUNDING * (M + K) * np.finfo(np.float64).eps / self.sigma2
+        return out, np.multiply.outer(factor * (1.0 + self.cond) ** 2, ysq)
 
 
 def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
@@ -164,7 +233,7 @@ def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
     if np.iscomplexobj(x):
         x, T = x.view(np.float64), 2 * T        # real and imaginary parts side by side
     columns = np.einsum("cmj,cmj->cj", x, x)
-    return np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
+    return columns if T == 1 else np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
 
 
 def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
@@ -179,7 +248,8 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     M = entries.shape[0]
-    Q, R = np.linalg.qr(entries.T[np.asarray(rows, dtype=np.intp)].swapaxes(1, 2))
+    rows = np.asarray(rows, dtype=np.intp)
+    Q, R = np.linalg.qr(entries.T[rows].swapaxes(1, 2))
     p = Q.shape[2]
     C = _gram(R, sigma2)
     G = _cholesky(C)
@@ -193,7 +263,17 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     Q[failed] = 0.0
     Qh = Q.conj().swapaxes(1, 2)
     proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
-    return CovarianceFactors(Q, proj, logdet, float(sigma2), failures)
+    gram_inv = cond = None
+    if p < M:
+        F = _cholesky(_gram(R.conj().swapaxes(1, 2), sigma2))     # sigma2 I + R^H R
+        broken = ~np.isfinite(F).all(axis=(1, 2))
+        F[broken | failed] = np.eye(p)
+        gram_inv = np.linalg.inv(F)
+        gram_inv[failed] = 0.0
+        cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(gram_inv, axis=(1, 2))
+        cond[broken] = np.inf
+        cond[failed] = 0.0
+    return CovarianceFactors(Q, proj, logdet, float(sigma2), failures, rows, gram_inv, cond)
 
 
 def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:

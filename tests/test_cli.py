@@ -132,6 +132,9 @@ class TestExitCodes:
         ("simulate", {**BINARY_SIM, "M": 2}, "incoherence needs"),
         ("simulate", {**BINARY_SIM, "S1": [1, 0]}, "identical"),
         ("simulate", {**BINARY_SIM, "S0": [0, None]}, "invalid support"),
+        ("simulate", {**BINARY_SIM, "S0": [0.9, "1"]}, "invalid support: support index"),
+        ("simulate", {**BINARY_SIM, "S0": [0, "1"]}, "invalid support: support index"),
+        ("simulate", {**BINARY_SIM, "S0": [False, 1]}, "invalid support: support index"),
         ("simulate", {"mode": "multiple", "M": 4, "N": 2, "K": 2, "T": 1, "sigma2": 1.0,
                       "trials": 20}, "incoherence needs"),
         ("doa", {"epsilon": 0.1, "N": 90, "K": 1, "sigma2": 1.0,
@@ -179,7 +182,8 @@ class TestExitCodes:
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[1], "kappa": -1}]},
          "query multiple_union: 'kappa' must be a positive number"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "binary-identical-supports",
-            "binary-support-null-entry",
+            "binary-support-null-entry", "binary-support-float-entry",
+            "binary-support-string-entry", "binary-support-bool-entry",
             "multiple-K-equals-N",
             "doa-ula-M-below-2K", "doa-ula-sigma2-negative", "doa-ula-spacing-string",
             "doa-epsilon-string", "eig-check-sigma2-string", "eig-check-tolerance-string",
@@ -473,6 +477,31 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", cfg, "--seed", "2", "--out", str(out)).returncode == 0
         rows = read_rows(out)
         assert [r["T"] for r in rows] == ["1", "2", "4"]
+
+    def test_repeated_comment_is_written_once(self, tmp_path):
+        # every sampled point writes the same note; the sweep keeps one copy,
+        # and distinct notes (here the doa lambda_bar per sigma2) each once in
+        # grid order
+        cfg = write_config(tmp_path, {"command": "simulate",
+                                      "base": {**MULTIPLE_SIM, "trials": 20,
+                                               "incoherence": {"mode": "sampled", "count": 10}},
+                                      "grid": {"T": [1, 2, 4]}})
+        result = run_cli("sweep", "--config", cfg, "--seed", "2")
+        assert result.returncode == 0, result.stderr
+        comments = [l for l in result.stdout.splitlines() if l.startswith("#")]
+        assert len(read_rows_text(result.stdout)) == 3
+        assert len(comments) == 1 and comments[0].startswith("# chernoff_clamped not certified:")
+
+        cfg = write_config(tmp_path, {"command": "doa", "base": DOA_ULA,
+                                      "grid": {"epsilon": [0.1, 0.2],
+                                               "ula_lambda": [DOA_ULA["ula_lambda"],
+                                                              {**DOA_ULA["ula_lambda"],
+                                                               "sigma2": 0.5}]}})
+        result = run_cli("sweep", "--config", cfg, "--seed", "2")
+        assert result.returncode == 0, result.stderr
+        comments = [l for l in result.stdout.splitlines() if l.startswith("#")]
+        assert len(comments) == 2
+        assert "sigma2=1.0" in comments[0] and "sigma2=0.5" in comments[1]
 
     def test_sweep_validates_every_point_first(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "simulate",

@@ -361,3 +361,138 @@ class TestLowRankScores:
             for t, Y in enumerate(Ys):
                 ref = mp_log_likelihood(A, S, 1e-8, Y)
                 assert abs(got[i, t] - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+def screen_matches_scores(decoder, Ys):
+    """Assert that `decode_index_batch` (the Gram screen) picks what `_pick`
+    does on the exact `score_batch`; return the candidate rows it rescored."""
+    rescored = []
+    scores = decoder._scores
+
+    def spy(values, T, cand=None):
+        if cand is not None:
+            rescored.append(cand)
+        return scores(values, T, cand)
+
+    decoder._scores = spy
+    try:
+        got = decoder.decode_index_batch(Ys)
+    finally:
+        del decoder._scores
+    assert got.tolist() == decoder._pick(decoder.score_batch(Ys))[0].tolist()
+    return rescored
+
+
+class TestGramScreen:
+    """`decode_index_batch` screens candidates in K x K Gram space
+    (`CovarianceFactors.screen`) and rescores near-ties exactly; its picks
+    must be those of `_pick(score_batch)` in every case."""
+
+    FIELDS = [FieldTag.REAL, FieldTag.COMPLEX]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("sigma2", [1e-8, 1e-4, 0.1, 2.0])
+    def test_margin_bounds_the_screen_error(self, field, sigma2):
+        A = gaussian_instance(8, 10, field, seed=40, label="screen")
+        candidates = enumerate_supports(10, 2)
+        Ys = model_observations(A, candidates, sigma2, 64, 3, seed=8)
+        decoder = SupportDecoder(A, candidates, sigma2)
+        (_, factors), = decoder._groups
+        ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
+        screened, margin = factors.screen(np.moveaxis(A.entries.conj().T @ Ys, 0, -1), ysq)
+        exact = factors.energies(*decoder._columns(Ys))
+        assert np.max(np.abs(screened - exact) / margin) <= 1e-2
+        assert screen_matches_scores(decoder, Ys) == []
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_forced_near_ties_are_rescored(self, field, monkeypatch):
+        # a margin constant of 1e12 makes nearly every candidate of every trial
+        # near, so the exact rescoring and `_pick` decide
+        A = gaussian_instance(6, 8, field, seed=41, label="screen")
+        candidates = enumerate_supports(8, 2)
+        Ys = model_observations(A, candidates, 0.3, 40, 2, seed=9)
+        monkeypatch.setattr(spectra, "SCREEN_ROUNDING", 1e12)
+        rows = np.array([S.indices for S in candidates])
+        for given in (rows, candidates):
+            rescored = screen_matches_scores(SupportDecoder(A, given, 0.3), Ys)
+            assert len(rescored) == 1 and len(rescored[0]) > 2
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_near_duplicate_columns(self, field):
+        # columns 0 and 1 differ by 1e-13: the supports {0, j} and {1, j} score
+        # within rounding of each other, and {0, 1} is nearly singular
+        A = gaussian_instance(6, 7, field, seed=42, label="screen").entries.copy()
+        A[:, 1] = A[:, 0] + 1e-13 * A[:, 2]
+        A = MeasurementMatrix(A, field)
+        candidates = enumerate_supports(7, 2)
+        for sigma2 in (1e-4, 0.5):
+            Ys = model_observations(A, candidates, sigma2, 60, 2, seed=10)
+            Ys[:8] = A.entries[:, [0]] * np.arange(1, 9)[:, None, None] + 1e-3 * Ys[:8]
+            decoder = SupportDecoder(A, candidates, sigma2)
+            assert decoder.failures == {}
+            (_, factors), = decoder._groups
+            if sigma2 == 1e-4:
+                pair = candidates.index(make_support([0, 1], 7))
+                assert factors.cond[pair] > 50 * np.median(factors.cond)
+            assert screen_matches_scores(decoder, Ys)
+
+    def test_exact_ties_as_rows_and_supports(self):
+        # {0, 2} and {1, 2} score identically (equal columns 0 and 1), as do
+        # {3, 4} and {3, 5} at Y = 0; the screen hands both ties to `_pick`
+        col = np.array([[1.0], [2.0], [-1.0], [0.5]])
+        g = gaussian_instance(4, 1, seed=43, label="screen").entries
+        A = MeasurementMatrix(np.hstack([col, col, g, np.eye(4)[:, :3]]), FieldTag.REAL)
+        rows = np.array([[1, 2], [3, 5], [0, 2], [3, 4], [2, 5]])
+        Ys = np.stack([3.0 * col + g, np.zeros((4, 1)), -col])
+        for candidates in (rows, [make_support(r, 6) for r in rows]):
+            decoder = SupportDecoder(A, candidates, 0.1)
+            assert screen_matches_scores(decoder, Ys)
+            assert decoder.decode_index_batch(Ys).tolist()[:2] == [2, 3]
+
+    @pytest.mark.parametrize("nan_column", [False, True])
+    def test_failed_candidates_are_never_near(self, nan_column):
+        # duplicate columns at sigma2 = 1e-300, or a NaN column, fail {0, 1};
+        # it scores -inf and the screen never picks or rescores it
+        col = np.array([[1.0], [2.0], [-1.0], [0.5]])
+        rest = gaussian_instance(4, 3, seed=44, label="screen").entries
+        entries = np.hstack([col, col, rest])
+        sigma2 = 1e-300
+        if nan_column:
+            entries[2, 1], sigma2 = np.nan, 1.0
+        A = MeasurementMatrix(entries, FieldTag.REAL) if not nan_column else entries
+        candidates = [make_support(s, 5) for s in ([2, 4], [0, 1], [1, 3], [0, 3], [3, 4])]
+        decoder = SupportDecoder(A, candidates, sigma2)
+        bad = [1, 2] if nan_column else [1]
+        assert sorted(decoder.failures) == bad
+        Ys = np.stack([entries[:, [0, 3]] @ np.ones((2, 2)) + 0.1, np.ones((4, 2)), -np.ones((4, 2))])
+        for rescored in screen_matches_scores(decoder, Ys):
+            assert not set(rescored.tolist()) & set(bad)
+        assert not set(decoder.decode_index_batch(Ys).tolist()) & set(bad)
+
+        # when every candidate fails, each trial goes to the lexicographically first
+        decoder = SupportDecoder(A, [candidates[i] for i in bad[::-1]], sigma2)
+        screen_matches_scores(decoder, Ys)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_support_at_least_M(self, field):
+        # groups with K >= M (p = M) are scored exactly, alone or beside a
+        # screened K < M group
+        A = gaussian_instance(3, 6, field, seed=45, label="screen")
+        large = [make_support(s, 6) for s in ([0, 2, 4], [1, 2, 3, 5], [1, 3, 5])]
+        small = [make_support(s, 6) for s in ([0, 1], [2, 5], [4], [3])]
+        for candidates in (large, large + small):
+            Ys = model_observations(A, candidates, 0.2, 20, 2, seed=11)
+            screen_matches_scores(SupportDecoder(A, candidates, 0.2), Ys)
+        rows = np.array([S.indices for S in large if S.size == 3])
+        screen_matches_scores(SupportDecoder(A, rows, 0.2), Ys)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_chunk_not_a_multiple_of_the_candidates(self, field, monkeypatch):
+        A = gaussian_instance(6, 8, field, seed=46, label="screen")
+        candidates = enumerate_supports(8, 2)                   # L = 28
+        Ys = model_observations(A, candidates, 0.5, 9, 2, seed=12)
+        monkeypatch.setattr(spectra, "SCORE_CHUNK_ELEMENTS", 3 * 2 * 9 * 2)   # screen chunks of 3
+        decoder = SupportDecoder(A, candidates, 0.5)
+        screen_matches_scores(decoder, Ys)
+        monkeypatch.setattr(spectra, "SCREEN_ROUNDING", 1e12)            # and rescoring chunks
+        assert screen_matches_scores(decoder, Ys)

@@ -24,6 +24,9 @@ BINARY = {"mode": "binary", "N": 10, "M": 8, "K": 2, "T": [1, 2], "sigma2": [0.0
           "trials": 200, "field": "complex", "S0": [0, 1], "S1": [2, 5]}
 MULTIPLE = {"mode": "multiple", "N": 8, "M": 6, "K": 2, "T": [1, 4], "sigma2": [0.1, 0.5],
             "trials": 60}
+# the sim-multiple config of bench/workloads.py
+BENCH_MULTIPLE = {"mode": "multiple", "M": 16, "N": 24, "K": 2, "T": [1, 4], "sigma2": [0.1, 0.5],
+                  "trials": 500, "field": "real", "incoherence": {"mode": "sampled", "count": 125}}
 ULA = {"M": 8, "grid_size": 30, "K": 2, "pairs": 40, "sigma2": 0.5}
 
 # name -> (command, config, seed, format); the output file is <name>.<format>
@@ -49,6 +52,10 @@ CASES = {
     "simulate-multiple-sampled": ("simulate", {**MULTIPLE, "incoherence": {"mode": "sampled",
                                                                            "count": 30}},
                                   5, "csv"),
+    "simulate-multiple-bench": ("simulate", BENCH_MULTIPLE, 7, "csv"),
+    "simulate-multiple-complex": ("simulate", {**MULTIPLE, "N": 10, "T": [1, 3],
+                                               "sigma2": [1e-3, 0.05, 0.5], "trials": 200,
+                                               "field": "complex"}, 11, "csv"),
     "simulate-ensemble": ("simulate", {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2],
                                        "sigma2": 0.5, "matrix_draws": 3,
                                        "trials_per_matrix": 40, "trials": 1}, 7, "csv"),

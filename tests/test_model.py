@@ -44,6 +44,12 @@ class TestSupport:
         with pytest.raises(ValueError):
             make_support([1, 1], 4)
 
+    def test_integer_indices_only(self):
+        assert make_support([np.int64(3), np.intp(1)], 4).indices == (1, 3)
+        for bad in ([0.9, 1], [0, "1"], [True, 2], [1.0, 2]):
+            with pytest.raises(ValueError, match="support index must be an integer"):
+                make_support(bad, 4)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_support([], 4)
