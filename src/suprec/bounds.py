@@ -4,10 +4,11 @@ Upper bounds come from the Chernoff machinery applied to the eigenvalues of
 H; lower bounds from Fano's inequality with the average pairwise KL
 divergence beta. For one support pair, `binary_chernoff` takes beta from the
 reduced spectrum of H it already holds; over all C(N, K) supports,
-`fano_beta_exact` takes it from the stacked low-rank covariance factors. The
-dense `kl_divergence` of two M x M covariances is the reference form for
-both. Threshold formulas are evaluated in the log domain (`log_binomial`) so
-they stay finite up to N ~ 1e6.
+`fano_beta_exact` takes it from the stacked low-rank covariance factors, and
+`fano_betas` at several T from factors already built (`simulate` shares the
+decoder's). The dense `kl_divergence` of two M x M covariances is the
+reference form for both. Threshold formulas are evaluated in the log domain
+(`log_binomial`) so they stay finite up to N ~ 1e6.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
@@ -205,14 +206,22 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int) -> float:
     With the low-rank factors (`covariance_factors`) of every Sigma_j,
     sum_j Sigma_j^{-1} = (L I - sum_j Q_j Q_j^H) / sigma2 + sum_j Q_j C_j^{-1} Q_j^H,
     and sum_i Sigma_i = L sigma2 I + C(N-1, K-1) A A^H, since every column
-    lies in C(N-1, K-1) of the supports.
+    lies in C(N-1, K-1) of the supports. The one-T call of `fano_betas`.
     """
+    entries, _ = as_matrix(A)
+    rows = support_rows(entries.shape[1], K)
+    return fano_betas(A, covariance_factors(entries, rows, sigma2), [T])[0]
+
+
+def fano_betas(A, factors, Ts) -> list:
+    """`fano_beta_exact` at each T of `Ts`, from `factors`, the
+    `covariance_factors` of all C(N, K) size-K supports (`support_rows`) at one
+    sigma2: the trace in beta does not depend on T, so it is formed once."""
     entries, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
     M, N = entries.shape
-    rows = support_rows(N, K)
-    L = len(rows)
-    factors = covariance_factors(entries, rows, sigma2)
+    L, K = factors.rows.shape
+    sigma2 = factors.sigma2
     if factors.failures:
         raise NumericFailure(next(iter(factors.failures.values())))
     p = factors.Q.shape[2]
@@ -223,7 +232,7 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int) -> float:
         inv_sum += (L * np.eye(M) - Qh.conj().T @ Qh) / sigma2
     sigma_sum = L * sigma2 * np.eye(M) + math.comb(N - 1, K - 1) * (entries @ entries.conj().T)
     total = np.einsum("ab,ba->", inv_sum, sigma_sum).real
-    return float(kappa * T / (2.0 * L * L) * (total - L * L * M))
+    return [float(kappa * T / (2.0 * L * L) * (total - L * L * M)) for T in Ts]
 
 
 def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:

@@ -39,11 +39,12 @@ from .model import (
     make_support,
     sample_gaussian_matrix,
     substream,
+    support_rows,
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import (_check_pair_set, _pair_union, _split_masks, h_spectra,
-                      matrix_incoherence, sandwich_bounds)
+from .spectra import (_check_pair_set, _pair_union, _split_masks, covariance_factors,
+                      h_spectra, matrix_incoherence, sandwich_bounds)
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
@@ -345,15 +346,20 @@ def run_simulate(plan: dict, seed: int):
                                       report.clamped, fano, lam))
     else:
         inc_mode, inc_count = plan["incoherence"]
-        # lambda_bar does not depend on T
+        # Neither lambda_bar nor the covariance factors depend on T: each
+        # sigma2 factors its supports once, for the decoder and for Fano beta.
         summaries = {sigma2: matrix_incoherence(A, K, sigma2, mode=inc_mode,
                                                 sample_count=inc_count, seed=seed)
                      for sigma2 in plan["sigma2s"]}
+        supports = support_rows(N, K)
+        factors = {sigma2: covariance_factors(A, supports, sigma2) for sigma2 in plan["sigma2s"]}
+        betas = {sigma2: dict(zip(plan["Ts"], bd.fano_betas(A, factors[sigma2], plan["Ts"])))
+                 for sigma2 in plan["sigma2s"]}
         for T, sigma2 in product(plan["Ts"], plan["sigma2s"]):
-            est = mc.estimate_multiple_perr(A, K, sigma2, T, trials, seed)
+            est = mc.estimate_multiple_perr(A, K, sigma2, T, trials, seed, factors[sigma2])
             summary = summaries[sigma2]
             chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T, A.field.kappa).clamped
-            fano = bd.fano_lower(bd.fano_beta_exact(A, K, sigma2, T), math.comb(N, K)).clamped
+            fano = bd.fano_lower(betas[sigma2][T], math.comb(N, K)).clamped
             rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
                                       chern, fano, summary.lambda_bar))
         if inc_mode == "sampled":
@@ -528,7 +534,8 @@ def _write_output(out_path, fmt: str, columns, rows, comments, command: str, see
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
+            lines.append(",".join([_PLAIN_CELLS.get(type(v), _csv_cell)(v)
+                                   for v in map(row.get, columns)]))
         lines.extend(comments)
         body = "\n".join(lines) + "\n"
     else:
@@ -548,6 +555,11 @@ def _json_default(value):
     if isinstance(value, (np.floating,)):
         return float(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# Formatters of the cells that `_csv_cell` writes unquoted as `_fmt` does,
+# keyed by exact type (a bool is not an int here), so most cells skip both.
+_PLAIN_CELLS = {int: int.__repr__, float: float.__repr__}
 
 
 def _csv_cell(value) -> str:

@@ -18,8 +18,8 @@ it scores every candidate in K x K Gram space (`CovarianceFactors.screen`),
 each within a rounding margin of its exact score, and rescores exactly only
 the candidates of a trial whose margins reach the best one's. Sizes with
 K >= M are scored exactly. `log_likelihood` takes one dense covariance and
-whitens with the inverse Cholesky factor that the pencil kernel uses
-(`spectra._inverse_factor`).
+whitens with the inverse Cholesky factor that `spectra._pencil_eigs` uses
+(`_inverse_factor`).
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ class SupportDecoder:
     size are computed once per (A, sigma2, candidates), in one
     `covariance_factors` call, and reused across observations. A candidate
     whose factorization fails scores -inf and is recorded in `failures`
-    instead of aborting the decode.
+    instead of aborting the decode. `factors`, when given, are the
+    `covariance_factors` of candidates given as rows, already built at sigma2
+    (`simulate` shares them with the exact Fano beta); they are not rebuilt.
     """
 
-    def __init__(self, A, candidates, sigma2: float):
+    def __init__(self, A, candidates, sigma2: float, factors=None):
         entries, field = as_matrix(A)
         self.kappa = field.kappa
         self.M, self._N = entries.shape
@@ -114,12 +116,15 @@ class SupportDecoder:
                                        dtype=np.intp)
         if not self._lex_order.size:
             raise ValueError("candidate set must be nonempty")
+        if factors is not None and not (self._supports is None and factors.sigma2 == sigma2
+                                        and np.array_equal(factors.rows, self._rows)):
+            raise ValueError("factors must be those of the candidate rows at sigma2")
         self.failures: dict = {}
         self._groups = []
         for idx, rows in groups:
-            factors = covariance_factors(entries, rows, sigma2)
-            self._groups.append((idx, factors))
-            self.failures.update({int(idx[i]): msg for i, msg in factors.failures.items()})
+            group = covariance_factors(entries, rows, sigma2) if factors is None else factors
+            self._groups.append((idx, group))
+            self.failures.update({int(idx[i]): msg for i, msg in group.failures.items()})
 
     @property
     def candidates(self) -> list:

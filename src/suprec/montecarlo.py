@@ -214,15 +214,18 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
     return _estimate(errors, trials, seed)
 
 
-def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int) -> ErrorEstimate:
+def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int,
+                           factors=None) -> ErrorEstimate:
     """Empirical error of maximum-likelihood recovery over all size-K supports.
 
     The error event is exact support mismatch; sizes of wrong-decode
-    difference sets are kept as a k_d histogram in the extras.
+    difference sets are kept as a k_d histogram in the extras. `factors`, when
+    given, are the decoder's `covariance_factors` of `support_rows(N, K)` at
+    sigma2, built once for every T.
     """
     entries, _ = as_matrix(A)
     rows = support_rows(entries.shape[1], K)
-    decoder = SupportDecoder(A, rows, sigma2)
+    decoder = SupportDecoder(A, rows, sigma2, factors)
     kd_counts = np.zeros(K + 1, dtype=np.int64)
     for truths, Y in draw_trial_blocks(A, rows, sigma2, T, trials, seed, "multiple-trial"):
         chosen = decoder.decode_index_batch(Y)

@@ -4,14 +4,16 @@ sandwich bounds, and the pairwise/global incoherence of a measurement matrix.
 For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
-(Sigma_0, Sigma_1). One stacked kernel solves every such pencil:
-`_pencil_eigs` forms C_i = X_i X_i^H + sigma^2 I (`_gram`), whitens with the
-inverse Cholesky factor of C_1 and takes one stacked `eigvalsh`. It has two
-callers. `h_spectra` passes the raw columns of S0 and S1, so eig-check counts
-the full dense M x M spectrum. `pair_incoherences` passes blocks of the R
-factor of each pair's union columns: only r = |S0 cup S1| <= 2K eigenvalues
-differ from 1, and this r x r pencil keeps those of order sigma^2 that the
-dense one loses to rounding. `_split_masks` splits every spectrum around 1.
+(Sigma_0, Sigma_1). Two stacked kernels solve these pencils, each with one
+stacked `eigvalsh`. `h_spectra`, behind eig-check, takes the full dense
+M x M spectrum: it whitens Sigma_1 with its K x K `covariance_factors`, so
+building the whitened matrix takes O(M^2 K) work and no M x M factorization.
+`_pencil_eigs` serves `pair_incoherences`: it forms C_i = X_i X_i^H +
+sigma^2 I (`_gram`) from blocks of the R factor of each pair's union columns
+and whitens with the inverse Cholesky factor of C_1. Only
+r = |S0 cup S1| <= 2K eigenvalues differ from 1, and this r x r pencil keeps
+those of order sigma^2 that the dense one loses to rounding. `_split_masks`
+splits every spectrum around 1.
 Every support pair reaches its union QR one way: `_union_rows` orders the union
 [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r` QRs it per k_d, on one matrix
 for all pairs (`matrix_incoherence`, and `noise_constants`, whose c1 reads R33)
@@ -23,19 +25,21 @@ M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
 `_pair_union` (equal sizes, not identical, M >= 2 k_d).
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
-factors many of them at once in K x K form: one stacked QR of the supports'
-columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those factors give
-every log-determinant and quadratic form the decoders need
-(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
+factors many of them at once in K x K form, on one matrix or on a stack of one
+support per matrix: one stacked QR of the supports' columns and one stacked
+Cholesky of C = R R^H + sigma^2 I. Those factors give every log-determinant
+and quadratic form the decoders need (`CovarianceFactors.energies`), the sum
+of inverses in the exact Fano beta, and the whitener of `h_spectra`.
 When K < M they also hold the inverse Cholesky factor F^{-1} of
 sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
 column in O(K^2) from A^H y (Woodbury) and bounds its distance from
 `energies`; the ML decoder screens with it and rescores only near-ties.
 
 Every covariance is factored by `_cholesky`: one stacked call, item by item
-only when it breaks down. `covariance_factors` marks failures per support;
-`_inverse_factor` (the pencil kernel and the dense `decode.log_likelihood`)
-raises them as "covariance factorization failed (...)".
+only when it breaks down. `covariance_factors` marks failures per support
+(`h_spectra` raises the first); `_inverse_factor` (`_pencil_eigs` and the
+dense `decode.log_likelihood`) raises them, both as "covariance factorization
+failed (...)".
 """
 
 from __future__ import annotations
@@ -237,7 +241,9 @@ def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
 
 
 def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
-    """Factors of Sigma_S for the supports given as an (L, K) array of rows.
+    """Factors of Sigma_S for the supports given as an (L, K) array of rows,
+    of one matrix A (M, N) or of a stack A (L, M, N) whose matrix n carries
+    support row n.
 
     One stacked QR and one `_cholesky` serve all L supports. A C whose factor
     is NaN fails, and so does one whose pivot falls to its rounding level
@@ -247,9 +253,15 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     entries, _ = as_matrix(A)
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    M = entries.shape[0]
+    M = entries.shape[-2]
     rows = np.asarray(rows, dtype=np.intp)
-    Q, R = np.linalg.qr(entries.T[rows].swapaxes(1, 2))
+    lead = ()
+    if entries.ndim == 3:
+        if len(entries) != len(rows):
+            raise ValueError(f"a stack of {len(entries)} matrices needs as many supports,"
+                             f" got {len(rows)}")
+        lead = (np.arange(len(rows))[:, None],)
+    Q, R = np.linalg.qr(entries.swapaxes(-1, -2)[lead + (rows,)].swapaxes(1, 2))
     p = Q.shape[2]
     C = _gram(R, sigma2)
     G = _cholesky(C)
@@ -278,7 +290,9 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
 
 def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
     """Ascending eigenvalues (P, m) of the P pencils (C_0, C_1), with
-    C_i = X_i X_i^H + sigma2 I, for stacks X0 (P, m, k0) and X1 (P, m, k1).
+    C_i = X_i X_i^H + sigma2 I, for stacks X0 (P, m, k0) and X1 (P, m, k1):
+    the reduced r x r pencils of `pair_incoherences`, whose X_i are blocks of
+    an R factor (m = r <= 2K).
 
     One stacked Cholesky C_1 = L L^H whitens every pencil (Golub & Van Loan,
     Matrix Computations, sec. 8.7) and one stacked `eigvalsh` of
@@ -296,9 +310,39 @@ def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
 
 def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
     """Descending eigenvalues (D, M), all positive, of the dense M x M pencils
-    (Sigma_0, Sigma_1) of D matrices (D, M, N): `_pencil_eigs` of the raw
-    columns of S0 and S1, so no eigenvalue is taken to be 1."""
-    eigs = _pencil_eigs(entries[:, :, S0.as_array()], entries[:, :, S1.as_array()], sigma2)
+    (Sigma_0, Sigma_1) of D matrices (D, M, N).
+
+    Sigma_1 is whitened with its low-rank factors (`covariance_factors`, one
+    support row per matrix): with A_S1 = Q R and R R^H + sigma2 I = G G^H,
+    Sigma_1 = B B^H for B^{-1} = sigma2^{-1/2} (I - Q Q^H) + Q G^{-1} Q^H, so
+    the pencil's spectrum is that of
+
+        W = B^{-1} Sigma_0 B^{-H} = I + Z Z^H + Q (sigma2 G^{-1} G^{-H} - I) Q^H,
+        Z = B^{-1} X0 = (X0 - Q w) / sigma2^{1/2} + Q G^{-1} w,   w = Q^H X0,
+
+    for the columns X0 of S0 (Hager, SIAM Rev. 1989; Golub & Van Loan, sec.
+    8.7). W takes O(M^2 K) work and one stacked `eigvalsh` gives its whole
+    spectrum, so no eigenvalue is taken to be 1. A Sigma_1 that does not
+    factor, or a non-finite W (a non-finite column of S0), is a
+    `NumericFailure`.
+    """
+    factors = covariance_factors(entries, np.broadcast_to(S1.as_array(), (len(entries), S1.size)),
+                                 sigma2)
+    if factors.failures:
+        raise NumericFailure(next(iter(factors.failures.values())))
+    Q, proj = factors.Q, factors.proj
+    p = Q.shape[2]
+    X0 = entries[:, :, S0.as_array()]
+    wv = proj @ X0                                          # [w; G^{-1} w]
+    Z = (X0 - Q @ wv[:, :p]) / math.sqrt(sigma2) + Q @ wv[:, p:]
+    Gi_Qh = proj[:, p:]                                     # G^{-1} Q^H
+    core = sigma2 * (Gi_Qh @ Gi_Qh.conj().swapaxes(1, 2)) - np.eye(p)
+    # W - I = [Z | Q core] [Z | Q]^H, one stacked product
+    W = np.concatenate([Z, Q @ core], axis=2) @ np.concatenate([Z, Q], axis=2).conj().swapaxes(1, 2)
+    W += np.eye(W.shape[-1])
+    if not np.isfinite(W).all():
+        raise NumericFailure(_factorization_failure(W))
+    eigs = np.linalg.eigvalsh(W)
     if eigs[:, 0].min() <= 0:
         raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
     return eigs[:, ::-1]

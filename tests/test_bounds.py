@@ -29,7 +29,10 @@ from suprec import (
     sample_gaussian_matrix,
     snet_requirements,
     substream,
+    support_rows,
 )
+from suprec.bounds import fano_betas
+from suprec.spectra import covariance_factors
 
 from conftest import gaussian_instance, mp_pencil_eigs, random_pair
 
@@ -311,6 +314,12 @@ class TestFanoBeta:
         total = sum(kl_divergence(sigmas[i], sigmas[j], 1, 1.0)
                     for i in range(L) for j in range(L))
         assert fano_beta_exact(A, 3, 0.5, 1) == pytest.approx(total / L**2, rel=1e-9)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_betas_from_shared_factors_are_the_exact_betas(self, field):
+        A = gaussian_instance(4, 6, field, seed=3, label="beta")
+        factors = covariance_factors(A, support_rows(6, 2), 0.7)
+        assert fano_betas(A, factors, [1, 4, 1]) == [fano_beta_exact(A, 2, 0.7, T) for T in (1, 4, 1)]
 
     def test_exact_below_frobenius(self):
         for seed in range(200):

@@ -206,6 +206,15 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestCsvCells:
+    def test_plain_cells_format_as_csv_cell(self):
+        # the fast path of `_write_output` writes what `_csv_cell` would
+        values = (0, -3, 2**70, 0.1, -0.0, 1e-300, 1e22, 2.5e-8, math.inf, -math.inf, math.nan)
+        for value in values:
+            assert cli._PLAIN_CELLS[type(value)](value) == cli._csv_cell(value)
+        assert bool not in cli._PLAIN_CELLS and np.float64 not in cli._PLAIN_CELLS
+
+
 class TestBoundsCommand:
     def test_geometric_query_value(self, tmp_path):
         cfg = write_config(tmp_path, {"queries": [

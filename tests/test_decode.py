@@ -15,6 +15,7 @@ from suprec import (
     make_support,
     ml_decode,
     substream,
+    support_rows,
 )
 from suprec.decode import lrt_decoder
 
@@ -282,6 +283,18 @@ class TestLowRankScores:
         assert np.array_equal(by_rows.score_batch(Ys),
                               SupportDecoder(A, candidates, 0.3).score_batch(Ys))
         assert by_rows.candidates == candidates
+
+    def test_shared_factors_are_used_as_given(self):
+        A = gaussian_instance(5, 7, FieldTag.COMPLEX, seed=31, label="lowrank")
+        rows = support_rows(7, 2)
+        factors = spectra.covariance_factors(A, rows, 0.3)
+        Ys = model_observations(A, enumerate_supports(7, 2), 0.3, 4, 2, seed=2)
+        shared = SupportDecoder(A, rows, 0.3, factors)
+        assert shared._groups[0][1] is factors
+        assert np.array_equal(shared.score_batch(Ys), SupportDecoder(A, rows, 0.3).score_batch(Ys))
+        for candidates, sigma2 in ((enumerate_supports(7, 2), 0.3), (rows, 0.4), (rows[1:], 0.3)):
+            with pytest.raises(ValueError, match="factors"):
+                SupportDecoder(A, candidates, sigma2, factors)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_mixed_sizes(self, field):

@@ -2,9 +2,10 @@
 stdout must equal the files under `tests/golden/` byte for byte.
 
 Each case covers one command, `simulate` mode or output format. When an
-output is meant to change, rewrite the files with
+output is meant to change, rewrite the files of the named cases (all of them
+when none is named) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 
 and review their diff: it should show exactly the intended change.
 """
@@ -94,7 +95,11 @@ def test_stdout_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s) {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names:
             (GOLDEN / f"{name}.{CASES[name][3]}").write_text(run_case(name, Path(tmp)))

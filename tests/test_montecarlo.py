@@ -18,9 +18,11 @@ from suprec import (
     pair_incoherence,
     sample_gaussian_matrix,
     substream,
+    support_rows,
 )
 from suprec import montecarlo as mc
 from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
+from suprec.spectra import covariance_factors
 import math
 
 from conftest import dense_scores, gaussian_instance
@@ -233,6 +235,13 @@ class TestMultipleEstimate:
         hist = est.extras["kd_histogram"]
         assert sum(hist.values()) == round(est.p_hat * est.trials)
         assert all(1 <= kd <= 2 for kd in hist)
+
+    def test_shared_factors_leave_the_estimate(self):
+        A = gaussian_instance(4, 6, seed=106, label="mc-multi")
+        factors = covariance_factors(A, support_rows(6, 2), 1.0)
+        a = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=15, factors=factors)
+        b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=15)
+        assert (a.p_hat, a.extras) == (b.p_hat, b.extras)
 
     def test_determinism(self):
         A = gaussian_instance(4, 6, seed=105, label="mc-multi")

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -232,6 +233,57 @@ class TestStackedKernels:
         middle = eigs[:, 2:-2]
         assert eigs.shape == (6, 12)
         assert np.all(np.abs(middle - 1.0) < 1e-12) and np.any(middle != 1.0)
+
+
+class TestLowRankWhitening:
+    """`h_spectra` whitens Sigma_1 with its K x K `covariance_factors`: checked
+    against the 60-digit pencil, the dense M x M oracle's counts and the
+    failure paths of a non-finite column on either side."""
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2", [1.0, 1e-4])
+    def test_top_eigenvalues_match_high_precision_oracle(self, field, sigma2):
+        for overlap in (0, 1):
+            S0, S1 = random_pair(8, 3, overlap)
+            A = gaussian_instance(8, 8, field=field, seed=overlap, label="whiten-mp")
+            got = spectra.h_spectra(A.entries[None], S0, S1, sigma2)[0]
+            k0 = 3 - overlap
+            exact = np.array([float(x) for x in mp_pencil_eigs(A, S0, S1, sigma2)[:k0]])
+            assert np.all(exact > 1.0) and spectrum_split(got).count_gt == k0
+            np.testing.assert_allclose(got[:k0], exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_counts_match_dense_oracle_on_a_grid(self, field):
+        for M, K, sigma2 in product((6, 9, 12), (1, 2, 3), (1.0, 0.05)):
+            if M < 2 * K:
+                continue
+            N = 2 * K + 2
+            for overlap in range(K):
+                S0, S1 = random_pair(N, K, overlap)
+                stack = draw_stack(M, N, 4, field, seed=M * K, label=f"grid-{overlap}")
+                for A, got in zip(stack, spectra.h_spectra(stack, S0, S1, sigma2)):
+                    a, b = spectrum_split(got), spectrum_split(dense_h_eigenvalues(A, S0, S1, sigma2))
+                    assert (a.count_gt, a.count_eq, a.count_lt) == (b.count_gt, b.count_eq,
+                                                                    b.count_lt)
+
+    @pytest.mark.parametrize("column", [1, 3], ids=["S0", "S1"])
+    def test_non_finite_column_fails(self, column):
+        S0, S1 = make_support([0, 1], 5), make_support([2, 3], 5)
+        nan = draw_stack(6, 5, 4, FieldTag.COMPLEX, label="nan-whiten")
+        nan[2, 4, column] = np.nan
+        with pytest.raises(NumericFailure, match=re.escape("factorization failed (non-finite)")):
+            spectra.h_spectra(nan, S0, S1, 1.0)
+
+    def test_covariance_factors_of_a_stack_are_each_matrix_s(self):
+        stack = draw_stack(7, 6, 5, FieldTag.REAL, label="factor-stack")
+        rows = unrank_supports(np.arange(5), 6, 2)
+        got = spectra.covariance_factors(stack, rows, 0.3)
+        for n, entries in enumerate(stack):
+            one = spectra.covariance_factors(entries, rows[n:n + 1], 0.3)
+            np.testing.assert_allclose(got.proj[n], one.proj[0], rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(got.logdet[n], one.logdet[0], rtol=1e-13)
+        with pytest.raises(ValueError, match="as many supports"):
+            spectra.covariance_factors(stack, rows[:4], 0.3)
 
 
 class TestSpectrumSplit:
