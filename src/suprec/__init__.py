@@ -32,7 +32,6 @@ from .spectra import (
     pair_incoherence,
     pair_incoherences,
     qr_lower_bound_eigs,
-    sandwich_bounds,
     spectrum_split,
     upper_bound_eigs,
 )

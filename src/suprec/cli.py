@@ -44,7 +44,7 @@ from .model import (
     ula_manifold_matrix,
 )
 from .spectra import (_check_pair_set, _pair_union, _split_masks, covariance_factors,
-                      h_spectra, matrix_incoherence, sandwich_bounds)
+                      h_spectra, matrix_incoherence)
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
@@ -392,8 +392,7 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
                       k1: int) -> tuple:
     """(count_gt, count_eq, count_lt, slack_lower, slack_upper, ok), one entry
     per draw, for a stack A (c, M, N) of one cell's draws."""
-    eigs = h_spectra(A, S0, S1, sigma2)                    # (c, M) descending
-    lower, upper = sandwich_bounds(A, S0, S1, sigma2)
+    eigs, lower, upper = h_spectra(A, S0, S1, sigma2)      # eigs (c, M) descending
     # `spectrum_split`'s rule, one tolerance per draw
     count_gt, count_eq, count_lt = (m.sum(axis=1) for m in _split_masks(eigs, rel=tol)[:3])
     # with k0 eigenvalues above 1 they lead the descending spectrum

@@ -65,8 +65,6 @@ def binary_lrt(Y, A, S0: Support, S1: Support, sigma2: float) -> LrtResult:
     The statistic is log p(Y|S1) - log p(Y|S0); positive values choose S1,
     ties go to S0.
     """
-    if S0.indices == S1.indices:
-        raise ValueError("binary test requires distinct supports")
     scores = lrt_decoder(A, S0, S1, sigma2).score_batch(_observation_values(Y)[None])
     statistic = float(scores[1, 0] - scores[0, 0])
     return LrtResult(choice=1 if statistic > 0 else 0, statistic=statistic)
@@ -266,8 +264,11 @@ class SupportDecoder:
 
 def lrt_decoder(A, S0: Support, S1: Support, sigma2: float) -> SupportDecoder:
     """Two-candidate decoder [S0, S1] for the likelihood-ratio test, whose
-    statistic is scores[1] - scores[0]. Unlike a general decoder it raises
-    NumericFailure when either covariance cannot be factorized."""
+    statistic is scores[1] - scores[0]. Unlike a general decoder it needs
+    distinct supports and raises NumericFailure when either covariance cannot
+    be factorized."""
+    if S0.indices == S1.indices:
+        raise ValueError("binary test requires distinct supports")
     decoder = SupportDecoder(A, [S0, S1], sigma2)
     if decoder.failures:
         raise NumericFailure(next(iter(decoder.failures.values())))

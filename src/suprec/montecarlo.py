@@ -201,8 +201,6 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
     Each trial draws the true hypothesis uniformly from {S0, S1}, generates
     signals and noise, and records whether the LRT picks the wrong support.
     """
-    if S0.indices == S1.indices:
-        raise ValueError("binary estimation needs distinct supports")
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
     decoder = lrt_decoder(A, S0, S1, sigma2)

@@ -4,41 +4,43 @@ sandwich bounds, and the pairwise/global incoherence of a measurement matrix.
 For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
-(Sigma_0, Sigma_1). Two stacked kernels solve these pencils, each with one
-stacked `eigvalsh`. `h_spectra`, behind eig-check, takes the full dense
-M x M spectrum: it whitens Sigma_1 with its K x K `covariance_factors`, so
-building the whitened matrix takes O(M^2 K) work and no M x M factorization.
-`_pencil_eigs` serves `pair_incoherences`: it forms C_i = X_i X_i^H +
-sigma^2 I (`_gram`) from blocks of the R factor of each pair's union columns
-and whitens with the inverse Cholesky factor of C_1. Only
-r = |S0 cup S1| <= 2K eigenvalues differ from 1, and this r x r pencil keeps
-those of order sigma^2 that the dense one loses to rounding. `_split_masks`
-splits every spectrum around 1.
-Every support pair reaches its union QR one way: `_union_rows` orders the union
-[S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r` QRs it per k_d, on one matrix
-for all pairs (`matrix_incoherence`, and `noise_constants`, whose c1 reads R33)
-or on a stack of one pair per matrix (Monte Carlo draws, `sandwich_bounds`).
-Both minima over ordered support pairs, lambda_bar and c1, run one walk,
-`_pair_walk`, each with its own block scorer. Before the first draw it checks
-the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
-M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
-`_pair_union` (equal sizes, not identical, M >= 2 k_d).
+(Sigma_0, Sigma_1). Every support pair reaches its union QR one way:
+`_union_rows` orders the union [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r`
+QRs it per k_d, on one matrix for all pairs (`matrix_incoherence`, and
+`noise_constants`, whose c1 reads R33) or on a stack of one pair per matrix
+(Monte Carlo draws, and eig-check's `h_spectra`). Two stacked kernels solve
+the pencils from that QR, each with one stacked `eigvalsh`:
+- `h_spectra` takes the full dense M x M spectrum and the sandwich bounds
+  from one reduced QR (Q and R): it whitens Sigma_1 with R's leading K x K
+  block and lifts the whitened r x r pencil into M x M with Q, so building
+  the dense matrix takes O(M^2 K) work and no M x M factorization.
+- `_pencil_eigs` serves `pair_incoherences`: it forms C_i = X_i X_i^H +
+  sigma^2 I (`_gram`) from blocks of R and whitens with the inverse Cholesky
+  factor of C_1. Only r = |S0 cup S1| <= 2K eigenvalues differ from 1, and
+  this r x r pencil keeps those of order sigma^2 that the dense one loses to
+  rounding.
+`_split_masks` splits every spectrum around 1. Both minima over ordered
+support pairs, lambda_bar and c1, run one walk, `_pair_walk`, each with its
+own block scorer. Before the first draw it checks the set rule
+(`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2, M >= 2 min(K, N - K)), so no
+pair it draws breaks the pair rule of `_pair_union` (equal sizes, not
+identical, M >= 2 k_d).
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
-factors many of them at once in K x K form, on one matrix or on a stack of one
-support per matrix: one stacked QR of the supports' columns and one stacked
-Cholesky of C = R R^H + sigma^2 I. Those factors give every log-determinant
-and quadratic form the decoders need (`CovarianceFactors.energies`), the sum
-of inverses in the exact Fano beta, and the whitener of `h_spectra`.
+factors many supports of one matrix at once in K x K form: one stacked QR of
+the supports' columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those
+factors give every log-determinant and quadratic form the decoders need
+(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
 When K < M they also hold the inverse Cholesky factor F^{-1} of
 sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
 column in O(K^2) from A^H y (Woodbury) and bounds its distance from
 `energies`; the ML decoder screens with it and rescores only near-ties.
 
 Every covariance is factored by `_cholesky`: one stacked call, item by item
-only when it breaks down. `covariance_factors` marks failures per support
-(`h_spectra` raises the first); `_inverse_factor` (`_pencil_eigs` and the
-dense `decode.log_likelihood`) raises them, both as "covariance factorization
+only when it breaks down. `_whitener` adds the pivot-floor rule and marks
+failures per covariance: `covariance_factors` records them per support and
+`h_spectra` raises the first; `_inverse_factor` (`_pencil_eigs` and the dense
+`decode.log_likelihood`) raises a breakdown, all as "covariance factorization
 failed (...)".
 """
 
@@ -119,7 +121,7 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CovarianceFactors:
     """Low-rank factors of Sigma_S = A_S A_S^H + sigma2 I_M for L supports of
-    one size K, stacked along the first axis.
+    one size K of one matrix A, stacked along the first axis.
 
     With the reduced QR A_S = Q R (Q: M x p orthonormal, p = min(M, K)) and
     the Cholesky factor G of C = R R^H + sigma2 I_p,
@@ -240,34 +242,35 @@ def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
     return columns if T == 1 else np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
 
 
-def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
-    """Factors of Sigma_S for the supports given as an (L, K) array of rows,
-    of one matrix A (M, N) or of a stack A (L, M, N) whose matrix n carries
-    support row n.
+def _whitener(C: np.ndarray) -> tuple:
+    """(G, pivots, failed) for a stack of covariances C (P, p, p): the lower
+    Cholesky factors (`_cholesky`), their squared pivots, and the mask of the
+    C that fail, because the factor is NaN or a pivot falls to its rounding
+    level (p eps max C_jj), where log|C| and C^{-1} are rounding noise."""
+    G = _cholesky(C)
+    pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
+    p = C.shape[-1]
+    floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
+    return G, pivots, ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
 
-    One stacked QR and one `_cholesky` serve all L supports. A C whose factor
-    is NaN fails, and so does one whose pivot falls to its rounding level
-    (p eps max C_jj), where log|C| and C^{-1} are rounding noise: for
-    instance when A_S has duplicate columns and sigma2 is below eps^2 |A_S|^2.
+
+def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
+    """Factors of Sigma_S for the supports of one matrix A (M, N) given as an
+    (L, K) array of rows.
+
+    One stacked QR and one `_whitener` serve all L supports; a support fails
+    by the `_whitener` rule, for instance when A_S has duplicate columns and
+    sigma2 is below eps^2 |A_S|^2.
     """
     entries, _ = as_matrix(A)
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    M = entries.shape[-2]
+    M = entries.shape[0]
     rows = np.asarray(rows, dtype=np.intp)
-    lead = ()
-    if entries.ndim == 3:
-        if len(entries) != len(rows):
-            raise ValueError(f"a stack of {len(entries)} matrices needs as many supports,"
-                             f" got {len(rows)}")
-        lead = (np.arange(len(rows))[:, None],)
-    Q, R = np.linalg.qr(entries.swapaxes(-1, -2)[lead + (rows,)].swapaxes(1, 2))
+    Q, R = np.linalg.qr(entries.T[rows].swapaxes(1, 2))
     p = Q.shape[2]
     C = _gram(R, sigma2)
-    G = _cholesky(C)
-    pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
-    floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
-    failed = ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
+    G, pivots, failed = _whitener(C)
     failures = {int(i): _factorization_failure(C[i]) for i in np.flatnonzero(failed)}
     logdet = (M - p) * np.log(sigma2) + np.sum(np.log(pivots), axis=1)
     logdet[failed] = np.inf
@@ -308,51 +311,78 @@ def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
     return np.linalg.eigvalsh(W)
 
 
-def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Descending eigenvalues (D, M), all positive, of the dense M x M pencils
-    (Sigma_0, Sigma_1) of D matrices (D, M, N).
+def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> tuple:
+    """(eigs, lower, upper) of D matrices (D, M, N), from one stacked reduced
+    QR A_U = Q R of each matrix's union U = [S1 \\ S0 | S0 cap S1 | S0 \\ S1]
+    (`_union_r`, r = K1 + k0 columns, K1 = |S1|, k0 = |S0 \\ S1|): `eigs`
+    (D, M), descending and positive, is the dense spectrum of the pencil
+    (Sigma_0, Sigma_1); `lower` and `upper` (D, k0), descending, are the
+    eigenvalues of I + R33 R33^H / sigma2 (R33 the trailing k0 x k0 block of
+    R) and of I + A_{S0\\S1}^H A_{S0\\S1} / sigma2, which bracket its k0
+    eigenvalues above 1.
 
-    Sigma_1 is whitened with its low-rank factors (`covariance_factors`, one
-    support row per matrix): with A_S1 = Q R and R R^H + sigma2 I = G G^H,
-    Sigma_1 = B B^H for B^{-1} = sigma2^{-1/2} (I - Q Q^H) + Q G^{-1} Q^H, so
-    the pencil's spectrum is that of
+    R's leading K1 columns are zero below row K1, so Sigma_1 is whitened by
+    L = G (+) sigma2^{1/2} I with G G^H = R11 R11^H + sigma2 I (`_whitener`)
+    and, for Z = L^{-1} R_0 with R_0 the columns of S0 in R,
 
-        W = B^{-1} Sigma_0 B^{-H} = I + Z Z^H + Q (sigma2 G^{-1} G^{-H} - I) Q^H,
-        Z = B^{-1} X0 = (X0 - Q w) / sigma2^{1/2} + Q G^{-1} w,   w = Q^H X0,
+        W_r - I = L^{-1} (R_0 R_0^H + sigma2 I) L^{-H} - I
+                = Z Z^H + (sigma2 G^{-1} G^{-H} - I) (+) 0
 
-    for the columns X0 of S0 (Hager, SIAM Rev. 1989; Golub & Van Loan, sec.
-    8.7). W takes O(M^2 K) work and one stacked `eigvalsh` gives its whole
-    spectrum, so no eigenvalue is taken to be 1. A Sigma_1 that does not
-    factor, or a non-finite W (a non-finite column of S0), is a
-    `NumericFailure`.
+    (Hager, SIAM Rev. 1989; Golub & Van Loan, sec. 8.7). One stacked
+    `eigvalsh` of W = I + Q (W_r - I) Q^H takes the whole spectrum, so no
+    eigenvalue is taken to be 1. M < r is a ValueError; a non-finite union
+    column, a Sigma_1 that fails `_whitener`, a non-finite W, a non-positive
+    eigenvalue or a zero pivot of R33 is a `NumericFailure`.
     """
-    factors = covariance_factors(entries, np.broadcast_to(S1.as_array(), (len(entries), S1.size)),
-                                 sigma2)
-    if factors.failures:
-        raise NumericFailure(next(iter(factors.failures.values())))
-    Q, proj = factors.Q, factors.proj
-    p = Q.shape[2]
-    X0 = entries[:, :, S0.as_array()]
-    wv = proj @ X0                                          # [w; G^{-1} w]
-    Z = (X0 - Q @ wv[:, :p]) / math.sqrt(sigma2) + Q @ wv[:, p:]
-    Gi_Qh = proj[:, p:]                                     # G^{-1} Q^H
-    core = sigma2 * (Gi_Qh @ Gi_Qh.conj().swapaxes(1, 2)) - np.eye(p)
-    # W - I = [Z | Q core] [Z | Q]^H, one stacked product
-    W = np.concatenate([Z, Q @ core], axis=2) @ np.concatenate([Z, Q], axis=2).conj().swapaxes(1, 2)
-    W += np.eye(W.shape[-1])
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    D, M = entries.shape[:2]
+    k_d, union = _union_rows(S0.as_array()[None], S1.as_array()[None])
+    K1 = S1.size
+    if M < union.shape[1]:
+        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
+    (_, k0, (Q, R)), = _union_r(entries, k_d.repeat(D), union.repeat(D, 0), mode="reduced")
+    C = _gram(R[:, :K1, :K1], sigma2)
+    G, _, failed = _whitener(C)
+    if failed.any():
+        raise NumericFailure(_factorization_failure(C[np.argmax(failed)]))
+    Gi = np.linalg.inv(G)
+    R0 = R[:, :, K1 + k0 - S0.size:]                         # [S0 cap S1 | S0 \ S1]
+    Z = np.concatenate([Gi @ R0[:, :K1], R0[:, K1:] / math.sqrt(sigma2)], axis=1)
+    core = Z @ Z.conj().swapaxes(1, 2)                       # W_r - I
+    core[:, :K1, :K1] += sigma2 * (Gi @ Gi.conj().swapaxes(1, 2)) - np.eye(K1)
+    W = Q @ core @ Q.conj().swapaxes(1, 2)
+    W += np.eye(M)
     if not np.isfinite(W).all():
         raise NumericFailure(_factorization_failure(W))
     eigs = np.linalg.eigvalsh(W)
     if eigs[:, 0].min() <= 0:
         raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
-    return eigs[:, ::-1]
+    R33 = _r33(R, k0)
+    block = entries[:, :, union[0, K1:]]
+    return (eigs[:, ::-1], _shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
+            _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
 
 
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
     """Descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1): the
-    D = 1 call of `h_spectra`."""
+    D = 1 view of `h_spectra`."""
     entries, _ = as_matrix(A)
-    return h_spectra(entries[None], S0, S1, sigma2)[0]
+    return h_spectra(entries[None], S0, S1, sigma2)[0][0]
+
+
+def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
+    """Lower bound on the greater-than-1 part of H's spectrum: the D = 1 view
+    of `h_spectra`."""
+    entries, _ = as_matrix(A)
+    return h_spectra(entries[None], S0, S1, sigma2)[1][0]
+
+
+def upper_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
+    """Upper bound on the greater-than-1 part of H's spectrum: the D = 1 view
+    of `h_spectra`."""
+    entries, _ = as_matrix(A)
+    return h_spectra(entries[None], S0, S1, sigma2)[2][0]
 
 
 @dataclass(frozen=True)
@@ -418,11 +448,12 @@ def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
     return k_d, union[:, :rows1.shape[1] + k_d.max()]
 
 
-def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
+def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray, mode: str = "r"):
     """Yield (sel, kd, R) for each kd in k_d: the mask `sel` of the pairs with
     that kd and the R factors (n, p, K1 + kd) of their union columns (see
     `_union_rows`), from one stacked QR of one matrix (M, N) for all P pairs or
-    of a stack (P, M, N) whose matrix n carries pair n; NaN or inf fails."""
+    of a stack (P, M, N) whose matrix n carries pair n; NaN or inf fails. With
+    mode="reduced" the third entry is the pair (Q, R) instead."""
     K1 = union.shape[1] - k_d.max()
     columns = entries.swapaxes(-1, -2)                       # (..., N, M)
     for kd in sorted(set(k_d.tolist())):
@@ -431,7 +462,7 @@ def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
         X = columns[lead + (union[sel, :K1 + kd],)]             # (n, K1 + kd, M)
         if not np.isfinite(X).all():
             raise NumericFailure(_factorization_failure(X))
-        yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode="r")
+        yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode=mode)
 
 
 def _pair_union(rows0, rows1, M: int) -> tuple:
@@ -567,10 +598,11 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
 
 
 def _r33(R: np.ndarray, k0: int) -> np.ndarray:
-    """R33 of the QR construction (see `sandwich_bounds`) from a stack of R
-    factors (B, p, r) of columns ordered [S1 \\ S0 | S0 cap S1 | S0 \\ S1] with
-    p >= r and k0 = |S0 \\ S1| >= 1: the trailing k0 x k0 block of each R."""
-    R33 = R[:, -k0:, -k0:]
+    """R33 of the QR construction (see `h_spectra`) from a stack of square R
+    factors (B, r, r) of columns ordered [S1 \\ S0 | S0 cap S1 | S0 \\ S1] with
+    k0 = |S0 \\ S1|: the trailing k0 x k0 block of each R."""
+    r = R.shape[2]
+    R33 = R[:, r - k0:, r - k0:]
     if (np.diagonal(R33, axis1=1, axis2=2) == 0).any():
         raise NumericFailure("rank-deficient column stack; measurement matrix is degenerate on these supports")
     return R33
@@ -579,42 +611,6 @@ def _r33(R: np.ndarray, k0: int) -> np.ndarray:
 def _shifted_eigs(G: np.ndarray, sigma2: float) -> np.ndarray:
     """Descending eigenvalues of I + G / sigma2 for a stack of Hermitian G."""
     return np.linalg.eigvalsh(np.eye(G.shape[-1]) + G / sigma2)[:, ::-1]
-
-
-def sandwich_bounds(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> tuple:
-    """(lower, upper), each (D, k0) descending, bracketing the k0 = |S0 \\ S1|
-    eigenvalues of H above 1 for D matrices stacked as (D, M, N).
-
-    lower holds the eigenvalues of I + R33 R33^H / sigma^2, where R33 is the
-    trailing k0 x k0 block of R in the QR factorization of
-    [A_{S1\\S0} | A_{S1 cap S0} | A_{S0\\S1}]; upper those of
-    I + A_{S0\\S1}^H A_{S0\\S1} / sigma^2. One stacked QR (`_union_r`, the
-    pair repeated per matrix) and two stacked `eigvalsh` calls serve all D.
-    """
-    k_d, union = _union_rows(S0.as_array()[None], S1.as_array()[None])
-    if not k_d[0]:
-        return np.empty((len(entries), 0)), np.empty((len(entries), 0))
-    if entries.shape[1] < union.shape[1]:
-        raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    (_, k0, R), = _union_r(entries, k_d.repeat(len(entries)), union.repeat(len(entries), 0))
-    R33 = _r33(R, k0)
-    block = entries[:, :, union[0, -k0:]]
-    return (_shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
-            _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
-
-
-def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Lower bound on the greater-than-1 part of H's spectrum: the D = 1 call
-    of `sandwich_bounds`."""
-    entries, _ = as_matrix(A)
-    return sandwich_bounds(entries[None], S0, S1, sigma2)[0][0]
-
-
-def upper_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Upper bound on the greater-than-1 part of H's spectrum: the D = 1 call
-    of `sandwich_bounds`."""
-    entries, _ = as_matrix(A)
-    return sandwich_bounds(entries[None], S0, S1, sigma2)[1][0]
 
 
 def noise_constants(A, K: int, cap: int = PAIR_CAP) -> tuple:

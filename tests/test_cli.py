@@ -411,6 +411,18 @@ class TestEigCheckCommand:
         assert cli.run_eig_check(cli._validate_eigcheck(config), 5) == whole
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
 
+    def test_one_qr_per_chunk(self, monkeypatch):
+        # spectrum and sandwich bounds share one union QR: 5 cells (K = 2, 3)
+        # of 10 draws taken 3, 3, 3 and 1 at a time make 20 chunks
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
+        config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10}
+        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 5)
+        assert comments == ["# violations=0"] and len(rows) == 50
+        assert len(calls) == 5 * 4
+
 
 def eig_check_oracle_rows(config, seed):
     """Per-draw (counts, slacks) of an eig-check config from the conftest
@@ -610,7 +622,7 @@ result = [suprec.log_likelihood(Y, suprec.covariance(A, S0, 0.5), 1.0),
           suprec.h_eigenvalues(A, S0, S1, 0.5).tolist(),
           suprec.pair_incoherence(A, S0, S1, 0.5).value,
           suprec.estimate_expected_incoherence(8, 2, 1, 0.5, 40, seed=3).mean,
-          [b.tolist() for b in suprec.sandwich_bounds(A.entries[None], S0, S1, 0.5)],
+          [b.tolist() for b in suprec.h_spectra(A.entries[None], S0, S1, 0.5)[1:]],
           suprec.noise_constants(A, 2),
           suprec.clopper_pearson(3, 40)]
 """

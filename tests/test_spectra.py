@@ -98,7 +98,7 @@ class TestFactorizationFailure:
         pattern = rf"covariance factorization failed \({detail}"
         S0, S1 = make_support([2, 3], 4), make_support([0, 1], 4)
         with pytest.raises(NumericFailure, match=pattern):
-            spectra.h_spectra(A[None], S0, S1, sigma2)
+            spectra.h_spectra(A[None], S0, S1, sigma2)[0]
         with pytest.raises(NumericFailure, match=pattern):
             pair_incoherences(A, [S0.indices], [S1.indices], sigma2)
         with pytest.raises(NumericFailure, match=pattern):
@@ -132,9 +132,16 @@ class TestHEigenvalues:
         backward = h_eigenvalues(A, S1, S0, 1.0)
         assert np.max(np.abs(backward - 1.0 / forward[::-1])) < 1e-9
 
+    def test_union_wider_than_m_is_out_of_domain(self):
+        # |S0 cup S1| = 4 > M = 3: the union QR has no room for the union
+        A = gaussian_instance(3, 6, seed=2)
+        S0, S1 = random_pair(6, 2, overlap=0)
+        with pytest.raises(ValueError, match=re.escape("need M >= k0 + k_i + k1")):
+            h_eigenvalues(A, S0, S1, 1.0)
+
 
 class TestStackedKernels:
-    """`h_spectra` and `sandwich_bounds` against the per-matrix dense oracles
+    """`h_spectra`'s spectra and bounds against the per-matrix dense oracles
     of conftest, for every overlap of a K = 3 pair."""
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
@@ -143,7 +150,7 @@ class TestStackedKernels:
         M, N, K = 9, 8, 3
         S0, S1 = random_pair(N, K, overlap)
         stack = draw_stack(M, N, 12, field, seed=overlap)
-        eigs = spectra.h_spectra(stack, S0, S1, 0.7)
+        eigs = spectra.h_spectra(stack, S0, S1, 0.7)[0]
         assert eigs.shape == (12, M)
         for A, got in zip(stack, eigs):
             want = dense_h_eigenvalues(A, S0, S1, 0.7)
@@ -158,7 +165,7 @@ class TestStackedKernels:
     def test_sandwich_matches_dense_oracle(self, field, overlap):
         S0, S1 = random_pair(8, 3, overlap)
         stack = draw_stack(9, 8, 12, field, seed=overlap, label="sandwich-stack")
-        lower, upper = spectra.sandwich_bounds(stack, S0, S1, 0.7)
+        lower, upper = spectra.h_spectra(stack, S0, S1, 0.7)[1:]
         assert lower.shape == upper.shape == (12, 3 - overlap)
         for A, low, up in zip(stack, lower, upper):
             want_low, want_up = dense_sandwich(A, S0, S1, 0.7)
@@ -169,8 +176,8 @@ class TestStackedKernels:
     def test_single_matrix_is_the_batch_call(self, field):
         S0, S1 = random_pair(8, 3, 1)
         stack = draw_stack(9, 8, 5, field, label="single")
-        eigs = spectra.h_spectra(stack, S0, S1, 0.4)
-        lower, upper = spectra.sandwich_bounds(stack, S0, S1, 0.4)
+        eigs = spectra.h_spectra(stack, S0, S1, 0.4)[0]
+        lower, upper = spectra.h_spectra(stack, S0, S1, 0.4)[1:]
         for d, entries in enumerate(stack):
             A = MeasurementMatrix(entries, field)
             np.testing.assert_array_equal(h_eigenvalues(A, S0, S1, 0.4), eigs[d])
@@ -184,20 +191,20 @@ class TestStackedKernels:
         dup[:, :, 3] = dup[:, :, 2]
         dup[:, :, 2:4] *= 1e8
         with pytest.raises(NumericFailure, match="covariance factorization failed"):
-            spectra.h_spectra(dup, S0, S1, 1e-8)
+            spectra.h_spectra(dup, S0, S1, 1e-8)[0]
         with pytest.raises(NumericFailure, match="non-positive eigenvalue"):
-            spectra.h_spectra(stack, S0, S1, 1e-12)
+            spectra.h_spectra(stack, S0, S1, 1e-12)[0]
         with pytest.raises(ValueError, match="sigma2"):
-            spectra.h_spectra(stack, S0, S1, 0.0)
+            spectra.h_spectra(stack, S0, S1, 0.0)[0]
         zero = stack.copy()
         zero[2, :, 1] = 0.0                 # a column of S0 \ S1 vanishes in one draw
         with pytest.raises(NumericFailure, match="rank-deficient"):
-            spectra.sandwich_bounds(zero, S0, S1, 1.0)
+            spectra.h_spectra(zero, S0, S1, 1.0)[1:]
         nan = stack.copy()                  # a bare array with one NaN entry, in S0 or S1
         nan[1, 2, 1] = np.nan
         for Sa, Sb in ((S0, S1), (S1, S0)):
             with pytest.raises(NumericFailure):
-                spectra.h_spectra(nan, Sa, Sb, 1.0)
+                spectra.h_spectra(nan, Sa, Sb, 1.0)[0]
             with pytest.raises(NumericFailure):
                 h_eigenvalues(nan[1], Sa, Sb, 1.0)
 
@@ -209,7 +216,7 @@ class TestStackedKernels:
         nan[2, 3, column] = np.nan
         for Sa, Sb in ((S0, S1), (S1, S0)):
             with pytest.raises(NumericFailure, match=re.escape("failed (non-finite)")):
-                spectra.sandwich_bounds(nan, Sa, Sb, 1.0)
+                spectra.h_spectra(nan, Sa, Sb, 1.0)[1:]
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_sandwich_unequal_sizes_match_dense_oracle(self, field):
@@ -218,7 +225,7 @@ class TestStackedKernels:
         S0, S1, inner = make_support([0, 3, 5], 7), make_support([1, 3], 7), make_support([3], 7)
         stack = draw_stack(8, 7, 6, field, label="unequal-sandwich")
         for Sa, Sb, k0 in ((S0, S1, 2), (S1, S0, 1), (S0, inner, 2)):
-            lower, upper = spectra.sandwich_bounds(stack, Sa, Sb, 0.6)
+            lower, upper = spectra.h_spectra(stack, Sa, Sb, 0.6)[1:]
             assert lower.shape == upper.shape == (6, k0)
             for A, low, up in zip(stack, lower, upper):
                 want_low, want_up = dense_sandwich(A, Sa, Sb, 0.6)
@@ -229,16 +236,16 @@ class TestStackedKernels:
         # no unit padding: every eigenvalue comes from the M x M eigvalsh, so
         # the "equal" ones differ from 1 by rounding only, not by construction
         S0, S1 = random_pair(6, 2, 0)
-        eigs = spectra.h_spectra(draw_stack(12, 6, 6, FieldTag.REAL, label="full"), S0, S1, 1.0)
+        eigs = spectra.h_spectra(draw_stack(12, 6, 6, FieldTag.REAL, label="full"), S0, S1, 1.0)[0]
         middle = eigs[:, 2:-2]
         assert eigs.shape == (6, 12)
         assert np.all(np.abs(middle - 1.0) < 1e-12) and np.any(middle != 1.0)
 
 
 class TestLowRankWhitening:
-    """`h_spectra` whitens Sigma_1 with its K x K `covariance_factors`: checked
-    against the 60-digit pencil, the dense M x M oracle's counts and the
-    failure paths of a non-finite column on either side."""
+    """`h_spectra` whitens Sigma_1 with the leading K x K block of its union
+    QR: checked against the 60-digit pencil, the dense M x M oracle's counts
+    and the failure paths of a non-finite column on either side."""
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("sigma2", [1.0, 1e-4])
@@ -246,7 +253,7 @@ class TestLowRankWhitening:
         for overlap in (0, 1):
             S0, S1 = random_pair(8, 3, overlap)
             A = gaussian_instance(8, 8, field=field, seed=overlap, label="whiten-mp")
-            got = spectra.h_spectra(A.entries[None], S0, S1, sigma2)[0]
+            got = spectra.h_spectra(A.entries[None], S0, S1, sigma2)[0][0]
             k0 = 3 - overlap
             exact = np.array([float(x) for x in mp_pencil_eigs(A, S0, S1, sigma2)[:k0]])
             assert np.all(exact > 1.0) and spectrum_split(got).count_gt == k0
@@ -261,7 +268,7 @@ class TestLowRankWhitening:
             for overlap in range(K):
                 S0, S1 = random_pair(N, K, overlap)
                 stack = draw_stack(M, N, 4, field, seed=M * K, label=f"grid-{overlap}")
-                for A, got in zip(stack, spectra.h_spectra(stack, S0, S1, sigma2)):
+                for A, got in zip(stack, spectra.h_spectra(stack, S0, S1, sigma2)[0]):
                     a, b = spectrum_split(got), spectrum_split(dense_h_eigenvalues(A, S0, S1, sigma2))
                     assert (a.count_gt, a.count_eq, a.count_lt) == (b.count_gt, b.count_eq,
                                                                     b.count_lt)
@@ -272,18 +279,7 @@ class TestLowRankWhitening:
         nan = draw_stack(6, 5, 4, FieldTag.COMPLEX, label="nan-whiten")
         nan[2, 4, column] = np.nan
         with pytest.raises(NumericFailure, match=re.escape("factorization failed (non-finite)")):
-            spectra.h_spectra(nan, S0, S1, 1.0)
-
-    def test_covariance_factors_of_a_stack_are_each_matrix_s(self):
-        stack = draw_stack(7, 6, 5, FieldTag.REAL, label="factor-stack")
-        rows = unrank_supports(np.arange(5), 6, 2)
-        got = spectra.covariance_factors(stack, rows, 0.3)
-        for n, entries in enumerate(stack):
-            one = spectra.covariance_factors(entries, rows[n:n + 1], 0.3)
-            np.testing.assert_allclose(got.proj[n], one.proj[0], rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(got.logdet[n], one.logdet[0], rtol=1e-13)
-        with pytest.raises(ValueError, match="as many supports"):
-            spectra.covariance_factors(stack, rows[:4], 0.3)
+            spectra.h_spectra(nan, S0, S1, 1.0)[0]
 
 
 class TestSpectrumSplit:
@@ -291,7 +287,7 @@ class TestSpectrumSplit:
         # `_split_masks` on a (D, M) stack counts each row as `spectrum_split`
         # does, with each row's own tolerance rel * max(1, largest), in any order
         S0, S1 = random_pair(8, 3, 1)
-        dense = spectra.h_spectra(draw_stack(9, 8, 6, FieldTag.REAL, label="masks"), S0, S1, 0.7)
+        dense = spectra.h_spectra(draw_stack(9, 8, 6, FieldTag.REAL, label="masks"), S0, S1, 0.7)[0]
         edge = np.array([[40.0, 1 + 3e-7, 1 + 5e-7, 1.0, 1 - 3.9e-7, 0.5],
                          [1 + 1.5e-8, 1 + 2.5e-8, 2.0, 1 - 1.5e-8, 1 - 2.5e-8, 0.9],
                          [1 + 5e-9, 1 - 5e-9, 1 - 2e-8, 0.95, 0.9, 0.5]])
