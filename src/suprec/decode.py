@@ -18,8 +18,8 @@ it scores every candidate in K x K Gram space (`CovarianceFactors.screen`),
 each within a rounding margin of its exact score, and rescores exactly only
 the candidates of a trial whose margins reach the best one's. Sizes with
 K >= M are scored exactly. `log_likelihood` takes one dense covariance and
-whitens with the inverse Cholesky factor that `spectra._pencil_eigs` uses
-(`_inverse_factor`).
+whitens with its inverse Cholesky factor (`spectra._inverse_factor`), which
+fails under the same pivot-floor rule as every other covariance.
 """
 
 from __future__ import annotations

@@ -8,17 +8,15 @@ Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
 `_union_rows` orders the union [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r`
 QRs it per k_d, on one matrix for all pairs (`matrix_incoherence`, and
 `noise_constants`, whose c1 reads R33) or on a stack of one pair per matrix
-(Monte Carlo draws, and eig-check's `h_spectra`). Two stacked kernels solve
-the pencils from that QR, each with one stacked `eigvalsh`:
-- `h_spectra` takes the full dense M x M spectrum and the sandwich bounds
-  from one reduced QR (Q and R): it whitens Sigma_1 with R's leading K x K
-  block and lifts the whitened r x r pencil into M x M with Q, so building
-  the dense matrix takes O(M^2 K) work and no M x M factorization.
-- `_pencil_eigs` serves `pair_incoherences`: it forms C_i = X_i X_i^H +
-  sigma^2 I (`_gram`) from blocks of R and whitens with the inverse Cholesky
-  factor of C_1. Only r = |S0 cup S1| <= 2K eigenvalues differ from 1, and
-  this r x r pencil keeps those of order sigma^2 that the dense one loses to
-  rounding.
+(Monte Carlo draws, and eig-check's `h_spectra`). One block whitening,
+`_pencil`, turns that R into the reduced r x r pencil W_r - I
+(r = |S0 cup S1| <= 2K): it factors only the leading min(K, M) square block
+of C_1 and scales its trailing sigma^2 I. Only r eigenvalues differ from 1,
+and W_r keeps those of order sigma^2 that the dense M x M pencil loses to
+rounding. Its two callers each take one stacked `eigvalsh`:
+`pair_incoherences` of I + (W_r - I), and `h_spectra` of the full dense M x M
+spectrum I + Q (W_r - I) Q^H, which it lifts with the reduced QR's Q in
+O(M^2 K) work and no M x M factorization, beside the sandwich bounds.
 `_split_masks` splits every spectrum around 1. Both minima over ordered
 support pairs, lambda_bar and c1, run one walk, `_pair_walk`, each with its
 own block scorer. Before the first draw it checks the set rule
@@ -36,12 +34,13 @@ sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
 column in O(K^2) from A^H y (Woodbury) and bounds its distance from
 `energies`; the ML decoder screens with it and rescores only near-ties.
 
-Every covariance is factored by `_cholesky`: one stacked call, item by item
-only when it breaks down. `_whitener` adds the pivot-floor rule and marks
-failures per covariance: `covariance_factors` records them per support and
-`h_spectra` raises the first; `_inverse_factor` (`_pencil_eigs` and the dense
-`decode.log_likelihood`) raises a breakdown, all as "covariance factorization
-failed (...)".
+Every covariance is factored by `_whitener`, the one caller of
+`np.linalg.cholesky`: one stacked call, item by item only when it breaks down,
+and one failure rule, a NaN factor or a pivot at its rounding floor.
+`covariance_factors` records failures per support (its Gram-screen factor F
+marks them instead, so those supports are always rescored); `_inverse_factor`,
+the raising form behind `_pencil` and the dense `decode.log_likelihood`,
+raises the first, as "covariance factorization failed (...)".
 """
 
 from __future__ import annotations
@@ -92,12 +91,15 @@ def _factorization_failure(C: np.ndarray) -> str:
     return f"covariance factorization failed ({detail})"
 
 
-def _cholesky(C: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of Hermitian matrices (P, m, m), from
-    one stacked call; only when that call breaks down are the items factored
-    one by one, and the factor of each item that fails is NaN."""
+def _whitener(C: np.ndarray) -> tuple:
+    """(G, pivots, failed) for a stack of covariances C (P, p, p): the lower
+    Cholesky factors, their squared pivots, and the mask of the C that fail,
+    because the factor is NaN or a pivot falls to its rounding level
+    (p eps max C_jj), where log|C| and C^{-1} are rounding noise. The stack is
+    factored in one call, and item by item only when that call breaks down,
+    with a NaN factor for each item that does not factor."""
     try:
-        return np.linalg.cholesky(C)
+        G = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         G = np.full_like(C, np.nan)
         for i, c in enumerate(C):
@@ -105,14 +107,17 @@ def _cholesky(C: np.ndarray) -> np.ndarray:
                 G[i] = np.linalg.cholesky(c)
             except np.linalg.LinAlgError:
                 pass
-        return G
+    pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
+    p = C.shape[-1]
+    floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
+    return G, pivots, ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
 
 
 def _inverse_factor(C: np.ndarray) -> np.ndarray:
-    """Inverses L^{-1} of the Cholesky factors C = L L^H of a stack (P, m, m); a
-    non-finite factor (breakdown or non-finite C) is a `NumericFailure`."""
-    G = _cholesky(C)
-    failed = ~np.isfinite(G).all(axis=(1, 2))
+    """Inverses G^{-1} of the `_whitener` factors G G^H = C of a stack
+    (P, m, m); the first C that fails the `_whitener` rule is a
+    `NumericFailure`."""
+    G, _, failed = _whitener(C)
     if failed.any():
         raise NumericFailure(_factorization_failure(C[np.argmax(failed)]))
     return np.linalg.inv(G)
@@ -147,7 +152,7 @@ class CovarianceFactors:
     failures: dict
     rows: np.ndarray         # (L, K) column indices of the supports
     gram_inv: np.ndarray | None = None    # (L, K, K) F^{-1}; zero for a failed support
-    cond: np.ndarray | None = None        # (L,) rho; inf where F^{-1} is not finite
+    cond: np.ndarray | None = None        # (L,) rho; inf where F fails `_whitener`
 
     def energies(self, values: np.ndarray, T: int, which=None) -> np.ndarray:
         """Quadratic forms y^H Sigma_S^{-1} y of the columns of `values`
@@ -214,8 +219,8 @@ class CovarianceFactors:
             |screen - energies| <= SCREEN_ROUNDING (M + K) u (1 + rho)^2 |y|^2 / sigma2,
 
         summed per observation, which is the margin. Nearly collinear supports have a
-        large rho and so widen their own margin; rho = inf (a factor that is
-        not finite) makes the margin inf, so such a support is always rescored.
+        large rho and so widen their own margin; rho = inf (an F that fails
+        `_whitener`) makes the margin inf, so such a support is always rescored.
         """
         L, K = self.rows.shape
         _, T, n = AhY.shape
@@ -242,25 +247,14 @@ def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
     return columns if T == 1 else np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
 
 
-def _whitener(C: np.ndarray) -> tuple:
-    """(G, pivots, failed) for a stack of covariances C (P, p, p): the lower
-    Cholesky factors (`_cholesky`), their squared pivots, and the mask of the
-    C that fail, because the factor is NaN or a pivot falls to its rounding
-    level (p eps max C_jj), where log|C| and C^{-1} are rounding noise."""
-    G = _cholesky(C)
-    pivots = np.abs(np.diagonal(G, axis1=1, axis2=2)) ** 2
-    p = C.shape[-1]
-    floor = p * np.finfo(np.float64).eps * np.diagonal(C, axis1=1, axis2=2).real.max(axis=1)
-    return G, pivots, ~(pivots.min(axis=1) > floor)          # NaN pivots fail too
-
-
 def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     """Factors of Sigma_S for the supports of one matrix A (M, N) given as an
     (L, K) array of rows.
 
-    One stacked QR and one `_whitener` serve all L supports; a support fails
-    by the `_whitener` rule, for instance when A_S has duplicate columns and
-    sigma2 is below eps^2 |A_S|^2.
+    One stacked QR and one `_whitener` of C serve all L supports (when K < M a
+    second one factors F F^H for the screen); a support fails by the
+    `_whitener` rule, for instance when A_S has duplicate columns and sigma2
+    is below eps^2 |A_S|^2.
     """
     entries, _ = as_matrix(A)
     if sigma2 <= 0:
@@ -280,8 +274,7 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
     gram_inv = cond = None
     if p < M:
-        F = _cholesky(_gram(R.conj().swapaxes(1, 2), sigma2))     # sigma2 I + R^H R
-        broken = ~np.isfinite(F).all(axis=(1, 2))
+        F, _, broken = _whitener(_gram(R.conj().swapaxes(1, 2), sigma2))     # sigma2 I + R^H R
         F[broken | failed] = np.eye(p)
         gram_inv = np.linalg.inv(F)
         gram_inv[failed] = 0.0
@@ -291,24 +284,37 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     return CovarianceFactors(Q, proj, logdet, float(sigma2), failures, rows, gram_inv, cond)
 
 
-def _pencil_eigs(X0: np.ndarray, X1: np.ndarray, sigma2: float) -> np.ndarray:
-    """Ascending eigenvalues (P, m) of the P pencils (C_0, C_1), with
-    C_i = X_i X_i^H + sigma2 I, for stacks X0 (P, m, k0) and X1 (P, m, k1):
-    the reduced r x r pencils of `pair_incoherences`, whose X_i are blocks of
-    an R factor (m = r <= 2K).
+def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
+    """W_r - I (n, p, p) for a stack of union R factors (n, p, r) whose leading
+    K1 columns R_1 are S1's and trailing K0 columns R_0 are S0's
+    (`_union_rows`), where W_r = L^{-1} C_0 L^{-H} is the reduced pencil
+    (C_0, C_1), C_i = R_i R_i^H + sigma2 I, whitened by C_1 = L L^H.
 
-    One stacked Cholesky C_1 = L L^H whitens every pencil (Golub & Van Loan,
-    Matrix Computations, sec. 8.7) and one stacked `eigvalsh` of
-    L^{-1} C_0 L^{-H} gives all P spectra. A C_1 that does not factor, or a
-    non-finite C_0, is a `NumericFailure`.
+    R_1 is zero below row q = min(K1, p), so L = G (+) sigma2^{1/2} I with
+    G G^H = R_1[:q] R_1[:q]^H + sigma2 I_q (`_inverse_factor`): only that
+    leading block is factored, and the trailing sigma2 I is scaled, never
+    factored. For Z = L^{-1} R_0,
+
+        W_r - I = L^{-1} (R_0 R_0^H + sigma2 I) L^{-H} - I
+                = Z Z^H + (sigma2 G^{-1} G^{-H} - I) (+) 0
+
+    (Hager, SIAM Rev. 1989; Golub & Van Loan, Matrix Computations, sec. 8.7).
+    Only r <= 2K eigenvalues of H differ from 1, and this r x r form keeps
+    those of order sigma2 that the dense M x M pencil loses to rounding. A
+    leading block of C_1 that fails `_whitener`, or a non-finite W_r, is a
+    `NumericFailure`.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    Li = _inverse_factor(_gram(X1, sigma2))
-    W = Li @ _gram(X0, sigma2) @ Li.conj().swapaxes(1, 2)
-    if not np.isfinite(W).all():
-        raise NumericFailure(_factorization_failure(W))
-    return np.linalg.eigvalsh(W)
+    q = min(K1, R.shape[1])
+    Gi = _inverse_factor(_gram(R[:, :q, :K1], sigma2))
+    R0 = R[:, :, R.shape[2] - K0:]
+    Z = np.concatenate([Gi @ R0[:, :q], R0[:, q:] / math.sqrt(sigma2)], axis=1)
+    core = Z @ Z.conj().swapaxes(1, 2)
+    core[:, :q, :q] += sigma2 * (Gi @ Gi.conj().swapaxes(1, 2)) - np.eye(q)
+    if not np.isfinite(core).all():
+        raise NumericFailure(_factorization_failure(core))
+    return core
 
 
 def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> tuple:
@@ -321,40 +327,19 @@ def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> t
     R) and of I + A_{S0\\S1}^H A_{S0\\S1} / sigma2, which bracket its k0
     eigenvalues above 1.
 
-    R's leading K1 columns are zero below row K1, so Sigma_1 is whitened by
-    L = G (+) sigma2^{1/2} I with G G^H = R11 R11^H + sigma2 I (`_whitener`)
-    and, for Z = L^{-1} R_0 with R_0 the columns of S0 in R,
-
-        W_r - I = L^{-1} (R_0 R_0^H + sigma2 I) L^{-H} - I
-                = Z Z^H + (sigma2 G^{-1} G^{-H} - I) (+) 0
-
-    (Hager, SIAM Rev. 1989; Golub & Van Loan, sec. 8.7). One stacked
-    `eigvalsh` of W = I + Q (W_r - I) Q^H takes the whole spectrum, so no
-    eigenvalue is taken to be 1. M < r is a ValueError; a non-finite union
-    column, a Sigma_1 that fails `_whitener`, a non-finite W, a non-positive
-    eigenvalue or a zero pivot of R33 is a `NumericFailure`.
+    One stacked `eigvalsh` of W = I + Q (W_r - I) Q^H, with W_r - I from
+    `_pencil`, takes the whole spectrum, so no eigenvalue is taken to be 1.
+    M < r is a ValueError; a non-finite union column, a `_pencil` failure, a
+    non-positive eigenvalue or a zero pivot of R33 is a `NumericFailure`.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
     D, M = entries.shape[:2]
     k_d, union = _union_rows(S0.as_array()[None], S1.as_array()[None])
     K1 = S1.size
     if M < union.shape[1]:
         raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
     (_, k0, (Q, R)), = _union_r(entries, k_d.repeat(D), union.repeat(D, 0), mode="reduced")
-    C = _gram(R[:, :K1, :K1], sigma2)
-    G, _, failed = _whitener(C)
-    if failed.any():
-        raise NumericFailure(_factorization_failure(C[np.argmax(failed)]))
-    Gi = np.linalg.inv(G)
-    R0 = R[:, :, K1 + k0 - S0.size:]                         # [S0 cap S1 | S0 \ S1]
-    Z = np.concatenate([Gi @ R0[:, :K1], R0[:, K1:] / math.sqrt(sigma2)], axis=1)
-    core = Z @ Z.conj().swapaxes(1, 2)                       # W_r - I
-    core[:, :K1, :K1] += sigma2 * (Gi @ Gi.conj().swapaxes(1, 2)) - np.eye(K1)
-    W = Q @ core @ Q.conj().swapaxes(1, 2)
+    W = Q @ _pencil(R, K1, S0.size, sigma2) @ Q.conj().swapaxes(1, 2)
     W += np.eye(M)
-    if not np.isfinite(W).all():
-        raise NumericFailure(_factorization_failure(W))
     eigs = np.linalg.eigvalsh(W)
     if eigs[:, 0].min() <= 0:
         raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
@@ -490,7 +475,8 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
     for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
     R_0 the last K: H's spectrum is that of the pencil (C_0, C_1) plus unit
-    eigenvalues. Each k_d group (`_union_r`) is one `_pencil_eigs` call.
+    eigenvalues. Each k_d group (`_union_r`) is one `_pencil` call and one
+    stacked `eigvalsh` of I + (W_r - I).
     """
     entries, _ = as_matrix(A)
     k_d, union = _pair_union(rows0, rows1, entries.shape[-2])
@@ -500,7 +486,7 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     values = np.empty(P)
     top = np.ones((P, K))
     for sel, kd, R in _union_r(entries, k_d, union):
-        eigs = _pencil_eigs(R[:, :, -K:], R[:, :, :K], sigma2)          # ascending
+        eigs = np.linalg.eigvalsh(_pencil(R, K, K, sigma2) + np.eye(R.shape[1]))  # ascending
         above = _split_masks(eigs)[0]
         count = above.sum(axis=1)          # used eigenvalues exceed 1, so are positive
         if count.min() == 0:

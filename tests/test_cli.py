@@ -10,6 +10,7 @@ import pytest
 
 import suprec
 import suprec.cli as cli
+import suprec.spectra as spectra
 from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
 
 from conftest import dense_h_eigenvalues, dense_sandwich, random_pair
@@ -412,16 +413,18 @@ class TestEigCheckCommand:
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
 
     def test_one_qr_per_chunk(self, monkeypatch):
-        # spectrum and sandwich bounds share one union QR: 5 cells (K = 2, 3)
-        # of 10 draws taken 3, 3, 3 and 1 at a time make 20 chunks
-        calls = []
-        qr = np.linalg.qr
+        # spectrum and sandwich bounds share one union QR and one reduced
+        # pencil: 5 cells (K = 2, 3) of 10 draws taken 3, 3, 3 and 1 at a
+        # time make 20 chunks
+        calls, pencils = [], []
+        qr, pencil = np.linalg.qr, spectra._pencil
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        monkeypatch.setattr(spectra, "_pencil", lambda *a: pencils.append(1) or pencil(*a))
         monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10}
         _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 5)
         assert comments == ["# violations=0"] and len(rows) == 50
-        assert len(calls) == 5 * 4
+        assert len(calls) == len(pencils) == 5 * 4
 
 
 def eig_check_oracle_rows(config, seed):

@@ -243,9 +243,10 @@ class TestStackedKernels:
 
 
 class TestLowRankWhitening:
-    """`h_spectra` whitens Sigma_1 with the leading K x K block of its union
-    QR: checked against the 60-digit pencil, the dense M x M oracle's counts
-    and the failure paths of a non-finite column on either side."""
+    """`h_spectra` lifts the reduced pencil of `_pencil`, which whitens
+    Sigma_1 with the leading K x K block of the union R: checked against the
+    60-digit pencil, the dense M x M oracle's counts and the failure paths of
+    a non-finite column on either side."""
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("sigma2", [1.0, 1e-4])
@@ -364,13 +365,16 @@ class TestPairIncoherence:
 
 class TestPairKernel:
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    def test_matches_dense_oracle_for_every_k_d(self, field):
+    def test_matches_dense_oracle_for_every_k_d(self, field, monkeypatch):
+        calls = []           # stack size of each `_pencil` call: one per k_d group
+        pencil = spectra._pencil
+        monkeypatch.setattr(spectra, "_pencil", lambda R, *a: calls.append(len(R)) or pencil(R, *a))
         A = gaussian_instance(8, 9, field=field, seed=5, label="kernel")
         supports = enumerate_supports(9, 3)[::9]
         pairs = [(a, b) for a in supports for b in supports if a != b]
         values, k_d, top = pair_incoherences(A, [a.indices for a, _ in pairs],
                                              [b.indices for _, b in pairs], 0.5)
-        assert set(k_d.tolist()) == {1, 2, 3}
+        assert calls == [np.count_nonzero(k_d == kd) for kd in (1, 2, 3)]
         for n, (a, b) in enumerate(pairs):
             want_top, want = dense_top(A, a, b, 0.5)
             assert k_d[n] == len(a.difference(b))
@@ -406,6 +410,45 @@ class TestPairKernel:
                 assert abs(x - float(want)) <= 1e-6 * float(want)
             want = math.sqrt(float(exact[0] * exact[1]))
             assert abs(got.value - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_union_wider_than_m_matches_dense_oracle(self, field):
+        # M <= K + k_d, so R has p = M rows and `_pencil` whitens a p x p
+        # block of C_1 with p <= K (M = 2, and M = 4 at K = 5) or a K x K
+        # block beside a trailing 1 x 1 one (M = 4 at K = 3)
+        for M, K in product((2, 4), (3, 5)):
+            A = gaussian_instance(M, 8, field=field, seed=M + K, label="wide-union")
+            pairs = [random_pair(8, K, K - kd) for kd in (1, 2) if M >= 2 * kd]
+            pairs += [(b, a) for a, b in pairs]
+            values, k_d, top = pair_incoherences(A, [a.indices for a, _ in pairs],
+                                                 [b.indices for _, b in pairs], 0.5)
+            for n, (a, b) in enumerate(pairs):
+                want_top, want = dense_top(A, a, b, 0.5)
+                np.testing.assert_allclose(top[n, :len(want_top)], want_top, rtol=1e-12, atol=0)
+                assert np.all(top[n, len(want_top):] == 1.0)
+                assert abs(values[n] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-6])
+    def test_h_spectra_shares_the_pencil(self, field, sigma2):
+        # both kernels read one `_pencil`: h_spectra's top k0 eigenvalues
+        # are the pair kernel's `top`. sigma2 stays where the dense M x M
+        # spectrum holds: its smallest eigenvalues, ~ sigma2 / |a|^2, must
+        # exceed the rounding eps |a|^2 / sigma2 of its largest, and at 1e-8
+        # on these unit-variance columns they do not (a non-positive one)
+        A = gaussian_instance(8, 9, field=field, seed=4, label="shared-pencil")
+        for kd in (1, 2, 3):
+            S0, S1 = random_pair(9, 3, 3 - kd)
+            top = pair_incoherences(A, [S0.indices], [S1.indices], sigma2)[2][0]
+            eigs = spectra.h_spectra(A.entries[None], S0, S1, sigma2)[0][0]
+            np.testing.assert_allclose(eigs[:kd], top[:kd], rtol=1e-12, atol=0)
+
+    def test_tiny_noise_stays_in_domain(self):
+        # the pivot floor covers C_1's leading K x K block only; flooring its
+        # trailing sigma2 I block too would fail this pair at sigma2 = 1e-14
+        A = sample_gaussian_matrix(16, 24, FieldTag.REAL, substream(1, "cli-matrix"))
+        value = pair_incoherences(A, [[0, 1]], [[2, 5]], 1e-14)[0][0]
+        assert np.isfinite(value) and value > 1.0
 
     def test_single_pair_is_the_batch_call(self):
         A = gaussian_instance(7, 9, field=FieldTag.COMPLEX, seed=2)
