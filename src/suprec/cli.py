@@ -47,9 +47,8 @@ from .spectra import (_check_pair_set, _pair_union, _split_masks, covariance_fac
                       h_spectra, matrix_incoherence)
 
 SEED_ENV_VAR = "SUPREC_SEED"
-# Entries of each (c, M, M) stack in which eig-check scores c draws of a cell:
-# it bounds the working memory whatever the number of draws (on an M = 30/60
-# sweep, 2**15 raised peak RSS 0.5 MB above one draw at a time; 2**14 does not).
+# Entries of each (c, M, N) stack of draws that eig-check scores as one chunk
+# of a cell: it bounds the working memory whatever the number of draws.
 EIG_CHUNK_ELEMENTS = 2**14
 
 SIMULATE_COLUMNS = ("mode", "N", "M", "K", "T", "sigma2", "seed", "trials", "p_hat",
@@ -393,8 +392,9 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
     """(count_gt, count_eq, count_lt, slack_lower, slack_upper, ok), one entry
     per draw, for a stack A (c, M, N) of one cell's draws."""
     eigs, lower, upper = h_spectra(A, S0, S1, sigma2)      # eigs (c, M) descending
-    # `spectrum_split`'s rule, one tolerance per draw
-    count_gt, count_eq, count_lt = (m.sum(axis=1) for m in _split_masks(eigs, rel=tol)[:3])
+    # "above 1" of H and of 1 / H, the (S1, S0) pencil, each with its own tolerance
+    count_gt, count_lt = (_split_masks(x, rel=tol)[0].sum(axis=1) for x in (eigs, 1.0 / eigs))
+    count_eq = eigs.shape[1] - count_gt - count_lt
     # with k0 eigenvalues above 1 they lead the descending spectrum
     matched = count_gt == k0
     slack_low = np.where(matched, np.min(eigs[:, :k0] - lower, axis=1), np.nan)
@@ -405,16 +405,16 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
 
 
 def run_eig_check(plan: dict, seed: int):
-    """Each cell (M, K, overlap) scores its draws EIG_CHUNK_ELEMENTS // M^2 at
-    a time as one stack; draw d of a cell comes from its own substream, so the
-    chunking never changes a matrix."""
+    """Each cell (M, K, overlap) scores its draws EIG_CHUNK_ELEMENTS // (M N)
+    at a time as one stack; draw d of a cell comes from its own substream, so
+    the chunking never changes a matrix."""
     sigma2, tol, field, draws = plan["sigma2"], plan["tolerance"], plan["field"], plan["draws"]
     rows = []
     violations = 0
     for M in plan["Ms"]:
-        step = max(1, EIG_CHUNK_ELEMENTS // (M * M))
         for K in plan["Ks"]:
             N = 2 * K + 2
+            step = max(1, EIG_CHUNK_ELEMENTS // (M * N))
             for overlap in range(K):
                 S0 = make_support(range(K), N)
                 S1 = make_support(list(range(overlap)) + list(range(K, 2 * K - overlap)), N)

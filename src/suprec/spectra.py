@@ -5,24 +5,23 @@ For a support pair (S0, S1) the object of interest is
 H = Sigma_0^{1/2} Sigma_1^{-1} Sigma_0^{1/2} with
 Sigma_S = A_S A_S^H + sigma^2 I, whose spectrum is that of the pencil
 (Sigma_0, Sigma_1). Every support pair reaches its union QR one way:
-`_union_rows` orders the union [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and `_union_r`
-QRs it per k_d, on one matrix for all pairs (`matrix_incoherence`, and
-`noise_constants`, whose c1 reads R33) or on a stack of one pair per matrix
-(Monte Carlo draws, and eig-check's `h_spectra`). One block whitening,
-`_pencil`, turns that R into the reduced r x r pencil W_r - I
-(r = |S0 cup S1| <= 2K): it factors only the leading min(K, M) square block
-of C_1 and scales its trailing sigma^2 I. Only r eigenvalues differ from 1,
-and W_r keeps those of order sigma^2 that the dense M x M pencil loses to
-rounding. Its two callers each take one stacked `eigvalsh`:
-`pair_incoherences` of I + (W_r - I), and `h_spectra` of the full dense M x M
-spectrum I + Q (W_r - I) Q^H, which it lifts with the reduced QR's Q in
-O(M^2 K) work and no M x M factorization, beside the sandwich bounds.
-`_split_masks` splits every spectrum around 1. Both minima over ordered
-support pairs, lambda_bar and c1, run one walk, `_pair_walk`, each with its
-own block scorer. Before the first draw it checks the set rule
-(`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2, M >= 2 min(K, N - K)), so no
-pair it draws breaks the pair rule of `_pair_union` (equal sizes, not
-identical, M >= 2 k_d).
+`_union_rows` orders the union [S1 \\ S0 | S0 cap S1 | S0 \\ S1] and
+`_union_r` QRs it per k_d, on one matrix for all pairs (`matrix_incoherence`,
+and `noise_constants`, whose c1 reads R33) or on a stack of one pair per
+matrix (Monte Carlo draws, and eig-check's `h_spectra`). One block whitening,
+`_pencil`, turns that R into the reduced r x r pencil W_r - I (r = |S0 cup S1|
+<= 2K): it factors only the leading min(K, M) square block of C_1 and scales
+its trailing sigma^2 I. Only r eigenvalues of H differ from 1;
+`_reduced_spectra`, the one route from a pair to them, takes one stacked r x r
+`eigvalsh` per k_d group for `pair_incoherences` and `h_spectra`. An
+`eigvalsh` is accurate relative to its largest eigenvalue only, so `h_spectra`
+takes both orders of the pair and reads H's eigenvalues below 1 as reciprocals
+of the (S1, S0) pencil's. `_split_masks` splits every spectrum around 1. Both
+minima over ordered support pairs, lambda_bar and c1, run one walk,
+`_pair_walk`, each with its own block scorer. Before the first draw it checks
+the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
+M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
+`_pair_union` (equal sizes, not identical, M >= 2 k_d).
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
@@ -299,10 +298,9 @@ def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
                 = Z Z^H + (sigma2 G^{-1} G^{-H} - I) (+) 0
 
     (Hager, SIAM Rev. 1989; Golub & Van Loan, Matrix Computations, sec. 8.7).
-    Only r <= 2K eigenvalues of H differ from 1, and this r x r form keeps
-    those of order sigma2 that the dense M x M pencil loses to rounding. A
-    leading block of C_1 that fails `_whitener`, or a non-finite W_r, is a
-    `NumericFailure`.
+    Only r <= 2K eigenvalues of H differ from 1, and this r x r form holds
+    them. A leading block of C_1 that fails `_whitener`, or a non-finite
+    W_r, is a `NumericFailure`.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -318,56 +316,51 @@ def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
 
 
 def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> tuple:
-    """(eigs, lower, upper) of D matrices (D, M, N), from one stacked reduced
-    QR A_U = Q R of each matrix's union U = [S1 \\ S0 | S0 cap S1 | S0 \\ S1]
-    (`_union_r`, r = K1 + k0 columns, K1 = |S1|, k0 = |S0 \\ S1|): `eigs`
-    (D, M), descending and positive, is the dense spectrum of the pencil
-    (Sigma_0, Sigma_1); `lower` and `upper` (D, k0), descending, are the
-    eigenvalues of I + R33 R33^H / sigma2 (R33 the trailing k0 x k0 block of
-    R) and of I + A_{S0\\S1}^H A_{S0\\S1} / sigma2, which bracket its k0
-    eigenvalues above 1.
+    """(eigs, lower, upper) of D matrices (D, M, N): `eigs` (D, M), descending
+    and positive, is H's spectrum; `lower` and `upper` (D, k0), descending, are
+    the eigenvalues of I + R33 R33^H / sigma2 (R33 the trailing k0 x k0 block of
+    the (S0, S1) union R, k0 = |S0 \\ S1|) and of
+    I + A_{S0\\S1}^H A_{S0\\S1} / sigma2, which bracket its k0 eigenvalues above 1.
 
-    One stacked `eigvalsh` of W = I + Q (W_r - I) Q^H, with W_r - I from
-    `_pencil`, takes the whole spectrum, so no eigenvalue is taken to be 1.
-    M < r is a ValueError; a non-finite union column, a `_pencil` failure, a
+    `up` and `down` are the `_reduced_spectra` of (S0, S1) and (S1, S0): H's
+    r = |S0 cup S1| eigenvalues and their reciprocals. H's eigenvalues below 1
+    are 1 / `down`, the others `up`, and the M - r others exactly 1. M < r is
+    a ValueError; a non-finite union column, a `_pencil` failure, a
     non-positive eigenvalue or a zero pivot of R33 is a `NumericFailure`.
     """
     D, M = entries.shape[:2]
-    k_d, union = _union_rows(S0.as_array()[None], S1.as_array()[None])
-    K1 = S1.size
-    if M < union.shape[1]:
+    if M < S1.size + len(S0.difference(S1)):
         raise ValueError("need M >= k0 + k_i + k1 for the QR construction")
-    (_, k0, (Q, R)), = _union_r(entries, k_d.repeat(D), union.repeat(D, 0), mode="reduced")
-    W = Q @ _pencil(R, K1, S0.size, sigma2) @ Q.conj().swapaxes(1, 2)
-    W += np.eye(M)
-    eigs = np.linalg.eigvalsh(W)
-    if eigs[:, 0].min() <= 0:
-        raise NumericFailure(f"pencil produced non-positive eigenvalue {eigs[:, 0].min():.3e}")
+    orders = []
+    for Sa, Sb in ((S0, S1), (S1, S0)):
+        k_d, union = _union_rows(Sa.as_array()[None], Sb.as_array()[None])
+        orders.extend(_reduced_spectra(entries, k_d.repeat(D), union.repeat(D, 0), Sa.size, sigma2))
+    (_, k0, R, up), (*_, down) = orders
+    below = up < 1.0
+    down = np.where(below, down[:, ::-1], 1.0)       # entry i is 1 / up[:, i]; 1 where unused
+    if down.min() <= 0:
+        raise NumericFailure(f"pencil produced non-positive eigenvalue {down.min():.3e}")
+    eigs = np.concatenate([np.where(below, 1.0 / down, up), np.ones((D, M - R.shape[2]))], axis=1)
+    eigs.sort(axis=1)
     R33 = _r33(R, k0)
-    block = entries[:, :, union[0, K1:]]
+    block = entries[:, :, list(S0.difference(S1))]
     return (eigs[:, ::-1], _shifted_eigs(R33 @ R33.conj().swapaxes(1, 2), sigma2),
             _shifted_eigs(block.conj().swapaxes(1, 2) @ block, sigma2))
 
 
 def h_eigenvalues(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Descending eigenvalues of the dense M x M pencil (Sigma_0, Sigma_1): the
-    D = 1 view of `h_spectra`."""
-    entries, _ = as_matrix(A)
-    return h_spectra(entries[None], S0, S1, sigma2)[0][0]
+    """H's descending eigenvalues: the D = 1 view of `h_spectra`."""
+    return h_spectra(as_matrix(A)[0][None], S0, S1, sigma2)[0][0]
 
 
 def qr_lower_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Lower bound on the greater-than-1 part of H's spectrum: the D = 1 view
-    of `h_spectra`."""
-    entries, _ = as_matrix(A)
-    return h_spectra(entries[None], S0, S1, sigma2)[1][0]
+    """Lower bound on H's eigenvalues above 1: the D = 1 view of `h_spectra`."""
+    return h_spectra(as_matrix(A)[0][None], S0, S1, sigma2)[1][0]
 
 
 def upper_bound_eigs(A, S0: Support, S1: Support, sigma2: float) -> np.ndarray:
-    """Upper bound on the greater-than-1 part of H's spectrum: the D = 1 view
-    of `h_spectra`."""
-    entries, _ = as_matrix(A)
-    return h_spectra(entries[None], S0, S1, sigma2)[2][0]
+    """Upper bound on H's eigenvalues above 1: the D = 1 view of `h_spectra`."""
+    return h_spectra(as_matrix(A)[0][None], S0, S1, sigma2)[2][0]
 
 
 @dataclass(frozen=True)
@@ -433,12 +426,11 @@ def _union_rows(rows0: np.ndarray, rows1: np.ndarray) -> tuple:
     return k_d, union[:, :rows1.shape[1] + k_d.max()]
 
 
-def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray, mode: str = "r"):
+def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray):
     """Yield (sel, kd, R) for each kd in k_d: the mask `sel` of the pairs with
     that kd and the R factors (n, p, K1 + kd) of their union columns (see
     `_union_rows`), from one stacked QR of one matrix (M, N) for all P pairs or
-    of a stack (P, M, N) whose matrix n carries pair n; NaN or inf fails. With
-    mode="reduced" the third entry is the pair (Q, R) instead."""
+    of a stack (P, M, N) whose matrix n carries pair n; NaN or inf fails."""
     K1 = union.shape[1] - k_d.max()
     columns = entries.swapaxes(-1, -2)                       # (..., N, M)
     for kd in sorted(set(k_d.tolist())):
@@ -447,7 +439,16 @@ def _union_r(entries: np.ndarray, k_d: np.ndarray, union: np.ndarray, mode: str 
         X = columns[lead + (union[sel, :K1 + kd],)]             # (n, K1 + kd, M)
         if not np.isfinite(X).all():
             raise NumericFailure(_factorization_failure(X))
-        yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode=mode)
+        yield sel, kd, np.linalg.qr(X.swapaxes(1, 2), mode="r")
+
+
+def _reduced_spectra(entries: np.ndarray, k_d, union, K0: int, sigma2: float):
+    """`_union_r`'s (sel, kd, R) for each k_d group, with the ascending
+    eigenvalues (n, p) of its reduced pencil I + (W_r - I) (`_pencil`, S0 the
+    trailing K0 union columns) from one stacked `eigvalsh`."""
+    for sel, kd, R in _union_r(entries, k_d, union):
+        core = _pencil(R, R.shape[2] - kd, K0, sigma2)
+        yield sel, kd, R, np.linalg.eigvalsh(core + np.eye(R.shape[1]))
 
 
 def _pair_union(rows0, rows1, M: int) -> tuple:
@@ -475,8 +476,7 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
     for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
     R_0 the last K: H's spectrum is that of the pencil (C_0, C_1) plus unit
-    eigenvalues. Each k_d group (`_union_r`) is one `_pencil` call and one
-    stacked `eigvalsh` of I + (W_r - I).
+    eigenvalues, one `_reduced_spectra` step (`_pencil`, `eigvalsh`) per k_d.
     """
     entries, _ = as_matrix(A)
     k_d, union = _pair_union(rows0, rows1, entries.shape[-2])
@@ -485,8 +485,7 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
         raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {P}")
     values = np.empty(P)
     top = np.ones((P, K))
-    for sel, kd, R in _union_r(entries, k_d, union):
-        eigs = np.linalg.eigvalsh(_pencil(R, K, K, sigma2) + np.eye(R.shape[1]))  # ascending
+    for sel, kd, _, eigs in _reduced_spectra(entries, k_d, union, K, sigma2):
         above = _split_masks(eigs)[0]
         count = above.sum(axis=1)          # used eigenvalues exceed 1, so are positive
         if count.min() == 0:

@@ -162,8 +162,8 @@ class TestExitCodes:
         ("sweep", {"command": "simulate", "grid": {"sigma2": [0.5, 1.0]},
                    "base": {**MULTIPLE_SIM, "incoherence": {"mode": "bogus"}}},
          "mode must be exhaustive|sampled"),
-        ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 3, "sigma2": 1e-10,
-                       "master_seed": 1}, "numeric failure"),
+        ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 3, "sigma2": 1e-310,
+                       "master_seed": 1}, "covariance factorization failed (non-finite)"),
         ("simulate", {"mode": "ensemble", "N": 4, "M": 2, "K": 4, "T": [1], "sigma2": [0.5],
                       "trials": 20, "matrix_draws": 3, "trials_per_matrix": 10},
          "ensemble mode needs two candidate supports"),
@@ -404,7 +404,8 @@ class TestEigCheckCommand:
 
     def test_chunks_never_change_rows(self, monkeypatch):
         # M = 8: the default budget takes all 10 draws of a cell in one stack,
-        # 3 * 64 elements takes them 3, 3, 3 and 1 at a time
+        # 3 * 64 elements takes them 4, 4 and 2 at a time at K = 2 (N = 6) and
+        # 3, 3, 3 and 1 at K = 3 (N = 8)
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10, "field": "complex"}
         whole = cli.run_eig_check(cli._validate_eigcheck(config), 5)
         assert cli.EIG_CHUNK_ELEMENTS // 64 >= 10
@@ -413,9 +414,10 @@ class TestEigCheckCommand:
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
 
     def test_one_qr_per_chunk(self, monkeypatch):
-        # spectrum and sandwich bounds share one union QR and one reduced
-        # pencil: 5 cells (K = 2, 3) of 10 draws taken 3, 3, 3 and 1 at a
-        # time make 20 chunks
+        # each order of the pair takes one union QR and one reduced pencil,
+        # and the sandwich bounds share the (S0, S1) one: 2 cells at K = 2
+        # of 10 draws taken 4, 4 and 2 at a time and 3 cells at K = 3 taken
+        # 3, 3, 3 and 1 at a time make 18 chunks
         calls, pencils = [], []
         qr, pencil = np.linalg.qr, spectra._pencil
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
@@ -424,7 +426,28 @@ class TestEigCheckCommand:
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10}
         _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 5)
         assert comments == ["# violations=0"] and len(rows) == 50
-        assert len(calls) == len(pencils) == 5 * 4
+        assert len(calls) == len(pencils) == 2 * (2 * 3 + 3 * 4)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_small_noise_has_no_violations(self, tmp_path, field):
+        # at sigma2 = 1e-8 H's smallest eigenvalues, ~1e-9, lie below the
+        # rounding of its largest, ~1e9; they are read from the (S1, S0) pencil
+        cfg = write_config(tmp_path, {"grid": {"M": 8, "K": 3}, "draws_per_cell": 4,
+                                      "sigma2": 1e-8, "field": field})
+        result = run_cli("eig-check", "--config", cfg, "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.rstrip().endswith("# violations=0")
+
+    def test_swapping_the_pair_swaps_the_counts(self):
+        S0, S1 = random_pair(8, 3, 1)
+        A = np.stack([sample_gaussian_matrix(8, 8, FieldTag.COMPLEX, substream(2, "swap", d)).entries
+                      for d in range(6)])
+        forward = cli._eig_check_scores(A, S0, S1, 1e-8, 1e-8, 2, 2)
+        backward = cli._eig_check_scores(A, S1, S0, 1e-8, 1e-8, 2, 2)
+        np.testing.assert_array_equal(forward[0], backward[2])
+        np.testing.assert_array_equal(forward[1], backward[1])
+        np.testing.assert_array_equal(forward[2], backward[0])
+        assert forward[5].all() and backward[5].all()
 
 
 def eig_check_oracle_rows(config, seed):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -126,11 +127,14 @@ class TestHEigenvalues:
             assert np.max(np.abs(got - want)) < 1e-8
 
     def test_reciprocity(self):
+        # at sigma2 = 1e-8 the eigenvalues span 1e-9 .. 1e9 and the one equal
+        # to 1 in theory is off by ~eps lambda_max ~ 1e-7, so that check is relative
         A = gaussian_instance(7, 9, seed=6)
         S0, S1 = random_pair(9, 3, overlap=1)
-        forward = h_eigenvalues(A, S0, S1, 1.0)
-        backward = h_eigenvalues(A, S1, S0, 1.0)
-        assert np.max(np.abs(backward - 1.0 / forward[::-1])) < 1e-9
+        for sigma2, atol, rtol in ((1.0, 1e-9, 0.0), (1e-8, 0.0, 1e-6)):
+            forward = h_eigenvalues(A, S0, S1, sigma2)
+            backward = h_eigenvalues(A, S1, S0, sigma2)
+            np.testing.assert_allclose(backward, 1.0 / forward[::-1], rtol=rtol, atol=atol)
 
     def test_union_wider_than_m_is_out_of_domain(self):
         # |S0 cup S1| = 4 > M = 3: the union QR has no room for the union
@@ -192,8 +196,13 @@ class TestStackedKernels:
         dup[:, :, 2:4] *= 1e8
         with pytest.raises(NumericFailure, match="covariance factorization failed"):
             spectra.h_spectra(dup, S0, S1, 1e-8)[0]
-        with pytest.raises(NumericFailure, match="non-positive eigenvalue"):
-            spectra.h_spectra(stack, S0, S1, 1e-12)[0]
+        # at 1e-12 the dense oracle fails (a non-positive eigenvalue) while
+        # both reduced pencils hold: 2 eigenvalues above 1, 2 below, 2 units
+        for A, got in zip(stack, spectra.h_spectra(stack, S0, S1, 1e-12)[0]):
+            exact = np.array([float(x) for x in mp_pencil_eigs(
+                MeasurementMatrix(A, FieldTag.REAL), S0, S1, 1e-12)])
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+            assert (spectrum_split(got).count_gt, spectrum_split(1.0 / got).count_gt) == (2, 2)
         with pytest.raises(ValueError, match="sigma2"):
             spectra.h_spectra(stack, S0, S1, 0.0)[0]
         zero = stack.copy()
@@ -232,33 +241,54 @@ class TestStackedKernels:
                 np.testing.assert_allclose(low, want_low, rtol=1e-10, atol=0)
                 np.testing.assert_allclose(up, want_up, rtol=1e-10, atol=0)
 
-    def test_dense_spectrum_is_counted_in_full(self):
-        # no unit padding: every eigenvalue comes from the M x M eigvalsh, so
-        # the "equal" ones differ from 1 by rounding only, not by construction
+    def test_padding_is_exactly_one(self):
+        # r = |S0 cup S1| = 4 eigenvalues come from the reduced pencils, the
+        # other M - r = 8 are exactly 1 by construction
         S0, S1 = random_pair(6, 2, 0)
-        eigs = spectra.h_spectra(draw_stack(12, 6, 6, FieldTag.REAL, label="full"), S0, S1, 1.0)[0]
-        middle = eigs[:, 2:-2]
-        assert eigs.shape == (6, 12)
-        assert np.all(np.abs(middle - 1.0) < 1e-12) and np.any(middle != 1.0)
+        stack = draw_stack(12, 6, 6, FieldTag.REAL, label="full")
+        eigs = spectra.h_spectra(stack, S0, S1, 1.0)[0]
+        assert eigs.shape == (6, 12) and np.all(eigs[:, 2:-2] == 1.0)
+        for A, got in zip(stack, eigs):
+            want = dense_h_eigenvalues(A, S0, S1, 1.0)
+            np.testing.assert_allclose(got[[0, 1, -2, -1]], want[[0, 1, -2, -1]], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_tiny_noise_warns_nothing(self, field):
+        # reciprocals are taken of the (S1, S0) eigenvalues in use only: at
+        # 1e-30 some of the unused ones round to exactly 0
+        for M, K, overlap in ((2, 1, 0), (8, 3, 2)):
+            S0, S1 = random_pair(2 * K + 2, K, overlap)
+            stack = draw_stack(M, 2 * K + 2, 32, field, label="tiny")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eigs = spectra.h_spectra(stack, S0, S1, 1e-30)[0]
+            assert eigs.shape == (32, M) and np.all(eigs > 0)
 
 
 class TestLowRankWhitening:
-    """`h_spectra` lifts the reduced pencil of `_pencil`, which whitens
-    Sigma_1 with the leading K x K block of the union R: checked against the
-    60-digit pencil, the dense M x M oracle's counts and the failure paths of
-    a non-finite column on either side."""
+    """`h_spectra` reads the reduced pencils of `_pencil`, which whitens
+    Sigma_1 (or Sigma_0 for the reversed pair) with the leading K x K block of
+    the union R: checked against the 60-digit pencil, the dense M x M
+    oracle's counts and the failure paths of a non-finite column on either
+    side."""
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    @pytest.mark.parametrize("sigma2", [1.0, 1e-4])
+    @pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8])
     def test_top_eigenvalues_match_high_precision_oracle(self, field, sigma2):
+        # the whole spectrum: eigenvalues away from 1 to 1e-12 relative, and
+        # those equal to 1 in theory (M - r padding and k_i = overlap) to
+        # eigvalsh's rounding level M eps lambda_max
         for overlap in (0, 1):
             S0, S1 = random_pair(8, 3, overlap)
             A = gaussian_instance(8, 8, field=field, seed=overlap, label="whiten-mp")
             got = spectra.h_spectra(A.entries[None], S0, S1, sigma2)[0][0]
             k0 = 3 - overlap
-            exact = np.array([float(x) for x in mp_pencil_eigs(A, S0, S1, sigma2)[:k0]])
-            assert np.all(exact > 1.0) and spectrum_split(got).count_gt == k0
-            np.testing.assert_allclose(got[:k0], exact, rtol=1e-12, atol=0)
+            exact = np.array([float(x) for x in mp_pencil_eigs(A, S0, S1, sigma2)])
+            assert np.all(exact[:k0] > 1.0) and spectrum_split(got).count_gt == k0
+            unit = exact == 1.0
+            assert unit.sum() == 8 - 2 * k0
+            np.testing.assert_allclose(got[~unit], exact[~unit], rtol=1e-12, atol=0)
+            assert np.all(np.abs(got[unit] - 1.0) <= 8 * np.finfo(np.float64).eps * got[0])
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_counts_match_dense_oracle_on_a_grid(self, field):
@@ -429,13 +459,10 @@ class TestPairKernel:
                 assert abs(values[n] - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    @pytest.mark.parametrize("sigma2", [0.5, 1e-6])
+    @pytest.mark.parametrize("sigma2", [0.5, 1e-6, 1e-8])
     def test_h_spectra_shares_the_pencil(self, field, sigma2):
-        # both kernels read one `_pencil`: h_spectra's top k0 eigenvalues
-        # are the pair kernel's `top`. sigma2 stays where the dense M x M
-        # spectrum holds: its smallest eigenvalues, ~ sigma2 / |a|^2, must
-        # exceed the rounding eps |a|^2 / sigma2 of its largest, and at 1e-8
-        # on these unit-variance columns they do not (a non-positive one)
+        # both kernels read one `_reduced_spectra`: h_spectra's top k0
+        # eigenvalues are the pair kernel's `top`
         A = gaussian_instance(8, 9, field=field, seed=4, label="shared-pencil")
         for kd in (1, 2, 3):
             S0, S1 = random_pair(9, 3, 3 - kd)
