@@ -8,6 +8,7 @@ from .model import (
     NumericFailure,
     Support,
     check_non_degenerate,
+    draw_matrices,
     enumerate_supports,
     field_gaussian,
     load_matrix_csv,

@@ -34,7 +34,7 @@ from .model import (
     CapExceeded,
     FieldTag,
     NumericFailure,
-    field_gaussian,
+    draw_matrices,
     load_matrix_csv,
     make_support,
     sample_gaussian_matrix,
@@ -48,8 +48,10 @@ from .spectra import (_check_pair_set, _pair_union, _split_masks, covariance_fac
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, N) stack of draws that eig-check scores as one chunk
-# of a cell: it bounds the working memory whatever the number of draws.
-EIG_CHUNK_ELEMENTS = 2**14
+# of a cell: it bounds the working memory whatever the number of draws, to
+# 512 KB per real stack (1 MB complex). At 2**16 each cell of up to 65,536 / (M N)
+# draws (109 at M = 60, N = 10) is one `h_spectra` call.
+EIG_CHUNK_ELEMENTS = 2**16
 
 SIMULATE_COLUMNS = ("mode", "N", "M", "K", "T", "sigma2", "seed", "trials", "p_hat",
                     "ci_low", "ci_high", "chernoff_clamped", "fano_clamped", "lambda_bar")
@@ -406,8 +408,9 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
 
 def run_eig_check(plan: dict, seed: int):
     """Each cell (M, K, overlap) scores its draws EIG_CHUNK_ELEMENTS // (M N)
-    at a time as one stack; draw d of a cell comes from its own substream, so
-    the chunking never changes a matrix."""
+    at a time as one stack from `draw_matrices`; draw d of a cell comes from
+    its own stream, substream(seed, label, d), so the chunking never changes
+    a matrix."""
     sigma2, tol, field, draws = plan["sigma2"], plan["tolerance"], plan["field"], plan["draws"]
     rows = []
     violations = 0
@@ -421,8 +424,9 @@ def run_eig_check(plan: dict, seed: int):
                 k0 = k1 = K - overlap
                 label = f"eig-check-{M}-{K}-{overlap}"
                 for start in range(0, draws, step):
-                    A = np.stack([field_gaussian(substream(seed, label, d), (M, N), field)
-                                  for d in range(start, min(start + step, draws))])
+                    # S0 and S1 lie in the first 2K columns; no other is read
+                    A = draw_matrices(seed, label, range(start, min(start + step, draws)),
+                                      (M, N), field, 2 * K)
                     *scores, ok = _eig_check_scores(A, S0, S1, sigma2, tol, k0, k1)
                     violations += int(np.count_nonzero(~ok))
                     for gt, eq, lt, low, up in zip(*(x.tolist() for x in scores)):

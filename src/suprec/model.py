@@ -9,11 +9,16 @@ Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
 Identical inputs always produce identical outputs, regardless of call order
 or threading. Signals and noise are drawn in blocks of trials by
-`montecarlo.draw_trial_blocks`.
+`montecarlo.draw_trial_blocks`. Stacks of per-draw matrices (eig-check's
+cells, the incoherence statistics) come from :func:`draw_matrices`, which
+seeds every draw's stream in one vectorized pass and returns, byte for byte,
+the matrices that `substream` gives draw by draw; `substream` stays numpy's
+own seeding path, for single streams and as that pass's reference.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -55,17 +60,133 @@ class FieldTag(Enum):
         return FieldTag.COMPLEX if np.iscomplexobj(arr) else FieldTag.REAL
 
 
+def _label_tag(label: str) -> int:
+    """64-bit tag of an operation label, so distinct operations never share a stream."""
+    return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "big")
+
+
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Independent generator derived from (master seed, label, index).
 
     The label is hashed to a 64-bit tag so distinct operations never share a
     stream; the index gives per-trial (or per-draw) streams whose outputs do
-    not depend on evaluation order.
+    not depend on evaluation order. This is numpy's own seeding path, the
+    reference that `draw_matrices` reproduces for stacks of draws.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be a non-negative integer")
-    tag = int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "big")
+    tag = _label_tag(label)
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), tag, int(index))))
+
+
+# numpy.random.SeedSequence's hash constants (O'Neill's seed_seq_fe, as in
+# numpy/random/bit_generator.pyx); numpy's stream-compatibility policy fixes them.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _int_words(n: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, [0] for 0, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's SeedSequence hashmix on uint32 arrays: each call xors its input
+    with the running constant, steps the constant by `mult`, multiplies by it
+    and folds the high half into the low one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """(D, 4) uint64 PCG64 seed words, row i equal to
+    `np.random.SeedSequence(entropy=words).generate_state(4, np.uint64)` for
+    the 32-bit entropy words of row i of the (D, n) uint32 array `entropy`.
+
+    The same pass as numpy's pool mixing and state generation, each step on
+    all D rows at once; uint32 array arithmetic wraps modulo 2**32 as the
+    algorithm needs, without a warning.
+    """
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    output = _hashmix(_INIT_B, _MULT_B)
+    state = [output(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]   # low half first
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _preseeded():
+    """`ISeedSequence` that hands PCG64 its precomputed seed words. Built on
+    first use so that importing the package does not import `numpy.random`."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preseeded(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed words serve PCG64's 4 uint64 words only")
+            return self.words
+
+    return Preseeded
+
+
+def draw_matrices(seed: int, label: str, draws: range, shape, field: FieldTag,
+                  columns: int | None = None) -> np.ndarray:
+    """Stack of field-Gaussian draws whose matrix i is, byte for byte,
+    `field_gaussian(substream(seed, label, draws[i]), shape, field)`, cut to
+    its first `columns` columns when given (each draw is still made whole, so
+    its stream is unchanged; the stack holds only what its caller reads).
+
+    The per-draw streams are seeded in one vectorized pass (`_seed_states`)
+    instead of one SeedSequence each; draw indices must lie below 2**64.
+    """
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if len(draws) and (min(draws[0], draws[-1]) < 0 or max(draws[0], draws[-1]) >= 2**64):
+        raise ValueError("draw indices must lie in [0, 2**64)")
+    head = _int_words(int(seed)) + _int_words(_label_tag(label))
+    index = np.array(draws, dtype=np.uint64)
+    entropy = np.empty((len(index), len(head) + 2), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, -2] = index & np.uint64(_MASK32)
+    entropy[:, -1] = index >> np.uint64(32)
+    states = np.empty((len(index), 4), dtype=np.uint64)
+    wide = index > _MASK32                      # entropy words: one per index below 2**32, else two
+    for rows, width in ((~wide, -1), (wide, None)):
+        if rows.any():
+            states[rows] = _seed_states(entropy[rows, :width])
+
+    preseeded, PCG64, Generator = _preseeded(), np.random.PCG64, np.random.Generator
+    out = np.empty((len(index), shape[0], columns or shape[1]), dtype=field.dtype)
+    for i, words in enumerate(states):
+        out[i] = field_gaussian(Generator(PCG64(preseeded(words))), shape, field)[:, :columns]
+    return out
 
 
 def field_gaussian(rng: np.random.Generator, shape, field: FieldTag) -> np.ndarray:

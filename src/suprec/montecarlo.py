@@ -6,7 +6,8 @@ truths, signals and noise of its trials from one generator,
 substream(seed, label, b), so trial t belongs to block t // TRIAL_BLOCK (the
 ensemble estimator offsets b per matrix so no two matrices share a stream).
 The block size is a constant, so the estimates depend on nothing but the
-arguments. Matrix-draw statistics use one stream per draw d,
+arguments. Matrix-draw statistics take their stacks of draws from
+`model.draw_matrices`, whose draw d is byte for byte the matrix of
 substream(seed, label, d), and score PAIR_BLOCK draws as one stack. The
 multiple and ensemble estimators hold their candidates as the (L, K) index
 rows of `model.support_rows` and never build a `Support` per candidate.
@@ -31,6 +32,7 @@ from .model import (
     Support,
     _integer,
     as_matrix,
+    draw_matrices,
     field_gaussian,
     sample_gaussian_matrix,
     substream,
@@ -271,15 +273,15 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
 def _draw_incoherences(M: int, N: int, rows0, rows1, sigma2: float, draws: int,
                        seed: int, field: FieldTag, label: str) -> np.ndarray:
     """Incoherence of the support pair (rows0, rows1) on `draws` Gaussian M x N
-    matrices; draw d comes from substream(seed, label, d), and each block of
-    PAIR_BLOCK draws is one `pair_incoherences` call on their stack."""
+    matrices; draw d comes from substream(seed, label, d) through
+    `draw_matrices`, and each block of PAIR_BLOCK draws is one
+    `pair_incoherences` call on their stack."""
     pair = np.array([rows0, rows1])[:, None]        # (2, 1, K): one pair for every draw
     width = pair.max() + 1                          # no column past the pair's is read
     values = np.empty(draws)
     for start in range(0, draws, PAIR_BLOCK):
         block = range(start, min(start + PAIR_BLOCK, draws))
-        stack = np.stack([field_gaussian(substream(seed, label, d), (M, N), field)[:, :width]
-                          for d in block])
+        stack = draw_matrices(seed, label, block, (M, N), field, width)
         values[start:block.stop] = pair_incoherences(stack, *pair.repeat(len(block), 1), sigma2)[0]
     return values
 

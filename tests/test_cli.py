@@ -412,6 +412,15 @@ class TestEigCheckCommand:
         monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
         assert cli.run_eig_check(cli._validate_eigcheck(config), 5) == whole
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
+        # M = 60, K = 4 (N = 10), 30 draws: 2**16 elements take a cell in one
+        # stack, 2**14 take it 27 and 3 at a time
+        config = {"grid": {"M": 60, "K": 4}, "draws_per_cell": 30}
+        runs = []
+        for budget in (2**16, 2**14):
+            monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", budget)
+            runs.append(cli.run_eig_check(cli._validate_eigcheck(config), 6))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == ["# violations=0"] and len(runs[0][1]) == 30 * 4
 
     def test_one_qr_per_chunk(self, monkeypatch):
         # each order of the pair takes one union QR and one reduced pencil,
@@ -665,6 +674,11 @@ class TestColdStart:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs most of a cold start; nothing in suprec needs it
         assert run_child("import suprec.cli, sys; print('scipy.stats' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # `model.draw_matrices` builds its seed-word class on first use, so
+        # no CLI process pays for numpy.random before it draws
+        assert run_child("import suprec.cli, sys; print('numpy.random' in sys.modules)") == "False"
 
     def test_cli_import_leaves_fractions_and_decimal_unloaded(self):
         code = "import suprec.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"

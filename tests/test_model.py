@@ -10,6 +10,7 @@ from suprec import (
     FieldTag,
     MeasurementMatrix,
     check_non_degenerate,
+    draw_matrices,
     enumerate_supports,
     field_gaussian,
     load_matrix_csv,
@@ -23,6 +24,7 @@ from suprec import (
     unrank_supports,
 )
 
+from suprec.model import _seed_states
 from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
 
 from conftest import gaussian_instance
@@ -321,3 +323,70 @@ class TestSubstream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             substream(-1, "x")
+
+
+def numpy_states(entropy):
+    """numpy's own PCG64 seed words for each row of 32-bit entropy words."""
+    return np.stack([np.random.SeedSequence(entropy=[int(w) for w in row])
+                     .generate_state(4, np.uint64) for row in entropy])
+
+
+def substream_stack(seed, label, draws, shape, field):
+    return np.stack([field_gaussian(substream(seed, label, d), shape, field) for d in draws])
+
+
+class TestDrawMatrices:
+    """`draw_matrices` seeds the per-draw streams in one vectorized pass;
+    numpy's SeedSequence and `substream` are its oracles."""
+
+    @pytest.mark.parametrize("n_words", range(1, 7))
+    def test_seed_pass_matches_seed_sequence(self, n_words):
+        # below 4 words the pool is padded with hashmix(0); above 4 the extra
+        # words are mixed into every pool word
+        rng = np.random.default_rng(n_words)
+        entropy = rng.integers(0, 2**32, size=(9, n_words), dtype=np.uint32)
+        entropy[0], entropy[1] = 0, 2**32 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _seed_states(entropy)
+        assert got.dtype == np.uint64 and got.shape == (9, 4)
+        assert np.array_equal(got, numpy_states(entropy))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_equals_substream_stack(self, seed, field):
+        # a seed of 2**32 or more takes two entropy words: five in all
+        draws = range(3, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = draw_matrices(seed, "draw-test", draws, (4, 3), field)
+        want = substream_stack(seed, "draw-test", draws, (4, 3), field)
+        assert got.dtype == want.dtype and got.shape == (7, 4, 3)
+        assert got.tobytes() == want.tobytes()
+        # a stack cut to its leading columns keeps each draw's stream whole
+        cut = draw_matrices(seed, "draw-test", draws, (4, 3), field, columns=2)
+        assert cut.shape == (7, 4, 2) and np.array_equal(cut, want[:, :, :2])
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_indices_of_one_and_two_words(self, field):
+        # indices 0 and 2**32 - 1 take one word, 2**32 and up take two; one
+        # range may hold both kinds
+        for draws in (range(0, 2), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 9, 4),
+                      range(2**64 - 2, 2**64)):
+            got = draw_matrices(5, "draw-index", draws, (2, 5), field)
+            assert got.tobytes() == substream_stack(5, "draw-index", draws, (2, 5), field).tobytes()
+
+    def test_chunking_and_empty_ranges(self):
+        whole = draw_matrices(2, "draw-chunk", range(11), (3, 3), FieldTag.REAL)
+        parts = [draw_matrices(2, "draw-chunk", range(a, b), (3, 3), FieldTag.REAL)
+                 for a, b in ((0, 4), (4, 4), (4, 11))]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert parts[1].shape == (0, 3, 3)
+
+    def test_negative_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            draw_matrices(-1, "x", range(2), (2, 2), FieldTag.REAL)
+        with pytest.raises(ValueError):
+            draw_matrices(1, "x", range(-1, 2), (2, 2), FieldTag.REAL)
+        with pytest.raises(ValueError):
+            draw_matrices(1, "x", range(2**64 - 1, 2**64 + 1), (2, 2), FieldTag.REAL)
