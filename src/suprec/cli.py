@@ -8,6 +8,11 @@ run needs, and then runs the plan; nothing is validated while it runs, so a
 Output is CSV or JSON with a fixed column order, reproducible byte for byte
 from (config, seed); --threads is accepted and ignored.
 
+A CLI process runs BLAS on one thread unless the user sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: no BLAS call here
+is large enough to gain from OpenBLAS's pool, whose idle threads busy-wait on
+the other cores. `import suprec` as a library changes nothing.
+
 Exit codes: 0 success, 2 config error, numeric failure (a covariance or
 pencil that cannot be factorized at the configured noise) or unwritable
 output, 3 resource-cap error (for instance a `simulate` in multiple or
@@ -24,6 +29,17 @@ import math
 import os
 import sys
 from itertools import product
+
+# One BLAS thread (see above). OpenBLAS reads its thread count only as it
+# loads, so the variable is removed again once numpy is in: child processes
+# see the user's environment.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -399,10 +415,15 @@ def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
     count_eq = eigs.shape[1] - count_gt - count_lt
     # with k0 eigenvalues above 1 they lead the descending spectrum
     matched = count_gt == k0
-    slack_low = np.where(matched, np.min(eigs[:, :k0] - lower, axis=1), np.nan)
-    slack_up = np.where(matched, np.min(upper - eigs[:, :k0], axis=1), np.nan)
+    top = eigs[:, :k0]
+    low, up = top - lower, upper - top
+    slack_low = np.where(matched, np.min(low, axis=1), np.nan)
+    slack_up = np.where(matched, np.min(up, axis=1), np.nan)
+    # a slack is a violation only beyond the rounding of its eigenvalue, which
+    # grows as 1 / sigma2 at small noise
+    floor = -1e-9 * np.maximum(1.0, top)
     ok = (matched & (count_lt == k1) & (count_eq == eigs.shape[1] - k0 - k1)
-          & (slack_low >= -1e-9) & (slack_up >= -1e-9))
+          & np.all(low >= floor, axis=1) & np.all(up >= floor, axis=1))
     return count_gt, count_eq, count_lt, slack_low, slack_up, ok
 
 

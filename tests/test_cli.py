@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -447,6 +448,33 @@ class TestEigCheckCommand:
         assert result.returncode == 0, result.stderr
         assert result.stdout.rstrip().endswith("# violations=0")
 
+    def test_slack_within_rounding_of_its_eigenvalue_is_no_violation(self):
+        # at sigma2 = 1e-14 the top eigenvalues are ~1e14, whose rounding is
+        # ~0.02, and one draw's lower slack reads -0.5
+        config = {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2, "sigma2": 1e-14}
+        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 1)
+        assert comments == ["# violations=0"]
+        assert min(r["min_slack_lower"] for r in rows) < -1e-9
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("sigma2", [1.0, 1e-8])
+    def test_slack_beyond_rounding_is_a_violation(self, monkeypatch, side, sigma2):
+        # one bound of draw 0 moved 1e-6 relative past its eigenvalue
+        h_spectra = cli.h_spectra
+
+        def pushed(A, S0, S1, sigma2):
+            eigs, lower, upper = h_spectra(A, S0, S1, sigma2)
+            bound = lower if side == "lower" else upper
+            bound[0, 0] = eigs[0, 0] * (1 + 1e-6 if side == "lower" else 1 - 1e-6)
+            return eigs, lower, upper
+
+        monkeypatch.setattr(cli, "h_spectra", pushed)
+        S0, S1 = random_pair(6, 2, 0)
+        A = np.stack([sample_gaussian_matrix(8, 6, FieldTag.REAL, substream(4, "push", d)).entries
+                      for d in range(3)])
+        *_, ok = cli._eig_check_scores(A, S0, S1, sigma2, 1e-8, 2, 2)
+        assert ok.tolist() == [False, True, True]
+
     def test_swapping_the_pair_swaps_the_counts(self):
         S0, S1 = random_pair(8, 3, 1)
         A = np.stack([sample_gaussian_matrix(8, 8, FieldTag.COMPLEX, substream(2, "swap", d)).entries
@@ -617,13 +645,15 @@ class TestSeedResolution:
         assert ",77," in result.stdout.splitlines()[1]
 
 
-def run_child(code, *args):
-    """Run `code` in a fresh interpreter that imports suprec from this tree;
-    return its last stdout line after checking its exit code."""
+def run_child(code, *args, env=None):
+    """Run `code` in a fresh interpreter that imports suprec from this tree,
+    in `env` (default: this process's environment); return its last stdout
+    line after checking its exit code."""
+    env = os.environ if env is None else env
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code, *args],
-                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                            capture_output=True, text=True, env={**env, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
 
@@ -713,3 +743,53 @@ class TestColdStart:
         warm = {"suprec": suprec, "np": np}
         exec(LIBRARY_CALLS, warm)
         assert json.loads(cold) == json.loads(json.dumps(warm["result"]))
+
+    # the thread tests run without the runner's own BLAS thread settings
+    needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                    reason="counts threads in /proc")
+    THREADS = "import json, os\nprint(json.dumps([len(os.listdir('/proc/self/task')), " \
+              "os.environ.get('OPENBLAS_NUM_THREADS')]))"
+
+    @staticmethod
+    def threads_after(imports, **env):
+        """[thread count, $OPENBLAS_NUM_THREADS] of a fresh process after `imports`."""
+        base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        return json.loads(run_child(f"{imports}\n{TestColdStart.THREADS}", env={**base, **env}))
+
+    @needs_proc
+    def test_cli_process_runs_blas_on_one_thread(self):
+        assert self.threads_after("import suprec.cli") == [1, None]
+
+    @needs_proc
+    def test_user_set_blas_threads_are_kept(self):
+        bare = self.threads_after("import numpy", OPENBLAS_NUM_THREADS="2")
+        assert self.threads_after("import suprec.cli", OPENBLAS_NUM_THREADS="2") == bare
+        assert bare[1] == "2"
+
+    @needs_proc
+    def test_library_import_keeps_the_default_blas_pool(self):
+        bare = self.threads_after("import numpy")
+        if bare[0] == 1:
+            pytest.skip("numpy's default BLAS pool has one thread here")
+        assert self.threads_after("import suprec, numpy") == bare
+
+
+class TestLazyNamespace:
+    def test_import_loads_no_numpy(self):
+        assert run_child("import suprec, sys; print('numpy' in sys.modules)") == "False"
+
+    def test_names_resolve_to_their_home_objects(self):
+        for name, home in suprec._HOME.items():
+            assert getattr(suprec, name) is getattr(importlib.import_module(f"suprec.{home}"), name)
+
+    def test_dir_lists_names_and_submodules(self):
+        assert set(suprec.__all__) | {"cli", "spectra"} <= set(dir(suprec))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            suprec.no_such_name
+        assert not hasattr(suprec, "numpy")
+
+    def test_submodule_by_attribute(self):
+        code = "import suprec; print(suprec.spectra.h_spectra is suprec.h_spectra)"
+        assert run_child(code) == "True"

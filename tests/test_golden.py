@@ -71,12 +71,13 @@ CASES = {
 }
 
 
-def run_case(name: str, tmp_dir: Path) -> str:
-    """stdout of the CLI on case `name`, run on the source tree of this repo."""
+def run_case(name: str, tmp_dir: Path, **env) -> str:
+    """stdout of the CLI on case `name`, run on the source tree of this repo
+    with `env` added to its environment."""
     command, config, seed, fmt = CASES[name]
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(config))
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     env.pop("SUPREC_SEED", None)
     result = subprocess.run([sys.executable, "-m", "suprec.cli", command, "--config", str(path),
@@ -90,6 +91,13 @@ def run_case(name: str, tmp_dir: Path) -> str:
 def test_stdout_matches_golden(name, tmp_path):
     want = (GOLDEN / f"{name}.{CASES[name][3]}").read_text()
     assert run_case(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_two_blas_threads_change_no_byte(name, tmp_path):
+    # a CLI process runs BLAS on one thread unless the user sets a count
+    want = (GOLDEN / f"{name}.{CASES[name][3]}").read_text()
+    assert run_case(name, tmp_path, OPENBLAS_NUM_THREADS="2") == want
 
 
 if __name__ == "__main__":
