@@ -117,9 +117,12 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     log_raw = -LOG2 - (kappa * k_d * T / 2.0) * (np.log(lam01) + np.log(lam10) - np.log(16.0))
     raw = float(np.exp(log_raw))
 
-    # H's spectrum is the (S0, S1) eigenvalues above 1, the reciprocals of the
-    # (S1, S0) ones, and unit eigenvalues, which add nothing to mu.
-    eigs = np.concatenate([top[0][top[0] > 1.0], 1.0 / top[1][top[1] > 1.0]])
+    # H's eigenvalues other than 1 are the (S0, S1) ones above 1 and the
+    # reciprocals of the (S1, S0) ones above 1. mu(1/2) sums
+    # log((sqrt(lambda) + 1/sqrt(lambda)) / 2) and beta sums
+    # lambda + 1/lambda - 2: both terms are unchanged under lambda -> 1/lambda
+    # and vanish at lambda = 1, so both orders' `top` serve as they are.
+    eigs = top[top > 1.0]
     mu_half = chernoff_mu(eigs, 0.5, T, kappa)
     mu_half_bound = float(0.5 * np.exp(mu_half))
     fano_beta = kappa * T / 8.0 * float(np.sum((eigs - 1.0) ** 2 / eigs))

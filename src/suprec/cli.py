@@ -6,7 +6,10 @@ first validates its config into a plan, which holds every checked value the
 run needs, and then runs the plan; nothing is validated while it runs, so a
 `sweep` validates each grid point once, all of them before it runs any.
 Output is CSV or JSON with a fixed column order, reproducible byte for byte
-from (config, seed); --threads is accepted and ignored.
+from (config, seed); --threads is accepted and ignored. Config and JSON output
+are strict JSON (RFC 8259): a config holding NaN or Infinity cannot be read,
+and JSON output, like the JSON text in a cell, writes a non-finite number as
+the text of its CSV cell.
 
 A CLI process runs BLAS on one thread unless the user sets
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: no BLAS call here
@@ -181,7 +184,7 @@ def _report_fields(q, r) -> tuple:
 
 
 def _threshold_fields(q, t) -> tuple:
-    return t.value, None, True, json.dumps(t.forms, sort_keys=True)
+    return t.value, None, True, _json_text(t.forms)
 
 
 def _ensemble_fano_fields(q, r) -> tuple:
@@ -189,11 +192,11 @@ def _ensemble_fano_fields(q, r) -> tuple:
 
 
 def _sufficiency_fields(q, s) -> tuple:
-    notes = json.dumps({"m_over_klognk": s.m_over_klognk,
+    notes = _json_text({"m_over_klognk": s.m_over_klognk,
                         "t_condition_ratio": s.t_condition_ratio,
                         "t_loglog_ratio": s.t_loglog_ratio,
                         "exponent_ceiling": s.exponent_ceiling,
-                        "notes": list(s.notes)}, sort_keys=True)
+                        "notes": list(s.notes)})
     return s.gamma, None, s.gamma is not None, notes
 
 
@@ -565,7 +568,7 @@ def _write_output(out_path, fmt: str, columns, rows, comments, command: str, see
     else:
         payload = {"command": command, "seed": seed, "columns": list(columns),
                    "records": rows, "comments": [c.lstrip("# ") for c in comments]}
-        body = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        body = _json_text(payload, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(body)
     else:
@@ -573,12 +576,28 @@ def _write_output(out_path, fmt: str, columns, rows, comments, command: str, see
             fh.write(body)
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
+def _json_value(value):
+    """`value` with numpy scalars as Python numbers and every non-finite float,
+    at any depth, as the text of its CSV cell ("inf", "-inf", "nan"), which
+    strict JSON (RFC 8259) can hold."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else _fmt(value)
+    return value
+
+
+def _json_text(value, indent=None) -> str:
+    """Strict JSON text of `value` (`_json_value`), keys sorted."""
+    return json.dumps(_json_value(value), sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 # Formatters of the cells that `_csv_cell` writes unquoted as `_fmt` does,
@@ -588,7 +607,7 @@ _PLAIN_CELLS = {int: int.__repr__, float: float.__repr__}
 
 def _csv_cell(value) -> str:
     if isinstance(value, dict):
-        return '"' + json.dumps(value, sort_keys=True).replace('"', '""') + '"'
+        return '"' + _json_text(value).replace('"', '""') + '"'
     text = _fmt(value)
     if "," in text or '"' in text:
         text = '"' + text.replace('"', '""') + '"'
@@ -634,8 +653,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         print(f"suprec: cannot read config: {exc}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):

@@ -14,12 +14,13 @@ matrix (Monte Carlo draws, and eig-check's `h_spectra`). One block whitening,
 its trailing sigma^2 I. Only r eigenvalues of H differ from 1;
 `_reduced_spectra`, the one route from a pair to them, takes one stacked r x r
 `eigvalsh` per k_d group for `pair_incoherences` and `h_spectra`. An
-`eigvalsh` is accurate relative to its largest eigenvalue only, so `h_spectra`
-takes both orders of the pair and reads H's eigenvalues below 1 as reciprocals
-of the (S1, S0) pencil's. `_split_masks` splits every spectrum around 1. Both
-minima over ordered support pairs, lambda_bar and c1, run one walk,
-`_pair_walk`, each with its own block scorer. Before the first draw it checks
-the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
+`eigvalsh` is accurate relative to its largest eigenvalue only, so `h_spectra`,
+the one place that combines the two orders of a pair, takes each eigenvalue of
+H from the order in which it is larger: lambda from the (S0, S1) pencil or
+1 / lambda from the (S1, S0) one. `_split_masks` splits every spectrum
+around 1. Both minima over ordered support pairs, lambda_bar and c1, run one
+walk, `_pair_walk`, each with its own block scorer. Before the first draw it
+checks the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
 M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
 `_pair_union` (equal sizes, not identical, M >= 2 k_d).
 
@@ -322,11 +323,16 @@ def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> t
     the (S0, S1) union R, k0 = |S0 \\ S1|) and of
     I + A_{S0\\S1}^H A_{S0\\S1} / sigma2, which bracket its k0 eigenvalues above 1.
 
-    `up` and `down` are the `_reduced_spectra` of (S0, S1) and (S1, S0): H's
-    r = |S0 cup S1| eigenvalues and their reciprocals. H's eigenvalues below 1
-    are 1 / `down`, the others `up`, and the M - r others exactly 1. M < r is
-    a ValueError; a non-finite union column, a `_pencil` failure, a
-    non-positive eigenvalue or a zero pivot of R33 is a `NumericFailure`.
+    `up` and `down` are the ascending `_reduced_spectra` of (S0, S1) and
+    (S1, S0): H's r = |S0 cup S1| eigenvalues and their reciprocals, so entry i
+    of `up` and of `down` reversed are one eigenvalue seen from each order.
+    Each is read where it is larger, as `up` or 1 / `down`, since an
+    `eigvalsh` rounds relative to its largest eigenvalue; the M - r others are
+    exactly 1. Away from 1 this holds H's spectrum within 4.4e-15 relative of
+    a 60-digit oracle at sigma2 = 1e-16 and 1e-18 too, where `up`'s rounding,
+    ~eps lambda_max, exceeds 1. M < r is a ValueError; a non-finite union
+    column, a `_pencil` failure, a non-positive chosen eigenvalue or a zero
+    pivot of R33 is a `NumericFailure`.
     """
     D, M = entries.shape[:2]
     if M < S1.size + len(S0.difference(S1)):
@@ -336,11 +342,13 @@ def h_spectra(entries: np.ndarray, S0: Support, S1: Support, sigma2: float) -> t
         k_d, union = _union_rows(Sa.as_array()[None], Sb.as_array()[None])
         orders.extend(_reduced_spectra(entries, k_d.repeat(D), union.repeat(D, 0), Sa.size, sigma2))
     (_, k0, R, up), (*_, down) = orders
-    below = up < 1.0
-    down = np.where(below, down[:, ::-1], 1.0)       # entry i is 1 / up[:, i]; 1 where unused
-    if down.min() <= 0:
-        raise NumericFailure(f"pencil produced non-positive eigenvalue {down.min():.3e}")
-    eigs = np.concatenate([np.where(below, 1.0 / down, up), np.ones((D, M - R.shape[2]))], axis=1)
+    down = down[:, ::-1]                             # entry i is 1 / up[:, i]
+    below = up < down
+    chosen = np.where(below, down, up)
+    if chosen.min() <= 0:
+        raise NumericFailure(f"pencil produced non-positive eigenvalue {chosen.min():.3e}")
+    eigs = np.concatenate([np.where(below, 1.0 / chosen, chosen), np.ones((D, M - R.shape[2]))],
+                          axis=1)
     eigs.sort(axis=1)
     R33 = _r33(R, k0)
     block = entries[:, :, list(S0.difference(S1))]

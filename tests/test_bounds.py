@@ -109,6 +109,21 @@ class TestBinaryChernoff:
                 want = chernoff_mu(h_eigenvalues(A, S0, S1, sigma2), 0.5, 3, field.kappa)
                 assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_extras_match_the_assembled_spectrum(self, field):
+        # binary_chernoff sums over both orders' eigenvalues above 1 without
+        # inverting any: mu(1/2) and beta are unchanged under lambda -> 1/lambda
+        for seed in range(6):
+            A = gaussian_instance(8, 10, field=field, seed=seed, label="extras-assembled")
+            S0, S1 = random_pair(10, 3, overlap=seed % 3)
+            for sigma2 in (0.5, 1e-4, 1e-8):
+                extras = binary_chernoff(A, S0, S1, sigma2, 3).extras
+                eigs = h_eigenvalues(A, S0, S1, sigma2)
+                want_beta = field.kappa * 3 / 8.0 * float(np.sum((eigs - 1.0) ** 2 / eigs))
+                want_mu = chernoff_mu(eigs, 0.5, 3, field.kappa)
+                assert extras["mu_half"] == pytest.approx(want_mu, rel=1e-13)
+                assert extras["fano_beta"] == pytest.approx(want_beta, rel=1e-13)
+
     def test_mu_half_at_small_noise_matches_high_precision(self):
         # the dense pencil's eigenvalues of order sigma2 are wrong here
         A = sample_gaussian_matrix(6, 8, FieldTag.REAL, substream(1, "cli-matrix"))

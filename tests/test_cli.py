@@ -29,6 +29,10 @@ def run_cli(*args):
     return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read_rows(path):
     with open(path) as fh:
         return read_rows_text(fh.read())
@@ -183,6 +187,10 @@ class TestExitCodes:
          "query multiple_union: 'T' must be a positive integer"),
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[1], "kappa": -1}]},
          "query multiple_union: 'kappa' must be a positive number"),
+        ("bounds", {"queries": [{"formula": "fano_lower", "beta": math.nan, "L": 4}]},
+         "cannot read config: non-standard JSON constant NaN"),
+        ("simulate", {**BINARY_SIM, "sigma2": math.inf},
+         "cannot read config: non-standard JSON constant Infinity"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "binary-identical-supports",
             "binary-support-null-entry", "binary-support-float-entry",
             "binary-support-string-entry", "binary-support-bool-entry",
@@ -197,7 +205,7 @@ class TestExitCodes:
             "ensemble-K-equals-N", "doa-N-string", "doa-N-K-float", "doa-K-bool",
             "doa-epsilon-empty", "eig-check-grid-M-empty", "simulate-T-empty",
             "bounds-geometric-T-zero", "bounds-geometric-T-tiny", "bounds-union-T-zero",
-            "bounds-union-kappa-negative"])
+            "bounds-union-kappa-negative", "bounds-beta-nan", "simulate-sigma2-infinity"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)
@@ -215,6 +223,25 @@ class TestCsvCells:
         for value in values:
             assert cli._PLAIN_CELLS[type(value)](value) == cli._csv_cell(value)
         assert bool not in cli._PLAIN_CELLS and np.float64 not in cli._PLAIN_CELLS
+
+
+class TestJsonOutput:
+    def test_non_finite_values_are_written_as_csv_text(self, tmp_path):
+        # strict JSON (RFC 8259) has no NaN or Infinity tokens; an unmatched
+        # eig-check slack is NaN, and numpy scalars may sit at any depth
+        out = tmp_path / "out.json"
+        rows = [{"a": math.nan, "b": -math.inf,
+                 "c": {"d": [np.float64(math.inf), np.float32(0.5), np.int64(3)]}}]
+        cli._write_output(out, "json", ("a", "b", "c"), rows, [], "eig-check", 0)
+        got = json.loads(out.read_text(), parse_constant=reject_constant)["records"]
+        assert got == [{"a": "nan", "b": "-inf", "c": {"d": ["inf", 0.5, 3]}}]
+        # so do the JSON texts in a cell: a threshold's forms overflow here
+        query = {"formula": "snet", "epsilon": 0.1, "N": 16, "K": 4, "sigma2": 1e308,
+                 "kappa": 0.5, "normalization": "unit_rows"}
+        _, rows, _ = cli.run_bounds(cli._validate_bounds({"queries": [query]}), 0)
+        forms = json.loads(rows[0]["notes"], parse_constant=reject_constant)
+        assert forms == dict.fromkeys(("exact_binomial", "log2_corrected", "relaxed"), "inf")
+        assert [cli._csv_cell(v) for v in (math.nan, -math.inf, math.inf)] == ["nan", "-inf", "inf"]
 
 
 class TestBoundsCommand:
@@ -447,6 +474,21 @@ class TestEigCheckCommand:
         result = run_cli("eig-check", "--config", cfg, "--seed", "1")
         assert result.returncode == 0, result.stderr
         assert result.stdout.rstrip().endswith("# violations=0")
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("grid,draws,sigma2", [
+        ({"M": 6, "K": 2}, 2, 1e-16),
+        ({"M": [6, 12], "K": [2, 3]}, 20, 1e-16),
+        ({"M": [6, 12], "K": [2, 3]}, 20, 1e-18),
+        ({"M": [6, 12], "K": [2, 3]}, 20, 1e-20),
+    ], ids=["small-1e-16", "grid-1e-16", "grid-1e-18", "grid-1e-20"])
+    def test_tiny_noise_has_no_violations(self, field, grid, draws, sigma2):
+        # below sigma2 ~ 1e-16 an eigenvalue below 1 rounds to ~eps lambda_max,
+        # above 1, in the (S0, S1) pencil; it is read from the (S1, S0) one
+        config = {"grid": grid, "draws_per_cell": draws, "sigma2": sigma2, "field": field}
+        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 1)
+        assert comments == ["# violations=0"]
+        assert all(r["count_gt"] == r["count_lt"] == r["k0"] for r in rows)
 
     def test_slack_within_rounding_of_its_eigenvalue_is_no_violation(self):
         # at sigma2 = 1e-14 the top eigenvalues are ~1e14, whose rounding is

@@ -48,6 +48,9 @@ CASES = {
         {"formula": "hypergeometric_mean", "N": 10, "K": 3},
         {"formula": "chernoff_mu", "eigenvalues": [2.0, 1.0, 0.5], "s": 0.5, "T": 2,
          "kappa": 0.5}]}, 0, "csv"),
+    "bounds-json": ("bounds", {"queries": [
+        {"formula": "multiple_geometric", "lambda_bar": 2, "N": 10, "K": 2, "T": 1,
+         "kappa": 0.5}]}, 0, "json"),
     "simulate-binary": ("simulate", BINARY, 3, "csv"),
     "simulate-multiple-exhaustive": ("simulate", MULTIPLE, 5, "csv"),
     "simulate-multiple-sampled": ("simulate", {**MULTIPLE, "incoherence": {"mode": "sampled",
@@ -62,6 +65,8 @@ CASES = {
                                        "trials_per_matrix": 40, "trials": 1}, 7, "csv"),
     "eig-check": ("eig-check", {"grid": {"M": [6, 8], "K": [1, 2]}, "draws_per_cell": 3,
                                 "sigma2": 0.8, "field": "complex"}, 2, "csv"),
+    "eig-check-tiny-noise": ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2,
+                                           "sigma2": 1e-16}, 1, "csv"),
     "doa": ("doa", {"epsilon": [0.05, 0.1], "N": [90, 360], "K": [1, 2], "sigma2": 1.0,
                     "ula_lambda": ULA}, 1, "csv"),
     "doa-json": ("doa", {"epsilon": 0.1, "N": [90, 180], "K": 2, "sigma2": [0.1, 1.0],
@@ -91,6 +96,16 @@ def run_case(name: str, tmp_dir: Path, **env) -> str:
 def test_stdout_matches_golden(name, tmp_path):
     want = (GOLDEN / f"{name}.{CASES[name][3]}").read_text()
     assert run_case(name, tmp_path) == want
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][3] == "json"))
+def test_json_golden_is_strict_json(name):
+    # RFC 8259 has no NaN or Infinity; a non-finite number is written as text
+    json.loads((GOLDEN / f"{name}.json").read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

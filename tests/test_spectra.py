@@ -254,8 +254,8 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_tiny_noise_warns_nothing(self, field):
-        # reciprocals are taken of the (S1, S0) eigenvalues in use only: at
-        # 1e-30 some of the unused ones round to exactly 0
+        # reciprocals are taken of the chosen (S1, S0) eigenvalues only, each
+        # the larger of its pair: at 1e-30 some unused ones round to exactly 0
         for M, K, overlap in ((2, 1, 0), (8, 3, 2)):
             S0, S1 = random_pair(2 * K + 2, K, overlap)
             stack = draw_stack(M, 2 * K + 2, 32, field, label="tiny")
@@ -273,11 +273,13 @@ class TestLowRankWhitening:
     side."""
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    @pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8])
+    @pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8, 1e-16, 1e-18])
     def test_top_eigenvalues_match_high_precision_oracle(self, field, sigma2):
         # the whole spectrum: eigenvalues away from 1 to 1e-12 relative, and
         # those equal to 1 in theory (M - r padding and k_i = overlap) to
-        # eigvalsh's rounding level M eps lambda_max
+        # eigvalsh's rounding level M eps lambda_max. At 1e-16 and below an
+        # eigenvalue below 1 rounds to ~eps lambda_max > 1 in the (S0, S1)
+        # pencil, so each is read from the order in which it is larger
         for overlap in (0, 1):
             S0, S1 = random_pair(8, 3, overlap)
             A = gaussian_instance(8, 8, field=field, seed=overlap, label="whiten-mp")
