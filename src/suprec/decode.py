@@ -8,18 +8,20 @@ covariance Sigma_S, so the log density is
                  - kappa*tr(Y^H Sigma_S^{-1} Y).
 
 Every log determinant and quadratic form goes through the covariance core in
-`spectra`. `SupportDecoder` factors its candidates in K x K form, one stacked
-`covariance_factors` call per support size. Its `score_batch` is the exact
-scoring path: `log_scores`, `decode`, `decode_index`, `binary_lrt` (a
-two-candidate decoder) and the binary Monte Carlo estimator score through it,
-all candidates of a size at once. `decode_index_batch`, which the multiple and
-ensemble estimators call, returns the pick of `score_batch` but screens first:
-it scores every candidate in K x K Gram space (`CovarianceFactors.screen`),
-each within a rounding margin of its exact score, and rescores exactly only
-the candidates of a trial whose margins reach the best one's. Sizes with
-K >= M are scored exactly. `log_likelihood` takes one dense covariance and
-whitens with its inverse Cholesky factor (`spectra._inverse_factor`), which
-fails under the same pivot-floor rule as every other covariance.
+`spectra`. `SupportDecoder` keeps its candidates in one (L, K_max) table
+padded with -1, whose one `np.lexsort` is the tie order, factors them in K x K
+form (one stacked `covariance_factors` call per support size) and lays
+observations out one way (`_columns`). Its `score_batch` is the exact scoring
+path: `log_scores`, `decode`, `decode_index`, `binary_lrt` (a two-candidate
+decoder) and the binary Monte Carlo estimator score through it, all candidates
+of a size at once. `decode_index_batch`, which the multiple and ensemble
+estimators call, returns the pick of `score_batch` but screens first: it
+scores every candidate in K x K Gram space (`CovarianceFactors.screen`), each
+within a rounding margin of its exact score, and rescores exactly only the
+candidates of a trial whose margins reach the best one's. Sizes with K >= M
+are scored exactly. `log_likelihood` takes one dense covariance and whitens
+with its inverse Cholesky factor (`spectra._inverse_factor`), which fails
+under the same pivot-floor rule as every other covariance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NumericFailure, Support, as_matrix
-from .spectra import _inverse_factor, _run_energy, covariance_factors
+from .spectra import _column_energy, _inverse_factor, covariance_factors
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -96,31 +98,32 @@ class SupportDecoder:
         self.M, self._N = entries.shape
         self._entries = entries
         if isinstance(candidates, np.ndarray):
-            rows = self._rows = candidates.astype(np.intp, copy=False)
+            if candidates.ndim != 2 or not candidates.shape[1] or candidates.dtype.kind not in "iu":
+                raise ValueError("candidate rows must be a 2-D integer array")
+            table = candidates.astype(np.intp, copy=False)
             self._supports = None
-            groups = [(np.arange(len(rows)), rows)]
-            # Lexicographic order of the candidates, for deterministic tie-breaks.
-            self._lex_order = np.lexsort(rows.T[::-1])
         else:
             self._supports = list(candidates)
-            sizes = np.array([S.size for S in self._supports], dtype=np.intp)
-            groups = []
-            for K in np.unique(sizes):
-                idx = np.flatnonzero(sizes == K)
-                groups.append((idx, np.array([self._supports[i].indices for i in idx],
-                                             dtype=np.intp)))
-            self._lex_order = np.array(sorted(range(len(sizes)),
-                                              key=lambda i: self._supports[i].indices),
-                                       dtype=np.intp)
-        if not self._lex_order.size:
+            width = max((S.size for S in self._supports), default=0)
+            table = np.array([[*S.indices] + [-1] * (width - S.size) for S in self._supports],
+                             dtype=np.intp)
+        if not len(table):
             raise ValueError("candidate set must be nonempty")
+        if (self._supports is None and table.min() < 0) or table.max() >= self._N:
+            raise ValueError(f"candidate column indices must lie in [0, {self._N})")
         if factors is not None and not (self._supports is None and factors.sigma2 == sigma2
-                                        and np.array_equal(factors.rows, self._rows)):
+                                        and np.array_equal(factors.rows, table)):
             raise ValueError("factors must be those of the candidate rows at sigma2")
+        self._table = table
+        # Ties go to the first in lexicographic order; the -1 padding puts a
+        # support before every longer one it begins, as tuples sort.
+        self._lex_order = np.lexsort(table.T[::-1])
+        sizes = np.count_nonzero(table >= 0, axis=1)
         self.failures: dict = {}
         self._groups = []
-        for idx, rows in groups:
-            group = covariance_factors(entries, rows, sigma2) if factors is None else factors
+        for K in np.unique(sizes):
+            idx = np.flatnonzero(sizes == K)
+            group = covariance_factors(entries, table[idx, :K], sigma2) if factors is None else factors
             self._groups.append((idx, group))
             self.failures.update({int(idx[i]): msg for i, msg in group.failures.items()})
 
@@ -129,17 +132,17 @@ class SupportDecoder:
         """The candidate supports, in the decoder's order (built on first use
         when the decoder was given support rows)."""
         if self._supports is None:
-            self._supports = [Support(tuple(int(i) for i in row), self._N) for row in self._rows]
+            self._supports = [Support(tuple(int(i) for i in row), self._N) for row in self._table]
         return self._supports
 
     def _columns(self, Ys) -> tuple:
-        """(values, T): a stack of observations (n, M, T) as the columns
-        (M, n T) that the scorers take, T consecutive columns per observation."""
+        """(values, T): observations (n, M, T) as the one contiguous block
+        (M, T n) all scorers read, column t of observation i at t n + i."""
         Ys = np.asarray(Ys)
         n, M, T = Ys.shape
         if M != self.M:
             raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
-        return np.moveaxis(Ys, 0, 1).reshape(M, n * T), T
+        return np.ascontiguousarray(np.moveaxis(Ys, 0, -1)).reshape(M, T * n), T
 
     def _offsets(self, T: int, logdet: np.ndarray) -> np.ndarray:
         """The part of the log-likelihood that does not depend on the
@@ -149,19 +152,18 @@ class SupportDecoder:
 
     def _scores(self, values: np.ndarray, T: int, cand=None) -> np.ndarray:
         """Exact log-likelihoods of the candidates at indices `cand` (all when
-        None) for observation columns (M, n T): (len(cand), n). Each support
+        None) for observation columns (M, T n): (len(cand), n). Each support
         size is scored as one stack (`CovarianceFactors.energies`), and a
         candidate scores the same bits whichever others are scored with it."""
         n = values.shape[1] // T
         out = np.empty((self._lex_order.size if cand is None else len(cand), n))
         for idx, factors in self._groups:
-            rows, which = idx, None
+            rows, which = idx, slice(None)
             if cand is not None:
                 rows = np.flatnonzero(np.isin(cand, idx))
                 which = np.searchsorted(idx, cand[rows])
-            logdet = factors.logdet if which is None else factors.logdet[which]
             # a failed candidate has logdet = +inf, so it scores -inf
-            out[rows] = (self._offsets(T, logdet)
+            out[rows] = (self._offsets(T, factors.logdet[which])
                          - self.kappa * factors.energies(values, T, which))
         return out
 
@@ -194,13 +196,13 @@ class SupportDecoder:
         scores = {S: float(v) for S, v in zip(self.candidates, values)} if keep_scores else None
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
-    def _screen(self, factors, AhY, ysq) -> tuple:
+    def _screen(self, factors, AhY, ysq, T: int) -> tuple:
         """(scores, margins), each (L, n), of one support size with p = K < M:
         the Gram-space log-likelihoods of `CovarianceFactors.screen`, each
         within its margin of what `score_batch` gives. A failed candidate
         scores -inf with margin 0."""
-        energy, margin = factors.screen(AhY, ysq)
-        offsets = self._offsets(AhY.shape[1], factors.logdet)
+        energy, margin = factors.screen(AhY, ysq, T)
+        offsets = self._offsets(T, factors.logdet)
         energy *= -self.kappa
         energy += offsets
         # the margin in score units, plus the rounding of offset - kappa * energy
@@ -228,19 +230,16 @@ class SupportDecoder:
         chooses among them. A score or margin that is NaN leaves every
         candidate of its trial near.
         """
-        Ys = np.asarray(Ys)
         values, T = self._columns(Ys)
-        n = len(Ys)
-        # column t n + i holds column t of observation i
-        snapshots = np.ascontiguousarray(np.moveaxis(Ys, 0, -1)).reshape(self.M, T * n)
-        AhY = (self._entries.conj().T @ snapshots).reshape(self._N, T, n)
-        ysq = _run_energy(snapshots.reshape(1, self.M * T, n), 1)[0]   # |y_i|^2
+        n = values.shape[1] // T
+        AhY = self._entries.conj().T @ values
+        ysq = _column_energy(values.reshape(1, self.M * T, n))[0]       # |y_i|^2
         parts = []
         for idx, factors in self._groups:
             if factors.gram_inv is None:        # p = M: score exactly
                 parts.append((self._scores(values, T, idx), np.zeros((len(idx), n))))
             else:
-                parts.append(self._screen(factors, AhY, ysq))
+                parts.append(self._screen(factors, AhY, ysq, T))
         if len(parts) == 1:
             scores, margins = parts[0]
         else:

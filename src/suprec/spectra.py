@@ -32,7 +32,8 @@ factors give every log-determinant and quadratic form the decoders need
 When K < M they also hold the inverse Cholesky factor F^{-1} of
 sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
 column in O(K^2) from A^H y (Woodbury) and bounds its distance from
-`energies`; the ML decoder screens with it and rescores only near-ties.
+`energies`; the ML decoder screens with it and rescores only near-ties. Both
+read the one observation block of `SupportDecoder._columns`.
 
 Every covariance is factored by `_whitener`, the one caller of
 `np.linalg.cholesky`: one stacked call, item by item only when it breaks down,
@@ -61,7 +62,7 @@ from .model import (
 
 PAIR_CAP = 10**7
 PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
-# Entries of the (c, M, n T) residual buffer of `CovarianceFactors.energies`
+# Entries of the (c, M, T n) residual buffer of `CovarianceFactors.energies`
 # and of the (c, K, T n) buffers of `CovarianceFactors.screen`, which score c
 # supports at a time: it bounds the scoring's working memory whatever the
 # number of supports or the size of the block.
@@ -154,18 +155,19 @@ class CovarianceFactors:
     gram_inv: np.ndarray | None = None    # (L, K, K) F^{-1}; zero for a failed support
     cond: np.ndarray | None = None        # (L,) rho; inf where F fails `_whitener`
 
-    def energies(self, values: np.ndarray, T: int, which=None) -> np.ndarray:
-        """Quadratic forms y^H Sigma_S^{-1} y of the columns of `values`
-        (M, n T), summed over each run of T consecutive columns: (L, n), or
-        (len(which), n) for the supports at positions `which` only.
+    def energies(self, values: np.ndarray, T: int, which=slice(None)) -> np.ndarray:
+        """Quadratic forms y^H Sigma_S^{-1} y of n observations of T columns
+        each, summed per observation: (L, n), or (len(which), n) for the
+        supports at positions `which` only, for the block `values` (M, T n)
+        of `SupportDecoder._columns`.
 
         The residual y - Q w is formed explicitly, not as |y|^2 - |w|^2, which
         cancels at small sigma2; when p = M it is zero and skipped. Supports
-        are scored SCORE_CHUNK_ELEMENTS // (M n T) at a time, so neither an
-        (L, M, n T) nor an (L, n T) array is built. A support's forms do not
+        are scored SCORE_CHUNK_ELEMENTS // (M T n) at a time, so neither an
+        (L, M, T n) nor an (L, T n) array is built. A support's forms do not
         depend on which other supports are scored with it.
         """
-        Q, proj = (self.Q, self.proj) if which is None else (self.Q[which], self.proj[which])
+        Q, proj = self.Q[which], self.proj[which]
         L, M, p = Q.shape
         nT = values.shape[1]
         out = np.empty((L, nT // T))
@@ -179,22 +181,22 @@ class CovarianceFactors:
             stop = min(start + step, L)
             c = stop - start
             np.matmul(proj[start:stop], values, out=wz[:c])
-            energy = _run_energy(wz[:c, p:], T)
+            energy = _column_energy(wz[:c, p:].reshape(c, p * T, -1))
             if p < M:
                 np.matmul(Q[start:stop], wz[:c, :p], out=resid[:c])
                 np.subtract(values, resid[:c], out=resid[:c])
-                energy += _run_energy(resid[:c], T) / self.sigma2
+                energy += _column_energy(resid[:c].reshape(c, M * T, -1)) / self.sigma2
             out[start:stop] = energy
         return out
 
-    def screen(self, AhY: np.ndarray, ysq: np.ndarray) -> tuple:
+    def screen(self, AhY: np.ndarray, ysq: np.ndarray, T: int) -> tuple:
         """Gram-space quadratic forms y^H Sigma_S^{-1} y of n observations of
         T columns each, summed per observation, and a bound on their distance
         from `energies`: (energies, margins), each (L, n). Only for p = K < M.
 
-        `AhY` (N, T, n) holds A^H y for the whole matrix, column t of
-        observation i at [:, t, i], so b = A_S^H y is a row gather; `ysq` (n,)
-        is |y|^2 summed per observation. By Woodbury,
+        `AhY` (N, T n) is A^H values for the whole matrix and the `values`
+        that `energies` reads, so b = A_S^H y is a row gather; `ysq` (n,) is
+        |y|^2 summed per observation. By Woodbury,
 
             y^H Sigma_S^{-1} y = (|y|^2 - |F^{-1} b|^2) / sigma2,
 
@@ -223,14 +225,12 @@ class CovarianceFactors:
         `_whitener`) makes the margin inf, so such a support is always rescored.
         """
         L, K = self.rows.shape
-        _, T, n = AhY.shape
-        out = np.empty((L, n))
-        step = max(1, SCORE_CHUNK_ELEMENTS // max(1, K * T * n))
+        out = np.empty((L, AhY.shape[1] // T))
+        step = max(1, SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
         for start in range(0, L, step):
             stop = min(start + step, L)
-            b = AhY[self.rows[start:stop]].reshape(stop - start, K, T * n)
-            z = self.gram_inv[start:stop] @ b                       # F^{-1} A_S^H y
-            out[start:stop] = _run_energy(z.reshape(stop - start, K * T, n), 1)
+            z = self.gram_inv[start:stop] @ AhY[self.rows[start:stop]]   # F^{-1} A_S^H y
+            out[start:stop] = _column_energy(z.reshape(stop - start, K * T, -1))
         np.subtract(ysq, out, out=out)
         out /= self.sigma2
         M = self.Q.shape[1]
@@ -238,13 +238,13 @@ class CovarianceFactors:
         return out, np.multiply.outer(factor * (1.0 + self.cond) ** 2, ysq)
 
 
-def _run_energy(x: np.ndarray, T: int) -> np.ndarray:
-    """Squared norm of each run of T consecutive columns of each matrix in a
-    stack (c, m, n T), as (c, n)."""
+def _column_energy(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of each matrix in a stack (c, m, n), as
+    (c, n). The last axis must be contiguous."""
     if np.iscomplexobj(x):
-        x, T = x.view(np.float64), 2 * T        # real and imaginary parts side by side
-    columns = np.einsum("cmj,cmj->cj", x, x)
-    return columns if T == 1 else np.einsum("cnt->cn", columns.reshape(len(x), -1, T))
+        x = x.view(np.float64)                  # real and imaginary parts side by side
+        return np.einsum("cnt->cn", np.einsum("cmj,cmj->cj", x, x).reshape(len(x), -1, 2))
+    return np.einsum("cmj,cmj->cj", x, x)
 
 
 def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:

@@ -376,6 +376,54 @@ class TestLowRankScores:
                 assert abs(got[i, t] - float(ref)) <= 1e-12 * abs(float(ref))
 
 
+class TestCandidateTable:
+    """Supports and rows both become one (L, K_max) table, shorter supports
+    padded with -1; one lexsort of it is the tie order, and every observation
+    stack is read through one contiguous column block."""
+
+    FIELDS = [FieldTag.REAL, FieldTag.COMPLEX]
+
+    @pytest.mark.parametrize("candidates", [
+        np.array([[-1, 0], [2, 3]]),            # -1 pads, it is no column
+        np.array([[0, 1], [2, 6]]),             # N = 6
+        np.array([[0.0, 1.0], [2.0, 3.5]]),     # a float row would be truncated
+        np.array([0, 1, 2]),                    # 1-D
+        [make_support([1], 8), make_support([2, 7], 8)],    # a Support beyond N
+    ])
+    def test_bad_candidates_are_rejected(self, candidates):
+        A = gaussian_instance(4, 6, seed=50, label="table")
+        with pytest.raises(ValueError, match="candidate"):
+            SupportDecoder(A, candidates, 0.5)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_tie_order_is_tuple_order(self, field):
+        # prefixes ({2} of {2, 5}, {2, 5} of {2, 5, 6}, ...) and duplicates,
+        # whose exact ties go to the first copy in the tie order
+        A = gaussian_instance(6, 8, field, seed=51, label="table")
+        candidates = [make_support(s, 8) for s in
+                      ([2, 5], [2], [0, 3, 7], [2, 5], [0, 3], [1], [2, 5, 6], [0], [0, 3])]
+        decoder = SupportDecoder(A, candidates, 0.3)
+        order = sorted(range(len(candidates)), key=lambda i: candidates[i].indices)
+        assert decoder._lex_order.tolist() == order
+        Ys = model_observations(A, candidates, 0.3, 40, 2, seed=13)
+        picks = decoder.decode_index_batch(Ys).tolist()
+        assert picks == decoder._pick(decoder.score_batch(Ys))[0].tolist()
+        assert 3 not in picks and 8 not in picks          # the later copies never win
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_non_contiguous_observations(self, field, T):
+        A = gaussian_instance(6, 8, field, seed=52, label="table")
+        candidates = enumerate_supports(8, 2)
+        Ys = model_observations(A, candidates, 0.3, 20, T, seed=14)
+        decoder = SupportDecoder(A, candidates, 0.3)
+        for view in (Ys[::2], np.asfortranarray(Ys)):
+            dense = np.ascontiguousarray(view)
+            assert np.array_equal(decoder.score_batch(view), decoder.score_batch(dense))
+            assert np.array_equal(decoder.decode_index_batch(view),
+                                  decoder.decode_index_batch(dense))
+
+
 def screen_matches_scores(decoder, Ys):
     """Assert that `decode_index_batch` (the Gram screen) picks what `_pick`
     does on the exact `score_batch`; return the candidate rows it rescored."""
@@ -411,9 +459,10 @@ class TestGramScreen:
         Ys = model_observations(A, candidates, sigma2, 64, 3, seed=8)
         decoder = SupportDecoder(A, candidates, sigma2)
         (_, factors), = decoder._groups
+        values, T = decoder._columns(Ys)
         ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-        screened, margin = factors.screen(np.moveaxis(A.entries.conj().T @ Ys, 0, -1), ysq)
-        exact = factors.energies(*decoder._columns(Ys))
+        screened, margin = factors.screen(A.entries.conj().T @ values, ysq, T)
+        exact = factors.energies(values, T)
         assert np.max(np.abs(screened - exact) / margin) <= 1e-2
         assert screen_matches_scores(decoder, Ys) == []
 
