@@ -82,14 +82,15 @@ class DecodeResult:
 class SupportDecoder:
     """Maximum-likelihood decoder over a fixed candidate support set.
 
-    `candidates` is a sequence of `Support`s, of any sizes, or an (L, K)
-    integer array of support rows. The covariance factors of each support
-    size are computed once per (A, sigma2, candidates), in one
-    `covariance_factors` call, and reused across observations. A candidate
-    whose factorization fails scores -inf and is recorded in `failures`
-    instead of aborting the decode. `factors`, when given, are the
-    `covariance_factors` of candidates given as rows, already built at sigma2
-    (`simulate` shares them with the exact Fano beta); they are not rebuilt.
+    `candidates` is a sequence of `Support`s, of any sizes and of ambient
+    dimension N (A's column count), or an (L, K) integer array of support
+    rows. The covariance factors of each support size are computed once per
+    (A, sigma2, candidates), in one `covariance_factors` call, and reused
+    across observations. A candidate whose factorization fails scores -inf
+    and is recorded in `failures` instead of aborting the decode. `factors`,
+    when given, are the `covariance_factors` of candidates given as rows,
+    already built at sigma2 (`simulate` shares them with the exact Fano
+    beta); they are not rebuilt.
     """
 
     def __init__(self, A, candidates, sigma2: float, factors=None):
@@ -104,6 +105,9 @@ class SupportDecoder:
             self._supports = None
         else:
             self._supports = list(candidates)
+            if any(S.ambient_dim != self._N for S in self._supports):
+                raise ValueError(f"candidate supports must have ambient_dim {self._N}, the column"
+                                 " count of A")
             width = max((S.size for S in self._supports), default=0)
             table = np.array([[*S.indices] + [-1] * (width - S.size) for S in self._supports],
                              dtype=np.intp)

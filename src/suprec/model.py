@@ -262,6 +262,17 @@ def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> li
     return [Support(tuple(row), N) for row in support_rows(N, K, cap).tolist()]
 
 
+@functools.lru_cache(maxsize=64)
+def _comb_table(N: int, k: int) -> np.ndarray:
+    """C(d, k) for d = 0..N-1 as a read-only `int64` array, clipped to the
+    largest int64: every rank is below it, so clipping keeps a search exact.
+    The last 64 tables are kept and shared by every `unrank_supports` call."""
+    big = np.iinfo(np.int64).max
+    table = np.array([min(math.comb(d, k), big) for d in range(N)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     """Rows of the size-K supports with the given lexicographic ranks, as a
     (len(ranks), K) `intp` array.
@@ -278,10 +289,9 @@ def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     if ranks.size and (ranks.min() < 0 or int(ranks.max()) >= total):
         raise ValueError(f"support ranks must lie in [0, C({N},{K}) = {total})")
     left = (total - 1) - ranks
-    big = np.iinfo(np.int64).max     # every rank is below it, so clipping keeps the search exact
     rows = np.empty((ranks.size, K), dtype=np.intp)
     for t in range(K):
-        table = np.array([min(math.comb(d, K - t), big) for d in range(N)], dtype=np.int64)
+        table = _comb_table(N, K - t)
         d = np.searchsorted(table, left, side="right") - 1
         left = left - table[d]
         rows[:, t] = N - 1 - d

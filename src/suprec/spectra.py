@@ -22,7 +22,11 @@ around 1. Both minima over ordered support pairs, lambda_bar and c1, run one
 walk, `_pair_walk`, each with its own block scorer. Before the first draw it
 checks the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
 M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
-`_pair_union` (equal sizes, not identical, M >= 2 k_d).
+`_pair_union` (equal sizes, not identical, M >= 2 k_d). lambda_bar's walk is
+pruned: `_pair_floors` bounds each pair's computed incoherence from below by
+det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from an r x r
+Gram and one Cholesky (no QR, pencil or `eigvalsh`), and the walk scores
+exactly only the pairs whose floor does not exceed the running minimum.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
@@ -70,6 +74,9 @@ SCORE_CHUNK_ELEMENTS = 2**15
 # Constant of the Gram screen's margin (`CovarianceFactors.screen`): it covers
 # the rounding constants of both scorers, real or complex.
 SCREEN_ROUNDING = 16
+# Constant of the incoherence floor's margin (`_pair_floors`): it covers the
+# rounding constants of the floor and of the exact pencil, real or complex.
+FLOOR_ROUNDING = 16
 
 
 def _gram(X: np.ndarray, sigma2: float) -> np.ndarray:
@@ -528,14 +535,83 @@ def _check_pair_set(M: int, N: int, K: int) -> int:
     return L
 
 
+def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
+                 sigma2: float) -> np.ndarray:
+    """Certified floors (P,) under the computed `pair_incoherences` values of
+    P ordered pairs of size-K supports of one matrix (M, N); NaN where the
+    Gram fails `_whitener`.
+
+    With the union ordered by `_union_rows` (S1's K columns, then the k_d of
+    S0 \\ S1, r = K + k_d) and B = A_U^H A_U, the Cholesky factor L of
+    B + (0 (+) sigma2 I) ends in k_d pivots whose product is
+    det(sigma2 I + G), G = R33^H R33 the Schur complement of A_{S1}^H A_{S1}
+    in B. The QR sandwich (`h_spectra`) bounds H's top k_d eigenvalues one by
+    one from below by those of I + G / sigma2, and H's eigenvalues not above
+    1 only lower a geometric mean, so det(I + G / sigma2)^(1/k_d) <= lambda.
+
+    The margin, to first order in u = eps. The floor: the Gram and L are
+    backward stable, and the trailing rows of L^{-1} carry the sensitivity of
+    log det(sigma2 I + G), which moves by c (M + r) r u (tr B + sigma2)
+    ||L^{-1}||_F^2. The exact value: its union QR is exact for A_U + dA with
+    ||dA|| <= c M r u ||A_U||_F, which scales each pencil eigenvalue by at
+    most 4 ||dA|| / sigma, since ||Sigma_i^{-1/2} A_i|| <= 1; `_pencil`'s
+    Cholesky of C_1's leading block moves them by ||dC_1|| / lambda_min(C_1)
+    <= c r u (tr B + r sigma2) ||L^{-1}||_F^2, as L's leading block factors
+    A_{S1}^H A_{S1}; and `eigvalsh`'s c r u lambda_max is at most
+    c r u (tr B + 3 sigma2) ||L^{-1}||_F^2 relative to the top k_d on
+    average, as they exceed the eigenvalues of I + G / sigma2. So both are
+    within
+
+        m = FLOOR_ROUNDING (M + r) r u [(tr B / sigma2)^(1/2) + (tr B + r sigma2) ||L^{-1}||_F^2]
+
+    of the truth, relative, and the floor returned is floor (1 - m): a pair
+    whose floor exceeds a computed value has a computed value above it.
+    Nearly collinear supports widen their own margin, up to m >= 1.
+    """
+    k_d, union = _union_rows(rows0, rows1)
+    M, K = entries.shape[0], rows1.shape[1]
+    columns = np.ascontiguousarray(entries.T)                    # rows gather faster than columns
+    out = np.empty(len(k_d))
+    for kd in sorted(set(k_d.tolist())):
+        sel = k_d == kd
+        r = K + kd
+        X = columns[union[sel, :r]]                              # (n, r, M) union columns
+        B = X.conj() @ X.swapaxes(1, 2)
+        mass = np.einsum("nii->n", B).real                       # tr(B) = ||A_U||_F^2
+        B[:, K:, K:] += sigma2 * np.eye(kd)
+        L, pivots, failed = _whitener(B)
+        L[failed] = np.eye(r)
+        Li = np.zeros_like(L)                # L^{-1} by forward substitution, a row at a time
+        for i in range(r):
+            Li[:, i, i] = 1.0
+            Li[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], Li[:, :i])
+            Li[:, i] /= L[:, i, i, None]
+        spread = _column_energy(Li).sum(axis=1)                  # ||L^{-1}||_F^2
+        margin = (FLOOR_ROUNDING * (M + r) * r * np.finfo(np.float64).eps
+                  * (np.sqrt(mass / sigma2) + (mass + r * sigma2) * spread))
+        floors = np.exp(np.log(pivots[:, K:] / sigma2).sum(axis=1) / kd) * (1.0 - margin)
+        out[sel] = np.where(failed, np.nan, floors)
+    return out
+
+
 def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_count=None,
-               seed: int = 0, cap: int = PAIR_CAP, cap_hint: str = "; use sampled mode"):
-    """(minimum, (row0, row1), mode string) of `score(rows0, rows1) -> (P,)`
-    over ordered pairs of size-K supports of an (M, N) matrix: all pairs up to
-    `cap`, or `sample_count` drawn without replacement. The flat index
-    i (L - 1) + j' of a pair runs row-major over the off-diagonal of the L x L
-    grid of lexicographic supports; `PAIR_BLOCK` pairs at a time are unranked
-    and scored, and ties keep the first minimum in walk order."""
+               seed: int = 0, cap: int = PAIR_CAP, cap_hint: str = "; use sampled mode",
+               floor=None):
+    """(minimum, (row0, row1), mode string, pairs scored) of
+    `score(rows0, rows1) -> (P,)` over ordered pairs of size-K supports of an
+    (M, N) matrix: all pairs up to `cap`, or `sample_count` drawn without
+    replacement. The flat index i (L - 1) + j' of a pair runs row-major over
+    the off-diagonal of the L x L grid of lexicographic supports; `PAIR_BLOCK`
+    pairs at a time are unranked and scored, and ties keep the first minimum
+    in walk order.
+
+    `floor(rows0, rows1) -> (P,)`, when given, bounds each pair's computed
+    score from below (`_pair_floors`). Then each block scores its
+    lowest-floor pair first, which sets the bar (with the minimum so far),
+    and only the pairs whose floor is not above the bar, NaN floors included:
+    a skipped pair scores above the bar, so it neither is nor ties the
+    minimum. A block whose pruned scoring fails is scored whole, so the
+    failure raised is the one the unpruned walk raises."""
     M, N = shape
     L = _check_pair_set(M, N, K)
     n_pairs = L * (L - 1)
@@ -555,17 +631,36 @@ def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_cou
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    best, best_pair = np.inf, None
+    best, best_pair, scored = np.inf, None, 0
     for start in range(0, count, PAIR_BLOCK):
         block = np.arange(start, min(start + PAIR_BLOCK, count), dtype=np.int64)
         i, j = np.divmod(block if flat is None else flat[block], L - 1)
         j += j >= i                     # skip the diagonal
         rows0, rows1 = unrank_supports(i, N, K), unrank_supports(j, N, K)
-        values = score(rows0, rows1)
+        if floor is None:
+            values = score(rows0, rows1)
+            scored += len(values)
+        else:
+            lows = floor(rows0, rows1)
+            values = np.full(len(lows), np.inf)
+            first = int(np.argmin(lows))                         # a NaN floor comes first
+            rest = ~(lows > best)
+            try:
+                if rest[first]:
+                    values[first] = score(rows0[first:first + 1], rows1[first:first + 1])[0]
+                    rest &= ~(lows > values[first])
+                    rest[first] = False
+                    scored += 1
+                if rest.any():
+                    values[rest] = score(rows0[rest], rows1[rest])
+            except NumericFailure:
+                score(rows0, rows1)
+                raise
+            scored += int(rest.sum())
         b = int(np.argmin(values))
         if values[b] < best:
             best, best_pair = values[b], (rows0[b], rows1[b])
-    return float(best), best_pair, mode
+    return float(best), best_pair, mode, scored
 
 
 @dataclass(frozen=True)
@@ -575,19 +670,28 @@ class IncoherenceSummary:
     lambda_bar: float
     argmin_pair: tuple
     mode: str
+    pairs_scored: int            # pairs whose exact value was computed; not an output
 
 
 def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
                        sample_count: int | None = None, seed: int = 0,
                        cap: int = PAIR_CAP) -> IncoherenceSummary:
     """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence,
-    by `_pair_walk` over `pair_incoherences`; sampled mode only upper-estimates
-    the true minimum (the mode string in the summary flags it)."""
+    by `_pair_walk` over `pair_incoherences`; sampled mode only
+    upper-estimates the true minimum (the mode string in the summary flags
+    it). The walk is pruned by `_pair_floors` when K <= M and sigma2 > 0 and
+    every entry are finite; otherwise every S1 Gram is singular, so every
+    floor fails, or the unpruned walk raises its own error."""
     entries, _ = as_matrix(A)
-    best, pair, mode = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
-        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed, cap)
+    floor = None
+    if K <= entries.shape[0] and 0 < sigma2 < math.inf and np.isfinite(entries).all():
+        def floor(rows0, rows1):
+            return _pair_floors(entries, rows0, rows1, sigma2)
+    best, pair, mode, scored = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
+        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed, cap, floor=floor)
     N = entries.shape[1]
-    return IncoherenceSummary(best, tuple(Support(tuple(row.tolist()), N) for row in pair), mode)
+    return IncoherenceSummary(best, tuple(Support(tuple(row.tolist()), N) for row in pair), mode,
+                              scored)
 
 
 def _r33(R: np.ndarray, k0: int) -> np.ndarray:

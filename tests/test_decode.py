@@ -389,6 +389,7 @@ class TestCandidateTable:
         np.array([[0.0, 1.0], [2.0, 3.5]]),     # a float row would be truncated
         np.array([0, 1, 2]),                    # 1-D
         [make_support([1], 8), make_support([2, 7], 8)],    # a Support beyond N
+        [make_support([1], 10), make_support([2], 10)],     # ambient_dim 10, N = 6
     ])
     def test_bad_candidates_are_rejected(self, candidates):
         A = gaussian_instance(4, 6, seed=50, label="table")

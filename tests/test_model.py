@@ -24,7 +24,7 @@ from suprec import (
     unrank_supports,
 )
 
-from suprec.model import _seed_states
+from suprec.model import _comb_table, _seed_states
 from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
 
 from conftest import gaussian_instance
@@ -118,6 +118,15 @@ class TestUnrankSupports:
         tail = math.comb(10, 4)
         last = unrank_supports(np.arange(total - tail, total), 360, 4)
         assert last.tolist() == [list(c) for c in combinations(range(350, 360), 4)]
+
+    def test_tables_are_built_once_and_read_only(self):
+        rows = unrank_supports(np.arange(math.comb(9, 3)), 9, 3)
+        table = _comb_table(9, 3)
+        assert _comb_table(9, 3) is table and not table.flags.writeable
+        assert table.tolist() == [math.comb(d, 3) for d in range(9)]
+        # a second call reads the cached tables and ranks alike
+        assert np.array_equal(unrank_supports(np.arange(math.comb(9, 3)), 9, 3), rows)
+        assert rows.tolist() == [list(c) for c in combinations(range(9), 3)]
 
     def test_ranks_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -610,6 +610,176 @@ class TestMatrixIncoherence:
             matrix_incoherence(A, 6, 1.0, mode="sampled", sample_count=50, seed=1)
 
 
+def sin_grid_ula(M, N):
+    """ULA on a grid uniform in sin(theta): shifting both supports of a pair by
+    one column keeps every Gram entry, so shifted pairs tie in exact arithmetic."""
+    return ula_manifold_matrix(M, np.arcsin(-1 + 2 * (np.arange(N) + 0.5) / N)).entries
+
+
+def all_pairs(N, K):
+    L = math.comb(N, K)
+    i, j = np.divmod(np.arange(L * (L - 1)), L - 1)
+    j += j >= i
+    return unrank_supports(i, N, K), unrank_supports(j, N, K)
+
+
+def adjacent_pairs(N, sample, seed):
+    """Size-2 pairs of neighbouring columns ({a, a+1} against {a+1, a+2},
+    {a+2, a+3} and {a, a+2}: nearly collinear supports and near-ties), plus
+    `sample` random ordered pairs."""
+    a = np.arange(N - 3)[:, None]
+    rows0 = np.concatenate([a, a + 1] * 3, axis=1).reshape(-1, 2)
+    rows1 = np.concatenate([a + 1, a + 2, a + 2, a + 3, a, a + 2], axis=1).reshape(-1, 2)
+    rng = np.random.default_rng(seed)
+    L = math.comb(N, 2)
+    i = rng.choice(L, sample)
+    j = (i + 1 + rng.choice(L - 1, sample)) % L
+    return (np.concatenate([rows0, unrank_supports(i, N, 2)]),
+            np.concatenate([rows1, unrank_supports(j, N, 2)]))
+
+
+FLOOR_CASES = {
+    "gaussian-real": lambda: (gaussian_instance(8, 9, seed=21, label="floor").entries,
+                              *all_pairs(9, 2)),
+    "gaussian-complex": lambda: (gaussian_instance(7, 8, FieldTag.COMPLEX, seed=22,
+                                                   label="floor").entries, *all_pairs(8, 3)),
+    "ula-fine": lambda: (ula_manifold_matrix(16, ula_angle_grid(360)).entries,
+                         *adjacent_pairs(360, 2000, seed=23)),
+    "ula-sin-grid": lambda: (sin_grid_ula(8, 64), *adjacent_pairs(64, 500, seed=24)),
+}
+SIGMA2S = [1e-8, 1e-4, 1.0, 16.0]
+
+
+def unpruned(entries, K, sigma2, mode="exhaustive", sample_count=None, seed=0):
+    """Reference: the walk that scores every pair exactly."""
+    return spectra._pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
+        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed)
+
+
+def walk_outcome(call):
+    """(repr(lambda_bar), argmin rows, mode) of a walk, or the failure it raised."""
+    try:
+        best, pair, mode = call()
+    except NumericFailure as failure:
+        return f"NumericFailure: {failure}"
+    return repr(best), [list(row) for row in pair], mode
+
+
+class TestPrunedWalk:
+    """`matrix_incoherence` scores exactly only the pairs whose certified floor
+    (`_pair_floors`) does not exceed the bar; the unpruned `_pair_walk` is the
+    reference."""
+
+    @staticmethod
+    def pruned(entries, K, sigma2, mode="exhaustive", sample_count=None, seed=0):
+        N = entries.shape[1]
+        summary = matrix_incoherence(entries, K, sigma2, mode, sample_count, seed)
+        pair = tuple(np.array(S.indices) for S in summary.argmin_pair)
+        assert all(S.ambient_dim == N for S in summary.argmin_pair)
+        return summary.lambda_bar, pair, summary.mode
+
+    @pytest.mark.parametrize("sigma2", SIGMA2S)
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_floor_is_below_the_computed_value(self, case, sigma2):
+        entries, rows0, rows1 = FLOOR_CASES[case]()
+        floors = spectra._pair_floors(entries, rows0, rows1, sigma2)
+        exact = pair_incoherences(entries, rows0, rows1, sigma2)[0]
+        assert not np.isnan(floors).any()
+        assert np.all(floors <= exact)
+
+    def test_floor_is_nan_where_the_gram_fails(self):
+        A = np.array(gaussian_instance(6, 7, seed=25, label="floor").entries)
+        A[:, 4] = A[:, 1]                      # S1 = {1, 4} has a singular Gram
+        floors = spectra._pair_floors(A, np.array([[0, 2], [0, 2]]), np.array([[1, 4], [1, 3]]),
+                                      1.0)
+        assert np.isnan(floors[0]) and np.isfinite(floors[1])
+
+    @pytest.mark.parametrize("sigma2", SIGMA2S)
+    @pytest.mark.parametrize("case", [
+        ("gaussian-real", 6, 7, 3, FieldTag.REAL),             # 1190 pairs, every k_d in 1..3
+        ("gaussian-complex", 7, 8, 2, FieldTag.COMPLEX),
+        ("ula-sin-grid", 8, 16, 2, None),                      # shifted pairs tie
+        ("gaussian-wide", 4, 7, 5, FieldTag.REAL),             # K > M: walked unpruned
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("block", [spectra.PAIR_BLOCK, 100])
+    def test_exhaustive_walk_matches_unpruned(self, case, sigma2, block, monkeypatch):
+        label, M, N, K, field = case
+        entries = (sin_grid_ula(M, N) if field is None
+                   else gaussian_instance(M, N, field, seed=26, label="walk").entries)
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", block)
+        want = walk_outcome(lambda: unpruned(entries, K, sigma2)[:3])
+        assert walk_outcome(lambda: self.pruned(entries, K, sigma2)) == want
+        assert want[2] == "exhaustive"
+
+    @pytest.mark.parametrize("sigma2", SIGMA2S)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sampled_walk_matches_unpruned(self, sigma2, seed):
+        entries = ula_manifold_matrix(16, ula_angle_grid(360)).entries
+        want = walk_outcome(lambda: unpruned(entries, 2, sigma2, "sampled", 2000, seed)[:3])
+        got = walk_outcome(lambda: self.pruned(entries, 2, sigma2, "sampled", 2000, seed))
+        assert got == want and want[2] == "sampled(2000)"
+
+    def test_exact_ties_are_all_scored(self):
+        # orthonormal columns: every pair scores the same, so no floor clears the bar
+        entries = np.eye(9)
+        summary = matrix_incoherence(entries, 2, 0.5)
+        L = math.comb(9, 2)
+        assert summary.pairs_scored == L * (L - 1)
+        want = walk_outcome(lambda: unpruned(entries, 2, 0.5)[:3])
+        assert walk_outcome(lambda: self.pruned(entries, 2, 0.5)) == want
+
+    def test_walk_scores_what_the_floors_leave(self, monkeypatch):
+        # K = 1 on 6 columns: 30 ordered pairs in blocks of 7, with made-up
+        # scores (ties among them) and floors at or below them, some NaN
+        rng = np.random.default_rng(28)
+        values = rng.integers(2, 6, (6, 6)).astype(float)
+        floors = values - rng.choice([0.0, 0.5, 3.0], (6, 6))
+        floors[rng.random((6, 6)) < 0.2] = np.nan
+        # The first block holds the minimum twice: (0, 2) with a floor equal to
+        # it, and later (0, 5) with the block's lowest floor, scored first.
+        values[0, 2] = values[0, 5] = 1.0
+        floors[0], floors[1, :3] = values[0] - 0.5, values[1, :3] - 0.5
+        floors[0, 2], floors[0, 5] = 1.0, -2.0
+        scored = []
+
+        def score(rows0, rows1):
+            scored.extend(zip(rows0[:, 0].tolist(), rows1[:, 0].tolist()))
+            return values[rows0[:, 0], rows1[:, 0]]
+
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", 7)
+        best, pair, mode, count = spectra._pair_walk(
+            (2, 6), 1, score, floor=lambda rows0, rows1: floors[rows0[:, 0], rows1[:, 0]])
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+        first = min(pairs, key=lambda p: values[p])            # the first minimum in walk order
+        assert (best, [row.tolist() for row in pair], mode) == (values[first], [[first[0]], [first[1]]],
+                                                                 "exhaustive")
+        assert count == len(scored) == len(set(scored)) < len(pairs)
+        assert all((i, j) in scored for i, j in pairs if np.isnan(floors[i, j]))
+        assert all(floors[p] > best for p in pairs if p not in scored)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_bench_config_scores_few_pairs(self, seed):
+        # the doa-ula bench config: ULA M = 16, grid 360, K = 2, 2000 pairs
+        entries = ula_manifold_matrix(16, ula_angle_grid(360)).entries
+        summary = matrix_incoherence(entries, 2, 1.0, mode="sampled", sample_count=2000, seed=seed)
+        assert summary.pairs_scored <= 100
+        assert unpruned(entries, 2, 1.0, "sampled", 2000, seed)[3] == 2000
+
+    @pytest.mark.parametrize("sigma2", [1.0, 1e-8])
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("fault", ["duplicate", "nan", "inf"])
+    def test_failures_match_unpruned(self, fault, K, sigma2):
+        A = np.array(gaussian_instance(6, 7, seed=27, label="walk-fault").entries)
+        if fault == "duplicate":
+            A[:, 4] = A[:, 1]
+        else:
+            A[3, 5] = np.nan if fault == "nan" else np.inf
+        want = walk_outcome(lambda: unpruned(A, K, sigma2)[:3])
+        assert walk_outcome(lambda: self.pruned(A, K, sigma2)) == want
+        if fault != "duplicate" or K == 1:
+            assert want.startswith("NumericFailure")
+
+
 class TestEigSandwich:
     def test_lower_equals_norms_for_orthogonal_disjoint(self):
         # orthogonal columns, disjoint supports: QR collapses, bound is exact
