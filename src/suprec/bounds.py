@@ -227,7 +227,7 @@ def fano_betas(A, factors, Ts) -> list:
     sigma2 = factors.sigma2
     if factors.failures:
         raise NumericFailure(next(iter(factors.failures.values())))
-    p = factors.Q.shape[2]
+    p = factors.proj.shape[1] // 2
     Qh = factors.proj[:, :p].reshape(L * p, M)          # the Q_j^H, stacked
     Bh = factors.proj[:, p:].reshape(L * p, M)          # the G_j^{-1} Q_j^H, stacked
     inv_sum = Bh.conj().T @ Bh

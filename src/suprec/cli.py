@@ -27,6 +27,7 @@ written on error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -614,6 +615,7 @@ def _csv_cell(value) -> str:
     return text
 
 
+@functools.cache                # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="suprec",

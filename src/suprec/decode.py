@@ -18,10 +18,10 @@ of a size at once. `decode_index_batch`, which the multiple and ensemble
 estimators call, returns the pick of `score_batch` but screens first: it
 scores every candidate in K x K Gram space (`CovarianceFactors.screen`), each
 within a rounding margin of its exact score, and rescores exactly only the
-candidates of a trial whose margins reach the best one's. Sizes with K >= M
-are scored exactly. `log_likelihood` takes one dense covariance and whitens
-with its inverse Cholesky factor (`spectra._inverse_factor`), which fails
-under the same pivot-floor rule as every other covariance.
+candidates of a trial whose margins reach the best one's, at every support
+size. `log_likelihood` takes one dense covariance and whitens with its
+inverse Cholesky factor (`spectra._inverse_factor`), which fails under the
+same pivot-floor rule as every other covariance.
 """
 
 from __future__ import annotations
@@ -201,10 +201,9 @@ class SupportDecoder:
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
     def _screen(self, factors, AhY, ysq, T: int) -> tuple:
-        """(scores, margins), each (L, n), of one support size with p = K < M:
-        the Gram-space log-likelihoods of `CovarianceFactors.screen`, each
-        within its margin of what `score_batch` gives. A failed candidate
-        scores -inf with margin 0."""
+        """(scores, margins), each (L, n), of one support size: the Gram-space
+        log-likelihoods of `CovarianceFactors.screen`, each within its margin
+        of what `score_batch` gives. A failed candidate scores -inf, margin 0."""
         energy, margin = factors.screen(AhY, ysq, T)
         offsets = self._offsets(T, factors.logdet)
         energy *= -self.kappa
@@ -238,12 +237,7 @@ class SupportDecoder:
         n = values.shape[1] // T
         AhY = self._entries.conj().T @ values
         ysq = _column_energy(values.reshape(1, self.M * T, n))[0]       # |y_i|^2
-        parts = []
-        for idx, factors in self._groups:
-            if factors.gram_inv is None:        # p = M: score exactly
-                parts.append((self._scores(values, T, idx), np.zeros((len(idx), n))))
-            else:
-                parts.append(self._screen(factors, AhY, ysq, T))
+        parts = [self._screen(factors, AhY, ysq, T) for _, factors in self._groups]
         if len(parts) == 1:
             scores, margins = parts[0]
         else:

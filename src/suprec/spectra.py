@@ -33,7 +33,7 @@ factors many supports of one matrix at once in K x K form: one stacked QR of
 the supports' columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those
 factors give every log-determinant and quadratic form the decoders need
 (`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
-When K < M they also hold the inverse Cholesky factor F^{-1} of
+At every K they also hold the inverse Cholesky factor F^{-1} of
 sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
 column in O(K^2) from A^H y (Woodbury) and bounds its distance from
 `energies`; the ML decoder screens with it and rescores only near-ties. Both
@@ -143,24 +143,23 @@ class CovarianceFactors:
         log|Sigma_S| = (M - p) log sigma2 + log|C|        (Hager, SIAM Rev. 1989),
         y^H Sigma_S^{-1} y = |y - Q w|^2 / sigma2 + |G^{-1} w|^2,  w = Q^H y.
 
+    `proj` is each support's one copy of Q, as Q^H over G^{-1} Q^H. For
+    `screen`, at every K, `gram_inv` holds the inverse factor F^{-1} of
+    F F^H = sigma2 I + R^H R = sigma2 I + A_S^H A_S and `cond` the
+    conditioning factor rho = ||A_S||_F ||F^{-1}||_F of each support.
+
     A support whose C is not numerically positive definite is listed in
     `failures` (row position -> message); its `logdet` is +inf and its Q is
     zero, so its likelihood is 0 even when its columns are not finite.
-
-    When p = K < M, `gram_inv` holds the inverse factor F^{-1} of
-    F F^H = sigma2 I + R^H R = sigma2 I + A_S^H A_S and `cond` the conditioning
-    factor rho = ||A_S||_F ||F^{-1}||_F of each support, for `screen`; both are
-    None when p = M, where the residual term vanishes and `energies` is cheap.
     """
 
-    Q: np.ndarray            # (L, M, p)
     proj: np.ndarray         # (L, 2p, M): Q^H stacked over G^{-1} Q^H
     logdet: np.ndarray       # (L,) log|Sigma_S|
     sigma2: float
     failures: dict
     rows: np.ndarray         # (L, K) column indices of the supports
-    gram_inv: np.ndarray | None = None    # (L, K, K) F^{-1}; zero for a failed support
-    cond: np.ndarray | None = None        # (L,) rho; inf where F fails `_whitener`
+    gram_inv: np.ndarray     # (L, K, K) F^{-1}; zero for a failed support
+    cond: np.ndarray         # (L,) rho; inf where F fails `_whitener`, 0 for a failed support
 
     def energies(self, values: np.ndarray, T: int, which=slice(None)) -> np.ndarray:
         """Quadratic forms y^H Sigma_S^{-1} y of n observations of T columns
@@ -174,8 +173,8 @@ class CovarianceFactors:
         (L, M, T n) nor an (L, T n) array is built. A support's forms do not
         depend on which other supports are scored with it.
         """
-        Q, proj = self.Q[which], self.proj[which]
-        L, M, p = Q.shape
+        proj = self.proj[which]
+        L, M, p = len(proj), proj.shape[2], proj.shape[1] // 2
         nT = values.shape[1]
         out = np.empty((L, nT // T))
         step = max(1, SCORE_CHUNK_ELEMENTS // max(1, M * nT))
@@ -190,7 +189,8 @@ class CovarianceFactors:
             np.matmul(proj[start:stop], values, out=wz[:c])
             energy = _column_energy(wz[:c, p:].reshape(c, p * T, -1))
             if p < M:
-                np.matmul(Q[start:stop], wz[:c, :p], out=resid[:c])
+                Q = np.conjugate(proj[start:stop, :p].swapaxes(1, 2), order="C")
+                np.matmul(Q, wz[:c, :p], out=resid[:c])
                 np.subtract(values, resid[:c], out=resid[:c])
                 energy += _column_energy(resid[:c].reshape(c, M * T, -1)) / self.sigma2
             out[start:stop] = energy
@@ -199,7 +199,7 @@ class CovarianceFactors:
     def screen(self, AhY: np.ndarray, ysq: np.ndarray, T: int) -> tuple:
         """Gram-space quadratic forms y^H Sigma_S^{-1} y of n observations of
         T columns each, summed per observation, and a bound on their distance
-        from `energies`: (energies, margins), each (L, n). Only for p = K < M.
+        from `energies`: (energies, margins), each (L, n).
 
         `AhY` (N, T n) is A^H values for the whole matrix and the `values`
         that `energies` reads, so b = A_S^H y is a row gather; `ysq` (n,) is
@@ -223,7 +223,7 @@ class CovarianceFactors:
         the true form: its residual is formed explicitly, and a backward error
         dC of C = R R^H + sigma2 I moves w^H C^{-1} w by at most
         ||C^{-1} w||^2 ||dC|| <= c (M + K) u (1 + rho^2) |y|^2 / sigma2, because
-        C and F F^H share their eigenvalues. Hence
+        C's eigenvalues are among those of F F^H. Hence
 
             |screen - energies| <= SCREEN_ROUNDING (M + K) u (1 + rho)^2 |y|^2 / sigma2,
 
@@ -240,7 +240,7 @@ class CovarianceFactors:
             out[start:stop] = _column_energy(z.reshape(stop - start, K * T, -1))
         np.subtract(ysq, out, out=out)
         out /= self.sigma2
-        M = self.Q.shape[1]
+        M = self.proj.shape[2]
         factor = SCREEN_ROUNDING * (M + K) * np.finfo(np.float64).eps / self.sigma2
         return out, np.multiply.outer(factor * (1.0 + self.cond) ** 2, ysq)
 
@@ -258,8 +258,8 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     """Factors of Sigma_S for the supports of one matrix A (M, N) given as an
     (L, K) array of rows.
 
-    One stacked QR and one `_whitener` of C serve all L supports (when K < M a
-    second one factors F F^H for the screen); a support fails by the
+    One stacked QR and one `_whitener` of C serve all L supports, and a
+    second `_whitener` factors F F^H for the screen; a support fails by the
     `_whitener` rule, for instance when A_S has duplicate columns and sigma2
     is below eps^2 |A_S|^2.
     """
@@ -279,16 +279,14 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     Q[failed] = 0.0
     Qh = Q.conj().swapaxes(1, 2)
     proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
-    gram_inv = cond = None
-    if p < M:
-        F, _, broken = _whitener(_gram(R.conj().swapaxes(1, 2), sigma2))     # sigma2 I + R^H R
-        F[broken | failed] = np.eye(p)
-        gram_inv = np.linalg.inv(F)
-        gram_inv[failed] = 0.0
-        cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(gram_inv, axis=(1, 2))
-        cond[broken] = np.inf
-        cond[failed] = 0.0
-    return CovarianceFactors(Q, proj, logdet, float(sigma2), failures, rows, gram_inv, cond)
+    F, _, broken = _whitener(_gram(R.conj().swapaxes(1, 2), sigma2))         # sigma2 I + R^H R
+    F[broken | failed] = np.eye(rows.shape[1])
+    gram_inv = np.linalg.inv(F)
+    gram_inv[failed] = 0.0
+    cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(gram_inv, axis=(1, 2))
+    cond[broken] = np.inf
+    cond[failed] = 0.0
+    return CovarianceFactors(proj, logdet, float(sigma2), failures, rows, gram_inv, cond)
 
 
 def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
@@ -581,7 +579,8 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
         B[:, K:, K:] += sigma2 * np.eye(kd)
         L, pivots, failed = _whitener(B)
         L[failed] = np.eye(r)
-        Li = np.zeros_like(L)                # L^{-1} by forward substitution, a row at a time
+        # L^{-1} a row at a time: `np.linalg.inv` is 2-4x slower on these stacks
+        Li = np.zeros_like(L)
         for i in range(r):
             Li[:, i, i] = 1.0
             Li[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], Li[:, :i])

@@ -669,6 +669,22 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_in_process_calls_write_what_separate_processes_write(self, tmp_path):
+        calls = [("simulate", write_config(tmp_path, BINARY_SIM, "sim.json")),
+                 ("bounds", write_config(tmp_path, {"queries": ALL_BOUND_QUERIES}, "bounds.json")),
+                 ("simulate", write_config(tmp_path, MULTIPLE_SIM, "multiple.json"))]
+        for n, (command, cfg) in enumerate(calls):
+            out = tmp_path / f"in-process-{n}.csv"
+            assert cli.main([command, "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+            result = run_cli(command, "--config", cfg, "--seed", "5")
+            assert result.returncode == 0, result.stderr
+            assert out.read_bytes() == result.stdout.encode()
+
+
 class TestSeedResolution:
     def test_env_var_seed(self, tmp_path):
         cfg = write_config(tmp_path, BINARY_SIM)

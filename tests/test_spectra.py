@@ -845,19 +845,24 @@ class TestNoiseConstants:
             lam = matrix_incoherence(A, 2, sigma2).lambda_bar
             assert 1 + c1 / sigma2 - 1e-9 <= lam <= 1 + c2 / sigma2 + 1e-9
 
-    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX, pytest.param(None, id="ula")])
     def test_c1_matches_per_pair_loop(self, field, monkeypatch):
-        # 35 supports give 1190 ordered pairs: two PAIR_BLOCKs (twelve of 100),
-        # every k_d in 1..3
-        A = gaussian_instance(7, 7, field=field, seed=4, label="c1")
-        supports = enumerate_supports(7, 3)
+        # Gaussian 7 x 7, K = 3: 35 supports give 1190 ordered pairs, two
+        # PAIR_BLOCKs (twelve of 100), every k_d in 1..3. ULA 6 x 12, K = 2:
+        # its coherent pairs set the minimum, where c1 read from Gram-Cholesky
+        # pivots instead of the union QR is ~3e-11 off.
+        if field is None:
+            A, K = ula_manifold_matrix(6, ula_angle_grid(12)), 2
+        else:
+            A, K = gaussian_instance(7, 7, field=field, seed=4, label="c1"), 3
+        supports = enumerate_supports(A.entries.shape[1], K)
         assert len(supports) * (len(supports) - 1) > spectra.PAIR_BLOCK
         want = min(float(np.exp(np.mean(np.log(np.abs(np.diag(r33(A, Si, Sj))) ** 2))))
                    for Si in supports for Sj in supports if Si != Sj)
-        c1, _ = noise_constants(A, 3)
+        c1, _ = noise_constants(A, K)
         assert abs(c1 - want) <= 1e-12 * want
         monkeypatch.setattr(spectra, "PAIR_BLOCK", 100)
-        c1, _ = noise_constants(A, 3)
+        c1, _ = noise_constants(A, K)
         assert abs(c1 - want) <= 1e-12 * want
 
     def test_single_support_is_rejected(self):
