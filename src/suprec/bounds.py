@@ -3,7 +3,8 @@
 Upper bounds come from the Chernoff machinery applied to the eigenvalues of
 H; lower bounds from Fano's inequality with the average pairwise KL
 divergence beta. For one support pair, `binary_chernoff` takes beta from the
-reduced spectrum of H it already holds; over all C(N, K) supports,
+reduced spectrum of H it already holds (`binary_chernoffs` at several T
+from one spectrum); over all C(N, K) supports,
 `fano_beta_exact` takes it from the stacked low-rank covariance factors, and
 `fano_betas` at several T from factors already built (`simulate` shares the
 decoder's). The dense `kl_divergence` of two M x M covariances is the
@@ -106,16 +107,22 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     Since tr(Sigma_1^{-1} Sigma_0) + tr(Sigma_0^{-1} Sigma_1) - 2M sums
     lambda + 1/lambda - 2 over H's spectrum, it is
     (kappa*T/8) sum_i (lambda_i - 1)^2 / lambda_i over the eigenvalues that
-    differ from 1: a sum of nonnegative terms, with no cancellation.
+    differ from 1: a sum of nonnegative terms, with no cancellation. The one-T
+    view of `binary_chernoffs`.
     """
+    return binary_chernoffs(A, S0, S1, sigma2, [T])[0]
+
+
+def binary_chernoffs(A, S0: Support, S1: Support, sigma2: float, Ts) -> list:
+    """`binary_chernoff` at each T of `Ts`, from one H spectrum of the pair:
+    T scales only the exponents and beta, so the spectrum is formed once."""
     _, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
     rows = np.array([S0.indices, S1.indices])
     values, k_ds, top = pair_incoherences(A, rows, rows[::-1], sigma2)    # (S0, S1), (S1, S0)
     lam01, lam10 = float(values[0]), float(values[1])
     k_d = int(k_ds[0])
-    log_raw = -LOG2 - (kappa * k_d * T / 2.0) * (np.log(lam01) + np.log(lam10) - np.log(16.0))
-    raw = float(np.exp(log_raw))
+    log_product = np.log(lam01) + np.log(lam10) - np.log(16.0)
 
     # H's eigenvalues other than 1 are the (S0, S1) ones above 1 and the
     # reciprocals of the (S1, S0) ones above 1. mu(1/2) sums
@@ -123,13 +130,17 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
     # lambda + 1/lambda - 2: both terms are unchanged under lambda -> 1/lambda
     # and vanish at lambda = 1, so both orders' `top` serve as they are.
     eigs = top[top > 1.0]
-    mu_half = chernoff_mu(eigs, 0.5, T, kappa)
-    mu_half_bound = float(0.5 * np.exp(mu_half))
-    fano_beta = kappa * T / 8.0 * float(np.sum((eigs - 1.0) ** 2 / eigs))
+    beta_sum = float(np.sum((eigs - 1.0) ** 2 / eigs))
     note = "" if lam01 * lam10 > 16.0 else "incoherence product <= 16: bound does not decay in T"
-    return _report(raw, applicable=True, note=note,
-                   mu_half_bound=mu_half_bound, mu_half=mu_half, fano_beta=fano_beta,
-                   lambda_01=lam01, lambda_10=lam10, k_d=k_d)
+    reports = []
+    for T in Ts:
+        log_raw = -LOG2 - (kappa * k_d * T / 2.0) * log_product
+        mu_half = chernoff_mu(eigs, 0.5, T, kappa)
+        reports.append(_report(float(np.exp(log_raw)), applicable=True, note=note,
+                               mu_half_bound=float(0.5 * np.exp(mu_half)), mu_half=mu_half,
+                               fano_beta=kappa * T / 8.0 * beta_sum,
+                               lambda_01=lam01, lambda_10=lam10, k_d=k_d))
+    return reports
 
 
 def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> BoundReport:

@@ -9,7 +9,11 @@ Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
 Identical inputs always produce identical outputs, regardless of call order
 or threading. Signals and noise are drawn in blocks of trials by
-`montecarlo.draw_trial_blocks`. Stacks of per-draw matrices (eig-check's
+`montecarlo.draw_level_blocks`; a block's stream is keyed by (seed, label,
+block) and never by the noise level sigma2, so every level of a sigma2 grid
+shares the block's truths, signals and unit noise, scaling only the noise.
+A change to the streams must keep them free of sigma2, or give up that
+sharing. Stacks of per-draw matrices (eig-check's
 cells, the incoherence statistics) come from :func:`draw_matrices`, which
 seeds every draw's stream in one vectorized pass and returns, byte for byte,
 the matrices that `substream` gives draw by draw; `substream` stays numpy's

@@ -31,7 +31,7 @@ from suprec import (
     substream,
     support_rows,
 )
-from suprec.bounds import fano_betas
+from suprec.bounds import binary_chernoffs, fano_betas
 from suprec.spectra import covariance_factors
 
 from conftest import gaussian_instance, mp_pencil_eigs, random_pair
@@ -156,6 +156,17 @@ class TestBinaryChernoff:
         want = float(sum((x - 1) ** 2 / x for x in eigs)) * field.kappa * 2 / 8.0
         assert got == pytest.approx(want, rel=1e-12)
         assert fano_lower(got, 2).clamped == 0.0
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_several_T_equal_one_T_calls(self, field):
+        # one H spectrum serves every T, bit for bit
+        Ts = [1, 2, 5, 8]
+        for seed in range(3):
+            A = gaussian_instance(8, 10, field=field, seed=seed, label="chernoff-Ts")
+            S0, S1 = random_pair(10, 3, overlap=seed)
+            for sigma2 in (0.5, 1e-8):
+                got = binary_chernoffs(A, S0, S1, sigma2, Ts)
+                assert got == [binary_chernoff(A, S0, S1, sigma2, T) for T in Ts]
 
     def test_mu_half_never_exceeds_pair_product_form(self):
         for seed in range(500):

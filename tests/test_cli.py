@@ -361,6 +361,36 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("payload", [
+        {"mode": "binary", "N": 8, "M": 6, "K": 2, "T": [1, 3], "trials": 300,
+         "S0": [0, 1], "S1": [1, 5], "field": "complex"},
+        {"mode": "multiple", "N": 6, "M": 4, "K": 2, "T": [1, 2], "trials": 300,
+         "incoherence": {"mode": "sampled", "count": 5}},
+        {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2], "matrix_draws": 2,
+         "trials_per_matrix": 300},
+    ], ids=["binary", "multiple", "ensemble"])
+    def test_sigma2_grid_writes_the_one_level_runs_interleaved(self, tmp_path, payload):
+        # the levels of a sigma2 grid share each T's trial blocks, yet the grid
+        # writes exactly the rows of one run per level, in product(Ts, sigma2s) order
+        def run(sigma2s, name):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, {**payload, "sigma2": sigma2s}, f"{name}.json")
+            assert cli.main(["simulate", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+            header, *lines = out.read_text().splitlines()
+            points = []         # a point's row, then its per-matrix rows in ensemble mode
+            for line in lines:
+                if line.startswith("ensemble-matrix,"):
+                    points[-1].append(line)
+                elif not line.startswith("#"):
+                    points.append([line])
+            return header, points, [line for line in lines if line.startswith("#")]
+
+        levels = (0.5, 1e-8)
+        header, points, comments = run(list(levels), "grid")
+        singles = [run([sigma2], f"level-{i}") for i, sigma2 in enumerate(levels)]
+        assert all((h, c) == (header, comments) for h, _, c in singles)
+        assert points == [single[t] for t in range(len(payload["T"])) for _, single, _ in singles]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sampled_chernoff_is_flagged_uncertified(self, tmp_path, fmt):
         # a lambda_bar over sampled pairs only upper-estimates the minimum, so

@@ -21,7 +21,7 @@ from suprec import (
     support_rows,
 )
 from suprec import montecarlo as mc
-from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
+from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks, draw_trial_blocks
 from suprec.spectra import covariance_factors
 import math
 
@@ -291,6 +291,74 @@ class TestBlockDraws:
         assert est.extras["kd_histogram"] == hist
         if sigma2 == 0.5:
             assert hist  # the comparison covers wrong decodes
+
+
+class TestNoiseLevels:
+    """The multi-level estimators draw each trial block once for all their
+    noise levels; every level must read what a one-level call reads."""
+
+    TRIALS = 2 * TRIAL_BLOCK + 37     # two full blocks and a ragged one
+    LEVELS = [(0.5, 1e-8), (1e-8, 0.5, 1e-8)]   # each level both before and as the last
+
+    @staticmethod
+    def fields(est):
+        return (est.p_hat, est.trials, est.ci_low, est.ci_high, est.master_seed, est.extras)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2s", LEVELS)
+    def test_level_blocks_are_the_one_level_blocks(self, field, sigma2s):
+        A = gaussian_instance(5, 7, field, seed=122, label="mc-levels")
+        rows = support_rows(7, 2)
+        got = list(draw_level_blocks(A, rows, sigma2s, 3, self.TRIALS, 17, "levels"))
+        assert [level for _, level, _ in got] == list(range(len(sigma2s))) * 3
+        for level, sigma2 in enumerate(sigma2s):
+            # each Y is read as it is yielded: the next level overwrites its buffer
+            blocks = [(truths, Y.copy())
+                      for truths, lv, Y in draw_level_blocks(A, rows, sigma2s, 3, self.TRIALS,
+                                                             17, "levels") if lv == level]
+            want = list(draw_trial_blocks(A, rows, sigma2, 3, self.TRIALS, 17, "levels"))
+            assert len(blocks) == len(want) == 3
+            for (truths, Y), (want_truths, want_Y) in zip(blocks, want):
+                assert np.array_equal(truths, want_truths)
+                assert Y.tobytes() == np.ascontiguousarray(want_Y).tobytes()
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2s", LEVELS)
+    def test_binary_levels_equal_one_level_calls(self, field, sigma2s):
+        A = gaussian_instance(6, 8, field, seed=120, label="mc-blocks")
+        S0, S1 = make_support([0, 1], 8), make_support([1, 4], 8)
+        got = mc.estimate_binary_perrs(A, S0, S1, sigma2s, 3, self.TRIALS, seed=15)
+        want = [estimate_binary_perr(A, S0, S1, s, 3, self.TRIALS, seed=15) for s in sigma2s]
+        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2s", LEVELS)
+    def test_multiple_levels_equal_one_level_calls(self, field, sigma2s):
+        A = gaussian_instance(4, 6, field, seed=121, label="mc-blocks")
+        got = mc.estimate_multiple_perrs(A, 2, sigma2s, 2, self.TRIALS, seed=16)
+        want = [estimate_multiple_perr(A, 2, s, 2, self.TRIALS, seed=16) for s in sigma2s]
+        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+        assert any(e.extras["kd_histogram"] for e in got)   # the comparison covers errors
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("sigma2s", LEVELS)
+    def test_ensemble_levels_equal_one_level_calls(self, field, sigma2s):
+        got = mc.estimate_ensemble_perrs(4, 6, 2, sigma2s, 2, 2, self.TRIALS, seed=24,
+                                         field=field)
+        want = [estimate_ensemble_perr(4, 6, 2, s, 2, 2, self.TRIALS, seed=24, field=field)
+                for s in sigma2s]
+        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+        assert any(any(e.extras["per_matrix_errors"]) for e in got)
+
+    def test_one_decoder_or_factor_set_per_level(self):
+        A = gaussian_instance(4, 6, seed=121, label="mc-blocks")
+        S0, S1 = make_support([0, 1], 6), make_support([1, 4], 6)
+        with pytest.raises(ValueError, match="one decoder per noise level"):
+            mc.estimate_binary_perrs(A, S0, S1, [0.5, 1.0], 2, 10, seed=1,
+                                     decoders=[mc.lrt_decoder(A, S0, S1, 0.5)])
+        with pytest.raises(ValueError, match="one set of factors per noise level"):
+            mc.estimate_multiple_perrs(A, 2, [0.5, 1.0], 2, 10, seed=1,
+                                       factors=[covariance_factors(A, support_rows(6, 2), 0.5)])
 
 
 class TestEnsembleEstimate:
