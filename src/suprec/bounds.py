@@ -6,9 +6,10 @@ divergence beta. For one support pair, `binary_chernoff` takes beta from the
 reduced spectrum of H it already holds (`binary_chernoffs` at several T
 from one spectrum); over all C(N, K) supports,
 `fano_beta_exact` takes it from the stacked low-rank covariance factors, and
-`fano_betas` at several T from factors already built (`simulate` shares the
-decoder's). The dense `kl_divergence` of two M x M covariances is the
-reference form for both. Threshold formulas are evaluated in the log domain
+`fano_betas` at several T from factors already built (`simulate` gives the
+same factor sets to `montecarlo.estimate_multiple_perrs`, the owner of the
+Monte Carlo (T, sigma2) grid). The dense `kl_divergence` of two M x M
+covariances is the reference form for both. Threshold formulas are evaluated in the log domain
 (`log_binomial`) so they stay finite up to N ~ 1e6.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an

@@ -49,7 +49,6 @@ import numpy as np
 
 from . import bounds as bd
 from . import montecarlo as mc
-from .decode import lrt_decoder
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
@@ -337,47 +336,44 @@ def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
 
 
 def run_simulate(plan: dict, seed: int):
-    """Rows in `product(Ts, sigma2s)` order. Each T is one estimator call over
-    every sigma2, so the levels score the same trial blocks, drawn once
-    (`montecarlo.draw_level_blocks`); what does not depend on T (a decoder,
-    H's spectrum, the covariance factors) is built once per sigma2."""
+    """Rows in `product(Ts, sigma2s)` order, from one estimator call over the
+    whole grid (`montecarlo` builds each sigma2's decoder once and draws each
+    trial block once per T for every sigma2). What the bounds need and does
+    not depend on T (H's spectrum, lambda_bar, the covariance factors) is
+    built once per sigma2."""
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
     field, trials = plan["field"], plan["trials"]
     Ts, sigma2s = plan["Ts"], plan["sigma2s"]
+    points = np.ndindex(len(Ts), len(sigma2s))      # (t, i) in product(Ts, sigma2s) order
     rows, comments = [], []
 
     if mode == "ensemble":
         n_inner = plan["trials_per_matrix"]
-        for T in Ts:
-            ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, T, plan["matrix_draws"], n_inner,
-                                              seed, field=field)
-            for sigma2, est in zip(sigma2s, ests):
-                fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
-                rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano,
-                                          None))
-                for p, errors in zip(est.extras["per_matrix"], est.extras["per_matrix_errors"]):
-                    lo, hi = mc.clopper_pearson(errors, n_inner)
-                    sub = mc.ErrorEstimate(p_hat=p, trials=n_inner, ci_low=lo, ci_high=hi,
-                                           master_seed=seed)
-                    rows.append(_simulate_row("ensemble-matrix", N, M, K, T, sigma2, seed, sub,
-                                              None, None, None))
+        ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, Ts, plan["matrix_draws"], n_inner,
+                                          seed, field=field)
+        for (t, i), est in zip(points, ests):
+            T, sigma2 = Ts[t], sigma2s[i]
+            fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
+            rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano, None))
+            for p, errors in zip(est.extras["per_matrix"], est.extras["per_matrix_errors"]):
+                lo, hi = mc.clopper_pearson(errors, n_inner)
+                sub = mc.ErrorEstimate(p_hat=p, trials=n_inner, ci_low=lo, ci_high=hi,
+                                       master_seed=seed)
+                rows.append(_simulate_row("ensemble-matrix", N, M, K, T, sigma2, seed, sub,
+                                          None, None, None))
         return SIMULATE_COLUMNS, rows, []
 
     A = _build_matrix(plan["matrix"], M, N, field, seed, "config")
     if mode == "binary":
         S0, S1 = plan["S0"], plan["S1"]
-        decoders, reports = [], []          # per sigma2; reports[i][t] is at Ts[t]
-        for sigma2 in sigma2s:
-            decoders.append(lrt_decoder(A, S0, S1, sigma2))
-            reports.append(bd.binary_chernoffs(A, S0, S1, sigma2, Ts))
-        for t, T in enumerate(Ts):
-            ests = mc.estimate_binary_perrs(A, S0, S1, sigma2s, T, trials, seed, decoders)
-            for sigma2, est, level in zip(sigma2s, ests, reports):
-                report = level[t]
-                lam = min(report.extras["lambda_01"], report.extras["lambda_10"])
-                fano = bd.fano_lower(report.extras["fano_beta"], 2).clamped
-                rows.append(_simulate_row("binary", N, M, K, T, sigma2, seed, est,
-                                          report.clamped, fano, lam))
+        ests = mc.estimate_binary_perrs(A, S0, S1, sigma2s, Ts, trials, seed)
+        reports = [bd.binary_chernoffs(A, S0, S1, sigma2, Ts) for sigma2 in sigma2s]
+        for (t, i), est in zip(points, ests):
+            report = reports[i][t]
+            lam = min(report.extras["lambda_01"], report.extras["lambda_10"])
+            fano = bd.fano_lower(report.extras["fano_beta"], 2).clamped
+            rows.append(_simulate_row("binary", N, M, K, Ts[t], sigma2s[i], seed, est,
+                                      report.clamped, fano, lam))
     else:
         inc_mode, inc_count = plan["incoherence"]
         # Neither lambda_bar nor the covariance factors depend on T: each
@@ -387,14 +383,13 @@ def run_simulate(plan: dict, seed: int):
         supports = support_rows(N, K)
         factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
         betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
-        for t, T in enumerate(Ts):
-            ests = mc.estimate_multiple_perrs(A, K, sigma2s, T, trials, seed, factors)
-            for sigma2, est, summary, beta in zip(sigma2s, ests, summaries, betas):
-                chern = bd.multiple_bound_geometric(summary.lambda_bar, N, K, T,
-                                                    A.field.kappa).clamped
-                fano = bd.fano_lower(beta[t], math.comb(N, K)).clamped
-                rows.append(_simulate_row("multiple", N, M, K, T, sigma2, seed, est,
-                                          chern, fano, summary.lambda_bar))
+        ests = mc.estimate_multiple_perrs(A, factors, Ts, trials, seed)
+        for (t, i), est in zip(points, ests):
+            lambda_bar = summaries[i].lambda_bar
+            chern = bd.multiple_bound_geometric(lambda_bar, N, K, Ts[t], A.field.kappa).clamped
+            fano = bd.fano_lower(betas[i][t], math.comb(N, K)).clamped
+            rows.append(_simulate_row("multiple", N, M, K, Ts[t], sigma2s[i], seed, est,
+                                      chern, fano, lambda_bar))
         if inc_mode == "sampled":
             comments.append("# chernoff_clamped not certified: lambda_bar is a minimum over sampled"
                             f" support pairs (mode={summaries[0].mode}), so it only upper-estimates"

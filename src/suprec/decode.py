@@ -89,8 +89,9 @@ class SupportDecoder:
     across observations. A candidate whose factorization fails scores -inf
     and is recorded in `failures` instead of aborting the decode. `factors`,
     when given, are the `covariance_factors` of candidates given as rows,
-    already built at sigma2 (`simulate` shares them with the exact Fano
-    beta); they are not rebuilt.
+    already built at sigma2, and are not rebuilt: `estimate_multiple_perrs`
+    decodes with the factor sets that `simulate` also gives the exact Fano
+    beta. Factors of other rows or of another sigma2 are a `ValueError`.
     """
 
     def __init__(self, A, candidates, sigma2: float, factors=None):

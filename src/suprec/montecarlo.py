@@ -6,14 +6,17 @@ truths, signals and unit noise of its trials from one generator,
 substream(seed, label, b), so trial t belongs to block t // TRIAL_BLOCK (the
 ensemble estimator offsets b per matrix so no two matrices share a stream).
 The block size is a constant, so the estimates depend on nothing but the
-arguments. No stream depends on the noise level, so the estimators take a
-grid of levels (`estimate_*_perrs`, of which the scalar estimators are the
-one-level views): each block is drawn once and scored at every level, as
-Y = A_S X + sqrt(sigma2) W1. Matrix-draw statistics take their stacks of
-draws from `model.draw_matrices`, whose draw d is byte for byte the matrix of
-substream(seed, label, d), and score PAIR_BLOCK draws as one stack. The
-multiple and ensemble estimators hold their candidates as the (L, K) index
-rows of `model.support_rows` and never build a `Support` per candidate.
+arguments. This module is the one owner of the (T, sigma2) grid: each
+`estimate_*_perrs` covers every point of `product(Ts, sigma2s)`, one estimate
+per point in that order (the scalar estimators are their one-point views),
+and builds what does not depend on T, a matrix draw or a level's decoder,
+once. No stream depends on the noise level, so each block is drawn once per
+T and scored at every level, as Y = A_S X + sqrt(sigma2) W1. Matrix-draw
+statistics take their stacks of draws from `model.draw_matrices`, whose
+draw d is byte for byte the matrix of substream(seed, label, d), and score
+PAIR_BLOCK draws as one stack. The multiple and ensemble estimators hold
+their candidates as the (L, K) index rows of `model.support_rows` and never
+build a `Support` per candidate.
 Uncertainty is reported as an exact binomial (Clopper-Pearson) interval at
 95%. `clopper_pearson` finds each endpoint as the root of a binomial tail,
 I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the `math` module only: the tail
@@ -41,7 +44,7 @@ from .model import (
     substream,
     support_rows,
 )
-from .spectra import PAIR_BLOCK, pair_incoherences
+from .spectra import PAIR_BLOCK, covariance_factors, pair_incoherences
 
 # Trials per block: one generator and one batched score per block. Large enough
 # to amortize the per-block Python work, small enough to keep the block's
@@ -177,21 +180,21 @@ def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:
                          ci_high=high, master_seed=seed, extras=extras)
 
 
-def draw_level_blocks(A, supports: np.ndarray, sigma2s, T: int, trials: int, seed: int,
+def draw_level_blocks(A, supports: np.ndarray, sigma2s, Ts, trials: int, seed: int,
                       label: str, first_index: int = 0):
-    """Yield (truths, level, Y) for consecutive blocks of at most TRIAL_BLOCK
-    trials and, within a block, for each noise level of the sequence
-    `sigma2s` in order: Y (n, M, T) are the block's observations at
-    sigma2s[level].
+    """Yield (truths, t, level, Y) for each T of the sequence `Ts` in order,
+    consecutive blocks of at most TRIAL_BLOCK trials and, within a block,
+    each noise level of the sequence `sigma2s` in order: Y (n, M, Ts[t]) are
+    the block's observations at sigma2s[level].
 
     `supports` is an (L, K) array of column indices, one row per hypothesis.
     Block b draws everything from substream(seed, label, first_index + b): the
     true hypotheses (n,), then the signals X (n, K, T), then the unit noise
-    W1 (n, M, T). The stream is keyed by (seed, label, block) and never by
-    the noise level, so every level shares the block's draws: level sigma2
-    observes Y = A_S X + sqrt(sigma2) W1, the same Y a one-level call at
-    sigma2 yields. A change to the streams must keep them free of sigma2, or
-    give up this sharing.
+    W1 (n, M, T). Every T draws from the same streams. The stream is keyed by
+    (seed, label, block) and never by the noise level, so every level shares
+    the block's draws: level sigma2 observes Y = A_S X + sqrt(sigma2) W1, the
+    same Y a one-point call at (T, sigma2) yields. A change to the streams must
+    keep them free of sigma2, or give up this sharing.
 
     One level's Y is formed at a time, in a buffer that the next level
     overwrites (the last level's is W1 itself), so score each Y before the
@@ -203,44 +206,31 @@ def draw_level_blocks(A, supports: np.ndarray, sigma2s, T: int, trials: int, see
     M = entries.shape[0]
     L, K = supports.shape
     last = len(sigma2s) - 1
-    for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
-        n = min(TRIAL_BLOCK, trials - start)
-        rng = substream(seed, label, first_index + b)
-        truths = rng.integers(0, L, size=n)
-        AX = _trial_last(np.moveaxis(entries[:, supports[truths]], 1, 0)
-                         @ field_gaussian(rng, (n, K, T), field))
-        W1 = _trial_last(field_gaussian(rng, (n, M, T), field))
-        Y = None
-        for level, sigma2 in enumerate(sigma2s):
-            # Adding A_S X in place gives the bits of A_S X + sqrt(sigma2) W1:
-            # a floating-point sum does not depend on the order of its terms.
-            if level < last:
-                Y = np.multiply(W1, np.sqrt(sigma2), out=Y)
-            else:
-                Y = W1
-                Y *= np.sqrt(sigma2)
-            Y += AX
-            yield truths, level, np.moveaxis(Y, -1, 0)
-        del AX, W1, Y                   # before the next block's draws
+    for t, T in enumerate(Ts):
+        for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+            n = min(TRIAL_BLOCK, trials - start)
+            rng = substream(seed, label, first_index + b)
+            truths = rng.integers(0, L, size=n)
+            AX = _trial_last(np.moveaxis(entries[:, supports[truths]], 1, 0)
+                             @ field_gaussian(rng, (n, K, T), field))
+            W1 = _trial_last(field_gaussian(rng, (n, M, T), field))
+            Y = None
+            for level, sigma2 in enumerate(sigma2s):
+                # Adding A_S X in place gives the bits of A_S X + sqrt(sigma2) W1:
+                # a floating-point sum does not depend on the order of its terms.
+                if level < last:
+                    Y = np.multiply(W1, np.sqrt(sigma2), out=Y)
+                else:
+                    Y = W1
+                    Y *= np.sqrt(sigma2)
+                Y += AX
+                yield truths, t, level, np.moveaxis(Y, -1, 0)
+            del AX, W1, Y               # before the next block's draws
 
 
 def _trial_last(x: np.ndarray) -> np.ndarray:
     """A C-order copy (M, T, n) of the stack x (n, M, T)."""
     return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-
-def draw_trial_blocks(A, supports: np.ndarray, sigma2: float, T: int, trials: int,
-                      seed: int, label: str, first_index: int = 0):
-    """Yield (truths, Y) for consecutive blocks of at most TRIAL_BLOCK trials:
-    the one-level view of `draw_level_blocks`, Y = A_S X + W with W of
-    variance sigma2, shape (n, M, T). Block b's stream is keyed by
-    (seed, label, first_index + b), never by sigma2, so calls at different
-    noise levels draw the same truths, signals and unit noise; the
-    multi-level estimators share one draw on that account, and a change to
-    the streams must keep them free of sigma2 or give up the sharing."""
-    for truths, _, Y in draw_level_blocks(A, supports, [sigma2], T, trials, seed, label,
-                                          first_index):
-        yield truths, Y
 
 
 def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
@@ -249,68 +239,63 @@ def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
 
     Each trial draws the true hypothesis uniformly from {S0, S1}, generates
     signals and noise, and records whether the LRT picks the wrong support.
-    The one-level view of `estimate_binary_perrs`.
+    The one-point view of `estimate_binary_perrs`.
     """
-    return estimate_binary_perrs(A, S0, S1, [sigma2], T, trials, seed)[0]
+    return estimate_binary_perrs(A, S0, S1, [sigma2], [T], trials, seed)[0]
 
 
-def estimate_binary_perrs(A, S0: Support, S1: Support, sigma2s, T: int, trials: int,
-                          seed: int, decoders=None) -> list:
-    """`estimate_binary_perr` at each noise level of `sigma2s`, one estimate
-    per level, all scoring the same trial blocks (`draw_level_blocks`).
-    `decoders`, when given, are the levels' `lrt_decoder`s, built once for
-    every T."""
+def estimate_binary_perrs(A, S0: Support, S1: Support, sigma2s, Ts, trials: int,
+                          seed: int) -> list:
+    """`estimate_binary_perr` at each point of `product(Ts, sigma2s)`, one
+    estimate per point in that order: each level's `lrt_decoder` is built
+    once, and every level scores the same trial blocks (`draw_level_blocks`)."""
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
-    if decoders is None:
-        decoders = [lrt_decoder(A, S0, S1, sigma2) for sigma2 in sigma2s]
-    elif len(decoders) != len(sigma2s):
-        raise ValueError("need one decoder per noise level")
+    decoders = [lrt_decoder(A, S0, S1, sigma2) for sigma2 in sigma2s]
     rows = np.array([S0.indices, S1.indices], dtype=np.intp)
-    errors = [0] * len(sigma2s)
-    for truths, level, Y in draw_level_blocks(A, rows, sigma2s, T, trials, seed, "binary-trial"):
+    errors = np.zeros((len(Ts), len(sigma2s)), dtype=np.int64)
+    for truths, t, level, Y in draw_level_blocks(A, rows, sigma2s, Ts, trials, seed,
+                                                 "binary-trial"):
         scores = decoders[level].score_batch(Y)
-        errors[level] += int(np.sum((scores[1] - scores[0] > 0) != truths))
-    return [_estimate(e, trials, seed) for e in errors]
+        errors[t, level] += np.count_nonzero((scores[1] - scores[0] > 0) != truths)
+    return [_estimate(e, trials, seed) for e in errors.ravel().tolist()]
 
 
-def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int, seed: int,
-                           factors=None) -> ErrorEstimate:
+def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int,
+                           seed: int) -> ErrorEstimate:
     """Empirical error of maximum-likelihood recovery over all size-K supports.
 
     The error event is exact support mismatch; sizes of wrong-decode
-    difference sets are kept as a k_d histogram in the extras. `factors`, when
-    given, are the decoder's `covariance_factors` of `support_rows(N, K)` at
-    sigma2, built once for every T. The one-level view of
-    `estimate_multiple_perrs`.
+    difference sets are kept as a k_d histogram in the extras. The one-point
+    view of `estimate_multiple_perrs`.
     """
-    return estimate_multiple_perrs(A, K, [sigma2], T, trials, seed,
-                                   None if factors is None else [factors])[0]
+    rows = support_rows(as_matrix(A)[0].shape[1], K)
+    return estimate_multiple_perrs(A, [covariance_factors(A, rows, sigma2)], [T], trials,
+                                   seed)[0]
 
 
-def estimate_multiple_perrs(A, K: int, sigma2s, T: int, trials: int, seed: int,
-                            factors=None) -> list:
-    """`estimate_multiple_perr` at each noise level of `sigma2s`, one estimate
-    per level, all decoding the same trial blocks (`draw_level_blocks`).
-    `factors`, when given, holds each level's `covariance_factors`."""
-    entries, _ = as_matrix(A)
-    rows = support_rows(entries.shape[1], K)
-    if factors is None:
-        factors = [None] * len(sigma2s)
-    elif len(factors) != len(sigma2s):
-        raise ValueError("need one set of factors per noise level")
-    decoders = [SupportDecoder(A, rows, sigma2, f) for sigma2, f in zip(sigma2s, factors)]
-    kd_counts = np.zeros((len(sigma2s), K + 1), dtype=np.int64)
-    for truths, level, Y in draw_level_blocks(A, rows, sigma2s, T, trials, seed,
-                                              "multiple-trial"):
+def estimate_multiple_perrs(A, factors, Ts, trials: int, seed: int) -> list:
+    """`estimate_multiple_perr` at each point of `product(Ts, levels)`, one
+    estimate per point in that order. The levels are `factors`, one
+    `covariance_factors` set per noise level, all of the same candidate rows
+    (`support_rows(N, K)`); each carries its sigma2 and the rows. Every level
+    decodes the same trial blocks (`draw_level_blocks`), and a set of other
+    rows is a `ValueError` from `SupportDecoder`."""
+    rows = factors[0].rows
+    K = rows.shape[1]
+    sigma2s = [f.sigma2 for f in factors]
+    decoders = [SupportDecoder(A, rows, f.sigma2, f) for f in factors]
+    kd_counts = np.zeros((len(Ts), len(sigma2s), K + 1), dtype=np.int64)
+    for truths, t, level, Y in draw_level_blocks(A, rows, sigma2s, Ts, trials, seed,
+                                                 "multiple-trial"):
         chosen = decoders[level].decode_index_batch(Y)
         wrong = chosen != truths
         shared = (rows[truths[wrong]][:, :, None] == rows[chosen[wrong]][:, None, :]).sum((1, 2))
-        kd_counts[level] += np.bincount(K - shared, minlength=K + 1)
+        kd_counts[t, level] += np.bincount(K - shared, minlength=K + 1)
     # every wrong decode has k_d >= 1, so the histogram counts all the errors
     return [_estimate(int(counts.sum()), trials, seed,
                       kd_histogram={k_d: int(count) for k_d, count in enumerate(counts) if count})
-            for counts in kd_counts]
+            for counts in kd_counts.reshape(-1, K + 1)]
 
 
 def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
@@ -323,28 +308,30 @@ def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
     (`per_matrix_errors`) are retained in the extras for the
     P{P_err(A) <= eps} reading. Matrix d owns the trial streams
     d * B .. d * B + B - 1, where B = ceil(trials_per_matrix / TRIAL_BLOCK).
-    The one-level view of `estimate_ensemble_perrs`.
+    The one-point view of `estimate_ensemble_perrs`.
     """
-    return estimate_ensemble_perrs(M, N, K, [sigma2], T, matrix_draws, trials_per_matrix,
+    return estimate_ensemble_perrs(M, N, K, [sigma2], [T], matrix_draws, trials_per_matrix,
                                    seed, field)[0]
 
 
-def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, T: int, matrix_draws: int,
+def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: int,
                             trials_per_matrix: int, seed: int,
                             field: FieldTag = FieldTag.REAL) -> list:
-    """`estimate_ensemble_perr` at each noise level of `sigma2s`, one estimate
-    per level: each matrix and its trial blocks are drawn once and decoded
-    at every level."""
+    """`estimate_ensemble_perr` at each point of `product(Ts, sigma2s)`, one
+    estimate per point in that order: each matrix and its decoders are built
+    once, and its trial blocks drawn once per T and decoded at every level."""
     rows = support_rows(N, K)
     blocks_per_matrix = math.ceil(trials_per_matrix / TRIAL_BLOCK)
-    errors = np.zeros((len(sigma2s), matrix_draws), dtype=np.int64)
+    errors = np.zeros((len(Ts), len(sigma2s), matrix_draws), dtype=np.int64)
     for d in range(matrix_draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "ensemble-matrix", d))
         decoders = [SupportDecoder(A, rows, sigma2) for sigma2 in sigma2s]
-        for truths, level, Y in draw_level_blocks(A, rows, sigma2s, T, trials_per_matrix, seed,
-                                                  "ensemble-trial", d * blocks_per_matrix):
-            errors[level, d] += np.count_nonzero(decoders[level].decode_index_batch(Y) != truths)
-    return [_ensemble_estimate(level.tolist(), trials_per_matrix, seed) for level in errors]
+        for truths, t, level, Y in draw_level_blocks(A, rows, sigma2s, Ts, trials_per_matrix,
+                                                     seed, "ensemble-trial",
+                                                     d * blocks_per_matrix):
+            errors[t, level, d] += np.count_nonzero(decoders[level].decode_index_batch(Y) != truths)
+    return [_ensemble_estimate(point, trials_per_matrix, seed)
+            for point in errors.reshape(-1, matrix_draws).tolist()]
 
 
 def _ensemble_estimate(per_matrix_errors: list, trials_per_matrix: int,
@@ -408,6 +395,8 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
         raise ValueError("requires M > K + k_d")
     if not 1 <= k_d <= K:
         raise ValueError("need 1 <= k_d <= K")
+    if _integer(draws, "draws") < 1:
+        raise ValueError("need draws >= 1")
     values = _draw_incoherences(M, K + k_d, range(K), [*range(K - k_d), *range(K, K + k_d)],
                                 sigma2, draws, seed, field, "incoherence-mean")
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -370,11 +371,11 @@ class TestSimulateCommand:
          "trials_per_matrix": 300},
     ], ids=["binary", "multiple", "ensemble"])
     def test_sigma2_grid_writes_the_one_level_runs_interleaved(self, tmp_path, payload):
-        # the levels of a sigma2 grid share each T's trial blocks, yet the grid
-        # writes exactly the rows of one run per level, in product(Ts, sigma2s) order
-        def run(sigma2s, name):
+        # the points of a (T, sigma2) grid share one estimator call, yet the grid
+        # writes exactly the rows of one run per point, in product(Ts, sigma2s) order
+        def run(Ts, sigma2s, name):
             out = tmp_path / f"{name}.csv"
-            cfg = write_config(tmp_path, {**payload, "sigma2": sigma2s}, f"{name}.json")
+            cfg = write_config(tmp_path, {**payload, "T": Ts, "sigma2": sigma2s}, f"{name}.json")
             assert cli.main(["simulate", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
             header, *lines = out.read_text().splitlines()
             points = []         # a point's row, then its per-matrix rows in ensemble mode
@@ -386,10 +387,11 @@ class TestSimulateCommand:
             return header, points, [line for line in lines if line.startswith("#")]
 
         levels = (0.5, 1e-8)
-        header, points, comments = run(list(levels), "grid")
-        singles = [run([sigma2], f"level-{i}") for i, sigma2 in enumerate(levels)]
+        header, points, comments = run(payload["T"], list(levels), "grid")
+        singles = [run([T], [sigma2], f"point-{T}-{i}")
+                   for T, (i, sigma2) in product(payload["T"], enumerate(levels))]
         assert all((h, c) == (header, comments) for h, _, c in singles)
-        assert points == [single[t] for t in range(len(payload["T"])) for _, single, _ in singles]
+        assert points == [point for _, [point], _ in singles]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sampled_chernoff_is_flagged_uncertified(self, tmp_path, fmt):

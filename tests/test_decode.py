@@ -293,7 +293,8 @@ class TestLowRankScores:
         assert shared._groups[0][1] is factors
         assert np.array_equal(shared.score_batch(Ys), SupportDecoder(A, rows, 0.3).score_batch(Ys))
         for candidates, sigma2 in ((enumerate_supports(7, 2), 0.3), (rows, 0.4), (rows[1:], 0.3)):
-            with pytest.raises(ValueError, match="factors"):
+            with pytest.raises(ValueError, match="factors must be those of the candidate rows"
+                                                 " at sigma2"):
                 SupportDecoder(A, candidates, sigma2, factors)
 
     @pytest.mark.parametrize("field", FIELDS)

@@ -25,7 +25,7 @@ from suprec import (
 )
 
 from suprec.model import _comb_table, _seed_states
-from suprec.montecarlo import TRIAL_BLOCK, draw_trial_blocks
+from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
 
 from conftest import gaussian_instance
 
@@ -182,11 +182,12 @@ class TestUlaManifold:
 
 
 class TestSignalsAndObservations:
-    """Signals and noise as `draw_trial_blocks` draws them."""
+    """Signals and noise as `draw_level_blocks` draws them at one (T, sigma2)."""
 
     @staticmethod
     def _blocks(A, rows, sigma2, T, trials=TRIAL_BLOCK, seed=3):
-        return list(draw_trial_blocks(A, rows, sigma2, T, trials, seed, "model-draws"))
+        return [(truths, Y) for truths, _, _, Y in
+                draw_level_blocks(A, rows, [sigma2], [T], trials, seed, "model-draws")]
 
     def test_off_support_rows_zero(self):
         # identity A at tiny noise: Y is the signal, so the rows off the true support vanish

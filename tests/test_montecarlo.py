@@ -21,9 +21,10 @@ from suprec import (
     support_rows,
 )
 from suprec import montecarlo as mc
-from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks, draw_trial_blocks
+from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
 from suprec.spectra import covariance_factors
 import math
+from itertools import product
 
 from conftest import dense_scores, gaussian_instance
 
@@ -177,11 +178,11 @@ class TestBinaryEstimate:
         rows = np.array([self.S0.indices, self.S1.indices])
 
         def first_block(trials):
-            return next(draw_trial_blocks(self.A, rows, 0.2, 2, trials, 6, "binary-trial"))
+            return next(draw_level_blocks(self.A, rows, [0.2], [2], trials, 6, "binary-trial"))
 
         short, long = first_block(TRIAL_BLOCK), first_block(2 * TRIAL_BLOCK)
         assert np.array_equal(short[0], long[0])
-        assert np.array_equal(short[1], long[1])
+        assert np.array_equal(short[3], long[3])
         a = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
         b = estimate_binary_perr(self.A, self.S0, self.S1, 0.2, 2, 500, seed=6)
         assert a.p_hat == b.p_hat
@@ -239,7 +240,7 @@ class TestMultipleEstimate:
     def test_shared_factors_leave_the_estimate(self):
         A = gaussian_instance(4, 6, seed=106, label="mc-multi")
         factors = covariance_factors(A, support_rows(6, 2), 1.0)
-        a = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=15, factors=factors)
+        [a] = mc.estimate_multiple_perrs(A, [factors], [2], 300, seed=15)
         b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=15)
         assert (a.p_hat, a.extras) == (b.p_hat, b.extras)
 
@@ -264,7 +265,8 @@ class TestBlockDraws:
         rows = np.array([S0.indices, S1.indices])
         errors = 0
         sizes = []
-        for truths, Y in draw_trial_blocks(A, rows, sigma2, 3, self.TRIALS, 15, "binary-trial"):
+        for truths, _, _, Y in draw_level_blocks(A, rows, [sigma2], [3], self.TRIALS, 15,
+                                                 "binary-trial"):
             sizes.append(len(truths))
             for truth, y in zip(truths, Y):
                 score0, score1 = dense_scores(A, (S0, S1), sigma2, y)
@@ -280,7 +282,8 @@ class TestBlockDraws:
         candidates = enumerate_supports(6, 2)     # lexicographic, so argmax breaks ties
         rows = np.array([S.indices for S in candidates])
         hist = {}
-        for truths, Y in draw_trial_blocks(A, rows, sigma2, 2, self.TRIALS, 16, "multiple-trial"):
+        for truths, _, _, Y in draw_level_blocks(A, rows, [sigma2], [2], self.TRIALS, 16,
+                                                 "multiple-trial"):
             for truth, y in zip(truths, Y):
                 chosen = int(np.argmax(dense_scores(A, candidates, sigma2, y)))
                 if chosen != truth:
@@ -294,11 +297,13 @@ class TestBlockDraws:
 
 
 class TestNoiseLevels:
-    """The multi-level estimators draw each trial block once for all their
-    noise levels; every level must read what a one-level call reads."""
+    """The grid estimators draw each trial block once per T for all their
+    noise levels; every point of the (T, sigma2) grid must read what a
+    one-point call reads, in `product(Ts, sigma2s)` order."""
 
     TRIALS = 2 * TRIAL_BLOCK + 37     # two full blocks and a ragged one
     LEVELS = [(0.5, 1e-8), (1e-8, 0.5, 1e-8)]   # each level both before and as the last
+    TS = [[3], [1, 3]]
 
     @staticmethod
     def fields(est):
@@ -309,56 +314,81 @@ class TestNoiseLevels:
     def test_level_blocks_are_the_one_level_blocks(self, field, sigma2s):
         A = gaussian_instance(5, 7, field, seed=122, label="mc-levels")
         rows = support_rows(7, 2)
-        got = list(draw_level_blocks(A, rows, sigma2s, 3, self.TRIALS, 17, "levels"))
-        assert [level for _, level, _ in got] == list(range(len(sigma2s))) * 3
-        for level, sigma2 in enumerate(sigma2s):
-            # each Y is read as it is yielded: the next level overwrites its buffer
-            blocks = [(truths, Y.copy())
-                      for truths, lv, Y in draw_level_blocks(A, rows, sigma2s, 3, self.TRIALS,
-                                                             17, "levels") if lv == level]
-            want = list(draw_trial_blocks(A, rows, sigma2, 3, self.TRIALS, 17, "levels"))
-            assert len(blocks) == len(want) == 3
-            for (truths, Y), (want_truths, want_Y) in zip(blocks, want):
-                assert np.array_equal(truths, want_truths)
-                assert Y.tobytes() == np.ascontiguousarray(want_Y).tobytes()
+        for Ts in self.TS:
+            order = [(t, level) for _, t, level, _ in
+                     draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels")]
+            assert order == [(t, level) for t in range(len(Ts)) for _ in range(3)
+                             for level in range(len(sigma2s))]
+            for (t, T), (level, sigma2) in product(enumerate(Ts), enumerate(sigma2s)):
+                # each Y is read as it is yielded: the next level overwrites its buffer
+                blocks = [(truths, Y.copy()) for truths, tt, lv, Y in
+                          draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels")
+                          if (tt, lv) == (t, level)]
+                want = [(truths, Y) for truths, _, _, Y in
+                        draw_level_blocks(A, rows, [sigma2], [T], self.TRIALS, 17, "levels")]
+                assert len(blocks) == len(want) == 3
+                for (truths, Y), (want_truths, want_Y) in zip(blocks, want):
+                    assert np.array_equal(truths, want_truths)
+                    assert Y.tobytes() == np.ascontiguousarray(want_Y).tobytes()
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("sigma2s", LEVELS)
     def test_binary_levels_equal_one_level_calls(self, field, sigma2s):
         A = gaussian_instance(6, 8, field, seed=120, label="mc-blocks")
         S0, S1 = make_support([0, 1], 8), make_support([1, 4], 8)
-        got = mc.estimate_binary_perrs(A, S0, S1, sigma2s, 3, self.TRIALS, seed=15)
-        want = [estimate_binary_perr(A, S0, S1, s, 3, self.TRIALS, seed=15) for s in sigma2s]
-        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+        for Ts in self.TS:
+            got = mc.estimate_binary_perrs(A, S0, S1, sigma2s, Ts, self.TRIALS, seed=15)
+            want = [estimate_binary_perr(A, S0, S1, s, T, self.TRIALS, seed=15)
+                    for T, s in product(Ts, sigma2s)]
+            assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("sigma2s", LEVELS)
     def test_multiple_levels_equal_one_level_calls(self, field, sigma2s):
         A = gaussian_instance(4, 6, field, seed=121, label="mc-blocks")
-        got = mc.estimate_multiple_perrs(A, 2, sigma2s, 2, self.TRIALS, seed=16)
-        want = [estimate_multiple_perr(A, 2, s, 2, self.TRIALS, seed=16) for s in sigma2s]
-        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
-        assert any(e.extras["kd_histogram"] for e in got)   # the comparison covers errors
+        factors = [covariance_factors(A, support_rows(6, 2), s) for s in sigma2s]
+        for Ts in self.TS:
+            got = mc.estimate_multiple_perrs(A, factors, Ts, self.TRIALS, seed=16)
+            want = [estimate_multiple_perr(A, 2, s, T, self.TRIALS, seed=16)
+                    for T, s in product(Ts, sigma2s)]
+            assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+            assert any(e.extras["kd_histogram"] for e in got)   # the comparison covers errors
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("sigma2s", LEVELS)
     def test_ensemble_levels_equal_one_level_calls(self, field, sigma2s):
-        got = mc.estimate_ensemble_perrs(4, 6, 2, sigma2s, 2, 2, self.TRIALS, seed=24,
-                                         field=field)
-        want = [estimate_ensemble_perr(4, 6, 2, s, 2, 2, self.TRIALS, seed=24, field=field)
-                for s in sigma2s]
-        assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
-        assert any(any(e.extras["per_matrix_errors"]) for e in got)
+        for Ts in self.TS:
+            got = mc.estimate_ensemble_perrs(4, 6, 2, sigma2s, Ts, 2, self.TRIALS, seed=24,
+                                             field=field)
+            want = [estimate_ensemble_perr(4, 6, 2, s, T, 2, self.TRIALS, seed=24, field=field)
+                    for T, s in product(Ts, sigma2s)]
+            assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
+            assert any(any(e.extras["per_matrix_errors"]) for e in got)
 
-    def test_one_decoder_or_factor_set_per_level(self):
+    def test_factor_sets_of_other_supports_are_rejected(self):
+        # the levels' rows are the first factor set's; a set of another K is
+        # not the factors of those rows
         A = gaussian_instance(4, 6, seed=121, label="mc-blocks")
-        S0, S1 = make_support([0, 1], 6), make_support([1, 4], 6)
-        with pytest.raises(ValueError, match="one decoder per noise level"):
-            mc.estimate_binary_perrs(A, S0, S1, [0.5, 1.0], 2, 10, seed=1,
-                                     decoders=[mc.lrt_decoder(A, S0, S1, 0.5)])
-        with pytest.raises(ValueError, match="one set of factors per noise level"):
-            mc.estimate_multiple_perrs(A, 2, [0.5, 1.0], 2, 10, seed=1,
-                                       factors=[covariance_factors(A, support_rows(6, 2), 0.5)])
+        by_K = [covariance_factors(A, support_rows(6, K), 0.5) for K in (2, 3)]
+        for factors in (by_K, by_K[::-1]):
+            with pytest.raises(ValueError, match="factors must be those of the candidate rows"):
+                mc.estimate_multiple_perrs(A, factors, [2], 10, seed=1)
+
+    def test_ensemble_builds_once_per_matrix_and_level(self, monkeypatch):
+        built = {"decoders": 0, "matrices": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mc, "SupportDecoder", counting(mc.SupportDecoder, "decoders"))
+        monkeypatch.setattr(mc, "sample_gaussian_matrix",
+                            counting(mc.sample_gaussian_matrix, "matrices"))
+        ests = mc.estimate_ensemble_perrs(4, 6, 2, [0.5, 1e-8], [1, 2, 3], 3, 20, seed=25)
+        assert len(ests) == 3 * 2
+        assert built == {"decoders": 3 * 2, "matrices": 3}
 
 
 class TestEnsembleEstimate:
@@ -442,6 +472,13 @@ class TestExpectedIncoherence:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_expected_incoherence(4, 2, 2, 1.0, draws=10, seed=0)
+
+    def test_needs_an_integer_count_of_draws(self):
+        with pytest.raises(ValueError, match="draws >= 1"):
+            estimate_expected_incoherence(10, 2, 2, 1.0, draws=0, seed=0)
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            estimate_expected_incoherence(10, 2, 2, 1.0, draws=2.0, seed=0)
+        assert estimate_expected_incoherence(10, 2, 2, 1.0, draws=1, seed=0).draws == 1
 
 
 class TestStackedIncoherenceDraws:
