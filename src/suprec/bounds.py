@@ -52,12 +52,8 @@ class ThresholdReport:
     forms: dict
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def _report(raw: float, applicable: bool, note: str = "", **extras) -> BoundReport:
-    return BoundReport(raw_value=float(raw), clamped=_clamp01(raw),
+    return BoundReport(raw_value=float(raw), clamped=min(1.0, max(0.0, raw)),
                        applicable=applicable, precondition_note=note, extras=extras)
 
 

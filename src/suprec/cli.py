@@ -18,10 +18,12 @@ the other cores. `import suprec` as a library changes nothing.
 
 Exit codes: 0 success, 2 config error, numeric failure (a covariance or
 pencil that cannot be factorized at the configured noise) or unwritable
-output, 3 resource-cap error (for instance a `simulate` in multiple or
-ensemble mode whose C(N, K) candidate supports exceed
-`model.DEFAULT_ENUMERATION_CAP`, checked before anything runs). Nothing is
-written on error.
+output, 3 resource-cap error: a `simulate` in multiple or ensemble mode whose
+C(N, K) candidate supports exceed `model.DEFAULT_ENUMERATION_CAP`, or an
+incoherence pair walk (`simulate` multiple, `doa` `ula_lambda`) over more
+ordered pairs than `spectra.PAIR_CAP` (exhaustive) or a 64-bit pair index
+(sampled). Each cap is checked in the plan, by the rule the run uses, before
+anything runs. Nothing is written on error.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ import numpy as np
 from . import bounds as bd
 from . import montecarlo as mc
 from .model import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     FieldTag,
     NumericFailure,
+    _support_count,
     draw_matrices,
     load_matrix_csv,
     make_support,
@@ -63,7 +65,7 @@ from .model import (
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import (_check_pair_set, _pair_union, _split_masks, covariance_factors,
+from .spectra import (_check_pair_walk, _pair_union, _split_masks, covariance_factors,
                       h_spectra, matrix_incoherence)
 
 SEED_ENV_VAR = "SUPREC_SEED"
@@ -169,7 +171,7 @@ def _build_matrix(mat: dict, M: int, N: int, field: FieldTag, seed: int, where: 
 
 def _checked_call(where: str, fn, *args):
     """`fn(*args)` for a library call on config values, such as a bound formula,
-    a rule like `spectra._check_pair_set` or loading a CSV matrix; what it
+    a rule like `spectra._check_pair_walk` or loading a CSV matrix; what it
     raises on bad values or an unreadable file becomes a config error."""
     try:
         return fn(*args)
@@ -304,9 +306,8 @@ def _validate_simulate(config: dict) -> dict:
             raise ConfigError(f"{where}: supports must have size K={K}")
         _checked_call(where, _pair_union, [S0.indices], [S1.indices], M)
         plan["S0"], plan["S1"] = S0, S1
-    if mode != "binary" and math.comb(N, K) > DEFAULT_ENUMERATION_CAP:
-        raise CapExceeded(f"C({N},{K}) = {math.comb(N, K)} candidate supports exceed cap"
-                          f" {DEFAULT_ENUMERATION_CAP}")
+    else:
+        _support_count(N, K)
     if mode == "ensemble":
         if K >= N:
             raise ConfigError(f"{where}: ensemble mode needs two candidate supports (its Fano"
@@ -314,86 +315,80 @@ def _validate_simulate(config: dict) -> dict:
         plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
         plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
     if mode == "multiple":
-        _checked_call(where, _check_pair_set, M, N, K)
         inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
         inc_mode = inc.get("mode", "exhaustive")
         if inc_mode not in ("exhaustive", "sampled"):
             raise ConfigError(f"{where}.incoherence: mode must be exhaustive|sampled,"
                               f" got {inc_mode!r}")
         count = _positive_int(inc, "count", f"{where}.incoherence") if inc_mode == "sampled" else None
+        _checked_call(where, _check_pair_walk, M, N, K, inc_mode, count)
         plan["incoherence"] = (inc_mode, count)
     if mode != "ensemble":
         plan["matrix"] = _validate_matrix(config, where)
     return plan
 
 
-def _simulate_row(mode, N, M, K, T, sigma2, seed, est: mc.ErrorEstimate,
-                  chernoff, fano, lambda_bar) -> dict:
-    return {"mode": mode, "N": N, "M": M, "K": K, "T": T, "sigma2": sigma2, "seed": seed,
-            "trials": est.trials, "p_hat": est.p_hat, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "chernoff_clamped": chernoff, "fano_clamped": fano,
-            "lambda_bar": lambda_bar}
+def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells=(None, None, None)) -> dict:
+    """The row of `est` at `point`, (N, M, K, T, sigma2, seed), with its
+    (chernoff_clamped, fano_clamped, lambda_bar) cells."""
+    return dict(zip(SIMULATE_COLUMNS, (mode, *point, est.trials, est.p_hat, est.ci_low,
+                                       est.ci_high, *cells)))
 
 
 def run_simulate(plan: dict, seed: int):
-    """Rows in `product(Ts, sigma2s)` order, from one estimator call over the
-    whole grid (`montecarlo` builds each sigma2's decoder once and draws each
-    trial block once per T for every sigma2). What the bounds need and does
-    not depend on T (H's spectrum, lambda_bar, the covariance factors) is
-    built once per sigma2."""
+    """Rows in `product(Ts, sigma2s)` order. Each mode makes one estimator
+    call over the whole grid (`montecarlo` builds each sigma2's decoder once
+    and draws each trial block once per T for every sigma2) and lists one
+    (chernoff_clamped, fano_clamped, lambda_bar) cell triple per point; what
+    the bounds need and does not depend on T (H's spectrum, lambda_bar, the
+    covariance factors) is built once per sigma2. One loop writes the rows,
+    in ensemble mode each point's row followed by one row per matrix."""
     mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
-    field, trials = plan["field"], plan["trials"]
-    Ts, sigma2s = plan["Ts"], plan["sigma2s"]
-    points = np.ndindex(len(Ts), len(sigma2s))      # (t, i) in product(Ts, sigma2s) order
-    rows, comments = [], []
+    field, trials, Ts, sigma2s = plan["field"], plan["trials"], plan["Ts"], plan["sigma2s"]
+    points = list(np.ndindex(len(Ts), len(sigma2s)))   # (t, i) in product(Ts, sigma2s) order
+    comments = []
 
     if mode == "ensemble":
-        n_inner = plan["trials_per_matrix"]
-        ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, Ts, plan["matrix_draws"], n_inner,
-                                          seed, field=field)
-        for (t, i), est in zip(points, ests):
-            T, sigma2 = Ts[t], sigma2s[i]
-            fano = bd.ensemble_fano_lower(M, N, K, sigma2, T, field.kappa).clamped
-            rows.append(_simulate_row("ensemble", N, M, K, T, sigma2, seed, est, None, fano, None))
-            for p, errors in zip(est.extras["per_matrix"], est.extras["per_matrix_errors"]):
-                lo, hi = mc.clopper_pearson(errors, n_inner)
-                sub = mc.ErrorEstimate(p_hat=p, trials=n_inner, ci_low=lo, ci_high=hi,
-                                       master_seed=seed)
-                rows.append(_simulate_row("ensemble-matrix", N, M, K, T, sigma2, seed, sub,
-                                          None, None, None))
-        return SIMULATE_COLUMNS, rows, []
-
-    A = _build_matrix(plan["matrix"], M, N, field, seed, "config")
-    if mode == "binary":
-        S0, S1 = plan["S0"], plan["S1"]
-        ests = mc.estimate_binary_perrs(A, S0, S1, sigma2s, Ts, trials, seed)
-        reports = [bd.binary_chernoffs(A, S0, S1, sigma2, Ts) for sigma2 in sigma2s]
-        for (t, i), est in zip(points, ests):
-            report = reports[i][t]
-            lam = min(report.extras["lambda_01"], report.extras["lambda_10"])
-            fano = bd.fano_lower(report.extras["fano_beta"], 2).clamped
-            rows.append(_simulate_row("binary", N, M, K, Ts[t], sigma2s[i], seed, est,
-                                      report.clamped, fano, lam))
+        ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, Ts, plan["matrix_draws"],
+                                          plan["trials_per_matrix"], seed, field=field)
+        cells = [(None, bd.ensemble_fano_lower(M, N, K, sigma2s[i], Ts[t], field.kappa).clamped,
+                  None) for t, i in points]
     else:
-        inc_mode, inc_count = plan["incoherence"]
-        # Neither lambda_bar nor the covariance factors depend on T: each
-        # sigma2 factors its supports once, for the decoder and for Fano beta.
-        summaries = [matrix_incoherence(A, K, sigma2, mode=inc_mode, sample_count=inc_count,
-                                        seed=seed) for sigma2 in sigma2s]
-        supports = support_rows(N, K)
-        factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
-        betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
-        ests = mc.estimate_multiple_perrs(A, factors, Ts, trials, seed)
-        for (t, i), est in zip(points, ests):
-            lambda_bar = summaries[i].lambda_bar
-            chern = bd.multiple_bound_geometric(lambda_bar, N, K, Ts[t], A.field.kappa).clamped
-            fano = bd.fano_lower(betas[i][t], math.comb(N, K)).clamped
-            rows.append(_simulate_row("multiple", N, M, K, Ts[t], sigma2s[i], seed, est,
-                                      chern, fano, lambda_bar))
-        if inc_mode == "sampled":
-            comments.append("# chernoff_clamped not certified: lambda_bar is a minimum over sampled"
-                            f" support pairs (mode={summaries[0].mode}), so it only upper-estimates"
-                            " the true minimum and chernoff_clamped is not a certified bound")
+        A = _build_matrix(plan["matrix"], M, N, field, seed, "config")
+        if mode == "binary":
+            S0, S1 = plan["S0"], plan["S1"]
+            ests = mc.estimate_binary_perrs(A, S0, S1, sigma2s, Ts, trials, seed)
+            reports = [bd.binary_chernoffs(A, S0, S1, sigma2, Ts) for sigma2 in sigma2s]
+            cells = [(r.clamped, bd.fano_lower(r.extras["fano_beta"], 2).clamped,
+                      min(r.extras["lambda_01"], r.extras["lambda_10"]))
+                     for r in (reports[i][t] for t, i in points)]
+        else:
+            inc_mode, inc_count = plan["incoherence"]
+            # Neither lambda_bar nor the covariance factors depend on T: each
+            # sigma2 factors its supports once, for the decoder and for Fano beta.
+            summaries = [matrix_incoherence(A, K, sigma2, mode=inc_mode, sample_count=inc_count,
+                                            seed=seed) for sigma2 in sigma2s]
+            supports = support_rows(N, K)
+            factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
+            betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
+            ests = mc.estimate_multiple_perrs(A, factors, Ts, trials, seed)
+            cells = [(bd.multiple_bound_geometric(summaries[i].lambda_bar, N, K, Ts[t],
+                                                  A.field.kappa).clamped,
+                      bd.fano_lower(betas[i][t], math.comb(N, K)).clamped, summaries[i].lambda_bar)
+                     for t, i in points]
+            if inc_mode == "sampled":
+                comments.append("# chernoff_clamped not certified: lambda_bar is a minimum over"
+                                f" sampled support pairs (mode={summaries[0].mode}), so it only"
+                                " upper-estimates the true minimum and chernoff_clamped is not a"
+                                " certified bound")
+
+    rows = []
+    for (t, i), est, cell in zip(points, ests, cells):
+        point = (N, M, K, Ts[t], sigma2s[i], seed)
+        rows.append(_simulate_row(mode, point, est, cell))
+        for errors in est.extras.get("per_matrix_errors", ()):
+            sub = mc._estimate(errors, plan["trials_per_matrix"], seed)
+            rows.append(_simulate_row("ensemble-matrix", point, sub))
     return SIMULATE_COLUMNS, rows, comments
 
 
@@ -487,12 +482,15 @@ def _validate_doa(config: dict) -> dict:
     if "ula_lambda" in config:
         uw = f"{where}.ula_lambda"
         u = _require(config, "ula_lambda", dict, where)
-        plan["ula"] = {"M": _positive_int(u, "M", uw), "grid_size": _positive_int(u, "grid_size", uw),
-                       "K": _positive_int(u, "K", uw),
-                       "spacing": _positive_float(u, "spacing", uw, default=0.5),
-                       "pairs": _positive_int(u, "pairs", uw, default=200),
-                       "sigma2": _positive_float(u, "sigma2", uw, default=1.0)}
-        _checked_call(uw, _check_pair_set, *(plan["ula"][k] for k in ("M", "grid_size", "K")))
+        ula = plan["ula"] = {"M": _positive_int(u, "M", uw),
+                             "grid_size": _positive_int(u, "grid_size", uw),
+                             "K": _positive_int(u, "K", uw),
+                             "spacing": _positive_float(u, "spacing", uw, default=0.5),
+                             "pairs": _positive_int(u, "pairs", uw, default=200),
+                             "sigma2": _positive_float(u, "sigma2", uw, default=1.0)}
+        # the run's sampled pair walk, checked now: its caps exit 3 before any threshold row
+        _checked_call(uw, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], "sampled",
+                      ula["pairs"])
     return plan
 
 

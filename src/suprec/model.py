@@ -251,14 +251,21 @@ def make_support(indices: Iterable[int], N: int) -> Support:
     return Support(tuple(sorted(idx)), int(N))
 
 
+def _support_count(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """C(N, K), the number of size-K candidate supports, within the
+    enumeration cap: the rule of `support_rows`, which a plan checks before
+    anything runs."""
+    total = math.comb(N, K)
+    if total > cap:
+        raise CapExceeded(f"C({N},{K}) = {total} candidate supports exceed cap {cap}")
+    return total
+
+
 def support_rows(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All C(N, K) size-K supports in lexicographic index order, as an (L, K)
     `intp` array with one support per row, unranked from 0 .. C(N, K) - 1 by
     `unrank_supports`, which checks 1 <= K <= N; no `Support` object is built."""
-    total = math.comb(N, K)
-    if total > cap:
-        raise CapExceeded(f"enumeration of C({N},{K}) = {total} supports exceeds cap {cap}")
-    return unrank_supports(np.arange(total), N, K)
+    return unrank_supports(np.arange(_support_count(N, K, cap)), N, K)
 
 
 def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
@@ -316,6 +323,8 @@ class MeasurementMatrix:
             raise ValueError(f"entries must be a 2-d matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
+        if np.iscomplexobj(a) and self.field is FieldTag.REAL:
+            raise ValueError("complex entries need the COMPLEX field: REAL drops imaginary parts")
         a = np.ascontiguousarray(a, dtype=self.field.dtype)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)

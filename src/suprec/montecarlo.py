@@ -174,6 +174,15 @@ def _tail_root(k: int, n: int, target: float, upper: bool) -> float:
     return x
 
 
+def _check_counts(**counts) -> None:
+    """Each keyword's value, or each entry of a sequence (a grid's Ts), must
+    be an integer >= 1; a `ValueError` names the keyword that is not."""
+    for name, value in counts.items():
+        for v in value if np.ndim(value) else [value]:
+            if _integer(v, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {v!r}")
+
+
 def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:
     low, high = clopper_pearson(errors, trials)
     return ErrorEstimate(p_hat=errors / trials, trials=trials, ci_low=low,
@@ -251,6 +260,7 @@ def estimate_binary_perrs(A, S0: Support, S1: Support, sigma2s, Ts, trials: int,
     once, and every level scores the same trial blocks (`draw_level_blocks`)."""
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
+    _check_counts(trials=trials, T=Ts)
     decoders = [lrt_decoder(A, S0, S1, sigma2) for sigma2 in sigma2s]
     rows = np.array([S0.indices, S1.indices], dtype=np.intp)
     errors = np.zeros((len(Ts), len(sigma2s)), dtype=np.int64)
@@ -281,6 +291,7 @@ def estimate_multiple_perrs(A, factors, Ts, trials: int, seed: int) -> list:
     (`support_rows(N, K)`); each carries its sigma2 and the rows. Every level
     decodes the same trial blocks (`draw_level_blocks`), and a set of other
     rows is a `ValueError` from `SupportDecoder`."""
+    _check_counts(trials=trials, T=Ts)
     rows = factors[0].rows
     K = rows.shape[1]
     sigma2s = [f.sigma2 for f in factors]
@@ -320,6 +331,7 @@ def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: i
     """`estimate_ensemble_perr` at each point of `product(Ts, sigma2s)`, one
     estimate per point in that order: each matrix and its decoders are built
     once, and its trial blocks drawn once per T and decoded at every level."""
+    _check_counts(T=Ts, matrix_draws=matrix_draws, trials_per_matrix=trials_per_matrix)
     rows = support_rows(N, K)
     blocks_per_matrix = math.ceil(trials_per_matrix / TRIAL_BLOCK)
     errors = np.zeros((len(Ts), len(sigma2s), matrix_draws), dtype=np.int64)
@@ -334,16 +346,12 @@ def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: i
             for point in errors.reshape(-1, matrix_draws).tolist()]
 
 
-def _ensemble_estimate(per_matrix_errors: list, trials_per_matrix: int,
-                       seed: int) -> ErrorEstimate:
+def _ensemble_estimate(per_matrix_errors: list, trials_per_matrix: int, seed: int) -> ErrorEstimate:
     per_matrix = tuple(e / trials_per_matrix for e in per_matrix_errors)
-    per_matrix_arr = np.asarray(per_matrix)
-    spread = (float(per_matrix_arr.min()), float(np.median(per_matrix_arr)),
-              float(per_matrix_arr.max()))
     return _estimate(sum(per_matrix_errors), len(per_matrix_errors) * trials_per_matrix, seed,
-                     per_matrix=per_matrix,
-                     per_matrix_errors=tuple(per_matrix_errors),
-                     spread_min_median_max=spread)
+                     per_matrix=per_matrix, per_matrix_errors=tuple(per_matrix_errors),
+                     spread_min_median_max=(min(per_matrix), float(np.median(per_matrix)),
+                                            max(per_matrix)))
 
 
 def _draw_incoherences(M: int, N: int, rows0, rows1, sigma2: float, draws: int,
@@ -371,6 +379,7 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
         raise ValueError("tail estimation requires M > 2K")
     if N < 2 * K:
         raise ValueError("need N >= 2K for a disjoint support pair")
+    _check_counts(draws=draws)
     gamma = (M - 2 * K) / (3.0 * sigma2)
     values = _draw_incoherences(M, N, range(K), range(K, 2 * K), sigma2, draws, seed, field,
                                 "incoherence-tail")
@@ -395,8 +404,7 @@ def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws
         raise ValueError("requires M > K + k_d")
     if not 1 <= k_d <= K:
         raise ValueError("need 1 <= k_d <= K")
-    if _integer(draws, "draws") < 1:
-        raise ValueError("need draws >= 1")
+    _check_counts(draws=draws)
     values = _draw_incoherences(M, K + k_d, range(K), [*range(K - k_d), *range(K, K + k_d)],
                                 sigma2, draws, seed, field, "incoherence-mean")
     se = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("nan")

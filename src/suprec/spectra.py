@@ -20,13 +20,14 @@ H from the order in which it is larger: lambda from the (S0, S1) pencil or
 1 / lambda from the (S1, S0) one. `_split_masks` splits every spectrum
 around 1. Both minima over ordered support pairs, lambda_bar and c1, run one
 walk, `_pair_walk`, each with its own block scorer. Before the first draw it
-checks the set rule (`_check_pair_set`: 1 <= K <= N, C(N, K) >= 2,
-M >= 2 min(K, N - K)), so no pair it draws breaks the pair rule of
-`_pair_union` (equal sizes, not identical, M >= 2 k_d). lambda_bar's walk is
-pruned: `_pair_floors` bounds each pair's computed incoherence from below by
-det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from an r x r
-Gram and one Cholesky (no QR, pencil or `eigvalsh`), and the walk scores
-exactly only the pairs whose floor does not exceed the running minimum.
+checks the set rule and the pair caps (`_check_pair_walk`: 1 <= K <= N,
+C(N, K) >= 2, M >= 2 min(K, N - K)), so no pair it draws breaks the pair
+rule of `_pair_union` (equal sizes, not identical, M >= 2 k_d); a CLI plan
+runs the same check. lambda_bar's walk is pruned: `_pair_floors` bounds
+each pair's computed incoherence from below by det(I + R33^H R33 / sigma^2)^(1/k_d),
+less a rounding margin, from an r x r Gram and one Cholesky (no QR, pencil or
+`eigvalsh`), and the walk scores exactly only the pairs whose floor does not
+exceed the running minimum.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
@@ -518,10 +519,14 @@ def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncohere
     return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
 
 
-def _check_pair_set(M: int, N: int, K: int) -> int:
-    """The number L = C(N, K) of size-K supports, after the set rule of every
-    walk over their ordered pairs: 1 <= K <= N, L >= 2, and M >= 2 min(K, N - K)
-    for the largest difference-set size k_d, so no pair breaks `_pair_union`."""
+def _check_pair_walk(M: int, N: int, K: int, mode: str = "exhaustive", sample_count=None,
+                     cap: int = PAIR_CAP, cap_hint: str = "; use sampled mode") -> tuple:
+    """(L, L (L - 1)), the numbers of size-K supports and of their ordered
+    pairs, after every rule of a `_pair_walk` in `mode` over those pairs, so
+    a plan can reject the walk before anything runs. The set rule: 1 <= K <= N, L >= 2, and
+    M >= 2 min(K, N - K) for the largest difference-set size k_d, so no pair
+    breaks `_pair_union`. The caps: an exhaustive walk scores at most `cap`
+    pairs, and a sampled one draws from a 64-bit pair index."""
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     L = math.comb(N, K)
@@ -530,7 +535,19 @@ def _check_pair_set(M: int, N: int, K: int) -> int:
     if M < 2 * min(K, N - K):
         raise ValueError(f"incoherence needs M >= 2*min(K, {N}-K) = {2 * min(K, N - K)},"
                          f" got M={M}")
-    return L
+    n_pairs = L * (L - 1)
+    if mode == "exhaustive":
+        if n_pairs > cap:
+            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}{cap_hint}")
+    elif mode == "sampled":
+        if sample_count is None or sample_count < 1:
+            raise ValueError("sampled mode requires a positive sample_count")
+        if n_pairs > np.iinfo(np.int64).max:
+            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"
+                              " ordered pairs, beyond a 64-bit pair index")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return L, n_pairs
 
 
 def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
@@ -612,23 +629,12 @@ def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_cou
     minimum. A block whose pruned scoring fails is scored whole, so the
     failure raised is the one the unpruned walk raises."""
     M, N = shape
-    L = _check_pair_set(M, N, K)
-    n_pairs = L * (L - 1)
-    if mode == "exhaustive":
-        if n_pairs > cap:
-            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}{cap_hint}")
-        flat, count = None, n_pairs
-    elif mode == "sampled":
-        if sample_count is None or sample_count < 1:
-            raise ValueError("sampled mode requires a positive sample_count")
-        if n_pairs > np.iinfo(np.int64).max:
-            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"
-                              " ordered pairs, beyond a 64-bit pair index")
+    L, n_pairs = _check_pair_walk(M, N, K, mode, sample_count, cap, cap_hint)
+    flat, count = None, n_pairs
+    if mode == "sampled":
         count = min(sample_count, n_pairs)
         flat = substream(seed, "incoherence-pair-sample").choice(n_pairs, count, replace=False)
         mode = f"sampled({count})"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     best, best_pair, scored = np.inf, None, 0
     for start in range(0, count, PAIR_BLOCK):

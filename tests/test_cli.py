@@ -95,6 +95,27 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "cap" in result.stderr
 
+    @pytest.mark.parametrize("command,payload,spied,message", [
+        ("sweep", {"command": "simulate", "grid": {"N": [8, 30]},
+                   "base": {"mode": "multiple", "M": 8, "K": 3, "T": 1, "sigma2": 0.5,
+                            "trials": 50}},
+         (cli.mc, "estimate_multiple_perrs"), "16479540 ordered pairs exceed cap 10000000"),
+        ("doa", {**DOA_ULA, "ula_lambda": {"M": 16, "grid_size": 360, "K": 6, "pairs": 50}},
+         (cli.bd, "doa_requirements"), "ordered pairs, beyond a 64-bit pair index"),
+    ], ids=["sweep-exhaustive", "doa-sampled"])
+    def test_pair_cap_is_three_before_running(self, tmp_path, monkeypatch, capsys, command,
+                                              payload, spied, message):
+        # the plan checks the pair walk's caps: no point, estimator or threshold runs first
+        module, name = spied
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,payload", [
         ("simulate", {"mode": "ensemble", "N": 60, "M": 8, "K": 12, "T": 1, "sigma2": 1.0,
                       "trials": 1, "matrix_draws": 1, "trials_per_matrix": 10}),

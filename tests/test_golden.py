@@ -28,6 +28,8 @@ MULTIPLE = {"mode": "multiple", "N": 8, "M": 6, "K": 2, "T": [1, 4], "sigma2": [
 # the sim-multiple config of bench/workloads.py
 BENCH_MULTIPLE = {"mode": "multiple", "M": 16, "N": 24, "K": 2, "T": [1, 4], "sigma2": [0.1, 0.5],
                   "trials": 500, "field": "real", "incoherence": {"mode": "sampled", "count": 125}}
+ENSEMBLE = {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2], "sigma2": 0.5,
+            "matrix_draws": 3, "trials_per_matrix": 40, "trials": 1}
 ULA = {"M": 8, "grid_size": 30, "K": 2, "pairs": 40, "sigma2": 0.5}
 
 # name -> (command, config, seed, format); the output file is <name>.<format>
@@ -52,6 +54,7 @@ CASES = {
         {"formula": "multiple_geometric", "lambda_bar": 2, "N": 10, "K": 2, "T": 1,
          "kappa": 0.5}]}, 0, "json"),
     "simulate-binary": ("simulate", BINARY, 3, "csv"),
+    "simulate-binary-json": ("simulate", BINARY, 3, "json"),
     "simulate-multiple-exhaustive": ("simulate", MULTIPLE, 5, "csv"),
     "simulate-multiple-sampled": ("simulate", {**MULTIPLE, "incoherence": {"mode": "sampled",
                                                                            "count": 30}},
@@ -60,9 +63,8 @@ CASES = {
     "simulate-multiple-complex": ("simulate", {**MULTIPLE, "N": 10, "T": [1, 3],
                                                "sigma2": [1e-3, 0.05, 0.5], "trials": 200,
                                                "field": "complex"}, 11, "csv"),
-    "simulate-ensemble": ("simulate", {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2],
-                                       "sigma2": 0.5, "matrix_draws": 3,
-                                       "trials_per_matrix": 40, "trials": 1}, 7, "csv"),
+    "simulate-ensemble": ("simulate", ENSEMBLE, 7, "csv"),
+    "simulate-ensemble-json": ("simulate", ENSEMBLE, 7, "json"),
     "eig-check": ("eig-check", {"grid": {"M": [6, 8], "K": [1, 2]}, "draws_per_cell": 3,
                                 "sigma2": 0.8, "field": "complex"}, 2, "csv"),
     "eig-check-tiny-noise": ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2,

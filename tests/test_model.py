@@ -181,6 +181,19 @@ class TestUlaManifold:
             ula_manifold_matrix(4, [2.0])
 
 
+class TestMeasurementMatrix:
+    def test_complex_entries_tagged_real_are_rejected(self):
+        # a cast to float64 would keep [[1, 3]] and drop the imaginary parts
+        with pytest.raises(ValueError, match="COMPLEX field"):
+            MeasurementMatrix(np.array([[1 + 2j, 3 - 1j]]), FieldTag.REAL)
+
+    def test_field_sets_the_dtype(self):
+        z = MeasurementMatrix(np.array([[1 + 2j, 3 - 1j]]), FieldTag.COMPLEX).entries
+        assert z.dtype == np.complex128 and z.tolist() == [[1 + 2j, 3 - 1j]]
+        assert MeasurementMatrix(np.eye(2), FieldTag.COMPLEX).entries.dtype == np.complex128
+        assert MeasurementMatrix(np.eye(2, dtype=int), FieldTag.REAL).entries.dtype == np.float64
+
+
 class TestSignalsAndObservations:
     """Signals and noise as `draw_level_blocks` draws them at one (T, sigma2)."""
 

@@ -481,6 +481,44 @@ class TestExpectedIncoherence:
         assert estimate_expected_incoherence(10, 2, 2, 1.0, draws=1, seed=0).draws == 1
 
 
+# case -> (argument it names, estimator call on a real 4 x 6 matrix A and the
+# supports S0 = {0, 1}, S1 = {2, 3}) with one bad count
+COUNT_CASES = {
+    "binary-T": ("T", lambda A, S0, S1: estimate_binary_perr(A, S0, S1, 0.5, 0, 10, 1)),
+    "binary-trials": ("trials", lambda A, S0, S1: estimate_binary_perr(A, S0, S1, 0.5, 1, 0, 1)),
+    "binary-grid-T": ("T", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [0.5], [1, 2.0],
+                                                                      10, 1)),
+    "multiple-T": ("T", lambda A, S0, S1: estimate_multiple_perr(A, 2, 0.5, 0, 10, 1)),
+    "multiple-trials": ("trials", lambda A, S0, S1: estimate_multiple_perr(A, 2, 0.5, 1, 2.5, 1)),
+    "ensemble-T": ("T", lambda A, S0, S1: estimate_ensemble_perr(4, 6, 2, 0.5, 0, 2, 10, 1)),
+    "ensemble-matrix_draws": ("matrix_draws", lambda A, S0, S1: estimate_ensemble_perr(
+        4, 6, 2, 0.5, 1, 0, 10, 1)),
+    "ensemble-trials_per_matrix": ("trials_per_matrix", lambda A, S0, S1: estimate_ensemble_perr(
+        4, 6, 2, 0.5, 1, 2, 0, 1)),
+    "tail-fractional-draws": ("draws", lambda A, S0, S1: estimate_incoherence_tail(
+        6, 4, 2, 0.5, 2.5, 1)),
+    "tail-no-draws": ("draws", lambda A, S0, S1: estimate_incoherence_tail(6, 4, 2, 0.5, 0, 1)),
+    "mean-no-draws": ("draws", lambda A, S0, S1: estimate_expected_incoherence(6, 2, 2, 0.5, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_counts_are_integers_of_at_least_one(case):
+    # a ValueError that names the argument, not a ZeroDivisionError or a numpy error
+    name, call = COUNT_CASES[case]
+    A = sample_gaussian_matrix(4, 6, FieldTag.REAL, substream(0, "count-args"))
+    with pytest.raises(ValueError, match=f"^(need {name} >= 1|{name} must be an integer)"):
+        call(A, make_support([0, 1], 6), make_support([2, 3], 6))
+
+
+def test_any_integer_sequence_is_a_grid_of_Ts():
+    A = sample_gaussian_matrix(4, 6, FieldTag.REAL, substream(0, "count-args"))
+    S0, S1 = make_support([0, 1], 6), make_support([2, 3], 6)
+    want = mc.estimate_binary_perrs(A, S0, S1, [0.5], [1, 2], 10, 1)
+    for Ts in ((1, 2), range(1, 3), np.array([1, 2])):
+        assert mc.estimate_binary_perrs(A, S0, S1, [0.5], Ts, 10, 1) == want
+
+
 class TestStackedIncoherenceDraws:
     """`_draw_incoherences` scores PAIR_BLOCK draws per stacked call; each
     value is the per-draw incoherence of the same matrix."""
