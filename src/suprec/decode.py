@@ -16,10 +16,13 @@ path: `log_scores`, `decode`, `decode_index`, `binary_lrt` (a two-candidate
 decoder) and the binary Monte Carlo estimator score through it, all candidates
 of a size at once. `decode_index_batch`, which the multiple and ensemble
 estimators call, returns the pick of `score_batch` but screens first: it
-scores every candidate in K x K Gram space (`CovarianceFactors.screen`), each
-within a rounding margin of its exact score, and rescores exactly only the
-candidates of a trial whose margins reach the best one's, at every support
-size. `log_likelihood` takes one dense covariance and whitens with its
+scores every candidate in K x K Gram space (`_screen`), each within a
+rounding margin of its exact score, and rescores exactly only the candidates
+of a trial whose margins reach the best one's, at every support size. The
+decoder is the screen's one owner: it factors each support size's Gram
+sigma2 I + A_S^H A_S once (`_gram_screen`), on its first
+`decode_index_batch`, so the exact scorers and the Fano beta never pay for
+it. `log_likelihood` takes one dense covariance and whitens with its
 inverse Cholesky factor (`spectra._inverse_factor`), which fails under the
 same pivot-floor rule as every other covariance.
 """
@@ -27,11 +30,17 @@ same pivot-floor rule as every other covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import spectra
 from .model import NumericFailure, Support, as_matrix
-from .spectra import _column_energy, _inverse_factor, covariance_factors
+from .spectra import _column_energy, _gram, _inverse_factor, _whitener, covariance_factors
+
+# Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
+# the rounding constants of both scorers, real or complex.
+SCREEN_ROUNDING = 16
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -72,6 +81,24 @@ def binary_lrt(Y, A, S0: Support, S1: Support, sigma2: float) -> LrtResult:
     return LrtResult(choice=1 if statistic > 0 else 0, statistic=statistic)
 
 
+def _gram_screen(columns: np.ndarray, factors) -> tuple:
+    """(F^{-1}, rho) of the Gram screen for the supports of one
+    `covariance_factors` set: the inverse factors (L, K, K) of
+    F F^H = sigma2 I + A_S^H A_S, whose Gram is formed from the supports'
+    columns gathered from `columns`, the contiguous A^T (N, M), and
+    rho = ||A_S||_F ||F^{-1}||_F (L,). rho is inf where F fails `_whitener`,
+    and 0 for a failed support, whose screen score `SupportDecoder._screen`
+    discards."""
+    X = columns[factors.rows]                                   # (L, K, M): A_S^T
+    F, _, broken = _whitener(_gram(X.conj(), factors.sigma2))   # sigma2 I + A_S^H A_S
+    F[broken] = np.eye(X.shape[1])
+    inverse = np.linalg.inv(F)
+    rho = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    rho[broken] = np.inf
+    rho[list(factors.failures)] = 0.0
+    return inverse, rho
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     chosen: Support
@@ -92,6 +119,10 @@ class SupportDecoder:
     already built at sigma2, and are not rebuilt: `estimate_multiple_perrs`
     decodes with the factor sets that `simulate` also gives the exact Fano
     beta. Factors of other rows or of another sigma2 are a `ValueError`.
+
+    The decoder is the one owner of the Gram screen of `decode_index_batch`:
+    it builds the screen's factors (`_grams`) on the first such call, once
+    per support size, and nothing else reads them.
     """
 
     def __init__(self, A, candidates, sigma2: float, factors=None):
@@ -201,23 +232,74 @@ class SupportDecoder:
         scores = {S: float(v) for S, v in zip(self.candidates, values)} if keep_scores else None
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
-    def _screen(self, factors, AhY, ysq, T: int) -> tuple:
-        """(scores, margins), each (L, n), of one support size: the Gram-space
-        log-likelihoods of `CovarianceFactors.screen`, each within its margin
-        of what `score_batch` gives. A failed candidate scores -inf, margin 0."""
-        energy, margin = factors.screen(AhY, ysq, T)
+    @cached_property
+    def _grams(self) -> list:
+        """The Gram screen's (F^{-1}, rho) of each support size, in the order of
+        `_groups` (`_gram_screen`), built on the first `decode_index_batch`."""
+        columns = np.ascontiguousarray(self._entries.T)          # rows gather faster than columns
+        return [_gram_screen(columns, factors) for _, factors in self._groups]
+
+    def _screen(self, factors, inverse, rho, AhY, ysq, T: int) -> tuple:
+        """(scores, margins), each (L, n), of one support size: Gram-space
+        log-likelihoods of n observations of T columns each, and a bound on
+        their distance from what `score_batch` gives. A failed candidate
+        scores -inf, margin 0.
+
+        `inverse` and `rho` are the size's F^{-1} and rho (`_gram_screen`),
+        `AhY` (N, T n) is A^H values for the whole matrix and the block
+        `_columns` gives, so b = A_S^H y is a row gather, and `ysq` (n,) is
+        |y|^2 summed per observation. By Woodbury,
+
+            y^H Sigma_S^{-1} y = (|y|^2 - |F^{-1} b|^2) / sigma2,
+
+        O(K^2) per (support, column) against the O(M K) of
+        `CovarianceFactors.energies`. Supports are gathered
+        `spectra.SCORE_CHUNK_ELEMENTS` // (K T n) at a time.
+
+        The margin. With u = eps, rho >= ||A_S||_F ||F^{-1}|| and, to first
+        order in u: b is formed with |db| <= M u ||A_S|| |y|, which moves
+        q = |F^{-1} b|^2 <= |y|^2 by at most 2 |F^{-1} b| ||F^{-1}|| |db|
+        <= 2 M u rho |y|^2. The Gram A_S^H A_S, formed from the gathered
+        columns, is within M u ||A_S||_F^2 of the exact one, and Cholesky and
+        triangular inversion are backward stable, so the computed F^{-1} is
+        the exact one of sigma2 I + A_S^H A_S + D with
+        ||D|| <= c (M + K) u (sigma2 + ||A_S||_F^2). q = b^H (F F^H)^{-1} b
+        then moves by at most ||F^{-H} F^{-1} b||^2 ||D||
+        <= c (M + K) u (1 + rho^2) |y|^2, since sigma2 ||F^{-1}||^2 <= 1 and
+        |F^{-1} b| <= |y|. Forming F^{-1} b, the squares and the difference
+        add (2 K rho + K + M + 1) u |y|^2. `energies` is as close to the true
+        form: its residual is formed explicitly, and a backward error dC of
+        C = R R^H + sigma2 I moves w^H C^{-1} w by at most
+        ||C^{-1} w||^2 ||dC|| <= c (M + K) u (1 + rho^2) |y|^2 / sigma2,
+        because C's eigenvalues are among those of F F^H. Hence the forms
+        differ by at most
+
+            SCREEN_ROUNDING (M + K) u (1 + rho)^2 |y|^2 / sigma2,
+
+        summed per observation. In score units that is times kappa, and each
+        scorer's rounding of offset - kappa * form adds at most
+        2 u (|offset| + kappa |y|^2 / sigma2), so the margin adds
+        4 u (|offset| + kappa |y|^2 / sigma2). Nearly collinear supports have
+        a large rho and so widen their own margin; rho = inf (an F that fails
+        `_whitener`) makes it inf, so such a support is always rescored.
+        """
+        L, K = factors.rows.shape
+        energy = np.empty((L, len(ysq)))
+        step = max(1, spectra.SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
+        for start in range(0, L, step):
+            # F^{-1} A_S^H y for supports start .. start + step - 1
+            z = inverse[start:start + step] @ AhY[factors.rows[start:start + step]]
+            energy[start:start + step] = _column_energy(z.reshape(len(z), K * T, -1))
+        np.subtract(ysq, energy, out=energy)
+        energy *= -self.kappa / factors.sigma2
         offsets = self._offsets(T, factors.logdet)
-        energy *= -self.kappa
         energy += offsets
-        # the margin in score units, plus the rounding of offset - kappa * energy
-        # in both scorers
         eps = np.finfo(np.float64).eps
-        margin *= self.kappa
-        margin += 4.0 * eps * np.abs(offsets)
-        margin += (4.0 * eps * self.kappa / factors.sigma2) * ysq
+        margin = 4.0 * eps * np.abs(offsets) + np.multiply.outer(
+            SCREEN_ROUNDING * (self.M + K) * (1.0 + rho) ** 2 + 4.0,
+            (eps * self.kappa / factors.sigma2) * ysq)
         failed = list(factors.failures)
-        energy[failed] = -np.inf
-        margin[failed] = 0.0
+        energy[failed], margin[failed] = -np.inf, 0.0
         return energy, margin
 
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
@@ -225,8 +307,8 @@ class SupportDecoder:
         index `_pick(score_batch(Ys))` gives, with the tie-break of
         :meth:`decode_index`.
 
-        Candidates are screened in Gram space (`CovarianceFactors.screen`),
-        each within its margin m of its exact score. In a trial, a candidate is
+        Candidates are screened in Gram space (`_screen`), each within its
+        margin m of its exact score. In a trial, a candidate is
         near when screen + m reaches the largest screen - m of the trial; any
         other candidate's exact score lies below that of the candidate that
         attains it. A trial with one near candidate takes it; the near
@@ -238,7 +320,8 @@ class SupportDecoder:
         n = values.shape[1] // T
         AhY = self._entries.conj().T @ values
         ysq = _column_energy(values.reshape(1, self.M * T, n))[0]       # |y_i|^2
-        parts = [self._screen(factors, AhY, ysq, T) for _, factors in self._groups]
+        parts = [self._screen(factors, *gram, AhY, ysq, T)
+                 for (_, factors), gram in zip(self._groups, self._grams)]
         if len(parts) == 1:
             scores, margins = parts[0]
         else:

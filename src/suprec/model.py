@@ -409,7 +409,7 @@ def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
             )
         picks = combinations(range(N), M)
     elif mode == "sampled":
-        if count is None or count < 1:
+        if count is None or _integer(count, "count") < 1:
             raise ValueError("sampled mode requires a positive count")
         rng = substream(seed, "non-degenerate-sample")
         picks = (tuple(sorted(rng.choice(N, size=M, replace=False).tolist())) for _ in range(count))

@@ -183,6 +183,14 @@ def _check_counts(**counts) -> None:
                 raise ValueError(f"need {name} >= 1, got {v!r}")
 
 
+def _check_grid(**grids) -> None:
+    """Each keyword's sequence (a grid's noise levels or Ts) must hold at
+    least one point; a `ValueError` names the keyword that is empty."""
+    for name, grid in grids.items():
+        if not len(grid):
+            raise ValueError(f"need at least one point in {name}, got an empty grid")
+
+
 def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:
     low, high = clopper_pearson(errors, trials)
     return ErrorEstimate(p_hat=errors / trials, trials=trials, ci_low=low,
@@ -261,6 +269,7 @@ def estimate_binary_perrs(A, S0: Support, S1: Support, sigma2s, Ts, trials: int,
     if S0.size != S1.size:
         raise ValueError("binary estimation needs supports of equal size")
     _check_counts(trials=trials, T=Ts)
+    _check_grid(sigma2s=sigma2s, Ts=Ts)
     decoders = [lrt_decoder(A, S0, S1, sigma2) for sigma2 in sigma2s]
     rows = np.array([S0.indices, S1.indices], dtype=np.intp)
     errors = np.zeros((len(Ts), len(sigma2s)), dtype=np.int64)
@@ -292,6 +301,7 @@ def estimate_multiple_perrs(A, factors, Ts, trials: int, seed: int) -> list:
     decodes the same trial blocks (`draw_level_blocks`), and a set of other
     rows is a `ValueError` from `SupportDecoder`."""
     _check_counts(trials=trials, T=Ts)
+    _check_grid(factors=factors, Ts=Ts)
     rows = factors[0].rows
     K = rows.shape[1]
     sigma2s = [f.sigma2 for f in factors]
@@ -332,6 +342,7 @@ def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: i
     estimate per point in that order: each matrix and its decoders are built
     once, and its trial blocks drawn once per T and decoded at every level."""
     _check_counts(T=Ts, matrix_draws=matrix_draws, trials_per_matrix=trials_per_matrix)
+    _check_grid(sigma2s=sigma2s, Ts=Ts)
     rows = support_rows(N, K)
     blocks_per_matrix = math.ceil(trials_per_matrix / TRIAL_BLOCK)
     errors = np.zeros((len(Ts), len(sigma2s), matrix_draws), dtype=np.int64)

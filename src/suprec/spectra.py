@@ -33,18 +33,16 @@ Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
 the supports' columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those
 factors give every log-determinant and quadratic form the decoders need
-(`CovarianceFactors.energies`) and the sum of inverses in the exact Fano beta.
-At every K they also hold the inverse Cholesky factor F^{-1} of
-sigma^2 I + R^H R, with which `CovarianceFactors.screen` scores an observation
-column in O(K^2) from A^H y (Woodbury) and bounds its distance from
-`energies`; the ML decoder screens with it and rescores only near-ties. Both
-read the one observation block of `SupportDecoder._columns`.
+(`CovarianceFactors.energies`, which reads the one observation block of
+`SupportDecoder._columns`) and the sum of inverses in the exact Fano beta.
+They hold nothing else: the K x K Gram factors with which the ML decoder
+ranks candidates before it rescores near-ties are built and owned by
+`decode.SupportDecoder`.
 
 Every covariance is factored by `_whitener`, the one caller of
 `np.linalg.cholesky`: one stacked call, item by item only when it breaks down,
 and one failure rule, a NaN factor or a pivot at its rounding floor.
-`covariance_factors` records failures per support (its Gram-screen factor F
-marks them instead, so those supports are always rescored); `_inverse_factor`,
+`covariance_factors` records failures per support; `_inverse_factor`,
 the raising form behind `_pencil` and the dense `decode.log_likelihood`,
 raises the first, as "covariance factorization failed (...)".
 """
@@ -60,6 +58,7 @@ from .model import (
     CapExceeded,
     NumericFailure,
     Support,
+    _integer,
     as_matrix,
     substream,
     unrank_supports,
@@ -68,13 +67,10 @@ from .model import (
 PAIR_CAP = 10**7
 PAIR_BLOCK = 1024     # ordered pairs scored per stacked kernel call
 # Entries of the (c, M, T n) residual buffer of `CovarianceFactors.energies`
-# and of the (c, K, T n) buffers of `CovarianceFactors.screen`, which score c
-# supports at a time: it bounds the scoring's working memory whatever the
-# number of supports or the size of the block.
+# and of the (c, K, T n) Gram-space buffers of `decode.SupportDecoder`, which
+# score c supports at a time: it bounds the scoring's working memory whatever
+# the number of supports or the size of the block.
 SCORE_CHUNK_ELEMENTS = 2**15
-# Constant of the Gram screen's margin (`CovarianceFactors.screen`): it covers
-# the rounding constants of both scorers, real or complex.
-SCREEN_ROUNDING = 16
 # Constant of the incoherence floor's margin (`_pair_floors`): it covers the
 # rounding constants of the floor and of the exact pencil, real or complex.
 FLOOR_ROUNDING = 16
@@ -144,10 +140,7 @@ class CovarianceFactors:
         log|Sigma_S| = (M - p) log sigma2 + log|C|        (Hager, SIAM Rev. 1989),
         y^H Sigma_S^{-1} y = |y - Q w|^2 / sigma2 + |G^{-1} w|^2,  w = Q^H y.
 
-    `proj` is each support's one copy of Q, as Q^H over G^{-1} Q^H. For
-    `screen`, at every K, `gram_inv` holds the inverse factor F^{-1} of
-    F F^H = sigma2 I + R^H R = sigma2 I + A_S^H A_S and `cond` the
-    conditioning factor rho = ||A_S||_F ||F^{-1}||_F of each support.
+    `proj` is each support's one copy of Q, as Q^H over G^{-1} Q^H.
 
     A support whose C is not numerically positive definite is listed in
     `failures` (row position -> message); its `logdet` is +inf and its Q is
@@ -159,8 +152,6 @@ class CovarianceFactors:
     sigma2: float
     failures: dict
     rows: np.ndarray         # (L, K) column indices of the supports
-    gram_inv: np.ndarray     # (L, K, K) F^{-1}; zero for a failed support
-    cond: np.ndarray         # (L,) rho; inf where F fails `_whitener`, 0 for a failed support
 
     def energies(self, values: np.ndarray, T: int, which=slice(None)) -> np.ndarray:
         """Quadratic forms y^H Sigma_S^{-1} y of n observations of T columns
@@ -197,54 +188,6 @@ class CovarianceFactors:
             out[start:stop] = energy
         return out
 
-    def screen(self, AhY: np.ndarray, ysq: np.ndarray, T: int) -> tuple:
-        """Gram-space quadratic forms y^H Sigma_S^{-1} y of n observations of
-        T columns each, summed per observation, and a bound on their distance
-        from `energies`: (energies, margins), each (L, n).
-
-        `AhY` (N, T n) is A^H values for the whole matrix and the `values`
-        that `energies` reads, so b = A_S^H y is a row gather; `ysq` (n,) is
-        |y|^2 summed per observation. By Woodbury,
-
-            y^H Sigma_S^{-1} y = (|y|^2 - |F^{-1} b|^2) / sigma2,
-
-        O(K^2) per (support, column) against the O(M K) of `energies`. Supports
-        are gathered SCORE_CHUNK_ELEMENTS // (K T n) at a time.
-
-        The margin. With u = eps, rho >= ||A_S|| ||F^{-1}|| and, to first order
-        in u: b is formed with |db| <= M u ||A_S|| |y|, which moves
-        q = |F^{-1} b|^2 <= |y|^2 by at most 2 |F^{-1} b| ||F^{-1}|| |db|
-        <= 2 M u rho |y|^2. QR, Cholesky and triangular inversion are backward
-        stable, so the computed F^{-1} is the exact one of
-        sigma2 I + A_S^H A_S + D with ||D|| <= c (M + K) u (sigma2 + ||A_S||^2);
-        q = b^H (F F^H)^{-1} b then moves by at most
-        ||F^{-H} F^{-1} b||^2 ||D|| <= c (M + K) u (1 + rho^2) |y|^2, since
-        sigma2 ||F^{-1}||^2 <= 1. Forming F^{-1} b, the squares and the
-        difference add (2 K rho + K + M + 1) u |y|^2. `energies` is as close to
-        the true form: its residual is formed explicitly, and a backward error
-        dC of C = R R^H + sigma2 I moves w^H C^{-1} w by at most
-        ||C^{-1} w||^2 ||dC|| <= c (M + K) u (1 + rho^2) |y|^2 / sigma2, because
-        C's eigenvalues are among those of F F^H. Hence
-
-            |screen - energies| <= SCREEN_ROUNDING (M + K) u (1 + rho)^2 |y|^2 / sigma2,
-
-        summed per observation, which is the margin. Nearly collinear supports have a
-        large rho and so widen their own margin; rho = inf (an F that fails
-        `_whitener`) makes the margin inf, so such a support is always rescored.
-        """
-        L, K = self.rows.shape
-        out = np.empty((L, AhY.shape[1] // T))
-        step = max(1, SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
-        for start in range(0, L, step):
-            stop = min(start + step, L)
-            z = self.gram_inv[start:stop] @ AhY[self.rows[start:stop]]   # F^{-1} A_S^H y
-            out[start:stop] = _column_energy(z.reshape(stop - start, K * T, -1))
-        np.subtract(ysq, out, out=out)
-        out /= self.sigma2
-        M = self.proj.shape[2]
-        factor = SCREEN_ROUNDING * (M + K) * np.finfo(np.float64).eps / self.sigma2
-        return out, np.multiply.outer(factor * (1.0 + self.cond) ** 2, ysq)
-
 
 def _column_energy(x: np.ndarray) -> np.ndarray:
     """Squared norm of each column of each matrix in a stack (c, m, n), as
@@ -259,10 +202,9 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     """Factors of Sigma_S for the supports of one matrix A (M, N) given as an
     (L, K) array of rows.
 
-    One stacked QR and one `_whitener` of C serve all L supports, and a
-    second `_whitener` factors F F^H for the screen; a support fails by the
-    `_whitener` rule, for instance when A_S has duplicate columns and sigma2
-    is below eps^2 |A_S|^2.
+    One stacked QR and one `_whitener` of C serve all L supports; a support
+    fails by the `_whitener` rule, for instance when A_S has duplicate columns
+    and sigma2 is below eps^2 |A_S|^2.
     """
     entries, _ = as_matrix(A)
     if sigma2 <= 0:
@@ -280,14 +222,7 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     Q[failed] = 0.0
     Qh = Q.conj().swapaxes(1, 2)
     proj = np.concatenate([Qh, np.linalg.solve(G, Qh)], axis=1)
-    F, _, broken = _whitener(_gram(R.conj().swapaxes(1, 2), sigma2))         # sigma2 I + R^H R
-    F[broken | failed] = np.eye(rows.shape[1])
-    gram_inv = np.linalg.inv(F)
-    gram_inv[failed] = 0.0
-    cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(gram_inv, axis=(1, 2))
-    cond[broken] = np.inf
-    cond[failed] = 0.0
-    return CovarianceFactors(proj, logdet, float(sigma2), failures, rows, gram_inv, cond)
+    return CovarianceFactors(proj, logdet, float(sigma2), failures, rows)
 
 
 def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
@@ -540,7 +475,7 @@ def _check_pair_walk(M: int, N: int, K: int, mode: str = "exhaustive", sample_co
         if n_pairs > cap:
             raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {cap}{cap_hint}")
     elif mode == "sampled":
-        if sample_count is None or sample_count < 1:
+        if sample_count is None or _integer(sample_count, "sample_count") < 1:
             raise ValueError("sampled mode requires a positive sample_count")
         if n_pairs > np.iinfo(np.int64).max:
             raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import suprec.decode as decode
+import suprec.montecarlo as mc
 import suprec.spectra as spectra
 from suprec import (
     FieldTag,
@@ -446,9 +448,23 @@ def screen_matches_scores(decoder, Ys):
     return rescored
 
 
+def screen_builds(monkeypatch):
+    """The list to which every Gram screen built (a `decode._gram_screen`
+    call) appends its sigma2, in the order they are built."""
+    built = []
+    gram_screen = decode._gram_screen
+
+    def spy(columns, factors):
+        built.append(factors.sigma2)
+        return gram_screen(columns, factors)
+
+    monkeypatch.setattr(decode, "_gram_screen", spy)
+    return built
+
+
 class TestGramScreen:
     """`decode_index_batch` screens candidates in K x K Gram space
-    (`CovarianceFactors.screen`) and rescores near-ties exactly; its picks
+    (`SupportDecoder._screen`) and rescores near-ties exactly; its picks
     must be those of `_pick(score_batch)` in every case."""
 
     FIELDS = [FieldTag.REAL, FieldTag.COMPLEX]
@@ -462,10 +478,12 @@ class TestGramScreen:
             Ys = model_observations(A, candidates, sigma2, 64, 3, seed=8)
             decoder = SupportDecoder(A, candidates, sigma2)
             (_, factors), = decoder._groups
+            (inverse, rho), = decoder._grams
             values, T = decoder._columns(Ys)
             ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-            screened, margin = factors.screen(A.entries.conj().T @ values, ysq, T)
-            exact = factors.energies(values, T)
+            screened, margin = decoder._screen(factors, inverse, rho, A.entries.conj().T @ values,
+                                               ysq, T)
+            exact = decoder._scores(values, T)
             assert np.max(np.abs(screened - exact) / margin) <= 1e-2
             rescored = screen_matches_scores(decoder, Ys)
             # With K > M, F F^H has K - M eigenvalues sigma2, so rho >= ||A_S||_F / sigma:
@@ -479,7 +497,7 @@ class TestGramScreen:
         A = gaussian_instance(6, 8, field, seed=41, label="screen")
         candidates = enumerate_supports(8, 2)
         Ys = model_observations(A, candidates, 0.3, 40, 2, seed=9)
-        monkeypatch.setattr(spectra, "SCREEN_ROUNDING", 1e12)
+        monkeypatch.setattr(decode, "SCREEN_ROUNDING", 1e12)
         rows = np.array([S.indices for S in candidates])
         for given in (rows, candidates):
             rescored = screen_matches_scores(SupportDecoder(A, given, 0.3), Ys)
@@ -498,10 +516,10 @@ class TestGramScreen:
             Ys[:8] = A.entries[:, [0]] * np.arange(1, 9)[:, None, None] + 1e-3 * Ys[:8]
             decoder = SupportDecoder(A, candidates, sigma2)
             assert decoder.failures == {}
-            (_, factors), = decoder._groups
             if sigma2 == 1e-4:
+                (_, rho), = decoder._grams
                 pair = candidates.index(make_support([0, 1], 7))
-                assert factors.cond[pair] > 50 * np.median(factors.cond)
+                assert rho[pair] > 50 * np.median(rho)
             assert screen_matches_scores(decoder, Ys)
 
     def test_exact_ties_as_rows_and_supports(self):
@@ -562,5 +580,45 @@ class TestGramScreen:
         monkeypatch.setattr(spectra, "SCORE_CHUNK_ELEMENTS", 3 * 2 * 9 * 2)   # screen chunks of 3
         decoder = SupportDecoder(A, candidates, 0.5)
         screen_matches_scores(decoder, Ys)
-        monkeypatch.setattr(spectra, "SCREEN_ROUNDING", 1e12)            # and rescoring chunks
+        monkeypatch.setattr(decode, "SCREEN_ROUNDING", 1e12)            # and rescoring chunks
         assert screen_matches_scores(decoder, Ys)
+
+    def test_covariance_factors_factor_once(self, monkeypatch):
+        # the screen's Gram factor is the decoder's: `covariance_factors`
+        # factors only the C of its supports
+        shapes = []
+        whitener = spectra._whitener
+
+        def spy(C):
+            shapes.append(C.shape)
+            return whitener(C)
+
+        monkeypatch.setattr(spectra, "_whitener", spy)
+        spectra.covariance_factors(gaussian_instance(6, 8, seed=47, label="screen"),
+                                   support_rows(8, 2), 0.5)
+        assert shapes == [(28, 2, 2)]
+
+    def test_binary_decoders_build_no_screen(self, monkeypatch):
+        built = screen_builds(monkeypatch)
+        A = gaussian_instance(6, 8, FieldTag.COMPLEX, seed=48, label="screen")
+        S0, S1 = make_support([0, 1], 8), make_support([2, 5], 8)
+        binary_lrt(np.ones((6, 2)), A, S0, S1, 0.5)
+        mc.estimate_binary_perrs(A, S0, S1, [0.1, 0.5], [1, 2], 50, 1)
+        assert built == []
+
+    def test_each_level_builds_its_screen_once(self, monkeypatch):
+        # 2 Ts x 2 noise levels x 3 trial blocks decode 12 times with 2 screens
+        built = screen_builds(monkeypatch)
+        decodes = []
+        decode_index_batch = SupportDecoder.decode_index_batch
+
+        def spy(decoder, Ys):
+            decodes.append(len(Ys))
+            return decode_index_batch(decoder, Ys)
+
+        monkeypatch.setattr(SupportDecoder, "decode_index_batch", spy)
+        A = gaussian_instance(4, 6, seed=49, label="screen")
+        sigma2s = [0.1, 0.5]
+        factors = [spectra.covariance_factors(A, support_rows(6, 2), s) for s in sigma2s]
+        mc.estimate_multiple_perrs(A, factors, [1, 2], 2 * mc.TRIAL_BLOCK + 1, 1)
+        assert len(decodes) == 12 and built == sigma2s

@@ -65,6 +65,11 @@ CASES = {
                                                "field": "complex"}, 11, "csv"),
     "simulate-ensemble": ("simulate", ENSEMBLE, 7, "csv"),
     "simulate-ensemble-json": ("simulate", ENSEMBLE, 7, "json"),
+    # K > M: at sigma2 = 1e-8 the Gram screen's margins leave every candidate
+    # near, so the exact rescoring decides every trial
+    "simulate-ensemble-k-above-m": ("simulate", {**ENSEMBLE, "N": 7, "M": 3, "K": 4,
+                                                 "sigma2": [1e-8, 0.5], "trials_per_matrix": 100,
+                                                 "field": "real"}, 5, "csv"),
     "eig-check": ("eig-check", {"grid": {"M": [6, 8], "K": [1, 2]}, "draws_per_cell": 3,
                                 "sigma2": 0.8, "field": "complex"}, 2, "csv"),
     "eig-check-tiny-noise": ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2,

@@ -511,6 +511,37 @@ def test_counts_are_integers_of_at_least_one(case):
         call(A, make_support([0, 1], 6), make_support([2, 3], 6))
 
 
+# case -> (argument it names, grid estimator call on a real 4 x 6 matrix A and
+# the supports S0 = {0, 1}, S1 = {2, 3}) with that grid argument empty
+EMPTY_GRID_CASES = {
+    "binary-sigma2s": ("sigma2s", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [], [1],
+                                                                              10, 1)),
+    "binary-Ts": ("Ts", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [0.5], [], 10, 1)),
+    "multiple-factors": ("factors", lambda A, S0, S1: mc.estimate_multiple_perrs(A, [], [1], 10,
+                                                                                 1)),
+    "multiple-Ts": ("Ts", lambda A, S0, S1: mc.estimate_multiple_perrs(
+        A, [covariance_factors(A, support_rows(6, 2), 0.5)], [], 10, 1)),
+    "ensemble-sigma2s": ("sigma2s", lambda A, S0, S1: mc.estimate_ensemble_perrs(
+        4, 6, 2, [], [1], 2, 10, 1)),
+    "ensemble-Ts": ("Ts", lambda A, S0, S1: mc.estimate_ensemble_perrs(4, 6, 2, [0.5], [], 2, 10,
+                                                                        1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_GRID_CASES))
+def test_empty_grids_raise_before_any_draw(case, monkeypatch):
+    # a ValueError that names the argument, not an IndexError or an empty list
+    name, call = EMPTY_GRID_CASES[case]
+    A = sample_gaussian_matrix(4, 6, FieldTag.REAL, substream(0, "count-args"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was drawn before the grid was checked")
+
+    monkeypatch.setattr(mc, "substream", refuse)
+    with pytest.raises(ValueError, match=f"^need at least one point in {name},"):
+        call(A, make_support([0, 1], 6), make_support([2, 3], 6))
+
+
 def test_any_integer_sequence_is_a_grid_of_Ts():
     A = sample_gaussian_matrix(4, 6, FieldTag.REAL, substream(0, "count-args"))
     S0, S1 = make_support([0, 1], 6), make_support([2, 3], 6)

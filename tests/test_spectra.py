@@ -610,6 +610,18 @@ class TestMatrixIncoherence:
             matrix_incoherence(A, 6, 1.0, mode="sampled", sample_count=50, seed=1)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=2.5)),
+    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=True)),
+    ("count", lambda A: model.check_non_degenerate(A, mode="sampled", count=2.5)),
+    ("count", lambda A: model.check_non_degenerate(A, mode="sampled", count=True)),
+], ids=["sample_count-fraction", "sample_count-bool", "count-fraction", "count-bool"])
+def test_sample_counts_are_integers(name, call):
+    # a ValueError that names the argument, not numpy's TypeError from the draw
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(gaussian_instance(6, 8, seed=7))
+
+
 def sin_grid_ula(M, N):
     """ULA on a grid uniform in sin(theta): shifting both supports of a pair by
     one column keeps every Gram entry, so shifted pairs tie in exact arithmetic."""
