@@ -8,7 +8,10 @@ from one spectrum); over all C(N, K) supports,
 `fano_beta_exact` takes it from the stacked low-rank covariance factors, and
 `fano_betas` at several T from factors already built (`simulate` gives the
 same factor sets to `montecarlo.estimate_multiple_perrs`, the owner of the
-Monte Carlo (T, sigma2) grid). The dense `kl_divergence` of two M x M
+Monte Carlo (T, sigma2) grid). The sum of inverse covariances in beta is the
+factors' own `CovarianceFactors.inverse_sum`: `spectra` decides how Grams and
+covariances are factored and is the one reader of their layout, and this
+module reads no factor. The dense `kl_divergence` of two M x M
 covariances is the reference form for both. Threshold formulas are evaluated in the log domain
 (`log_binomial`) so they stay finite up to N ~ 1e6.
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import NumericFailure, Support, as_matrix, support_rows
+from .model import Support, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherences
 
 LOG2 = math.log(2.0)
@@ -227,22 +230,14 @@ def fano_beta_exact(A, K: int, sigma2: float, T: int) -> float:
 def fano_betas(A, factors, Ts) -> list:
     """`fano_beta_exact` at each T of `Ts`, from `factors`, the
     `covariance_factors` of all C(N, K) size-K supports (`support_rows`) at one
-    sigma2: the trace in beta does not depend on T, so it is formed once."""
+    sigma2: the trace in beta does not depend on T, so it is formed once, from
+    their `CovarianceFactors.inverse_sum`."""
     entries, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
     M, N = entries.shape
     L, K = factors.rows.shape
-    sigma2 = factors.sigma2
-    if factors.failures:
-        raise NumericFailure(next(iter(factors.failures.values())))
-    p = factors.proj.shape[1] // 2
-    Qh = factors.proj[:, :p].reshape(L * p, M)          # the Q_j^H, stacked
-    Bh = factors.proj[:, p:].reshape(L * p, M)          # the G_j^{-1} Q_j^H, stacked
-    inv_sum = Bh.conj().T @ Bh
-    if p < M:
-        inv_sum += (L * np.eye(M) - Qh.conj().T @ Qh) / sigma2
-    sigma_sum = L * sigma2 * np.eye(M) + math.comb(N - 1, K - 1) * (entries @ entries.conj().T)
-    total = np.einsum("ab,ba->", inv_sum, sigma_sum).real
+    sigma_sum = L * factors.sigma2 * np.eye(M) + math.comb(N - 1, K - 1) * (entries @ entries.conj().T)
+    total = np.einsum("ab,ba->", factors.inverse_sum(), sigma_sum).real
     return [float(kappa * T / (2.0 * L * L) * (total - L * L * M)) for T in Ts]
 
 

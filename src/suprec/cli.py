@@ -304,7 +304,7 @@ def _validate_simulate(config: dict) -> dict:
                                 _require(config, key, list, where), N) for key in ("S0", "S1"))
         if S0.size != K or S1.size != K:
             raise ConfigError(f"{where}: supports must have size K={K}")
-        _checked_call(where, _pair_union, [S0.indices], [S1.indices], M)
+        _checked_call(where, _pair_union, [S0.indices], [S1.indices], M, N)
         plan["S0"], plan["S1"] = S0, S1
     else:
         _support_count(N, K)

@@ -19,12 +19,15 @@ estimators call, returns the pick of `score_batch` but screens first: it
 scores every candidate in K x K Gram space (`_screen`), each within a
 rounding margin of its exact score, and rescores exactly only the candidates
 of a trial whose margins reach the best one's, at every support size. The
-decoder is the screen's one owner: it factors each support size's Gram
-sigma2 I + A_S^H A_S once (`_gram_screen`), on its first
-`decode_index_batch`, so the exact scorers and the Fano beta never pay for
-it. `log_likelihood` takes one dense covariance and whitens with its
-inverse Cholesky factor (`spectra._inverse_factor`), which fails under the
-same pivot-floor rule as every other covariance.
+decoder decides when its screen is built: once per support size
+(`_gram_screen`), on its first `decode_index_batch`, so the exact scorers and
+the Fano beta never pay for it. `spectra` decides how: the screen's Gram
+sigma2 I + A_S^H A_S is factored and inverted by `spectra._gram_factor`, the
+kernel of the pair floors too. `log_likelihood` takes one dense covariance
+and whitens with its inverse Cholesky factor (`spectra._inverse_factor`),
+which fails under the same pivot-floor rule as every other covariance.
+Candidate rows follow the rule `Support` holds each support to
+(`model._check_rows`).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectra
-from .model import NumericFailure, Support, as_matrix
-from .spectra import _column_energy, _gram, _inverse_factor, _whitener, covariance_factors
+from .model import NumericFailure, Support, _check_rows, as_matrix
+from .spectra import _column_energy, _gram_factor, _inverse_factor, covariance_factors
 
 # Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
 # the rounding constants of both scorers, real or complex.
@@ -81,20 +84,16 @@ def binary_lrt(Y, A, S0: Support, S1: Support, sigma2: float) -> LrtResult:
     return LrtResult(choice=1 if statistic > 0 else 0, statistic=statistic)
 
 
-def _gram_screen(columns: np.ndarray, factors) -> tuple:
+def _gram_screen(entries: np.ndarray, factors) -> tuple:
     """(F^{-1}, rho) of the Gram screen for the supports of one
-    `covariance_factors` set: the inverse factors (L, K, K) of
-    F F^H = sigma2 I + A_S^H A_S, whose Gram is formed from the supports'
-    columns gathered from `columns`, the contiguous A^T (N, M), and
-    rho = ||A_S||_F ||F^{-1}||_F (L,). rho is inf where F fails `_whitener`,
-    and 0 for a failed support, whose screen score `SupportDecoder._screen`
-    discards."""
-    X = columns[factors.rows]                                   # (L, K, M): A_S^T
-    F, _, broken = _whitener(_gram(X.conj(), factors.sigma2))   # sigma2 I + A_S^H A_S
-    F[broken] = np.eye(X.shape[1])
-    inverse = np.linalg.inv(F)
-    rho = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
-    rho[broken] = np.inf
+    `covariance_factors` set of the matrix `entries` (M, N): the inverse
+    factors (L, K, K) of F F^H = sigma2 I + A_S^H A_S and
+    rho = ||A_S||_F ||F^{-1}||_F (L,), from `spectra._gram_factor` (first = 0),
+    which also factors the pair floors' Grams. rho is inf where F fails to
+    factor, and 0 for a failed support, whose screen score
+    `SupportDecoder._screen` discards."""
+    inverse, _, _, mass, spread = _gram_factor(entries, factors.rows, factors.sigma2, 0)
+    rho = np.sqrt(mass * spread)
     rho[list(factors.failures)] = 0.0
     return inverse, rho
 
@@ -111,18 +110,20 @@ class SupportDecoder:
 
     `candidates` is a sequence of `Support`s, of any sizes and of ambient
     dimension N (A's column count), or an (L, K) integer array of support
-    rows. The covariance factors of each support size are computed once per
-    (A, sigma2, candidates), in one `covariance_factors` call, and reused
-    across observations. A candidate whose factorization fails scores -inf
-    and is recorded in `failures` instead of aborting the decode. `factors`,
+    rows, each strictly increasing within [0, N) like a `Support`'s indices
+    (a `ValueError` otherwise). The covariance factors of each support size
+    are computed once per (A, sigma2, candidates), in one
+    `covariance_factors` call, and reused across observations. A candidate
+    whose factorization fails scores -inf and is recorded in `failures`
+    instead of aborting the decode. `factors`,
     when given, are the `covariance_factors` of candidates given as rows,
     already built at sigma2, and are not rebuilt: `estimate_multiple_perrs`
     decodes with the factor sets that `simulate` also gives the exact Fano
     beta. Factors of other rows or of another sigma2 are a `ValueError`.
 
-    The decoder is the one owner of the Gram screen of `decode_index_batch`:
-    it builds the screen's factors (`_grams`) on the first such call, once
-    per support size, and nothing else reads them.
+    The decoder owns the Gram screen of `decode_index_batch`: it builds the
+    screen's factors (`_grams`, by `spectra._gram_factor`) on the first such
+    call, once per support size, and nothing else reads them.
     """
 
     def __init__(self, A, candidates, sigma2: float, factors=None):
@@ -131,9 +132,7 @@ class SupportDecoder:
         self.M, self._N = entries.shape
         self._entries = entries
         if isinstance(candidates, np.ndarray):
-            if candidates.ndim != 2 or not candidates.shape[1] or candidates.dtype.kind not in "iu":
-                raise ValueError("candidate rows must be a 2-D integer array")
-            table = candidates.astype(np.intp, copy=False)
+            table = _check_rows(candidates, self._N, "candidate")
             self._supports = None
         else:
             self._supports = list(candidates)
@@ -145,8 +144,6 @@ class SupportDecoder:
                              dtype=np.intp)
         if not len(table):
             raise ValueError("candidate set must be nonempty")
-        if (self._supports is None and table.min() < 0) or table.max() >= self._N:
-            raise ValueError(f"candidate column indices must lie in [0, {self._N})")
         if factors is not None and not (self._supports is None and factors.sigma2 == sigma2
                                         and np.array_equal(factors.rows, table)):
             raise ValueError("factors must be those of the candidate rows at sigma2")
@@ -236,8 +233,7 @@ class SupportDecoder:
     def _grams(self) -> list:
         """The Gram screen's (F^{-1}, rho) of each support size, in the order of
         `_groups` (`_gram_screen`), built on the first `decode_index_batch`."""
-        columns = np.ascontiguousarray(self._entries.T)          # rows gather faster than columns
-        return [_gram_screen(columns, factors) for _, factors in self._groups]
+        return [_gram_screen(self._entries, factors) for _, factors in self._groups]
 
     def _screen(self, factors, inverse, rho, AhY, ysq, T: int) -> tuple:
         """(scores, margins), each (L, n), of one support size: Gram-space
@@ -281,7 +277,10 @@ class SupportDecoder:
         2 u (|offset| + kappa |y|^2 / sigma2), so the margin adds
         4 u (|offset| + kappa |y|^2 / sigma2). Nearly collinear supports have
         a large rho and so widen their own margin; rho = inf (an F that fails
-        `_whitener`) makes it inf, so such a support is always rescored.
+        to factor) makes it inf, so such a support is always rescored. F^{-1}
+        is inverted a row at a time and rho formed as the square root of
+        ||A_S||_F^2 ||F^{-1}||_F^2 (`spectra._gram_factor`): both are backward
+        stable to first order, which the constant covers.
         """
         L, K = factors.rows.shape
         energy = np.empty((L, len(ysq)))

@@ -242,6 +242,19 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_rows(rows, N: int, name: str) -> np.ndarray:
+    """`rows` as an (L, K) `intp` array, after the rule `Support` holds each
+    support to: a 2-D integer array of K >= 1 columns whose every row is
+    strictly increasing within [0, N). Else a `ValueError` naming `name`."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or not arr.shape[1] or arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} rows must be a 2-D integer array")
+    arr = arr.astype(np.intp, copy=False)
+    if (np.diff(arr, axis=1, prepend=-1, append=N) <= 0).any():
+        raise ValueError(f"{name} rows must be strictly increasing within [0, {N})")
+    return arr
+
+
 def make_support(indices: Iterable[int], N: int) -> Support:
     """Canonical sorted support over {0, ..., N-1}; rejects non-integer
     indices, dupes and range errors."""

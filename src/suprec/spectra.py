@@ -34,17 +34,23 @@ factors many supports of one matrix at once in K x K form: one stacked QR of
 the supports' columns and one stacked Cholesky of C = R R^H + sigma^2 I. Those
 factors give every log-determinant and quadratic form the decoders need
 (`CovarianceFactors.energies`, which reads the one observation block of
-`SupportDecoder._columns`) and the sum of inverses in the exact Fano beta.
-They hold nothing else: the K x K Gram factors with which the ML decoder
-ranks candidates before it rescores near-ties are built and owned by
-`decode.SupportDecoder`.
+`SupportDecoder._columns`) and the sum of inverses in the exact Fano beta
+(`CovarianceFactors.inverse_sum`). Only these methods read the factor layout
+(`proj`). The factors hold nothing else: the K x K Gram factors with which the
+ML decoder ranks candidates before it rescores near-ties are built when the
+decoder decides, on its first screened decode.
 
-Every covariance is factored by `_whitener`, the one caller of
-`np.linalg.cholesky`: one stacked call, item by item only when it breaks down,
-and one failure rule, a NaN factor or a pivot at its rounding floor.
-`covariance_factors` records failures per support; `_inverse_factor`,
-the raising form behind `_pencil` and the dense `decode.log_likelihood`,
-raises the first, as "covariance factorization failed (...)".
+This module decides how every covariance and Gram is factored. `_whitener`,
+the one caller of `np.linalg.cholesky`, makes one stacked call, item by item
+only when it breaks down, under one failure rule, a NaN factor or a pivot at
+its rounding floor. `covariance_factors` records failures per support;
+`_inverse_factor`, the raising form behind `_pencil` and the dense
+`decode.log_likelihood`, raises the first, as "covariance factorization
+failed (...)". `_gram_factor` is the one Gram kernel: it gathers column sets
+from a contiguous A^T, adds sigma^2 to the Gram's diagonal from a given entry
+on, factors it with `_whitener` and inverts the factor a row at a time. It
+serves both the decoder's Gram screen (sigma^2 I + A_S^H A_S) and
+`_pair_floors` (sigma^2 on S0 \\ S1's entries only).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .model import (
     CapExceeded,
     NumericFailure,
     Support,
+    _check_rows,
     _integer,
     as_matrix,
     substream,
@@ -128,6 +135,32 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
     return np.linalg.inv(G)
 
 
+def _gram_factor(entries: np.ndarray, rows: np.ndarray, sigma2: float, first: int) -> tuple:
+    """(Li, pivots, failed, mass, spread) of the Grams B = A_U^H A_U of the
+    column sets U of one matrix (M, N) given as rows (n, r), with sigma2 added
+    to their diagonal from entry `first` on: the inverses Li of the
+    `_whitener` factors L L^H = B, their squared pivots and failed mask,
+    ||A_U||_F^2 = tr(A_U^H A_U) and ||Li||_F^2. A failed item's L is the
+    identity and its spread is inf. The screen of `decode.SupportDecoder`
+    (first = 0: sigma2 I + A_S^H A_S) and `_pair_floors` (first = K) read it.
+    """
+    X = np.ascontiguousarray(entries.T)[rows]      # (n, r, M) A_U^T: rows gather faster than columns
+    B = X.conj() @ X.swapaxes(1, 2)
+    mass = np.einsum("nii->n", B).real
+    r = B.shape[1]
+    B[:, first:, first:] += sigma2 * np.eye(r - first)
+    L, pivots, failed = _whitener(B)
+    L[failed] = np.eye(r)
+    # L^{-1} a row at a time: `np.linalg.inv` is 1.7-4x slower on stacks of a
+    # few hundred or more, and no faster on a few dozen
+    Li = np.zeros_like(L)
+    for i in range(r):
+        Li[:, i, i] = 1.0
+        Li[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], Li[:, :i])
+        Li[:, i] /= L[:, i, i, None]
+    return Li, pivots, failed, mass, np.where(failed, np.inf, _column_energy(Li).sum(axis=1))
+
+
 @dataclass(frozen=True)
 class CovarianceFactors:
     """Low-rank factors of Sigma_S = A_S A_S^H + sigma2 I_M for L supports of
@@ -140,7 +173,8 @@ class CovarianceFactors:
         log|Sigma_S| = (M - p) log sigma2 + log|C|        (Hager, SIAM Rev. 1989),
         y^H Sigma_S^{-1} y = |y - Q w|^2 / sigma2 + |G^{-1} w|^2,  w = Q^H y.
 
-    `proj` is each support's one copy of Q, as Q^H over G^{-1} Q^H.
+    `proj` is each support's one copy of Q, as Q^H over G^{-1} Q^H; only the
+    methods `energies` and `inverse_sum` read it.
 
     A support whose C is not numerically positive definite is listed in
     `failures` (row position -> message); its `logdet` is +inf and its Q is
@@ -187,6 +221,20 @@ class CovarianceFactors:
                 energy += _column_energy(resid[:c].reshape(c, M * T, -1)) / self.sigma2
             out[start:stop] = energy
         return out
+
+    def inverse_sum(self) -> np.ndarray:
+        """sum_S Sigma_S^{-1} (M, M) over the L supports,
+        sum_S Q_S C_S^{-1} Q_S^H + (L I - sum_S Q_S Q_S^H) / sigma2, the second
+        term zero when p = M. A set with a failed support is a `NumericFailure`."""
+        if self.failures:
+            raise NumericFailure(next(iter(self.failures.values())))
+        L, p, M = self.proj.shape[0], self.proj.shape[1] // 2, self.proj.shape[2]
+        Qh = self.proj[:, :p].reshape(L * p, M)          # the Q_S^H, stacked
+        Bh = self.proj[:, p:].reshape(L * p, M)          # the G_S^{-1} Q_S^H, stacked
+        total = Bh.conj().T @ Bh
+        if p < M:
+            total += (L * np.eye(M) - Qh.conj().T @ Qh) / self.sigma2
+        return total
 
 
 def _column_energy(x: np.ndarray) -> np.ndarray:
@@ -400,13 +448,13 @@ def _reduced_spectra(entries: np.ndarray, k_d, union, K0: int, sigma2: float):
         yield sel, kd, R, np.linalg.eigvalsh(core + np.eye(R.shape[1]))
 
 
-def _pair_union(rows0, rows1, M: int) -> tuple:
-    """`_union_rows` of P ordered pairs of support rows, after the pair rule:
-    equal sizes, no pair of identical supports, and M >= 2 k_d for every pair,
-    so that both k_d-dimensional differences fit beside each other."""
-    rows0 = np.asarray(rows0, dtype=np.intp)
-    rows1 = np.asarray(rows1, dtype=np.intp)
-    if rows0.ndim != 2 or rows0.shape != rows1.shape:
+def _pair_union(rows0, rows1, M: int, N: int) -> tuple:
+    """`_union_rows` of P ordered pairs of support rows of an (M, N) matrix,
+    after the row rule (`model._check_rows`) and the pair rule: equal sizes,
+    no pair of identical supports, and M >= 2 k_d for every pair, so that
+    both k_d-dimensional differences fit beside each other."""
+    rows0, rows1 = _check_rows(rows0, N, "support"), _check_rows(rows1, N, "support")
+    if rows0.shape != rows1.shape:
         raise ValueError("pair incoherence requires equal-size supports")
     k_d, union = _union_rows(rows0, rows1)
     if k_d.min() == 0:
@@ -421,6 +469,8 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     support rows, on one matrix A or on a stack A (P, M, N) whose matrix n
     carries pair n: (values, k_d, top), where `top` (P, K) holds each pair's
     eigenvalues of H above 1 (by `_split_masks`) descending, padded with 1.
+    Rows that are not a 2-D integer array, each row strictly increasing
+    within [0, N), are a `ValueError` (`_pair_union`), checked once per call.
 
     With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
     for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
@@ -428,7 +478,7 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
     eigenvalues, one `_reduced_spectra` step (`_pencil`, `eigvalsh`) per k_d.
     """
     entries, _ = as_matrix(A)
-    k_d, union = _pair_union(rows0, rows1, entries.shape[-2])
+    k_d, union = _pair_union(rows0, rows1, *entries.shape[-2:])
     P, K = np.shape(rows0)
     if entries.ndim == 3 and len(entries) != P:
         raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {P}")
@@ -489,7 +539,8 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
                  sigma2: float) -> np.ndarray:
     """Certified floors (P,) under the computed `pair_incoherences` values of
     P ordered pairs of size-K supports of one matrix (M, N); NaN where the
-    Gram fails `_whitener`.
+    Gram fails `_whitener`. Each k_d group is one `_gram_factor` call
+    (first = K), the kernel of the decoder's Gram screen too.
 
     With the union ordered by `_union_rows` (S1's K columns, then the k_d of
     S0 \\ S1, r = K + k_d) and B = A_U^H A_U, the Cholesky factor L of
@@ -520,24 +571,11 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
     """
     k_d, union = _union_rows(rows0, rows1)
     M, K = entries.shape[0], rows1.shape[1]
-    columns = np.ascontiguousarray(entries.T)                    # rows gather faster than columns
     out = np.empty(len(k_d))
     for kd in sorted(set(k_d.tolist())):
         sel = k_d == kd
         r = K + kd
-        X = columns[union[sel, :r]]                              # (n, r, M) union columns
-        B = X.conj() @ X.swapaxes(1, 2)
-        mass = np.einsum("nii->n", B).real                       # tr(B) = ||A_U||_F^2
-        B[:, K:, K:] += sigma2 * np.eye(kd)
-        L, pivots, failed = _whitener(B)
-        L[failed] = np.eye(r)
-        # L^{-1} a row at a time: `np.linalg.inv` is 2-4x slower on these stacks
-        Li = np.zeros_like(L)
-        for i in range(r):
-            Li[:, i, i] = 1.0
-            Li[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], Li[:, :i])
-            Li[:, i] /= L[:, i, i, None]
-        spread = _column_energy(Li).sum(axis=1)                  # ||L^{-1}||_F^2
+        _, pivots, failed, mass, spread = _gram_factor(entries, union[sel, :r], sigma2, K)
         margin = (FLOOR_ROUNDING * (M + r) * r * np.finfo(np.float64).eps
                   * (np.sqrt(mass / sigma2) + (mass + r * sigma2) * spread))
         floors = np.exp(np.log(pivots[:, K:] / sigma2).sum(axis=1) / kd) * (1.0 - margin)

@@ -8,6 +8,7 @@ import pytest
 from suprec import (
     FieldTag,
     MeasurementMatrix,
+    NumericFailure,
     binary_chernoff,
     chernoff_mu,
     covariance,
@@ -329,6 +330,9 @@ class TestFanoBeta:
         total = sum(kl_divergence(sigmas[i], sigmas[j], 2, kappa)
                     for i in range(L) for j in range(L))
         assert fano_beta_exact(A, 2, sigma2, 2) == pytest.approx(total / L**2, rel=1e-9)
+        inverse_sum = covariance_factors(A, support_rows(5, 2), sigma2).inverse_sum()
+        want = sum(np.linalg.inv(S) for S in sigmas)
+        np.testing.assert_allclose(inverse_sum, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     def test_support_at_least_M(self):
         # K >= M: every Q_j is square, so the (L I - sum Q_j Q_j^H) term vanishes
@@ -340,12 +344,23 @@ class TestFanoBeta:
         total = sum(kl_divergence(sigmas[i], sigmas[j], 1, 1.0)
                     for i in range(L) for j in range(L))
         assert fano_beta_exact(A, 3, 0.5, 1) == pytest.approx(total / L**2, rel=1e-9)
+        want = sum(np.linalg.inv(S) for S in sigmas)
+        np.testing.assert_allclose(covariance_factors(A, support_rows(5, 3), 0.5).inverse_sum(),
+                                   want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_betas_from_shared_factors_are_the_exact_betas(self, field):
         A = gaussian_instance(4, 6, field, seed=3, label="beta")
         factors = covariance_factors(A, support_rows(6, 2), 0.7)
         assert fano_betas(A, factors, [1, 4, 1]) == [fano_beta_exact(A, 2, 0.7, T) for T in (1, 4, 1)]
+        # a set with a failed support (equal columns 0 and 1 at sigma2 = 1e-300)
+        # has no inverse sum
+        dup = A.entries.copy()
+        dup[:, 1] = dup[:, 0]
+        failed = covariance_factors(dup, support_rows(6, 2), 1e-300)
+        assert list(failed.failures) == [0]
+        with pytest.raises(NumericFailure, match="covariance factorization failed"):
+            fano_betas(dup, failed, [1])
 
     def test_exact_below_frobenius(self):
         for seed in range(200):

@@ -393,6 +393,8 @@ class TestCandidateTable:
         np.array([0, 1, 2]),                    # 1-D
         [make_support([1], 8), make_support([2, 7], 8)],    # a Support beyond N
         [make_support([1], 10), make_support([2], 10)],     # ambient_dim 10, N = 6
+        np.array([[1, 0], [2, 3]]),             # a row out of order
+        np.array([[2, 3], [0, 0]]),             # a repeated column
     ])
     def test_bad_candidates_are_rejected(self, candidates):
         A = gaussian_instance(4, 6, seed=50, label="table")
@@ -454,9 +456,9 @@ def screen_builds(monkeypatch):
     built = []
     gram_screen = decode._gram_screen
 
-    def spy(columns, factors):
+    def spy(entries, factors):
         built.append(factors.sigma2)
-        return gram_screen(columns, factors)
+        return gram_screen(entries, factors)
 
     monkeypatch.setattr(decode, "_gram_screen", spy)
     return built
@@ -485,6 +487,12 @@ class TestGramScreen:
                                                ysq, T)
             exact = decoder._scores(values, T)
             assert np.max(np.abs(screened - exact) / margin) <= 1e-2
+            # F^{-1} (`spectra._gram_factor`) and rho against a dense factor per support
+            for row, got, got_rho in zip(factors.rows, inverse, rho):
+                X = A.entries[:, row]
+                want = np.linalg.inv(np.linalg.cholesky(sigma2 * np.eye(K) + X.conj().T @ X))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+                assert got_rho == pytest.approx(np.linalg.norm(X) * np.linalg.norm(want), rel=1e-9)
             rescored = screen_matches_scores(decoder, Ys)
             # With K > M, F F^H has K - M eigenvalues sigma2, so rho >= ||A_S||_F / sigma:
             # at sigma2 = 1e-8 the margins may leave candidates near, to be rescored.

@@ -188,6 +188,36 @@ class TestStackedKernels:
             np.testing.assert_array_equal(qr_lower_bound_eigs(A, S0, S1, 0.4), lower[d])
             np.testing.assert_array_equal(upper_bound_eigs(A, S0, S1, 0.4), upper[d])
 
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_gram_factor_matches_dense(self, field, first):
+        # `_gram_factor`, the one factor kernel of the decoder's Gram screen
+        # (first = 0) and the pair floors (first = K = 2), against per-item
+        # `np.linalg.cholesky` and `np.linalg.inv`. Columns 7 and 8 are equal
+        # and 1e20 times larger than the rest, so the item that leads with
+        # both fails `_whitener` whatever sigma2 its diagonal gets.
+        entries = gaussian_instance(6, 9, field, seed=60, label="gram-factor").entries.copy()
+        entries[:, 7:] = 1e20 * entries[:, [0]]
+        rng = np.random.default_rng(61)
+        rows = np.array([[7, 8, 1, 3]] + [rng.permutation(7)[:4] for _ in range(30)])
+        sigma2 = 0.5
+        Li, pivots, failed, mass, spread = spectra._gram_factor(entries, rows, sigma2, first)
+        assert failed.tolist() == [True] + [False] * 30
+        assert np.array_equal(Li[0], np.eye(4)) and spread[0] == np.inf
+        for got in (Li, mass, spread):
+            assert not np.isnan(got).any()
+        for n, row in enumerate(rows):
+            X = entries[:, row]
+            B = X.conj().T @ X
+            np.testing.assert_allclose(mass[n], np.trace(B).real, rtol=1e-14)
+            if n:
+                B[first:, first:] += sigma2 * np.eye(4 - first)
+                G = np.linalg.cholesky(B)
+                want = np.linalg.inv(G)
+                np.testing.assert_allclose(pivots[n], np.abs(np.diag(G)) ** 2, rtol=1e-12)
+                np.testing.assert_allclose(Li[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                np.testing.assert_allclose(spread[n], np.sum(np.abs(want) ** 2), rtol=1e-12)
+
     def test_numeric_failures(self):
         S0, S1 = make_support([0, 1], 5), make_support([2, 3], 5)
         stack = draw_stack(6, 5, 4, FieldTag.REAL, label="failure")
@@ -495,6 +525,12 @@ class TestPairKernel:
             pair_incoherences(A, [[0, 1]], [[2, 3, 4]], 1.0)
         with pytest.raises(ValueError, match="M >= 2"):
             pair_incoherences(A, [[0, 1, 2, 3]], [[4, 5, 6, 7]], 1.0)
+        # a negative index is no column from the end, and a repeated one no support
+        for rows in ([[-1, 0]], [[0, 0]], [[3, 2]], [[0, 8]], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="support rows"):
+                pair_incoherences(A, rows, [[2, 5]], 1.0)
+            with pytest.raises(ValueError, match="support rows"):
+                pair_incoherences(A, [[2, 5]], rows, 1.0)
         stack = np.stack([A.entries] * 3)           # one pair per matrix: 3 matrices, 2 pairs
         with pytest.raises(ValueError, match="stack of 3 matrices"):
             pair_incoherences(stack, [[0, 1], [2, 3]], [[2, 3], [4, 5]], 1.0)
@@ -700,11 +736,12 @@ class TestPrunedWalk:
         assert np.all(floors <= exact)
 
     def test_floor_is_nan_where_the_gram_fails(self):
-        A = np.array(gaussian_instance(6, 7, seed=25, label="floor").entries)
-        A[:, 4] = A[:, 1]                      # S1 = {1, 4} has a singular Gram
-        floors = spectra._pair_floors(A, np.array([[0, 2], [0, 2]]), np.array([[1, 4], [1, 3]]),
-                                      1.0)
-        assert np.isnan(floors[0]) and np.isfinite(floors[1])
+        for field in (FieldTag.REAL, FieldTag.COMPLEX):
+            A = np.array(gaussian_instance(6, 7, field, seed=25, label="floor").entries)
+            A[:, 4] = A[:, 1]                      # S1 = {1, 4} has a singular Gram
+            floors = spectra._pair_floors(A, np.array([[0, 2], [0, 2]]),
+                                          np.array([[1, 4], [1, 3]]), 1.0)
+            assert np.isnan(floors[0]) and np.isfinite(floors[1])
 
     @pytest.mark.parametrize("sigma2", SIGMA2S)
     @pytest.mark.parametrize("case", [
