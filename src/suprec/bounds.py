@@ -55,6 +55,12 @@ class ThresholdReport:
     forms: dict
 
 
+def _check_sigma2(sigma2) -> None:
+    """The noise level's rule, as the CLI plan applies it: 0 < sigma2 < inf."""
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must lie in (0, inf), got {sigma2!r}")
+
+
 def _report(raw: float, applicable: bool, note: str = "", **extras) -> BoundReport:
     return BoundReport(raw_value=float(raw), clamped=min(1.0, max(0.0, raw)),
                        applicable=applicable, precondition_note=note, extras=extras)
@@ -250,6 +256,7 @@ def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     kappa = fieldtag.kappa
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
+    _check_sigma2(sigma2)
     fro_sq = float(np.sum(np.abs(entries) ** 2))
     return kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * fro_sq
 
@@ -267,6 +274,7 @@ def fano_lower(beta: float, L: int) -> BoundReport:
 def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: float) -> BoundReport:
     """Fano bound on the Gaussian-ensemble average error, substituting the
     expected total gain E||A||_F^2 = M*N."""
+    _check_sigma2(sigma2)
     beta = kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * (M * N)
     report = fano_lower(beta, math.comb(N, K))
     return BoundReport(report.raw_value, report.clamped, report.applicable,
@@ -294,6 +302,7 @@ def _fano_threshold(quantity: str, formula_id: str, inputs: dict, denom,
         raise ValueError("need delta > 0 and epsilon + delta < 1")
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
+    _check_sigma2(sigma2)
     factor = 1.0 - epsilon if delta is None else 1.0 - epsilon - delta
     log_binom = log_binomial(N, K)
     d = denom()
@@ -397,6 +406,7 @@ def expected_incoherence_bounds(M: int, K: int, k_d: int, sigma2: float) -> tupl
         raise ValueError(f"need M > K + k_d, got M={M}, K={K}, k_d={k_d}")
     if not 1 <= k_d <= K:
         raise ValueError("need 1 <= k_d <= K")
+    _check_sigma2(sigma2)
     return 1.0 + (M - K - k_d) / sigma2, 1.0 + M / sigma2
 
 

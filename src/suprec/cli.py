@@ -22,8 +22,9 @@ output, 3 resource-cap error: a `simulate` in multiple or ensemble mode whose
 C(N, K) candidate supports exceed `model.DEFAULT_ENUMERATION_CAP`, or an
 incoherence pair walk (`simulate` multiple, `doa` `ula_lambda`) over more
 ordered pairs than `spectra.PAIR_CAP` (exhaustive) or a 64-bit pair index
-(sampled). Each cap is checked in the plan, by the rule the run uses, before
-anything runs. Nothing is written on error.
+(sampled). Both caps are module constants, read at call time; no config key
+or argument overrides them. Each cap is checked in the plan, by the rule the
+run uses, before anything runs. Nothing is written on error.
 """
 
 from __future__ import annotations

@@ -294,9 +294,11 @@ class SupportDecoder:
         offsets = self._offsets(T, factors.logdet)
         energy += offsets
         eps = np.finfo(np.float64).eps
+        spread = SCREEN_ROUNDING * (self.M + K) * (1.0 + rho) ** 2 + 4.0
+        wide = np.isinf(spread)              # F failed: inf * |y|^2 would be NaN at y = 0
         margin = 4.0 * eps * np.abs(offsets) + np.multiply.outer(
-            SCREEN_ROUNDING * (self.M + K) * (1.0 + rho) ** 2 + 4.0,
-            (eps * self.kappa / factors.sigma2) * ysq)
+            np.where(wide, 0.0, spread), (eps * self.kappa / factors.sigma2) * ysq)
+        margin[wide] = np.inf
         failed = list(factors.failures)
         energy[failed], margin[failed] = -np.inf, 0.0
         return energy, margin

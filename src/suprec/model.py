@@ -4,6 +4,10 @@ random streams.
 A support is a `Support` value at the API edge and a row of an (L, K) `intp`
 index array inside the program: `support_rows` lists all C(N, K) of them in
 lexicographic order and `unrank_supports` maps lexicographic ranks to rows.
+Every enumeration of column sets goes through `unrank_supports`, the M x M
+submatrices of `check_non_degenerate` included. An exhaustive enumeration
+stops at `DEFAULT_ENUMERATION_CAP`, a module constant read at call time, with
+no per-call override.
 
 Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
@@ -28,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -264,26 +267,27 @@ def make_support(indices: Iterable[int], N: int) -> Support:
     return Support(tuple(sorted(idx)), int(N))
 
 
-def _support_count(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """C(N, K), the number of size-K candidate supports, within the
-    enumeration cap: the rule of `support_rows`, which a plan checks before
-    anything runs."""
+def _support_count(N: int, K: int) -> int:
+    """C(N, K), the number of size-K candidate supports, within
+    `DEFAULT_ENUMERATION_CAP`: the rule of `support_rows`, which a plan checks
+    before anything runs."""
     total = math.comb(N, K)
-    if total > cap:
-        raise CapExceeded(f"C({N},{K}) = {total} candidate supports exceed cap {cap}")
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"C({N},{K}) = {total} candidate supports exceed cap"
+                          f" {DEFAULT_ENUMERATION_CAP}")
     return total
 
 
-def support_rows(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def support_rows(N: int, K: int) -> np.ndarray:
     """All C(N, K) size-K supports in lexicographic index order, as an (L, K)
     `intp` array with one support per row, unranked from 0 .. C(N, K) - 1 by
     `unrank_supports`, which checks 1 <= K <= N; no `Support` object is built."""
-    return unrank_supports(np.arange(_support_count(N, K, cap)), N, K)
+    return unrank_supports(np.arange(_support_count(N, K)), N, K)
 
 
-def enumerate_supports(N: int, K: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def enumerate_supports(N: int, K: int) -> list:
     """All C(N, K) size-K supports in lexicographic index order, as `Support`s."""
-    return [Support(tuple(row), N) for row in support_rows(N, K, cap).tolist()]
+    return [Support(tuple(row), N) for row in support_rows(N, K).tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -401,12 +405,17 @@ class NonDegeneracyReport:
 
 
 def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
-                         seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP) -> NonDegeneracyReport:
+                         seed: int = 0) -> NonDegeneracyReport:
     """Test M x M column submatrices for invertibility.
 
     A submatrix fails when its smallest singular value drops below
     1e-10 times the largest singular value of the full matrix. Exhaustive mode
-    visits every submatrix; sampled mode draws `count` of them reproducibly.
+    visits every submatrix, unranked in lexicographic order by
+    `unrank_supports` (the enumeration of `support_rows`), up to
+    `DEFAULT_ENUMERATION_CAP`, read at call time; sampled mode draws `count` of
+    them reproducibly. Submatrices are scored in chunks of stacked
+    `np.linalg.svd` calls, so the working memory does not grow with the number
+    tested; the witness is the first submatrix that attains the minimum.
     """
     entries, _ = as_matrix(A)
     M, N = entries.shape
@@ -416,29 +425,28 @@ def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
 
     if mode == "exhaustive":
         total = math.comb(N, M)
-        if total > cap:
-            raise CapExceeded(
-                f"exhaustive check over C({N},{M}) = {total} submatrices exceeds cap {cap}; use sampled mode"
-            )
-        picks = combinations(range(N), M)
+        if total > DEFAULT_ENUMERATION_CAP:
+            raise CapExceeded(f"exhaustive check over C({N},{M}) = {total} submatrices exceeds"
+                              f" cap {DEFAULT_ENUMERATION_CAP}; use sampled mode")
     elif mode == "sampled":
-        if count is None or _integer(count, "count") < 1:
+        if count is None or (total := _integer(count, "count")) < 1:
             raise ValueError("sampled mode requires a positive count")
         rng = substream(seed, "non-degenerate-sample")
-        picks = (tuple(sorted(rng.choice(N, size=M, replace=False).tolist())) for _ in range(count))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    worst = np.inf
-    witness = None
-    tested = 0
-    for cols in picks:
-        smin = np.linalg.svd(entries[:, list(cols)], compute_uv=False)[-1]
-        tested += 1
-        if smin < worst:
-            worst, witness = smin, tuple(cols)
+    worst, witness = np.inf, None
+    step = max(1, 2**15 // (M * M))          # submatrices per stacked SVD
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        rows = (unrank_supports(np.arange(start, stop), N, M) if mode == "exhaustive" else
+                np.sort([rng.choice(N, size=M, replace=False) for _ in range(start, stop)], axis=1))
+        smin = np.linalg.svd(entries[:, rows].swapaxes(0, 1), compute_uv=False)[:, -1]
+        b = int(np.argmin(smin))
+        if smin[b] < worst:
+            worst, witness = smin[b], tuple(rows[b].tolist())
     return NonDegeneracyReport(passed=bool(worst >= tol), worst_sigma_min=float(worst),
-                               witness=witness, tested=tested, mode=mode)
+                               witness=witness, tested=total, mode=mode)
 
 
 def save_matrix_csv(path, A) -> None:

@@ -520,6 +520,26 @@ class TestExpectedIncoherenceBounds:
             expected_incoherence_bounds(4, 2, 2, 1.0)
 
 
+# every formula that divides by the noise level, with valid other arguments
+SIGMA2_FORMULAS = {
+    "doa": lambda s: doa_requirements(0.1, 90, 2, s),
+    "snet": lambda s: snet_requirements(0.1, 90, 2, s, 0.5, "unit_rows"),
+    "gaussian_necessary": lambda s: gaussian_necessary(0.1, None, 90, 2, s, 0.5),
+    "expected_incoherence": lambda s: expected_incoherence_bounds(8, 2, 1, s),
+    "ensemble_fano": lambda s: ensemble_fano_lower(8, 10, 2, s, 2, 0.5),
+    "fano_beta_frobenius": lambda s: fano_beta_frobenius(I2, 2, 1, s, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA2_FORMULAS))
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+def test_noise_level_outside_zero_to_inf_is_rejected(name, sigma2):
+    # a ValueError naming sigma2, never a negative or NaN value or a ZeroDivisionError
+    SIGMA2_FORMULAS[name](1.0)
+    with pytest.raises(ValueError, match="sigma2"):
+        SIGMA2_FORMULAS[name](sigma2)
+
+
 class TestHypergeometricMean:
     def test_small_exact_cases(self):
         assert hypergeometric_mean_check(4, 2) == pytest.approx(1.0, abs=1e-15)

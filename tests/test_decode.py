@@ -568,6 +568,26 @@ class TestGramScreen:
         screen_matches_scores(decoder, Ys)
 
     @pytest.mark.parametrize("field", FIELDS)
+    def test_failed_gram_factor_on_a_zero_trial(self, field):
+        # K = 4 > M = 3 at sigma2 = 1e-18: F fails (rho = inf) while the
+        # covariance factors hold, and an all-zero trial has |y|^2 = 0; the
+        # margin is inf there, not inf * 0 = NaN, so such supports are rescored
+        A = gaussian_instance(3, 6, field, seed=47, label="screen")
+        candidates = enumerate_supports(6, 4)
+        Ys = model_observations(A, candidates, 1e-18, 5, 2, seed=13)
+        Ys[1] = 0.0
+        decoder = SupportDecoder(A, candidates, 1e-18)
+        assert decoder.failures == {}
+        assert screen_matches_scores(decoder, Ys)
+        (inverse, rho), = decoder._grams
+        assert np.isinf(rho).any()
+        values, T = decoder._columns(Ys)
+        ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
+        _, margin = decoder._screen(decoder._groups[0][1], inverse, rho,
+                                    A.entries.conj().T @ values, ysq, T)
+        assert not np.isnan(margin).any() and np.isinf(margin[np.isinf(rho)]).all()
+
+    @pytest.mark.parametrize("field", FIELDS)
     def test_support_at_least_M(self, field):
         # groups with K >= M (p = M) are screened like the K < M ones, alone
         # or beside a K < M group

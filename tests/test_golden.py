@@ -28,6 +28,12 @@ MULTIPLE = {"mode": "multiple", "N": 8, "M": 6, "K": 2, "T": [1, 4], "sigma2": [
 # the sim-multiple config of bench/workloads.py
 BENCH_MULTIPLE = {"mode": "multiple", "M": 16, "N": 24, "K": 2, "T": [1, 4], "sigma2": [0.1, 0.5],
                   "trials": 500, "field": "real", "incoherence": {"mode": "sampled", "count": 125}}
+# the sim-binary, eig-sweep and doa-ula configs of bench/workloads.py at seed 1
+BENCH_BINARY = {"mode": "binary", "M": 8, "N": 10, "K": 2, "T": [1, 2, 4, 8], "sigma2": [0.05, 0.5],
+                "trials": 1000, "field": "complex", "S0": [1, 2], "S1": [0, 6]}
+BENCH_EIG = {"grid": {"M": [30, 60], "K": [2, 4]}, "draws_per_cell": 80, "sigma2": 1.0}
+BENCH_DOA = {"epsilon": [0.01, 0.05, 0.1], "N": [90, 180, 360], "K": [1, 2, 3], "sigma2": [0.1, 1.0],
+             "ula_lambda": {"M": 16, "grid_size": 360, "K": 2, "pairs": 2000, "sigma2": 1.0}}
 ENSEMBLE = {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": [1, 2], "sigma2": 0.5,
             "matrix_draws": 3, "trials_per_matrix": 40, "trials": 1}
 ULA = {"M": 8, "grid_size": 30, "K": 2, "pairs": 40, "sigma2": 0.5}
@@ -60,6 +66,7 @@ CASES = {
                                                                            "count": 30}},
                                   5, "csv"),
     "simulate-multiple-bench": ("simulate", BENCH_MULTIPLE, 7, "csv"),
+    "simulate-binary-bench": ("simulate", BENCH_BINARY, 1, "csv"),
     "simulate-multiple-complex": ("simulate", {**MULTIPLE, "N": 10, "T": [1, 3],
                                                "sigma2": [1e-3, 0.05, 0.5], "trials": 200,
                                                "field": "complex"}, 11, "csv"),
@@ -74,10 +81,12 @@ CASES = {
                                 "sigma2": 0.8, "field": "complex"}, 2, "csv"),
     "eig-check-tiny-noise": ("eig-check", {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2,
                                            "sigma2": 1e-16}, 1, "csv"),
+    "eig-check-bench": ("eig-check", BENCH_EIG, 1, "csv"),
     "doa": ("doa", {"epsilon": [0.05, 0.1], "N": [90, 360], "K": [1, 2], "sigma2": 1.0,
                     "ula_lambda": ULA}, 1, "csv"),
     "doa-json": ("doa", {"epsilon": 0.1, "N": [90, 180], "K": 2, "sigma2": [0.1, 1.0],
                          "ula_lambda": ULA}, 4, "json"),
+    "doa-bench": ("doa", BENCH_DOA, 1, "csv"),
     "sweep": ("sweep", {"command": "simulate", "base": {**BINARY, "T": 1},
                         "grid": {"T": [1, 4], "sigma2": [0.1, 1.0]}}, 2, "csv"),
 }

@@ -24,7 +24,8 @@ from suprec import (
     unrank_supports,
 )
 
-from suprec.model import _comb_table, _seed_states
+import suprec.model as model
+from suprec.model import NonDegeneracyReport, _comb_table, _seed_states
 from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
 
 from conftest import gaussian_instance
@@ -82,9 +83,10 @@ class TestEnumerateSupports:
         assert a == b
         assert all(x.indices < y.indices for x, y in zip(a, a[1:]))
 
-    def test_cap_names_the_binomial(self):
+    def test_cap_names_the_binomial(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_CAP", 1000)
         with pytest.raises(CapExceeded, match=str(math.comb(40, 10))):
-            enumerate_supports(40, 10, cap=1000)
+            enumerate_supports(40, 10)
 
     @pytest.mark.parametrize("N,K", [(3, 2), (4, 1), (10, 3), (7, 7)])
     def test_rows_match_combinations_order(self, N, K):
@@ -93,10 +95,12 @@ class TestEnumerateSupports:
         assert rows.tolist() == [list(c) for c in combinations(range(N), K)]
         assert [list(S.indices) for S in enumerate_supports(N, K)] == rows.tolist()
 
-    def test_rows_cap_and_range(self):
+    def test_rows_cap_and_range(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_CAP", 1000)
         with pytest.raises(CapExceeded, match=str(math.comb(40, 10))):
-            support_rows(40, 10, cap=1000)
-        assert len(support_rows(5, 2, cap=10)) == 10       # a set exactly at the cap is listed
+            support_rows(40, 10)
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_CAP", 10)
+        assert len(support_rows(5, 2)) == 10       # a set exactly at the cap is listed
         for K in (0, 6):
             with pytest.raises(ValueError):
                 support_rows(5, K)
@@ -254,10 +258,53 @@ class TestNonDegenerate:
             passes += check_non_degenerate(A).passed
         assert passes == 100
 
-    def test_cap_points_to_sampled_mode(self):
+    def test_cap_points_to_sampled_mode(self, monkeypatch):
         A = gaussian_instance(10, 40)
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_CAP", 100)
         with pytest.raises(CapExceeded, match="sampled"):
-            check_non_degenerate(A, cap=100)
+            check_non_degenerate(A)
+
+    @staticmethod
+    def reference(A, mode, count=None, seed=0):
+        """One SVD per submatrix, over `combinations` or one `rng.choice` per
+        pick, keeping the first strict minimum."""
+        entries = A.entries
+        M, N = entries.shape
+        if mode == "exhaustive":
+            picks = combinations(range(N), M)
+        else:
+            rng = substream(seed, "non-degenerate-sample")
+            picks = (tuple(sorted(rng.choice(N, size=M, replace=False).tolist()))
+                     for _ in range(count))
+        worst, witness, tested = np.inf, None, 0
+        for cols in picks:
+            smin = np.linalg.svd(entries[:, list(cols)], compute_uv=False)[-1]
+            tested += 1
+            if smin < worst:
+                worst, witness = smin, tuple(cols)
+        return NonDegeneracyReport(passed=bool(worst >= 1e-10 * np.linalg.norm(entries, 2)),
+                                   worst_sigma_min=float(worst), witness=witness, tested=tested,
+                                   mode=mode)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("mode,count", [("exhaustive", None), ("sampled", 37),
+                                            ("sampled", 1500)])
+    def test_matches_the_per_submatrix_loop(self, field, mode, count):
+        # every field equal, worst_sigma_min bit for bit; C(14, 5) = 2002 and
+        # 1500 picks span more than one stacked SVD
+        dup = gaussian_instance(2, 8, field=field, seed=3, label="nondeg").entries.copy()
+        dup[:, [3, 6]] = dup[:, [1, 1]]     # {1, 3}, {1, 6} and {3, 6} tie at the minimum
+        matrices = [gaussian_instance(M, N, field=field, seed=M * N, label="nondeg")
+                    for M, N in ((1, 5), (2, 8), (3, 3), (4, 10), (5, 14))]
+        matrices += [MeasurementMatrix(dup, field)]
+        if field is FieldTag.COMPLEX:
+            matrices.append(ula_manifold_matrix(4, ula_angle_grid(12)))
+        for A in matrices:
+            got = check_non_degenerate(A, mode, count=count, seed=5)
+            want = self.reference(A, mode, count, seed=5)
+            assert got == want
+            assert got.worst_sigma_min.hex() == want.worst_sigma_min.hex()
+        assert not check_non_degenerate(MeasurementMatrix(dup, field)).passed
 
     def test_sampled_mode_reproducible(self):
         A = gaussian_instance(4, 12)

@@ -567,11 +567,12 @@ class TestMatrixIncoherence:
         assert sampled.lambda_bar >= exact.lambda_bar - 1e-12
         assert sampled.mode == "sampled(50)"
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         A = gaussian_instance(6, 12)
         from suprec import CapExceeded
+        monkeypatch.setattr(spectra, "PAIR_CAP", 100)
         with pytest.raises(CapExceeded, match="sampled"):
-            matrix_incoherence(A, 3, 1.0, cap=100)
+            matrix_incoherence(A, 3, 1.0)
 
     def test_exact_ties_keep_first_pair_in_draw_order(self):
         # orthonormal columns: every ordered pair scores exactly the same, in

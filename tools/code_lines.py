@@ -1,13 +1,17 @@
-"""Count code lines: non-blank lines outside comments and docstrings.
+"""Count code lines (non-blank lines outside comments and docstrings) and
+defaulted parameters.
 
 A line counts when it holds a token other than a comment or a line break,
 and no docstring (the leading string of a module, class or function) covers
-it. Standard library only (`tokenize` + `ast`).
+it. A defaulted parameter is a parameter of a function, method or lambda
+that has a default value: a value each caller may set or leave. Standard
+library only (`tokenize` + `ast`).
 
     python tools/code_lines.py              # every module of src/suprec
     python tools/code_lines.py a.py b.py    # the given files
 
-prints one line per file and the total.
+prints one line per file, code lines then defaulted parameters, and the
+totals.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
+def defaulted_parameters(tree: ast.AST) -> int:
+    """Number of parameters with a default value in a parsed module."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
 def code_lines(path: Path) -> int:
     """Number of code lines of one Python source file."""
     with open(path, "rb") as source:
@@ -48,12 +59,12 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list) -> int:
     paths = [Path(p) for p in argv] or sorted(SOURCE.glob("*.py"))
-    total = 0
+    lines = defaults = 0
     for path in paths:
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name if not argv else path}")
-    print(f"{total:6d}  total")
+        count, options = code_lines(path), defaulted_parameters(ast.parse(path.read_bytes()))
+        lines, defaults = lines + count, defaults + options
+        print(f"{count:6d} {options:4d}  {path.name if not argv else path}")
+    print(f"{lines:6d} {defaults:4d}  total")
     return 0
 
 
