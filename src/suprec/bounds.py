@@ -15,6 +15,11 @@ module reads no factor. The dense `kl_divergence` of two M x M
 covariances is the reference form for both. Threshold formulas are evaluated in the log domain
 (`log_binomial`) so they stay finite up to N ~ 1e6.
 
+Every formula that takes the noise level sigma2 or the density constant kappa
+checks it by the one rule of both, `model._positive` (0 < value < inf), so a
+value outside it is a `ValueError` naming the input, never a NaN, a negative
+threshold or an arithmetic error.
+
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
 evaluated but flagged inapplicable.
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import Support, as_matrix, support_rows
+from .model import Support, _positive, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherences
 
 LOG2 = math.log(2.0)
@@ -53,12 +58,6 @@ class ThresholdReport:
     formula_id: str
     inputs: dict
     forms: dict
-
-
-def _check_sigma2(sigma2) -> None:
-    """The noise level's rule, as the CLI plan applies it: 0 < sigma2 < inf."""
-    if not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must lie in (0, inf), got {sigma2!r}")
 
 
 def _report(raw: float, applicable: bool, note: str = "", **extras) -> BoundReport:
@@ -93,6 +92,7 @@ def chernoff_mu(h_eigs, s: float, T: int, kappa: float) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
+    _positive(kappa, "kappa")
     lam = np.asarray(h_eigs, dtype=np.float64)
     if np.any(lam <= 0):
         raise ValueError("eigenvalues must be positive")
@@ -157,6 +157,7 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     evaluated in the log domain. `lambda_bar` may be a single global value or
     one value per difference size k_d (sequence of length K).
     """
+    _positive(kappa, "kappa")
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
     if np.any(lams <= 0):
         raise ValueError("incoherence values must be positive")
@@ -181,6 +182,7 @@ def multiple_bound_geometric(lambda_bar: float, N: int, K: int, T: int, kappa: f
     """
     if lambda_bar <= 0:
         raise ValueError("lambda_bar must be positive")
+    _positive(kappa, "kappa")
     KNK = K * (N - K)
     if KNK == 0:
         return _report(0.0, applicable=True, note="single candidate support: no competing hypotheses")
@@ -209,6 +211,7 @@ def kl_divergence(Sigma_i: np.ndarray, Sigma_j: np.ndarray, T: int, kappa: float
     M = Sigma_i.shape[0]
     if Sigma_i.shape != Sigma_j.shape or Sigma_j.shape != (M, M):
         raise ValueError("covariances must be square matrices of equal size")
+    _positive(kappa, "kappa")
     sign_i, logdet_i = np.linalg.slogdet(Sigma_i)
     sign_j, logdet_j = np.linalg.slogdet(Sigma_j)
     if sign_i.real <= 0 or sign_j.real <= 0:
@@ -256,7 +259,7 @@ def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     kappa = fieldtag.kappa
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
-    _check_sigma2(sigma2)
+    _positive(sigma2, "sigma2")
     fro_sq = float(np.sum(np.abs(entries) ** 2))
     return kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * fro_sq
 
@@ -274,7 +277,8 @@ def fano_lower(beta: float, L: int) -> BoundReport:
 def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: float) -> BoundReport:
     """Fano bound on the Gaussian-ensemble average error, substituting the
     expected total gain E||A||_F^2 = M*N."""
-    _check_sigma2(sigma2)
+    _positive(sigma2, "sigma2")
+    _positive(kappa, "kappa")
     beta = kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * (M * N)
     report = fano_lower(beta, math.comb(N, K))
     return BoundReport(report.raw_value, report.clamped, report.applicable,
@@ -302,7 +306,7 @@ def _fano_threshold(quantity: str, formula_id: str, inputs: dict, denom,
         raise ValueError("need delta > 0 and epsilon + delta < 1")
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
-    _check_sigma2(sigma2)
+    _positive(sigma2, "sigma2")
     factor = 1.0 - epsilon if delta is None else 1.0 - epsilon - delta
     log_binom = log_binomial(N, K)
     d = denom()
@@ -316,6 +320,7 @@ def snet_requirements(epsilon: float, N: int, K: int, sigma2: float, kappa: floa
                       normalization: str) -> ThresholdReport:
     """Minimal sample counts for P_err < epsilon under row- or column-normalized
     measurement matrices (total gain M and N respectively)."""
+    _positive(kappa, "kappa")
     if normalization == "unit_rows":
         quantity = "MT"
         denom = lambda: kappa * (K / N) * (1.0 - K / N)
@@ -343,6 +348,7 @@ def gaussian_necessary(epsilon: float, delta: float | None, N: int, K: int,
                        sigma2: float, kappa: float) -> ThresholdReport:
     """Necessary MT for the unit-variance Gaussian ensemble: mean form with
     factor (1-eps), probability form with (1-eps-delta)."""
+    _positive(kappa, "kappa")
     inputs = {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2, "kappa": kappa}
     if delta is not None:
         inputs["delta"] = delta
@@ -370,8 +376,10 @@ class SufficiencyReport:
 
 def gaussian_sufficiency_report(M: int, N: int, K: int, T: int, sigma2: float,
                                 kappa: float) -> SufficiencyReport:
-    if min(M, N, K, T) < 1 or sigma2 <= 0:
+    if min(M, N, K, T) < 1:
         raise ValueError("parameters must be positive")
+    _positive(sigma2, "sigma2")
+    _positive(kappa, "kappa")
     notes = []
     m_ratio = None
     if N > K:
@@ -406,7 +414,7 @@ def expected_incoherence_bounds(M: int, K: int, k_d: int, sigma2: float) -> tupl
         raise ValueError(f"need M > K + k_d, got M={M}, K={K}, k_d={k_d}")
     if not 1 <= k_d <= K:
         raise ValueError("need 1 <= k_d <= K")
-    _check_sigma2(sigma2)
+    _positive(sigma2, "sigma2")
     return 1.0 + (M - K - k_d) / sigma2, 1.0 + M / sigma2
 
 

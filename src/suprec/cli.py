@@ -5,6 +5,13 @@ One JSON config document per run; subcommands `bounds`, `simulate`,
 first validates its config into a plan, which holds every checked value the
 run needs, and then runs the plan; nothing is validated while it runs, so a
 `sweep` validates each grid point once, all of them before it runs any.
+A closed form is its own validation, so the plans of `bounds` and `doa` hold
+their formula records and threshold rows, evaluated by the library under its
+own rules (`model._positive` for every sigma2 and kappa, `bounds` for epsilon,
+delta and 1 <= K < N), and a value they reject is a config error. The CLI's
+key checks (`_positive_int`, `_positive_float`) read each config value as a
+positive number of its type and restate no formula's rule.
+
 Output is CSV or JSON with a fixed column order, reproducible byte for byte
 from (config, seed); --threads is accepted and ignored. Config and JSON output
 are strict JSON (RFC 8259): a config holding NaN or Infinity cannot be read,
@@ -248,9 +255,13 @@ _BOUND_KEY_CHECKS = {**dict.fromkeys(("T", "N", "K", "L", "M", "k_d"), _positive
 
 
 def _validate_bounds(config: dict) -> list:
+    """The plan of a `bounds` run: one record per query. A closed form is its
+    own validation, so each formula is evaluated here, by `_checked_call`,
+    under the library's rules."""
     queries = _require(config, "queries", list, "config")
     if not queries:
         raise ConfigError("config: 'queries' must be a non-empty list")
+    records = []
     for i, q in enumerate(queries):
         where = f"queries[{i}]"
         if not isinstance(q, dict):
@@ -258,26 +269,22 @@ def _validate_bounds(config: dict) -> list:
         formula = _require(q, "formula", str, where)
         if formula not in _BOUND_FORMULAS:
             raise ConfigError(f"{where}: unknown formula {formula!r}")
-        _, keys, optional, _ = _BOUND_FORMULAS[formula]
+        fn, keys, optional, fields = _BOUND_FORMULAS[formula]
         for key in keys:
             if key not in q and key not in optional:
                 raise ConfigError(f"{where}: formula {formula!r} requires key '{key}'")
             if key in _BOUND_KEY_CHECKS:
                 _BOUND_KEY_CHECKS[key](q, key, f"query {formula}")
-    return queries
-
-
-def run_bounds(queries: list, seed: int):
-    records = []
-    for q in queries:
-        formula = q["formula"]
-        fn, keys, _, fields = _BOUND_FORMULAS[formula]
         result = _checked_call(f"query {formula}", fn, *(q.get(k) for k in keys))
         raw, clamped, applicable, notes = fields(q, result)
         records.append({"formula_id": formula,
                         "inputs": {k: v for k, v in q.items() if k != "formula"},
                         "raw": raw, "clamped": clamped, "applicable": applicable,
                         "notes": notes})
+    return records
+
+
+def run_bounds(records: list, seed: int):
     return BOUNDS_COLUMNS, records, []
 
 
@@ -292,8 +299,6 @@ def _validate_simulate(config: dict) -> dict:
     N = _positive_int(config, "N", where)
     M = _positive_int(config, "M", where)
     K = _positive_int(config, "K", where)
-    if K > N:
-        raise ConfigError(f"{where}: K={K} exceeds N={N}")
     Ts = _positive_list(config, "T", where, _positive_int)
     sigma2s = _positive_list(config, "sigma2", where, _positive_float)
     trials = None if mode == "ensemble" else _positive_int(config, "trials", where)
@@ -469,17 +474,15 @@ def run_eig_check(plan: dict, seed: int):
 # doa
 
 def _validate_doa(config: dict) -> dict:
+    """The plan of a `doa` run: its threshold rows, in `product(epsilon, N, K,
+    sigma2)` order, each evaluated by `bounds.doa_requirements` under its rule
+    (epsilon < 1, 1 <= K < N), after the optional ULA walk's caps are checked."""
     where = "config"
     eps = _positive_list(config, "epsilon", where, _positive_float)
     Ns = _positive_list(config, "N", where, _positive_int)
     Ks = _positive_list(config, "K", where, _positive_int)
     sig = _positive_list(config, "sigma2", where, _positive_float)
-    if any(e >= 1 for e in eps):
-        raise ConfigError(f"{where}: epsilon values must lie in (0, 1)")
-    for N, K in product(Ns, Ks):
-        if not 1 <= K < N:
-            raise ConfigError(f"{where}: need 1 <= K < N, got K={K}, N={N}")
-    plan = {"eps": eps, "Ns": Ns, "Ks": Ks, "sig": sig}
+    plan = {"rows": []}
     if "ula_lambda" in config:
         uw = f"{where}.ula_lambda"
         u = _require(config, "ula_lambda", dict, where)
@@ -492,17 +495,15 @@ def _validate_doa(config: dict) -> dict:
         # the run's sampled pair walk, checked now: its caps exit 3 before any threshold row
         _checked_call(uw, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], "sampled",
                       ula["pairs"])
+    for e, N, K, sigma2 in product(eps, Ns, Ks, sig):
+        t = _checked_call(f"{where}: epsilon={e!r}, N={N}, K={K}", bd.doa_requirements, e, N, K,
+                          sigma2)
+        plan["rows"].append({"formula_id": t.formula_id, "quantity": t.quantity, "epsilon": e,
+                             "N": N, "K": K, "sigma2": sigma2, **t.forms})
     return plan
 
 
 def run_doa(plan: dict, seed: int):
-    rows = []
-    for eps, N, K, sigma2 in product(plan["eps"], plan["Ns"], plan["Ks"], plan["sig"]):
-        t = bd.doa_requirements(eps, N, K, sigma2)
-        rows.append({"formula_id": t.formula_id, "quantity": t.quantity, "epsilon": eps,
-                     "N": N, "K": K, "sigma2": sigma2,
-                     "exact_binomial": t.forms["exact_binomial"], "relaxed": t.forms["relaxed"],
-                     "log2_corrected": t.forms["log2_corrected"]})
     comments = []
     if "ula" in plan:
         u = plan["ula"]
@@ -511,7 +512,7 @@ def run_doa(plan: dict, seed: int):
                                      sample_count=u["pairs"], seed=seed)
         comments.append(f"# ula_lambda_bar={summary.lambda_bar!r} mode={summary.mode}"
                         f" M={u['M']} grid={u['grid_size']} K={u['K']} sigma2={u['sigma2']!r}")
-    return DOA_COLUMNS, rows, comments
+    return DOA_COLUMNS, plan["rows"], comments
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectra
-from .model import NumericFailure, Support, _check_rows, as_matrix
+from .model import NumericFailure, Support, _check_rows, _positive, as_matrix
 from .spectra import _column_energy, _gram_factor, _inverse_factor, covariance_factors
 
 # Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
@@ -59,6 +59,7 @@ def log_likelihood(Y, Sigma: np.ndarray, kappa: float) -> float:
     M, T = values.shape
     if Sigma.shape != (M, M):
         raise ValueError(f"covariance shape {Sigma.shape} does not match observations with M={M}")
+    _positive(kappa, "kappa")
     Li = _inverse_factor(Sigma[None])[0]
     logdet = -2.0 * float(np.sum(np.log(np.abs(np.diagonal(Li)))))
     quad = float(np.sum(np.abs(Li @ values) ** 2))

@@ -9,6 +9,11 @@ submatrices of `check_non_degenerate` included. An exhaustive enumeration
 stops at `DEFAULT_ENUMERATION_CAP`, a module constant read at call time, with
 no per-call override.
 
+The two inputs every quantity of the paper depends on, the noise level sigma2
+and the density constant kappa, have one rule, `_positive` (0 < value < inf):
+every public function that takes either rejects a value outside (0, inf) by
+it, with a `ValueError` naming the input.
+
 Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
 Identical inputs always produce identical outputs, regardless of call order
@@ -243,6 +248,13 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive(value, name: str) -> None:
+    """The rule of the noise level sigma2 and the density constant kappa:
+    0 < value < inf, so NaN fails too; else a `ValueError` naming `name`."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
 
 
 def _check_rows(rows, N: int, name: str) -> np.ndarray:

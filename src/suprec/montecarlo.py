@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bounds import _stirlerr
+from .bounds import _stirlerr, expected_incoherence_bounds
 from .decode import SupportDecoder, lrt_decoder
 from .model import (
     FieldTag,
@@ -391,9 +391,9 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
     if N < 2 * K:
         raise ValueError("need N >= 2K for a disjoint support pair")
     _check_counts(draws=draws)
-    gamma = (M - 2 * K) / (3.0 * sigma2)
     values = _draw_incoherences(M, N, range(K), range(K, 2 * K), sigma2, draws, seed, field,
                                 "incoherence-tail")
+    gamma = (M - 2 * K) / (3.0 * sigma2)          # the draws have checked sigma2
     return _estimate(int(np.count_nonzero(values <= gamma)), draws, seed, gamma=gamma)
 
 
@@ -410,11 +410,9 @@ class IncoherenceMoment:
 def estimate_expected_incoherence(M: int, K: int, k_d: int, sigma2: float, draws: int,
                                   seed: int, field: FieldTag = FieldTag.REAL) -> IncoherenceMoment:
     """Monte Carlo mean of the pairwise incoherence for supports of size K
-    whose difference sets have size k_d (overlap K - k_d)."""
-    if M <= K + k_d:
-        raise ValueError("requires M > K + k_d")
-    if not 1 <= k_d <= K:
-        raise ValueError("need 1 <= k_d <= K")
+    whose difference sets have size k_d (overlap K - k_d), under the rule of
+    (M, K, k_d, sigma2) of `bounds.expected_incoherence_bounds`."""
+    expected_incoherence_bounds(M, K, k_d, sigma2)
     _check_counts(draws=draws)
     values = _draw_incoherences(M, K + k_d, range(K), [*range(K - k_d), *range(K, K + k_d)],
                                 sigma2, draws, seed, field, "incoherence-mean")

@@ -52,6 +52,10 @@ from a contiguous A^T, adds sigma^2 to the Gram's diagonal from a given entry
 on, factors it with `_whitener` and inverts the factor a row at a time. It
 serves both the decoder's Gram screen (sigma^2 I + A_S^H A_S) and
 `_pair_floors` (sigma^2 on S0 \\ S1's entries only).
+
+sigma^2 has one rule, `model._positive` (0 < sigma^2 < inf), applied by
+`covariance`, `covariance_factors`, `_pencil` (the route of every pair
+spectrum) and `matrix_incoherence` before they use it.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .model import (
     Support,
     _check_rows,
     _integer,
+    _positive,
     as_matrix,
     substream,
     unrank_supports,
@@ -92,8 +97,7 @@ def _gram(X: np.ndarray, sigma2: float) -> np.ndarray:
 def covariance(A, S: Support, sigma2: float) -> np.ndarray:
     """Per-snapshot observation covariance A_S A_S^H + sigma^2 I."""
     entries, _ = as_matrix(A)
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    _positive(sigma2, "sigma2")
     return _gram(entries[:, S.as_array()], sigma2)
 
 
@@ -256,8 +260,7 @@ def covariance_factors(A, rows, sigma2: float) -> CovarianceFactors:
     and sigma2 is below eps^2 |A_S|^2.
     """
     entries, _ = as_matrix(A)
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    _positive(sigma2, "sigma2")
     M = entries.shape[0]
     rows = np.asarray(rows, dtype=np.intp)
     Q, R = np.linalg.qr(entries.T[rows].swapaxes(1, 2))
@@ -293,8 +296,7 @@ def _pencil(R: np.ndarray, K1: int, K0: int, sigma2: float) -> np.ndarray:
     them. A leading block of C_1 that fails `_whitener`, or a non-finite
     W_r, is a `NumericFailure`.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    _positive(sigma2, "sigma2")
     q = min(K1, R.shape[1])
     Gi = _inverse_factor(_gram(R[:, :q, :K1], sigma2))
     R0 = R[:, :, R.shape[2] - K0:]
@@ -657,12 +659,14 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
     """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence,
     by `_pair_walk` over `pair_incoherences`; sampled mode only
     upper-estimates the true minimum (the mode string in the summary flags
-    it). The walk is pruned by `_pair_floors` when K <= M and sigma2 > 0 and
-    every entry are finite; otherwise every S1 Gram is singular, so every
-    floor fails, or the unpruned walk raises its own error."""
+    it). sigma2 is checked first (`model._positive`). The walk is pruned by
+    `_pair_floors` when K <= M and every entry is finite; otherwise every S1
+    Gram is singular, so every floor fails, or the unpruned walk raises its
+    own error."""
     entries, _ = as_matrix(A)
+    _positive(sigma2, "sigma2")
     floor = None
-    if K <= entries.shape[0] and 0 < sigma2 < math.inf and np.isfinite(entries).all():
+    if K <= entries.shape[0] and np.isfinite(entries).all():
         def floor(rows0, rows1):
             return _pair_floors(entries, rows0, rows1, sigma2)
     best, pair, mode, scored = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(

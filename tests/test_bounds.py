@@ -9,11 +9,18 @@ from suprec import (
     FieldTag,
     MeasurementMatrix,
     NumericFailure,
+    SupportDecoder,
     binary_chernoff,
+    binary_lrt,
     chernoff_mu,
     covariance,
     doa_requirements,
     ensemble_fano_lower,
+    estimate_binary_perr,
+    estimate_ensemble_perr,
+    estimate_expected_incoherence,
+    estimate_incoherence_tail,
+    estimate_multiple_perr,
     expected_incoherence_bounds,
     fano_beta_exact,
     fano_beta_frobenius,
@@ -24,9 +31,13 @@ from suprec import (
     hypergeometric_mean_check,
     kl_divergence,
     log_binomial,
+    log_likelihood,
     make_support,
+    matrix_incoherence,
+    ml_decode,
     multiple_bound_geometric,
     multiple_bound_union,
+    pair_incoherence,
     sample_gaussian_matrix,
     snet_requirements,
     substream,
@@ -520,7 +531,10 @@ class TestExpectedIncoherenceBounds:
             expected_incoherence_bounds(4, 2, 2, 1.0)
 
 
-# every formula that divides by the noise level, with valid other arguments
+# every public function that takes the noise level, with valid other
+# arguments: the matrix ones on a real 6 x 8 matrix, K = 2, a disjoint pair
+A6 = gaussian_instance(6, 8, seed=3)
+P0, P1 = make_support([0, 1], 8), make_support([2, 3], 8)
 SIGMA2_FORMULAS = {
     "doa": lambda s: doa_requirements(0.1, 90, 2, s),
     "snet": lambda s: snet_requirements(0.1, 90, 2, s, 0.5, "unit_rows"),
@@ -528,16 +542,57 @@ SIGMA2_FORMULAS = {
     "expected_incoherence": lambda s: expected_incoherence_bounds(8, 2, 1, s),
     "ensemble_fano": lambda s: ensemble_fano_lower(8, 10, 2, s, 2, 0.5),
     "fano_beta_frobenius": lambda s: fano_beta_frobenius(I2, 2, 1, s, 1),
+    "sufficiency": lambda s: gaussian_sufficiency_report(30, 100, 5, 4, s, 0.5),
+    "covariance": lambda s: covariance(A6, P0, s),
+    "pair_incoherence": lambda s: pair_incoherence(A6, P0, P1, s),
+    "h_eigenvalues": lambda s: h_eigenvalues(A6, P0, P1, s),
+    "matrix_incoherence": lambda s: matrix_incoherence(A6, 2, s),
+    "SupportDecoder": lambda s: SupportDecoder(A6, [P0, P1], s),
+    "binary_lrt": lambda s: binary_lrt(np.ones(6), A6, P0, P1, s),
+    "ml_decode": lambda s: ml_decode(np.ones(6), A6, [P0, P1], s),
+    "binary_chernoff": lambda s: binary_chernoff(A6, P0, P1, s, 2),
+    "fano_beta_exact": lambda s: fano_beta_exact(A6, 2, s, 2),
+    "estimate_binary_perr": lambda s: estimate_binary_perr(A6, P0, P1, s, 2, 10, 1),
+    "estimate_multiple_perr": lambda s: estimate_multiple_perr(A6, 2, s, 2, 10, 1),
+    "estimate_ensemble_perr": lambda s: estimate_ensemble_perr(8, 10, 2, s, 2, 2, 10, 1),
+    "estimate_incoherence_tail": lambda s: estimate_incoherence_tail(6, 8, 2, s, 4, 1),
+    "estimate_expected_incoherence": lambda s: estimate_expected_incoherence(6, 2, 1, s, 4, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SIGMA2_FORMULAS))
 @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
 def test_noise_level_outside_zero_to_inf_is_rejected(name, sigma2):
-    # a ValueError naming sigma2, never a negative or NaN value or a ZeroDivisionError
+    # the one rule's ValueError naming sigma2 (`model._positive`), never a NaN
+    # result, a silent estimate, a ZeroDivisionError or numpy's "invalid value"
+    # warning
     SIGMA2_FORMULAS[name](1.0)
-    with pytest.raises(ValueError, match="sigma2"):
+    with pytest.raises(ValueError, match=r"sigma2 must lie in \(0, inf\)"):
         SIGMA2_FORMULAS[name](sigma2)
+
+
+# every formula that takes the density constant kappa, with valid other arguments
+KAPPA_FORMULAS = {
+    "multiple_union": lambda k: multiple_bound_union(10.0, 30, 2, 3, k),
+    "multiple_geometric": lambda k: multiple_bound_geometric(10.0, 3, 1, 2, k),
+    "chernoff_mu": lambda k: chernoff_mu([2.0, 1.0, 0.5], 0.5, 2, k),
+    "kl_divergence": lambda k: kl_divergence(np.eye(2), 2.0 * np.eye(2), 1, k),
+    "ensemble_fano": lambda k: ensemble_fano_lower(8, 10, 2, 1.0, 2, k),
+    "snet": lambda k: snet_requirements(0.1, 90, 2, 1.0, k, "unit_rows"),
+    "gaussian_necessary": lambda k: gaussian_necessary(0.1, None, 90, 2, 1.0, k),
+    "sufficiency": lambda k: gaussian_sufficiency_report(30, 100, 5, 4, 1.0, k),
+    "log_likelihood": lambda k: log_likelihood(np.ones(2), 2.0 * np.eye(2), k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KAPPA_FORMULAS))
+@pytest.mark.parametrize("kappa", [0.0, -0.5, math.nan, math.inf])
+def test_density_constant_outside_zero_to_inf_is_rejected(name, kappa):
+    # a ValueError naming kappa, never a negative threshold, a positive mu or a
+    # ZeroDivisionError
+    KAPPA_FORMULAS[name](0.5)
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, inf\)"):
+        KAPPA_FORMULAS[name](kappa)
 
 
 class TestHypergeometricMean:

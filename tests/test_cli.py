@@ -213,6 +213,10 @@ class TestExitCodes:
          "cannot read config: non-standard JSON constant NaN"),
         ("simulate", {**BINARY_SIM, "sigma2": math.inf},
          "cannot read config: non-standard JSON constant Infinity"),
+        ("doa", {**DOA_ULA, "N": [90, 2], "K": [1, 2]},
+         "config: epsilon=0.1, N=2, K=2: need 1 <= K < N"),
+        ("doa", {**DOA_ULA, "epsilon": [0.1, 1]},
+         "config: epsilon=1.0, N=90, K=1: epsilon must lie in [0, 1)"),
     ], ids=["multiple-M-below-2K", "binary-M-below-2kd", "binary-identical-supports",
             "binary-support-null-entry", "binary-support-float-entry",
             "binary-support-string-entry", "binary-support-bool-entry",
@@ -227,7 +231,8 @@ class TestExitCodes:
             "ensemble-K-equals-N", "doa-N-string", "doa-N-K-float", "doa-K-bool",
             "doa-epsilon-empty", "eig-check-grid-M-empty", "simulate-T-empty",
             "bounds-geometric-T-zero", "bounds-geometric-T-tiny", "bounds-union-T-zero",
-            "bounds-union-kappa-negative", "bounds-beta-nan", "simulate-sigma2-infinity"])
+            "bounds-union-kappa-negative", "bounds-beta-nan", "simulate-sigma2-infinity",
+            "doa-K-not-below-N", "doa-epsilon-one"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)
         cfg = write_config(tmp_path, payload)

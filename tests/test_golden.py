@@ -56,6 +56,11 @@ CASES = {
         {"formula": "hypergeometric_mean", "N": 10, "K": 3},
         {"formula": "chernoff_mu", "eigenvalues": [2.0, 1.0, 0.5], "s": 0.5, "T": 2,
          "kappa": 0.5}]}, 0, "csv"),
+    # the threshold formulas that `doa` and the probability form of `gaussian_necessary` give
+    "bounds-thresholds": ("bounds", {"queries": [
+        {"formula": "doa", "epsilon": 0.1, "N": 360, "K": 2, "sigma2": 1.0},
+        {"formula": "gaussian_necessary", "epsilon": 0.1, "delta": 0.05, "N": 16, "K": 2,
+         "sigma2": 0.5, "kappa": 1}]}, 0, "csv"),
     "bounds-json": ("bounds", {"queries": [
         {"formula": "multiple_geometric", "lambda_bar": 2, "N": 10, "K": 2, "T": 1,
          "kappa": 0.5}]}, 0, "json"),
@@ -89,6 +94,10 @@ CASES = {
     "doa-bench": ("doa", BENCH_DOA, 1, "csv"),
     "sweep": ("sweep", {"command": "simulate", "base": {**BINARY, "T": 1},
                         "grid": {"T": [1, 4], "sigma2": [0.1, 1.0]}}, 2, "csv"),
+    "sweep-doa": ("sweep", {"command": "doa",
+                            "base": {"epsilon": [0.05, 0.1], "N": 90, "K": [1, 2],
+                                     "ula_lambda": ULA},
+                            "grid": {"N": [30, 120], "sigma2": [0.5, 2.0]}}, 3, "csv"),
 }
 
 
