@@ -5,12 +5,17 @@ One JSON config document per run; subcommands `bounds`, `simulate`,
 first validates its config into a plan, which holds every checked value the
 run needs, and then runs the plan; nothing is validated while it runs, so a
 `sweep` validates each grid point once, all of them before it runs any.
-A closed form is its own validation, so the plans of `bounds` and `doa` hold
-their formula records and threshold rows, evaluated by the library under its
-own rules (`model._positive` for every sigma2 and kappa, `bounds` for epsilon,
-delta and 1 <= K < N), and a value they reject is a config error. The CLI's
-key checks (`_positive_int`, `_positive_float`) read each config value as a
-positive number of its type and restate no formula's rule.
+Each `simulate` mode is one entry of `_SIMULATE_MODES`: a plan function for
+its own keys and rules and a run function for its one estimator call. The
+plan builds the ULA matrix and reads and shape-checks a CSV one, so a bad CSV
+point fails a `sweep` before any point runs; only the Gaussian matrix waits
+for the seed. A closed form is its own validation, so the plans of `bounds`
+and `doa` hold their formula records and threshold rows, evaluated by the
+library under its own rules (`model._positive` for every sigma2 and kappa,
+`bounds` for epsilon, delta and 1 <= K < N), and a value they reject is a
+config error. The CLI's key checks (`_positive_int`, `_positive_float`) read
+each config value as a positive number of its type and restate no formula's
+rule.
 
 Output is CSV or JSON with a fixed column order, reproducible byte for byte
 from (config, seed); --threads is accepted and ignored. Config and JSON output
@@ -153,30 +158,6 @@ def _field_of(cfg: dict, where: str) -> FieldTag:
         raise ConfigError(f"{where}: unknown field {name!r}") from None
 
 
-def _validate_matrix(config: dict, where: str) -> dict:
-    """The `matrix` block with its defaults filled in."""
-    mat = _require(config, "matrix", dict, where) if "matrix" in config else {}
-    kind, mw = mat.get("kind", "gaussian"), f"{where}.matrix"
-    if kind == "ula":
-        return {"kind": kind, "spacing": _positive_float(mat, "spacing", mw, default=0.5)}
-    if kind == "csv":
-        return {"kind": kind, "path": _require(mat, "path", str, mw)}
-    if kind != "gaussian":
-        raise ConfigError(f"{mw}: unknown kind {kind!r}")
-    return {"kind": kind}
-
-
-def _build_matrix(mat: dict, M: int, N: int, field: FieldTag, seed: int, where: str):
-    if mat["kind"] == "gaussian":
-        return sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
-    if mat["kind"] == "ula":
-        return ula_manifold_matrix(M, ula_angle_grid(N), mat["spacing"])
-    A = _checked_call(f"{where}.matrix: cannot load CSV matrix", load_matrix_csv, mat["path"])
-    if A.shape != (M, N):
-        raise ConfigError(f"{where}.matrix: CSV matrix shape {A.shape} != ({M}, {N})")
-    return A
-
-
 def _checked_call(where: str, fn, *args):
     """`fn(*args)` for a library call on config values, such as a bound formula,
     a rule like `spectra._check_pair_walk` or loading a CSV matrix; what it
@@ -292,46 +273,119 @@ def run_bounds(records: list, seed: int):
 # simulate
 
 def _validate_simulate(config: dict) -> dict:
+    """The plan of a `simulate` run: the keys every mode shares, then the
+    keys and rules of its mode's `_SIMULATE_MODES` entry."""
     where = "config"
     mode = _require(config, "mode", str, where)
-    if mode not in ("binary", "multiple", "ensemble"):
-        raise ConfigError(f"{where}: mode must be binary|multiple|ensemble, got {mode!r}")
-    N = _positive_int(config, "N", where)
-    M = _positive_int(config, "M", where)
-    K = _positive_int(config, "K", where)
+    entry = _SIMULATE_MODES.get(mode)
+    if entry is None:
+        raise ConfigError(f"{where}: mode must be {'|'.join(_SIMULATE_MODES)}, got {mode!r}")
+    N, M, K = (_positive_int(config, key, where) for key in ("N", "M", "K"))
     Ts = _positive_list(config, "T", where, _positive_int)
     sigma2s = _positive_list(config, "sigma2", where, _positive_float)
-    trials = None if mode == "ensemble" else _positive_int(config, "trials", where)
     field = _field_of(config, where)
-    plan = {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s,
-            "trials": trials, "field": field}
-    if mode == "binary":
-        S0, S1 = (_checked_call(f"{where}: invalid support", make_support,
-                                _require(config, key, list, where), N) for key in ("S0", "S1"))
-        if S0.size != K or S1.size != K:
-            raise ConfigError(f"{where}: supports must have size K={K}")
-        _checked_call(where, _pair_union, [S0.indices], [S1.indices], M, N)
-        plan["S0"], plan["S1"] = S0, S1
+    return {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s, "field": field,
+            **entry[0](config, where, N, M, K, field)}
+
+
+def _plan_matrix(config: dict, where: str, N: int, M: int, field: FieldTag):
+    """The `matrix` block of binary and multiple mode as `matrix(seed) -> A`.
+    The plan builds the ULA and reads and shape-checks a CSV matrix; only the
+    Gaussian, drawn from substream(seed, "cli-matrix"), waits for the seed."""
+    mat = _require(config, "matrix", dict, where) if "matrix" in config else {}
+    kind, mw = mat.get("kind", "gaussian"), f"{where}.matrix"
+    if kind == "gaussian":
+        return lambda seed: sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
+    if kind == "ula":
+        A = ula_manifold_matrix(M, ula_angle_grid(N), _positive_float(mat, "spacing", mw, 0.5))
+    elif kind == "csv":
+        A = _checked_call(f"{mw}: cannot load CSV matrix", load_matrix_csv,
+                          _require(mat, "path", str, mw))
+        if A.shape != (M, N):
+            raise ConfigError(f"{mw}: CSV matrix shape {A.shape} != ({M}, {N})")
     else:
-        _support_count(N, K)
-    if mode == "ensemble":
-        if K >= N:
-            raise ConfigError(f"{where}: ensemble mode needs two candidate supports (its Fano"
-                              f" bound needs L = C(N,K) >= 2): K={K} must be below N={N}")
-        plan["matrix_draws"] = _positive_int(config, "matrix_draws", where)
-        plan["trials_per_matrix"] = _positive_int(config, "trials_per_matrix", where)
-    if mode == "multiple":
-        inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
-        inc_mode = inc.get("mode", "exhaustive")
-        if inc_mode not in ("exhaustive", "sampled"):
-            raise ConfigError(f"{where}.incoherence: mode must be exhaustive|sampled,"
-                              f" got {inc_mode!r}")
-        count = _positive_int(inc, "count", f"{where}.incoherence") if inc_mode == "sampled" else None
-        _checked_call(where, _check_pair_walk, M, N, K, inc_mode, count)
-        plan["incoherence"] = (inc_mode, count)
-    if mode != "ensemble":
-        plan["matrix"] = _validate_matrix(config, where)
-    return plan
+        raise ConfigError(f"{mw}: unknown kind {kind!r}")
+    return lambda seed: A
+
+
+def _plan_binary(config: dict, where: str, N, M, K, field) -> dict:
+    S0, S1 = (_checked_call(f"{where}: invalid support", make_support,
+                            _require(config, key, list, where), N) for key in ("S0", "S1"))
+    if S0.size != K or S1.size != K:
+        raise ConfigError(f"{where}: supports must have size K={K}")
+    _checked_call(where, _pair_union, [S0.indices], [S1.indices], M, N)
+    return {"S0": S0, "S1": S1, "trials": _positive_int(config, "trials", where),
+            "matrix": _plan_matrix(config, where, N, M, field)}
+
+
+def _plan_multiple(config: dict, where: str, N, M, K, field) -> dict:
+    _support_count(N, K)
+    inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
+    inc_mode = inc.get("mode", "exhaustive")
+    if inc_mode not in ("exhaustive", "sampled"):
+        raise ConfigError(f"{where}.incoherence: mode must be exhaustive|sampled, got {inc_mode!r}")
+    count = _positive_int(inc, "count", f"{where}.incoherence") if inc_mode == "sampled" else None
+    _checked_call(where, _check_pair_walk, M, N, K, inc_mode, count)
+    return {"incoherence": (inc_mode, count), "trials": _positive_int(config, "trials", where),
+            "matrix": _plan_matrix(config, where, N, M, field)}
+
+
+def _plan_ensemble(config: dict, where: str, N, M, K, field) -> dict:
+    _support_count(N, K)
+    if K >= N:
+        raise ConfigError(f"{where}: ensemble mode needs two candidate supports (its Fano"
+                          f" bound needs L = C(N,K) >= 2): K={K} must be below N={N}")
+    return {"matrix_draws": _positive_int(config, "matrix_draws", where),
+            "trials_per_matrix": _positive_int(config, "trials_per_matrix", where)}
+
+
+def _run_binary(plan: dict, seed: int, points: list) -> tuple:
+    A, S0, S1, Ts = plan["matrix"](seed), plan["S0"], plan["S1"], plan["Ts"]
+    ests = mc.estimate_binary_perrs(A, S0, S1, plan["sigma2s"], Ts, plan["trials"], seed)
+    reports = [bd.binary_chernoffs(A, S0, S1, sigma2, Ts) for sigma2 in plan["sigma2s"]]
+    cells = [(r.clamped, bd.fano_lower(r.extras["fano_beta"], 2).clamped,
+              min(r.extras["lambda_01"], r.extras["lambda_10"]))
+             for r in (reports[i][t] for t, i in points)]
+    return ests, cells, []
+
+
+def _run_multiple(plan: dict, seed: int, points: list) -> tuple:
+    A, N, K, Ts, sigma2s = plan["matrix"](seed), plan["N"], plan["K"], plan["Ts"], plan["sigma2s"]
+    inc_mode, inc_count = plan["incoherence"]
+    # Neither lambda_bar nor the covariance factors depend on T: each
+    # sigma2 factors its supports once, for the decoder and for Fano beta.
+    summaries = [matrix_incoherence(A, K, sigma2, mode=inc_mode, sample_count=inc_count,
+                                    seed=seed) for sigma2 in sigma2s]
+    supports = support_rows(N, K)
+    factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
+    betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
+    ests = mc.estimate_multiple_perrs(A, factors, Ts, plan["trials"], seed)
+    cells = [(bd.multiple_bound_geometric(summaries[i].lambda_bar, N, K, Ts[t],
+                                          A.field.kappa).clamped,
+              bd.fano_lower(betas[i][t], math.comb(N, K)).clamped, summaries[i].lambda_bar)
+             for t, i in points]
+    note = ("# chernoff_clamped not certified: lambda_bar is a minimum over sampled support"
+            f" pairs (mode={summaries[0].mode}), so it only upper-estimates the true minimum"
+            " and chernoff_clamped is not a certified bound")
+    return ests, cells, [note] if inc_mode == "sampled" else []
+
+
+def _run_ensemble(plan: dict, seed: int, points: list) -> tuple:
+    M, N, K, Ts, sigma2s, field = (plan[k] for k in ("M", "N", "K", "Ts", "sigma2s", "field"))
+    ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, Ts, plan["matrix_draws"],
+                                      plan["trials_per_matrix"], seed, field=field)
+    cells = [(None, bd.ensemble_fano_lower(M, N, K, sigma2s[i], Ts[t], field.kappa).clamped,
+              None) for t, i in points]
+    return ests, cells, []
+
+
+# mode -> (plan(config, where, N, M, K, field) -> the mode's own plan keys,
+#          run(plan, seed, points) -> (estimates, cells, comments))
+_SIMULATE_MODES = {
+    "binary": (_plan_binary, _run_binary),
+    "multiple": (_plan_multiple, _run_multiple),
+    "ensemble": (_plan_ensemble, _run_ensemble),
+}
 
 
 def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells=(None, None, None)) -> dict:
@@ -342,55 +396,20 @@ def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells=(None, None, 
 
 
 def run_simulate(plan: dict, seed: int):
-    """Rows in `product(Ts, sigma2s)` order. Each mode makes one estimator
-    call over the whole grid (`montecarlo` builds each sigma2's decoder once
-    and draws each trial block once per T for every sigma2) and lists one
-    (chernoff_clamped, fano_clamped, lambda_bar) cell triple per point; what
-    the bounds need and does not depend on T (H's spectrum, lambda_bar, the
-    covariance factors) is built once per sigma2. One loop writes the rows,
-    in ensemble mode each point's row followed by one row per matrix."""
-    mode, N, M, K = plan["mode"], plan["N"], plan["M"], plan["K"]
-    field, trials, Ts, sigma2s = plan["field"], plan["trials"], plan["Ts"], plan["sigma2s"]
+    """Rows in `product(Ts, sigma2s)` order. The mode's run makes one
+    estimator call over the whole grid (`montecarlo` builds each sigma2's
+    decoder once and draws each trial block once per T for every sigma2) and
+    lists one (chernoff_clamped, fano_clamped, lambda_bar) cell triple per
+    point; what the bounds need and does not depend on T (H's spectrum,
+    lambda_bar, the covariance factors) is built once per sigma2. One loop
+    writes the rows, in ensemble mode each point's row followed by one row
+    per matrix."""
+    mode, Ts, sigma2s = plan["mode"], plan["Ts"], plan["sigma2s"]
     points = list(np.ndindex(len(Ts), len(sigma2s)))   # (t, i) in product(Ts, sigma2s) order
-    comments = []
-
-    if mode == "ensemble":
-        ests = mc.estimate_ensemble_perrs(M, N, K, sigma2s, Ts, plan["matrix_draws"],
-                                          plan["trials_per_matrix"], seed, field=field)
-        cells = [(None, bd.ensemble_fano_lower(M, N, K, sigma2s[i], Ts[t], field.kappa).clamped,
-                  None) for t, i in points]
-    else:
-        A = _build_matrix(plan["matrix"], M, N, field, seed, "config")
-        if mode == "binary":
-            S0, S1 = plan["S0"], plan["S1"]
-            ests = mc.estimate_binary_perrs(A, S0, S1, sigma2s, Ts, trials, seed)
-            reports = [bd.binary_chernoffs(A, S0, S1, sigma2, Ts) for sigma2 in sigma2s]
-            cells = [(r.clamped, bd.fano_lower(r.extras["fano_beta"], 2).clamped,
-                      min(r.extras["lambda_01"], r.extras["lambda_10"]))
-                     for r in (reports[i][t] for t, i in points)]
-        else:
-            inc_mode, inc_count = plan["incoherence"]
-            # Neither lambda_bar nor the covariance factors depend on T: each
-            # sigma2 factors its supports once, for the decoder and for Fano beta.
-            summaries = [matrix_incoherence(A, K, sigma2, mode=inc_mode, sample_count=inc_count,
-                                            seed=seed) for sigma2 in sigma2s]
-            supports = support_rows(N, K)
-            factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
-            betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
-            ests = mc.estimate_multiple_perrs(A, factors, Ts, trials, seed)
-            cells = [(bd.multiple_bound_geometric(summaries[i].lambda_bar, N, K, Ts[t],
-                                                  A.field.kappa).clamped,
-                      bd.fano_lower(betas[i][t], math.comb(N, K)).clamped, summaries[i].lambda_bar)
-                     for t, i in points]
-            if inc_mode == "sampled":
-                comments.append("# chernoff_clamped not certified: lambda_bar is a minimum over"
-                                f" sampled support pairs (mode={summaries[0].mode}), so it only"
-                                " upper-estimates the true minimum and chernoff_clamped is not a"
-                                " certified bound")
-
+    ests, cells, comments = _SIMULATE_MODES[mode][1](plan, seed, points)
     rows = []
     for (t, i), est, cell in zip(points, ests, cells):
-        point = (N, M, K, Ts[t], sigma2s[i], seed)
+        point = (plan["N"], plan["M"], plan["K"], Ts[t], sigma2s[i], seed)
         rows.append(_simulate_row(mode, point, est, cell))
         for errors in est.extras.get("per_matrix_errors", ()):
             sub = mc._estimate(errors, plan["trials_per_matrix"], seed)

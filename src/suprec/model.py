@@ -211,7 +211,9 @@ def field_gaussian(rng: np.random.Generator, shape, field: FieldTag) -> np.ndarr
 
 @dataclass(frozen=True)
 class Support:
-    """Sorted index set of the nonzero signal rows; the hypothesis identity."""
+    """Sorted index set of the nonzero signal rows; the hypothesis identity.
+    Each index is an integer (`_integer`, the rule of `make_support`) in
+    [0, ambient_dim)."""
 
     indices: tuple
     ambient_dim: int
@@ -221,7 +223,7 @@ class Support:
             raise ValueError("ambient_dim must be positive")
         if len(self.indices) < 1:
             raise ValueError("a support must contain at least one index")
-        if any(i < 0 or i >= self.ambient_dim for i in self.indices):
+        if any(not 0 <= _integer(i, "support index") < self.ambient_dim for i in self.indices):
             raise ValueError(f"support indices {self.indices} out of range [0, {self.ambient_dim})")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("support indices must be strictly increasing")

@@ -37,6 +37,7 @@ from .model import (
     FieldTag,
     Support,
     _integer,
+    _positive,
     as_matrix,
     draw_matrices,
     field_gaussian,
@@ -202,7 +203,8 @@ def draw_level_blocks(A, supports: np.ndarray, sigma2s, Ts, trials: int, seed: i
     """Yield (truths, t, level, Y) for each T of the sequence `Ts` in order,
     consecutive blocks of at most TRIAL_BLOCK trials and, within a block,
     each noise level of the sequence `sigma2s` in order: Y (n, M, Ts[t]) are
-    the block's observations at sigma2s[level].
+    the block's observations at sigma2s[level]. Every sigma2 is held to
+    `model._positive` before the first draw.
 
     `supports` is an (L, K) array of column indices, one row per hypothesis.
     Block b draws everything from substream(seed, label, first_index + b): the
@@ -219,6 +221,8 @@ def draw_level_blocks(A, supports: np.ndarray, sigma2s, Ts, trials: int, seed: i
     and Y is yielded as its (n, M, T) view: the layout `SupportDecoder`
     reads, so a decoder takes Y without a copy.
     """
+    for sigma2 in sigma2s:
+        _positive(sigma2, "sigma2")
     entries, field = as_matrix(A)
     M = entries.shape[0]
     L, K = supports.shape

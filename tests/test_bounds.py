@@ -44,6 +44,7 @@ from suprec import (
     support_rows,
 )
 from suprec.bounds import binary_chernoffs, fano_betas
+from suprec.montecarlo import draw_level_blocks
 from suprec.spectra import covariance_factors
 
 from conftest import gaussian_instance, mp_pencil_eigs, random_pair
@@ -557,6 +558,9 @@ SIGMA2_FORMULAS = {
     "estimate_ensemble_perr": lambda s: estimate_ensemble_perr(8, 10, 2, s, 2, 2, 10, 1),
     "estimate_incoherence_tail": lambda s: estimate_incoherence_tail(6, 8, 2, s, 4, 1),
     "estimate_expected_incoherence": lambda s: estimate_expected_incoherence(6, 2, 1, s, 4, 1),
+    # a generator: the check runs before its first draw
+    "draw_level_blocks": lambda s: next(draw_level_blocks(A6, support_rows(8, 2)[:2], [s], [2],
+                                                          10, 1, "sigma2-check")),
 }
 
 

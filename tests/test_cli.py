@@ -726,6 +726,35 @@ class TestSweepCommand:
         assert ran == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape,message", [(None, "cannot load CSV matrix"),
+                                               ((8, 9), "CSV matrix shape (8, 9) != (8, 10)")],
+                             ids=["missing", "wrong-shape"])
+    def test_bad_csv_point_stops_the_sweep_before_any_point_runs(self, tmp_path, monkeypatch,
+                                                                 capsys, shape, message):
+        # the plan reads and shape-checks a CSV matrix, so the later point's
+        # file fails the sweep before the first point's Monte Carlo runs
+        help_text, validate, run = cli.COMMANDS["simulate"]
+        ran = []
+
+        def counting_run(plan, seed):
+            ran.append(plan)
+            return run(plan, seed)
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", (help_text, validate, counting_run))
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        suprec.save_matrix_csv(good, sample_gaussian_matrix(8, 10, FieldTag.REAL, substream(1, "g")))
+        if shape is not None:
+            suprec.save_matrix_csv(bad, sample_gaussian_matrix(*shape, FieldTag.REAL,
+                                                               substream(1, "b")))
+        matrices = [{"kind": "csv", "path": str(path)} for path in (good, bad)]
+        cfg = write_config(tmp_path, {"command": "simulate", "base": {**BINARY_SIM, "trials": 20},
+                                      "grid": {"matrix": matrices}})
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--seed", "2", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
 
 class TestParser:
     def test_built_once(self):

@@ -75,6 +75,13 @@ CASES = {
     "simulate-multiple-complex": ("simulate", {**MULTIPLE, "N": 10, "T": [1, 3],
                                                "sigma2": [1e-3, 0.05, 0.5], "trials": 200,
                                                "field": "complex"}, 11, "csv"),
+    # the two matrix kinds other than the default Gaussian: the DOA grid and a
+    # matrix read from CSV, a fixture written once by `model.save_matrix_csv`
+    "simulate-multiple-ula": ("simulate", {**MULTIPLE, "N": 12, "T": [1, 2], "sigma2": [0.1, 1.0],
+                                           "trials": 100,
+                                           "matrix": {"kind": "ula", "spacing": 0.5}}, 5, "csv"),
+    "simulate-binary-csv": ("simulate", {**BINARY, "field": "real", "matrix": {
+        "kind": "csv", "path": str(GOLDEN / "matrix-real-8x10.csv")}}, 3, "csv"),
     "simulate-ensemble": ("simulate", ENSEMBLE, 7, "csv"),
     "simulate-ensemble-json": ("simulate", ENSEMBLE, 7, "json"),
     # K > M: at sigma2 = 1e-8 the Gram screen's margins leave every candidate

@@ -9,6 +9,7 @@ from suprec import (
     CapExceeded,
     FieldTag,
     MeasurementMatrix,
+    Support,
     check_non_degenerate,
     draw_matrices,
     enumerate_supports,
@@ -52,6 +53,10 @@ class TestSupport:
         for bad in ([0.9, 1], [0, "1"], [True, 2], [1.0, 2]):
             with pytest.raises(ValueError, match="support index must be an integer"):
                 make_support(bad, 4)
+            # the constructor holds the same rule, so no float is read as a column
+            with pytest.raises(ValueError, match="support index must be an integer"):
+                Support(tuple(bad), 4)
+        assert Support((np.intp(0), 2), 3).as_array().tolist() == [0, 2]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
