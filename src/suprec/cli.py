@@ -13,9 +13,13 @@ for the seed. A closed form is its own validation, so the plans of `bounds`
 and `doa` hold their formula records and threshold rows, evaluated by the
 library under its own rules (`model._positive` for every sigma2 and kappa,
 `bounds` for epsilon, delta and 1 <= K < N), and a value they reject is a
-config error. The CLI's key checks (`_positive_int`, `_positive_float`) read
-each config value as a positive number of its type and restate no formula's
-rule.
+config error. Every config key is read by one rule of `_Block`, the reader
+of one JSON object: a positive int or float, a value or non-empty list of
+them, one of a fixed set of strings, a nested object or a value of a given
+type. A number is checked as positive of its type, with no formula's rule
+restated. The reader records each key it reads, and once the plan is built
+a key that no read took is a config error, so a misspelled or misplaced key
+exits 2 before anything runs. Only the top-level object takes `master_seed`.
 
 Output is CSV or JSON with a fixed column order, reproducible byte for byte
 from (config, seed); --threads is accepted and ignored. Config and JSON output
@@ -113,59 +117,79 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _require(cfg: dict, key: str, types, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    value = cfg[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"{where}: key '{key}' has invalid type {type(value).__name__}")
-    return value
+class _Block:
+    """One JSON object of a config and its path in messages (`config`,
+    `config.matrix`, `query gaussian_necessary`). Each method reads one key by
+    one rule and records it; a `default` of None makes the key required.
+    `close`, called once the plan is built, rejects a key that no read took,
+    here or in a block nested in this one."""
+
+    def __init__(self, data: dict, path: str):
+        self.data, self.path, self.read, self.nested = data, path, set(), []
+
+    def value(self, key: str, types, default=None):
+        """The value under `key`, an instance of `types`."""
+        self.read.add(key)
+        if key not in self.data:
+            if default is None:
+                raise ConfigError(f"{self.path}: missing required key '{key}'")
+            return default
+        value = self.data[key]
+        if not isinstance(value, types):
+            raise ConfigError(f"{self.path}: key '{key}' has invalid type {type(value).__name__}")
+        return value
+
+    def number(self, key: str, kind, default=None):
+        """The positive `kind` (int or float) under `key`."""
+        value = self.value(key, (int, float) if kind is float else int, default)
+        if isinstance(value, bool) or not 0 < value < math.inf:
+            noun = "integer" if kind is int else "number"
+            raise ConfigError(f"{self.path}: '{key}' must be a positive {noun}")
+        return kind(value)
+
+    def numbers(self, key: str, kind) -> list:
+        """A positive `kind` or a non-empty list of them under `key`, as a list."""
+        value = self.value(key, object)
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ConfigError(f"{self.path}: '{key}' must be a non-empty list")
+        return [_Block({key: v}, self.path).number(key, kind) for v in values]
+
+    def choice(self, key: str, choices, default=None) -> str:
+        """The one of the strings `choices` under `key`."""
+        name = self.value(key, str, default)
+        if name not in choices:
+            raise ConfigError(f"{self.path}: unknown {key} {name!r}: {key} must be"
+                              f" {'|'.join(choices)}")
+        return name
+
+    def block(self, key: str) -> "_Block":
+        """The object under `key`, an empty one when absent, as a block that
+        closes with this one."""
+        block = _Block(self.value(key, dict, {}), f"{self.path}.{key}")
+        self.nested.append(block)
+        return block
+
+    def close(self) -> None:
+        for key in self.data:
+            if key not in self.read:
+                raise ConfigError(f"{self.path}: unknown key '{key}' (this block reads"
+                                  f" {', '.join(sorted(self.read))})")
+        for block in self.nested:
+            block.close()
 
 
-def _positive_int(cfg, key, where, default=None):
-    if default is not None and key not in cfg:
-        return default
-    v = _require(cfg, key, int, where)
-    if isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{where}: '{key}' must be a positive integer")
-    return v
+_FIELDS = {field.value: field for field in FieldTag}
 
 
-def _positive_float(cfg, key, where, default=None):
-    if default is not None and key not in cfg:
-        return default
-    v = _require(cfg, key, (int, float), where)
-    if isinstance(v, bool) or not 0 < v < math.inf:
-        raise ConfigError(f"{where}: '{key}' must be a positive number")
-    return float(v)
-
-
-def _positive_list(cfg, key, where, check) -> list:
-    """A scalar or non-empty list under `key`, each element checked by `check`
-    (`_positive_int` or `_positive_float`)."""
-    value = _require(cfg, key, (int, float, list), where)
-    values = value if isinstance(value, list) else [value]
-    if not values:
-        raise ConfigError(f"{where}: '{key}' must be a non-empty list")
-    return [check({key: v}, key, where) for v in values]
-
-
-def _field_of(cfg: dict, where: str) -> FieldTag:
-    name = cfg.get("field", "real")
-    try:
-        return FieldTag(name)
-    except ValueError:
-        raise ConfigError(f"{where}: unknown field {name!r}") from None
-
-
-def _checked_call(where: str, fn, *args):
+def _checked_call(path: str, fn, *args):
     """`fn(*args)` for a library call on config values, such as a bound formula,
     a rule like `spectra._check_pair_walk` or loading a CSV matrix; what it
     raises on bad values or an unreadable file becomes a config error."""
     try:
         return fn(*args)
     except (OSError, ValueError, TypeError, ArithmeticError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +253,37 @@ _BOUND_FORMULAS = {
 }
 
 
-# Check of each numeric key that the formulas above share, applied to every
-# key a formula lists; any other key goes to the formula as given.
-_BOUND_KEY_CHECKS = {**dict.fromkeys(("T", "N", "K", "L", "M", "k_d"), _positive_int),
-                     **dict.fromkeys(("kappa", "sigma2"), _positive_float)}
+# Kind of each positive numeric key that the formulas above share, checked for
+# every key a formula lists; any other key goes to the formula as given.
+_BOUND_KEY_KINDS = {**dict.fromkeys(("T", "N", "K", "L", "M", "k_d"), int),
+                    **dict.fromkeys(("kappa", "sigma2"), float)}
 
 
-def _validate_bounds(config: dict) -> list:
+def _validate_bounds(config: _Block) -> list:
     """The plan of a `bounds` run: one record per query. A closed form is its
     own validation, so each formula is evaluated here, by `_checked_call`,
     under the library's rules."""
-    queries = _require(config, "queries", list, "config")
+    queries = config.value("queries", list)
     if not queries:
-        raise ConfigError("config: 'queries' must be a non-empty list")
+        raise ConfigError(f"{config.path}: 'queries' must be a non-empty list")
     records = []
-    for i, q in enumerate(queries):
-        where = f"queries[{i}]"
-        if not isinstance(q, dict):
-            raise ConfigError(f"{where}: each query must be an object")
-        formula = _require(q, "formula", str, where)
-        if formula not in _BOUND_FORMULAS:
-            raise ConfigError(f"{where}: unknown formula {formula!r}")
+    for i, query in enumerate(queries):
+        if not isinstance(query, dict):
+            raise ConfigError(f"queries[{i}]: each query must be an object")
+        q = _Block(query, f"queries[{i}]")
+        config.nested.append(q)
+        formula = q.choice("formula", _BOUND_FORMULAS)
+        q.path = f"query {formula}"
         fn, keys, optional, fields = _BOUND_FORMULAS[formula]
         for key in keys:
-            if key not in q and key not in optional:
-                raise ConfigError(f"{where}: formula {formula!r} requires key '{key}'")
-            if key in _BOUND_KEY_CHECKS:
-                _BOUND_KEY_CHECKS[key](q, key, f"query {formula}")
-        result = _checked_call(f"query {formula}", fn, *(q.get(k) for k in keys))
-        raw, clamped, applicable, notes = fields(q, result)
+            if key in _BOUND_KEY_KINDS:
+                q.number(key, _BOUND_KEY_KINDS[key])
+            elif key in query or key not in optional:
+                q.value(key, object)
+        result = _checked_call(q.path, fn, *map(query.get, keys))
+        raw, clamped, applicable, notes = fields(query, result)
         records.append({"formula_id": formula,
-                        "inputs": {k: v for k, v in q.items() if k != "formula"},
+                        "inputs": {k: v for k, v in query.items() if k != "formula"},
                         "raw": raw, "clamped": clamped, "applicable": applicable,
                         "notes": notes})
     return records
@@ -272,71 +296,64 @@ def run_bounds(records: list, seed: int):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _validate_simulate(config: dict) -> dict:
+def _validate_simulate(config: _Block) -> dict:
     """The plan of a `simulate` run: the keys every mode shares, then the
     keys and rules of its mode's `_SIMULATE_MODES` entry."""
-    where = "config"
-    mode = _require(config, "mode", str, where)
-    entry = _SIMULATE_MODES.get(mode)
-    if entry is None:
-        raise ConfigError(f"{where}: mode must be {'|'.join(_SIMULATE_MODES)}, got {mode!r}")
-    N, M, K = (_positive_int(config, key, where) for key in ("N", "M", "K"))
-    Ts = _positive_list(config, "T", where, _positive_int)
-    sigma2s = _positive_list(config, "sigma2", where, _positive_float)
-    field = _field_of(config, where)
+    mode = config.choice("mode", _SIMULATE_MODES)
+    N, M, K = (config.number(key, int) for key in ("N", "M", "K"))
+    Ts, sigma2s = config.numbers("T", int), config.numbers("sigma2", float)
+    field = _FIELDS[config.choice("field", _FIELDS, "real")]
     return {"mode": mode, "N": N, "M": M, "K": K, "Ts": Ts, "sigma2s": sigma2s, "field": field,
-            **entry[0](config, where, N, M, K, field)}
+            **_SIMULATE_MODES[mode][0](config, N, M, K, field)}
 
 
-def _plan_matrix(config: dict, where: str, N: int, M: int, field: FieldTag):
+def _plan_matrix(config: _Block, N: int, M: int, field: FieldTag):
     """The `matrix` block of binary and multiple mode as `matrix(seed) -> A`.
     The plan builds the ULA and reads and shape-checks a CSV matrix; only the
     Gaussian, drawn from substream(seed, "cli-matrix"), waits for the seed."""
-    mat = _require(config, "matrix", dict, where) if "matrix" in config else {}
-    kind, mw = mat.get("kind", "gaussian"), f"{where}.matrix"
+    mat = config.block("matrix")
+    kind = mat.choice("kind", ("gaussian", "ula", "csv"), "gaussian")
     if kind == "gaussian":
         return lambda seed: sample_gaussian_matrix(M, N, field, substream(seed, "cli-matrix"))
     if kind == "ula":
-        A = ula_manifold_matrix(M, ula_angle_grid(N), _positive_float(mat, "spacing", mw, 0.5))
-    elif kind == "csv":
-        A = _checked_call(f"{mw}: cannot load CSV matrix", load_matrix_csv,
-                          _require(mat, "path", str, mw))
-        if A.shape != (M, N):
-            raise ConfigError(f"{mw}: CSV matrix shape {A.shape} != ({M}, {N})")
+        A = ula_manifold_matrix(M, ula_angle_grid(N), mat.number("spacing", float, 0.5))
     else:
-        raise ConfigError(f"{mw}: unknown kind {kind!r}")
+        A = _checked_call(f"{mat.path}: cannot load CSV matrix", load_matrix_csv,
+                          mat.value("path", str))
+        if A.shape != (M, N):
+            raise ConfigError(f"{mat.path}: CSV matrix shape {A.shape} != ({M}, {N})")
     return lambda seed: A
 
 
-def _plan_binary(config: dict, where: str, N, M, K, field) -> dict:
-    S0, S1 = (_checked_call(f"{where}: invalid support", make_support,
-                            _require(config, key, list, where), N) for key in ("S0", "S1"))
+def _plan_binary(config: _Block, N, M, K, field) -> dict:
+    S0, S1 = (_checked_call(f"{config.path}: invalid support", make_support,
+                            config.value(key, list), N) for key in ("S0", "S1"))
     if S0.size != K or S1.size != K:
-        raise ConfigError(f"{where}: supports must have size K={K}")
-    _checked_call(where, _pair_union, [S0.indices], [S1.indices], M, N)
-    return {"S0": S0, "S1": S1, "trials": _positive_int(config, "trials", where),
-            "matrix": _plan_matrix(config, where, N, M, field)}
+        raise ConfigError(f"{config.path}: supports must have size K={K}")
+    _checked_call(config.path, _pair_union, [S0.indices], [S1.indices], M, N)
+    return {"S0": S0, "S1": S1, "trials": config.number("trials", int),
+            "matrix": _plan_matrix(config, N, M, field)}
 
 
-def _plan_multiple(config: dict, where: str, N, M, K, field) -> dict:
+def _plan_multiple(config: _Block, N, M, K, field) -> dict:
     _support_count(N, K)
-    inc = _require(config, "incoherence", dict, where) if "incoherence" in config else {}
-    inc_mode = inc.get("mode", "exhaustive")
-    if inc_mode not in ("exhaustive", "sampled"):
-        raise ConfigError(f"{where}.incoherence: mode must be exhaustive|sampled, got {inc_mode!r}")
-    count = _positive_int(inc, "count", f"{where}.incoherence") if inc_mode == "sampled" else None
-    _checked_call(where, _check_pair_walk, M, N, K, inc_mode, count)
-    return {"incoherence": (inc_mode, count), "trials": _positive_int(config, "trials", where),
-            "matrix": _plan_matrix(config, where, N, M, field)}
+    inc = config.block("incoherence")
+    inc_mode = inc.choice("mode", ("exhaustive", "sampled"), "exhaustive")
+    count = inc.number("count", int) if inc_mode == "sampled" else None
+    _checked_call(config.path, _check_pair_walk, M, N, K, inc_mode, count)
+    return {"incoherence": (inc_mode, count), "trials": config.number("trials", int),
+            "matrix": _plan_matrix(config, N, M, field)}
 
 
-def _plan_ensemble(config: dict, where: str, N, M, K, field) -> dict:
+def _plan_ensemble(config: _Block, N, M, K, field) -> dict:
     _support_count(N, K)
     if K >= N:
-        raise ConfigError(f"{where}: ensemble mode needs two candidate supports (its Fano"
+        raise ConfigError(f"{config.path}: ensemble mode needs two candidate supports (its Fano"
                           f" bound needs L = C(N,K) >= 2): K={K} must be below N={N}")
-    return {"matrix_draws": _positive_int(config, "matrix_draws", where),
-            "trials_per_matrix": _positive_int(config, "trials_per_matrix", where)}
+    # matrix_draws and trials_per_matrix count the trials; `trials` is checked, unused
+    config.number("trials", int, 1)
+    return {"matrix_draws": config.number("matrix_draws", int),
+            "trials_per_matrix": config.number("trials_per_matrix", int)}
 
 
 def _run_binary(plan: dict, seed: int, points: list) -> tuple:
@@ -379,7 +396,7 @@ def _run_ensemble(plan: dict, seed: int, points: list) -> tuple:
     return ests, cells, []
 
 
-# mode -> (plan(config, where, N, M, K, field) -> the mode's own plan keys,
+# mode -> (plan(config, N, M, K, field) -> the mode's own plan keys,
 #          run(plan, seed, points) -> (estimates, cells, comments))
 _SIMULATE_MODES = {
     "binary": (_plan_binary, _run_binary),
@@ -388,7 +405,7 @@ _SIMULATE_MODES = {
 }
 
 
-def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells=(None, None, None)) -> dict:
+def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells: tuple) -> dict:
     """The row of `est` at `point`, (N, M, K, T, sigma2, seed), with its
     (chernoff_clamped, fano_clamped, lambda_bar) cells."""
     return dict(zip(SIMULATE_COLUMNS, (mode, *point, est.trials, est.p_hat, est.ci_low,
@@ -413,27 +430,24 @@ def run_simulate(plan: dict, seed: int):
         rows.append(_simulate_row(mode, point, est, cell))
         for errors in est.extras.get("per_matrix_errors", ()):
             sub = mc._estimate(errors, plan["trials_per_matrix"], seed)
-            rows.append(_simulate_row("ensemble-matrix", point, sub))
+            rows.append(_simulate_row("ensemble-matrix", point, sub, (None, None, None)))
     return SIMULATE_COLUMNS, rows, comments
 
 
 # ---------------------------------------------------------------------------
 # eig-check
 
-def _validate_eigcheck(config: dict) -> dict:
-    where = "config"
-    grid = _require(config, "grid", dict, where)
-    Ms = _positive_list(grid, "M", f"{where}.grid", _positive_int)
-    Ks = _positive_list(grid, "K", f"{where}.grid", _positive_int)
-    draws = _positive_int(config, "draws_per_cell", where, default=24)
-    sigma2 = _positive_float(config, "sigma2", where, default=1.0)
-    for M in Ms:
-        for K in Ks:
-            if M < 2 * K:
-                raise ConfigError(f"{where}: cell (M={M}, K={K}) violates M >= 2K")
+def _validate_eigcheck(config: _Block) -> dict:
+    grid = config.block("grid")
+    Ms, Ks = grid.numbers("M", int), grid.numbers("K", int)
+    draws = config.number("draws_per_cell", int, 24)
+    sigma2 = config.number("sigma2", float, 1.0)
+    for M, K in product(Ms, Ks):
+        if M < 2 * K:
+            raise ConfigError(f"{config.path}: cell (M={M}, K={K}) violates M >= 2K")
     return {"Ms": Ms, "Ks": Ks, "draws": draws, "sigma2": sigma2,
-            "field": _field_of(config, where),
-            "tolerance": _positive_float(config, "tolerance", where, default=1e-8)}
+            "field": _FIELDS[config.choice("field", _FIELDS, "real")],
+            "tolerance": config.number("tolerance", float, 1e-8)}
 
 
 def _eig_check_scores(A: np.ndarray, S0, S1, sigma2: float, tol: float, k0: int,
@@ -492,31 +506,26 @@ def run_eig_check(plan: dict, seed: int):
 # ---------------------------------------------------------------------------
 # doa
 
-def _validate_doa(config: dict) -> dict:
+def _validate_doa(config: _Block) -> dict:
     """The plan of a `doa` run: its threshold rows, in `product(epsilon, N, K,
     sigma2)` order, each evaluated by `bounds.doa_requirements` under its rule
     (epsilon < 1, 1 <= K < N), after the optional ULA walk's caps are checked."""
-    where = "config"
-    eps = _positive_list(config, "epsilon", where, _positive_float)
-    Ns = _positive_list(config, "N", where, _positive_int)
-    Ks = _positive_list(config, "K", where, _positive_int)
-    sig = _positive_list(config, "sigma2", where, _positive_float)
+    eps = config.numbers("epsilon", float)
+    Ns, Ks = config.numbers("N", int), config.numbers("K", int)
+    sig = config.numbers("sigma2", float)
     plan = {"rows": []}
-    if "ula_lambda" in config:
-        uw = f"{where}.ula_lambda"
-        u = _require(config, "ula_lambda", dict, where)
-        ula = plan["ula"] = {"M": _positive_int(u, "M", uw),
-                             "grid_size": _positive_int(u, "grid_size", uw),
-                             "K": _positive_int(u, "K", uw),
-                             "spacing": _positive_float(u, "spacing", uw, default=0.5),
-                             "pairs": _positive_int(u, "pairs", uw, default=200),
-                             "sigma2": _positive_float(u, "sigma2", uw, default=1.0)}
+    if "ula_lambda" in config.data:
+        u = config.block("ula_lambda")
+        ula = plan["ula"] = {"M": u.number("M", int), "grid_size": u.number("grid_size", int),
+                             "K": u.number("K", int), "spacing": u.number("spacing", float, 0.5),
+                             "pairs": u.number("pairs", int, 200),
+                             "sigma2": u.number("sigma2", float, 1.0)}
         # the run's sampled pair walk, checked now: its caps exit 3 before any threshold row
-        _checked_call(uw, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], "sampled",
+        _checked_call(u.path, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], "sampled",
                       ula["pairs"])
     for e, N, K, sigma2 in product(eps, Ns, Ks, sig):
-        t = _checked_call(f"{where}: epsilon={e!r}, N={N}, K={K}", bd.doa_requirements, e, N, K,
-                          sigma2)
+        t = _checked_call(f"{config.path}: epsilon={e!r}, N={N}, K={K}", bd.doa_requirements, e,
+                          N, K, sigma2)
         plan["rows"].append({"formula_id": t.formula_id, "quantity": t.quantity, "epsilon": e,
                              "N": N, "K": K, "sigma2": sigma2, **t.forms})
     return plan
@@ -537,24 +546,28 @@ def run_doa(plan: dict, seed: int):
 # ---------------------------------------------------------------------------
 # sweep
 
-def _validate_sweep(config: dict) -> tuple:
+def _validate_sweep(config: _Block) -> tuple:
     """(run, plans) of the driven command, one plan per grid point in the
-    order of the sorted grid keys; a bad point raises before any point runs."""
-    where = "config"
-    command = _require(config, "command", str, where)
-    if command not in COMMANDS or command == "sweep":
-        raise ConfigError(f"{where}: sweep cannot drive command {command!r}")
-    base = _require(config, "base", dict, where)
-    grid = _require(config, "grid", dict, where)
-    if not grid:
-        raise ConfigError(f"{where}: sweep grid must be non-empty")
-    for key, values in grid.items():
+    order of the sorted grid keys; a bad point raises before any point runs.
+    A key of `base` or `grid` is read when any point's plan reads it, and a
+    block nested in a point closes with `base`."""
+    command = config.choice("command", [name for name in COMMANDS if name != "sweep"])
+    base, grid = config.block("base"), config.block("grid")
+    if not grid.data:
+        raise ConfigError(f"{grid.path}: sweep grid must be non-empty")
+    for key, values in grid.data.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"{where}: grid entry {key!r} must be a non-empty list")
+            raise ConfigError(f"{grid.path}: grid entry {key!r} must be a non-empty list")
     _, validate, run = COMMANDS[command]
-    keys = sorted(grid)
-    return run, [validate({**base, **dict(zip(keys, combo))})
-                 for combo in product(*(grid[k] for k in keys))]
+    keys = sorted(grid.data)
+    plans = []
+    for combo in product(*(grid.data[k] for k in keys)):
+        point = _Block({**base.data, **dict(zip(keys, combo))}, base.path)
+        plans.append(validate(point))
+        base.read |= point.read
+        grid.read |= point.read
+        base.nested += point.nested
+    return run, plans
 
 
 def run_sweep(plan: tuple, seed: int):
@@ -573,7 +586,7 @@ def run_sweep(plan: tuple, seed: int):
 # ---------------------------------------------------------------------------
 # dispatch and output
 
-# command -> (help, validate(config) -> plan, run(plan, seed) -> (columns, rows, comments))
+# command -> (help, validate(config _Block) -> plan, run(plan, seed) -> (columns, rows, comments))
 COMMANDS = {
     "bounds": ("evaluate closed-form bound/threshold queries", _validate_bounds, run_bounds),
     "simulate": ("Monte Carlo error-probability experiments", _validate_simulate, run_simulate),
@@ -662,19 +675,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args, config: dict) -> int:
+def _resolve_seed(args, config: _Block) -> int:
+    """--seed, else $SUPREC_SEED, else the config's `master_seed`, else 0; a
+    `master_seed` is read and checked whichever seed wins."""
+    seeds = [(f"{config.path}: 'master_seed'", config.value("master_seed", int, 0))]
     if args.seed is not None:
-        seed = args.seed
+        seeds.append(("--seed", args.seed))
     elif os.environ.get(SEED_ENV_VAR):
         try:
-            seed = int(os.environ[SEED_ENV_VAR])
+            seeds.append((f"${SEED_ENV_VAR}", int(os.environ[SEED_ENV_VAR])))
         except ValueError:
             raise ConfigError(f"${SEED_ENV_VAR} must be an integer") from None
-    else:
-        seed = config.get("master_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
-    return seed
+    for name, seed in seeds:
+        if isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise ConfigError(f"{name} must be an unsigned 64-bit integer")
+    return seeds[-1][1]
 
 
 def main(argv=None) -> int:
@@ -689,9 +704,12 @@ def main(argv=None) -> int:
         print("suprec: config must be a JSON object", file=sys.stderr)
         return 2
     try:
+        config = _Block(config, "config")
         seed = _resolve_seed(args, config)
         _, validate, run = COMMANDS[args.command]
-        columns, rows, comments = run(validate(config), seed)
+        plan = validate(config)
+        config.close()
+        columns, rows, comments = run(plan, seed)
     except ConfigError as exc:
         print(f"suprec: config error: {exc}", file=sys.stderr)
         return 2

@@ -212,14 +212,14 @@ def field_gaussian(rng: np.random.Generator, shape, field: FieldTag) -> np.ndarr
 @dataclass(frozen=True)
 class Support:
     """Sorted index set of the nonzero signal rows; the hypothesis identity.
-    Each index is an integer (`_integer`, the rule of `make_support`) in
-    [0, ambient_dim)."""
+    `ambient_dim` is an integer (`_integer`) of at least 1, and each index an
+    integer in [0, ambient_dim), the rule of `make_support` too."""
 
     indices: tuple
     ambient_dim: int
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
+        if _integer(self.ambient_dim, "ambient_dim") < 1:
             raise ValueError("ambient_dim must be positive")
         if len(self.indices) < 1:
             raise ValueError("a support must contain at least one index")
@@ -278,7 +278,7 @@ def make_support(indices: Iterable[int], N: int) -> Support:
     idx = tuple(_integer(i, "support index") for i in indices)
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices in {idx}")
-    return Support(tuple(sorted(idx)), int(N))
+    return Support(tuple(sorted(idx)), N)
 
 
 def _support_count(N: int, K: int) -> int:

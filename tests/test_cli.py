@@ -16,6 +16,7 @@ import suprec.spectra as spectra
 from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
 
 from conftest import dense_h_eigenvalues, dense_sandwich, random_pair
+from test_golden import CASES as GOLDEN_CASES
 
 RUN = [sys.executable, "-m", "suprec.cli"]
 
@@ -243,6 +244,76 @@ class TestExitCodes:
         assert not out.exists()
 
 
+ENSEMBLE_SIM = {"mode": "ensemble", "N": 6, "M": 4, "K": 2, "T": 1, "sigma2": 0.5,
+                "matrix_draws": 2, "trials_per_matrix": 20}
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("command,payload,message", [
+        ("sweep", {"command": "simulate", "base": BINARY_SIM, "grid": {"sigma": [0.1, 0.5, 1.0]}},
+         "config.grid: unknown key 'sigma'"),
+        ("bounds", {"queries": [{"formula": "gaussian_necessary", "epsilon": 0.1, "delt": 0.05,
+                                 "N": 16, "K": 2, "sigma2": 1.0, "kappa": 0.5}]},
+         "query gaussian_necessary: unknown key 'delt'"),
+        ("doa", {**DOA_ULA, "ula_lambda": {"M": 8, "grid_size": 20, "K": 2, "pair": 10}},
+         "config.ula_lambda: unknown key 'pair'"),
+        ("simulate", {**BINARY_SIM, "feild": "complex"}, "config: unknown key 'feild'"),
+        ("simulate", {**ENSEMBLE_SIM, "matrix": {"kind": "csv", "path": "/nonexistent.csv"}},
+         "config: unknown key 'matrix'"),
+        ("sweep", {"command": "simulate", "base": {**BINARY_SIM, "master_seed": 5},
+                   "grid": {"T": [1, 2]}}, "config.base: unknown key 'master_seed'"),
+        ("simulate", {**MULTIPLE_SIM, "bogus": 1}, "config: unknown key 'bogus'"),
+        ("simulate", {**MULTIPLE_SIM, "incoherence": {"mode": "exhaustive", "count": 5}},
+         "config.incoherence: unknown key 'count'"),
+        ("simulate", {**BINARY_SIM, "master_seed": "x"},
+         "config: key 'master_seed' has invalid type str"),
+        ("simulate", {**BINARY_SIM, "master_seed": -1},
+         "config: 'master_seed' must be an unsigned 64-bit integer"),
+    ], ids=["sweep-grid-misspelled", "bounds-delta-misspelled", "doa-ula-pairs-misspelled",
+            "simulate-field-misspelled", "ensemble-matrix-block", "sweep-base-master-seed",
+            "multiple-bogus", "exhaustive-count", "overridden-master-seed-string",
+            "overridden-master-seed-negative"])
+    def test_key_no_plan_reads_is_config_error(self, tmp_path, command, payload, message):
+        # each of these ran to exit 0 while ignoring the key; --seed overrides
+        # any master_seed, which is still read and checked
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        result = run_cli(command, "--config", cfg, "--seed", "1", "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert not out.exists()
+
+    def test_every_object_of_every_golden_config_rejects_an_unread_key(self, tmp_path, capsys):
+        # one unknown key added at the top level and inside each nested object
+        # (matrix, incoherence, grid, ula_lambda, a bounds query, a sweep base)
+        def objects(value, path):
+            """(object, its path in messages) for `value` and every object in it."""
+            if isinstance(value, dict):
+                yield value, path
+                for key, item in value.items():
+                    yield from objects(item, f"{path}.{key}")
+            elif isinstance(value, list):
+                for item in value:
+                    yield from objects(item, f"query {item['formula']}"
+                                       if isinstance(item, dict) else path)
+
+        paths = set()
+        for name, (command, config, seed, _) in sorted(GOLDEN_CASES.items()):
+            for n, (_, path) in enumerate(objects(config, "config")):
+                bad = json.loads(json.dumps(config))
+                target, _ = list(objects(bad, "config"))[n]
+                target["zz_unread"] = [1]
+                out = tmp_path / f"{name}-{n}.out"
+                argv = [command, "--config", write_config(tmp_path, bad), "--seed", str(seed),
+                        "--out", str(out)]
+                assert cli.main(argv) == 2, (name, path)
+                assert f"{path}: unknown key 'zz_unread'" in capsys.readouterr().err, (name, path)
+                assert not out.exists()
+                paths.add(path)
+        assert {"config", "config.matrix", "config.incoherence", "config.grid", "config.ula_lambda",
+                "config.base", "config.base.ula_lambda", "query gaussian_necessary"} <= paths
+
+
 class TestCsvCells:
     def test_plain_cells_format_as_csv_cell(self):
         # the fast path of `_write_output` writes what `_csv_cell` would
@@ -265,7 +336,8 @@ class TestJsonOutput:
         # so do the JSON texts in a cell: a threshold's forms overflow here
         query = {"formula": "snet", "epsilon": 0.1, "N": 16, "K": 4, "sigma2": 1e308,
                  "kappa": 0.5, "normalization": "unit_rows"}
-        _, rows, _ = cli.run_bounds(cli._validate_bounds({"queries": [query]}), 0)
+        plan = cli._validate_bounds(cli._Block({"queries": [query]}, "config"))
+        _, rows, _ = cli.run_bounds(plan, 0)
         forms = json.loads(rows[0]["notes"], parse_constant=reject_constant)
         assert forms == dict.fromkeys(("exact_binomial", "log2_corrected", "relaxed"), "inf")
         assert [cli._csv_cell(v) for v in (math.nan, -math.inf, math.inf)] == ["nan", "-inf", "inf"]
@@ -493,10 +565,10 @@ class TestEigCheckCommand:
         # 3 * 64 elements takes them 4, 4 and 2 at a time at K = 2 (N = 6) and
         # 3, 3, 3 and 1 at K = 3 (N = 8)
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10, "field": "complex"}
-        whole = cli.run_eig_check(cli._validate_eigcheck(config), 5)
+        whole = cli.run_eig_check(cli._validate_eigcheck(cli._Block(config, "config")), 5)
         assert cli.EIG_CHUNK_ELEMENTS // 64 >= 10
         monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
-        assert cli.run_eig_check(cli._validate_eigcheck(config), 5) == whole
+        assert cli.run_eig_check(cli._validate_eigcheck(cli._Block(config, "config")), 5) == whole
         assert whole[2] == ["# violations=0"] and len(whole[1]) == 10 * (2 + 3)
         # M = 60, K = 4 (N = 10), 30 draws: 2**16 elements take a cell in one
         # stack, 2**14 take it 27 and 3 at a time
@@ -504,7 +576,7 @@ class TestEigCheckCommand:
         runs = []
         for budget in (2**16, 2**14):
             monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", budget)
-            runs.append(cli.run_eig_check(cli._validate_eigcheck(config), 6))
+            runs.append(cli.run_eig_check(cli._validate_eigcheck(cli._Block(config, "config")), 6))
         assert runs[0] == runs[1]
         assert runs[0][2] == ["# violations=0"] and len(runs[0][1]) == 30 * 4
 
@@ -519,7 +591,8 @@ class TestEigCheckCommand:
         monkeypatch.setattr(spectra, "_pencil", lambda *a: pencils.append(1) or pencil(*a))
         monkeypatch.setattr(cli, "EIG_CHUNK_ELEMENTS", 3 * 64)
         config = {"grid": {"M": 8, "K": [2, 3]}, "draws_per_cell": 10}
-        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 5)
+        plan = cli._validate_eigcheck(cli._Block(config, "config"))
+        _, rows, comments = cli.run_eig_check(plan, 5)
         assert comments == ["# violations=0"] and len(rows) == 50
         assert len(calls) == len(pencils) == 2 * (2 * 3 + 3 * 4)
 
@@ -544,7 +617,8 @@ class TestEigCheckCommand:
         # below sigma2 ~ 1e-16 an eigenvalue below 1 rounds to ~eps lambda_max,
         # above 1, in the (S0, S1) pencil; it is read from the (S1, S0) one
         config = {"grid": grid, "draws_per_cell": draws, "sigma2": sigma2, "field": field}
-        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 1)
+        plan = cli._validate_eigcheck(cli._Block(config, "config"))
+        _, rows, comments = cli.run_eig_check(plan, 1)
         assert comments == ["# violations=0"]
         assert all(r["count_gt"] == r["count_lt"] == r["k0"] for r in rows)
 
@@ -552,7 +626,8 @@ class TestEigCheckCommand:
         # at sigma2 = 1e-14 the top eigenvalues are ~1e14, whose rounding is
         # ~0.02, and one draw's lower slack reads -0.5
         config = {"grid": {"M": 6, "K": 2}, "draws_per_cell": 2, "sigma2": 1e-14}
-        _, rows, comments = cli.run_eig_check(cli._validate_eigcheck(config), 1)
+        plan = cli._validate_eigcheck(cli._Block(config, "config"))
+        _, rows, comments = cli.run_eig_check(plan, 1)
         assert comments == ["# violations=0"]
         assert min(r["min_slack_lower"] for r in rows) < -1e-9
 
@@ -699,7 +774,7 @@ class TestSweepCommand:
         validated, ran = [], []
 
         def counting_validate(config):
-            validated.append(config["T"])
+            validated.append(config.data["T"])
             return validate(config)
 
         def counting_run(plan, seed):

@@ -57,6 +57,16 @@ class TestSupport:
             with pytest.raises(ValueError, match="support index must be an integer"):
                 Support(tuple(bad), 4)
         assert Support((np.intp(0), 2), 3).as_array().tolist() == [0, 2]
+        # so is the ambient dimension: a float N is not truncated, and N >= 1
+        assert make_support([0, 1], np.int64(3)).ambient_dim == 3
+        for bad in (2.7, 2.0, True, "3"):
+            with pytest.raises(ValueError, match="ambient_dim must be an integer"):
+                make_support([0, 1], bad)
+            with pytest.raises(ValueError, match="ambient_dim must be an integer"):
+                Support((0,), bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="ambient_dim must be positive"):
+                Support((0,), bad)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
