@@ -8,26 +8,25 @@ covariance Sigma_S, so the log density is
                  - kappa*tr(Y^H Sigma_S^{-1} Y).
 
 Every log determinant and quadratic form goes through the covariance core in
-`spectra`. `SupportDecoder` keeps its candidates in one (L, K_max) table
-padded with -1, whose one `np.lexsort` is the tie order, factors them in K x K
-form (one stacked `covariance_factors` call per support size) and lays
-observations out one way (`_columns`). Its `score_batch` is the exact scoring
-path: `log_scores`, `decode`, `decode_index`, `binary_lrt` (a two-candidate
-decoder) and the binary Monte Carlo estimator score through it, all candidates
-of a size at once. `decode_index_batch`, which the multiple and ensemble
-estimators call, returns the pick of `score_batch` but screens first: it
-scores every candidate in K x K Gram space (`_screen`), each within a
-rounding margin of its exact score, and rescores exactly only the candidates
-of a trial whose margins reach the best one's, at every support size. The
-decoder decides when its screen is built: once per support size
-(`_gram_screen`), on its first `decode_index_batch`, so the exact scorers and
-the Fano beta never pay for it. `spectra` decides how: the screen's Gram
-sigma2 I + A_S^H A_S is factored and inverted by `spectra._gram_factor`, the
-kernel of the pair floors too. `log_likelihood` takes one dense covariance
-and whitens with its inverse Cholesky factor (`spectra._inverse_factor`),
-which fails under the same pivot-floor rule as every other covariance.
-Candidate rows follow the rule `Support` holds each support to
-(`model._check_rows`).
+`spectra`. `SupportDecoder` decodes over candidates of one size K, as in the
+paper's multiple-hypothesis test: it keeps them in one (L, K) table, whose one
+`np.lexsort` is the tie order, factors them in K x K form (one stacked
+`covariance_factors` call) and lays observations out one way (`_columns`). Its
+`score_batch` is the exact scoring path: `log_scores`, `decode`,
+`decode_index`, `binary_lrt` (a two-candidate decoder) and the binary Monte
+Carlo estimator score through it, all candidates at once. `decode_index_batch`,
+which the multiple and ensemble estimators call, returns the pick of
+`score_batch` but screens first: it scores every candidate in K x K Gram space
+(`_screen`), each within a rounding margin of its exact score, and rescores
+exactly only the candidates of a trial whose margins reach the best one's. The
+decoder decides when its screen is built: once (`_gram_screen`), on its first
+`decode_index_batch`, so the exact scorers and the Fano beta never pay for it.
+`spectra` decides how: the screen's Gram sigma2 I + A_S^H A_S is factored and
+inverted by `spectra._gram_factor`, the kernel of the pair floors too.
+`log_likelihood` takes one dense covariance and whitens with its inverse
+Cholesky factor (`spectra._inverse_factor`), which fails under the same
+pivot-floor rule as every other covariance. Candidate rows follow the rule
+`Support` holds each support to (`model._check_rows`).
 """
 
 from __future__ import annotations
@@ -107,24 +106,26 @@ class DecodeResult:
 
 
 class SupportDecoder:
-    """Maximum-likelihood decoder over a fixed candidate support set.
+    """Maximum-likelihood decoder over a fixed candidate support set of one
+    size K.
 
-    `candidates` is a sequence of `Support`s, of any sizes and of ambient
-    dimension N (A's column count), or an (L, K) integer array of support
-    rows, each strictly increasing within [0, N) like a `Support`'s indices
-    (a `ValueError` otherwise). The covariance factors of each support size
-    are computed once per (A, sigma2, candidates), in one
-    `covariance_factors` call, and reused across observations. A candidate
-    whose factorization fails scores -inf and is recorded in `failures`
-    instead of aborting the decode. `factors`,
-    when given, are the `covariance_factors` of candidates given as rows,
+    `candidates` is an (L, K) integer array of support rows, each strictly
+    increasing within [0, N) like a `Support`'s indices, or a sequence of
+    `Support`s of ambient dimension N (A's column count) or of index rows,
+    which becomes that array by the same rule (`model._check_rows`). Rows
+    that break it, a `Support` of another ambient dimension, or candidates of
+    more than one size are a `ValueError`. The covariance factors are computed
+    once per (A, sigma2, candidates), in one `covariance_factors` call, and
+    reused across observations. A candidate whose factorization fails scores
+    -inf and is recorded in `failures` instead of aborting the decode.
+    `factors`, when given, are the `covariance_factors` of the candidates,
     already built at sigma2, and are not rebuilt: `estimate_multiple_perrs`
     decodes with the factor sets that `simulate` also gives the exact Fano
     beta. Factors of other rows or of another sigma2 are a `ValueError`.
 
     The decoder owns the Gram screen of `decode_index_batch`: it builds the
-    screen's factors (`_grams`, by `spectra._gram_factor`) on the first such
-    call, once per support size, and nothing else reads them.
+    screen's factors (`_grams`, by `spectra._gram_factor`) once, on the first
+    such call, and nothing else reads them.
     """
 
     def __init__(self, A, candidates, sigma2: float, factors=None):
@@ -132,50 +133,42 @@ class SupportDecoder:
         self.kappa = field.kappa
         self.M, self._N = entries.shape
         self._entries = entries
-        if isinstance(candidates, np.ndarray):
-            table = _check_rows(candidates, self._N, "candidate")
-            self._supports = None
-        else:
-            self._supports = list(candidates)
-            if any(S.ambient_dim != self._N for S in self._supports):
+        if not isinstance(candidates, np.ndarray):
+            candidates = list(candidates)
+            if any(isinstance(S, Support) and S.ambient_dim != self._N for S in candidates):
                 raise ValueError(f"candidate supports must have ambient_dim {self._N}, the column"
                                  " count of A")
-            width = max((S.size for S in self._supports), default=0)
-            table = np.array([[*S.indices] + [-1] * (width - S.size) for S in self._supports],
-                             dtype=np.intp)
+            candidates = [S.indices if isinstance(S, Support) else S for S in candidates]
+            if len({np.shape(row) for row in candidates}) > 1:
+                raise ValueError("candidate supports must all have one size")
+        table = _check_rows(candidates, self._N, "candidate")
         if not len(table):
             raise ValueError("candidate set must be nonempty")
-        if factors is not None and not (self._supports is None and factors.sigma2 == sigma2
+        if factors is not None and not (factors.sigma2 == sigma2
                                         and np.array_equal(factors.rows, table)):
             raise ValueError("factors must be those of the candidate rows at sigma2")
-        self._table = table
-        # Ties go to the first in lexicographic order; the -1 padding puts a
-        # support before every longer one it begins, as tuples sort.
+        # Ties go to the first support in lexicographic order.
         self._lex_order = np.lexsort(table.T[::-1])
-        sizes = np.count_nonzero(table >= 0, axis=1)
-        self.failures: dict = {}
-        self._groups = []
-        for K in np.unique(sizes):
-            idx = np.flatnonzero(sizes == K)
-            group = covariance_factors(entries, table[idx, :K], sigma2) if factors is None else factors
-            self._groups.append((idx, group))
-            self.failures.update({int(idx[i]): msg for i, msg in group.failures.items()})
+        self._factors = covariance_factors(entries, table, sigma2) if factors is None else factors
+        self.failures = dict(self._factors.failures)
 
-    @property
+    @cached_property
     def candidates(self) -> list:
-        """The candidate supports, in the decoder's order (built on first use
-        when the decoder was given support rows)."""
-        if self._supports is None:
-            self._supports = [Support(tuple(int(i) for i in row), self._N) for row in self._table]
-        return self._supports
+        """The candidate supports, in the decoder's order (built on first use)."""
+        return [Support(tuple(int(i) for i in row), self._N) for row in self._factors.rows]
 
     def _columns(self, Ys) -> tuple:
         """(values, T): observations (n, M, T) as the one contiguous block
-        (M, T n) all scorers read, column t of observation i at t n + i."""
+        (M, T n) all scorers read, column t of observation i at t n + i.
+        Complex observations of a real matrix are a `ValueError`."""
         Ys = np.asarray(Ys)
+        if Ys.ndim != 3:
+            raise ValueError(f"observations must be an (n, M, T) stack, got shape {Ys.shape}")
         n, M, T = Ys.shape
         if M != self.M:
             raise ValueError(f"observation row count {M} does not match decoder M={self.M}")
+        if np.iscomplexobj(Ys) and not np.iscomplexobj(self._entries):
+            raise ValueError("complex observations need a complex matrix")
         return np.ascontiguousarray(np.moveaxis(Ys, 0, -1)).reshape(M, T * n), T
 
     def _offsets(self, T: int, logdet: np.ndarray) -> np.ndarray:
@@ -184,22 +177,14 @@ class SupportDecoder:
         const = -self.kappa * self.M * T * np.log(np.pi / self.kappa)
         return const - self.kappa * T * logdet[:, None]
 
-    def _scores(self, values: np.ndarray, T: int, cand=None) -> np.ndarray:
-        """Exact log-likelihoods of the candidates at indices `cand` (all when
-        None) for observation columns (M, T n): (len(cand), n). Each support
-        size is scored as one stack (`CovarianceFactors.energies`), and a
-        candidate scores the same bits whichever others are scored with it."""
-        n = values.shape[1] // T
-        out = np.empty((self._lex_order.size if cand is None else len(cand), n))
-        for idx, factors in self._groups:
-            rows, which = idx, slice(None)
-            if cand is not None:
-                rows = np.flatnonzero(np.isin(cand, idx))
-                which = np.searchsorted(idx, cand[rows])
-            # a failed candidate has logdet = +inf, so it scores -inf
-            out[rows] = (self._offsets(T, factors.logdet[which])
-                         - self.kappa * factors.energies(values, T, which))
-        return out
+    def _scores(self, values: np.ndarray, T: int, cand=slice(None)) -> np.ndarray:
+        """Exact log-likelihoods of the candidates at indices `cand` (all by
+        default) for observation columns (M, T n): (len(cand), n), scored as
+        one stack (`CovarianceFactors.energies`). A candidate scores the same
+        bits whichever others are scored with it, and a failed one, whose
+        logdet is +inf, scores -inf."""
+        energies = self._factors.energies(values, T, cand)
+        return self._offsets(T, self._factors.logdet[cand]) - self.kappa * energies
 
     def score_batch(self, Ys) -> np.ndarray:
         """Log-likelihood of every candidate for a stack of observations
@@ -231,21 +216,20 @@ class SupportDecoder:
         return DecodeResult(chosen=self.candidates[idx], log_scores=scores, ties_broken=bool(tied))
 
     @cached_property
-    def _grams(self) -> list:
-        """The Gram screen's (F^{-1}, rho) of each support size, in the order of
-        `_groups` (`_gram_screen`), built on the first `decode_index_batch`."""
-        return [_gram_screen(self._entries, factors) for _, factors in self._groups]
+    def _grams(self) -> tuple:
+        """The Gram screen's (F^{-1}, rho) (`_gram_screen`), built on the first
+        `decode_index_batch`."""
+        return _gram_screen(self._entries, self._factors)
 
-    def _screen(self, factors, inverse, rho, AhY, ysq, T: int) -> tuple:
-        """(scores, margins), each (L, n), of one support size: Gram-space
-        log-likelihoods of n observations of T columns each, and a bound on
-        their distance from what `score_batch` gives. A failed candidate
-        scores -inf, margin 0.
+    def _screen(self, AhY, ysq, T: int) -> tuple:
+        """(scores, margins), each (L, n): Gram-space log-likelihoods of n
+        observations of T columns each, and a bound on their distance from
+        what `score_batch` gives. A failed candidate scores -inf, margin 0.
 
-        `inverse` and `rho` are the size's F^{-1} and rho (`_gram_screen`),
-        `AhY` (N, T n) is A^H values for the whole matrix and the block
-        `_columns` gives, so b = A_S^H y is a row gather, and `ysq` (n,) is
-        |y|^2 summed per observation. By Woodbury,
+        F^{-1} and rho are the decoder's (`_grams`), `AhY` (N, T n) is A^H
+        values for the whole matrix and the block `_columns` gives, so
+        b = A_S^H y is a row gather, and `ysq` (n,) is |y|^2 summed per
+        observation. By Woodbury,
 
             y^H Sigma_S^{-1} y = (|y|^2 - |F^{-1} b|^2) / sigma2,
 
@@ -283,6 +267,8 @@ class SupportDecoder:
         ||A_S||_F^2 ||F^{-1}||_F^2 (`spectra._gram_factor`): both are backward
         stable to first order, which the constant covers.
         """
+        factors = self._factors
+        inverse, rho = self._grams
         L, K = factors.rows.shape
         energy = np.empty((L, len(ysq)))
         step = max(1, spectra.SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
@@ -300,7 +286,7 @@ class SupportDecoder:
         margin = 4.0 * eps * np.abs(offsets) + np.multiply.outer(
             np.where(wide, 0.0, spread), (eps * self.kappa / factors.sigma2) * ysq)
         margin[wide] = np.inf
-        failed = list(factors.failures)
+        failed = list(self.failures)
         energy[failed], margin[failed] = -np.inf, 0.0
         return energy, margin
 
@@ -322,15 +308,7 @@ class SupportDecoder:
         n = values.shape[1] // T
         AhY = self._entries.conj().T @ values
         ysq = _column_energy(values.reshape(1, self.M * T, n))[0]       # |y_i|^2
-        parts = [self._screen(factors, *gram, AhY, ysq, T)
-                 for (_, factors), gram in zip(self._groups, self._grams)]
-        if len(parts) == 1:
-            scores, margins = parts[0]
-        else:
-            scores = np.empty((self._lex_order.size, n))
-            margins = np.empty_like(scores)
-            for (idx, _), (part, margin) in zip(self._groups, parts):
-                scores[idx], margins[idx] = part, margin
+        scores, margins = self._screen(AhY, ysq, T)
         threshold = (scores - margins).max(axis=0)
         margins += scores
         near = ~(margins < threshold)

@@ -188,15 +188,17 @@ class TestMlDecode:
             assert decoder.decode_index(Y)[0] == batch[t]
 
     def test_factorization_failure_scores_minus_inf(self):
-        # duplicate columns + vanishing noise make one candidate numerically singular
+        # duplicate columns + vanishing noise make one candidate numerically
+        # singular, at K < M and at K = M, given as Supports or as rows
         col = np.ones((3, 1))
         A = MeasurementMatrix(np.hstack([col, col, np.eye(3)]), FieldTag.REAL)
-        bad = make_support([0, 1], 5)
-        good = make_support([2, 3, 4], 5)
-        decoder = SupportDecoder(A, [bad, good], 1e-300)
-        assert 0 in decoder.failures and 1 not in decoder.failures
-        res = decoder.decode(np.ones((3, 1)))
-        assert res.chosen == good
+        for rows in ([[0, 1], [2, 3]], [[0, 1, 2], [2, 3, 4]]):
+            good = make_support(rows[1], 5)
+            for candidates in (np.array(rows), [make_support(r, 5) for r in rows]):
+                decoder = SupportDecoder(A, candidates, 1e-300)
+                assert 0 in decoder.failures and 1 not in decoder.failures
+                res = decoder.decode(np.ones((3, 1)))
+                assert res.chosen == good
 
     def test_non_finite_column_fails_only_its_candidate(self):
         # a bare array with a NaN entry: the candidate holding that column is a
@@ -291,36 +293,30 @@ class TestLowRankScores:
         rows = support_rows(7, 2)
         factors = spectra.covariance_factors(A, rows, 0.3)
         Ys = model_observations(A, enumerate_supports(7, 2), 0.3, 4, 2, seed=2)
-        shared = SupportDecoder(A, rows, 0.3, factors)
-        assert shared._groups[0][1] is factors
-        assert np.array_equal(shared.score_batch(Ys), SupportDecoder(A, rows, 0.3).score_batch(Ys))
-        for candidates, sigma2 in ((enumerate_supports(7, 2), 0.3), (rows, 0.4), (rows[1:], 0.3)):
+        for candidates in (rows, enumerate_supports(7, 2)):
+            shared = SupportDecoder(A, candidates, 0.3, factors)
+            assert shared._factors is factors
+            assert np.array_equal(shared.score_batch(Ys),
+                                  SupportDecoder(A, rows, 0.3).score_batch(Ys))
+        for candidates, sigma2 in ((rows, 0.4), (rows[1:], 0.3)):
             with pytest.raises(ValueError, match="factors must be those of the candidate rows"
                                                  " at sigma2"):
                 SupportDecoder(A, candidates, sigma2, factors)
-
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_mixed_sizes(self, field):
-        A = gaussian_instance(6, 8, field, seed=32, label="lowrank")
-        candidates = [make_support(s, 8) for s in
-                      ([3, 5], [1], [0, 2, 7], [4, 6], [2], [1, 3, 4, 6], [0, 1, 5])]
-        Ys = model_observations(A, candidates, 0.1, 6, 2, seed=3)
-        decoder = SupportDecoder(A, candidates, 0.1)
-        scores = decoder.score_batch(Ys)
-        np.testing.assert_allclose(scores, batch_oracle(A, candidates, 0.1, Ys), rtol=1e-12)
-        assert list(decoder.decode_index_batch(Ys)) == list(np.argmax(scores, axis=0))
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("sigma2", [0.5, 1e-30])
     def test_support_at_least_M_has_no_residual(self, field, sigma2):
         # K >= M: Q is square, so y - Q Q^H y is zero and must not be computed.
         # At sigma2 = 1e-30 its rounding noise over sigma2 would swamp the score.
+        # K = M, K > M and (at sigma2 = 0.5) K < M decoders score the same Ys.
         A = gaussian_instance(3, 6, field, seed=33, label="lowrank")
-        candidates = [make_support(s, 6) for s in ([0, 2, 4], [1, 2, 3, 5], [0, 1])]
-        Ys = model_observations(A, candidates[:2], sigma2, 5, 2, seed=4)
-        got = SupportDecoder(A, candidates[:2], sigma2).score_batch(Ys)
-        np.testing.assert_allclose(got, batch_oracle(A, candidates[:2], sigma2, Ys), rtol=1e-12)
-        if sigma2 == 0.5:   # with a K < M candidate alongside
+        sets = [[[0, 2, 4], [1, 3, 5], [0, 1, 2]], [[1, 2, 3, 5], [0, 2, 4, 5]]]
+        if sigma2 == 0.5:
+            sets.append([[0, 1], [2, 5], [3, 4]])
+        Ys = model_observations(A, [make_support(r, 6) for r in sets[0] + sets[1]], sigma2, 5, 2,
+                                seed=4)
+        for rows in sets:
+            candidates = [make_support(r, 6) for r in rows]
             got = SupportDecoder(A, candidates, sigma2).score_batch(Ys)
             np.testing.assert_allclose(got, batch_oracle(A, candidates, sigma2, Ys), rtol=1e-12)
 
@@ -380,9 +376,9 @@ class TestLowRankScores:
 
 
 class TestCandidateTable:
-    """Supports and rows both become one (L, K_max) table, shorter supports
-    padded with -1; one lexsort of it is the tie order, and every observation
-    stack is read through one contiguous column block."""
+    """Supports, index lists and rows all become one (L, K) table of one
+    size K; one lexsort of it is the tie order, and every observation stack
+    is read through one contiguous column block."""
 
     FIELDS = [FieldTag.REAL, FieldTag.COMPLEX]
 
@@ -395,19 +391,59 @@ class TestCandidateTable:
         [make_support([1], 10), make_support([2], 10)],     # ambient_dim 10, N = 6
         np.array([[1, 0], [2, 3]]),             # a row out of order
         np.array([[2, 3], [0, 0]]),             # a repeated column
+        [[0, 1], [2, 6]],                                   # an index list beyond N
+        [0, 1, 2],                                          # a flat index list
     ])
     def test_bad_candidates_are_rejected(self, candidates):
         A = gaussian_instance(4, 6, seed=50, label="table")
         with pytest.raises(ValueError, match="candidate"):
             SupportDecoder(A, candidates, 0.5)
 
+    def test_mixed_sizes_rejected_before_factoring(self, monkeypatch):
+        # a decoder, and so the binary test, takes candidates of one size only
+        calls = []
+        monkeypatch.setattr(decode, "covariance_factors", lambda *args: calls.append(args))
+        A = gaussian_instance(4, 6, seed=50, label="table")
+        S0, S1 = make_support([0, 1], 6), make_support([2], 6)
+        for build in (lambda: SupportDecoder(A, [S0, S1], 0.5),
+                      lambda: SupportDecoder(A, [[0, 1], [2, 3, 4]], 0.5),
+                      lambda: binary_lrt(np.zeros((4, 1)), A, S0, S1, 0.5),
+                      lambda: lrt_decoder(A, S1, S0, 0.5)):
+            with pytest.raises(ValueError, match="one size"):
+                build()
+        assert calls == []
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_index_lists_decode_like_rows(self, field):
+        A = gaussian_instance(4, 6, field, seed=53, label="table")
+        rows = [[0, 1], [2, 3], [1, 5]]
+        Y = random_observation(A, make_support(rows[2], 6), 0.5, 2, 3)
+        by_lists = ml_decode(Y, A, rows, 0.5)
+        assert by_lists.chosen.indices in map(tuple, rows)
+        for given in (np.array(rows), [make_support(r, 6) for r in rows]):
+            assert ml_decode(Y, A, given, 0.5) == by_lists
+
+    def test_observations_are_an_n_m_t_stack_of_the_field(self):
+        A = gaussian_instance(4, 6, seed=54, label="table")
+        decoder = SupportDecoder(A, support_rows(6, 2), 0.5)
+        for method in (decoder.decode_index_batch, decoder.score_batch):
+            with pytest.raises(ValueError, match=r"\(n, M, T\) stack"):
+                method(np.ones((4, 2)))
+            with pytest.raises(ValueError, match="complex observations"):
+                method(np.ones((3, 4, 2)) + 1j)
+        # a complex matrix takes complex and real observations
+        A = gaussian_instance(4, 6, FieldTag.COMPLEX, seed=54, label="table")
+        decoder = SupportDecoder(A, support_rows(6, 2), 0.5)
+        for Ys in (np.ones((3, 4, 2)) + 1j, np.ones((3, 4, 2))):
+            assert decoder.decode_index_batch(Ys).shape == (3,)
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_tie_order_is_tuple_order(self, field):
-        # prefixes ({2} of {2, 5}, {2, 5} of {2, 5, 6}, ...) and duplicates,
-        # whose exact ties go to the first copy in the tie order
+        # shared first indices ({2, 5} and {2, 6}, ...) and duplicates, whose
+        # exact ties go to the first copy in the tie order
         A = gaussian_instance(6, 8, field, seed=51, label="table")
         candidates = [make_support(s, 8) for s in
-                      ([2, 5], [2], [0, 3, 7], [2, 5], [0, 3], [1], [2, 5, 6], [0], [0, 3])]
+                      ([2, 5], [2, 6], [0, 4], [2, 5], [0, 3], [1, 2], [3, 6], [0, 7], [0, 3])]
         decoder = SupportDecoder(A, candidates, 0.3)
         order = sorted(range(len(candidates)), key=lambda i: candidates[i].indices)
         assert decoder._lex_order.tolist() == order
@@ -436,10 +472,9 @@ def screen_matches_scores(decoder, Ys):
     rescored = []
     scores = decoder._scores
 
-    def spy(values, T, cand=None):
-        if cand is not None:
-            rescored.append(cand)
-        return scores(values, T, cand)
+    def spy(values, T, *cand):
+        rescored.extend(cand)
+        return scores(values, T, *cand)
 
     decoder._scores = spy
     try:
@@ -479,12 +514,11 @@ class TestGramScreen:
             candidates = enumerate_supports(N, K)
             Ys = model_observations(A, candidates, sigma2, 64, 3, seed=8)
             decoder = SupportDecoder(A, candidates, sigma2)
-            (_, factors), = decoder._groups
-            (inverse, rho), = decoder._grams
+            factors = decoder._factors
+            inverse, rho = decoder._grams
             values, T = decoder._columns(Ys)
             ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-            screened, margin = decoder._screen(factors, inverse, rho, A.entries.conj().T @ values,
-                                               ysq, T)
+            screened, margin = decoder._screen(A.entries.conj().T @ values, ysq, T)
             exact = decoder._scores(values, T)
             assert np.max(np.abs(screened - exact) / margin) <= 1e-2
             # F^{-1} (`spectra._gram_factor`) and rho against a dense factor per support
@@ -525,7 +559,7 @@ class TestGramScreen:
             decoder = SupportDecoder(A, candidates, sigma2)
             assert decoder.failures == {}
             if sigma2 == 1e-4:
-                (_, rho), = decoder._grams
+                _, rho = decoder._grams
                 pair = candidates.index(make_support([0, 1], 7))
                 assert rho[pair] > 50 * np.median(rho)
             assert screen_matches_scores(decoder, Ys)
@@ -579,26 +613,24 @@ class TestGramScreen:
         decoder = SupportDecoder(A, candidates, 1e-18)
         assert decoder.failures == {}
         assert screen_matches_scores(decoder, Ys)
-        (inverse, rho), = decoder._grams
+        _, rho = decoder._grams
         assert np.isinf(rho).any()
         values, T = decoder._columns(Ys)
         ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-        _, margin = decoder._screen(decoder._groups[0][1], inverse, rho,
-                                    A.entries.conj().T @ values, ysq, T)
+        _, margin = decoder._screen(A.entries.conj().T @ values, ysq, T)
         assert not np.isnan(margin).any() and np.isinf(margin[np.isinf(rho)]).all()
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_support_at_least_M(self, field):
-        # groups with K >= M (p = M) are screened like the K < M ones, alone
-        # or beside a K < M group
+        # K = M and K > M (p = M) are screened like K < M, given as Supports
+        # or as rows
         A = gaussian_instance(3, 6, field, seed=45, label="screen")
-        large = [make_support(s, 6) for s in ([0, 2, 4], [1, 2, 3, 5], [1, 3, 5])]
-        small = [make_support(s, 6) for s in ([0, 1], [2, 5], [4], [3])]
-        for candidates in (large, large + small):
+        for rows in ([[0, 2, 4], [1, 3, 5], [0, 1, 2]], [[1, 2, 3, 5], [0, 2, 4, 5]],
+                     [[0, 1], [2, 5], [3, 4]]):
+            candidates = [make_support(r, 6) for r in rows]
             Ys = model_observations(A, candidates, 0.2, 20, 2, seed=11)
-            screen_matches_scores(SupportDecoder(A, candidates, 0.2), Ys)
-        rows = np.array([S.indices for S in large if S.size == 3])
-        screen_matches_scores(SupportDecoder(A, rows, 0.2), Ys)
+            for given in (np.array(rows), candidates):
+                screen_matches_scores(SupportDecoder(A, given, 0.2), Ys)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_chunk_not_a_multiple_of_the_candidates(self, field, monkeypatch):
