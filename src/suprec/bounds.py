@@ -94,7 +94,7 @@ def chernoff_mu(h_eigs, s: float, T: int, kappa: float) -> float:
         raise ValueError("s must lie in [0, 1]")
     _positive(kappa, "kappa")
     lam = np.asarray(h_eigs, dtype=np.float64)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise ValueError("eigenvalues must be positive")
     log_lam = np.log(lam)
     terms = np.logaddexp(np.log(s) + (1.0 - s) * log_lam if s > 0 else -np.inf,
@@ -159,8 +159,8 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     """
     _positive(kappa, "kappa")
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
-    if np.any(lams <= 0):
-        raise ValueError("incoherence values must be positive")
+    if not np.all(lams > 0):
+        raise ValueError(f"lambda_bar must be positive, got {lambda_bar!r}")
     terms = []
     for k_d in range(1, K + 1):
         if k_d > N - K:
@@ -180,8 +180,8 @@ def multiple_bound_geometric(lambda_bar: float, N: int, K: int, T: int, kappa: f
 
     valid when lambda_bar exceeds 4*[K(N-K)]^(1/(kappa*T)) strictly.
     """
-    if lambda_bar <= 0:
-        raise ValueError("lambda_bar must be positive")
+    if not lambda_bar > 0:
+        raise ValueError(f"lambda_bar must be positive, got {lambda_bar!r}")
     _positive(kappa, "kappa")
     KNK = K * (N - K)
     if KNK == 0:
@@ -260,16 +260,21 @@ def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
     _positive(sigma2, "sigma2")
-    fro_sq = float(np.sum(np.abs(entries) ** 2))
-    return kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * fro_sq
+    return _gain_beta(kappa, T, K, N, sigma2, float(np.sum(np.abs(entries) ** 2)))
+
+
+def _gain_beta(kappa: float, T: int, K: int, N: int, sigma2: float, gain) -> float:
+    """The Fano beta bound of a matrix of total gain ||A||_F^2 = `gain`,
+    kappa*T*K*(N-K) / (2*sigma2*N^2) * gain."""
+    return kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * gain
 
 
 def fano_lower(beta: float, L: int) -> BoundReport:
     """Fano lower bound P_err >= 1 - (beta + log 2)/log L for any decoder."""
     if L < 2:
         raise ValueError("Fano bound needs at least two hypotheses")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not beta >= 0:
+        raise ValueError(f"beta must be nonnegative, got {beta!r}")
     raw = 1.0 - (beta + LOG2) / math.log(L)
     return _report(raw, applicable=True)
 
@@ -279,7 +284,7 @@ def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: fl
     expected total gain E||A||_F^2 = M*N."""
     _positive(sigma2, "sigma2")
     _positive(kappa, "kappa")
-    beta = kappa * T * K * (N - K) / (2.0 * sigma2 * N * N) * (M * N)
+    beta = _gain_beta(kappa, T, K, N, sigma2, M * N)
     report = fano_lower(beta, math.comb(N, K))
     return BoundReport(report.raw_value, report.clamped, report.applicable,
                        report.precondition_note, extras={"beta": beta})

@@ -338,10 +338,10 @@ def _plan_binary(config: _Block, N, M, K, field) -> dict:
 def _plan_multiple(config: _Block, N, M, K, field) -> dict:
     _support_count(N, K)
     inc = config.block("incoherence")
-    inc_mode = inc.choice("mode", ("exhaustive", "sampled"), "exhaustive")
-    count = inc.number("count", int) if inc_mode == "sampled" else None
-    _checked_call(config.path, _check_pair_walk, M, N, K, inc_mode, count)
-    return {"incoherence": (inc_mode, count), "trials": config.number("trials", int),
+    sampled = inc.choice("mode", ("exhaustive", "sampled"), "exhaustive") == "sampled"
+    pairs = inc.number("count", int) if sampled else None
+    _checked_call(config.path, _check_pair_walk, M, N, K, pairs)
+    return {"pairs": pairs, "trials": config.number("trials", int),
             "matrix": _plan_matrix(config, N, M, field)}
 
 
@@ -368,11 +368,9 @@ def _run_binary(plan: dict, seed: int, points: list) -> tuple:
 
 def _run_multiple(plan: dict, seed: int, points: list) -> tuple:
     A, N, K, Ts, sigma2s = plan["matrix"](seed), plan["N"], plan["K"], plan["Ts"], plan["sigma2s"]
-    inc_mode, inc_count = plan["incoherence"]
     # Neither lambda_bar nor the covariance factors depend on T: each
     # sigma2 factors its supports once, for the decoder and for Fano beta.
-    summaries = [matrix_incoherence(A, K, sigma2, mode=inc_mode, sample_count=inc_count,
-                                    seed=seed) for sigma2 in sigma2s]
+    summaries = [matrix_incoherence(A, K, sigma2, plan["pairs"], seed) for sigma2 in sigma2s]
     supports = support_rows(N, K)
     factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
     betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
@@ -384,7 +382,7 @@ def _run_multiple(plan: dict, seed: int, points: list) -> tuple:
     note = ("# chernoff_clamped not certified: lambda_bar is a minimum over sampled support"
             f" pairs (mode={summaries[0].mode}), so it only upper-estimates the true minimum"
             " and chernoff_clamped is not a certified bound")
-    return ests, cells, [note] if inc_mode == "sampled" else []
+    return ests, cells, [] if plan["pairs"] is None else [note]
 
 
 def _run_ensemble(plan: dict, seed: int, points: list) -> tuple:
@@ -521,8 +519,7 @@ def _validate_doa(config: _Block) -> dict:
                              "pairs": u.number("pairs", int, 200),
                              "sigma2": u.number("sigma2", float, 1.0)}
         # the run's sampled pair walk, checked now: its caps exit 3 before any threshold row
-        _checked_call(u.path, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], "sampled",
-                      ula["pairs"])
+        _checked_call(u.path, _check_pair_walk, ula["M"], ula["grid_size"], ula["K"], ula["pairs"])
     for e, N, K, sigma2 in product(eps, Ns, Ks, sig):
         t = _checked_call(f"{config.path}: epsilon={e!r}, N={N}, K={K}", bd.doa_requirements, e,
                           N, K, sigma2)
@@ -536,8 +533,7 @@ def run_doa(plan: dict, seed: int):
     if "ula" in plan:
         u = plan["ula"]
         A = ula_manifold_matrix(u["M"], ula_angle_grid(u["grid_size"]), u["spacing"])
-        summary = matrix_incoherence(A, u["K"], u["sigma2"], mode="sampled",
-                                     sample_count=u["pairs"], seed=seed)
+        summary = matrix_incoherence(A, u["K"], u["sigma2"], u["pairs"], seed)
         comments.append(f"# ula_lambda_bar={summary.lambda_bar!r} mode={summary.mode}"
                         f" M={u['M']} grid={u['grid_size']} K={u['K']} sigma2={u['sigma2']!r}")
     return DOA_COLUMNS, plan["rows"], comments

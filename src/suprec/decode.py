@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectra
-from .model import NumericFailure, Support, _check_rows, _positive, as_matrix
+from .model import FieldTag, NumericFailure, Support, _check_rows, _positive, as_matrix
 from .spectra import _column_energy, _gram_factor, _inverse_factor, covariance_factors
 
 # Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
@@ -53,12 +53,17 @@ def _observation_values(Y) -> np.ndarray:
 
 
 def log_likelihood(Y, Sigma: np.ndarray, kappa: float) -> float:
-    """Exact log density of the observations under covariance Sigma."""
+    """Exact log density of the observations under covariance Sigma. kappa
+    names the field: complex observations need the complex field's kappa, as
+    a decoder's need a complex matrix (`SupportDecoder._columns`)."""
     values = _observation_values(Y)
     M, T = values.shape
     if Sigma.shape != (M, M):
         raise ValueError(f"covariance shape {Sigma.shape} does not match observations with M={M}")
     _positive(kappa, "kappa")
+    if np.iscomplexobj(values) and kappa != FieldTag.COMPLEX.kappa:
+        raise ValueError(f"complex observations need a complex matrix (kappa="
+                         f"{FieldTag.COMPLEX.kappa!r}), got kappa={kappa!r}")
     Li = _inverse_factor(Sigma[None])[0]
     logdet = -2.0 * float(np.sum(np.log(np.abs(np.diagonal(Li)))))
     quad = float(np.sum(np.abs(Li @ values) ** 2))

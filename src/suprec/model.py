@@ -418,18 +418,18 @@ class NonDegeneracyReport:
     mode: str
 
 
-def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
-                         seed: int = 0) -> NonDegeneracyReport:
+def check_non_degenerate(A, count: int | None = None, seed: int = 0) -> NonDegeneracyReport:
     """Test M x M column submatrices for invertibility.
 
     A submatrix fails when its smallest singular value drops below
-    1e-10 times the largest singular value of the full matrix. Exhaustive mode
-    visits every submatrix, unranked in lexicographic order by
-    `unrank_supports` (the enumeration of `support_rows`), up to
-    `DEFAULT_ENUMERATION_CAP`, read at call time; sampled mode draws `count` of
-    them reproducibly. Submatrices are scored in chunks of stacked
-    `np.linalg.svd` calls, so the working memory does not grow with the number
-    tested; the witness is the first submatrix that attains the minimum.
+    1e-10 times the largest singular value of the full matrix. With `count`
+    None the check visits every submatrix ("exhaustive"), unranked in
+    lexicographic order by `unrank_supports` (the enumeration of
+    `support_rows`), up to `DEFAULT_ENUMERATION_CAP`, read at call time; a
+    positive `count` draws that many of them by `seed` ("sampled").
+    Submatrices are scored in chunks of stacked `np.linalg.svd` calls, so the
+    working memory does not grow with the number tested; the witness is the
+    first submatrix that attains the minimum.
     """
     entries, _ = as_matrix(A)
     M, N = entries.shape
@@ -437,30 +437,29 @@ def check_non_degenerate(A, mode: str = "exhaustive", count: int | None = None,
         raise ValueError("need N >= M to form M x M column submatrices")
     tol = 1e-10 * np.linalg.norm(entries, 2)
 
-    if mode == "exhaustive":
+    if count is None:
         total = math.comb(N, M)
         if total > DEFAULT_ENUMERATION_CAP:
             raise CapExceeded(f"exhaustive check over C({N},{M}) = {total} submatrices exceeds"
                               f" cap {DEFAULT_ENUMERATION_CAP}; use sampled mode")
-    elif mode == "sampled":
-        if count is None or (total := _integer(count, "count")) < 1:
-            raise ValueError("sampled mode requires a positive count")
-        rng = substream(seed, "non-degenerate-sample")
+    elif (total := _integer(count, "count")) < 1:
+        raise ValueError("sampled mode requires a positive count")
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        rng = substream(seed, "non-degenerate-sample")
 
     worst, witness = np.inf, None
     step = max(1, 2**15 // (M * M))          # submatrices per stacked SVD
     for start in range(0, total, step):
         stop = min(start + step, total)
-        rows = (unrank_supports(np.arange(start, stop), N, M) if mode == "exhaustive" else
+        rows = (unrank_supports(np.arange(start, stop), N, M) if count is None else
                 np.sort([rng.choice(N, size=M, replace=False) for _ in range(start, stop)], axis=1))
         smin = np.linalg.svd(entries[:, rows].swapaxes(0, 1), compute_uv=False)[:, -1]
         b = int(np.argmin(smin))
         if smin[b] < worst:
             worst, witness = smin[b], tuple(rows[b].tolist())
     return NonDegeneracyReport(passed=bool(worst >= tol), worst_sigma_min=float(worst),
-                               witness=witness, tested=total, mode=mode)
+                               witness=witness, tested=total,
+                               mode="exhaustive" if count is None else "sampled")
 
 
 def save_matrix_csv(path, A) -> None:

@@ -23,12 +23,13 @@ walk, `_pair_walk`, each with its own block scorer. Before the first draw it
 checks the set rule and the pair caps (`_check_pair_walk`: 1 <= K <= N,
 C(N, K) >= 2, M >= 2 min(K, N - K)), so no pair it draws breaks the pair
 rule of `_pair_union` (equal sizes, not identical, M >= 2 k_d); a CLI plan
-runs the same check. The exhaustive walk's cap, `PAIR_CAP`, is a module
-constant read at call time, with no per-call override. lambda_bar's walk
-is pruned: `_pair_floors` bounds each pair's computed incoherence from below
-by det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from an
-r x r Gram and one Cholesky (no QR, pencil or `eigvalsh`), and the walk
-scores exactly only the pairs whose floor does not exceed the running minimum.
+runs the same check. A walk samples exactly when it is given a sample count;
+without one it scores every pair, up to `PAIR_CAP`, a module constant read
+at call time, with no per-call override. lambda_bar's walk is pruned:
+`_pair_floors` bounds each pair's computed incoherence from below by
+det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from an r x r
+Gram and one Cholesky (no QR, pencil or `eigvalsh`), and the walk scores
+exactly only the pairs whose floor does not exceed the running minimum.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
@@ -507,15 +508,14 @@ def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncohere
     return PairIncoherence(float(values[0]), (Si, Sj), int(k_d[0]), eigs)
 
 
-def _check_pair_walk(M: int, N: int, K: int, mode: str = "exhaustive", sample_count=None,
-                     cap_hint: str = "; use sampled mode") -> tuple:
+def _check_pair_walk(M: int, N: int, K: int, sample_count) -> tuple:
     """(L, L (L - 1)), the numbers of size-K supports and of their ordered
-    pairs, after every rule of a `_pair_walk` in `mode` over those pairs, so
-    a plan can reject the walk before anything runs. The set rule: 1 <= K <= N, L >= 2, and
+    pairs, after every rule of a `_pair_walk` over those pairs, so a plan can
+    reject the walk before anything runs. The set rule: 1 <= K <= N, L >= 2, and
     M >= 2 min(K, N - K) for the largest difference-set size k_d, so no pair
-    breaks `_pair_union`. The caps: an exhaustive walk scores at most
-    `PAIR_CAP` pairs, read at call time, and a sampled one draws from a 64-bit
-    pair index."""
+    breaks `_pair_union`. The caps: a walk with `sample_count` None scores
+    every pair, at most `PAIR_CAP`, read at call time; one with a positive
+    `sample_count` draws that many from a 64-bit pair index."""
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     L = math.comb(N, K)
@@ -525,17 +525,14 @@ def _check_pair_walk(M: int, N: int, K: int, mode: str = "exhaustive", sample_co
         raise ValueError(f"incoherence needs M >= 2*min(K, {N}-K) = {2 * min(K, N - K)},"
                          f" got M={M}")
     n_pairs = L * (L - 1)
-    if mode == "exhaustive":
+    if sample_count is None:
         if n_pairs > PAIR_CAP:
-            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {PAIR_CAP}{cap_hint}")
-    elif mode == "sampled":
-        if sample_count is None or _integer(sample_count, "sample_count") < 1:
-            raise ValueError("sampled mode requires a positive sample_count")
-        if n_pairs > np.iinfo(np.int64).max:
-            raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"
-                              " ordered pairs, beyond a 64-bit pair index")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+            raise CapExceeded(f"{n_pairs} ordered pairs exceed cap {PAIR_CAP}; use sampled mode")
+    elif _integer(sample_count, "sample_count") < 1:
+        raise ValueError("sampled mode requires a positive sample_count")
+    elif n_pairs > np.iinfo(np.int64).max:
+        raise CapExceeded(f"C({N},{K}) = {L} supports give {n_pairs}"
+                          " ordered pairs, beyond a 64-bit pair index")
     return L, n_pairs
 
 
@@ -587,15 +584,15 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
     return out
 
 
-def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_count=None,
-               seed: int = 0, cap_hint: str = "; use sampled mode", floor=None):
+def _pair_walk(shape: tuple, K: int, score, sample_count=None, seed: int = 0, floor=None):
     """(minimum, (row0, row1), mode string, pairs scored) of
     `score(rows0, rows1) -> (P,)` over ordered pairs of size-K supports of an
-    (M, N) matrix: all pairs up to `PAIR_CAP`, or `sample_count` drawn without
-    replacement. The flat index i (L - 1) + j' of a pair runs row-major over
-    the off-diagonal of the L x L grid of lexicographic supports; `PAIR_BLOCK`
-    pairs at a time are unranked and scored, and ties keep the first minimum
-    in walk order.
+    (M, N) matrix: all pairs up to `PAIR_CAP` when `sample_count` is None
+    ("exhaustive"), else min(sample_count, pairs) drawn without replacement
+    by `seed` ("sampled(n)"). The flat index i (L - 1) + j' of a pair runs
+    row-major over the off-diagonal of the L x L grid of lexicographic
+    supports; `PAIR_BLOCK` pairs at a time are unranked and scored, and ties
+    keep the first minimum in walk order.
 
     `floor(rows0, rows1) -> (P,)`, when given, bounds each pair's computed
     score from below (`_pair_floors`). Then each block scores its
@@ -605,9 +602,9 @@ def _pair_walk(shape: tuple, K: int, score, mode: str = "exhaustive", sample_cou
     minimum. A block whose pruned scoring fails is scored whole, so the
     failure raised is the one the unpruned walk raises."""
     M, N = shape
-    L, n_pairs = _check_pair_walk(M, N, K, mode, sample_count, cap_hint)
-    flat, count = None, n_pairs
-    if mode == "sampled":
+    L, n_pairs = _check_pair_walk(M, N, K, sample_count)
+    flat, count, mode = None, n_pairs, "exhaustive"
+    if sample_count is not None:
         count = min(sample_count, n_pairs)
         flat = substream(seed, "incoherence-pair-sample").choice(n_pairs, count, replace=False)
         mode = f"sampled({count})"
@@ -654,15 +651,16 @@ class IncoherenceSummary:
     pairs_scored: int            # pairs whose exact value was computed; not an output
 
 
-def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
-                       sample_count: int | None = None, seed: int = 0) -> IncoherenceSummary:
+def matrix_incoherence(A, K: int, sigma2: float, sample_count: int | None = None,
+                       seed: int = 0) -> IncoherenceSummary:
     """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence,
-    by `_pair_walk` over `pair_incoherences`; sampled mode only
-    upper-estimates the true minimum (the mode string in the summary flags
-    it). sigma2 is checked first (`model._positive`). The walk is pruned by
-    `_pair_floors` when K <= M and every entry is finite; otherwise every S1
-    Gram is singular, so every floor fails, or the unpruned walk raises its
-    own error."""
+    by `_pair_walk` over `pair_incoherences`: over every pair when
+    `sample_count` is None, else over that many pairs drawn by `seed`, which
+    only upper-estimates the true minimum (the mode string in the summary
+    flags it). sigma2 is checked first (`model._positive`). The walk is
+    pruned by `_pair_floors` when K <= M and every entry is finite; otherwise
+    every S1 Gram is singular, so every floor fails, or the unpruned walk
+    raises its own error."""
     entries, _ = as_matrix(A)
     _positive(sigma2, "sigma2")
     floor = None
@@ -670,7 +668,7 @@ def matrix_incoherence(A, K: int, sigma2: float, mode: str = "exhaustive",
         def floor(rows0, rows1):
             return _pair_floors(entries, rows0, rows1, sigma2)
     best, pair, mode, scored = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
-        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed, floor=floor)
+        entries, rows0, rows1, sigma2)[0], sample_count, seed, floor)
     N = entries.shape[1]
     return IncoherenceSummary(best, tuple(Support(tuple(row.tolist()), N) for row in pair), mode,
                               scored)
@@ -712,5 +710,5 @@ def noise_constants(A, K: int) -> tuple:
             values[sel] = np.exp(np.mean(np.log(diag), axis=1))
         return values
 
-    return (_pair_walk(entries.shape, K, r33_means, cap_hint="")[0],
+    return (_pair_walk(entries.shape, K, r33_means)[0],
             float(np.sum(np.abs(entries) ** 2, axis=0).max()))

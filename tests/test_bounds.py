@@ -599,6 +599,28 @@ def test_density_constant_outside_zero_to_inf_is_rejected(name, kappa):
         KAPPA_FORMULAS[name](kappa)
 
 
+# every bound formula that takes lambda_bar, beta or H eigenvalues: the label
+# its ValueError starts with, and the call with that input set to x
+NAN_INPUTS = {
+    "multiple_union": ("lambda_bar", lambda x: multiple_bound_union(x, 24, 2, 4, 0.5)),
+    "multiple_union_per_kd": ("lambda_bar", lambda x: multiple_bound_union([10.0, x], 24, 2, 4,
+                                                                          0.5)),
+    "multiple_geometric": ("lambda_bar", lambda x: multiple_bound_geometric(x, 24, 2, 4, 0.5)),
+    "fano_lower": ("beta", lambda x: fano_lower(x, 10)),
+    "chernoff_mu": ("eigenvalues", lambda x: chernoff_mu([2.0, x], 0.5, 4, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_nan_input_is_rejected(name):
+    # a ValueError naming the input, never a clamped 0 that reads as a
+    # certified bound, nor a NaN mu
+    label, call = NAN_INPUTS[name]
+    call(5.0)
+    with pytest.raises(ValueError, match=f"^{label} must be"):
+        call(math.nan)
+
+
 class TestHypergeometricMean:
     def test_small_exact_cases(self):
         assert hypergeometric_mean_check(4, 2) == pytest.approx(1.0, abs=1e-15)

@@ -61,6 +61,17 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(np.zeros((2, 1)), np.eye(3), kappa=0.5)
 
+    def test_complex_observations_need_the_complex_kappa(self):
+        # the real field's kappa on a complex quadratic form is no density; a
+        # real-matrix decoder rejects the same observations with the same words
+        A = gaussian_instance(4, 6, seed=1)
+        S = make_support([0, 1], 6)
+        Y = np.ones((4, 2)) + 1j
+        for call in (lambda: log_likelihood(Y, covariance(A, S, 0.5), A.field.kappa),
+                     lambda: ml_decode(Y, A, [S], 0.5)):
+            with pytest.raises(ValueError, match="complex observations need a complex matrix"):
+                call()
+
 
 class TestBinaryLrt:
     def test_zero_input_symmetric_ties_to_zero(self):

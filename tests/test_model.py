@@ -279,13 +279,26 @@ class TestNonDegenerate:
         with pytest.raises(CapExceeded, match="sampled"):
             check_non_degenerate(A)
 
+    def test_a_given_count_samples(self):
+        report = check_non_degenerate(gaussian_instance(6, 12, seed=2), count=5)
+        assert (report.tested, report.mode) == (5, "sampled")
+        # C(360, 16) submatrices are far past the cap, 100 of them are not
+        report = check_non_degenerate(ula_manifold_matrix(16, ula_angle_grid(360)), count=100)
+        assert (report.tested, report.mode) == (100, "sampled")
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_an_error_not_an_exhaustive_check(self, count, monkeypatch):
+        monkeypatch.setattr(model, "unrank_supports", None)     # no submatrix is enumerated
+        with pytest.raises(ValueError, match="positive count"):
+            check_non_degenerate(gaussian_instance(3, 6), count=count)
+
     @staticmethod
-    def reference(A, mode, count=None, seed=0):
+    def reference(A, count=None, seed=0):
         """One SVD per submatrix, over `combinations` or one `rng.choice` per
         pick, keeping the first strict minimum."""
         entries = A.entries
         M, N = entries.shape
-        if mode == "exhaustive":
+        if count is None:
             picks = combinations(range(N), M)
         else:
             rng = substream(seed, "non-degenerate-sample")
@@ -299,7 +312,7 @@ class TestNonDegenerate:
                 worst, witness = smin, tuple(cols)
         return NonDegeneracyReport(passed=bool(worst >= 1e-10 * np.linalg.norm(entries, 2)),
                                    worst_sigma_min=float(worst), witness=witness, tested=tested,
-                                   mode=mode)
+                                   mode="exhaustive" if count is None else "sampled")
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     @pytest.mark.parametrize("mode,count", [("exhaustive", None), ("sampled", 37),
@@ -315,16 +328,17 @@ class TestNonDegenerate:
         if field is FieldTag.COMPLEX:
             matrices.append(ula_manifold_matrix(4, ula_angle_grid(12)))
         for A in matrices:
-            got = check_non_degenerate(A, mode, count=count, seed=5)
-            want = self.reference(A, mode, count, seed=5)
+            got = check_non_degenerate(A, count=count, seed=5)
+            want = self.reference(A, count, seed=5)
             assert got == want
+            assert got.mode == mode
             assert got.worst_sigma_min.hex() == want.worst_sigma_min.hex()
         assert not check_non_degenerate(MeasurementMatrix(dup, field)).passed
 
     def test_sampled_mode_reproducible(self):
         A = gaussian_instance(4, 12)
-        r1 = check_non_degenerate(A, mode="sampled", count=20, seed=5)
-        r2 = check_non_degenerate(A, mode="sampled", count=20, seed=5)
+        r1 = check_non_degenerate(A, count=20, seed=5)
+        r2 = check_non_degenerate(A, count=20, seed=5)
         assert r1.worst_sigma_min == r2.worst_sigma_min
 
 

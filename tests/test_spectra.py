@@ -563,9 +563,23 @@ class TestMatrixIncoherence:
     def test_sampled_upper_bounds_exhaustive(self):
         A = gaussian_instance(8, 8, seed=11)
         exact = matrix_incoherence(A, 2, 1.0)
-        sampled = matrix_incoherence(A, 2, 1.0, mode="sampled", sample_count=50, seed=1)
+        sampled = matrix_incoherence(A, 2, 1.0, sample_count=50, seed=1)
         assert sampled.lambda_bar >= exact.lambda_bar - 1e-12
         assert sampled.mode == "sampled(50)"
+
+    def test_a_given_count_samples(self):
+        A = gaussian_instance(6, 12, seed=4)
+        summary = matrix_incoherence(A, 2, 1.0, sample_count=5)
+        assert summary.mode == "sampled(5)" and summary.pairs_scored <= 5
+        # a count past the pair cap still samples: C(360, 3) gives ~5.9e13 pairs
+        A = ula_manifold_matrix(16, ula_angle_grid(360))
+        assert matrix_incoherence(A, 3, 1.0, sample_count=20, seed=2).mode == "sampled(20)"
+
+    @pytest.mark.parametrize("sample_count", [0, -3])
+    def test_count_below_one_is_an_error_not_an_exhaustive_walk(self, sample_count, monkeypatch):
+        monkeypatch.setattr(spectra, "unrank_supports", None)     # no pair is ever drawn
+        with pytest.raises(ValueError, match="positive sample_count"):
+            matrix_incoherence(gaussian_instance(6, 8, seed=7), 2, 1.0, sample_count=sample_count)
 
     def test_cap_exceeded(self, monkeypatch):
         A = gaussian_instance(6, 12)
@@ -586,7 +600,7 @@ class TestMatrixIncoherence:
         assert np.all(values == values[0])
         exhaustive = matrix_incoherence(A, 2, 0.5)
         assert [S.indices for S in exhaustive.argmin_pair] == [(0, 1), (0, 2)]
-        sampled = matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=1100, seed=3)
+        sampled = matrix_incoherence(A, 2, 0.5, sample_count=1100, seed=3)
         first = substream(3, "incoherence-pair-sample").choice(L * (L - 1), size=1100,
                                                                replace=False)[0]
         i0, j0 = divmod(int(first), L - 1)
@@ -618,7 +632,7 @@ class TestMatrixIncoherence:
         monkeypatch.setattr(model, "support_rows", refuse)
         assert not hasattr(spectra, "enumerate_supports") and not hasattr(spectra, "support_rows")
         A = ula_manifold_matrix(16, ula_angle_grid(360))
-        summary = matrix_incoherence(A, 3, 1.0, mode="sampled", sample_count=50, seed=1)
+        summary = matrix_incoherence(A, 3, 1.0, sample_count=50, seed=1)
         assert summary.mode == "sampled(50)" and summary.lambda_bar > 1.0
         assert all(S.size == 3 and S.ambient_dim == 360 for S in summary.argmin_pair)
 
@@ -628,7 +642,7 @@ class TestMatrixIncoherence:
         A = gaussian_instance(3, 10, seed=6)
         for seed in range(40):
             with pytest.raises(ValueError, match="incoherence needs M >= 2"):
-                matrix_incoherence(A, 2, 1.0, mode="sampled", sample_count=1, seed=seed)
+                matrix_incoherence(A, 2, 1.0, sample_count=1, seed=seed)
 
     @pytest.mark.parametrize("K", [2, 10])
     def test_set_rule_raises_before_any_pair_is_drawn(self, monkeypatch, K):
@@ -637,21 +651,21 @@ class TestMatrixIncoherence:
         monkeypatch.setattr(spectra, "unrank_supports", refuse)
         monkeypatch.setattr(spectra, "substream", refuse)
         A = gaussian_instance(3, 10, seed=6)
-        for mode in ("exhaustive", "sampled"):
+        for sample_count in (None, 5):
             with pytest.raises(ValueError, match="incoherence needs"):
-                matrix_incoherence(A, K, 1.0, mode=mode, sample_count=5)
+                matrix_incoherence(A, K, 1.0, sample_count=sample_count)
 
     def test_pair_index_beyond_int64_is_cap(self):
         A = ula_manifold_matrix(16, ula_angle_grid(360))
         with pytest.raises(CapExceeded, match="64-bit"):
-            matrix_incoherence(A, 6, 1.0, mode="sampled", sample_count=50, seed=1)
+            matrix_incoherence(A, 6, 1.0, sample_count=50, seed=1)
 
 
 @pytest.mark.parametrize("name, call", [
-    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=2.5)),
-    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, mode="sampled", sample_count=True)),
-    ("count", lambda A: model.check_non_degenerate(A, mode="sampled", count=2.5)),
-    ("count", lambda A: model.check_non_degenerate(A, mode="sampled", count=True)),
+    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, sample_count=2.5)),
+    ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, sample_count=True)),
+    ("count", lambda A: model.check_non_degenerate(A, count=2.5)),
+    ("count", lambda A: model.check_non_degenerate(A, count=True)),
 ], ids=["sample_count-fraction", "sample_count-bool", "count-fraction", "count-bool"])
 def test_sample_counts_are_integers(name, call):
     # a ValueError that names the argument, not numpy's TypeError from the draw
@@ -699,10 +713,10 @@ FLOOR_CASES = {
 SIGMA2S = [1e-8, 1e-4, 1.0, 16.0]
 
 
-def unpruned(entries, K, sigma2, mode="exhaustive", sample_count=None, seed=0):
+def unpruned(entries, K, sigma2, sample_count=None, seed=0):
     """Reference: the walk that scores every pair exactly."""
     return spectra._pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
-        entries, rows0, rows1, sigma2)[0], mode, sample_count, seed)
+        entries, rows0, rows1, sigma2)[0], sample_count, seed)
 
 
 def walk_outcome(call):
@@ -720,9 +734,9 @@ class TestPrunedWalk:
     reference."""
 
     @staticmethod
-    def pruned(entries, K, sigma2, mode="exhaustive", sample_count=None, seed=0):
+    def pruned(entries, K, sigma2, sample_count=None, seed=0):
         N = entries.shape[1]
-        summary = matrix_incoherence(entries, K, sigma2, mode, sample_count, seed)
+        summary = matrix_incoherence(entries, K, sigma2, sample_count, seed)
         pair = tuple(np.array(S.indices) for S in summary.argmin_pair)
         assert all(S.ambient_dim == N for S in summary.argmin_pair)
         return summary.lambda_bar, pair, summary.mode
@@ -765,8 +779,8 @@ class TestPrunedWalk:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sampled_walk_matches_unpruned(self, sigma2, seed):
         entries = ula_manifold_matrix(16, ula_angle_grid(360)).entries
-        want = walk_outcome(lambda: unpruned(entries, 2, sigma2, "sampled", 2000, seed)[:3])
-        got = walk_outcome(lambda: self.pruned(entries, 2, sigma2, "sampled", 2000, seed))
+        want = walk_outcome(lambda: unpruned(entries, 2, sigma2, 2000, seed)[:3])
+        got = walk_outcome(lambda: self.pruned(entries, 2, sigma2, 2000, seed))
         assert got == want and want[2] == "sampled(2000)"
 
     def test_exact_ties_are_all_scored(self):
@@ -811,9 +825,9 @@ class TestPrunedWalk:
     def test_bench_config_scores_few_pairs(self, seed):
         # the doa-ula bench config: ULA M = 16, grid 360, K = 2, 2000 pairs
         entries = ula_manifold_matrix(16, ula_angle_grid(360)).entries
-        summary = matrix_incoherence(entries, 2, 1.0, mode="sampled", sample_count=2000, seed=seed)
+        summary = matrix_incoherence(entries, 2, 1.0, sample_count=2000, seed=seed)
         assert summary.pairs_scored <= 100
-        assert unpruned(entries, 2, 1.0, "sampled", 2000, seed)[3] == 2000
+        assert unpruned(entries, 2, 1.0, 2000, seed)[3] == 2000
 
     @pytest.mark.parametrize("sigma2", [1.0, 1e-8])
     @pytest.mark.parametrize("K", [1, 2])

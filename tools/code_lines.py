@@ -9,9 +9,12 @@ library only (`tokenize` + `ast`).
 
     python tools/code_lines.py              # every module of src/suprec
     python tools/code_lines.py a.py b.py    # the given files
+    python tools/code_lines.py --list       # every defaulted parameter by name
 
 prints one line per file, code lines then defaulted parameters, and the
-totals.
+totals; with `--list`, one line per defaulted parameter instead, as
+`module:function(param)` (a method is `Class.method`, a nested function
+`outer.inner`, a lambda `<lambda>`).
 """
 
 from __future__ import annotations
@@ -38,11 +41,23 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def defaulted_parameters(tree: ast.AST) -> int:
-    """Number of parameters with a default value in a parsed module."""
-    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-               for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+def defaulted_parameters(tree: ast.AST, prefix: str = "") -> list:
+    """`function(param)` of every parameter with a default value in a parsed
+    module, in source order."""
+    names = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names += [f"{name}({a.arg})" for a in positional[len(positional) - len(args.defaults):]]
+            names += [f"{name}({a.arg})" for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+            names += defaulted_parameters(node, name + ".")
+        else:
+            names += defaulted_parameters(
+                node, prefix + node.name + "." if isinstance(node, ast.ClassDef) else prefix)
+    return names
 
 
 def code_lines(path: Path) -> int:
@@ -58,13 +73,21 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list) -> int:
+    listing = "--list" in argv
+    argv = [arg for arg in argv if arg != "--list"]
     paths = [Path(p) for p in argv] or sorted(SOURCE.glob("*.py"))
     lines = defaults = 0
     for path in paths:
-        count, options = code_lines(path), defaulted_parameters(ast.parse(path.read_bytes()))
+        names = defaulted_parameters(ast.parse(path.read_bytes()))
+        if listing:
+            for name in names:
+                print(f"{path.stem}:{name}")
+            continue
+        count, options = code_lines(path), len(names)
         lines, defaults = lines + count, defaults + options
         print(f"{count:6d} {options:4d}  {path.name if not argv else path}")
-    print(f"{lines:6d} {defaults:4d}  total")
+    if not listing:
+        print(f"{lines:6d} {defaults:4d}  total")
     return 0
 
 
