@@ -16,9 +16,10 @@ paper's multiple-hypothesis test: it keeps them in one (L, K) table, whose one
 `decode_index`, `binary_lrt` (a two-candidate decoder) and the binary Monte
 Carlo estimator score through it, all candidates at once. `decode_index_batch`,
 which the multiple and ensemble estimators call, returns the pick of
-`score_batch` but screens first: it scores every candidate in K x K Gram space
-(`_screen`), each within a rounding margin of its exact score, and rescores
-exactly only the candidates of a trial whose margins reach the best one's. The
+`score_batch` but screens first: it streams every candidate through K x K Gram
+space (`_screen`), each within a rounding margin of its exact score, keeps a
+trial's best and runner-up, and rescores exactly only the trials whose
+runner-up lies within twice the trial's margin of the best. The
 decoder decides when its screen is built: once (`_gram_screen`), on its first
 `decode_index_batch`, so the exact scorers and the Fano beta never pay for it.
 `spectra` decides how: the screen's Gram sigma2 I + A_S^H A_S is factored and
@@ -43,6 +44,10 @@ from .spectra import _column_energy, _gram_factor, _inverse_factor, covariance_f
 # Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
 # the rounding constants of both scorers, real or complex.
 SCREEN_ROUNDING = 16
+# Screen values (candidates x trials) that `SupportDecoder._screen` holds at
+# once, 1 MB; a span is rounded down to whole chunks of
+# `spectra.SCORE_CHUNK_ELEMENTS` gathered values.
+SCREEN_SPAN = 2**17
 
 
 def _observation_values(Y) -> np.ndarray:
@@ -226,10 +231,12 @@ class SupportDecoder:
         `decode_index_batch`."""
         return _gram_screen(self._entries, self._factors)
 
-    def _screen(self, AhY, ysq, T: int) -> tuple:
-        """(scores, margins), each (L, n): Gram-space log-likelihoods of n
-        observations of T columns each, and a bound on their distance from
-        what `score_batch` gives. A failed candidate scores -inf, margin 0.
+    def _screen(self, AhY, ysq, T: int):
+        """Gram-space log-likelihoods of n observations of T columns each,
+        one span of candidates at a time: yields (first, scores), scores the
+        (c, n) screen of candidates first .. first + c - 1, each within its
+        margin of what `score_batch` gives. A failed candidate scores -inf.
+        Every span is a view of one buffer, which the next span overwrites.
 
         F^{-1} and rho are the decoder's (`_grams`), `AhY` (N, T n) is A^H
         values for the whole matrix and the block `_columns` gives, so
@@ -240,7 +247,9 @@ class SupportDecoder:
 
         O(K^2) per (support, column) against the O(M K) of
         `CovarianceFactors.energies`. Supports are gathered
-        `spectra.SCORE_CHUNK_ELEMENTS` // (K T n) at a time.
+        `spectra.SCORE_CHUNK_ELEMENTS` // (K T n) at a time, and a span is
+        `SCREEN_SPAN` screen values rounded down to whole chunks (at least
+        one), so the chunks, and each score's bits, do not depend on the span.
 
         The margin. With u = eps, rho >= ||A_S||_F ||F^{-1}|| and, to first
         order in u: b is formed with |db| <= M u ||A_S|| |y|, which moves
@@ -264,66 +273,108 @@ class SupportDecoder:
 
         summed per observation. In score units that is times kappa, and each
         scorer's rounding of offset - kappa * form adds at most
-        2 u (|offset| + kappa |y|^2 / sigma2), so the margin adds
-        4 u (|offset| + kappa |y|^2 / sigma2). Nearly collinear supports have
-        a large rho and so widen their own margin; rho = inf (an F that fails
-        to factor) makes it inf, so such a support is always rescored. F^{-1}
-        is inverted a row at a time and rho formed as the square root of
+        2 u (|offset| + kappa |y|^2 / sigma2), so candidate S's margin is
+
+            m_S = 4 u |offset_S| + spread_S (u kappa / sigma2) |y|^2,
+            spread_S = SCREEN_ROUNDING (M + K) (1 + rho_S)^2 + 4.
+
+        Nearly collinear supports have a large rho and so widen the margin;
+        rho = inf (an F that fails to factor) makes it inf. F^{-1} is
+        inverted a row at a time and rho formed as the square root of
         ||A_S||_F^2 ||F^{-1}||_F^2 (`spectra._gram_factor`): both are backward
-        stable to first order, which the constant covers.
+        stable to first order, which the constant covers. `_margin` bounds
+        every m_S of a trial at once.
         """
         factors = self._factors
-        inverse, rho = self._grams
+        inverse, _ = self._grams
         L, K = factors.rows.shape
-        energy = np.empty((L, len(ysq)))
         step = max(1, spectra.SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
-        for start in range(0, L, step):
-            # F^{-1} A_S^H y for supports start .. start + step - 1
-            z = inverse[start:start + step] @ AhY[factors.rows[start:start + step]]
-            energy[start:start + step] = _column_energy(z.reshape(len(z), K * T, -1))
-        np.subtract(ysq, energy, out=energy)
-        energy *= -self.kappa / factors.sigma2
+        span = step * max(1, SCREEN_SPAN // (step * max(1, len(ysq))))
+        buffer = np.empty((min(span, L), len(ysq)))
         offsets = self._offsets(T, factors.logdet)
-        energy += offsets
+        for first in range(0, L, span):
+            energy = buffer[:min(span, L - first)]
+            offset = offsets[first:first + len(energy)]
+            for start in range(0, len(energy), step):
+                rows = slice(first + start, first + start + step)
+                # F^{-1} A_S^H y for the supports of one chunk
+                z = inverse[rows] @ AhY[factors.rows[rows]]
+                energy[start:start + step] = _column_energy(z.reshape(len(z), K * T, -1))
+            np.subtract(ysq, energy, out=energy)
+            energy *= -self.kappa / factors.sigma2
+            energy += offset
+            energy[np.isneginf(offset[:, 0])] = -np.inf          # failed candidates
+            yield first, energy
+
+    def _margin(self, ysq, T: int) -> np.ndarray:
+        """m-bar (n,): per trial, the largest margin m_S (`_screen`) over the
+        candidates that did not fail,
+
+            4 u max_S |offset_S| + max_S spread_S (u kappa / sigma2) |y|^2,
+
+        so m-bar >= m_S for each of them, and inf on every trial when one of
+        them has rho = inf (an F that fails to factor)."""
+        rho = self._grams[1].max()                  # a failed candidate's rho is 0
+        if np.isinf(rho):
+            return np.full(len(ysq), np.inf)
         eps = np.finfo(np.float64).eps
-        spread = SCREEN_ROUNDING * (self.M + K) * (1.0 + rho) ** 2 + 4.0
-        wide = np.isinf(spread)              # F failed: inf * |y|^2 would be NaN at y = 0
-        margin = 4.0 * eps * np.abs(offsets) + np.multiply.outer(
-            np.where(wide, 0.0, spread), (eps * self.kappa / factors.sigma2) * ysq)
-        margin[wide] = np.inf
-        failed = list(self.failures)
-        energy[failed], margin[failed] = -np.inf, 0.0
-        return energy, margin
+        logdet = self._factors.logdet                  # a failed candidate's is inf
+        offset = np.abs(self._offsets(T, logdet[np.isfinite(logdet)])).max(initial=0.0)
+        spread = SCREEN_ROUNDING * (self.M + self._factors.rows.shape[1]) * (1.0 + rho) ** 2 + 4.0
+        return 4.0 * eps * offset + spread * ((eps * self.kappa / self._factors.sigma2) * ysq)
 
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
         """Winning candidate index for a stack of observations (n, M, T): the
         index `_pick(score_batch(Ys))` gives, with the tie-break of
         :meth:`decode_index`.
 
-        Candidates are screened in Gram space (`_screen`), each within its
-        margin m of its exact score. In a trial, a candidate is
-        near when screen + m reaches the largest screen - m of the trial; any
-        other candidate's exact score lies below that of the candidate that
-        attains it. A trial with one near candidate takes it; the near
-        candidates of a trial with several are rescored exactly and `_pick`
-        chooses among them. A score or margin that is NaN leaves every
-        candidate of its trial near.
+        Candidates are screened in Gram space (`_screen`), one span at a
+        time, and each trial keeps three values: its best screen score, that
+        candidate's index, and the runner-up score. Each screen score lies
+        within its margin m_S of the exact one, and m_S <= m-bar, the trial's
+        `_margin`. A candidate S whose exact score reaches that of the best
+        screened candidate S^ screens at least exact_S - m_S >= exact_S^ - m_S
+        >= best - m_S^ - m_S >= best - 2 m-bar, so any candidate screening
+        below best - 2 m-bar scores exactly below the exact maximum. A trial
+        whose runner-up lies below best - 2 m-bar thus takes its best
+        candidate. Every other trial (a NaN score or margin included) is
+        screened again on its own columns, within the same margins whatever
+        the rounding of that block; the candidates at or above its
+        best - 2 m-bar that did not fail are rescored exactly (`_scores`) and
+        `_pick` chooses among them, which holds every candidate that attains
+        the exact maximum. They are scored on all n columns and then narrowed
+        to the redone trials, because a narrower block may round differently
+        and a near-tie must see the bits of `score_batch`. The decoder holds
+        one span of screen scores (`SCREEN_SPAN`) and O(n) per-trial state,
+        never an (L, n) table; only the rescoring holds (c, n) exact scores
+        for its c candidates.
         """
         values, T = self._columns(Ys)
         n = values.shape[1] // T
         AhY = self._entries.conj().T @ values
         ysq = _column_energy(values.reshape(1, self.M * T, n))[0]       # |y_i|^2
-        scores, margins = self._screen(AhY, ysq, T)
-        threshold = (scores - margins).max(axis=0)
-        margins += scores
-        near = ~(margins < threshold)
-        choice = np.argmax(near, axis=0)
-        redo = np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
+        best, second = np.full((2, n), -np.inf)
+        choice = np.zeros(n, dtype=np.intp)
+        for first, scores in self._screen(AhY, ysq, T):
+            top = np.argmax(scores, axis=0)[None]
+            high = np.take_along_axis(scores, top, axis=0)[0]
+            np.put_along_axis(scores, top, -np.inf, axis=0)
+            # np.maximum and np.minimum carry a NaN score into best or second
+            second = np.maximum(np.maximum(second, np.minimum(best, high)), scores.max(axis=0))
+            choice = np.where(high > best, first + top[0], choice)
+            best = np.maximum(best, high)
+        floor = best - 2.0 * self._margin(ysq, T)
+        redo = np.flatnonzero(~(second < floor))
         if redo.size:
-            near = near[:, redo]
-            cand = np.flatnonzero(near.any(axis=1))
+            # the candidates within 2 m-bar of a redone trial's best, screened
+            # again on its columns only; `_scores` rescores them on all columns,
+            # since BLAS may round a column differently in a narrower block
+            picked = AhY.reshape(self._N, T, n)[:, :, redo].reshape(self._N, -1)
+            near = np.concatenate([~(scores < floor[redo]).all(axis=1)
+                                   for _, scores in self._screen(picked, ysq[redo], T)])
+            near[list(self.failures)] = False
             exact = np.full((self._lex_order.size, redo.size), -np.inf)
-            exact[cand] = np.where(near[cand], self._scores(values, T, cand)[:, redo], -np.inf)
+            exact[near] = self._scores(values, T, np.flatnonzero(near))[:, redo]
             choice[redo] = self._pick(exact)[0]
         return choice
 

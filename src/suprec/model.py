@@ -426,10 +426,13 @@ def check_non_degenerate(A, count: int | None = None, seed: int = 0) -> NonDegen
     None the check visits every submatrix ("exhaustive"), unranked in
     lexicographic order by `unrank_supports` (the enumeration of
     `support_rows`), up to `DEFAULT_ENUMERATION_CAP`, read at call time; a
-    positive `count` draws that many of them by `seed` ("sampled").
-    Submatrices are scored in chunks of stacked `np.linalg.svd` calls, so the
-    working memory does not grow with the number tested; the witness is the
-    first submatrix that attains the minimum.
+    positive `count` below C(N, M) draws that many of them by `seed`
+    ("sampled"), and `tested` is the number of distinct submatrices drawn. A
+    count of at least C(N, M) walks each submatrix once, in that order, and
+    still reports "sampled". Submatrices are scored in chunks of stacked
+    `np.linalg.svd` calls, so no stacked array grows with the number tested
+    (a sampled check keeps only the set of distinct draws); the witness is
+    the first submatrix that attains the minimum.
     """
     entries, _ = as_matrix(A)
     M, N = entries.shape
@@ -437,28 +440,32 @@ def check_non_degenerate(A, count: int | None = None, seed: int = 0) -> NonDegen
         raise ValueError("need N >= M to form M x M column submatrices")
     tol = 1e-10 * np.linalg.norm(entries, 2)
 
+    total = math.comb(N, M)
     if count is None:
-        total = math.comb(N, M)
         if total > DEFAULT_ENUMERATION_CAP:
             raise CapExceeded(f"exhaustive check over C({N},{M}) = {total} submatrices exceeds"
                               f" cap {DEFAULT_ENUMERATION_CAP}; use sampled mode")
-    elif (total := _integer(count, "count")) < 1:
+    elif (count := _integer(count, "count")) < 1:
         raise ValueError("sampled mode requires a positive count")
-    else:
-        rng = substream(seed, "non-degenerate-sample")
+    sampled = count is not None and count < total
+    rng = substream(seed, "non-degenerate-sample") if sampled else None
+    walk = count if sampled else total
 
-    worst, witness = np.inf, None
+    worst, witness, drawn = np.inf, None, set()
     step = max(1, 2**15 // (M * M))          # submatrices per stacked SVD
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        rows = (unrank_supports(np.arange(start, stop), N, M) if count is None else
-                np.sort([rng.choice(N, size=M, replace=False) for _ in range(start, stop)], axis=1))
+    for start in range(0, walk, step):
+        stop = min(start + step, walk)
+        if sampled:
+            rows = np.sort([rng.choice(N, size=M, replace=False) for _ in range(start, stop)], axis=1)
+            drawn.update(map(bytes, rows))
+        else:
+            rows = unrank_supports(np.arange(start, stop), N, M)
         smin = np.linalg.svd(entries[:, rows].swapaxes(0, 1), compute_uv=False)[:, -1]
         b = int(np.argmin(smin))
         if smin[b] < worst:
             worst, witness = smin[b], tuple(rows[b].tolist())
     return NonDegeneracyReport(passed=bool(worst >= tol), worst_sigma_min=float(worst),
-                               witness=witness, tested=total,
+                               witness=witness, tested=len(drawn) if sampled else total,
                                mode="exhaustive" if count is None else "sampled")
 
 

@@ -373,7 +373,7 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", cfg, "--seed", "3", "--out", str(out)).returncode == 0
         rows = read_rows(out)
         assert len(rows) == 4
-        header = open(out).readline().strip()
+        header = out.read_text().splitlines()[0]
         assert header == ("mode,N,M,K,T,sigma2,seed,trials,p_hat,ci_low,ci_high,"
                           "chernoff_clamped,fano_clamped,lambda_bar")
         p_hats = [float(r["p_hat"]) for r in rows]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -496,6 +498,13 @@ def screen_matches_scores(decoder, Ys):
     return rescored
 
 
+def screen_table(decoder, values, ysq, T):
+    """The (L, n) Gram screen of the observation block `values` (M, T n),
+    its spans (`SupportDecoder._screen`) stacked."""
+    AhY = decoder._entries.conj().T @ values
+    return np.concatenate([scores.copy() for _, scores in decoder._screen(AhY, ysq, T)])
+
+
 def screen_builds(monkeypatch):
     """The list to which every Gram screen built (a `decode._gram_screen`
     call) appends its sigma2, in the order they are built."""
@@ -529,9 +538,17 @@ class TestGramScreen:
             inverse, rho = decoder._grams
             values, T = decoder._columns(Ys)
             ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-            screened, margin = decoder._screen(A.entries.conj().T @ values, ysq, T)
-            exact = decoder._scores(values, T)
-            assert np.max(np.abs(screened - exact) / margin) <= 1e-2
+            screened = screen_table(decoder, values, ysq, T)
+            error = np.abs(screened - decoder._scores(values, T))
+            # each candidate's margin m_S (`SupportDecoder._screen`), and the
+            # per-trial bound m-bar (`_margin`) over all of them
+            eps = np.finfo(float).eps
+            spread = decode.SCREEN_ROUNDING * (M + K) * (1.0 + rho) ** 2 + 4.0
+            margin = 4 * eps * np.abs(decoder._offsets(T, factors.logdet)) + np.multiply.outer(
+                spread, (eps * decoder.kappa / sigma2) * ysq)
+            assert np.max(error / margin) <= 1e-2
+            bound = decoder._margin(ysq, T)
+            assert (margin <= bound).all() and (error <= bound).all()
             # F^{-1} (`spectra._gram_factor`) and rho against a dense factor per support
             for row, got, got_rho in zip(factors.rows, inverse, rho):
                 X = A.entries[:, row]
@@ -608,51 +625,88 @@ class TestGramScreen:
             assert not set(rescored.tolist()) & set(bad)
         assert not set(decoder.decode_index_batch(Ys).tolist()) & set(bad)
 
-        # when every candidate fails, each trial goes to the lexicographically first
+        # when every candidate fails, each trial goes to the lexicographically
+        # first, and none is rescored
         decoder = SupportDecoder(A, [candidates[i] for i in bad[::-1]], sigma2)
-        screen_matches_scores(decoder, Ys)
+        assert not any(len(cand) for cand in screen_matches_scores(decoder, Ys))
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_failed_gram_factor_on_a_zero_trial(self, field):
         # K = 4 > M = 3 at sigma2 = 1e-18: F fails (rho = inf) while the
         # covariance factors hold, and an all-zero trial has |y|^2 = 0; the
-        # margin is inf there, not inf * 0 = NaN, so such supports are rescored
+        # margin is inf there, not inf * 0 = NaN, so every trial is rescored.
+        # Then one such candidate among finite ones: column 0 scaled by 1e4
+        # puts F's pivot floor far above sigma2 = 1e-10 in {0, 1, 2, 3} only.
         A = gaussian_instance(3, 6, field, seed=47, label="screen")
-        candidates = enumerate_supports(6, 4)
-        Ys = model_observations(A, candidates, 1e-18, 5, 2, seed=13)
-        Ys[1] = 0.0
-        decoder = SupportDecoder(A, candidates, 1e-18)
-        assert decoder.failures == {}
-        assert screen_matches_scores(decoder, Ys)
-        _, rho = decoder._grams
-        assert np.isinf(rho).any()
-        values, T = decoder._columns(Ys)
-        ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
-        _, margin = decoder._screen(A.entries.conj().T @ values, ysq, T)
-        assert not np.isnan(margin).any() and np.isinf(margin[np.isinf(rho)]).all()
+        scaled = A.entries.copy()
+        scaled[:, 0] *= 1e4
+        one = np.vstack([[0, 1, 2, 3], support_rows(6, 4)[10:]])        # the others omit 0
+        for A, candidates, sigma2, inf_rho in ((A, enumerate_supports(6, 4), 1e-18, None),
+                                               (MeasurementMatrix(scaled, field), one, 1e-10, [0])):
+            Ys = model_observations(A, enumerate_supports(6, 4), sigma2, 5, 2, seed=13)
+            Ys[1] = 0.0
+            decoder = SupportDecoder(A, candidates, sigma2)
+            assert decoder.failures == {}
+            rescored = screen_matches_scores(decoder, Ys)
+            _, rho = decoder._grams
+            infinite = np.flatnonzero(np.isinf(rho)).tolist()
+            assert infinite if inf_rho is None else infinite == inf_rho
+            assert np.isinf(decoder._margin(np.sum(np.abs(Ys) ** 2, axis=(1, 2)), 2)).all()
+            assert [len(cand) for cand in rescored] == [len(rho)]
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_support_at_least_M(self, field):
         # K = M and K > M (p = M) are screened like K < M, given as Supports
-        # or as rows
+        # or as rows; so are a single candidate, an empty stack and a trial
+        # with a NaN entry, whose screen is NaN, so it is rescored
         A = gaussian_instance(3, 6, field, seed=45, label="screen")
         for rows in ([[0, 2, 4], [1, 3, 5], [0, 1, 2]], [[1, 2, 3, 5], [0, 2, 4, 5]],
-                     [[0, 1], [2, 5], [3, 4]]):
+                     [[0, 1], [2, 5], [3, 4]], [[1, 4]]):
             candidates = [make_support(r, 6) for r in rows]
             Ys = model_observations(A, candidates, 0.2, 20, 2, seed=11)
+            Ys[3, 1, 0] = np.nan
             for given in (np.array(rows), candidates):
-                screen_matches_scores(SupportDecoder(A, given, 0.2), Ys)
+                decoder = SupportDecoder(A, given, 0.2)
+                assert len(screen_matches_scores(decoder, Ys)) == 1
+                assert decoder.decode_index_batch(Ys)[3] == decoder._lex_order[0]
+                assert screen_matches_scores(decoder, Ys[:0]) == []
+                assert decoder.decode_index_batch(Ys[:0]).shape == (0,)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_chunk_not_a_multiple_of_the_candidates(self, field, monkeypatch):
         A = gaussian_instance(6, 8, field, seed=46, label="screen")
         candidates = enumerate_supports(8, 2)                   # L = 28
         Ys = model_observations(A, candidates, 0.5, 9, 2, seed=12)
-        monkeypatch.setattr(spectra, "SCORE_CHUNK_ELEMENTS", 3 * 2 * 9 * 2)   # screen chunks of 3
         decoder = SupportDecoder(A, candidates, 0.5)
+        values, T = decoder._columns(Ys)
+        ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
+        whole = screen_table(decoder, values, ysq, T)
+        monkeypatch.setattr(spectra, "SCORE_CHUNK_ELEMENTS", 3 * 2 * 9 * 2)   # screen chunks of 3
+        # spans of 7 x 9 screen values round down to two chunks: 4 spans of
+        # 6 candidates and one of 4, which is a chunk and one candidate
+        monkeypatch.setattr(decode, "SCREEN_SPAN", 7 * 9)
+        assert [len(scores) for _, scores in decoder._screen(
+            A.entries.conj().T @ values, ysq, T)] == [6, 6, 6, 6, 4]
+        assert np.array_equal(screen_table(decoder, values, ysq, T), whole)
         screen_matches_scores(decoder, Ys)
         monkeypatch.setattr(decode, "SCREEN_ROUNDING", 1e12)            # and rescoring chunks
         assert screen_matches_scores(decoder, Ys)
+
+    def test_working_memory_does_not_grow_with_candidates_times_trials(self):
+        # L = C(30, 3) = 4,060 candidates and 256 trials: an (L, n) float table
+        # is 8.3 MB, while the screen holds one span (`SCREEN_SPAN`, 1 MB)
+        A = gaussian_instance(6, 30, seed=50, label="screen")
+        candidates = enumerate_supports(30, 3)
+        Ys = model_observations(A, candidates, 0.5, 256, 2, seed=15)
+        decoder = SupportDecoder(A, candidates, 0.5)
+        tracemalloc.start()
+        try:
+            decoder.decode_index_batch(Ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert screen_matches_scores(decoder, Ys) == []
 
     def test_covariance_factors_factor_once(self, monkeypatch):
         # the screen's Gram factor is the decoder's: `covariance_factors`

@@ -285,6 +285,11 @@ class TestNonDegenerate:
         # C(360, 16) submatrices are far past the cap, 100 of them are not
         report = check_non_degenerate(ula_manifold_matrix(16, ula_angle_grid(360)), count=100)
         assert (report.tested, report.mode) == (100, "sampled")
+        # 5000 draws of the C(12, 6) = 924 submatrices walk each of them once
+        A = gaussian_instance(6, 12, seed=2)
+        report = check_non_degenerate(A, count=5000)
+        assert (report.tested, report.mode) == (924, "sampled")
+        assert report.witness == check_non_degenerate(A).witness
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_is_an_error_not_an_exhaustive_check(self, count, monkeypatch):
@@ -295,23 +300,25 @@ class TestNonDegenerate:
     @staticmethod
     def reference(A, count=None, seed=0):
         """One SVD per submatrix, over `combinations` or one `rng.choice` per
-        pick, keeping the first strict minimum."""
+        pick, keeping the first strict minimum; a count of at least C(N, M)
+        walks the combinations, and `tested` counts distinct submatrices."""
         entries = A.entries
         M, N = entries.shape
-        if count is None:
+        if count is None or count >= math.comb(N, M):
             picks = combinations(range(N), M)
         else:
             rng = substream(seed, "non-degenerate-sample")
             picks = (tuple(sorted(rng.choice(N, size=M, replace=False).tolist()))
                      for _ in range(count))
-        worst, witness, tested = np.inf, None, 0
+        worst, witness, tested = np.inf, None, set()
         for cols in picks:
             smin = np.linalg.svd(entries[:, list(cols)], compute_uv=False)[-1]
-            tested += 1
+            tested.add(cols)
             if smin < worst:
                 worst, witness = smin, tuple(cols)
         return NonDegeneracyReport(passed=bool(worst >= 1e-10 * np.linalg.norm(entries, 2)),
-                                   worst_sigma_min=float(worst), witness=witness, tested=tested,
+                                   worst_sigma_min=float(worst), witness=witness,
+                                   tested=len(tested),
                                    mode="exhaustive" if count is None else "sampled")
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
@@ -350,7 +357,7 @@ class TestMatrixCsv:
         B = load_matrix_csv(path)
         assert B.field is FieldTag.REAL
         assert np.array_equal(A.entries, B.entries)
-        assert open(path).readline().strip() == "# 3 5 real"
+        assert path.read_text().splitlines()[0] == "# 3 5 real"
 
     def test_complex_roundtrip(self, tmp_path):
         A = gaussian_instance(2, 4, field=FieldTag.COMPLEX)
