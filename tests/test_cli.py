@@ -16,7 +16,7 @@ import suprec.spectra as spectra
 from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
 
 from conftest import dense_h_eigenvalues, dense_sandwich, random_pair
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
 RUN = [sys.executable, "-m", "suprec.cli"]
 
@@ -992,6 +992,61 @@ class TestColdStart:
         if bare[0] == 1:
             pytest.skip("numpy's default BLAS pool has one thread here")
         assert self.threads_after("import suprec, numpy") == bare
+
+
+# Runs `suprec.cli.main` on the argv given as JSON twice and prints the minor
+# page faults of the second, warm call.
+CLI_FAULTS = """
+import json, resource, sys, suprec.cli
+argv = json.loads(sys.argv[1])
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert suprec.cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# The same for two library calls, with no `suprec.cli` loaded.
+LIBRARY_FAULTS = """
+import resource, suprec
+import numpy as np
+A = suprec.sample_gaussian_matrix(16, 24, suprec.FieldTag.REAL, np.random.default_rng(7))
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    suprec.estimate_multiple_perr(A, 2, 0.5, 1, 2000, 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not cli._on_glibc(), reason="the malloc thresholds are glibc's")
+class TestMallocThresholds:
+    # the children run without the runner's own malloc settings
+    BASE = {k: v for k, v in os.environ.items() if k not in cli.MALLOC_VARS}
+
+    def warm_faults(self, tmp_path, name, **env):
+        """(faults of the second CLI call, output text) on golden case `name`."""
+        command, config, seed, fmt = GOLDEN_CASES[name]
+        out = tmp_path / f"{name}.{fmt}"
+        argv = [command, "--config", write_config(tmp_path, config), "--seed", str(seed),
+                "--format", fmt, "--out", str(out)]
+        faults = int(run_child(CLI_FAULTS, json.dumps(argv), env={**self.BASE, **env}))
+        return faults, out.read_text()
+
+    def test_warm_cli_call_reuses_the_freed_heap(self, tmp_path):
+        # glibc's defaults give ~2,500 here: each trial block's buffers above
+        # 128 KiB are returned to the OS when freed and faulted in again
+        faults, _ = self.warm_faults(tmp_path, "simulate-multiple-bench")
+        assert faults < 200
+
+    def test_policy_is_cli_only_and_a_user_setting_wins(self, tmp_path):
+        # a library process keeps glibc's defaults: its warm call still churns
+        assert int(run_child(LIBRARY_FAULTS, env=self.BASE)) > 1000
+        for user in ({"MALLOC_TRIM_THRESHOLD_": "131072"},
+                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}):
+            for name in ("simulate-multiple-bench", "doa-bench"):
+                faults, text = self.warm_faults(tmp_path, name, **user)
+                assert text == (GOLDEN / f"{name}.csv").read_text()   # the bytes without it
+                # the user's setting, which freezes glibc's mmap threshold at
+                # 128 KiB, is in force: the CLI's own leaves under 100 faults
+                assert faults > 1000
 
 
 class TestLazyNamespace:
