@@ -19,6 +19,8 @@ Every formula that takes the noise level sigma2 or the density constant kappa
 checks it by the one rule of both, `model._positive` (0 < value < inf), so a
 value outside it is a `ValueError` naming the input, never a NaN, a negative
 threshold or an arithmetic error.
+Every T, and every entry of a sequence Ts, is checked by `model._check_counts`
+(an integer >= 1) in the same way.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import Support, _positive, as_matrix, support_rows
+from .model import Support, _check_counts, _positive, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherences
 
 LOG2 = math.log(2.0)
@@ -92,6 +94,7 @@ def chernoff_mu(h_eigs, s: float, T: int, kappa: float) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
+    _check_counts(T=T)
     _positive(kappa, "kappa")
     lam = np.asarray(h_eigs, dtype=np.float64)
     if not np.all(lam > 0):
@@ -122,6 +125,7 @@ def binary_chernoff(A, S0: Support, S1: Support, sigma2: float, T: int) -> Bound
 def binary_chernoffs(A, S0: Support, S1: Support, sigma2: float, Ts) -> list:
     """`binary_chernoff` at each T of `Ts`, from one H spectrum of the pair:
     T scales only the exponents and beta, so the spectrum is formed once."""
+    _check_counts(T=Ts)
     _, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
     rows = np.array([S0.indices, S1.indices])
@@ -157,6 +161,7 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     evaluated in the log domain. `lambda_bar` may be a single global value or
     one value per difference size k_d (sequence of length K).
     """
+    _check_counts(T=T)
     _positive(kappa, "kappa")
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
     if not np.all(lams > 0):
@@ -182,6 +187,7 @@ def multiple_bound_geometric(lambda_bar: float, N: int, K: int, T: int, kappa: f
     """
     if not lambda_bar > 0:
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar!r}")
+    _check_counts(T=T)
     _positive(kappa, "kappa")
     KNK = K * (N - K)
     if KNK == 0:
@@ -211,6 +217,7 @@ def kl_divergence(Sigma_i: np.ndarray, Sigma_j: np.ndarray, T: int, kappa: float
     M = Sigma_i.shape[0]
     if Sigma_i.shape != Sigma_j.shape or Sigma_j.shape != (M, M):
         raise ValueError("covariances must be square matrices of equal size")
+    _check_counts(T=T)
     _positive(kappa, "kappa")
     sign_i, logdet_i = np.linalg.slogdet(Sigma_i)
     sign_j, logdet_j = np.linalg.slogdet(Sigma_j)
@@ -241,6 +248,7 @@ def fano_betas(A, factors, Ts) -> list:
     `covariance_factors` of all C(N, K) size-K supports (`support_rows`) at one
     sigma2: the trace in beta does not depend on T, so it is formed once, from
     their `CovarianceFactors.inverse_sum`."""
+    _check_counts(T=Ts)
     entries, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
     M, N = entries.shape
@@ -259,6 +267,7 @@ def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     kappa = fieldtag.kappa
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
+    _check_counts(T=T)
     _positive(sigma2, "sigma2")
     return _gain_beta(kappa, T, K, N, sigma2, float(np.sum(np.abs(entries) ** 2)))
 
@@ -282,6 +291,7 @@ def fano_lower(beta: float, L: int) -> BoundReport:
 def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: float) -> BoundReport:
     """Fano bound on the Gaussian-ensemble average error, substituting the
     expected total gain E||A||_F^2 = M*N."""
+    _check_counts(T=T)
     _positive(sigma2, "sigma2")
     _positive(kappa, "kappa")
     beta = _gain_beta(kappa, T, K, N, sigma2, M * N)
@@ -381,6 +391,7 @@ class SufficiencyReport:
 
 def gaussian_sufficiency_report(M: int, N: int, K: int, T: int, sigma2: float,
                                 kappa: float) -> SufficiencyReport:
+    _check_counts(T=T)
     if min(M, N, K, T) < 1:
         raise ValueError("parameters must be positive")
     _positive(sigma2, "sigma2")

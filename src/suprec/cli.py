@@ -721,7 +721,7 @@ def _resolve_seed(args, config: _Block) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         print(f"suprec: cannot read config: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ from .spectra import _column_energy, _gram_factor, _inverse_factor, covariance_f
 # Constant of the Gram screen's margin (`SupportDecoder._screen`): it covers
 # the rounding constants of both scorers, real or complex.
 SCREEN_ROUNDING = 16
-# Screen values (candidates x trials) that `SupportDecoder._screen` holds at
-# once, 1 MB; a span is rounded down to whole chunks of
+# Screen values (candidates x trials) in one span of `SupportDecoder._screen`,
+# 1 MB; a span is rounded down to whole chunks of
 # `spectra.SCORE_CHUNK_ELEMENTS` gathered values.
 SCREEN_SPAN = 2**17
 
@@ -236,7 +236,7 @@ class SupportDecoder:
         one span of candidates at a time: yields (first, scores), scores the
         (c, n) screen of candidates first .. first + c - 1, each within its
         margin of what `score_batch` gives. A failed candidate scores -inf.
-        Every span is a view of one buffer, which the next span overwrites.
+        Each span is a fresh array, which the consumer may keep.
 
         F^{-1} and rho are the decoder's (`_grams`), `AhY` (N, T n) is A^H
         values for the whole matrix and the block `_columns` gives, so
@@ -290,10 +290,9 @@ class SupportDecoder:
         L, K = factors.rows.shape
         step = max(1, spectra.SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
         span = step * max(1, SCREEN_SPAN // (step * max(1, len(ysq))))
-        buffer = np.empty((min(span, L), len(ysq)))
         offsets = self._offsets(T, factors.logdet)
         for first in range(0, L, span):
-            energy = buffer[:min(span, L - first)]
+            energy = np.empty((min(span, L - first), len(ysq)))
             offset = offsets[first:first + len(energy)]
             for start in range(0, len(energy), step):
                 rows = slice(first + start, first + start + step)
@@ -345,9 +344,9 @@ class SupportDecoder:
         the exact maximum. They are scored on all n columns and then narrowed
         to the redone trials, because a narrower block may round differently
         and a near-tie must see the bits of `score_batch`. The decoder holds
-        one span of screen scores (`SCREEN_SPAN`) and O(n) per-trial state,
-        never an (L, n) table; only the rescoring holds (c, n) exact scores
-        for its c candidates.
+        at most two spans of screen scores (`SCREEN_SPAN`), briefly, while the
+        next span is formed, and O(n) per-trial state, never an (L, n) table;
+        only the rescoring holds (c, n) exact scores for its c candidates.
         """
         values, T = self._columns(Ys)
         n = values.shape[1] // T

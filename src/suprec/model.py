@@ -252,6 +252,15 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_counts(**counts) -> None:
+    """Each keyword's value, or each entry of a sequence (a grid's Ts), must
+    be an integer >= 1; a `ValueError` names the keyword that is not."""
+    for name, value in counts.items():
+        for v in value if np.ndim(value) else [value]:
+            if _integer(v, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {v!r}")
+
+
 def _positive(value, name: str) -> None:
     """The rule of the noise level sigma2 and the density constant kappa:
     0 < value < inf, so NaN fails too; else a `ValueError` naming `name`."""
@@ -326,7 +335,10 @@ def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     """
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+    ranks = np.asarray(ranks)
+    if ranks.size and not np.issubdtype(ranks.dtype, np.integer):
+        raise ValueError(f"support ranks must be integers, got dtype {ranks.dtype}")
+    ranks = ranks.astype(np.int64, copy=False).reshape(-1)
     total = math.comb(N, K)
     if ranks.size and (ranks.min() < 0 or int(ranks.max()) >= total):
         raise ValueError(f"support ranks must lie in [0, C({N},{K}) = {total})")
@@ -342,11 +354,10 @@ def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """M x N measurement matrix with its field and provenance."""
+    """M x N measurement matrix with its field."""
 
     entries: np.ndarray
     field: FieldTag
-    provenance: str = "external"
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -377,7 +388,7 @@ def sample_gaussian_matrix(M: int, N: int, field: FieldTag, rng: np.random.Gener
     """i.i.d. unit-variance field-Gaussian M x N matrix."""
     if M < 1 or N < 1:
         raise ValueError("matrix dimensions must be positive")
-    return MeasurementMatrix(field_gaussian(rng, (M, N), field), field, provenance="gaussian")
+    return MeasurementMatrix(field_gaussian(rng, (M, N), field), field)
 
 
 def ula_angle_grid(N: int) -> np.ndarray:
@@ -404,7 +415,7 @@ def ula_manifold_matrix(M: int, grid: Sequence[float], spacing: float = 0.5) -> 
         raise ValueError("angles must lie in [-pi/2, pi/2]")
     m = np.arange(M, dtype=np.float64)[:, None]
     phase = 2.0 * np.pi * spacing * m * np.sin(theta)[None, :]
-    return MeasurementMatrix(np.exp(1j * phase), FieldTag.COMPLEX, provenance=f"ula(spacing={spacing})")
+    return MeasurementMatrix(np.exp(1j * phase), FieldTag.COMPLEX)
 
 
 @dataclass(frozen=True)
@@ -500,4 +511,4 @@ def load_matrix_csv(path) -> MeasurementMatrix:
     if body.shape != (M, width):
         raise ValueError(f"matrix body shape {body.shape} does not match ({M}, {width}) from"
                          f" header ({M}, {N}) of field {field.value}")
-    return MeasurementMatrix(body.view(field.dtype), field, provenance=f"external({path})")
+    return MeasurementMatrix(body.view(field.dtype), field)

@@ -212,7 +212,9 @@ class CovarianceFactors:
         step = max(1, SCORE_CHUNK_ELEMENTS // max(1, M * nT))
         # Work buffers shared by every chunk, rather than two fresh
         # chunk-sized arrays per chunk: those made a binary decode 3-4%
-        # slower at T = 4 and 8, with the CLI's malloc thresholds too.
+        # slower at T = 4 and 8, with the CLI's malloc thresholds too, and
+        # the bench's sim-binary warm call 3-7% slower in the median (two runs
+        # of 10 alternating rounds; fresh arrays won 1 and 3 of them).
         dtype = np.result_type(proj, values)
         wz = np.empty((min(step, L), 2 * p, nT), dtype)      # [w; G^{-1} w]
         resid = np.empty((min(step, L), M, nT), dtype) if p < M else None

@@ -599,6 +599,33 @@ def test_density_constant_outside_zero_to_inf_is_rejected(name, kappa):
         KAPPA_FORMULAS[name](kappa)
 
 
+# every formula that takes T, or a sequence Ts, with valid other arguments
+T_FORMULAS = {
+    "chernoff_mu": lambda T: chernoff_mu([2.0, 1.0, 0.5], 0.5, T, 0.5),
+    "binary_chernoff": lambda T: binary_chernoff(A6, P0, P1, 0.5, T),
+    "binary_chernoffs": lambda T: binary_chernoffs(A6, P0, P1, 0.5, [1, T]),
+    "multiple_union": lambda T: multiple_bound_union(10.0, 30, 2, T, 0.5),
+    "multiple_geometric": lambda T: multiple_bound_geometric(30.0, 24, 2, T, 0.5),
+    "kl_divergence": lambda T: kl_divergence(np.eye(2), 2.0 * np.eye(2), T, 0.5),
+    "fano_beta_exact": lambda T: fano_beta_exact(A6, 2, 0.5, T),
+    "fano_betas": lambda T: fano_betas(A6, covariance_factors(A6.entries, support_rows(8, 2), 0.5),
+                                       [1, T]),
+    "fano_beta_frobenius": lambda T: fano_beta_frobenius(I2, 2, 1, 1.0, T),
+    "ensemble_fano": lambda T: ensemble_fano_lower(8, 10, 2, 1.0, T, 0.5),
+    "sufficiency": lambda T: gaussian_sufficiency_report(30, 100, 5, T, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_FORMULAS))
+@pytest.mark.parametrize("T", [0, -1, 2.5, True])
+def test_T_that_is_not_an_integer_of_at_least_one_is_rejected(name, T):
+    # a ValueError naming T (`model._check_counts`), never a ZeroDivisionError,
+    # a bound flagged applicable or a complaint about beta
+    T_FORMULAS[name](2)
+    with pytest.raises(ValueError, match="^(need T >= 1|T must be an integer)"):
+        T_FORMULAS[name](T)
+
+
 # every bound formula that takes lambda_bar, beta or H eigenvalues: the label
 # its ValueError starts with, and the call with that input set to x
 NAN_INPUTS = {

@@ -145,6 +145,19 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert run_cli("bounds", "--config", str(tmp_path / "missing.json")).returncode == 2
 
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # an ASCII locale must not make a valid UTF-8 config unreadable: the
+        # non-ASCII value reaches the config check, which names its key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MULTIPLE_SIM, "mode": "multipl\u00e9"}, ensure_ascii=False),
+                       encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        result = subprocess.run(RUN + ["simulate", "--config", str(cfg)], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.startswith("suprec: config error: ")
+        assert "mode" in result.stderr
+
     @pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["missing-directory",
                                                                   "a-directory"])
     def test_unwritable_output_is_exit_two(self, tmp_path, out):

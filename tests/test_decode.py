@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -500,7 +501,7 @@ def screen_matches_scores(decoder, Ys):
 
 def screen_table(decoder, values, ysq, T):
     """The (L, n) Gram screen of the observation block `values` (M, T n),
-    its spans (`SupportDecoder._screen`) stacked."""
+    its spans (`SupportDecoder._screen`) copied as each is yielded and stacked."""
     AhY = decoder._entries.conj().T @ values
     return np.concatenate([scores.copy() for _, scores in decoder._screen(AhY, ysq, T)])
 
@@ -685,16 +686,20 @@ class TestGramScreen:
         # spans of 7 x 9 screen values round down to two chunks: 4 spans of
         # 6 candidates and one of 4, which is a chunk and one candidate
         monkeypatch.setattr(decode, "SCREEN_SPAN", 7 * 9)
-        assert [len(scores) for _, scores in decoder._screen(
-            A.entries.conj().T @ values, ysq, T)] == [6, 6, 6, 6, 4]
+        held = [scores for _, scores in decoder._screen(A.entries.conj().T @ values, ysq, T)]
+        assert [len(scores) for scores in held] == [6, 6, 6, 6, 4]
+        # spans held at once read as spans consumed one at a time
         assert np.array_equal(screen_table(decoder, values, ysq, T), whole)
+        assert np.array_equal(np.concatenate(held), whole)
+        assert not any(np.shares_memory(a, b) for a, b in combinations(held, 2))
         screen_matches_scores(decoder, Ys)
         monkeypatch.setattr(decode, "SCREEN_ROUNDING", 1e12)            # and rescoring chunks
         assert screen_matches_scores(decoder, Ys)
 
     def test_working_memory_does_not_grow_with_candidates_times_trials(self):
         # L = C(30, 3) = 4,060 candidates and 256 trials: an (L, n) float table
-        # is 8.3 MB, while the screen holds one span (`SCREEN_SPAN`, 1 MB)
+        # is 8.3 MB, while the decoder holds at most two spans (`SCREEN_SPAN`,
+        # 1 MB each)
         A = gaussian_instance(6, 30, seed=50, label="screen")
         candidates = enumerate_supports(30, 3)
         Ys = model_observations(A, candidates, 0.5, 256, 2, seed=15)

@@ -153,6 +153,14 @@ class TestUnrankSupports:
         with pytest.raises(ValueError):
             unrank_supports([-1], 8, 3)
 
+    def test_ranks_that_are_not_integers_rejected(self):
+        # 1.5 and True would otherwise unrank as rank 1
+        for ranks in ([1.5], [True], np.array([1.0])):
+            with pytest.raises(ValueError, match="support ranks must be integers"):
+                unrank_supports(ranks, 8, 3)
+        assert unrank_supports([], 8, 3).shape == (0, 3)
+        assert unrank_supports(np.array([1], dtype=np.uint8), 8, 3).tolist() == [[0, 1, 3]]
+
 
 class TestGaussianMatrix:
     def test_real_moments(self):

@@ -24,7 +24,7 @@ from suprec import montecarlo as mc
 from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
 from suprec.spectra import covariance_factors
 import math
-from itertools import product
+from itertools import combinations, product
 
 from conftest import dense_scores, gaussian_instance
 
@@ -315,15 +315,15 @@ class TestNoiseLevels:
         A = gaussian_instance(5, 7, field, seed=122, label="mc-levels")
         rows = support_rows(7, 2)
         for Ts in self.TS:
-            order = [(t, level) for _, t, level, _ in
-                     draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels")]
-            assert order == [(t, level) for t in range(len(Ts)) for _ in range(3)
-                             for level in range(len(sigma2s))]
+            # every yield is held until the end: none may be overwritten by a later one
+            held = list(draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels"))
+            assert [(t, level) for _, t, level, _ in held] == [
+                (t, level) for t in range(len(Ts)) for _ in range(3)
+                for level in range(len(sigma2s))]
+            for (_, _, _, Y), (_, _, _, other) in combinations(held, 2):
+                assert not np.shares_memory(Y, other)
             for (t, T), (level, sigma2) in product(enumerate(Ts), enumerate(sigma2s)):
-                # each Y is read as it is yielded: the next level overwrites its buffer
-                blocks = [(truths, Y.copy()) for truths, tt, lv, Y in
-                          draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels")
-                          if (tt, lv) == (t, level)]
+                blocks = [(truths, Y) for truths, tt, lv, Y in held if (tt, lv) == (t, level)]
                 want = [(truths, Y) for truths, _, _, Y in
                         draw_level_blocks(A, rows, [sigma2], [T], self.TRIALS, 17, "levels")]
                 assert len(blocks) == len(want) == 3
