@@ -13,14 +13,20 @@ factors' own `CovarianceFactors.inverse_sum`: `spectra` decides how Grams and
 covariances are factored and is the one reader of their layout, and this
 module reads no factor. The dense `kl_divergence` of two M x M
 covariances is the reference form for both. Threshold formulas are evaluated in the log domain
-(`log_binomial`) so they stay finite up to N ~ 1e6.
+(`log_binomial`) so they stay finite up to N ~ 1e6. They are one computation,
+Fano's inequality solved for the sample count under the total gain
+||A||_F^2, and `_FANO_THRESHOLDS` maps each formula id to the count it bounds
+and one of two gain forms: unit rows (`_row_gain`, gain M, on MT) and unit
+columns (`_column_gain`, gain N on T, or MN on MT: the Gaussian ensemble, and
+the DOA grid at kappa = 1).
 
 Every formula that takes the noise level sigma2 or the density constant kappa
 checks it by the one rule of both, `model._positive` (0 < value < inf), so a
 value outside it is a `ValueError` naming the input, never a NaN, a negative
 threshold or an arithmetic error.
 Every T, and every entry of a sequence Ts, is checked by `model._check_counts`
-(an integer >= 1) in the same way.
+(an integer >= 1) in the same way, and every other count (M, N, K, L, k_d)
+is an integer by `model._integer` before the formula's own range rule.
 
 Probability bounds are reported raw and clamped to [0, 1] together with an
 applicability flag; a bound whose stated precondition fails is still
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import Support, _check_counts, _positive, as_matrix, support_rows
+from .model import Support, _check_counts, _integer, _positive, as_matrix, support_rows
 from .spectra import covariance_factors, pair_incoherences
 
 LOG2 = math.log(2.0)
@@ -58,13 +64,20 @@ class ThresholdReport:
     quantity: str
     value: float
     formula_id: str
-    inputs: dict
     forms: dict
 
 
 def _report(raw: float, applicable: bool, note: str = "", **extras) -> BoundReport:
     return BoundReport(raw_value=float(raw), clamped=min(1.0, max(0.0, raw)),
                        applicable=applicable, precondition_note=note, extras=extras)
+
+
+def _check_sizes(N: int, K: int) -> None:
+    """The rule of a bound over size-K supports of N columns: integers
+    (`model._integer`) with 1 <= K <= N; K = N is the single-support case."""
+    K, N = _integer(K, "K"), _integer(N, "N")
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K!r}, N={N!r}")
 
 
 def _stirlerr(n: int) -> float:
@@ -161,17 +174,15 @@ def multiple_bound_union(lambda_bar, N: int, K: int, T: int, kappa: float) -> Bo
     evaluated in the log domain. `lambda_bar` may be a single global value or
     one value per difference size k_d (sequence of length K).
     """
+    _check_sizes(N, K)
     _check_counts(T=T)
     _positive(kappa, "kappa")
     lams = np.broadcast_to(np.asarray(lambda_bar, dtype=np.float64), (K,)).copy()
     if not np.all(lams > 0):
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar!r}")
-    terms = []
-    for k_d in range(1, K + 1):
-        if k_d > N - K:
-            continue
-        terms.append(log_binomial(K, k_d) + log_binomial(N - K, k_d)
-                     - kappa * k_d * T * (np.log(lams[k_d - 1]) - np.log(4.0)))
+    terms = [log_binomial(K, k_d) + log_binomial(N - K, k_d)
+             - kappa * k_d * T * (np.log(lams[k_d - 1]) - np.log(4.0))
+             for k_d in range(1, min(K, N - K) + 1)]
     raw = 0.0 if not terms else float(0.5 * np.exp(np.logaddexp.reduce(terms)))
     applicable = bool(np.all(lams > 4.0))
     note = "" if applicable else "requires lambda_bar > 4 for every term to decay"
@@ -187,6 +198,7 @@ def multiple_bound_geometric(lambda_bar: float, N: int, K: int, T: int, kappa: f
     """
     if not lambda_bar > 0:
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar!r}")
+    _check_sizes(N, K)
     _check_counts(T=T)
     _positive(kappa, "kappa")
     KNK = K * (N - K)
@@ -265,6 +277,7 @@ def fano_beta_frobenius(A, N: int, K: int, sigma2: float, T: int) -> float:
     """
     entries, fieldtag = as_matrix(A)
     kappa = fieldtag.kappa
+    _check_sizes(N, K)
     if entries.shape[1] != N:
         raise ValueError(f"matrix has {entries.shape[1]} columns, expected N={N}")
     _check_counts(T=T)
@@ -280,7 +293,7 @@ def _gain_beta(kappa: float, T: int, K: int, N: int, sigma2: float, gain) -> flo
 
 def fano_lower(beta: float, L: int) -> BoundReport:
     """Fano lower bound P_err >= 1 - (beta + log 2)/log L for any decoder."""
-    if L < 2:
+    if _integer(L, "L") < 2:
         raise ValueError("Fano bound needs at least two hypotheses")
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
@@ -291,7 +304,7 @@ def fano_lower(beta: float, L: int) -> BoundReport:
 def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: float) -> BoundReport:
     """Fano bound on the Gaussian-ensemble average error, substituting the
     expected total gain E||A||_F^2 = M*N."""
-    _check_counts(T=T)
+    _check_counts(M=M, N=N, K=K, T=T)
     _positive(sigma2, "sigma2")
     _positive(kappa, "kappa")
     beta = _gain_beta(kappa, T, K, N, sigma2, M * N)
@@ -300,76 +313,85 @@ def ensemble_fano_lower(M: int, N: int, K: int, sigma2: float, T: int, kappa: fl
                        report.precondition_note, extras={"beta": beta})
 
 
-def _fano_threshold(quantity: str, formula_id: str, inputs: dict, denom,
-                    relaxed) -> ThresholdReport:
-    """Fano's inequality solved for the sample count `quantity` (MT or T)
-    that P_err < epsilon needs:
+def _row_gain(f: float, N: int, K: int, sigma2: float, kappa: float) -> tuple:
+    """(denominator, relaxed form) of a threshold under total gain
+    ||A||_F^2 = M, unit-norm rows: the threshold is on MT."""
+    return kappa * (K / N) * (1.0 - K / N), f * 8.0 * sigma2 / kappa * K * math.log(N / K)
 
-        exact_binomial = factor * 2 sigma2 log C(N, K) / denom(),
-        log2_corrected = 2 sigma2 (factor log C(N, K) - log 2) / denom(),
 
-    with factor = 1 - epsilon, or 1 - epsilon - delta when `inputs` holds a
-    delta (the probability form), next to the caller's `relaxed(factor)`.
-    `inputs` holds epsilon, N, K and sigma2; `denom` and `relaxed` are
-    evaluated only once these pass their checks.
+def _column_gain(f: float, N: int, K: int, sigma2: float, kappa: float) -> tuple:
+    """(denominator, relaxed form) of a threshold under total gain
+    ||A||_F^2 = N, unit-norm columns: the threshold is on T, and on MT when
+    every column has squared norm M (gain MN)."""
+    return kappa * K * (1.0 - K / N), f * 2.0 * sigma2 / kappa * math.log(N / K)
+
+
+# formula id -> (the sample count it bounds, its gain form). The unit-variance
+# Gaussian ensemble (E||A||_F^2 = MN) and the DOA manifold of an isotropic
+# array (complex, so kappa = 1; every column of squared norm M) take the
+# column form on MT.
+_FANO_THRESHOLDS = {
+    "snet-unit_rows": ("MT", _row_gain),
+    "snet-unit_columns": ("T", _column_gain),
+    "gaussian-necessary-mean": ("MT", _column_gain),
+    "gaussian-necessary-prob": ("MT", _column_gain),
+    "doa": ("MT", _column_gain),
+}
+
+
+def _fano_threshold(formula_id: str, epsilon: float, delta: float | None, N: int, K: int,
+                    sigma2: float, kappa: float) -> ThresholdReport:
+    """Fano's inequality solved for the sample count of `formula_id`'s row of
+    `_FANO_THRESHOLDS` that P_err < epsilon needs:
+
+        exact_binomial = factor * 2 sigma2 log C(N, K) / denominator,
+        log2_corrected = 2 sigma2 (factor log C(N, K) - log 2) / denominator,
+
+    with factor = 1 - epsilon, or 1 - epsilon - delta when `delta` is given
+    (the probability form), next to the row's relaxed form; the gain form is
+    evaluated only once every input passes its check.
     """
-    epsilon, N, K, sigma2 = inputs["epsilon"], inputs["N"], inputs["K"], inputs["sigma2"]
-    delta = inputs.get("delta")
+    _positive(kappa, "kappa")
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if delta is not None and (delta <= 0 or epsilon + delta >= 1):
         raise ValueError("need delta > 0 and epsilon + delta < 1")
+    N, K = _integer(N, "N"), _integer(K, "K")
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
     _positive(sigma2, "sigma2")
+    quantity, gain = _FANO_THRESHOLDS[formula_id]
     factor = 1.0 - epsilon if delta is None else 1.0 - epsilon - delta
     log_binom = log_binomial(N, K)
-    d = denom()
-    forms = {"exact_binomial": factor * 2.0 * sigma2 * log_binom / d, "relaxed": relaxed(factor),
-             "log2_corrected": 2.0 * sigma2 * (factor * log_binom - LOG2) / d}
+    denom, relaxed = gain(factor, N, K, sigma2, kappa)
+    forms = {"exact_binomial": factor * 2.0 * sigma2 * log_binom / denom, "relaxed": relaxed,
+             "log2_corrected": 2.0 * sigma2 * (factor * log_binom - LOG2) / denom}
     return ThresholdReport(quantity=quantity, value=forms["exact_binomial"],
-                           formula_id=formula_id, inputs=inputs, forms=forms)
+                           formula_id=formula_id, forms=forms)
 
 
 def snet_requirements(epsilon: float, N: int, K: int, sigma2: float, kappa: float,
                       normalization: str) -> ThresholdReport:
     """Minimal sample counts for P_err < epsilon under row- or column-normalized
     measurement matrices (total gain M and N respectively)."""
-    _positive(kappa, "kappa")
-    if normalization == "unit_rows":
-        quantity = "MT"
-        denom = lambda: kappa * (K / N) * (1.0 - K / N)
-        relaxed = lambda f: f * 8.0 * sigma2 / kappa * K * math.log(N / K)
-    elif normalization == "unit_columns":
-        quantity = "T"
-        denom = lambda: kappa * K * (1.0 - K / N)
-        relaxed = lambda f: f * 2.0 * sigma2 / kappa * math.log(N / K)
-    else:
+    formula_id = f"snet-{normalization}"
+    if formula_id not in _FANO_THRESHOLDS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return _fano_threshold(quantity, f"snet-{normalization}",
-                           {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2, "kappa": kappa},
-                           denom, relaxed)
+    return _fano_threshold(formula_id, epsilon, None, N, K, sigma2, kappa)
 
 
 def doa_requirements(epsilon: float, N: int, K: int, sigma2: float) -> ThresholdReport:
     """Minimal MT for DOA-grid support recovery with an isotropic array
     (complex field, every manifold column of squared norm M)."""
-    return _fano_threshold("MT", "doa", {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2},
-                           lambda: K * (1.0 - K / N),
-                           lambda f: f * 2.0 * sigma2 * math.log(N / K))
+    return _fano_threshold("doa", epsilon, None, N, K, sigma2, 1.0)
 
 
 def gaussian_necessary(epsilon: float, delta: float | None, N: int, K: int,
                        sigma2: float, kappa: float) -> ThresholdReport:
     """Necessary MT for the unit-variance Gaussian ensemble: mean form with
     factor (1-eps), probability form with (1-eps-delta)."""
-    _positive(kappa, "kappa")
-    inputs = {"epsilon": epsilon, "N": N, "K": K, "sigma2": sigma2, "kappa": kappa}
-    if delta is not None:
-        inputs["delta"] = delta
-    formula = "gaussian-necessary-mean" if delta is None else "gaussian-necessary-prob"
-    return _fano_threshold("MT", formula, inputs, lambda: kappa * K * (1.0 - K / N),
-                           lambda f: f * 2.0 * sigma2 / kappa * math.log(N / K))
+    formula_id = "gaussian-necessary-mean" if delta is None else "gaussian-necessary-prob"
+    return _fano_threshold(formula_id, epsilon, delta, N, K, sigma2, kappa)
 
 
 @dataclass(frozen=True)
@@ -391,9 +413,7 @@ class SufficiencyReport:
 
 def gaussian_sufficiency_report(M: int, N: int, K: int, T: int, sigma2: float,
                                 kappa: float) -> SufficiencyReport:
-    _check_counts(T=T)
-    if min(M, N, K, T) < 1:
-        raise ValueError("parameters must be positive")
+    _check_counts(M=M, N=N, K=K, T=T)
     _positive(sigma2, "sigma2")
     _positive(kappa, "kappa")
     notes = []
@@ -426,6 +446,7 @@ def gaussian_sufficiency_report(M: int, N: int, K: int, T: int, sigma2: float,
 def expected_incoherence_bounds(M: int, K: int, k_d: int, sigma2: float) -> tuple:
     """Closed-form interval for the Gaussian-ensemble mean pair incoherence:
     1 + (M-K-k_d)/sigma2 <= E <= 1 + M/sigma2."""
+    M, K, k_d = _integer(M, "M"), _integer(K, "K"), _integer(k_d, "k_d")
     if M <= K + k_d:
         raise ValueError(f"need M > K + k_d, got M={M}, K={K}, k_d={k_d}")
     if not 1 <= k_d <= K:
@@ -440,6 +461,7 @@ def hypergeometric_mean_check(N: int, K: int) -> float:
     The sum is an exact integer, and the quotient of two integers is rounded
     correctly to a float.
     """
+    N, K = _integer(N, "N"), _integer(K, "K")
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
     total = sum(k_d * math.comb(K, k_d) * math.comb(N - K, k_d) for k_d in range(1, K + 1))

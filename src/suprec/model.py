@@ -85,10 +85,10 @@ def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generat
     not depend on evaluation order. This is numpy's own seeding path, the
     reference that `draw_matrices` reproduces for stacks of draws.
     """
-    if master_seed < 0:
+    seed, index = _integer(master_seed, "master_seed"), _integer(index, "index")
+    if seed < 0:
         raise ValueError("master_seed must be a non-negative integer")
-    tag = _label_tag(label)
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), tag, int(index))))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, _label_tag(label), index)))
 
 
 # numpy.random.SeedSequence's hash constants (O'Neill's seed_seq_fe, as in
@@ -178,7 +178,7 @@ def draw_matrices(seed: int, label: str, draws: range, shape, field: FieldTag,
     The per-draw streams are seeded in one vectorized pass (`_seed_states`)
     instead of one SeedSequence each; draw indices must lie below 2**64.
     """
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValueError("seed must be a non-negative integer")
     if len(draws) and (min(draws[0], draws[-1]) < 0 or max(draws[0], draws[-1]) >= 2**64):
         raise ValueError("draw indices must lie in [0, 2**64)")
@@ -263,8 +263,9 @@ def _check_counts(**counts) -> None:
 
 def _positive(value, name: str) -> None:
     """The rule of the noise level sigma2 and the density constant kappa:
-    0 < value < inf, so NaN fails too; else a `ValueError` naming `name`."""
-    if not 0 < value < math.inf:
+    0 < value < inf, so NaN fails too, and no bool (as in `_integer`); else
+    a `ValueError` naming `name`."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
         raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
 
 
@@ -294,7 +295,7 @@ def _support_count(N: int, K: int) -> int:
     """C(N, K), the number of size-K candidate supports, within
     `DEFAULT_ENUMERATION_CAP`: the rule of `support_rows`, which a plan checks
     before anything runs."""
-    total = math.comb(N, K)
+    total = math.comb(_integer(N, "N"), _integer(K, "K"))
     if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(f"C({N},{K}) = {total} candidate supports exceed cap"
                           f" {DEFAULT_ENUMERATION_CAP}")
@@ -386,14 +387,14 @@ def as_matrix(A) -> tuple:
 
 def sample_gaussian_matrix(M: int, N: int, field: FieldTag, rng: np.random.Generator) -> MeasurementMatrix:
     """i.i.d. unit-variance field-Gaussian M x N matrix."""
-    if M < 1 or N < 1:
+    if _integer(M, "M") < 1 or _integer(N, "N") < 1:
         raise ValueError("matrix dimensions must be positive")
     return MeasurementMatrix(field_gaussian(rng, (M, N), field), field)
 
 
 def ula_angle_grid(N: int) -> np.ndarray:
     """Uniform interior grid of N angles in (-pi/2, pi/2) (cell midpoints)."""
-    if N < 1:
+    if _integer(N, "N") < 1:
         raise ValueError("grid size must be positive")
     return -np.pi / 2 + np.pi * (np.arange(N) + 0.5) / N
 
@@ -404,7 +405,7 @@ def ula_manifold_matrix(M: int, grid: Sequence[float], spacing: float = 0.5) -> 
     Column n holds exp(i * 2*pi * spacing * m * sin(theta_n)) for sensor index
     m = 0..M-1, so every column has squared norm exactly M.
     """
-    if M < 1:
+    if _integer(M, "M") < 1:
         raise ValueError("M must be positive")
     if spacing <= 0:
         raise ValueError("spacing must be positive")

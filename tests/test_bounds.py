@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -195,8 +196,9 @@ class TestMultipleBounds:
         assert report.raw_value == pytest.approx(0.16, abs=1e-12)
 
     def test_union_empty_when_no_competitors(self):
-        report = multiple_bound_union(10.0, 3, 3, 2, 1.0)
-        assert report.raw_value == 0.0
+        # K = N leaves one candidate support, the edge of both bounds' K <= N
+        assert multiple_bound_union(10.0, 3, 3, 2, 1.0).raw_value == 0.0
+        assert multiple_bound_geometric(10.0, 3, 3, 2, 1.0).raw_value == 0.0
 
     def test_union_below_geometric_when_applicable(self):
         for lam in (9.0, 12.0, 40.0):
@@ -471,6 +473,16 @@ class TestThresholds:
         prob = gaussian_necessary(0.1, 0.1, 100, 2, 1.0, 0.5)
         assert prob.value == pytest.approx(mean.value * 0.8 / 0.9, rel=1e-12)
 
+    def test_doa_is_gaussian_necessary_at_kappa_one(self):
+        # the `doa` row of the threshold table is the unit-column form at
+        # kappa = 1: every form the same bits as the Gaussian mean form's
+        for eps, N, sigma2 in product((0.0, 0.05, 0.3, 0.99), (2, 3, 31, 90, 360, 10**6),
+                                      (1e-8, 0.1, 1.0, 7.5)):
+            for K in sorted({1, 2, N // 2, N - 1} & set(range(1, N))):
+                doa = doa_requirements(eps, N, K, sigma2).forms
+                gauss = gaussian_necessary(eps, None, N, K, sigma2, 1.0).forms
+                assert {k: v.hex() for k, v in doa.items()} == {k: v.hex() for k, v in gauss.items()}
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             doa_requirements(1.0, 10, 2, 1.0)
@@ -565,7 +577,7 @@ SIGMA2_FORMULAS = {
 
 
 @pytest.mark.parametrize("name", sorted(SIGMA2_FORMULAS))
-@pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf, True])
 def test_noise_level_outside_zero_to_inf_is_rejected(name, sigma2):
     # the one rule's ValueError naming sigma2 (`model._positive`), never a NaN
     # result, a silent estimate, a ZeroDivisionError or numpy's "invalid value"
@@ -590,7 +602,7 @@ KAPPA_FORMULAS = {
 
 
 @pytest.mark.parametrize("name", sorted(KAPPA_FORMULAS))
-@pytest.mark.parametrize("kappa", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("kappa", [0.0, -0.5, math.nan, math.inf, True])
 def test_density_constant_outside_zero_to_inf_is_rejected(name, kappa):
     # a ValueError naming kappa, never a negative threshold, a positive mu or a
     # ZeroDivisionError
@@ -646,6 +658,54 @@ def test_nan_input_is_rejected(name):
     call(5.0)
     with pytest.raises(ValueError, match=f"^{label} must be"):
         call(math.nan)
+
+
+# counts that are not integers, or lie outside a formula's range: each call
+# with the count it should name, next to the same call with valid counts
+COUNT_CALLS = {
+    "union-K-above-N": ("K", lambda: multiple_bound_union(10.0, 30, 40, 2, 0.5),
+                        lambda: multiple_bound_union(10.0, 30, 2, 2, 0.5)),
+    "union-K-float": ("K", lambda: multiple_bound_union(10.0, 30, 2.5, 2, 0.5),
+                      lambda: multiple_bound_union(10.0, 30, 2, 2, 0.5)),
+    "union-N-float": ("N", lambda: multiple_bound_union(10.0, 30.0, 2, 2, 0.5),
+                      lambda: multiple_bound_union(10.0, 30, 2, 2, 0.5)),
+    "geometric-K-negative": ("K", lambda: multiple_bound_geometric(30.0, 24, -1, 2, 0.5),
+                             lambda: multiple_bound_geometric(30.0, 24, 1, 2, 0.5)),
+    "geometric-K-above-N": ("K", lambda: multiple_bound_geometric(30.0, 24, 30, 2, 0.5),
+                            lambda: multiple_bound_geometric(30.0, 24, 24, 2, 0.5)),
+    "fano-L-float": ("L", lambda: fano_lower(0.1, 2.5), lambda: fano_lower(0.1, 2)),
+    "ensemble-N-float": ("N", lambda: ensemble_fano_lower(8, 10.5, 2, 1.0, 2, 0.5),
+                         lambda: ensemble_fano_lower(8, 10, 2, 1.0, 2, 0.5)),
+    "ensemble-M-zero": ("M", lambda: ensemble_fano_lower(0, 10, 2, 1.0, 2, 0.5),
+                        lambda: ensemble_fano_lower(1, 10, 2, 1.0, 2, 0.5)),
+    "sufficiency-M-float": ("M", lambda: gaussian_sufficiency_report(30.5, 100, 5, 4, 1.0, 0.5),
+                            lambda: gaussian_sufficiency_report(30, 100, 5, 4, 1.0, 0.5)),
+    "sufficiency-K-bool": ("K", lambda: gaussian_sufficiency_report(30, 100, True, 4, 1.0, 0.5),
+                           lambda: gaussian_sufficiency_report(30, 100, 1, 4, 1.0, 0.5)),
+    "incoherence-M-float": ("M", lambda: expected_incoherence_bounds(10.5, 2, 1, 1.0),
+                            lambda: expected_incoherence_bounds(10, 2, 1, 1.0)),
+    "incoherence-k_d-float": ("k_d", lambda: expected_incoherence_bounds(10, 2, 1.0, 1.0),
+                              lambda: expected_incoherence_bounds(10, 2, 1, 1.0)),
+    "hypergeometric-N-float": ("N", lambda: hypergeometric_mean_check(10.5, 3),
+                               lambda: hypergeometric_mean_check(10, 3)),
+    "doa-N-float": ("N", lambda: doa_requirements(0.1, 90.5, 2, 1.0),
+                    lambda: doa_requirements(0.1, 90, 2, 1.0)),
+    "snet-K-float": ("K", lambda: snet_requirements(0.1, 90, 2.0, 1.0, 0.5, "unit_columns"),
+                     lambda: snet_requirements(0.1, 90, 2, 1.0, 0.5, "unit_columns")),
+    "frobenius-K-above-N": ("K", lambda: fano_beta_frobenius(I2, 2, 3, 1.0, 1),
+                            lambda: fano_beta_frobenius(I2, 2, 2, 1.0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_that_is_not_an_integer_in_range_is_rejected(name):
+    # a ValueError naming the count (`model._integer`, then the formula's own
+    # range rule), never a TypeError, a math domain error or a bound for a
+    # count that cannot be
+    count, bad, good = COUNT_CALLS[name]
+    good()
+    with pytest.raises(ValueError, match=f"(^|need .*){count}\\b"):
+        bad()
 
 
 class TestHypergeometricMean:

@@ -223,6 +223,9 @@ class TestExitCodes:
          "query multiple_union: 'T' must be a positive integer"),
         ("bounds", {"queries": [{**ALL_BOUND_QUERIES[1], "kappa": -1}]},
          "query multiple_union: 'kappa' must be a positive number"),
+        ("bounds", {"queries": [{"formula": "multiple_union", "lambda_bar": 10, "N": 30, "K": 40,
+                                 "T": 2, "kappa": 0.5}]},
+         "query multiple_union: need 1 <= K <= N, got K=40, N=30"),
         ("bounds", {"queries": [{"formula": "fano_lower", "beta": math.nan, "L": 4}]},
          "cannot read config: non-standard JSON constant NaN"),
         ("simulate", {**BINARY_SIM, "sigma2": math.inf},
@@ -245,7 +248,7 @@ class TestExitCodes:
             "ensemble-K-equals-N", "doa-N-string", "doa-N-K-float", "doa-K-bool",
             "doa-epsilon-empty", "eig-check-grid-M-empty", "simulate-T-empty",
             "bounds-geometric-T-zero", "bounds-geometric-T-tiny", "bounds-union-T-zero",
-            "bounds-union-kappa-negative", "bounds-beta-nan", "simulate-sigma2-infinity",
+            "bounds-union-kappa-negative", "bounds-union-K-above-N", "bounds-beta-nan", "simulate-sigma2-infinity",
             "doa-K-not-below-N", "doa-epsilon-one"])
     def test_incoherence_shape_is_config_error(self, tmp_path, command, payload, message):
         # bad shapes and bad config values alike are rejected up front (exit 2)

@@ -61,6 +61,29 @@ CASES = {
         {"formula": "doa", "epsilon": 0.1, "N": 360, "K": 2, "sigma2": 1.0},
         {"formula": "gaussian_necessary", "epsilon": 0.1, "delta": 0.05, "N": 16, "K": 2,
          "sigma2": 0.5, "kappa": 1}]}, 0, "csv"),
+    # every row of the Fano threshold table: both snet gains at kappa 1/2 and
+    # 1, both gaussian_necessary factors, doa; N up to 1e6 (log C(N, K) by
+    # its exact integer and by Stirling), sigma2 from 1e-8 to 7.5
+    "bounds-fano-thresholds": ("bounds", {"queries": [
+        {"formula": "snet", "epsilon": 0.05, "N": 10**6, "K": 3, "sigma2": 1e-8, "kappa": 0.5,
+         "normalization": "unit_rows"},
+        {"formula": "snet", "epsilon": 0.0, "N": 90, "K": 45, "sigma2": 7.5, "kappa": 1,
+         "normalization": "unit_rows"},
+        {"formula": "snet", "epsilon": 0.2, "N": 1000, "K": 10, "sigma2": 0.01, "kappa": 0.5,
+         "normalization": "unit_columns"},
+        {"formula": "snet", "epsilon": 0.1, "N": 10**6, "K": 50, "sigma2": 7.5, "kappa": 1,
+         "normalization": "unit_columns"},
+        {"formula": "gaussian_necessary", "epsilon": 0.1, "N": 10**6, "K": 1, "sigma2": 1e-8,
+         "kappa": 0.5},
+        {"formula": "gaussian_necessary", "epsilon": 0.0, "N": 360, "K": 180, "sigma2": 2.5,
+         "kappa": 1},
+        {"formula": "gaussian_necessary", "epsilon": 0.05, "delta": 0.2, "N": 500, "K": 7,
+         "sigma2": 7.5, "kappa": 0.5},
+        {"formula": "gaussian_necessary", "epsilon": 0.3, "delta": 0.01, "N": 10**6, "K": 999,
+         "sigma2": 1e-3, "kappa": 1},
+        {"formula": "doa", "epsilon": 0.0, "N": 10**6, "K": 2, "sigma2": 1e-8},
+        {"formula": "doa", "epsilon": 0.25, "N": 37, "K": 36, "sigma2": 7.5},
+        {"formula": "doa", "epsilon": 0.1, "N": 2, "K": 1, "sigma2": 0.3}]}, 0, "csv"),
     "bounds-json": ("bounds", {"queries": [
         {"formula": "multiple_geometric", "lambda_bar": 2, "N": 10, "K": 2, "T": 1,
          "kappa": 0.5}]}, 0, "json"),

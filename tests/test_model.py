@@ -207,6 +207,24 @@ class TestUlaManifold:
         with pytest.raises(ValueError):
             ula_manifold_matrix(4, [2.0])
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: ula_manifold_matrix(2.5, ula_angle_grid(4)), "M"),
+        (lambda: ula_manifold_matrix(True, ula_angle_grid(4)), "M"),
+        (lambda: ula_angle_grid(2.5), "N"),
+        (lambda: sample_gaussian_matrix(2.0, 3, FieldTag.REAL, substream(1, "m")), "M"),
+        (lambda: sample_gaussian_matrix(2, True, FieldTag.REAL, substream(1, "m")), "N"),
+        (lambda: support_rows(6.0, 2), "N"),
+    ], ids=["ula-M-float", "ula-M-bool", "grid-N-float", "gaussian-M-float",
+            "gaussian-N-bool", "support-rows-N-float"])
+    def test_dimension_that_is_not_an_integer_is_rejected(self, make, name):
+        # a float was rounded up (np.arange(2.5) has 3 entries) and True read as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make()
+
+    def test_numpy_integer_dimensions_pass(self):
+        A = ula_manifold_matrix(np.int64(4), ula_angle_grid(np.int32(6)))
+        assert np.array_equal(A.entries, ula_manifold_matrix(4, ula_angle_grid(6)).entries)
+
 
 class TestMeasurementMatrix:
     def test_complex_entries_tagged_real_are_rejected(self):
@@ -438,6 +456,17 @@ class TestSubstream:
         with pytest.raises(ValueError):
             substream(-1, "x")
 
+    @pytest.mark.parametrize("seed,index,name", [(1.5, 0, "master_seed"), (True, 0, "master_seed"),
+                                                 (1, 1.5, "index"), (1, True, "index")])
+    def test_seed_and_index_that_are_not_integers_are_rejected(self, seed, index, name):
+        # each was read as seed or index 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            substream(seed, "x", index)
+
+    def test_numpy_integers_give_the_same_stream(self):
+        a = substream(np.int64(7), "x", np.uint32(3)).standard_normal(4)
+        assert np.array_equal(a, substream(7, "x", 3).standard_normal(4))
+
 
 def numpy_states(entropy):
     """numpy's own PCG64 seed words for each row of 32-bit entropy words."""
@@ -452,6 +481,11 @@ def substream_stack(seed, label, draws, shape, field):
 class TestDrawMatrices:
     """`draw_matrices` seeds the per-draw streams in one vectorized pass;
     numpy's SeedSequence and `substream` are its oracles."""
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            draw_matrices(seed, "x", range(2), (2, 3), FieldTag.REAL)
 
     @pytest.mark.parametrize("n_words", range(1, 7))
     def test_seed_pass_matches_seed_sequence(self, n_words):
