@@ -6,9 +6,10 @@ divergence beta. For one support pair, `binary_chernoff` takes beta from the
 reduced spectrum of H it already holds (`binary_chernoffs` at several T
 from one spectrum); over all C(N, K) supports,
 `fano_beta_exact` takes it from the stacked low-rank covariance factors, and
-`fano_betas` at several T from factors already built (`simulate` gives the
-same factor sets to `montecarlo.estimate_multiple_perrs`, the owner of the
-Monte Carlo (T, sigma2) grid). The sum of inverse covariances in beta is the
+`fano_betas` at several T from factors already built (`simulate` reads each
+level's from its `SupportDecoder.factors`, and the same decoders go to
+`montecarlo.estimate_multiple_perrs`, the owner of the Monte Carlo
+(T, sigma2) grid). The sum of inverse covariances in beta is the
 factors' own `CovarianceFactors.inverse_sum`: `spectra` decides how Grams and
 covariances are factored and is the one reader of their layout, and this
 module reads no factor. The dense `kl_divergence` of two M x M

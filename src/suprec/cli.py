@@ -98,6 +98,7 @@ import numpy as np
 
 from . import bounds as bd
 from . import montecarlo as mc
+from .decode import SupportDecoder
 from .model import (
     CapExceeded,
     FieldTag,
@@ -112,8 +113,7 @@ from .model import (
     ula_angle_grid,
     ula_manifold_matrix,
 )
-from .spectra import (_check_pair_walk, _pair_union, _split_masks, covariance_factors,
-                      h_spectra, matrix_incoherence)
+from .spectra import _check_pair_walk, _pair_union, _split_masks, h_spectra, matrix_incoherence
 
 SEED_ENV_VAR = "SUPREC_SEED"
 # Entries of each (c, M, N) stack of draws that eig-check scores as one chunk
@@ -398,13 +398,13 @@ def _run_binary(plan: dict, seed: int, points: list) -> tuple:
 
 def _run_multiple(plan: dict, seed: int, points: list) -> tuple:
     A, N, K, Ts, sigma2s = plan["matrix"](seed), plan["N"], plan["K"], plan["Ts"], plan["sigma2s"]
-    # Neither lambda_bar nor the covariance factors depend on T: each
-    # sigma2 factors its supports once, for the decoder and for Fano beta.
+    # Neither lambda_bar nor a decoder depends on T: each sigma2's decoder
+    # factors the supports once, for the decodes and for Fano beta.
     summaries = [matrix_incoherence(A, K, sigma2, plan["pairs"], seed) for sigma2 in sigma2s]
     supports = support_rows(N, K)
-    factors = [covariance_factors(A, supports, sigma2) for sigma2 in sigma2s]
-    betas = [bd.fano_betas(A, f, Ts) for f in factors]      # betas[i][t] is at Ts[t]
-    ests = mc.estimate_multiple_perrs(A, factors, Ts, plan["trials"], seed)
+    decoders = [SupportDecoder(A, supports, sigma2) for sigma2 in sigma2s]
+    betas = [bd.fano_betas(A, d.factors, Ts) for d in decoders]      # betas[i][t] is at Ts[t]
+    ests = mc.estimate_multiple_perrs(A, decoders, Ts, plan["trials"], seed)
     cells = [(bd.multiple_bound_geometric(summaries[i].lambda_bar, N, K, Ts[t],
                                           A.field.kappa).clamped,
               bd.fano_lower(betas[i][t], math.comb(N, K)).clamped, summaries[i].lambda_bar)
@@ -442,11 +442,12 @@ def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells: tuple) -> di
 
 def run_simulate(plan: dict, seed: int):
     """Rows in `product(Ts, sigma2s)` order. The mode's run makes one
-    estimator call over the whole grid (`montecarlo` builds each sigma2's
-    decoder once and draws each trial block once per T for every sigma2) and
-    lists one (chernoff_clamped, fano_clamped, lambda_bar) cell triple per
-    point; what the bounds need and does not depend on T (H's spectrum,
-    lambda_bar, the covariance factors) is built once per sigma2. One loop
+    estimator call over the whole grid (each sigma2's decoder is built once,
+    in multiple mode by the run, and each trial block is drawn once per T for
+    every sigma2) and lists one (chernoff_clamped, fano_clamped, lambda_bar)
+    cell triple per point; what the bounds need and does not depend on T
+    (H's spectrum, lambda_bar, a decoder's covariance factors) is built once
+    per sigma2. One loop
     writes the rows, in ensemble mode each point's row followed by one row
     per matrix."""
     mode, Ts, sigma2s = plan["mode"], plan["Ts"], plan["sigma2s"]

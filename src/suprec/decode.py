@@ -127,18 +127,18 @@ class SupportDecoder:
     more than one size are a `ValueError`. The covariance factors are computed
     once per (A, sigma2, candidates), in one `covariance_factors` call, and
     reused across observations. A candidate whose factorization fails scores
-    -inf and is recorded in `failures` instead of aborting the decode.
-    `factors`, when given, are the `covariance_factors` of the candidates,
-    already built at sigma2, and are not rebuilt: `estimate_multiple_perrs`
-    decodes with the factor sets that `simulate` also gives the exact Fano
-    beta. Factors of other rows or of another sigma2 are a `ValueError`.
+    -inf and is recorded in `failures` instead of aborting the decode. The
+    set is the decoder's `factors`: its rows are the candidate table and it
+    carries sigma2, so `simulate` reads the exact Fano beta from the factors
+    of the decoders it hands to `estimate_multiple_perrs`, and a level is
+    factored once.
 
     The decoder owns the Gram screen of `decode_index_batch`: it builds the
     screen's factors (`_grams`, by `spectra._gram_factor`) once, on the first
     such call, and nothing else reads them.
     """
 
-    def __init__(self, A, candidates, sigma2: float, factors=None):
+    def __init__(self, A, candidates, sigma2: float):
         entries, field = as_matrix(A)
         self.kappa = field.kappa
         self.M, self._N = entries.shape
@@ -154,18 +154,15 @@ class SupportDecoder:
         table = _check_rows(candidates, self._N, "candidate")
         if not len(table):
             raise ValueError("candidate set must be nonempty")
-        if factors is not None and not (factors.sigma2 == sigma2
-                                        and np.array_equal(factors.rows, table)):
-            raise ValueError("factors must be those of the candidate rows at sigma2")
         # Ties go to the first support in lexicographic order.
         self._lex_order = np.lexsort(table.T[::-1])
-        self._factors = covariance_factors(entries, table, sigma2) if factors is None else factors
-        self.failures = dict(self._factors.failures)
+        self.factors = covariance_factors(entries, table, sigma2)
+        self.failures = dict(self.factors.failures)
 
     @cached_property
     def candidates(self) -> list:
         """The candidate supports, in the decoder's order (built on first use)."""
-        return [Support(tuple(int(i) for i in row), self._N) for row in self._factors.rows]
+        return [Support(tuple(int(i) for i in row), self._N) for row in self.factors.rows]
 
     def _columns(self, Ys) -> tuple:
         """(values, T): observations (n, M, T) as the one contiguous block
@@ -193,8 +190,8 @@ class SupportDecoder:
         one stack (`CovarianceFactors.energies`). A candidate scores the same
         bits whichever others are scored with it, and a failed one, whose
         logdet is +inf, scores -inf."""
-        energies = self._factors.energies(values, T, cand)
-        return self._offsets(T, self._factors.logdet[cand]) - self.kappa * energies
+        energies = self.factors.energies(values, T, cand)
+        return self._offsets(T, self.factors.logdet[cand]) - self.kappa * energies
 
     def score_batch(self, Ys) -> np.ndarray:
         """Log-likelihood of every candidate for a stack of observations
@@ -229,7 +226,7 @@ class SupportDecoder:
     def _grams(self) -> tuple:
         """The Gram screen's (F^{-1}, rho) (`_gram_screen`), built on the first
         `decode_index_batch`."""
-        return _gram_screen(self._entries, self._factors)
+        return _gram_screen(self._entries, self.factors)
 
     def _screen(self, AhY, ysq, T: int):
         """Gram-space log-likelihoods of n observations of T columns each,
@@ -285,7 +282,7 @@ class SupportDecoder:
         stable to first order, which the constant covers. `_margin` bounds
         every m_S of a trial at once.
         """
-        factors = self._factors
+        factors = self.factors
         inverse, _ = self._grams
         L, K = factors.rows.shape
         step = max(1, spectra.SCORE_CHUNK_ELEMENTS // max(1, K * AhY.shape[1]))
@@ -317,10 +314,10 @@ class SupportDecoder:
         if np.isinf(rho):
             return np.full(len(ysq), np.inf)
         eps = np.finfo(np.float64).eps
-        logdet = self._factors.logdet                  # a failed candidate's is inf
+        logdet = self.factors.logdet                 # a failed candidate's is inf
         offset = np.abs(self._offsets(T, logdet[np.isfinite(logdet)])).max(initial=0.0)
-        spread = SCREEN_ROUNDING * (self.M + self._factors.rows.shape[1]) * (1.0 + rho) ** 2 + 4.0
-        return 4.0 * eps * offset + spread * ((eps * self.kappa / self._factors.sigma2) * ysq)
+        spread = SCREEN_ROUNDING * (self.M + self.factors.rows.shape[1]) * (1.0 + rho) ** 2 + 4.0
+        return 4.0 * eps * offset + spread * ((eps * self.kappa / self.factors.sigma2) * ysq)
 
     def decode_index_batch(self, Ys: np.ndarray) -> np.ndarray:
         """Winning candidate index for a stack of observations (n, M, T): the

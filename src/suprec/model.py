@@ -333,7 +333,9 @@ def unrank_supports(ranks, N: int, K: int) -> np.ndarray:
     C(N,K) - 1 - r has the combinatorial-number-system digits
     d_0 > d_1 > ... with index t = N - 1 - d_t, each found greedily as the
     largest d with C(d, K - t) <= what is left. No support is enumerated.
+    N and K are integers by `_integer`.
     """
+    N, K = _integer(N, "N"), _integer(K, "K")
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     ranks = np.asarray(ranks)
@@ -403,12 +405,12 @@ def ula_manifold_matrix(M: int, grid: Sequence[float], spacing: float = 0.5) -> 
     """Uniform-linear-array manifold matrix.
 
     Column n holds exp(i * 2*pi * spacing * m * sin(theta_n)) for sensor index
-    m = 0..M-1, so every column has squared norm exactly M.
+    m = 0..M-1, so every column has squared norm exactly M. The spacing, in
+    wavelengths, is held to `_positive`.
     """
     if _integer(M, "M") < 1:
         raise ValueError("M must be positive")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    _positive(spacing, "spacing")
     theta = np.asarray(grid, dtype=np.float64)
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("grid must be a non-empty 1-d sequence of angles")

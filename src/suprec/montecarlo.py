@@ -14,9 +14,12 @@ once. No stream depends on the noise level, so each block is drawn once per
 T and scored at every level, as Y = A_S X + sqrt(sigma2) W1. Matrix-draw
 statistics take their stacks of draws from `model.draw_matrices`, whose
 draw d is byte for byte the matrix of substream(seed, label, d), and score
-PAIR_BLOCK draws as one stack. The multiple and ensemble estimators hold
-their candidates as the (L, K) index rows of `model.support_rows` and never
-build a `Support` per candidate.
+PAIR_BLOCK draws as one stack. The multiple estimator takes its levels as
+decoders, one `SupportDecoder` per noise level, whose `factors` `simulate`
+also reads the exact Fano beta from; the ensemble estimator builds its own
+for each matrix. Both run one ML trial loop (`_kd_counts`) over the (L, K)
+index rows of `model.support_rows` and never build a `Support` per
+candidate. The binary estimator keeps its own loop: its LRT breaks ties to S0.
 Uncertainty is reported as an exact binomial (Clopper-Pearson) interval at
 95%. `clopper_pearson` finds each endpoint as the root of a binomial tail,
 I_x(a, b) = P(Bin(a + b - 1, x) >= a), with the `math` module only: the tail
@@ -46,7 +49,7 @@ from .model import (
     substream,
     support_rows,
 )
-from .spectra import PAIR_BLOCK, covariance_factors, pair_incoherences
+from .spectra import PAIR_BLOCK, pair_incoherences
 
 # Trials per block: one generator and one batched score per block. Large enough
 # to amortize the per-block Python work, small enough to keep the block's
@@ -279,35 +282,46 @@ def estimate_multiple_perr(A, K: int, sigma2: float, T: int, trials: int,
     difference sets are kept as a k_d histogram in the extras. The one-point
     view of `estimate_multiple_perrs`.
     """
-    rows = support_rows(as_matrix(A)[0].shape[1], K)
-    return estimate_multiple_perrs(A, [covariance_factors(A, rows, sigma2)], [T], trials,
-                                   seed)[0]
+    decoder = SupportDecoder(A, support_rows(as_matrix(A)[0].shape[1], K), sigma2)
+    return estimate_multiple_perrs(A, [decoder], [T], trials, seed)[0]
 
 
-def estimate_multiple_perrs(A, factors, Ts, trials: int, seed: int) -> list:
+def estimate_multiple_perrs(A, decoders, Ts, trials: int, seed: int) -> list:
     """`estimate_multiple_perr` at each point of `product(Ts, levels)`, one
-    estimate per point in that order. The levels are `factors`, one
-    `covariance_factors` set per noise level, all of the same candidate rows
-    (`support_rows(N, K)`); each carries its sigma2 and the rows. Every level
-    decodes the same trial blocks (`draw_level_blocks`), and a set of other
-    rows is a `ValueError` from `SupportDecoder`."""
+    estimate per point in that order. The levels are `decoders`, one
+    `SupportDecoder` of A per noise level, all over the same candidate rows
+    (`support_rows(N, K)`); each carries its sigma2 in its `factors`. Every
+    level decodes the same trial blocks (`_kd_counts`)."""
     _check_counts(trials=trials, T=Ts)
-    _check_grid(factors=factors, Ts=Ts)
-    rows = factors[0].rows
-    K = rows.shape[1]
-    sigma2s = [f.sigma2 for f in factors]
-    decoders = [SupportDecoder(A, rows, f.sigma2, f) for f in factors]
-    kd_counts = np.zeros((len(Ts), len(sigma2s), K + 1), dtype=np.int64)
-    for truths, t, level, Y in draw_level_blocks(A, rows, sigma2s, Ts, trials, seed,
-                                                 "multiple-trial"):
-        chosen = decoders[level].decode_index_batch(Y)
-        wrong = chosen != truths
-        shared = (rows[truths[wrong]][:, :, None] == rows[chosen[wrong]][:, None, :]).sum((1, 2))
-        kd_counts[t, level] += np.bincount(K - shared, minlength=K + 1)
+    _check_grid(decoders=decoders, Ts=Ts)
+    kd_counts = _kd_counts(A, decoders, Ts, trials, seed, "multiple-trial", 0)
     # every wrong decode has k_d >= 1, so the histogram counts all the errors
     return [_estimate(int(counts.sum()), trials, seed,
                       kd_histogram={k_d: int(count) for k_d, count in enumerate(counts) if count})
-            for counts in kd_counts.reshape(-1, K + 1)]
+            for counts in kd_counts.reshape(-1, kd_counts.shape[-1])]
+
+
+def _kd_counts(A, decoders, Ts, trials: int, seed: int, label: str,
+               first_index: int) -> np.ndarray:
+    """The ML trial loop of the multiple and ensemble estimators: counts
+    (len(Ts), len(decoders), K + 1) of the wrong decodes by the size k_d of
+    their difference set, at each T and level. Level i is decoders[i], a
+    `SupportDecoder` of A; the levels must share one candidate table, which
+    is the table of true supports, else a `ValueError` before any draw. Every
+    level decodes the same trial blocks (`draw_level_blocks`, from
+    `first_index`) by `decode_index_batch`."""
+    rows = decoders[0].factors.rows
+    if any(not np.array_equal(d.factors.rows, rows) for d in decoders):
+        raise ValueError("decoders must share one candidate table")
+    K = rows.shape[1]
+    counts = np.zeros((len(Ts), len(decoders), K + 1), dtype=np.int64)
+    for truths, t, level, Y in draw_level_blocks(A, rows, [d.factors.sigma2 for d in decoders],
+                                                 Ts, trials, seed, label, first_index):
+        chosen = decoders[level].decode_index_batch(Y)
+        wrong = chosen != truths
+        shared = (rows[truths[wrong]][:, :, None] == rows[chosen[wrong]][:, None, :]).sum((1, 2))
+        counts[t, level] += np.bincount(K - shared, minlength=K + 1)
+    return counts
 
 
 def estimate_ensemble_perr(M: int, N: int, K: int, sigma2: float, T: int,
@@ -340,10 +354,8 @@ def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: i
     for d in range(matrix_draws):
         A = sample_gaussian_matrix(M, N, field, substream(seed, "ensemble-matrix", d))
         decoders = [SupportDecoder(A, rows, sigma2) for sigma2 in sigma2s]
-        for truths, t, level, Y in draw_level_blocks(A, rows, sigma2s, Ts, trials_per_matrix,
-                                                     seed, "ensemble-trial",
-                                                     d * blocks_per_matrix):
-            errors[t, level, d] += np.count_nonzero(decoders[level].decode_index_batch(Y) != truths)
+        errors[:, :, d] = _kd_counts(A, decoders, Ts, trials_per_matrix, seed, "ensemble-trial",
+                                     d * blocks_per_matrix).sum(axis=2)
     return [_ensemble_estimate(point, trials_per_matrix, seed)
             for point in errors.reshape(-1, matrix_draws).tolist()]
 
@@ -377,11 +389,11 @@ def estimate_incoherence_tail(M: int, N: int, K: int, sigma2: float, draws: int,
     """Empirical P{pairwise incoherence <= gamma} over Gaussian matrix draws,
     for a fixed disjoint support pair (the hardest case k_d = K) and
     gamma = (M - 2K) / (3 sigma^2)."""
+    _check_counts(M=M, N=N, K=K, draws=draws)
     if M <= 2 * K:
         raise ValueError("tail estimation requires M > 2K")
     if N < 2 * K:
         raise ValueError("need N >= 2K for a disjoint support pair")
-    _check_counts(draws=draws)
     values = _draw_incoherences(M, N, range(K), range(K, 2 * K), sigma2, draws, seed, field,
                                 "incoherence-tail")
     gamma = (M - 2 * K) / (3.0 * sigma2)          # the draws have checked sigma2

@@ -518,7 +518,9 @@ def _check_pair_walk(M: int, N: int, K: int, sample_count) -> tuple:
     M >= 2 min(K, N - K) for the largest difference-set size k_d, so no pair
     breaks `_pair_union`. The caps: a walk with `sample_count` None scores
     every pair, at most `PAIR_CAP`, read at call time; one with a positive
-    `sample_count` draws that many from a 64-bit pair index."""
+    `sample_count` draws that many from a 64-bit pair index. K is an integer
+    by `model._integer` before any of them."""
+    _integer(K, "K")
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     L = math.comb(N, K)

@@ -376,6 +376,17 @@ class TestFanoBeta:
         with pytest.raises(NumericFailure, match="covariance factorization failed"):
             fano_betas(dup, failed, [1])
 
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_betas_from_a_decoders_factors_are_the_exact_betas(self, field):
+        # `simulate` reads each level's Fano beta from its decoder's factor set
+        A = gaussian_instance(4, 7, field, seed=5, label="beta")
+        Ts = [1, 3, 8]
+        for K, sigma2 in ((2, 0.3), (3, 1e-6)):
+            decoder = SupportDecoder(A, support_rows(7, K), sigma2)
+            got = fano_betas(A, decoder.factors, Ts)
+            want = [fano_beta_exact(A, K, sigma2, T) for T in Ts]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_exact_below_frobenius(self):
         for seed in range(200):
             A = gaussian_instance(4, 6, seed=seed, label="beta")

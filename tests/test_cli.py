@@ -12,6 +12,7 @@ import pytest
 
 import suprec
 import suprec.cli as cli
+import suprec.decode as decode
 import suprec.spectra as spectra
 from suprec import FieldTag, sample_gaussian_matrix, spectrum_split, substream
 
@@ -506,6 +507,22 @@ class TestSimulateCommand:
                    for T, (i, sigma2) in product(payload["T"], enumerate(levels))]
         assert all((h, c) == (header, comments) for h, _, c in singles)
         assert points == [point for _, [point], _ in singles]
+
+    def test_multiple_run_factors_each_level_once(self, tmp_path, monkeypatch):
+        # each sigma2's decoder factors the supports, and Fano beta reads that set
+        levels = []
+        covariance_factors = decode.covariance_factors
+
+        def spy(entries, rows, sigma2):
+            levels.append(sigma2)
+            return covariance_factors(entries, rows, sigma2)
+
+        monkeypatch.setattr(decode, "covariance_factors", spy)
+        cfg = write_config(tmp_path, {**MULTIPLE_SIM, "T": [1, 2], "sigma2": [0.5, 1e-8]})
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert levels == [0.5, 1e-8]
+        assert len(read_rows(out)) == 4
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sampled_chernoff_is_flagged_uncertified(self, tmp_path, fmt):

@@ -302,21 +302,6 @@ class TestLowRankScores:
                               SupportDecoder(A, candidates, 0.3).score_batch(Ys))
         assert by_rows.candidates == candidates
 
-    def test_shared_factors_are_used_as_given(self):
-        A = gaussian_instance(5, 7, FieldTag.COMPLEX, seed=31, label="lowrank")
-        rows = support_rows(7, 2)
-        factors = spectra.covariance_factors(A, rows, 0.3)
-        Ys = model_observations(A, enumerate_supports(7, 2), 0.3, 4, 2, seed=2)
-        for candidates in (rows, enumerate_supports(7, 2)):
-            shared = SupportDecoder(A, candidates, 0.3, factors)
-            assert shared._factors is factors
-            assert np.array_equal(shared.score_batch(Ys),
-                                  SupportDecoder(A, rows, 0.3).score_batch(Ys))
-        for candidates, sigma2 in ((rows, 0.4), (rows[1:], 0.3)):
-            with pytest.raises(ValueError, match="factors must be those of the candidate rows"
-                                                 " at sigma2"):
-                SupportDecoder(A, candidates, sigma2, factors)
-
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("sigma2", [0.5, 1e-30])
     def test_support_at_least_M_has_no_residual(self, field, sigma2):
@@ -535,7 +520,7 @@ class TestGramScreen:
             candidates = enumerate_supports(N, K)
             Ys = model_observations(A, candidates, sigma2, 64, 3, seed=8)
             decoder = SupportDecoder(A, candidates, sigma2)
-            factors = decoder._factors
+            factors = decoder.factors
             inverse, rho = decoder._grams
             values, T = decoder._columns(Ys)
             ysq = np.sum(np.abs(Ys) ** 2, axis=(1, 2))
@@ -749,6 +734,6 @@ class TestGramScreen:
         monkeypatch.setattr(SupportDecoder, "decode_index_batch", spy)
         A = gaussian_instance(4, 6, seed=49, label="screen")
         sigma2s = [0.1, 0.5]
-        factors = [spectra.covariance_factors(A, support_rows(6, 2), s) for s in sigma2s]
-        mc.estimate_multiple_perrs(A, factors, [1, 2], 2 * mc.TRIAL_BLOCK + 1, 1)
+        decoders = [SupportDecoder(A, support_rows(6, 2), s) for s in sigma2s]
+        mc.estimate_multiple_perrs(A, decoders, [1, 2], 2 * mc.TRIAL_BLOCK + 1, 1)
         assert len(decodes) == 12 and built == sigma2s

@@ -161,6 +161,12 @@ class TestUnrankSupports:
         assert unrank_supports([], 8, 3).shape == (0, 3)
         assert unrank_supports(np.array([1], dtype=np.uint8), 8, 3).tolist() == [[0, 1, 3]]
 
+    @pytest.mark.parametrize("N,K,name", [(5.0, 2, "N"), (5, 2.0, "K"), (5, True, "K")])
+    def test_counts_that_are_not_integers_rejected(self, N, K, name):
+        # a ValueError that names the count, not a TypeError from the tables
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            unrank_supports([0], N, K)
+
 
 class TestGaussianMatrix:
     def test_real_moments(self):
@@ -220,6 +226,15 @@ class TestUlaManifold:
         # a float was rounded up (np.arange(2.5) has 3 entries) and True read as 1
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make()
+
+    @pytest.mark.parametrize("spacing", [True, np.inf, np.nan, 0.0, -0.5])
+    def test_spacing_outside_positive_reals_is_rejected(self, spacing):
+        # True was read as spacing 1, and inf or NaN warned three times before
+        # failing on the non-finite entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^spacing must lie in"):
+                ula_manifold_matrix(4, ula_angle_grid(6), spacing=spacing)
 
     def test_numpy_integer_dimensions_pass(self):
         A = ula_manifold_matrix(np.int64(4), ula_angle_grid(np.int32(6)))

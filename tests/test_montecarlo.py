@@ -3,6 +3,7 @@ import pytest
 
 from suprec import (
     FieldTag,
+    SupportDecoder,
     binary_chernoff,
     clopper_pearson,
     ensemble_fano_lower,
@@ -22,7 +23,6 @@ from suprec import (
 )
 from suprec import montecarlo as mc
 from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
-from suprec.spectra import covariance_factors
 import math
 from itertools import combinations, product
 
@@ -239,8 +239,8 @@ class TestMultipleEstimate:
 
     def test_shared_factors_leave_the_estimate(self):
         A = gaussian_instance(4, 6, seed=106, label="mc-multi")
-        factors = covariance_factors(A, support_rows(6, 2), 1.0)
-        [a] = mc.estimate_multiple_perrs(A, [factors], [2], 300, seed=15)
+        decoder = SupportDecoder(A, support_rows(6, 2), 1.0)
+        [a] = mc.estimate_multiple_perrs(A, [decoder], [2], 300, seed=15)
         b = estimate_multiple_perr(A, 2, 1.0, 2, 300, seed=15)
         assert (a.p_hat, a.extras) == (b.p_hat, b.extras)
 
@@ -346,9 +346,9 @@ class TestNoiseLevels:
     @pytest.mark.parametrize("sigma2s", LEVELS)
     def test_multiple_levels_equal_one_level_calls(self, field, sigma2s):
         A = gaussian_instance(4, 6, field, seed=121, label="mc-blocks")
-        factors = [covariance_factors(A, support_rows(6, 2), s) for s in sigma2s]
+        decoders = [SupportDecoder(A, support_rows(6, 2), s) for s in sigma2s]
         for Ts in self.TS:
-            got = mc.estimate_multiple_perrs(A, factors, Ts, self.TRIALS, seed=16)
+            got = mc.estimate_multiple_perrs(A, decoders, Ts, self.TRIALS, seed=16)
             want = [estimate_multiple_perr(A, 2, s, T, self.TRIALS, seed=16)
                     for T, s in product(Ts, sigma2s)]
             assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
@@ -365,14 +365,19 @@ class TestNoiseLevels:
             assert [self.fields(e) for e in got] == [self.fields(e) for e in want]
             assert any(any(e.extras["per_matrix_errors"]) for e in got)
 
-    def test_factor_sets_of_other_supports_are_rejected(self):
-        # the levels' rows are the first factor set's; a set of another K is
-        # not the factors of those rows
+    def test_decoders_of_other_supports_raise_before_any_draw(self, monkeypatch):
+        # the levels must share the first decoder's candidate table, whose
+        # rows are also the true supports of the draws
         A = gaussian_instance(4, 6, seed=121, label="mc-blocks")
-        by_K = [covariance_factors(A, support_rows(6, K), 0.5) for K in (2, 3)]
-        for factors in (by_K, by_K[::-1]):
-            with pytest.raises(ValueError, match="factors must be those of the candidate rows"):
-                mc.estimate_multiple_perrs(A, factors, [2], 10, seed=1)
+        by_K = [SupportDecoder(A, support_rows(6, K), 0.5) for K in (2, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stream was drawn before the levels were checked")
+
+        monkeypatch.setattr(mc, "substream", refuse)
+        for decoders in (by_K, by_K[::-1]):
+            with pytest.raises(ValueError, match="^decoders must share one candidate table$"):
+                mc.estimate_multiple_perrs(A, decoders, [2], 10, seed=1)
 
     def test_ensemble_builds_once_per_matrix_and_level(self, monkeypatch):
         built = {"decoders": 0, "matrices": 0}
@@ -498,6 +503,10 @@ COUNT_CASES = {
     "tail-fractional-draws": ("draws", lambda A, S0, S1: estimate_incoherence_tail(
         6, 4, 2, 0.5, 2.5, 1)),
     "tail-no-draws": ("draws", lambda A, S0, S1: estimate_incoherence_tail(6, 4, 2, 0.5, 0, 1)),
+    "tail-fractional-M": ("M", lambda A, S0, S1: estimate_incoherence_tail(6.0, 8, 2, 0.5, 4, 1)),
+    "tail-fractional-N": ("N", lambda A, S0, S1: estimate_incoherence_tail(6, 8.0, 2, 0.5, 4, 1)),
+    "tail-fractional-K": ("K", lambda A, S0, S1: estimate_incoherence_tail(6, 8, 2.0, 0.5, 4, 1)),
+    "tail-no-K": ("K", lambda A, S0, S1: estimate_incoherence_tail(6, 8, 0, 0.5, 4, 1)),
     "mean-no-draws": ("draws", lambda A, S0, S1: estimate_expected_incoherence(6, 2, 2, 0.5, 0, 1)),
 }
 
@@ -517,10 +526,10 @@ EMPTY_GRID_CASES = {
     "binary-sigma2s": ("sigma2s", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [], [1],
                                                                               10, 1)),
     "binary-Ts": ("Ts", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [0.5], [], 10, 1)),
-    "multiple-factors": ("factors", lambda A, S0, S1: mc.estimate_multiple_perrs(A, [], [1], 10,
-                                                                                 1)),
+    "multiple-decoders": ("decoders", lambda A, S0, S1: mc.estimate_multiple_perrs(A, [], [1],
+                                                                                   10, 1)),
     "multiple-Ts": ("Ts", lambda A, S0, S1: mc.estimate_multiple_perrs(
-        A, [covariance_factors(A, support_rows(6, 2), 0.5)], [], 10, 1)),
+        A, [SupportDecoder(A, support_rows(6, 2), 0.5)], [], 10, 1)),
     "ensemble-sigma2s": ("sigma2s", lambda A, S0, S1: mc.estimate_ensemble_perrs(
         4, 6, 2, [], [1], 2, 10, 1)),
     "ensemble-Ts": ("Ts", lambda A, S0, S1: mc.estimate_ensemble_perrs(4, 6, 2, [0.5], [], 2, 10,

@@ -666,9 +666,15 @@ class TestMatrixIncoherence:
     ("sample_count", lambda A: matrix_incoherence(A, 2, 0.5, sample_count=True)),
     ("count", lambda A: model.check_non_degenerate(A, count=2.5)),
     ("count", lambda A: model.check_non_degenerate(A, count=True)),
-], ids=["sample_count-fraction", "sample_count-bool", "count-fraction", "count-bool"])
+    ("K", lambda A: matrix_incoherence(A, 2.0, 1.0)),
+    ("K", lambda A: matrix_incoherence(A, True, 1.0)),
+    ("K", lambda A: noise_constants(A, 2.0)),
+    ("K", lambda A: noise_constants(A, True)),
+], ids=["sample_count-fraction", "sample_count-bool", "count-fraction", "count-bool",
+        "incoherence-K-fraction", "incoherence-K-bool", "noise-K-fraction", "noise-K-bool"])
 def test_sample_counts_are_integers(name, call):
     # a ValueError that names the argument, not numpy's TypeError from the draw
+    # or the pair tables
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(gaussian_instance(6, 8, seed=7))
 
