@@ -22,8 +22,9 @@ trial's best and runner-up, and rescores exactly only the trials whose
 runner-up lies within twice the trial's margin of the best. The
 decoder decides when its screen is built: once (`_gram_screen`), on its first
 `decode_index_batch`, so the exact scorers and the Fano beta never pay for it.
-`spectra` decides how: the screen's Gram sigma2 I + A_S^H A_S is factored and
-inverted by `spectra._gram_factor`, the kernel of the pair floors too.
+`spectra` decides how the screen's Gram sigma2 I + A_S^H A_S is factored:
+by `spectra._gram_factor`, the kernel of the pair floors too. The screen
+alone inverts that factor, a row at a time (`_gram_screen`).
 `log_likelihood` takes one dense covariance and whitens with its inverse
 Cholesky factor (`spectra._inverse_factor`), which fails under the same
 pivot-floor rule as every other covariance. Candidate rows follow the rule
@@ -97,13 +98,20 @@ def binary_lrt(Y, A, S0: Support, S1: Support, sigma2: float) -> LrtResult:
 def _gram_screen(entries: np.ndarray, factors) -> tuple:
     """(F^{-1}, rho) of the Gram screen for the supports of one
     `covariance_factors` set of the matrix `entries` (M, N): the inverse
-    factors (L, K, K) of F F^H = sigma2 I + A_S^H A_S and
-    rho = ||A_S||_F ||F^{-1}||_F (L,), from `spectra._gram_factor` (first = 0),
-    which also factors the pair floors' Grams. rho is inf where F fails to
+    factors (L, K, K) of F F^H = sigma2 I + A_S^H A_S, with F from
+    `spectra._gram_factor` (first = 0), which also factors the pair floors'
+    Grams, and rho = ||A_S||_F ||F^{-1}||_F (L,). rho is inf where F fails to
     factor, and 0 for a failed support, whose screen score
     `SupportDecoder._screen` discards."""
-    inverse, _, _, mass, spread = _gram_factor(entries, factors.rows, factors.sigma2, 0)
-    rho = np.sqrt(mass * spread)
+    F, _, failed, mass = _gram_factor(entries, factors.rows, factors.sigma2, 0)
+    # F^{-1} a row at a time: `np.linalg.inv` is 1.7-4x slower on stacks of a
+    # few hundred or more, and no faster on a few dozen
+    inverse = np.zeros_like(F)
+    for i in range(F.shape[1]):
+        inverse[:, i, i] = 1.0
+        inverse[:, i] -= np.einsum("nj,njk->nk", F[:, i, :i], inverse[:, :i])
+        inverse[:, i] /= F[:, i, i, None]
+    rho = np.sqrt(mass * np.where(failed, np.inf, _column_energy(inverse).sum(axis=1)))
     rho[list(factors.failures)] = 0.0
     return inverse, rho
 
@@ -134,8 +142,8 @@ class SupportDecoder:
     factored once.
 
     The decoder owns the Gram screen of `decode_index_batch`: it builds the
-    screen's factors (`_grams`, by `spectra._gram_factor`) once, on the first
-    such call, and nothing else reads them.
+    screen's factors (`_grams`, by `_gram_screen`) once, on the first such
+    call, and nothing else reads them.
     """
 
     def __init__(self, A, candidates, sigma2: float):
@@ -278,7 +286,7 @@ class SupportDecoder:
         Nearly collinear supports have a large rho and so widen the margin;
         rho = inf (an F that fails to factor) makes it inf. F^{-1} is
         inverted a row at a time and rho formed as the square root of
-        ||A_S||_F^2 ||F^{-1}||_F^2 (`spectra._gram_factor`): both are backward
+        ||A_S||_F^2 ||F^{-1}||_F^2 (`_gram_screen`): both are backward
         stable to first order, which the constant covers. `_margin` bounds
         every m_S of a trial at once.
         """

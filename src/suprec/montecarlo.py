@@ -49,7 +49,7 @@ from .model import (
     substream,
     support_rows,
 )
-from .spectra import PAIR_BLOCK, pair_incoherences
+from .spectra import PAIR_BLOCK, _incoherences, _pair_union
 
 # Trials per block: one generator and one batched score per block. Large enough
 # to amortize the per-block Python work, small enough to keep the block's
@@ -372,15 +372,17 @@ def _draw_incoherences(M: int, N: int, rows0, rows1, sigma2: float, draws: int,
                        seed: int, field: FieldTag, label: str) -> np.ndarray:
     """Incoherence of the support pair (rows0, rows1) on `draws` Gaussian M x N
     matrices; draw d comes from substream(seed, label, d) through
-    `draw_matrices`, and each block of PAIR_BLOCK draws is one
-    `pair_incoherences` call on their stack."""
-    pair = np.array([rows0, rows1])[:, None]        # (2, 1, K): one pair for every draw
-    width = pair.max() + 1                          # no column past the pair's is read
+    `draw_matrices`. The pair is checked once (`spectra._pair_union`), and
+    each block of PAIR_BLOCK draws is one `spectra._incoherences` call on
+    their stack."""
+    rows0, rows1 = _pair_union([rows0], [rows1], M, N)      # (1, K): one pair for every draw
+    width = max(rows0.max(), rows1.max()) + 1               # no column past the pair's is read
     values = np.empty(draws)
     for start in range(0, draws, PAIR_BLOCK):
         block = range(start, min(start + PAIR_BLOCK, draws))
         stack = draw_matrices(seed, label, block, (M, N), field, width)
-        values[start:block.stop] = pair_incoherences(stack, *pair.repeat(len(block), 1), sigma2)[0]
+        values[start:block.stop] = _incoherences(stack, rows0.repeat(len(block), 0),
+                                                 rows1.repeat(len(block), 0), sigma2)[0]
     return values
 
 

@@ -27,9 +27,11 @@ runs the same check. A walk samples exactly when it is given a sample count;
 without one it scores every pair, up to `PAIR_CAP`, a module constant read
 at call time, with no per-call override. lambda_bar's walk is pruned:
 `_pair_floors` bounds each pair's computed incoherence from below by
-det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from an r x r
-Gram and one Cholesky (no QR, pencil or `eigvalsh`), and the walk scores
-exactly only the pairs whose floor does not exceed the running minimum.
+det(I + R33^H R33 / sigma^2)^(1/k_d), less a rounding margin, from the
+pivots of one Cholesky of an r x r Gram (no QR, pencil, inverse or
+`eigvalsh`), and the walk scores exactly only the pairs whose floor does not
+exceed the running minimum, through `_incoherences`, the unchecked core of
+`pair_incoherences`: its rows are unranked under `_check_pair_walk`.
 
 Each Sigma_S is also sigma^2 I plus a rank-K term, and `covariance_factors`
 factors many supports of one matrix at once in K x K form: one stacked QR of
@@ -50,9 +52,10 @@ its rounding floor. `covariance_factors` records failures per support;
 `decode.log_likelihood`, raises the first, as "covariance factorization
 failed (...)". `_gram_factor` is the one Gram kernel: it gathers column sets
 from a contiguous A^T, adds sigma^2 to the Gram's diagonal from a given entry
-on, factors it with `_whitener` and inverts the factor a row at a time. It
-serves both the decoder's Gram screen (sigma^2 I + A_S^H A_S) and
-`_pair_floors` (sigma^2 on S0 \\ S1's entries only).
+on and factors it with `_whitener`; it stops at the factor. It serves both
+the decoder's Gram screen (sigma^2 I + A_S^H A_S), which inverts the factor
+itself, and `_pair_floors` (sigma^2 on S0 \\ S1's entries only), which reads
+only its pivots and bounds ||L^{-1}||_F^2 by them (`_spread_bound`).
 
 sigma^2 has one rule, `model._positive` (0 < sigma^2 < inf), applied by
 `covariance`, `covariance_factors`, `_pencil` (the route of every pair
@@ -142,13 +145,13 @@ def _inverse_factor(C: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(entries: np.ndarray, rows: np.ndarray, sigma2: float, first: int) -> tuple:
-    """(Li, pivots, failed, mass, spread) of the Grams B = A_U^H A_U of the
-    column sets U of one matrix (M, N) given as rows (n, r), with sigma2 added
-    to their diagonal from entry `first` on: the inverses Li of the
-    `_whitener` factors L L^H = B, their squared pivots and failed mask,
-    ||A_U||_F^2 = tr(A_U^H A_U) and ||Li||_F^2. A failed item's L is the
-    identity and its spread is inf. The screen of `decode.SupportDecoder`
-    (first = 0: sigma2 I + A_S^H A_S) and `_pair_floors` (first = K) read it.
+    """(L, pivots, failed, mass) of the Grams B = A_U^H A_U of the column sets
+    U of one matrix (M, N) given as rows (n, r), with sigma2 added to their
+    diagonal from entry `first` on: the `_whitener` factors L L^H = B, their
+    squared pivots and failed mask, and ||A_U||_F^2 = tr(A_U^H A_U). A failed
+    item's L is the identity. The screen of `decode.SupportDecoder`
+    (first = 0: sigma2 I + A_S^H A_S), which inverts L, and `_pair_floors`
+    (first = K), which reads only the pivots, use it.
     """
     X = np.ascontiguousarray(entries.T)[rows]      # (n, r, M) A_U^T: rows gather faster than columns
     B = X.conj() @ X.swapaxes(1, 2)
@@ -157,14 +160,19 @@ def _gram_factor(entries: np.ndarray, rows: np.ndarray, sigma2: float, first: in
     B[:, first:, first:] += sigma2 * np.eye(r - first)
     L, pivots, failed = _whitener(B)
     L[failed] = np.eye(r)
-    # L^{-1} a row at a time: `np.linalg.inv` is 1.7-4x slower on stacks of a
-    # few hundred or more, and no faster on a few dozen
-    Li = np.zeros_like(L)
-    for i in range(r):
-        Li[:, i, i] = 1.0
-        Li[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], Li[:, :i])
-        Li[:, i] /= L[:, i, i, None]
-    return Li, pivots, failed, mass, np.where(failed, np.inf, _column_energy(Li).sum(axis=1))
+    return L, pivots, failed, mass
+
+
+def _spread_bound(pivots: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """r (tr B / r)^(r - 1) / det B (n,) for positive definite B (n, r, r)
+    = L L^H given by L's squared pivots (n, r) and tr B (n,): an upper bound
+    on ||L^{-1}||_F^2 = tr(B^{-1}) = e_{r-1} / e_r, the elementary symmetric
+    functions of B's eigenvalues, since Maclaurin's inequality
+    (e_{r-1} / r)^(1/(r-1)) <= e_1 / r gives e_{r-1} <= r (tr B / r)^(r-1).
+    It is formed in logs, so columns of any finite scale keep it finite. It
+    is tight when B's eigenvalues are equal and loosest when they spread."""
+    r = pivots.shape[1]
+    return r * np.exp((r - 1) * np.log(trace / r) - np.log(pivots).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -456,42 +464,29 @@ def _reduced_spectra(entries: np.ndarray, k_d, union, K0: int, sigma2: float):
 
 
 def _pair_union(rows0, rows1, M: int, N: int) -> tuple:
-    """`_union_rows` of P ordered pairs of support rows of an (M, N) matrix,
-    after the row rule (`model._check_rows`) and the pair rule: equal sizes,
-    no pair of identical supports, and M >= 2 k_d for every pair, so that
-    both k_d-dimensional differences fit beside each other."""
+    """P ordered pairs of support rows of an (M, N) matrix as two (P, K)
+    `intp` arrays, after the row rule (`model._check_rows`) and the pair rule:
+    equal sizes, no pair of identical supports, and M >= 2 k_d for every
+    pair (`_union_rows`), so that both k_d-dimensional differences fit beside
+    each other."""
     rows0, rows1 = _check_rows(rows0, N, "support"), _check_rows(rows1, N, "support")
     if rows0.shape != rows1.shape:
         raise ValueError("pair incoherence requires equal-size supports")
-    k_d, union = _union_rows(rows0, rows1)
+    k_d, _ = _union_rows(rows0, rows1)
     if k_d.min() == 0:
         raise ValueError("pair incoherence is undefined for identical supports")
     if M < 2 * k_d.max():
         raise ValueError(f"pair incoherence needs M >= 2*k_d = {2 * k_d.max()}, got M={M}")
-    return k_d, union
+    return rows0, rows1
 
 
-def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
-    """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
-    support rows, on one matrix A or on a stack A (P, M, N) whose matrix n
-    carries pair n: (values, k_d, top), where `top` (P, K) holds each pair's
-    eigenvalues of H above 1 (by `_split_masks`) descending, padded with 1.
-    Rows that are not a 2-D integer array, each row strictly increasing
-    within [0, N), are a `ValueError` (`_pair_union`), checked once per call.
-
-    With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
-    for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
-    R_0 the last K: H's spectrum is that of the pencil (C_0, C_1) plus unit
-    eigenvalues, one `_reduced_spectra` step (`_pencil`, `eigvalsh`) per k_d.
-    """
-    entries, _ = as_matrix(A)
-    k_d, union = _pair_union(rows0, rows1, *entries.shape[-2:])
-    P, K = np.shape(rows0)
-    if entries.ndim == 3 and len(entries) != P:
-        raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {P}")
-    values = np.empty(P)
-    top = np.ones((P, K))
-    for sel, kd, _, eigs in _reduced_spectra(entries, k_d, union, K, sigma2):
+def _incoherences(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray, sigma2: float) -> tuple:
+    """`pair_incoherences` of rows that already hold to `_pair_union`'s rule,
+    unchecked: the core that `_pair_walk`'s pairs (unranked, under
+    `_check_pair_walk`) and the Monte Carlo's one checked pair are scored by."""
+    k_d, union = _union_rows(rows0, rows1)
+    values, top = np.empty(len(rows0)), np.ones(rows0.shape)
+    for sel, kd, _, eigs in _reduced_spectra(entries, k_d, union, rows0.shape[1], sigma2):
         above = _split_masks(eigs)[0]
         count = above.sum(axis=1)          # used eigenvalues exceed 1, so are positive
         if count.min() == 0:
@@ -502,6 +497,27 @@ def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
         top[sel, :kd] = kept
         values[sel] = np.exp(np.log(kept).sum(axis=1) / count)
     return values, k_d, top
+
+
+def pair_incoherences(A, rows0, rows1, sigma2: float) -> tuple:
+    """Incoherence of P ordered pairs (S0, S1) given as two (P, K) arrays of
+    support rows, on one matrix A or on a stack A (P, M, N) whose matrix n
+    carries pair n: (values, k_d, top), where `top` (P, K) holds each pair's
+    eigenvalues of H above 1 (by `_split_masks`) descending, padded with 1.
+    Rows that are not a 2-D integer array, each row strictly increasing
+    within [0, N), are a `ValueError` (`_pair_union`), checked once per call
+    before `_incoherences` scores them.
+
+    With A_U = Q R for a pair's union U, Sigma_i = Q C_i Q^H + sigma2 (I - Q Q^H)
+    for C_i = R_i R_i^H + sigma2 I, where R_1 is the first K columns of R and
+    R_0 the last K: H's spectrum is that of the pencil (C_0, C_1) plus unit
+    eigenvalues, one `_reduced_spectra` step (`_pencil`, `eigvalsh`) per k_d.
+    """
+    entries, _ = as_matrix(A)
+    rows0, rows1 = _pair_union(rows0, rows1, *entries.shape[-2:])
+    if entries.ndim == 3 and len(entries) != len(rows0):
+        raise ValueError(f"a stack of {len(entries)} matrices needs as many pairs, got {len(rows0)}")
+    return _incoherences(entries, rows0, rows1, sigma2)
 
 
 def pair_incoherence(A, Si: Support, Sj: Support, sigma2: float) -> PairIncoherence:
@@ -550,7 +566,7 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
 
     With the union ordered by `_union_rows` (S1's K columns, then the k_d of
     S0 \\ S1, r = K + k_d) and B = A_U^H A_U, the Cholesky factor L of
-    B + (0 (+) sigma2 I) ends in k_d pivots whose product is
+    B' = B + (0 (+) sigma2 I) ends in k_d pivots whose product is
     det(sigma2 I + G), G = R33^H R33 the Schur complement of A_{S1}^H A_{S1}
     in B. The QR sandwich (`h_spectra`) bounds H's top k_d eigenvalues one by
     one from below by those of I + G / sigma2, and H's eigenvalues not above
@@ -566,14 +582,24 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
     <= c r u (tr B + r sigma2) ||L^{-1}||_F^2, as L's leading block factors
     A_{S1}^H A_{S1}; and `eigvalsh`'s c r u lambda_max is at most
     c r u (tr B + 3 sigma2) ||L^{-1}||_F^2 relative to the top k_d on
-    average, as they exceed the eigenvalues of I + G / sigma2. So both are
-    within
+    average, as they exceed the eigenvalues of I + G / sigma2. No inverse
+    of L is formed: ||L^{-1}||_F^2 = tr(B'^{-1}), and `_spread_bound` bounds
+    it from above by s = r (tr B' / r)^(r-1) / det B', with
+    tr B' = tr B + k_d sigma2 and det B' the product of L's pivots. So both
+    are within
 
-        m = FLOOR_ROUNDING (M + r) r u [(tr B / sigma2)^(1/2) + (tr B + r sigma2) ||L^{-1}||_F^2]
+        m = FLOOR_ROUNDING (M + r) r u [(tr B / sigma2)^(1/2) + (tr B + r sigma2) s]
 
     of the truth, relative, and the floor returned is floor (1 - m): a pair
     whose floor exceeds a computed value has a computed value above it.
-    Nearly collinear supports widen their own margin, up to m >= 1.
+    s only widens the margin, by as much as the eigenvalues of B' spread:
+    not at all when they are equal, most for nearly collinear supports, at
+    small sigma2 and at large r, where the walk scores more pairs than an
+    exact ||L^{-1}||_F^2 would let it. On an 8 x 90 ULA at K = 3 it scores 174,
+    425 and 902 of 20000 sampled pairs at sigma2 = 1e-2, 1e-4 and 1e-8,
+    against 43, 11 and 7, and still walks faster; at K = 2 on a 16 x 360 ULA
+    it scores the same pairs. Nearly collinear supports widen their own
+    margin, up to m >= 1.
     """
     k_d, union = _union_rows(rows0, rows1)
     M, K = entries.shape[0], rows1.shape[1]
@@ -581,9 +607,9 @@ def _pair_floors(entries: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
     for kd in sorted(set(k_d.tolist())):
         sel = k_d == kd
         r = K + kd
-        _, pivots, failed, mass, spread = _gram_factor(entries, union[sel, :r], sigma2, K)
-        margin = (FLOOR_ROUNDING * (M + r) * r * np.finfo(np.float64).eps
-                  * (np.sqrt(mass / sigma2) + (mass + r * sigma2) * spread))
+        _, pivots, failed, mass = _gram_factor(entries, union[sel, :r], sigma2, K)
+        margin = FLOOR_ROUNDING * (M + r) * r * np.finfo(np.float64).eps * (
+            np.sqrt(mass / sigma2) + (mass + r * sigma2) * _spread_bound(pivots, mass + kd * sigma2))
         floors = np.exp(np.log(pivots[:, K:] / sigma2).sum(axis=1) / kd) * (1.0 - margin)
         out[sel] = np.where(failed, np.nan, floors)
     return out
@@ -596,8 +622,9 @@ def _pair_walk(shape: tuple, K: int, score, sample_count=None, seed: int = 0, fl
     ("exhaustive"), else min(sample_count, pairs) drawn without replacement
     by `seed` ("sampled(n)"). The flat index i (L - 1) + j' of a pair runs
     row-major over the off-diagonal of the L x L grid of lexicographic
-    supports; `PAIR_BLOCK` pairs at a time are unranked and scored, and ties
-    keep the first minimum in walk order.
+    supports; `PAIR_BLOCK` pairs at a time are unranked (their i and j in
+    one `unrank_supports` call) and scored, and ties keep the first minimum
+    in walk order.
 
     `floor(rows0, rows1) -> (P,)`, when given, bounds each pair's computed
     score from below (`_pair_floors`). Then each block scores its
@@ -617,9 +644,9 @@ def _pair_walk(shape: tuple, K: int, score, sample_count=None, seed: int = 0, fl
     best, best_pair, scored = np.inf, None, 0
     for start in range(0, count, PAIR_BLOCK):
         block = np.arange(start, min(start + PAIR_BLOCK, count), dtype=np.int64)
-        i, j = np.divmod(block if flat is None else flat[block], L - 1)
-        j += j >= i                     # skip the diagonal
-        rows0, rows1 = unrank_supports(i, N, K), unrank_supports(j, N, K)
+        ij = np.stack(np.divmod(block if flat is None else flat[block], L - 1))
+        ij[1] += ij[1] >= ij[0]         # skip the diagonal
+        rows0, rows1 = unrank_supports(ij, N, K).reshape(2, -1, K)
         if floor is None:
             values = score(rows0, rows1)
             scored += len(values)
@@ -659,7 +686,8 @@ class IncoherenceSummary:
 def matrix_incoherence(A, K: int, sigma2: float, sample_count: int | None = None,
                        seed: int = 0) -> IncoherenceSummary:
     """min over ordered pairs (Si, Sj), Si != Sj, of the pairwise incoherence,
-    by `_pair_walk` over `pair_incoherences`: over every pair when
+    by `_pair_walk` over `_incoherences`, the core of `pair_incoherences`
+    without its row checks, which the walk's rule covers: over every pair when
     `sample_count` is None, else over that many pairs drawn by `seed`, which
     only upper-estimates the true minimum (the mode string in the summary
     flags it). sigma2 is checked first (`model._positive`). The walk is
@@ -672,7 +700,7 @@ def matrix_incoherence(A, K: int, sigma2: float, sample_count: int | None = None
     if K <= entries.shape[0] and np.isfinite(entries).all():
         def floor(rows0, rows1):
             return _pair_floors(entries, rows0, rows1, sigma2)
-    best, pair, mode, scored = _pair_walk(entries.shape, K, lambda rows0, rows1: pair_incoherences(
+    best, pair, mode, scored = _pair_walk(entries.shape, K, lambda rows0, rows1: _incoherences(
         entries, rows0, rows1, sigma2)[0], sample_count, seed, floor)
     N = entries.shape[1]
     return IncoherenceSummary(best, tuple(Support(tuple(row.tolist()), N) for row in pair), mode,

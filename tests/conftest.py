@@ -23,6 +23,18 @@ def gaussian_instance(M, N, field=FieldTag.REAL, seed=0, label="test-matrix"):
     return sample_gaussian_matrix(M, N, field, substream(seed, label))
 
 
+def gram_factor_instance(field):
+    """(entries, rows) for the Gram kernel (`spectra._gram_factor`): a 6 x 9
+    matrix whose columns 7 and 8 are equal and 1e20 times larger than the
+    rest, and 31 column sets of 4. The first leads with both, so its Gram fails
+    `_whitener` whatever sigma2 its diagonal gets; the others are drawn from
+    columns 0 to 6."""
+    entries = gaussian_instance(6, 9, field, seed=60, label="gram-factor").entries.copy()
+    entries[:, 7:] = 1e20 * entries[:, [0]]
+    rng = np.random.default_rng(61)
+    return entries, np.array([[7, 8, 1, 3]] + [rng.permutation(7)[:4] for _ in range(30)])
+
+
 def draw_observation(A, S, T, sigma2, x_rng, w_rng):
     """One M x T observation Y = A X + W under support S: the rows of X in S
     are unit field Gaussians from x_rng (X is zero elsewhere), and W is

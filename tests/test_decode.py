@@ -24,7 +24,8 @@ from suprec import (
 )
 from suprec.decode import lrt_decoder
 
-from conftest import dense_scores, draw_observation, gaussian_instance, mp_log_likelihood
+from conftest import (dense_scores, draw_observation, gaussian_instance, gram_factor_instance,
+                      mp_log_likelihood)
 
 
 def dense_log_likelihood(Y, Sigma, kappa):
@@ -535,7 +536,7 @@ class TestGramScreen:
             assert np.max(error / margin) <= 1e-2
             bound = decoder._margin(ysq, T)
             assert (margin <= bound).all() and (error <= bound).all()
-            # F^{-1} (`spectra._gram_factor`) and rho against a dense factor per support
+            # F^{-1} (`_gram_screen`) and rho against a dense factor per support
             for row, got, got_rho in zip(factors.rows, inverse, rho):
                 X = A.entries[:, row]
                 want = np.linalg.inv(np.linalg.cholesky(sigma2 * np.eye(K) + X.conj().T @ X))
@@ -545,6 +546,23 @@ class TestGramScreen:
             # With K > M, F F^H has K - M eigenvalues sigma2, so rho >= ||A_S||_F / sigma:
             # at sigma2 = 1e-8 the margins may leave candidates near, to be rescored.
             assert rescored == [] or (K > M and sigma2 < 1e-4)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_gram_screen_matches_dense(self, field):
+        # F^{-1}, inverted from `spectra._gram_factor`'s F a row at a time, and
+        # rho against per-support `np.linalg.cholesky` and `np.linalg.inv`. The
+        # first support's F and covariance factors fail
+        # (`gram_factor_instance`): its F^{-1} is the identity and its rho 0.
+        entries, rows = gram_factor_instance(field)
+        factors = spectra.covariance_factors(entries, rows, 0.5)
+        inverse, rho = decode._gram_screen(entries, factors)
+        assert list(factors.failures) == [0] and rho[0] == 0.0
+        assert np.array_equal(inverse[0], np.eye(4))
+        for n, row in enumerate(rows[1:], 1):
+            X = entries[:, row]
+            want = np.linalg.inv(np.linalg.cholesky(0.5 * np.eye(4) + X.conj().T @ X))
+            np.testing.assert_allclose(inverse[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(rho[n], np.linalg.norm(X) * np.linalg.norm(want), rtol=1e-12)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_forced_near_ties_are_rescored(self, field, monkeypatch):

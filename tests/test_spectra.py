@@ -33,8 +33,8 @@ from suprec import (
     upper_bound_eigs,
 )
 
-from conftest import (dense_h_eigenvalues, dense_sandwich, gaussian_instance, mp_pencil_eigs,
-                      r33, random_pair)
+from conftest import (dense_h_eigenvalues, dense_sandwich, gaussian_instance, gram_factor_instance,
+                      mp_pencil_eigs, r33, random_pair)
 
 I2 = MeasurementMatrix(np.eye(2), FieldTag.REAL)
 S0_I2 = make_support([0], 2)
@@ -193,19 +193,19 @@ class TestStackedKernels:
     def test_gram_factor_matches_dense(self, field, first):
         # `_gram_factor`, the one factor kernel of the decoder's Gram screen
         # (first = 0) and the pair floors (first = K = 2), against per-item
-        # `np.linalg.cholesky` and `np.linalg.inv`. Columns 7 and 8 are equal
-        # and 1e20 times larger than the rest, so the item that leads with
-        # both fails `_whitener` whatever sigma2 its diagonal gets.
-        entries = gaussian_instance(6, 9, field, seed=60, label="gram-factor").entries.copy()
-        entries[:, 7:] = 1e20 * entries[:, [0]]
-        rng = np.random.default_rng(61)
-        rows = np.array([[7, 8, 1, 3]] + [rng.permutation(7)[:4] for _ in range(30)])
+        # `np.linalg.cholesky`, and the floors' `_spread_bound` against the
+        # dense ||L^{-1}||_F^2 it stands for. The first item fails
+        # `_whitener` (`gram_factor_instance`); in the complex field its
+        # pivots are finite, 1e41 to 6, and so is its bound.
+        entries, rows = gram_factor_instance(field)
         sigma2 = 0.5
-        Li, pivots, failed, mass, spread = spectra._gram_factor(entries, rows, sigma2, first)
+        L, pivots, failed, mass = spectra._gram_factor(entries, rows, sigma2, first)
         assert failed.tolist() == [True] + [False] * 30
-        assert np.array_equal(Li[0], np.eye(4)) and spread[0] == np.inf
-        for got in (Li, mass, spread):
+        assert np.array_equal(L[0], np.eye(4))
+        bound = spectra._spread_bound(pivots, mass + (4 - first) * sigma2)
+        for got in (L, mass):
             assert not np.isnan(got).any()
+        assert np.isfinite(bound[np.isfinite(pivots).all(axis=1)]).all()
         for n, row in enumerate(rows):
             X = entries[:, row]
             B = X.conj().T @ X
@@ -213,10 +213,9 @@ class TestStackedKernels:
             if n:
                 B[first:, first:] += sigma2 * np.eye(4 - first)
                 G = np.linalg.cholesky(B)
-                want = np.linalg.inv(G)
                 np.testing.assert_allclose(pivots[n], np.abs(np.diag(G)) ** 2, rtol=1e-12)
-                np.testing.assert_allclose(Li[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-                np.testing.assert_allclose(spread[n], np.sum(np.abs(want) ** 2), rtol=1e-12)
+                np.testing.assert_allclose(L[n], G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+                assert bound[n] >= np.sum(np.abs(np.linalg.inv(G)) ** 2)
 
     def test_numeric_failures(self):
         S0, S1 = make_support([0, 1], 5), make_support([2, 3], 5)
@@ -692,6 +691,15 @@ def all_pairs(N, K):
     return unrank_supports(i, N, K), unrank_supports(j, N, K)
 
 
+def sampled_pairs(N, K, sample, seed):
+    """`sample` random ordered pairs of distinct size-K supports."""
+    rng = np.random.default_rng(seed)
+    L = math.comb(N, K)
+    i = rng.choice(L, sample)
+    j = (i + 1 + rng.choice(L - 1, sample)) % L
+    return unrank_supports(i, N, K), unrank_supports(j, N, K)
+
+
 def adjacent_pairs(N, sample, seed):
     """Size-2 pairs of neighbouring columns ({a, a+1} against {a+1, a+2},
     {a+2, a+3} and {a, a+2}: nearly collinear supports and near-ties), plus
@@ -699,12 +707,8 @@ def adjacent_pairs(N, sample, seed):
     a = np.arange(N - 3)[:, None]
     rows0 = np.concatenate([a, a + 1] * 3, axis=1).reshape(-1, 2)
     rows1 = np.concatenate([a + 1, a + 2, a + 2, a + 3, a, a + 2], axis=1).reshape(-1, 2)
-    rng = np.random.default_rng(seed)
-    L = math.comb(N, 2)
-    i = rng.choice(L, sample)
-    j = (i + 1 + rng.choice(L - 1, sample)) % L
-    return (np.concatenate([rows0, unrank_supports(i, N, 2)]),
-            np.concatenate([rows1, unrank_supports(j, N, 2)]))
+    random0, random1 = sampled_pairs(N, 2, sample, seed)
+    return np.concatenate([rows0, random0]), np.concatenate([rows1, random1])
 
 
 FLOOR_CASES = {
@@ -715,6 +719,9 @@ FLOOR_CASES = {
     "ula-fine": lambda: (ula_manifold_matrix(16, ula_angle_grid(360)).entries,
                          *adjacent_pairs(360, 2000, seed=23)),
     "ula-sin-grid": lambda: (sin_grid_ula(8, 64), *adjacent_pairs(64, 500, seed=24)),
+    # r = K + k_d up to 6, where the floors' spread bound is loosest
+    "ula-K3": lambda: (ula_manifold_matrix(8, ula_angle_grid(90)).entries,
+                       *sampled_pairs(90, 3, 2000, seed=29)),
 }
 SIGMA2S = [1e-8, 1e-4, 1.0, 16.0]
 
@@ -784,10 +791,53 @@ class TestPrunedWalk:
     @pytest.mark.parametrize("sigma2", SIGMA2S)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sampled_walk_matches_unpruned(self, sigma2, seed):
-        entries = ula_manifold_matrix(16, ula_angle_grid(360)).entries
-        want = walk_outcome(lambda: unpruned(entries, 2, sigma2, 2000, seed)[:3])
-        got = walk_outcome(lambda: self.pruned(entries, 2, sigma2, 2000, seed))
-        assert got == want and want[2] == "sampled(2000)"
+        # the doa-ula bench matrix at K = 2 (r <= 4), and an 8 x 90 ULA at
+        # K = 3 (r <= 6), where the floors' spread bound is loosest
+        for M, N, K in ((16, 360, 2), (8, 90, 3)):
+            entries = ula_manifold_matrix(M, ula_angle_grid(N)).entries
+            want = walk_outcome(lambda: unpruned(entries, K, sigma2, 2000, seed)[:3])
+            got = walk_outcome(lambda: self.pruned(entries, K, sigma2, 2000, seed))
+            assert got == want and want[2] == "sampled(2000)"
+
+    @pytest.mark.parametrize("sigma2", SIGMA2S)
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_spread_bound_is_above_the_dense_inverse_norm(self, case, sigma2):
+        # each floor's margin reads `_spread_bound` where a dense margin reads
+        # ||L^{-1}||_F^2, for L L^H = B' = A_U^H A_U + (0 (+) sigma2 I_kd), the
+        # union U in `_union_rows` order
+        entries, rows0, rows1 = FLOOR_CASES[case]()
+        k_d, union = spectra._union_rows(rows0, rows1)
+        K = rows0.shape[1]
+        for kd in np.unique(k_d):
+            U = union[k_d == kd, :K + kd]
+            _, pivots, failed, mass = spectra._gram_factor(entries, U, sigma2, K)
+            bound = spectra._spread_bound(pivots, mass + kd * sigma2)
+            X = entries[:, U].swapaxes(0, 1)                  # (n, M, r)
+            B = X.conj().swapaxes(1, 2) @ X
+            B[:, K:, K:] += sigma2 * np.eye(kd)
+            dense = np.sum(np.abs(np.linalg.inv(np.linalg.cholesky(B))) ** 2, axis=(1, 2))
+            assert not failed.any() and (bound >= dense).all()
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("sample_count", [None, 500])
+    def test_walk_hands_its_scorer_checked_rows(self, K, sample_count, monkeypatch):
+        # the walk scores through the unchecked `_incoherences`, so every set
+        # of rows it hands over must pass the row rule and the pair rule
+        M, N = 7, 8 if sample_count is None else 30
+        entries = gaussian_instance(M, N, seed=30, label="walk-rows").entries
+        core, handed = spectra._incoherences, []
+
+        def checked(A, rows0, rows1, sigma2):
+            for rows in (rows0, rows1):
+                np.testing.assert_array_equal(model._check_rows(rows, N, "support"), rows)
+            spectra._pair_union(rows0, rows1, M, N)
+            handed.append(len(rows0))
+            return core(A, rows0, rows1, sigma2)
+
+        monkeypatch.setattr(spectra, "_incoherences", checked)
+        monkeypatch.setattr(spectra, "PAIR_BLOCK", 100)
+        summary = matrix_incoherence(entries, K, 0.1, sample_count, seed=3)
+        assert handed and sum(handed) == summary.pairs_scored
 
     def test_exact_ties_are_all_scored(self):
         # orthonormal columns: every pair scores the same, so no floor clears the bar
