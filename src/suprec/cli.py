@@ -443,8 +443,8 @@ def _simulate_row(mode, point: tuple, est: mc.ErrorEstimate, cells: tuple) -> di
 def run_simulate(plan: dict, seed: int):
     """Rows in `product(Ts, sigma2s)` order. The mode's run makes one
     estimator call over the whole grid (each sigma2's decoder is built once,
-    in multiple mode by the run, and each trial block is drawn once per T for
-    every sigma2) and lists one (chernoff_clamped, fano_clamped, lambda_bar)
+    in multiple mode by the run, and each trial block is drawn once for every
+    T and sigma2) and lists one (chernoff_clamped, fano_clamped, lambda_bar)
     cell triple per point; what the bounds need and does not depend on T
     (H's spectrum, lambda_bar, a decoder's covariance factors) is built once
     per sigma2. One loop

@@ -17,13 +17,18 @@ it, with a `ValueError` naming the input.
 Everything stochastic in the package flows through :func:`substream`, which
 derives an independent generator from (master seed, operation label, index).
 Identical inputs always produce identical outputs, regardless of call order
-or threading. Signals and noise are drawn in blocks of trials by
-`montecarlo.draw_level_blocks`; a block's stream is keyed by (seed, label,
-block) and never by the noise level sigma2, so every level of a sigma2 grid
-shares the block's truths, signals and unit noise, scaling only the noise.
-A change to the streams must keep them free of sigma2, or give up that
-sharing. Stacks of per-draw matrices (eig-check's
-cells, the incoherence statistics) come from :func:`draw_matrices`, which
+or threading. Every field Gaussian is read from a flat run of standard
+normals: `_field_normals` is the one caller of `standard_normal`, and
+`_fill_field_gaussian` turns the front of a run into a field Gaussian of any
+shape, so `field_gaussian` is the two on one run. Signals and noise are drawn
+in blocks of trials by `montecarlo.draw_level_blocks`, one run per block for
+every T of a grid; a block's stream is keyed by (seed, label, block) and
+never by T or the noise level sigma2, so every T reads the front of the
+block's one run and every level shares the block's truths, signals and unit
+noise, scaling only the noise. A change to the streams must keep them free
+of T and sigma2, or give up that sharing. Stacks of per-draw matrices
+(eig-check's cells, the incoherence statistics) come from
+:func:`draw_matrices`, which
 seeds every draw's stream in one vectorized pass and returns, byte for byte,
 the matrices that `substream` gives draw by draw; `substream` stays numpy's
 own seeding path, for single streams and as that pass's reference.
@@ -203,10 +208,42 @@ def draw_matrices(seed: int, label: str, draws: range, shape, field: FieldTag,
 
 def field_gaussian(rng: np.random.Generator, shape, field: FieldTag) -> np.ndarray:
     """Unit-variance field Gaussian draw; complex entries are circularly
-    symmetric with real/imag parts of variance 1/2 each."""
-    if field is FieldTag.COMPLEX:
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-    return rng.standard_normal(shape)
+    symmetric with real/imag parts of variance 1/2 each. One `_field_normals`
+    draw, read by `_fill_field_gaussian`: all the real parts, in C order, then
+    all the imaginary parts."""
+    out = np.empty(shape, field.dtype)
+    _fill_field_gaussian(out, _field_normals(rng, out.size, field))
+    return out
+
+
+def _field_normals(rng: np.random.Generator, size: int, field: FieldTag) -> np.ndarray:
+    """One flat `standard_normal` draw of the values that field Gaussians of
+    `size` entries in all read: `size` of them, twice that for a complex field."""
+    return rng.standard_normal(size * (2 if field is FieldTag.COMPLEX else 1))
+
+
+def _fill_field_gaussian(out: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Fill `out` (real or complex, of any strides) with unit-variance field
+    Gaussians read from the front of the flat standard normals `normals`: its
+    real parts in the C order of its indices, then, if complex, its imaginary
+    parts. Returns the normals it did not read.
+
+    A `standard_normal` draw is, byte for byte, the front of a longer draw
+    from the same state, so arrays filled in turn from one long draw hold the
+    values that draws of each in turn give."""
+    size = out.size
+    re = normals[:size].reshape(out.shape)
+    if out.dtype.kind != "c":
+        out[...] = re
+        return normals[size:]
+    # (re + 1j * im) * sqrt(1/2) in place, by the same operations and so with
+    # the same bits: 1j * im has an imaginary part im + 0, never -0, which
+    # adding re (of imaginary part 0) leaves as it is
+    out[...] = normals[size:2 * size].reshape(out.shape)
+    out *= 1j
+    out.real += re
+    out *= np.sqrt(0.5)
+    return normals[2 * size:]
 
 
 @dataclass(frozen=True)

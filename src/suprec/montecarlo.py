@@ -10,8 +10,10 @@ arguments. This module is the one owner of the (T, sigma2) grid: each
 `estimate_*_perrs` covers every point of `product(Ts, sigma2s)`, one estimate
 per point in that order (the scalar estimators are their one-point views),
 and builds what does not depend on T, a matrix draw or a level's decoder,
-once. No stream depends on the noise level, so each block is drawn once per
-T and scored at every level, as Y = A_S X + sqrt(sigma2) W1. Matrix-draw
+once. No stream depends on T or the noise level, so each block is drawn
+once, as one run of normals sized for the largest T, and every T reads its
+signals and noise from the front of that run; every level scores them as
+Y = A_S X + sqrt(sigma2) W1. Matrix-draw
 statistics take their stacks of draws from `model.draw_matrices`, whose
 draw d is byte for byte the matrix of substream(seed, label, d), and score
 PAIR_BLOCK draws as one stack. The multiple estimator takes its levels as
@@ -40,11 +42,12 @@ from .model import (
     FieldTag,
     Support,
     _check_counts,
+    _field_normals,
+    _fill_field_gaussian,
     _integer,
     _positive,
     as_matrix,
     draw_matrices,
-    field_gaussian,
     sample_gaussian_matrix,
     substream,
     support_rows,
@@ -195,53 +198,65 @@ def _estimate(errors: int, trials: int, seed: int, **extras) -> ErrorEstimate:
 
 def draw_level_blocks(A, supports: np.ndarray, sigma2s, Ts, trials: int, seed: int,
                       label: str, first_index: int = 0):
-    """Yield (truths, t, level, Y) for each T of the sequence `Ts` in order,
-    consecutive blocks of at most TRIAL_BLOCK trials and, within a block,
-    each noise level of the sequence `sigma2s` in order: Y (n, M, Ts[t]) are
-    the block's observations at sigma2s[level]. Every sigma2 is held to
-    `model._positive` before the first draw.
+    """Yield (truths, t, level, Y) for consecutive blocks of at most
+    TRIAL_BLOCK trials and, within a block, each T of the sequence `Ts` in
+    order and, within a T, each noise level of the sequence `sigma2s` in
+    order: Y (n, M, Ts[t]) are the block's observations at sigma2s[level].
+    Before the first draw, `trials` and every T are held to
+    `model._check_counts`, both grids to `_check_grid` and every sigma2 to
+    `model._positive`.
 
     `supports` is an (L, K) array of column indices, one row per hypothesis.
-    Block b draws everything from substream(seed, label, first_index + b): the
-    true hypotheses (n,), then the signals X (n, K, T), then the unit noise
-    W1 (n, M, T). Every T draws from the same streams. The stream is keyed by
-    (seed, label, block) and never by the noise level, so every level shares
-    the block's draws: level sigma2 observes Y = A_S X + sqrt(sigma2) W1, the
-    same Y a one-point call at (T, sigma2) yields. A change to the streams must
-    keep them free of sigma2, or give up this sharing.
+    Block b draws everything from substream(seed, label, first_index + b):
+    the true hypotheses (n,), then one flat run of standard normals sized for
+    max(Ts) (`model._field_normals`), so one draw per block serves every T.
+    At each T the signals X (n, K, T) and then the unit noise W1 (n, M, T)
+    are read from the front of that run (`model._fill_field_gaussian`): byte
+    for byte the X and W1 that a block drawn for that T alone gives, since a
+    `standard_normal` run is the front of any longer one. The stream is keyed
+    by (seed, label, block) and never by T or the noise level, so every level
+    shares the block's draws: level sigma2 observes Y = A_S X + sqrt(sigma2)
+    W1, the same Y a one-point call at (T, sigma2) yields. A change to the
+    streams must keep them free of T and sigma2, or give up this sharing.
 
     Each Y is a fresh array, which the consumer may keep. A_S X, W1 and Y
     are held trial-last, (M, T, n) in memory, and Y is yielded as its
     (n, M, T) view: the layout `SupportDecoder` reads, so a decoder takes Y
     without a copy.
     """
+    _check_counts(trials=trials, T=Ts)
+    _check_grid(sigma2s=sigma2s, Ts=Ts)
     for sigma2 in sigma2s:
         _positive(sigma2, "sigma2")
     entries, field = as_matrix(A)
     M = entries.shape[0]
     L, K = supports.shape
-    for t, T in enumerate(Ts):
-        for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
-            n = min(TRIAL_BLOCK, trials - start)
-            rng = substream(seed, label, first_index + b)
-            truths = rng.integers(0, L, size=n)
-            AX = _trial_last(np.moveaxis(entries[:, supports[truths]], 1, 0)
-                             @ field_gaussian(rng, (n, K, T), field))
-            W1 = _trial_last(field_gaussian(rng, (n, M, T), field))
+    for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+        n = min(TRIAL_BLOCK, trials - start)
+        rng = substream(seed, label, first_index + b)
+        truths = rng.integers(0, L, size=n)
+        normals = _field_normals(rng, n * (K + M) * max(Ts), field)
+        A_S = np.moveaxis(entries[:, supports[truths]], 1, 0)
+        for t, T in enumerate(Ts):
+            X = np.empty((n, K, T), field.dtype)
+            noise = _fill_field_gaussian(X, normals)
+            AX = np.ascontiguousarray(np.moveaxis(A_S @ X, 0, -1))
+            del X
+            W1 = np.empty((M, T, n), field.dtype)
+            _fill_field_gaussian(np.moveaxis(W1, -1, 0), noise)
+            if t == len(Ts) - 1:
+                # the block's draw is all read: freed before its last observations
+                # and the next block's draw, since holding a block's buffers
+                # through the next one's draw raised sim-binary's peak RSS by 0.3 MB
+                del normals, noise, A_S
             for level, sigma2 in enumerate(sigma2s):
                 # Adding A_S X in place gives the bits of A_S X + sqrt(sigma2) W1:
                 # a floating-point sum does not depend on the order of its terms.
-                Y = W1 * np.sqrt(sigma2)
+                # The last level needs W1 no more, so its Y is W1 scaled in place.
+                Y = np.multiply(W1, np.sqrt(sigma2), out=W1 if level == len(sigma2s) - 1 else None)
                 Y += AX
                 yield truths, t, level, np.moveaxis(Y, -1, 0)
-            # freed before the next block's draws: holding them through those
-            # draws raised the sim-binary bench's peak RSS by 0.3 MB
             del AX, W1
-
-
-def _trial_last(x: np.ndarray) -> np.ndarray:
-    """A C-order copy (M, T, n) of the stack x (n, M, T)."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def estimate_binary_perr(A, S0: Support, S1: Support, sigma2: float, T: int,
@@ -345,7 +360,7 @@ def estimate_ensemble_perrs(M: int, N: int, K: int, sigma2s, Ts, matrix_draws: i
                             field: FieldTag = FieldTag.REAL) -> list:
     """`estimate_ensemble_perr` at each point of `product(Ts, sigma2s)`, one
     estimate per point in that order: each matrix and its decoders are built
-    once, and its trial blocks drawn once per T and decoded at every level."""
+    once, and its trial blocks drawn once and decoded at every T and level."""
     _check_counts(T=Ts, matrix_draws=matrix_draws, trials_per_matrix=trials_per_matrix)
     _check_grid(sigma2s=sigma2s, Ts=Ts)
     rows = support_rows(N, K)

@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from suprec import (
 )
 
 import suprec.model as model
-from suprec.model import NonDegeneracyReport, _comb_table, _seed_states
+from suprec.model import NonDegeneracyReport, _comb_table, _fill_field_gaussian, _seed_states
 from suprec.montecarlo import TRIAL_BLOCK, draw_level_blocks
 
 from conftest import gaussian_instance
@@ -481,6 +481,32 @@ class TestSubstream:
     def test_numpy_integers_give_the_same_stream(self):
         a = substream(np.int64(7), "x", np.uint32(3)).standard_normal(4)
         assert np.array_equal(a, substream(7, "x", 3).standard_normal(4))
+
+
+class TestFieldGaussian:
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_is_the_standard_normal_draws(self, field):
+        # one standard_normal(shape) draw for a real field; for a complex one,
+        # a draw of the real parts and then one of the imaginary parts
+        shape = (3, 4, 5)
+        drawn, rng = substream(4, "field-gaussian"), substream(4, "field-gaussian")
+        got = field_gaussian(drawn, shape, field)
+        if field is FieldTag.COMPLEX:
+            want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+        else:
+            want = rng.standard_normal(shape)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
+    def test_fill_keeps_the_bits_of_the_complex_formula(self):
+        # signed zeros, subnormals and the largest values, into a strided array
+        values = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308]
+        re, im = np.array(list(product(values, values))).T
+        out = np.empty((len(re), 3), dtype=complex)[:, 1]
+        rest = _fill_field_gaussian(out, np.concatenate([re, im, [7.0]]))
+        assert out.tobytes() == ((re + 1j * im) * np.sqrt(0.5)).tobytes()
+        assert rest.tolist() == [7.0]
 
 
 def numpy_states(entropy):

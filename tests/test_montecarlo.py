@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from suprec import (
     enumerate_supports,
     fano_beta_exact,
     fano_lower,
+    field_gaussian,
     make_support,
     pair_incoherence,
     sample_gaussian_matrix,
@@ -297,7 +300,7 @@ class TestBlockDraws:
 
 
 class TestNoiseLevels:
-    """The grid estimators draw each trial block once per T for all their
+    """The grid estimators draw each trial block once for all their Ts and
     noise levels; every point of the (T, sigma2) grid must read what a
     one-point call reads, in `product(Ts, sigma2s)` order."""
 
@@ -318,7 +321,7 @@ class TestNoiseLevels:
             # every yield is held until the end: none may be overwritten by a later one
             held = list(draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 17, "levels"))
             assert [(t, level) for _, t, level, _ in held] == [
-                (t, level) for t in range(len(Ts)) for _ in range(3)
+                (t, level) for _ in range(3) for t in range(len(Ts))
                 for level in range(len(sigma2s))]
             for (_, _, _, Y), (_, _, _, other) in combinations(held, 2):
                 assert not np.shares_memory(Y, other)
@@ -394,6 +397,89 @@ class TestNoiseLevels:
         ests = mc.estimate_ensemble_perrs(4, 6, 2, [0.5, 1e-8], [1, 2, 3], 3, 20, seed=25)
         assert len(ests) == 3 * 2
         assert built == {"decoders": 3 * 2, "matrices": 3}
+
+
+def per_T_blocks(A, rows, sigma2s, Ts, trials, seed, label, first_index):
+    """The trial blocks as a draw made for each T alone gives them, keyed by
+    (block, t, level): a fresh substream(seed, label, first_index + b) for
+    each T and block b, then the truths, the signals X and the unit noise W1
+    by `field_gaussian`, and Y = A_S X + sqrt(sigma2) W1."""
+    M, K = A.shape[0], rows.shape[1]
+    blocks = {}
+    for t, T in enumerate(Ts):
+        for b, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+            n = min(TRIAL_BLOCK, trials - start)
+            rng = substream(seed, label, first_index + b)
+            truths = rng.integers(0, len(rows), size=n)
+            X = field_gaussian(rng, (n, K, T), A.field)
+            W1 = field_gaussian(rng, (n, M, T), A.field)
+            AX = np.moveaxis(A.entries[:, rows[truths]], 1, 0) @ X
+            for level, sigma2 in enumerate(sigma2s):
+                blocks[b, t, level] = truths, W1 * np.sqrt(sigma2) + AX
+    return blocks
+
+
+class TestOneDrawPerBlock:
+    """`draw_level_blocks` draws each block once for all its Ts: every T
+    reads its X and W1 from the front of the block's one run of normals."""
+
+    TRIALS = 2 * TRIAL_BLOCK + 37     # two full blocks and a ragged one
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_blocks_are_the_per_T_draws(self, field):
+        A = gaussian_instance(5, 7, field, seed=123, label="mc-one-draw")
+        rows = support_rows(7, 2)
+        sigma2s, Ts = [0.5, 1e-8], [3, 1, 3, 8]       # unsorted, with a repeat
+        want = per_T_blocks(A, rows, sigma2s, Ts, self.TRIALS, 18, "one-draw", 5)
+        got = list(draw_level_blocks(A, rows, sigma2s, Ts, self.TRIALS, 18, "one-draw", 5))
+        keys = [(b, t, level) for b in range(3) for t in range(len(Ts))
+                for level in range(len(sigma2s))]
+        assert [(t, level) for _, t, level, _ in got] == [key[1:] for key in keys]
+        for key, (truths, _, _, Y) in zip(keys, got):
+            want_truths, want_Y = want[key]
+            assert truths.tobytes() == want_truths.tobytes()
+            assert Y.shape == want_Y.shape
+            assert np.ascontiguousarray(Y).tobytes() == want_Y.tobytes()
+
+    def test_one_stream_per_block(self, monkeypatch):
+        seeded = []
+
+        def spy(*args):
+            seeded.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(mc, "substream", spy)
+        A = gaussian_instance(6, 8, FieldTag.COMPLEX, seed=120, label="mc-blocks")
+        S0, S1 = make_support([0, 1], 8), make_support([1, 4], 8)
+        mc.estimate_binary_perrs(A, S0, S1, [0.05, 0.5], [1, 2, 4, 8], self.TRIALS, seed=15)
+        assert seeded == [(15, "binary-trial", b) for b in range(3)]
+        seeded.clear()
+        decoders = [SupportDecoder(A, support_rows(8, 2), s) for s in (0.05, 0.5)]
+        mc.estimate_multiple_perrs(A, decoders, [1, 4], self.TRIALS, seed=16)
+        assert seeded == [(16, "multiple-trial", b) for b in range(3)]
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("trials, Ts", [(TRIAL_BLOCK, [16]), (100, [16, 16]),
+                                            (4 * TRIAL_BLOCK + 37, [16, 4, 16, 1])])
+    def test_working_memory_is_one_block_draw(self, field, trials, Ts):
+        # A 20 x 6 matrix, K = 2: one block's draw at max(Ts) = 16 holds
+        # parts * n * (K + M) * 16 normals (1.4 MB for a complex block of 256).
+        # A pass holds that draw and a few arrays the size of one T's W1 (A_S X,
+        # W1, the Y being made and the Y its consumer holds): 4.1 draws at most
+        # here. Holding a draw, or A_S X and W1, per block or per T would grow
+        # with `trials` or len(Ts).
+        A = gaussian_instance(20, 6, field, seed=124, label="mc-memory")
+        parts = 2 if field is FieldTag.COMPLEX else 1
+        draw = 8 * parts * min(trials, TRIAL_BLOCK) * (2 + 20) * max(Ts)
+        tracemalloc.start()
+        try:
+            for _ in draw_level_blocks(A, support_rows(6, 2), [0.5, 1e-8], Ts, trials, 19,
+                                       "memory"):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * draw
 
 
 class TestEnsembleEstimate:
@@ -486,9 +572,21 @@ class TestExpectedIncoherence:
         assert estimate_expected_incoherence(10, 2, 2, 1.0, draws=1, seed=0).draws == 1
 
 
-# case -> (argument it names, estimator call on a real 4 x 6 matrix A and the
-# supports S0 = {0, 1}, S1 = {2, 3}) with one bad count
+def first_level_block(A, S0, S1, sigma2s, Ts, trials):
+    """The first yield of `draw_level_blocks` over the hypotheses S0 and S1."""
+    rows = np.array([S0.indices, S1.indices])
+    return next(draw_level_blocks(A, rows, sigma2s, Ts, trials, 1, "edges"))
+
+
+# case -> (argument it names, estimator or `draw_level_blocks` call on a real
+# 4 x 6 matrix A and the supports S0 = {0, 1}, S1 = {2, 3}) with one bad count
 COUNT_CASES = {
+    "blocks-fractional-T": ("T", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5], [2.5], 10)),
+    "blocks-fractional-trials": ("trials", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5],
+                                                                               [1], 2.5)),
+    "blocks-no-trials": ("trials", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5], [1], 0)),
+    "blocks-T-zero": ("T", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5], [0], 10)),
+    "blocks-T-negative": ("T", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5], [1, -1], 10)),
     "binary-T": ("T", lambda A, S0, S1: estimate_binary_perr(A, S0, S1, 0.5, 0, 10, 1)),
     "binary-trials": ("trials", lambda A, S0, S1: estimate_binary_perr(A, S0, S1, 0.5, 1, 0, 1)),
     "binary-grid-T": ("T", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [0.5], [1, 2.0],
@@ -520,9 +618,12 @@ def test_counts_are_integers_of_at_least_one(case):
         call(A, make_support([0, 1], 6), make_support([2, 3], 6))
 
 
-# case -> (argument it names, grid estimator call on a real 4 x 6 matrix A and
-# the supports S0 = {0, 1}, S1 = {2, 3}) with that grid argument empty
+# case -> (argument it names, grid estimator or `draw_level_blocks` call on a
+# real 4 x 6 matrix A and the supports S0 = {0, 1}, S1 = {2, 3}) with that grid
+# argument empty
 EMPTY_GRID_CASES = {
+    "blocks-sigma2s": ("sigma2s", lambda A, S0, S1: first_level_block(A, S0, S1, [], [1], 10)),
+    "blocks-Ts": ("Ts", lambda A, S0, S1: first_level_block(A, S0, S1, [0.5], [], 10)),
     "binary-sigma2s": ("sigma2s", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [], [1],
                                                                               10, 1)),
     "binary-Ts": ("Ts", lambda A, S0, S1: mc.estimate_binary_perrs(A, S0, S1, [0.5], [], 10, 1)),
